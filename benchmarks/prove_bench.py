@@ -17,8 +17,12 @@ Variants:
 * ``parallelism_1``  — the engine, sequential: CSR row evaluation + cached
                        twiddle/power-table NTT with fused coset scaling
 * ``parallelism_N``  — the engine with N workers: witness rows through the
-                       §5.2 schedule executor (fork-shared CSR pool), QAP
-                       chains dispatched to worker processes
+                       §5.2 schedule executor — in worker processes only
+                       once the CSR snapshot reaches the executor's
+                       ``PARALLEL_MIN_TERMS`` (smaller systems, e.g. the
+                       SHAL:micro CI smoke, evaluate in-process at every
+                       level, so their ``witness_s`` should not move with
+                       N) — and QAP chains dispatched to worker processes
 
 Each timing is the best of ``--repeat`` runs.  Before timings are
 reported, every variant's ``(A_w, B_w, C_w)`` and quotient are checked

@@ -10,23 +10,16 @@ same inference — asserted by the tests and by ``BENCH_aggregate.json``.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import multiprocessing
 import random
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.aggregate.split import SplitModel
-from repro.ec.backend import GroupBackend, RealBN254Backend, SimulatedBackend
+from repro.core import pool
+from repro.ec.backend import GroupBackend, SimulatedBackend, backend_by_name
 from repro.snark import groth16
 from repro.snark.keys import SetupResult
 from repro.snark.proof import Proof
-from repro.snark.serialize import (
-    deserialize_proof,
-    deserialize_proving_key,
-    serialize_proof,
-    serialize_proving_key,
-)
+from repro.snark.serialize import deserialize_proof, serialize_proof
 
 CRS_DOMAIN = b"zeno.aggregate.crs.v1"
 BLIND_DOMAIN = b"zeno.aggregate.blind.v1"
@@ -71,15 +64,6 @@ def blinding_rng(
     return _rng_from_digest(digest)
 
 
-def backend_by_name(name: str) -> GroupBackend:
-    """Reconstruct a group backend in a worker process from its name."""
-    if name == SimulatedBackend.name:
-        return SimulatedBackend()
-    if name == RealBN254Backend.name:
-        return RealBN254Backend()
-    raise ValueError(f"unknown group backend {name!r}")
-
-
 def setup_split(
     split: SplitModel,
     backend: Optional[GroupBackend] = None,
@@ -114,38 +98,13 @@ def prove_instance(
     return groth16.prove(setup.proving_key, inst.cs, backend, rng)
 
 
-def _prove_layer_remote(args) -> bytes:
-    """Pickle-path pool entry point: prove one shipped layer instance.
+def _prove_layer(state, layer_index: int) -> bytes:
+    """Pool entry point: prove one layer of the published split.
 
-    Receives the proving key in its canonical serialized form (the same
-    bytes the artifact store persists) so the transfer is compact and the
-    child rebuilds exactly the CRS the parent set up.  Used only where
-    ``fork`` is unavailable — shipping keys costs O(model) per layer.
+    The proof travels back in its canonical serialized form — compact,
+    and exactly the bytes the byte-identity checks compare.
     """
-    inst_cs, layer_index, pk_bytes, backend_name, crs_seed = args
-    backend = backend_by_name(backend_name)
-    pk = deserialize_proving_key(pk_bytes)
-    rng = (
-        blinding_rng(crs_seed, layer_index, inst_cs.public_values())
-        if crs_seed is not None
-        else random.Random()
-    )
-    proof = groth16.prove(pk, inst_cs, backend, rng)
-    return serialize_proof(proof)
-
-
-# Fork-shared prove state: the parent parks (split, setups, ...) here
-# right before creating a fork-context pool, so children inherit it via
-# copy-on-write and jobs carry only (token, layer_index) — constant-size
-# regardless of model size.  Same trick as the CSR schedule executor.
-_FORK_STATE: Dict[int, Tuple[SplitModel, Sequence[SetupResult], str,
-                             Optional[int]]] = {}
-_FORK_TOKENS = itertools.count(1)
-
-
-def _prove_layer_fork(args) -> bytes:
-    token, layer_index = args
-    split, setups, backend_name, crs_seed = _FORK_STATE[token]
+    split, setups, backend_name, crs_seed = state
     proof = prove_instance(
         split, layer_index, setups[layer_index],
         backend_by_name(backend_name), crs_seed,
@@ -162,12 +121,12 @@ def prove_split(
 ) -> List[Proof]:
     """Prove every layer instance, concurrently when ``parallelism > 1``.
 
-    The parallel path runs complete per-layer prove pipelines in a
-    process pool — a model-prove becomes max(layer prove) instead of
-    sum(layer prove), which is the whole point of splitting.  Where the
-    platform supports ``fork``, children inherit the split and proving
-    keys by copy-on-write; otherwise each (instance, serialized proving
-    key) pair is pickled across.
+    The parallel path runs complete per-layer prove pipelines in worker
+    processes — a model-prove becomes max(layer prove) instead of
+    sum(layer prove), which is the whole point of splitting.  The split
+    and proving keys are published to the workers once
+    (:func:`repro.core.pool.map_shared`), so jobs carry only a layer index
+    — constant-size regardless of model size.
     """
     backend = backend or SimulatedBackend()
     if len(setups) != split.num_instances:
@@ -179,34 +138,10 @@ def prove_split(
             prove_instance(split, k, setups[k], backend, crs_seed)
             for k in range(split.num_instances)
         ]
-    workers = min(parallelism, split.num_instances)
-    if "fork" in multiprocessing.get_all_start_methods():
-        token = next(_FORK_TOKENS)
-        _FORK_STATE[token] = (split, setups, backend.name, crs_seed)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                proof_bytes = list(
-                    pool.map(
-                        _prove_layer_fork,
-                        [(token, k) for k in range(split.num_instances)],
-                    )
-                )
-        finally:
-            del _FORK_STATE[token]
-    else:
-        jobs = [
-            (
-                split.instances[k].cs,
-                k,
-                serialize_proving_key(setups[k].proving_key),
-                backend.name,
-                crs_seed,
-            )
-            for k in range(split.num_instances)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            proof_bytes = list(pool.map(_prove_layer_remote, jobs))
+    proof_bytes = pool.map_shared(
+        (split, setups, backend.name, crs_seed),
+        _prove_layer,
+        range(split.num_instances),
+        min(parallelism, split.num_instances),
+    )
     return [deserialize_proof(raw) for raw in proof_bytes]

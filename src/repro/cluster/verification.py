@@ -17,19 +17,13 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.ec.backend import backend_by_name
 from repro.snark import groth16
 from repro.snark.serialize import (
     SerializationError,
     deserialize_proof,
     deserialize_verifying_key,
 )
-
-
-def backend_for(name: str):
-    """Group backend instance matching a ``VerifyingKey.backend_name``."""
-    from repro.ec.backend import RealBN254Backend, SimulatedBackend
-
-    return RealBN254Backend() if name == "bn254" else SimulatedBackend()
 
 
 @dataclass
@@ -58,7 +52,7 @@ def verify_claims(
     poisoning the rest of the batch.
     """
     vk = deserialize_verifying_key(vk_bytes)
-    backend = backend_for(vk.backend_name)
+    backend = backend_by_name(vk.backend_name)
 
     proofs = []
     errors: List[Optional[str]] = []

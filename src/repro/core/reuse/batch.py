@@ -100,7 +100,6 @@ class BatchProver:
         self.stats.generate_time = generated.wall_time
         self.stats.circuit_time = self.result.wall_time
         self._setup = None
-        self._tables = None
 
     @property
     def cs(self):
@@ -117,8 +116,8 @@ class BatchProver:
         job pays only assign + prove.
 
         With ``precompute`` (the default), fixed-base MSM tables are built
-        over the CRS query vectors alongside the setup; ``self.tables``
-        then serves every proof of the session without re-deriving
+        over the CRS query vectors alongside the setup and attached to the
+        proving key, so every proof of the session skips re-deriving
         window-shifted bases (see :mod:`repro.ec.fixed_base`).
         """
         if self._setup is None:
@@ -130,16 +129,14 @@ class BatchProver:
             start = time.perf_counter()
             self._setup = groth16.setup(self.cs, backend, rng)
             if precompute:
-                self._tables = precompute_proving_tables(
-                    self._setup.proving_key, backend
-                )
+                precompute_proving_tables(self._setup.proving_key, backend)
             self.stats.setup_time = time.perf_counter() - start
         return self._setup
 
     @property
     def tables(self):
         """Fixed-base CRS tables built by :meth:`warm_setup` (or ``None``)."""
-        return self._tables
+        return self._setup.proving_key.tables if self._setup else None
 
     def prove(
         self,
@@ -169,7 +166,6 @@ class BatchProver:
             self.cs,
             backend,
             rng,
-            tables=self._tables,
             parallelism=parallelism,
             phase_sink=phase_sink,
         )

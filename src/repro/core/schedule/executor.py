@@ -10,126 +10,48 @@ row range is partitioned across a process pool following the
 assignments, and layers are gathered in order — the paper's
 "parallelism within a layer, layers sequential" shape.
 
-Two transport modes:
+Workers come from :mod:`repro.core.pool`: the CSR snapshot is published
+to a pool keyed by the snapshot's ``stamp`` (see :mod:`repro.r1cs.csr`),
+so payloads are just ``(start, stop)`` row spans, repeated proves over the
+same witness reuse the warm pool, and any structure change or witness
+re-assignment restamps the snapshot and replaces the pool.  Worker op
+counts are merged back, so the parent's cost-model counters match the
+sequential path exactly — the op-count parity the regression tests pin
+down.
 
-* **fork sharing** (POSIX default) — the CSR arrays and dense assignment
-  are published in a module global and the pool is forked with them in
-  place, so workers inherit the snapshot copy-on-write and payloads are
-  just ``(start, stop)`` row spans.  The pool is cached keyed by the
-  snapshot's ``stamp`` (see :mod:`repro.r1cs.csr`): repeated proves over
-  the same witness reuse the warm pool, and any structure change or
-  witness re-assignment restamps the snapshot, forcing a re-fork;
-* **pickle fallback** — each task ships a rebased
-  :meth:`~repro.r1cs.csr.CSRSystem.row_span` copy, for platforms without
-  ``fork``.
-
-Workers run under a fresh op-counter scope and return their tallies, so
-the parent's cost-model counters match the sequential path exactly — the
-op-count parity the regression tests pin down.
-
-A second, persistent pool (:func:`worker_pool`) serves payload-pickled
-one-shot tasks — the QAP coset-NTT chains dispatched by
-:func:`repro.snark.qap.quotient_coefficients`.
+Small systems stay in-process: below :data:`PARALLEL_MIN_TERMS` CSR terms
+the fork + result pickling costs more than the rows themselves.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import pool
 from repro.core.schedule.scheduler import ParallelSchedule
-from repro.field.counters import count_ops, global_counter
 from repro.r1cs.csr import CSRSystem, evaluate_rows
 
-TALLY_KEYS = ("field_mul", "field_add", "field_inv", "lc_term")
+# Below this many CSR terms (nnz over A, B, C) the rows evaluate in-process
+# whatever the worker count.  Measured on the 2-core reference host, 2
+# workers vs in-process, pool already warm (two runs, best of 7): 14.5k
+# terms 0.51x, 219k 0.51x, 239k 1.13x/0.58x, 382k 0.66x, 475k 0.96x, 1.15M
+# 0.87x/1.24x, 2.58M 1.19x/1.51x — a loss or a coin-flip through 1.15M,
+# ahead in both runs only at 2.58M, so the gate sits between those two.
+# Even there it is marginal on two cores: with a fresh fork per witness
+# the workers lost at every one of these sizes (0.72-0.86x at 2.58M), and
+# prove_bench's own p2-vs-p1 on LCL:full flipped sign run to run (all
+# runs in CHANGES.md, PR 12).  A host with more cores should re-measure.
+PARALLEL_MIN_TERMS = 2_000_000
 
 
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-# -- persistent pool for payload-pickled tasks (QAP chains) -----------------------
-
-_POOLS: Dict[int, ProcessPoolExecutor] = {}
-
-
-def worker_pool(workers: int) -> ProcessPoolExecutor:
-    """A cached process pool for self-contained (pickled) payloads."""
-    pool = _POOLS.get(workers)
-    if pool is None:
-        ctx = _fork_context() or multiprocessing.get_context()
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-        _POOLS[workers] = pool
-    return pool
-
-
-def shutdown_worker_pools() -> None:
-    """Tear down cached pools (tests / interpreter exit)."""
-    global _WITNESS_POOL, _WITNESS_KEY, _SHARED_CSR
-    for pool in _POOLS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _POOLS.clear()
-    if _WITNESS_POOL is not None:
-        _WITNESS_POOL.shutdown(wait=False, cancel_futures=True)
-        _WITNESS_POOL = None
-    _WITNESS_KEY = None
-    _SHARED_CSR = None
-
-
-atexit.register(shutdown_worker_pools)
-
-
-# -- worker entry points ----------------------------------------------------------
-
-_SHARED_CSR: Optional[CSRSystem] = None  # fork-inherited snapshot
-_WITNESS_POOL: Optional[ProcessPoolExecutor] = None
-_WITNESS_KEY: Optional[Tuple[int, int]] = None  # (csr.stamp, num_workers)
-
-
-def _witness_pool(csr: CSRSystem, workers: int) -> ProcessPoolExecutor:
-    """The fork-shared pool for ``csr``, re-forked only when the snapshot
-    stamp changes (new structure or re-assigned witness) or the worker
-    count does.  Workers fork lazily on first submit, inheriting the
-    published ``_SHARED_CSR`` copy-on-write."""
-    global _SHARED_CSR, _WITNESS_POOL, _WITNESS_KEY
-    key = (csr.stamp, workers)
-    if _WITNESS_POOL is None or _WITNESS_KEY != key:
-        if _WITNESS_POOL is not None:
-            _WITNESS_POOL.shutdown(wait=False, cancel_futures=True)
-        _SHARED_CSR = csr
-        _WITNESS_POOL = ProcessPoolExecutor(
-            max_workers=workers, mp_context=_fork_context()
-        )
-        _WITNESS_KEY = key
-    return _WITNESS_POOL
-
-
-def _eval_span_shared(span: Tuple[int, int]):
-    """Fork-mode worker: evaluate rows ``[start, stop)`` of the inherited
-    CSR snapshot; returns rows + op tally + measured seconds."""
-    start, stop = span
+def _eval_span(csr: CSRSystem, span: Tuple[int, int]):
+    """Worker entry: rows ``[start, stop)`` of the published snapshot, plus
+    the measured seconds."""
     began = time.perf_counter()
-    with count_ops() as ops:
-        a, b, c = evaluate_rows(_SHARED_CSR, start, stop)
-    tally = {key: getattr(ops, key) for key in TALLY_KEYS}
-    return start, a, b, c, tally, time.perf_counter() - began
-
-
-def _eval_span_pickled(payload: Tuple[int, CSRSystem]):
-    """Pickle-mode worker: the payload carries a rebased row span."""
-    start, span_csr = payload
-    began = time.perf_counter()
-    with count_ops() as ops:
-        a, b, c = evaluate_rows(span_csr)
-    tally = {key: getattr(ops, key) for key in TALLY_KEYS}
-    return start, a, b, c, tally, time.perf_counter() - began
+    rows = evaluate_rows(csr, *span)
+    return rows, time.perf_counter() - began
 
 
 # -- layer planning ---------------------------------------------------------------
@@ -231,9 +153,7 @@ class WitnessEvaluation:
     b_rows: List[int]
     c_rows: List[int]
     num_workers: int
-    mode: str  # "fork" | "pickle"
     layer_seconds: Dict[str, float] = field(default_factory=dict)  # max span
-    tally: Dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
 
 
@@ -247,15 +167,10 @@ class ScheduleExecutor:
     against the model.
     """
 
-    def __init__(self, num_workers: int = 2, mode: str = "auto") -> None:
+    def __init__(self, num_workers: int = 2) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
-        if mode == "auto":
-            mode = "fork" if _fork_context() is not None else "pickle"
-        if mode not in ("fork", "pickle"):
-            raise ValueError(f"unknown executor mode {mode!r}")
-        self.mode = mode
 
     def evaluate_witness(
         self,
@@ -270,76 +185,33 @@ class ScheduleExecutor:
         plan = plan_layer_slices(
             csr.num_rows, layer_ranges, self.num_workers, schedule
         )
-        result = WitnessEvaluation(
-            a_rows=[0] * csr.num_rows,
-            b_rows=[0] * csr.num_rows,
-            c_rows=[0] * csr.num_rows,
-            num_workers=self.num_workers,
-            mode=self.mode,
-            tally={key: 0 for key in TALLY_KEYS},
-        )
-        if self.num_workers == 1 or not plan:
-            with count_ops() as ops:
-                a, b, c = evaluate_rows(csr)
-            result.a_rows, result.b_rows, result.c_rows = a, b, c
-            for key in TALLY_KEYS:
-                result.tally[key] = getattr(ops, key)
-            self._merge_tally(result.tally)
-            result.wall_time = time.perf_counter() - began
-            if plan:
-                for layer in plan:
-                    result.layer_seconds[layer.name] = 0.0
-            return result
-
-        if self.mode == "fork":
-            pool = _witness_pool(csr, self.num_workers)
-            futures = [
-                (
-                    layer,
-                    [
-                        pool.submit(_eval_span_shared, span)
-                        for span in layer.spans
-                    ],
-                )
-                for layer in plan
-            ]
-            self._gather(futures, result)
+        if (
+            self.num_workers == 1
+            or not plan
+            or csr.total_terms() < PARALLEL_MIN_TERMS
+        ):
+            a_rows, b_rows, c_rows = evaluate_rows(csr)
+            layer_seconds = {layer.name: 0.0 for layer in plan}
         else:
-            pool = worker_pool(self.num_workers)
-            futures = [
-                (
-                    layer,
-                    [
-                        pool.submit(
-                            _eval_span_pickled,
-                            (span[0], csr.row_span(span[0], span[1])),
-                        )
-                        for span in layer.spans
-                    ],
-                )
-                for layer in plan
-            ]
-            self._gather(futures, result)
-        self._merge_tally(result.tally)
-        result.wall_time = time.perf_counter() - began
-        return result
-
-    def _gather(self, futures, result: WitnessEvaluation) -> None:
-        for layer, layer_futures in futures:
-            span_max = 0.0
-            for future in layer_futures:
-                start, a, b, c, tally, seconds = future.result()
-                result.a_rows[start : start + len(a)] = a
-                result.b_rows[start : start + len(b)] = b
-                result.c_rows[start : start + len(c)] = c
-                for key in TALLY_KEYS:
-                    result.tally[key] += tally.get(key, 0)
-                span_max = max(span_max, seconds)
-            result.layer_seconds[layer.name] = span_max
-
-    @staticmethod
-    def _merge_tally(tally: Dict[str, int]) -> None:
-        """Fold worker op tallies into this process's active counter."""
-        counter = global_counter()
-        for key, value in tally.items():
-            setattr(counter, key, getattr(counter, key) + value)
+            a_rows, b_rows, c_rows = ([0] * csr.num_rows for _ in range(3))
+            layer_seconds = {}
+            done = pool.map_shared(
+                csr,
+                _eval_span,
+                [span for layer in plan for span in layer.spans],
+                self.num_workers,
+                key=csr.stamp,
+            )
+            for layer in plan:
+                span_max = 0.0
+                for start, stop in layer.spans:
+                    (a, b, c), seconds = next(done)
+                    a_rows[start:stop] = a
+                    b_rows[start:stop] = b
+                    c_rows[start:stop] = c
+                    span_max = max(span_max, seconds)
+                layer_seconds[layer.name] = span_max
+        return WitnessEvaluation(
+            a_rows, b_rows, c_rows, self.num_workers, layer_seconds,
+            wall_time=time.perf_counter() - began,
+        )

@@ -293,3 +293,16 @@ class SimulatedBackend(GroupBackend):
         for p, q in pairs:
             acc += sim_pairing(p, q).log
         return acc % BN254_FR.modulus == 0
+
+
+def backend_by_name(name: str) -> GroupBackend:
+    """The group backend called ``name`` (a ``GroupBackend.name``, as
+    carried in job specs and ``VerifyingKey.backend_name``).
+
+    Unknown names raise: falling back to the simulated group would hand a
+    typo'd spec a "verified" proof with no cryptographic hardness.
+    """
+    for backend in (SimulatedBackend, RealBN254Backend):
+        if name == backend.name:
+            return backend()
+    raise ValueError(f"unknown group backend {name!r}")

@@ -18,9 +18,9 @@ Two further pieces:
   free (``(x, -y)``) so digit ``-d`` adds the negated point to bucket
   ``d``;
 * **chunked parallel mode** (:func:`msm_parallel`): the point/scalar
-  vector is split across a process pool (MSM is linear in the points, so
-  partial Jacobian sums combine with plain additions).  Workers return
-  their operation tally so the parent's cost-model counters stay honest.
+  vector is split across :mod:`repro.core.pool` workers (MSM is linear in
+  the points, so partial Jacobian sums combine with plain additions);
+  worker op counts are merged back so the cost model stays honest.
 
 Everything operates on raw ``(x, y)`` int pairs mod the base prime, like
 the Jacobian module; infinity inputs and zero scalars are filtered first.
@@ -28,12 +28,10 @@ the Jacobian module; infinity inputs and zero scalars are filtered first.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.core import pool
 from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
@@ -45,7 +43,7 @@ from repro.ec.jacobian import (
     to_affine,
 )
 from repro.ec.msm import pick_window, signed_digits
-from repro.field.counters import count_ops, global_counter
+from repro.field.counters import global_counter
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
 from repro.field.vector import batch_inverse
 
@@ -228,49 +226,13 @@ def msm_streamed(
 
 # -- chunked parallel mode ---------------------------------------------------------
 
-# One cached executor per worker count; proving services issue many MSMs
-# per session, so re-forking the pool on every call would dominate.
-_EXECUTORS: Dict[int, ProcessPoolExecutor] = {}
-
-
-def _mp_context():
-    # fork keeps chunk dispatch cheap (no re-import of the repro package);
-    # platforms without fork fall back to their default start method.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-def _get_executor(workers: int) -> ProcessPoolExecutor:
-    pool = _EXECUTORS.get(workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
-        _EXECUTORS[workers] = pool
-    return pool
-
-
-def shutdown_parallel_pools() -> None:
-    """Tear down cached chunk executors (tests / interpreter exit)."""
-    for pool in _EXECUTORS.values():
-        pool.shutdown(wait=False, cancel_futures=True)
-    _EXECUTORS.clear()
-
-
-atexit.register(shutdown_parallel_pools)
-
-
-def _parallel_chunk(payload: Tuple[List[Affine], List[int], Optional[int]]):
-    """Worker entry: batch-affine MSM over one chunk, with its op tally."""
+def _parallel_chunk(
+    payload: Tuple[List[Affine], List[int], Optional[int]]
+) -> JPoint:
+    """Worker entry: batch-affine MSM over one chunk."""
     affine, reduced, window = payload
-    with count_ops() as ops:
-        c = window or pick_window(len(affine), signed=True)
-        j = _msm_raw(affine, reduced, c)
-    return j, {
-        "group_add": ops.group_add,
-        "field_mul": ops.field_mul,
-        "field_inv": ops.field_inv,
-    }
+    c = window or pick_window(len(affine), signed=True)
+    return _msm_raw(affine, reduced, c)
 
 
 def msm_parallel(
@@ -282,8 +244,7 @@ def msm_parallel(
     """Split the MSM across ``parallelism`` processes and combine partials.
 
     MSM is linear in the point vector, so each chunk's Jacobian partial
-    sum combines with plain group additions.  Worker op tallies are merged
-    into this process's counters (fork would otherwise lose them).
+    sum combines with plain group additions.
     """
     if len(points) != len(scalars):
         raise ValueError(
@@ -304,10 +265,6 @@ def msm_parallel(
         for i in range(0, len(affine), step)
     ]
     total = J_INFINITY
-    counter = global_counter()
-    for j, tally in _get_executor(workers).map(_parallel_chunk, payloads):
-        total = j_add(total, j)
-        counter.group_add += tally["group_add"]
-        counter.field_mul += tally["field_mul"]
-        counter.field_inv += tally["field_inv"]
+    for partial in pool.map(_parallel_chunk, payloads, workers):
+        total = j_add(total, partial)
     return to_affine(total)

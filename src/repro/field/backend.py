@@ -481,90 +481,6 @@ def powers_limbs(plan: LimbPlan, base: int, count: int, mont: bool = False):
     return out
 
 
-# -- blocked batch inversion --------------------------------------------------------
-
-
-def batch_inverse_limbs(
-    plan: LimbPlan,
-    arr,
-    zero_ok: bool = False,
-    mont_form: bool = False,
-    block_lanes: int = 256,
-):
-    """Vectorized Montgomery-trick batch inversion over a limb array.
-
-    ``arr``: ``(L, n)`` canonical values (plain or mont form; the result
-    matches the input form).  Cost: ~3 vector limb-multiplies per element
-    (an axis-0 scan of prefix products, one Python-side inversion per lane
-    column, and a mirrored down-sweep), against 3 sequential big-int
-    multiplies per element for the scalar trick.
-
-    Zeros raise ``ZeroDivisionError`` unless ``zero_ok``, in which case
-    they map to 0 (the batch-affine bucket fold relies on this to process
-    cancelling point pairs as masked lanes).
-    """
-    L = plan.limbs
-    p = plan.modulus
-    n = arr.shape[-1]
-    if n == 0:
-        return arr.copy()
-    zero_mask = ~arr.any(axis=0)
-    has_zero = bool(zero_mask.any())
-    if has_zero and not zero_ok:
-        raise ZeroDivisionError("batch_inverse received a zero element")
-    k = min(block_lanes, n)
-    m = -(-n // k)
-    padded = _np.empty((L, m * k), dtype=_np.int64)
-    padded[:, :n] = arr
-    padded[:, n:] = 0
-    pad_one = plan.one_col if not mont_form else plan._int_limbs(
-        plan.R_mod_p
-    ).reshape(L, 1)
-    if has_zero:
-        full_mask = _np.zeros(m * k, dtype=bool)
-        full_mask[:n] = zero_mask
-        full_mask[n:] = True
-    else:
-        full_mask = _np.zeros(m * k, dtype=bool)
-        full_mask[n:] = True
-    if full_mask.any():
-        padded[:, full_mask] = pad_one  # neutral lanes for the scan
-    rows = padded.reshape(L, m, k)
-    work = _Work(L, k)
-    # Up-sweep: rows[r] <- mont(rows[r], rows[r-1]); keep prefixes.
-    prefixes = _np.empty_like(rows)
-    prefixes[:, 0] = rows[:, 0]
-    for r in range(1, m):
-        mont_mul_into(plan, prefixes[:, r - 1], rows[:, r], prefixes[:, r], work)
-    # Column totals to Python for the single inversion per column.
-    last = prefixes[:, m - 1].copy()
-    canonicalize(plan, last)
-    col_vals = from_limbs(plan, last)
-    # Stored value of column j's total:
-    #   plain form: (prod_j) * R^{-(m-1)}     mont form: (prod_j) * R^{-(m-2)}...
-    # Either way pow(-1) of the *stored* value is exactly the S_{m-1}
-    # seed the down-sweep recurrence needs (see derivation in module docs).
-    inv_cols = [pow(v, -1, p) if v else 0 for v in col_vals]
-    if mont_form:
-        # want outputs in mont form: scale the seed by R^2 mod p
-        r2 = plan.R2
-        inv_cols = [v * r2 % p for v in inv_cols]
-    S = to_limbs(plan, inv_cols)
-    out = _np.empty_like(rows)
-    for r in range(m - 1, 0, -1):
-        mont_mul_into(plan, S, prefixes[:, r - 1], out[:, r], work)
-        mont_mul_into(plan, S, rows[:, r], S, work)
-    out[:, 0] = S
-    result = out.reshape(L, m * k)[:, :n].copy()
-    canonicalize(plan, result)
-    if has_zero:
-        result[:, zero_mask] = 0
-    counter = global_counter()
-    counter.field_mul += 3 * max(n - 1, 0)
-    counter.field_inv += 1
-    return result
-
-
 # -- backend objects ----------------------------------------------------------------
 
 
@@ -643,14 +559,10 @@ class NumpyBackend(ScalarBackend):
     # list-level entry points fall back to scalar arithmetic.
     min_lanes = 64
 
-    # Int-list batch inversion stays on the scalar Montgomery trick unless
-    # explicitly opted in: measured on SIMD-less int64 hardware, the
-    # limb conversions plus ~250ns/lane kernel passes lose to CPython's
-    # 3-mulmod/element sweep at every size (0.65x even at 16k elements).
-    # Limb-resident callers use :func:`batch_inverse_limbs` directly and
-    # skip the conversions.  Hosts with AVX-512 int64 multiply can set
-    # ``ZENO_VECTOR_INV_MIN=<n>`` to route large batches through limbs.
-    inv_min_lanes = int(os.environ.get("ZENO_VECTOR_INV_MIN", "0") or 0)
+    # No inv_list override: on SIMD-less int64 hardware limb conversions
+    # plus ~250ns/lane kernel passes lose to the scalar backend's
+    # 3-mulmod/element Montgomery trick at every size (0.65x at 16k
+    # elements measured).
 
     def _validated(self, plan: LimbPlan, xs):
         return to_limbs(plan, xs, validate=True)
@@ -683,14 +595,6 @@ class NumpyBackend(ScalarBackend):
         out += plan.kp_cols[1]
         canonicalize(plan, out)
         global_counter().field_add += len(xs)
-        return from_limbs(plan, out)
-
-    def inv_list(self, field: Field, xs, zero_ok: bool = False):
-        if not self.inv_min_lanes or len(xs) < self.inv_min_lanes:
-            return ScalarBackend.inv_list(self, field, xs, zero_ok=zero_ok)
-        plan = plan_for(field)
-        arr = self._validated(plan, xs)
-        out = batch_inverse_limbs(plan, arr, zero_ok=zero_ok)
         return from_limbs(plan, out)
 
 

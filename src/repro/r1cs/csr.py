@@ -15,8 +15,8 @@ snapshot replaces all of that with three flat arrays per matrix —
 slice accumulation with no dict lookups.  The structure depends only on
 the constraints (not the witness), so batch-specialized sharing (§6.1)
 builds it once and only refreshes ``z`` per image; the parallel executor
-(:mod:`repro.core.schedule.executor`) ships row spans of the same arrays
-to worker processes.
+(:mod:`repro.core.schedule.executor`) publishes the same arrays to worker
+processes and hands out row spans.
 
 Signed variable indices (see :mod:`repro.r1cs.lc`) map to dense positions
 as ``ONE -> 0``, public ``-k -> k``, private ``+k -> num_public + k`` —
@@ -31,25 +31,10 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-# Minimum span nnz before evaluate_rows considers the limb-vectorized row
-# path (0 disables it).  Default off: on hosts without SIMD int64 the
-# Montgomery kernel's ~250ns/lane does not beat the C-level
-# ``map(operator.mul)`` sweep (~0.45us/term measured, and real circuits
-# have small quantized coefficients that make Python multiplies cheaper
-# still).  Boxes with AVX-512 int64 multiply can opt in via
-# ``ZENO_VECTOR_CSR_MIN=<nnz>``.
-_VECTOR_CSR_MIN = int(os.environ.get("ZENO_VECTOR_CSR_MIN", "0") or 0)
-
-# Rows longer than this fall back to the scalar path: the vector
-# accumulator sums canonical-limb products (< 2p each) with one reduceat
-# per limb row, and 32 terms keeps the row total < 64p — the widest value
-# the canonicalize ladder reduces.
-_VECTOR_MAX_ROW_NNZ = 32
-
 # Monotone stamp identifying one (structure, assignment) snapshot state.
-# The parallel executor keys its fork-shared worker pool on it: same stamp
-# means the workers' inherited copy is still current; a new stamp (fresh
-# structure or a re-assigned witness) forces a re-fork.
+# The parallel executor keys its worker pool on it: same stamp means the
+# workers' copy is still current; a new stamp (fresh structure or a
+# re-assigned witness) forces fresh workers.
 _STAMPS = itertools.count(1)
 
 
@@ -69,23 +54,12 @@ class CSRMatrix:
     def num_rows(self) -> int:
         return len(self.indptr) - 1
 
-    def row_span(self, start: int, stop: int) -> "CSRMatrix":
-        """A rebased copy of rows ``[start, stop)`` — the pickle fallback
-        payload for platforms where fork sharing is unavailable."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        base = self.indptr[start]
-        return CSRMatrix(
-            indptr=[p - base for p in self.indptr[start : stop + 1]],
-            indices=self.indices[lo:hi],
-            coeffs=self.coeffs[lo:hi],
-        )
-
 
 class CSRSystem:
     """CSR snapshot of a constraint system plus its dense assignment."""
 
     __slots__ = ("a", "b", "c", "num_rows", "num_public", "num_private",
-                 "modulus", "z", "stamp", "_vec_cache")
+                 "modulus", "z", "stamp")
 
     def __init__(
         self,
@@ -106,28 +80,10 @@ class CSRSystem:
         self.modulus = modulus
         self.z = z  # [1, publics..., privates...] — Groth16 variable order
         self.stamp = next(_STAMPS)
-        # Limb-resident tables for the vectorized row path: structure
-        # tables keyed by matrix side (immutable once built), the
-        # assignment limbs keyed by stamp so a re-assigned z invalidates.
-        self._vec_cache: dict = {}
 
     def restamp(self) -> None:
         """Mark the snapshot state as changed (new structure or new z)."""
         self.stamp = next(_STAMPS)
-
-    def __getstate__(self):
-        # The limb cache is per-process scratch (numpy arrays, megabytes);
-        # rebuild lazily on the other side instead of shipping it.
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_vec_cache"
-        }
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._vec_cache = {}
 
     @property
     def num_variables(self) -> int:
@@ -138,18 +94,6 @@ class CSRSystem:
 
     def total_terms(self) -> int:
         return self.a.nnz + self.b.nnz + self.c.nnz
-
-    def row_span(self, start: int, stop: int) -> "CSRSystem":
-        """Rows ``[start, stop)`` with the full assignment vector attached."""
-        return CSRSystem(
-            self.a.row_span(start, stop),
-            self.b.row_span(start, stop),
-            self.c.row_span(start, stop),
-            self.num_public,
-            self.num_private,
-            self.modulus,
-            z=self.z,
-        )
 
 
 def dense_position(index: int, num_public: int) -> int:
@@ -260,105 +204,13 @@ def matrix_row_evals(
     return out
 
 
-def _vector_tables(csr: CSRSystem, side: str):
-    """Structure tables for one matrix: gather indices, row starts,
-    mont-form coefficient limbs, and the widest row (for the < 64p
-    accumulator guard).  Built once per snapshot and reused across every
-    witness evaluated against it."""
-    import numpy as np
-
-    from repro.field import backend as fb
-
-    cached = csr._vec_cache.get(side)
-    if cached is not None:
-        return cached
-    matrix: CSRMatrix = getattr(csr, side)
-    plan = fb.plan_for(csr.modulus)
-    p = csr.modulus
-    rm = plan.R_mod_p
-    tables = (
-        np.array(matrix.indices, dtype=np.int64),
-        np.array(matrix.indptr, dtype=np.int64),
-        fb.to_limbs(plan, [c * rm % p for c in matrix.coeffs]),
-        max(
-            (
-                matrix.indptr[r + 1] - matrix.indptr[r]
-                for r in range(matrix.num_rows)
-            ),
-            default=0,
-        ),
-    )
-    csr._vec_cache[side] = tables
-    return tables
-
-
-def _vector_z_limbs(csr: CSRSystem):
-    """Assignment vector as canonical limbs, keyed by snapshot stamp."""
-    from repro.field import backend as fb
-
-    key = ("z", csr.stamp)
-    cached = csr._vec_cache.get(key)
-    if cached is None:
-        for old in [k for k in csr._vec_cache if isinstance(k, tuple)]:
-            del csr._vec_cache[old]  # stale stamps
-        plan = fb.plan_for(csr.modulus)
-        cached = fb.to_limbs(plan, csr.z, validate=True)
-        csr._vec_cache[key] = cached
-    return cached
-
-
-def _vector_row_evals(
-    csr: CSRSystem, side: str, start_row: int, stop_row: int
-) -> Optional[List[int]]:
-    """Limb-vectorized ``<M_j, z>`` sweep, or ``None`` to fall back.
-
-    Each term is one lane of a Montgomery multiply (mont-form coefficient
-    x plain assignment -> plain product < 2p), rows reduce with one
-    ``np.add.reduceat`` per limb row, and 32-term rows keep the
-    accumulated value < 64p — inside the canonicalize ladder's range.
-    Counter totals are charged by the caller exactly as for the scalar
-    sweep.
-    """
-    import numpy as np
-
-    from repro.field import backend as fb
-
-    idx, starts, coeff_mont, max_row = _vector_tables(csr, side)
-    if max_row > _VECTOR_MAX_ROW_NNZ:
-        return None
-    plan = fb.plan_for(csr.modulus)
-    lo, hi = int(starts[start_row]), int(starts[stop_row])
-    if hi == lo:
-        return [0] * (stop_row - start_row)
-    z_limbs = _vector_z_limbs(csr)
-    gathered = np.ascontiguousarray(z_limbs[:, idx[lo:hi]])
-    prods = fb.mont_mul(plan, gathered, coeff_mont[:, lo:hi])
-    row_starts = starts[start_row:stop_row] - lo
-    # reduceat quirks: an empty row would yield the element at its start
-    # (or an out-of-bounds error at the tail), so reduce only the
-    # non-empty rows — their starts are strictly increasing and in range —
-    # and scatter into a zeroed output.
-    empty = starts[start_row + 1 : stop_row + 1] == starts[start_row:stop_row]
-    sums = np.zeros((prods.shape[0], stop_row - start_row), dtype=np.int64)
-    if (~empty).any():
-        sums[:, ~empty] = np.add.reduceat(
-            prods, row_starts[~empty], axis=1
-        )
-    fb.canonicalize(plan, sums)
-    return fb.from_limbs(plan, sums)
-
-
 def evaluate_rows(
     csr: CSRSystem, start_row: int = 0, stop_row: Optional[int] = None
 ) -> Tuple[List[int], List[int], List[int]]:
     """``(A_w, B_w, C_w)`` row evaluations over ``[start_row, stop_row)``.
 
     Tallies one ``field_mul`` per materialized term, matching what the
-    legacy ``LinearCombination.evaluate`` path records.  When the
-    vectorized field backend is active and the span is past
-    ``ZENO_VECTOR_CSR_MIN`` (opt-in; see the module constant) the three
-    sweeps run as limb-array programs instead, with identical results and
-    counter totals.
+    legacy ``LinearCombination.evaluate`` path records.
     """
     from repro.field.counters import global_counter
 
@@ -366,25 +218,9 @@ def evaluate_rows(
         raise ValueError("CSR snapshot has no assignment vector")
     stop_row = csr.num_rows if stop_row is None else stop_row
     z, p = csr.z, csr.modulus
-    evals: List[Optional[List[int]]] = [None, None, None]
-    span_nnz = sum(
-        m.indptr[stop_row] - m.indptr[start_row] for m in csr.matrices()
-    )
-    if _VECTOR_CSR_MIN and span_nnz >= _VECTOR_CSR_MIN:
-        from repro.field.backend import get_backend
-
-        if get_backend().supports_vector:
-            evals = [
-                _vector_row_evals(csr, side, start_row, stop_row)
-                for side in ("a", "b", "c")
-            ]
     a, b, c = (
-        ev
-        if ev is not None
-        else matrix_row_evals(
-            getattr(csr, side), z, p, start_row=start_row, stop_row=stop_row
-        )
-        for side, ev in zip(("a", "b", "c"), evals)
+        matrix_row_evals(matrix, z, p, start_row=start_row, stop_row=stop_row)
+        for matrix in csr.matrices()
     )
     counter = global_counter()
     for matrix in csr.matrices():

@@ -19,18 +19,17 @@ attempt only.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import random
-import sys
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core import pool
 from repro.core.metrics import PhaseTimer
 from repro.core.reuse.batch import BatchProver
 from repro.core.lang.types import Privacy
+from repro.ec.backend import backend_by_name
 
 # -- per-process warm state (lives in the worker, not the service) -----------------
 
@@ -38,15 +37,13 @@ _WARM: Dict[Tuple, "_WarmEntry"] = {}
 
 
 class _WarmEntry:
-    def __init__(
-        self, prover: BatchProver, setup, vk_bytes: bytes, tables=None
-    ) -> None:
+    def __init__(self, prover: BatchProver, setup, vk_bytes: bytes) -> None:
         self.prover = prover
+        # The proving key carries the fixed-base CRS tables built once per
+        # key; every proof in every later batch queries them instead of
+        # raw MSMs.
         self.setup = setup
         self.vk_bytes = vk_bytes
-        # Fixed-base CRS tables built once per key; every proof in every
-        # later batch for this key queries them instead of raw MSMs.
-        self.tables = tables
         # Audit-gate latch: a warm entry only skips the pre-prove audit
         # after it has actually passed it once under some audited spec.
         self.audited = False
@@ -90,16 +87,21 @@ class _WarmAggEntry:
         return setup
 
 
-def _backend(name: str):
-    from repro.ec.backend import RealBN254Backend, SimulatedBackend
+def _spec_key(spec: Dict[str, Any]) -> Tuple:
+    """The part of a spec that fixes the shared constraint system."""
+    return (
+        spec["model"], spec["scale"], spec["seed"], spec["privacy"],
+        spec.get("gadgets"), spec.get("relu_mode"),
+    )
 
-    return RealBN254Backend() if name == "bn254" else SimulatedBackend()
+
+def _spec_backend(spec: Dict[str, Any]):
+    return backend_by_name(spec.get("backend", "simulated"))
 
 
-def _warm_up(key: Tuple, spec: Dict[str, Any], base_image) -> _WarmEntry:
+def _build_prover(spec: Dict[str, Any], base_image) -> BatchProver:
     from repro.core.circuit.compute import ComputeOptions
     from repro.nn.models import build_model
-    from repro.snark.serialize import serialize_verifying_key
 
     image_privacy, weights_privacy = _PRIVACY[spec["privacy"]]
     model = build_model(spec["model"], scale=spec["scale"], seed=spec["seed"])
@@ -109,19 +111,21 @@ def _warm_up(key: Tuple, spec: Dict[str, Any], base_image) -> _WarmEntry:
             gadget_mode=spec.get("gadgets") or "lean",
             relu_mode=spec.get("relu_mode") or "bits",
         )
-    prover = BatchProver(
+    return BatchProver(
         model, base_image, image_privacy=image_privacy,
         weights_privacy=weights_privacy, options=options,
     )
+
+
+def _warm_up(key: Tuple, spec: Dict[str, Any], base_image) -> _WarmEntry:
+    from repro.snark.serialize import serialize_verifying_key
+
+    prover = _build_prover(spec, base_image)
     setup = prover.warm_setup(
-        _backend(spec.get("backend", "simulated")),
-        random.Random(spec.get("crs_seed", 0x5E70)),
+        _spec_backend(spec), random.Random(spec.get("crs_seed", 0x5E70))
     )
     entry = _WarmEntry(
-        prover,
-        setup,
-        serialize_verifying_key(setup.verifying_key),
-        tables=prover.tables,
+        prover, setup, serialize_verifying_key(setup.verifying_key)
     )
     _WARM[key] = entry
     return entry
@@ -143,6 +147,65 @@ def _proof_rng(spec: Dict[str, Any], image) -> Optional[random.Random]:
     )
 
 
+def _maybe_crash(payload: Dict[str, Any]) -> None:
+    """Fault injection: if the payload's ``crash_token`` file exists, delete
+    it and die — a retry of the same job finds the token gone and
+    completes."""
+    token = payload.get("crash_token")
+    if token and os.path.exists(token):
+        os.remove(token)
+        os._exit(1)  # simulate a worker crash mid-batch
+
+
+def _prove_job(
+    spec, payload, setup, cs, backend, rng, phases: Dict[str, float]
+) -> Dict[str, Any]:
+    """Prove + self-verify ``cs`` for one job; returns its result row."""
+    from repro.snark import groth16
+    from repro.snark.serialize import serialize_proof
+
+    with PhaseTimer("security", sink=phases):
+        # phase_sink splits "security" into witness / quotient / msm in
+        # the same phases dict the telemetry aggregates.
+        proof = groth16.prove(
+            setup.proving_key,
+            cs,
+            backend,
+            rng=rng,
+            parallelism=spec.get("parallelism"),
+            phase_sink=phases,
+        )
+    publics = cs.public_values()
+    verified = groth16.verify(setup.verifying_key, publics, proof, backend)
+    p = cs.field.modulus
+    half = p // 2
+    return {
+        "job_id": payload["job_id"],
+        "proof": serialize_proof(proof),
+        "public_inputs": [int(v) for v in publics],
+        "logits": [v - p if v > half else v for v in map(int, publics)],
+        "verified": bool(verified),
+    }
+
+
+def _reply(cold: bool, phases, vk_bytes: bytes, results, **extra):
+    from repro.field.backend import backend_name
+
+    return {
+        "pid": os.getpid(),
+        "cold": cold,
+        "phases": phases,
+        "vk": vk_bytes,
+        # Which field-arithmetic backend this worker proved with
+        # (scalar / numpy / gmpy2) — proofs are byte-identical across
+        # backends, so this is telemetry for capacity planning, not
+        # correctness.
+        "field_backend": backend_name(),
+        "results": results,
+        **extra,
+    }
+
+
 def prove_batch(
     spec: Dict[str, Any], payloads: List[Dict[str, Any]]
 ) -> Dict[str, Any]:
@@ -150,20 +213,13 @@ def prove_batch(
 
     ``spec`` identifies the shared constraint system; ``payloads`` carry
     ``{"job_id", "image"}`` (plus optional ``crash_token`` for fault
-    injection: if that file exists, the worker deletes it and dies — so a
-    retry of the same job finds the token gone and completes).
+    injection, see :func:`_maybe_crash`).
     """
-    from repro.snark import groth16
-    from repro.snark.serialize import serialize_proof
-
     if spec.get("aggregate"):
         return _prove_layer_batch(spec, payloads)
 
-    backend = _backend(spec.get("backend", "simulated"))
-    key = (
-        spec["model"], spec["scale"], spec["seed"], spec["privacy"],
-        spec.get("gadgets"), spec.get("relu_mode"),
-    )
+    backend = _spec_backend(spec)
+    key = _spec_key(spec)
     phases: Dict[str, float] = {}
     cold = key not in _WARM
     if cold:
@@ -203,67 +259,29 @@ def prove_batch(
             }
         entry.audited = True
 
-    tables_uses_before = entry.tables.uses() if entry.tables else 0
+    tables = entry.setup.proving_key.tables
+    tables_uses_before = tables.uses() if tables else 0
     results = []
     for payload in payloads:
-        token = payload.get("crash_token")
-        if token and os.path.exists(token):
-            os.remove(token)
-            os._exit(1)  # simulate a worker crash mid-batch
+        _maybe_crash(payload)
         with PhaseTimer("assign", sink=phases):
             entry.prover.assign_image(payload["image"])
-        with PhaseTimer("security", sink=phases):
-            # phase_sink splits "security" into witness / quotient / msm in
-            # the same phases dict the telemetry aggregates.
-            proof = groth16.prove(
-                entry.setup.proving_key,
-                entry.prover.cs,
-                backend,
-                rng=_proof_rng(spec, payload["image"]),
-                tables=entry.tables,
-                parallelism=spec.get("parallelism"),
-                phase_sink=phases,
-            )
-        publics = entry.prover.cs.public_values()
-        verified = groth16.verify(
-            entry.setup.verifying_key, publics, proof, backend
-        )
-        p = entry.prover.cs.field.modulus
-        half = p // 2
         results.append(
-            {
-                "job_id": payload["job_id"],
-                "proof": serialize_proof(proof),
-                "public_inputs": [int(v) for v in publics],
-                "logits": [v - p if v > half else v for v in map(int, publics)],
-                "verified": bool(verified),
-            }
+            _prove_job(
+                spec, payload, entry.setup, entry.prover.cs, backend,
+                _proof_rng(spec, payload["image"]), phases,
+            )
         )
-    from repro.field.backend import backend_name
-
-    return {
-        "pid": os.getpid(),
-        "cold": cold,
-        "phases": phases,
-        "vk": entry.vk_bytes,
-        # Which field-arithmetic backend this worker proved with
-        # (scalar / numpy / gmpy2) — proofs are byte-identical across
-        # backends, so this is telemetry for capacity planning, not
-        # correctness.
-        "field_backend": backend_name(),
+    return _reply(
+        cold, phases, entry.vk_bytes, results,
         # Fixed-base table telemetry: `built` marks the one-time table
         # construction, `uses` counts table queries served by THIS batch —
         # nonzero on a warm batch proves the CRS tables were reused.
-        "msm_tables": {
-            "built": bool(cold and entry.tables is not None),
-            "uses": (
-                (entry.tables.uses() - tables_uses_before)
-                if entry.tables
-                else 0
-            ),
+        msm_tables={
+            "built": bool(cold and tables is not None),
+            "uses": (tables.uses() - tables_uses_before) if tables else 0,
         },
-        "results": results,
-    }
+    )
 
 
 def _prove_layer_batch(
@@ -286,40 +304,19 @@ def _prove_layer_batch(
     """
     from repro.aggregate import split_model
     from repro.aggregate.prove import DEFAULT_CRS_SEED, blinding_rng
-    from repro.snark import groth16
-    from repro.snark.serialize import serialize_proof
 
     agg = spec["aggregate"]
     layer = int(agg["layer"])
     mode = agg.get("mode", "public")
     num_segments = agg.get("num_segments")
     crs_seed = int(agg.get("crs_seed", DEFAULT_CRS_SEED))
-    backend = _backend(spec.get("backend", "simulated"))
-    key = (
-        spec["model"], spec["scale"], spec["seed"], spec["privacy"],
-        spec.get("gadgets"), spec.get("relu_mode"), mode, num_segments, crs_seed,
-    )
+    backend = _spec_backend(spec)
+    key = _spec_key(spec) + (mode, num_segments, crs_seed)
     phases: Dict[str, float] = {}
     cold = key not in _WARM_AGG
     if cold:
-        from repro.core.circuit.compute import ComputeOptions
-        from repro.nn.models import build_model
-
         with PhaseTimer("warmup", sink=phases):
-            image_privacy, weights_privacy = _PRIVACY[spec["privacy"]]
-            model = build_model(
-                spec["model"], scale=spec["scale"], seed=spec["seed"]
-            )
-            options = None
-            if spec.get("gadgets") or spec.get("relu_mode"):
-                options = ComputeOptions(
-                    gadget_mode=spec.get("gadgets") or "lean",
-                    relu_mode=spec.get("relu_mode") or "bits",
-                )
-            prover = BatchProver(
-                model, payloads[0]["image"], image_privacy=image_privacy,
-                weights_privacy=weights_privacy, options=options,
-            )
+            prover = _build_prover(spec, payloads[0]["image"])
             split = split_model(
                 prover.cs, mode=mode, num_segments=num_segments
             )
@@ -340,54 +337,23 @@ def _prove_layer_batch(
 
     results = []
     for payload in payloads:
-        token = payload.get("crash_token")
-        if token and os.path.exists(token):
-            os.remove(token)
-            os._exit(1)  # same fault-injection contract as prove_batch
+        _maybe_crash(payload)
         with PhaseTimer("assign", sink=phases):
             entry.prover.assign_image(payload["image"])
             inst.refresh_from(entry.prover.cs)
-        publics = inst.cs.public_values()
         rng = (
-            blinding_rng(crs_seed, layer, publics)
+            blinding_rng(crs_seed, layer, inst.cs.public_values())
             if spec.get("deterministic")
             else None
         )
-        with PhaseTimer("security", sink=phases):
-            proof = groth16.prove(
-                setup.proving_key,
-                inst.cs,
-                backend,
-                rng=rng,
-                parallelism=spec.get("parallelism"),
-                phase_sink=phases,
-            )
-        verified = groth16.verify(
-            setup.verifying_key, publics, proof, backend
-        )
-        p = inst.cs.field.modulus
-        half = p // 2
         results.append(
-            {
-                "job_id": payload["job_id"],
-                "proof": serialize_proof(proof),
-                "public_inputs": [int(v) for v in publics],
-                "logits": [v - p if v > half else v for v in map(int, publics)],
-                "verified": bool(verified),
-            }
+            _prove_job(spec, payload, setup, inst.cs, backend, rng, phases)
         )
-    from repro.field.backend import backend_name
-
-    return {
-        "pid": os.getpid(),
-        "cold": cold,
-        "phases": phases,
-        "vk": entry.vk_bytes[layer],
-        "field_backend": backend_name(),
-        "msm_tables": {"built": False, "uses": 0},
-        "aggregate_layer": layer,
-        "results": results,
-    }
+    return _reply(
+        cold, phases, entry.vk_bytes[layer], results,
+        msm_tables={"built": False, "uses": 0},
+        aggregate_layer=layer,
+    )
 
 
 # -- the pool ----------------------------------------------------------------------
@@ -398,12 +364,7 @@ class WorkerPool:
 
     def __init__(self, max_workers: int = 2) -> None:
         self.max_workers = max_workers
-        # fork keeps the warm-up cheap (no re-import); fall back to the
-        # platform default where fork is unavailable (e.g. Windows/macOS).
-        if sys.platform.startswith("linux"):
-            self._ctx = multiprocessing.get_context("fork")
-        else:
-            self._ctx = multiprocessing.get_context()
+        self._ctx = pool.context()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._generation = 0
 

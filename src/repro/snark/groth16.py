@@ -23,12 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ec.backend import GroupBackend, SimulatedBackend
 from repro.r1cs.system import ConstraintSystem
-from repro.snark.keys import (
-    ProvingKey,
-    ProvingKeyTables,
-    SetupResult,
-    VerifyingKey,
-)
+from repro.snark.keys import ProvingKey, SetupResult, VerifyingKey
 from repro.snark.proof import Proof
 from repro.snark.qap import (
     Domain,
@@ -185,19 +180,17 @@ def prove(
     cs: ConstraintSystem,
     backend: Optional[GroupBackend] = None,
     rng: Optional[random.Random] = None,
-    tables: Optional["ProvingKeyTables"] = None,
     parallelism: Optional[int] = None,
-    schedule=None,
     phase_sink: Optional[Dict[str, float]] = None,
 ) -> Proof:
     """Generate a proof for the (fully assigned) constraint system.
 
-    ``tables`` (from :func:`repro.snark.keys.precompute_proving_tables`)
-    routes the four proving MSMs through fixed-base precomputation — the
-    serving path, where one CRS is queried by many proofs.  ``parallelism``
-    drives the whole engine: executor-parallel witness-row evaluation over
-    the CSR snapshot (partitioned per ``schedule`` when given), worker
-    dispatch of the QAP coset-NTT chains, and the chunked-MSM knob on
+    A key carrying fixed-base tables (``pk.tables``, attached by
+    :func:`repro.snark.keys.precompute_proving_tables`) routes the proving
+    MSMs through them — the serving path, where one CRS is queried by many
+    proofs.  ``parallelism`` drives the whole engine: executor-parallel
+    witness-row evaluation over the CSR snapshot, worker dispatch of the
+    QAP coset-NTT chains, and the chunked-MSM knob on
     :meth:`GroupBackend.msm`.  ``phase_sink``, if given, receives wall
     seconds per prover phase (``witness`` / ``quotient`` / ``msm``) —
     accumulated, so the serve telemetry can hand the same dict to every
@@ -207,6 +200,7 @@ def prove(
     rng = rng or random.Random()
     field = backend.scalar_field
     p = field.modulus
+    tables = pk.tables
 
     def query_msm(points, scalars, table):
         if table is not None:
@@ -234,7 +228,7 @@ def prove(
     if domain.size != pk.domain_size:
         raise ValueError("constraint count changed since setup")
     evals = witness_polynomial_evals(
-        cs, domain, csr=csr, parallelism=parallelism, schedule=schedule
+        cs, domain, csr=csr, parallelism=parallelism
     )
     began = tick("witness", began)
     h_coeffs = quotient_coefficients(
@@ -461,9 +455,7 @@ class Groth16:
         pk: ProvingKey,
         cs: ConstraintSystem,
         rng=None,
-        tables: Optional[ProvingKeyTables] = None,
         parallelism: Optional[int] = None,
-        schedule=None,
         phase_sink: Optional[Dict[str, float]] = None,
     ) -> Proof:
         return prove(
@@ -471,9 +463,7 @@ class Groth16:
             cs,
             self.backend,
             rng,
-            tables=tables,
             parallelism=parallelism,
-            schedule=schedule,
             phase_sink=phase_sink,
         )
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import Any, List, Optional
 
 GroupElement = Any
 
@@ -28,6 +28,12 @@ class ProvingKey:
     h_query_g1: List[GroupElement]  # [tau^k Z(tau)/delta]_1, k in 0..d-2
     domain_size: int
     num_public: int = 0
+    # Fixed-base tables over this key's own query vectors, attached by
+    # :func:`precompute_proving_tables`; ``prove`` uses them when present.
+    # Derived data: not compared, not serialized.
+    tables: Optional["ProvingKeyTables"] = field(
+        default=None, compare=False, repr=False
+    )
 
     def num_variables(self) -> int:
         return len(self.a_query_g1)
@@ -61,7 +67,8 @@ class SetupResult:
 class ProvingKeyTables:
     """Fixed-base MSM tables over every CRS query vector of a proving key.
 
-    Built once per (key, backend) via :func:`precompute_proving_tables` and
+    Built once per key via :func:`precompute_proving_tables`, which hangs
+    them on ``pk.tables`` so they cannot be paired with another key, and
     reused across every proof in a serving session — each entry exposes
     ``msm(scalars)`` plus a ``uses`` counter (see
     :meth:`repro.ec.backend.GroupBackend.precompute_msm`).
@@ -85,13 +92,15 @@ class ProvingKeyTables:
 
 
 def precompute_proving_tables(pk: ProvingKey, backend) -> ProvingKeyTables:
-    """Precompute fixed-base tables for all five CRS query vectors."""
+    """Precompute fixed-base tables for all five CRS query vectors and
+    attach them to the key (``pk.tables``); returns them for telemetry."""
     g1_zero = backend.g1_zero()
     g2_zero = backend.g2_zero()
-    return ProvingKeyTables(
+    pk.tables = ProvingKeyTables(
         a_query_g1=backend.precompute_msm(pk.a_query_g1, zero=g1_zero),
         b_query_g1=backend.precompute_msm(pk.b_query_g1, zero=g1_zero),
         b_query_g2=backend.precompute_msm(pk.b_query_g2, zero=g2_zero),
         l_query_g1=backend.precompute_msm(pk.l_query_g1, zero=g1_zero),
         h_query_g1=backend.precompute_msm(pk.h_query_g1, zero=g1_zero),
     )
+    return pk.tables

@@ -34,6 +34,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import pool
 from repro.field.fp import BN254_FR, Field
 from repro.field.vector import batch_inverse
 from repro.r1cs.lc import ONE
@@ -591,15 +592,14 @@ def witness_polynomial_evals(
     domain: Domain,
     csr=None,
     parallelism: Optional[int] = None,
-    schedule=None,
 ) -> Tuple[List[int], List[int], List[int]]:
     """Evaluations of ``A_w, B_w, C_w`` over H (one value per constraint row).
 
     Runs over the CSR snapshot (built on demand; pass ``csr`` to reuse a
-    batch-shared structure).  With ``parallelism > 1`` the rows evaluate in
-    real worker processes via the §5.2 schedule executor, partitioned by
-    the constraint system's layer ranges (and ``schedule``'s per-worker
-    unit assignment when given).
+    batch-shared structure).  With ``parallelism > 1`` the rows go through
+    the §5.2 schedule executor, partitioned by the constraint system's
+    layer ranges — in real worker processes once the system is large
+    enough for that to pay (the executor decides).
     """
     from repro.r1cs.csr import evaluate_rows
 
@@ -610,9 +610,8 @@ def witness_polynomial_evals(
     if parallelism is not None and parallelism > 1:
         from repro.core.schedule.executor import ScheduleExecutor
 
-        executor = ScheduleExecutor(num_workers=parallelism)
-        evaluation = executor.evaluate_witness(
-            csr, cs.layer_ranges, schedule=schedule
+        evaluation = ScheduleExecutor(parallelism).evaluate_witness(
+            csr, cs.layer_ranges
         )
         rows = (evaluation.a_rows, evaluation.b_rows, evaluation.c_rows)
     else:
@@ -645,22 +644,16 @@ def witness_polynomial_evals_lc(
     return a_evals, b_evals, c_evals
 
 
-def _coset_chain(payload: Tuple[int, int, List[int]]):
+def _coset_chain(payload: Tuple[int, int, List[int]]) -> List[int]:
     """Worker entry for one INTT -> coset-NTT chain.
 
     Self-contained payload (domain size, modulus, H-evaluations) so it
     pickles to any pool; the worker-side :meth:`Domain.for_size` cache
     amortizes table builds across the three chains and across proves.
-    Returns the coset evaluations plus the worker's op tally.
     """
     size, modulus, evals = payload
     field = BN254_FR if modulus == BN254_FR.modulus else Field(modulus)
-    domain = Domain.for_size(size, field)
-    from repro.field.counters import count_ops
-
-    with count_ops() as ops:
-        coset = domain.chain_to_coset(evals)
-    return coset, {"field_mul": ops.field_mul, "field_add": ops.field_add}
+    return Domain.for_size(size, field).chain_to_coset(evals)
 
 
 def quotient_coefficients(
@@ -668,7 +661,6 @@ def quotient_coefficients(
     domain: Domain,
     csr=None,
     parallelism: Optional[int] = None,
-    schedule=None,
     evals: Optional[Tuple[List[int], List[int], List[int]]] = None,
 ) -> List[int]:
     """Coefficients of ``h(x) = (A_w(x) B_w(x) - C_w(x)) / Z(x)``.
@@ -680,13 +672,13 @@ def quotient_coefficients(
 
     With ``parallelism > 1`` the witness rows evaluate through the
     schedule executor and the three independent INTT -> coset-NTT chains
-    dispatch to worker processes (tallies merged into this process's
+    dispatch to worker processes (op counts merged into this process's
     counter so the cost model matches the sequential path).
     """
     p = domain.field.modulus
     if evals is None:
         evals = witness_polynomial_evals(
-            cs, domain, csr=csr, parallelism=parallelism, schedule=schedule
+            cs, domain, csr=csr, parallelism=parallelism
         )
     a_evals, b_evals, c_evals = evals
     vec = domain._vector_tables()
@@ -702,25 +694,15 @@ def quotient_coefficients(
             domain, list(a_evals), list(b_evals), list(c_evals)
         )
     if parallelism is not None and parallelism > 1:
-        from repro.core.schedule.executor import worker_pool
-        from repro.field.counters import global_counter
-
         # Two chains go to workers; the parent computes the third itself
         # instead of idling on the gather.
-        pool = worker_pool(min(parallelism, 2))
-        futures = [
-            pool.submit(_coset_chain, (domain.size, p, evals))
-            for evals in (a_evals, b_evals)
-        ]
+        chains = pool.map(
+            _coset_chain,
+            [(domain.size, p, evals) for evals in (a_evals, b_evals)],
+            min(parallelism, 2),
+        )
         c_coset = domain.chain_to_coset(c_evals)
-        counter = global_counter()
-        cosets = []
-        for future in futures:
-            coset, tally = future.result()
-            cosets.append(coset)
-            counter.field_mul += tally["field_mul"]
-            counter.field_add += tally["field_add"]
-        a_coset, b_coset = cosets
+        a_coset, b_coset = chains
     else:
         a_coset = domain.chain_to_coset(a_evals)
         b_coset = domain.chain_to_coset(b_evals)

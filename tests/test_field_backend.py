@@ -20,7 +20,6 @@ from repro.field import backend as fb
 from repro.field.backend import (
     NumpyBackend,
     ScalarBackend,
-    batch_inverse_limbs,
     canonicalize,
     from_limbs,
     mont_mul,
@@ -155,15 +154,6 @@ class TestBatchInverseZeroOk:
         with pytest.raises(ZeroDivisionError):
             batch_inverse(BN254_FR, [1, 0])
 
-    @given(st.lists(st.one_of(st.just(0), elements), min_size=1,
-                    max_size=200))
-    @settings(max_examples=25, deadline=None)
-    def test_limb_variant_matches(self, vals):
-        arr = to_limbs(PLAN, vals)
-        out = batch_inverse_limbs(PLAN, arr, zero_ok=True)
-        got = from_limbs(PLAN, out)
-        assert got == [pow(v, -1, P) if v else 0 for v in vals]
-
     def test_bucket_reduce_with_colliding_points(self):
         # P + (-P) pairs produce zero denominators inside the fold; the
         # zero_ok lanes must drop those pairs and still sum correctly.
@@ -287,33 +277,3 @@ class TestBackendSelection:
         finally:
             set_backend(original)
         assert scalar_proof == numpy_proof
-
-
-class TestVectorCSR:
-    def test_forced_vector_path_matches_scalar(self, monkeypatch):
-        import repro.r1cs.csr as csr_mod
-        from repro.r1cs.csr import CSRMatrix, CSRSystem, evaluate_rows
-
-        random.seed(31)
-        rows, nvars = 128, 90
-        mats = []
-        for _ in range(3):
-            indptr, indices, coeffs = [0], [], []
-            for r in range(rows):
-                for _ in range(random.choice([0, 2, 5])):
-                    indices.append(random.randrange(nvars))
-                    coeffs.append(random.randrange(P))
-                indptr.append(len(indices))
-            mats.append(CSRMatrix(indptr, indices, coeffs))
-        z = [random.randrange(P) for _ in range(nvars)]
-        system = CSRSystem(*mats, num_public=5, num_private=nvars - 6,
-                           modulus=P, z=z)
-        ref = evaluate_rows(system)
-        monkeypatch.setattr(csr_mod, "_VECTOR_CSR_MIN", 1)
-        with count_ops() as vec_ops:
-            got = evaluate_rows(system)
-        monkeypatch.setattr(csr_mod, "_VECTOR_CSR_MIN", 0)
-        with count_ops() as ref_ops:
-            assert evaluate_rows(system) == ref
-        assert got == ref
-        assert vec_ops.field_mul == ref_ops.field_mul

@@ -6,6 +6,7 @@ function* — identical ``(A_w, B_w, C_w)``, identical quotients, identical
 proofs, identical op counts — differing only in wall-clock.
 """
 
+import multiprocessing
 import pickle
 import random
 
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pool
 from repro.core.compiler import PrivacySetting, ZenoCompiler, zeno_options
+from repro.core.schedule import executor as executor_mod
 from repro.core.schedule import (
     LayerComparison,
     ParallelSchedule,
@@ -34,6 +37,13 @@ from repro.snark.qap import (
 )
 from repro.snark.serialize import serialize_proof
 from tests.conftest import tiny_conv_model, tiny_image
+
+
+@pytest.fixture(autouse=True)
+def open_witness_gate(monkeypatch):
+    """These circuits are far below the size where worker processes pay;
+    open the executor's gate so its pool path is what gets tested."""
+    monkeypatch.setattr(executor_mod, "PARALLEL_MIN_TERMS", 0)
 
 
 def random_system(rng: random.Random, rows: int) -> ConstraintSystem:
@@ -181,23 +191,44 @@ class TestScheduleExecutor:
         )
         assert plan[0].spans == ((0, 6), (6, 8))  # 3:1 split of 8 rows
 
-    def test_pickle_mode_matches_fork_mode(self):
+    def test_pickle_mode_matches_fork_mode(self, monkeypatch):
+        """Without fork the snapshot reaches the workers pickled (here:
+        spawn); rows and merged op counts must not depend on which."""
         cs = random_system(random.Random(23), rows=9)
         csr = cs.to_csr()
-        fork = ScheduleExecutor(num_workers=2, mode="fork").evaluate_witness(csr)
-        pick = ScheduleExecutor(num_workers=2, mode="pickle").evaluate_witness(csr)
+        with count_ops() as fork_ops:
+            fork = ScheduleExecutor(num_workers=2).evaluate_witness(csr)
+        monkeypatch.setattr(
+            pool, "context", lambda: multiprocessing.get_context("spawn")
+        )
+        csr.restamp()  # same rows, but force a fresh (spawned) pool
+        with count_ops() as pick_ops:
+            pick = ScheduleExecutor(num_workers=2).evaluate_witness(csr)
+        pool.shutdown()
         assert (fork.a_rows, fork.b_rows, fork.c_rows) == (
             pick.a_rows, pick.b_rows, pick.c_rows
         )
-        assert fork.tally == pick.tally
+        assert fork_ops.snapshot() == pick_ops.snapshot()
+        assert fork_ops.field_mul == csr.total_terms()
 
-    def test_row_span_is_picklable_and_rebased(self):
-        cs = random_system(random.Random(4), rows=8)
+    def test_small_systems_stay_in_process(self, monkeypatch):
+        """The gate: below PARALLEL_MIN_TERMS no worker is started, however
+        many workers the caller asked for."""
+        monkeypatch.undo()  # restore the real threshold
+        cs = random_system(random.Random(29), rows=12)
         csr = cs.to_csr()
-        span = csr.row_span(3, 7)
-        span = pickle.loads(pickle.dumps(span))
-        assert span.num_rows == 4
-        assert evaluate_rows(span) == tuple(
+        assert csr.total_terms() < executor_mod.PARALLEL_MIN_TERMS
+        pool.shutdown()
+        gated = ScheduleExecutor(num_workers=2).evaluate_witness(csr)
+        assert pool._shared_pool is None
+        assert (gated.a_rows, gated.b_rows, gated.c_rows) == evaluate_rows(csr)
+
+    def test_snapshot_survives_pickling(self):
+        """What a non-fork start method does to the published snapshot."""
+        csr = random_system(random.Random(4), rows=8).to_csr()
+        clone = pickle.loads(pickle.dumps(csr))
+        assert clone.stamp == csr.stamp
+        assert evaluate_rows(clone, 3, 7) == tuple(
             rows[3:7] for rows in evaluate_rows(csr)
         )
 

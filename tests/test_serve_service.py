@@ -228,6 +228,26 @@ class TestFixedBaseTableReuse:
         )
 
 
+class TestUnknownGroupBackend:
+    @pytest.mark.parametrize("aggregate", [None, {"layer": 0}])
+    def test_typoed_backend_name_fails_the_batch(self, aggregate):
+        """A misspelt ``"backend"`` must not fall back to the simulated
+        group and come back "verified" with no cryptographic hardness —
+        the batch fails before any circuit is built."""
+        from repro.serve import workers
+
+        spec = {
+            "model": "SHAL", "scale": "mini", "seed": 0,
+            "privacy": "one-private", "backend": "bn25",
+        }
+        if aggregate:
+            spec["aggregate"] = aggregate
+        warm = (len(workers._WARM), len(workers._WARM_AGG))
+        with pytest.raises(ValueError, match="unknown group backend 'bn25'"):
+            workers.prove_batch(spec, [{"job_id": "typo", "image": None}])
+        assert (len(workers._WARM), len(workers._WARM_AGG)) == warm
+
+
 class TestArtifactStore:
     def test_put_get_roundtrip(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -150,13 +150,15 @@ class TestRealBN254Backend:
 
     def test_precomputed_tables_match_direct_proving(self):
         from repro.snark.keys import precompute_proving_tables
+        from repro.snark.serialize import serialize_proof
 
         cs, ref = dot_product_cs([2, 7], [5, 3])
         result = setup(cs, self.backend, random.Random(3))
-        tables = precompute_proving_tables(result.proving_key, self.backend)
-        proof = prove(
-            result.proving_key, cs, self.backend, random.Random(4),
-            tables=tables,
-        )
+        pk = result.proving_key
+        direct = prove(pk, cs, self.backend, random.Random(4))
+        tables = precompute_proving_tables(pk, self.backend)
+        assert pk.tables is tables  # attached: no way to pass another key's
+        proof = prove(pk, cs, self.backend, random.Random(4))
         assert verify(result.verifying_key, [ref], proof, self.backend)
         assert tables.uses() > 0
+        assert serialize_proof(proof) == serialize_proof(direct)
