@@ -24,6 +24,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -504,9 +505,10 @@ def cmd_serve(args) -> int:
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         store_dir=args.store_dir,
-        msm_parallelism=args.parallelism,
+        parallelism=args.parallelism,
         audit=args.audit,
         gadget_mode=args.gadgets,
+        relu_mode=args.relu_mode,
     )
     print(
         f"serving {args.jobs} jobs for {args.model}/{args.scale} "
@@ -535,36 +537,16 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_submit(args) -> int:
-    """Enqueue one job (from a saved ``.npy`` input) and save its proof."""
-    from repro.serve import ProvingService
-
-    if args.input:
-        image = np.load(args.input)
-    else:
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
-
-        shape = build_model(
-            args.model, scale=args.scale, seed=args.seed
-        ).input_shape
-        image = synthetic_images(shape, n=1, seed=args.image_seed)[0]
-
-    service = ProvingService(max_workers=1, max_wait=0.0)
-    job_id = service.submit(
-        args.model,
-        image,
-        scale=args.scale,
-        seed=args.seed,
-        privacy=args.privacy,
-    )
-    res = service.result(job_id, timeout=600)
-    service.shutdown(drain=True)
-
-    out = Path(args.out)
+def _write_job_artifacts(
+    args, out: Path, res, vk: Optional[bytes]
+) -> Tuple[Path, Path]:
+    """Save one service/cluster result under the naming contract
+    ``verify --batch`` scans for: ``out`` is the proof, ``<out>.claim.json``
+    the claim, ``<out>.vk`` the verifying key the claim references."""
     out.write_bytes(res.proof)
     vk_path = out.with_suffix(out.suffix + ".vk")
-    vk_path.write_bytes(service.store.get(res.store_keys["vk"]))
+    if vk:
+        vk_path.write_bytes(vk)
     claim = {
         "model": args.model,
         "scale": args.scale,
@@ -576,6 +558,38 @@ def cmd_submit(args) -> int:
     }
     claim_path = out.with_suffix(out.suffix + ".claim.json")
     claim_path.write_text(json.dumps(claim, indent=2))
+    return vk_path, claim_path
+
+
+def cmd_submit(args) -> int:
+    """Enqueue one job (from a saved ``.npy`` input) and save its proof."""
+    from repro.serve import ProvingService, synthesize_image
+
+    if args.input:
+        image = np.load(args.input)
+    else:
+        image = synthesize_image(
+            args.model, args.scale, args.seed, args.image_seed
+        )
+
+    service = ProvingService(
+        max_workers=1, max_wait=0.0,
+        gadget_mode=args.gadgets, relu_mode=args.relu_mode,
+    )
+    job_id = service.submit(
+        args.model,
+        image,
+        scale=args.scale,
+        seed=args.seed,
+        privacy=args.privacy,
+    )
+    res = service.result(job_id, timeout=600)
+    service.shutdown(drain=True)
+
+    out = Path(args.out)
+    vk_path, claim_path = _write_job_artifacts(
+        args, out, res, service.store.get(res.store_keys["vk"])
+    )
     print(f"prediction: class {int(np.argmax(res.logits))}")
     print(f"proof:  {out} ({out.stat().st_size} bytes)  verified={res.verified}")
     print(f"vk:     {vk_path}")
@@ -673,28 +687,10 @@ def cmd_cluster_submit(args) -> int:
                 f"attempts={client.attempts(job_id)}"
             )
             if out_dir:
-                # Same naming contract ``verify --batch`` scans for:
-                # <name> is the proof, <name>.claim.json the claim,
-                # <name>.vk the verifying key the claim references.
-                proof_path = out_dir / f"{job_id}.proof.bin"
-                proof_path.write_bytes(res.proof)
-                vk_path = proof_path.with_suffix(proof_path.suffix + ".vk")
-                vk = client.verifying_key(job_id)
-                if vk:
-                    vk_path.write_bytes(vk)
-                claim = {
-                    "model": args.model,
-                    "scale": args.scale,
-                    "seed": args.seed,
-                    "privacy": args.privacy,
-                    "public_inputs": [str(v) for v in res.public_inputs],
-                    "logits": res.logits,
-                    "vk_file": vk_path.name,
-                }
-                claim_path = proof_path.with_suffix(
-                    proof_path.suffix + ".claim.json"
+                _write_job_artifacts(
+                    args, out_dir / f"{job_id}.proof.bin", res,
+                    client.verifying_key(job_id),
                 )
-                claim_path.write_text(json.dumps(claim, indent=2))
         if args.stats:
             print(json.dumps(client.stats(timeout=30), indent=2, default=repr))
         if out_dir:
@@ -798,7 +794,8 @@ def cmd_gateway(args) -> int:
     return 0
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
+def _model_args(parser: argparse.ArgumentParser) -> None:
+    """Which network, which input: every subcommand that names a job."""
     parser.add_argument(
         "--model", default="LCS", choices=MODEL_ORDER + TRANSFORMER_ORDER
     )
@@ -809,6 +806,10 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--privacy", default="one-private", choices=sorted(PRIVACY_CHOICES)
     )
+
+
+def _circuit_args(parser: argparse.ArgumentParser) -> None:
+    """How the network is lowered to constraints (also serve spec keys)."""
     parser.add_argument("--gadgets", choices=["lean", "strict"], default=None)
     parser.add_argument(
         "--relu-mode", choices=["bits", "lookup"], default=None,
@@ -816,6 +817,10 @@ def _common(parser: argparse.ArgumentParser) -> None:
              "the repro.lookup table argument (required for transformer "
              "models' LUT layers to amortize; both compile either way)",
     )
+
+
+def _sparsity_args(parser: argparse.ArgumentParser) -> None:
+    """Compile-time weight elision; the serving path has no spec key for it."""
     parser.add_argument(
         "--sparse", action="store_true",
         help="sparsity-aware compilation: skip zero-weight terms and share "
@@ -838,7 +843,9 @@ def main(argv=None) -> int:
     p_models.set_defaults(func=cmd_models)
 
     p_compile = sub.add_parser("compile", help="compile and print statistics")
-    _common(p_compile)
+    _model_args(p_compile)
+    _circuit_args(p_compile)
+    _sparsity_args(p_compile)
     p_compile.add_argument(
         "--detail", action="store_true", help="per-layer constraint table"
     )
@@ -852,7 +859,9 @@ def main(argv=None) -> int:
     p_audit = sub.add_parser(
         "audit", help="soundness-audit a compiled circuit (exit 1 on errors)"
     )
-    _common(p_audit)
+    _model_args(p_audit)
+    _circuit_args(p_audit)
+    _sparsity_args(p_audit)
     p_audit.add_argument(
         "--fuzz", type=int, default=0,
         help="adversarial witness mutations to try (0 = lint+determinism only)",
@@ -872,7 +881,9 @@ def main(argv=None) -> int:
     p_audit.set_defaults(func=cmd_audit)
 
     p_prove = sub.add_parser("prove", help="generate a Groth16 proof")
-    _common(p_prove)
+    _model_args(p_prove)
+    _circuit_args(p_prove)
+    _sparsity_args(p_prove)
     p_prove.add_argument("--out", default="proof.bin")
     p_prove.add_argument("--crs-seed", type=int, default=2024)
     p_prove.add_argument(
@@ -921,13 +932,14 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=cmd_verify)
 
     p_compare = sub.add_parser("compare", help="arkworks vs ZENO profiles")
-    _common(p_compare)
+    _model_args(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_serve = sub.add_parser(
         "serve", help="run a demo workload on the batched proving service"
     )
-    _common(p_serve)
+    _model_args(p_serve)
+    _circuit_args(p_serve)
     p_serve.add_argument("--jobs", type=int, default=8)
     p_serve.add_argument("--workers", type=int, default=2)
     p_serve.add_argument("--max-batch", type=int, default=4)
@@ -949,7 +961,8 @@ def main(argv=None) -> int:
     p_submit = sub.add_parser(
         "submit", help="prove one saved input through the service"
     )
-    _common(p_submit)
+    _model_args(p_submit)
+    _circuit_args(p_submit)
     p_submit.add_argument("--input", default=None,
                           help=".npy image file (default: synthetic)")
     p_submit.add_argument("--out", default="proof.bin")
@@ -997,7 +1010,7 @@ def main(argv=None) -> int:
     p_csubmit = cluster_sub.add_parser(
         "submit", help="submit jobs to a running cluster"
     )
-    _common(p_csubmit)
+    _model_args(p_csubmit)
     p_csubmit.add_argument("--connect", required=True, metavar="HOST:PORT")
     p_csubmit.add_argument("--jobs", type=int, default=4)
     p_csubmit.add_argument("--timeout", type=float, default=600.0)

@@ -42,7 +42,7 @@ from repro.cluster.protocol import (
     write_frame,
 )
 from repro.serve.jobs import JobResult, JobState
-from repro.serve.service import JobFailedError
+from repro.serve.engine import JobFailedError
 
 
 class ClusterError(RuntimeError):

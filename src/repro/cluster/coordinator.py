@@ -1,14 +1,11 @@
 """The cluster coordinator: one queue, many nodes, zero trust.
 
-The coordinator owns the same scheduling machinery as the in-process
-:class:`repro.serve.service.ProvingService` — a :class:`JobQueue` with
-priorities/deadlines/backoff, the §6.1 :class:`MicroBatcher`, the
-content-addressed :class:`ArtifactStore`, and :class:`ServiceTelemetry` —
-but dispatches ready batches over TCP to registered
-:class:`repro.cluster.node.WorkerNode` daemons instead of a local process
-pool.  All the batching/retry knobs come from the embedded
-:class:`~repro.serve.service.ServiceConfig`, so the local pool and the
-cluster share one scheduling code path.
+Scheduling — queue, micro-batching, retries, deadlines, finalization — is
+:class:`repro.serve.engine.JobEngine`, configured by the embedded
+:class:`~repro.serve.service.ServiceConfig`; see that module for the
+lifecycle.  This module is the engine's TCP transport: ready batches go to
+registered :class:`repro.cluster.node.WorkerNode` daemons, and everything
+below is what a network of untrusted nodes adds to that.
 
 Robustness model:
 
@@ -31,16 +28,11 @@ Robustness model:
 
 from __future__ import annotations
 
-import itertools
 import socket
-import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import verification
 from repro.cluster.protocol import (
@@ -50,11 +42,10 @@ from repro.cluster.protocol import (
     read_frame,
     write_frame,
 )
-from repro.serve.batcher import Batch, MicroBatcher
-from repro.serve.jobs import JobQueue, JobResult, JobState, ProofJob
-from repro.serve.service import JobFailedError, ServiceConfig
-from repro.serve.store import ArtifactStore
-from repro.serve.telemetry import ServiceTelemetry
+from repro.serve.batcher import Batch
+from repro.serve.engine import JobEngine
+from repro.serve.jobs import ProofJob
+from repro.serve.service import ServiceConfig
 
 
 @dataclass
@@ -125,31 +116,14 @@ class _Node:
         }
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(JobEngine):
     """TCP coordinator sharding proof batches across registered nodes."""
 
     def __init__(self, config: Optional[ClusterConfig] = None, **overrides):
         self.config = replace(config or ClusterConfig(), **overrides)
-        cfg = self.config.service
-        self._queue = JobQueue()
-        self._batcher = MicroBatcher(cfg.max_batch, cfg.max_wait)
-        self.telemetry = ServiceTelemetry()
-        store_dir = cfg.store_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-        self.store = ArtifactStore(store_dir, max_entries=cfg.store_entries)
-
-        self._jobs: Dict[str, ProofJob] = {}
-        self._job_ids = itertools.count(1)
-        self._lock = threading.RLock()
-        self._terminal = threading.Condition(self._lock)
-        self._wake = threading.Event()
-        self._stop = False
-        self._drain = False
-        self._input_shapes: Dict[Tuple[str, str, int], Tuple[int, ...]] = {}
-        self._terminal_callbacks: List[Callable[[ProofJob], None]] = []
-
+        super().__init__(self.config.service)
         self._nodes: Dict[str, _Node] = {}
         self._dead_nodes: Dict[str, Dict[str, Any]] = {}
-        self._pending: Deque[Batch] = deque()  # ready batches awaiting a node
         # job_id -> (client socket, its send lock): where to push JOB_DONE
         self._watchers: Dict[str, Tuple[socket.socket, threading.Lock]] = {}
         self._client_conns: set = set()
@@ -173,7 +147,7 @@ class ClusterCoordinator:
         self.address = listener.getsockname()
         for target, name in (
             (self._accept_loop, "accept"),
-            (self._dispatch_loop, "dispatch"),
+            (self._loop, "dispatch"),
             (self._monitor_loop, "monitor"),
         ):
             thread = threading.Thread(
@@ -185,17 +159,10 @@ class ClusterCoordinator:
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the cluster; with ``drain`` wait for in-flight jobs first."""
-        with self._lock:
-            if drain:
-                self._drain = True
-            else:
-                self._stop = True
-        self._wake.set()
+        self._halt(drain)
         if drain:
             self.wait_all(timeout=timeout)
-        with self._lock:
-            self._stop = True
-        self._wake.set()
+        self._halt(drain=False)
         listener, self._listener = self._listener, None
         if listener is not None:
             # close() alone does not wake a thread blocked in accept():
@@ -236,117 +203,10 @@ class ClusterCoordinator:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(drain=exc_type is None)
 
-    # -- submission / results (mirrors ProvingService) -------------------------------
-
-    def submit(
-        self,
-        model: str,
-        image: Optional[np.ndarray] = None,
-        *,
-        image_seed: Optional[int] = None,
-        scale: str = "mini",
-        seed: int = 0,
-        privacy: str = "one-private",
-        priority: int = 0,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        tenant: str = "default",
-        extra: Optional[dict] = None,
-    ) -> str:
-        """Enqueue one proving job; returns its job id immediately."""
-        with self._lock:
-            if self._stop or self._drain:
-                raise RuntimeError("cluster is shutting down")
-        if image is None:
-            if image_seed is None:
-                raise ValueError("provide an image or an image_seed")
-            image = self._synthesize(model, scale, seed, image_seed)
-        cfg = self.config.service
-        job = ProofJob(
-            job_id=f"job-{next(self._job_ids):06d}",
-            model=model,
-            image=image,
-            scale=scale,
-            seed=seed,
-            privacy=privacy,
-            priority=priority,
-            timeout=cfg.default_timeout if timeout is None else timeout,
-            max_retries=cfg.max_retries if max_retries is None else max_retries,
-            tenant=tenant,
-            extra=extra or {},
-        )
-        job.submitted_at = time.monotonic()
-        with self._lock:
-            self._jobs[job.job_id] = job
-        self._queue.push(job)
-        self.telemetry.record_submit(tenant=tenant)
-        self.telemetry.record_queue_depth(max(1, self._queue.depth()))
-        self._wake.set()
-        return job.job_id
-
-    def _synthesize(
-        self, model: str, scale: str, seed: int, image_seed: int
-    ) -> np.ndarray:
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
-
-        key = (model, scale, seed)
-        shape = self._input_shapes.get(key)
-        if shape is None:
-            shape = build_model(model, scale=scale, seed=seed).input_shape
-            self._input_shapes[key] = shape
-        return synthetic_images(shape, n=1, seed=image_seed)[0]
-
-    def add_terminal_callback(
-        self, callback: Callable[[ProofJob], None]
-    ) -> None:
-        """Invoke ``callback(job)`` after every job reaches a terminal
-        state (called on the finalizing thread; must not block long).
-        The gateway's crash journal records terminal transitions here."""
-        with self._lock:
-            self._terminal_callbacks.append(callback)
-
-    def job(self, job_id: str) -> ProofJob:
-        with self._lock:
-            return self._jobs[job_id]
-
-    def status(self, job_id: str) -> JobState:
-        return self.job(job_id).state
-
-    def result(self, job_id: str, timeout: Optional[float] = None) -> JobResult:
-        """Block until ``job_id`` is terminal; return its verified result."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal:
-            job = self._jobs[job_id]
-            while not job.state.terminal:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(f"{job_id} still {job.state.value}")
-                self._terminal.wait(timeout=remaining)
-            if job.state is not JobState.DONE:
-                raise JobFailedError(job)
-            assert job.result is not None
-            return job.result
-
-    def wait_all(self, timeout: Optional[float] = None) -> bool:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal:
-            while any(not j.state.terminal for j in self._jobs.values()):
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._terminal.wait(timeout=remaining)
-            return True
-
     def stats(self) -> dict:
         """Service telemetry merged with per-node cluster state."""
         now = time.monotonic()
-        snap = self.telemetry.snapshot()
-        snap["store"] = self.store.stats()
+        snap = super().stats()
         with self._lock:
             snap["cluster"] = {
                 "nodes": {
@@ -358,7 +218,7 @@ class ClusterCoordinator:
                 "reroutes": self.reroutes,
                 "late_results": self.late_results,
                 "bad_proof_batches": self.bad_proof_batches,
-                "pending_batches": len(self._pending),
+                "pending_batches": len(self._ready),
             }
         return snap
 
@@ -483,19 +343,22 @@ class ClusterCoordinator:
         except OSError:
             pass
         for batch in stranded:
-            with self._lock:
-                self.reroutes += len(batch.jobs)
-            self._requeue_or_fail(batch, f"node {node.node_id} died: {reason}")
-        self._wake.set()
+            self.take(batch.batch_id)
+            self._reroute(batch.jobs, f"node {node.node_id} died: {reason}")
+
+    def _reroute(self, jobs: List[ProofJob], error: str) -> None:
+        with self._lock:
+            self.reroutes += len(jobs)
+        self.requeue_or_fail(jobs, error)
 
     def _take_batch(self, node: _Node, payload: Dict[str, Any]) -> Optional[Batch]:
-        batch_id = payload.get("batch_id")
         with self._lock:
-            batch = node.inflight.pop(batch_id, None)
+            batch = node.inflight.pop(payload.get("batch_id"), None)
             if batch is None:
                 # Already rerouted (node was declared dead, then answered).
                 self.late_results += 1
-        return batch
+                return None
+        return self.take(batch.batch_id)
 
     def _on_job_result(self, node: _Node, payload: Dict[str, Any]) -> None:
         batch = self._take_batch(node, payload)
@@ -503,8 +366,11 @@ class ClusterCoordinator:
             return
         out = payload["out"]
         if out.get("audit_rejected"):
-            self._audit_reject(node, batch, out)
+            with self._lock:
+                node.consecutive_faults = 0  # the circuit's fault, not the node's
+            self.audit_reject(batch, out)
             return
+        # Verify before ack: a faulty node can never corrupt results.
         by_id = {r["job_id"]: r for r in out["results"]}
         claims = []
         for job in batch.jobs:
@@ -516,85 +382,38 @@ class ClusterCoordinator:
             verdict = verification.verify_claims(out["vk"], claims)
         except verification.SerializationError as exc:
             self._node_fault(node)
-            self._requeue_or_fail(
-                batch, f"node {node.node_id} returned a malformed VK: {exc}"
+            self.requeue_or_fail(
+                batch.jobs,
+                f"node {node.node_id} returned a malformed VK: {exc}",
             )
             return
-
-        self.telemetry.record_batch(
-            len(batch), out["cold"], out["phases"], out.get("msm_tables"),
-            aggregate_layer=out.get("aggregate_layer"),
-        )
-        vk_key = self.store.put("vk", out["vk"])
-        bad_jobs = []
-        with self._lock:
+        with self._lock:  # counted before the jobs' waiters wake
             node.batches_done += 1
-        for job, ok in zip(batch.jobs, verdict.per_proof):
-            if not ok:
-                bad_jobs.append(job)
-                continue
-            res = by_id[job.job_id]
-            proof_key = self.store.put("proof", res["proof"])
-            job.result = JobResult(
-                proof=res["proof"],
-                public_inputs=[int(v) for v in res["public_inputs"]],
-                logits=[int(v) for v in res["logits"]],
-                verified=True,
-                worker_pid=int(out["pid"]),
-                batch_id=batch.batch_id,
-                batch_size=len(batch),
-                store_keys={
-                    "proof": proof_key,
-                    "vk": vk_key,
-                    "node": node.node_id,
-                },
-            )
-            with self._lock:
-                node.jobs_done += 1
-            self._finalize(job, JobState.DONE)
+            node.jobs_done += sum(verdict.per_proof)
+        bad_jobs = self.complete(
+            batch, out, verdict.per_proof, node=node.node_id
+        )
         if bad_jobs:
             with self._lock:
                 self.bad_proof_batches += 1
-                self.reroutes += len(bad_jobs)
             self._node_fault(node)
-            self._requeue_or_fail(
-                Batch(batch.batch_id, batch.key, bad_jobs, batch.created_at),
+            self._reroute(
+                bad_jobs,
                 f"node {node.node_id} returned proofs that fail verification",
             )
         else:
             with self._lock:
                 node.consecutive_faults = 0
-        self._wake.set()
-
-    def _audit_reject(self, node: _Node, batch: Batch, out: Dict) -> None:
-        """Audit rejections are circuit properties — fail without retry."""
-        rejected = out["audit_rejected"]
-        self.telemetry.record_audit_rejection(len(batch))
-        for phase, seconds in out.get("phases", {}).items():
-            self.telemetry.phases.add(phase, seconds)
-        error = (
-            f"circuit audit rejected batch: {rejected['errors']} error(s); "
-            f"first: {rejected['first']}"
-        )
-        with self._lock:
-            node.consecutive_faults = 0  # the circuit's fault, not the node's
-        for job in batch.jobs:
-            job.result = None
-            self._finalize(job, JobState.FAILED, error=error)
-        self._wake.set()
 
     def _on_job_error(self, node: _Node, payload: Dict[str, Any]) -> None:
         batch = self._take_batch(node, payload)
         if batch is None:
             return
         self._node_fault(node)
-        with self._lock:
-            self.reroutes += len(batch.jobs)
-        self._requeue_or_fail(
-            batch,
+        self._reroute(
+            batch.jobs,
             f"node {node.node_id} failed batch: {payload.get('error')}",
         )
-        self._wake.set()
 
     def _node_fault(self, node: _Node) -> None:
         """Count one fault; open the circuit breaker on a streak."""
@@ -607,68 +426,9 @@ class ClusterCoordinator:
                 node.breaker_opens += 1
                 node.consecutive_faults = 0
 
-    # -- scheduling ------------------------------------------------------------------
+    # -- transport: the registered nodes ---------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        cfg = self.config.service
-        while True:
-            self._wake.clear()
-            now = time.monotonic()
-            for job in self._queue.expire(now):
-                self._finalize(
-                    job, JobState.TIMED_OUT,
-                    error="deadline exceeded before dispatch",
-                )
-            while True:
-                job = self._queue.pop(now)
-                if job is None:
-                    break
-                if job.expired(now):
-                    self._finalize(
-                        job, JobState.TIMED_OUT,
-                        error="deadline exceeded before dispatch",
-                    )
-                    continue
-                self._batcher.add(job, now)
-            with self._lock:
-                force = self._drain or self._stop
-            for batch in self._batcher.take_ready(now, force=force):
-                self._pending.append(batch)
-            self._expire_pending(now)
-            self._assign_pending(now)
-            inflight = self._inflight_jobs()
-            self.telemetry.record_queue_depth(
-                self._queue.depth()
-                + self._batcher.pending()
-                + sum(len(b) for b in self._pending)
-            )
-            self.telemetry.record_gauges(
-                batcher_pending=self._batcher.pending()
-                + sum(len(b) for b in self._pending),
-                inflight_jobs=inflight,
-            )
-            with self._lock:
-                if self._stop:
-                    return
-                idle = (
-                    self._queue.depth() == 0
-                    and self._batcher.pending() == 0
-                    and not self._pending
-                    and inflight == 0
-                )
-                if self._drain and idle:
-                    return
-            self._wake.wait(timeout=cfg.poll_interval)
-
-    def _inflight_jobs(self) -> int:
-        with self._lock:
-            return sum(
-                len(b)
-                for node in self._nodes.values()
-                for b in node.inflight.values()
-            )
-
-    def _pick_node(self, now: float) -> Optional[_Node]:
+    def _slot(self, now: float) -> Optional[_Node]:
         """Least-loaded live node with window room (fraction of window used)."""
         with self._lock:
             candidates = [n for n in self._nodes.values() if n.has_room(now)]
@@ -679,93 +439,23 @@ class ClusterCoordinator:
                 key=lambda n: (len(n.inflight) / n.window, n.registered_at),
             )
 
-    def _expire_pending(self, now: float) -> None:
-        """Reap deadline-overrun jobs parked in batches awaiting a node.
-
-        ``JobQueue.expire`` only sees queued jobs; with no live node a
-        flushed batch can sit in ``_pending`` past every deadline, which
-        must surface as TIMED_OUT rather than waiting forever.
-        """
-        if not self._pending:
-            return
-        still = deque()
-        for batch in self._pending:
-            live = []
-            for job in batch.jobs:
-                if job.expired(now):
-                    self._finalize(
-                        job, JobState.TIMED_OUT,
-                        error="deadline exceeded before dispatch",
-                    )
-                else:
-                    live.append(job)
-            if live:
-                batch.jobs = live
-                still.append(batch)
-        self._pending = still
-
-    def _assign_pending(self, now: float) -> None:
-        while self._pending:
-            node = self._pick_node(now)
-            if node is None:
-                return
-            batch = self._pending.popleft()
-            self._dispatch(node, batch, now)
-
-    def _dispatch(self, node: _Node, batch: Batch, now: float) -> None:
-        cfg = self.config.service
-        spec = {
-            "model": batch.jobs[0].model,
-            "scale": batch.jobs[0].scale,
-            "seed": batch.jobs[0].seed,
-            "privacy": batch.jobs[0].privacy,
-            "backend": cfg.backend,
-            "parallelism": (
-                cfg.prove_parallelism
-                if cfg.prove_parallelism is not None
-                else cfg.msm_parallelism
-            ),
-            "audit": cfg.audit,
-            "gadgets": cfg.gadget_mode,
-            "deterministic": cfg.deterministic,
-        }
-        # Per-layer aggregate fan-out mirrors the local service: the batch
-        # key pins every job in the batch to one (split params, layer).
-        aggregate = batch.jobs[0].extra.get("aggregate")
-        if aggregate:
-            spec["aggregate"] = aggregate
-        payloads = []
-        for job in batch.jobs:
-            job.state = JobState.RUNNING
-            job.started_at = now
-            job.attempts += 1
-            payload = {"job_id": job.job_id, "image": job.image}
-            if "crash_token" in job.extra:
-                payload["crash_token"] = job.extra["crash_token"]
-            payloads.append(payload)
+    def _send(
+        self, node: _Node, batch: Batch, spec: dict, payloads: List[dict]
+    ) -> None:
         with self._lock:
-            node.inflight[batch.batch_id] = batch
+            alive = node.alive
+            if alive:
+                node.inflight[batch.batch_id] = batch
+        if not alive:  # died since _slot picked it: nobody else will reroute
+            self.take(batch.batch_id)
+            self._reroute(batch.jobs, f"node {node.node_id} died before send")
+            return
         # A failed send marks the node dead, which reroutes this batch too.
         self._send_to_node(
             node,
             MsgType.JOB,
             {"batch_id": batch.batch_id, "spec": spec, "payloads": payloads},
         )
-
-    def _requeue_or_fail(self, batch: Batch, error: str) -> None:
-        cfg = self.config.service
-        now = time.monotonic()
-        for job in batch.jobs:
-            if job.expired(now):
-                self._finalize(
-                    job, JobState.TIMED_OUT, error="deadline exceeded"
-                )
-            elif job.attempts > job.max_retries:
-                self._finalize(job, JobState.FAILED, error=error)
-            else:
-                self.telemetry.record_retry()
-                job.state = JobState.QUEUED
-                self._queue.push(job, delay=job.next_backoff(cfg.backoff_base))
 
     def _monitor_loop(self) -> None:
         cfg = self.config
@@ -929,23 +619,10 @@ class ClusterCoordinator:
         except (OSError, ProtocolError):
             pass  # client went away; the result stays in self._jobs
 
-    def _finalize(
-        self, job: ProofJob, state: JobState, error: Optional[str] = None
-    ) -> None:
-        with self._terminal:
-            job.state = state
-            job.error = error
-            job.finished_at = time.monotonic()
-            self._terminal.notify_all()
-        self.telemetry.record_terminal(state.value, tenant=job.tenant)
-        with self._lock:
-            callbacks = list(self._terminal_callbacks)
-        for callback in callbacks:
-            try:
-                callback(job)
-            except Exception:  # observers must never break finalization
-                pass
-        self._push_done(job)
+    def _emit(self, event: str, job: ProofJob, **info: Any) -> None:
+        super()._emit(event, job, **info)
+        if event == "terminal":  # after the listeners: journal, then client
+            self._push_done(job)
 
 
 def _jsonable(obj: Any) -> Any:

@@ -10,9 +10,9 @@ pieces a production front door needs:
   group-commit fsync batching, torn-tail recovery, and log compaction;
 * :mod:`repro.gateway.durable` — :class:`DurableCoordinator`, wrapping a
   :class:`~repro.cluster.coordinator.ClusterCoordinator` with the
-  journal: acked submissions survive a SIGKILL, recovery replays the WAL
-  back into the coordinator's ``serve.JobQueue``, and completed jobs are
-  never re-proved (exactly-once results);
+  journal: acked submissions survive a SIGKILL, recovery resubmits the
+  WAL's pending jobs to the coordinator, and completed jobs are never
+  re-proved (exactly-once results);
 * :mod:`repro.gateway.http` — an asyncio HTTP/JSON server with
   ``submit`` / ``status`` / ``result`` / ``metrics`` / ``healthz``
   endpoints, API-key auth, per-tenant token-bucket rate limiting, and
@@ -31,16 +31,15 @@ from repro.gateway.autoscale import (
     InProcessNodeLauncher,
     SubprocessNodeLauncher,
 )
-from repro.gateway.durable import DurableCoordinator, GatewayJob
+from repro.gateway.durable import DurableCoordinator
 from repro.gateway.http import GatewayConfig, GatewayServer
 from repro.gateway.journal import (
+    GatewayJob,
     JobJournal,
     JournalError,
-    RecoveredJob,
     RecoveredState,
     iter_records,
     recover_state,
-    replay_into_queue,
 )
 
 __all__ = [
@@ -53,10 +52,8 @@ __all__ = [
     "InProcessNodeLauncher",
     "JobJournal",
     "JournalError",
-    "RecoveredJob",
     "RecoveredState",
     "SubprocessNodeLauncher",
     "iter_records",
     "recover_state",
-    "replay_into_queue",
 ]

@@ -5,23 +5,21 @@ a memory that survives SIGKILL:
 
 * every accepted submission is appended to the :class:`JobJournal`
   (durable — the fsync happens before the caller gets its job id back);
-* queue and dispatch transitions stream into the journal through the
-  ``serve.JobQueue`` / ``serve.MicroBatcher`` observer hooks (non-durable
-  — they ride along with the next group commit);
-* terminal states land through the coordinator's terminal callback as
-  durable ``done`` / ``failed`` records carrying the full result (proof
-  bytes, public inputs, logits, artifact-store keys);
+* the coordinator's engine listener streams every transition into the
+  journal: ``queued`` and ``dispatched`` as non-durable records that ride
+  along with the next group commit, ``terminal`` as a durable ``done`` /
+  ``failed`` record carrying the full result (proof bytes, public inputs,
+  logits, artifact-store keys);
 * on construction, the WAL is replayed: completed jobs come back as
-  served-from-journal results (never re-proved), pending jobs re-enter
-  the coordinator's ``serve.JobQueue`` via
-  :func:`repro.gateway.journal.replay_into_queue` semantics — zero jobs
-  lost, zero jobs double-proved.
+  served-from-journal results (never re-proved), pending jobs are
+  resubmitted to the coordinator in ``seq`` order — zero jobs lost, zero
+  jobs double-proved.
 
-Gateway job ids (``g-...``) are stable across restarts; the coordinator
-ids they map to are an implementation detail of one coordinator epoch.
-Submissions may carry a client ``request_id`` for idempotency: retrying
-a submit whose ack was lost returns the original job instead of proving
-twice.
+Gateway job ids (``g-...``) are stable across restarts and ride on each
+engine job as ``extra["gid"]``; the engine ids they map to are an
+implementation detail of one coordinator epoch.  Submissions may carry a
+client ``request_id`` for idempotency: retrying a submit whose ack was
+lost returns the original job instead of proving twice.
 """
 
 from __future__ import annotations
@@ -29,62 +27,19 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.gateway.journal import (
+    GatewayJob,
     JobJournal,
-    JournalError,
     decode_image,
     encode_image,
 )
 from repro.serve.jobs import JobState, ProofJob
-
-
-class GatewayJob:
-    """Gateway-side view of one durable job."""
-
-    __slots__ = (
-        "gid", "tenant", "request_id", "spec", "state", "attempts",
-        "result", "error", "coordinator_id", "recovered",
-    )
-
-    def __init__(
-        self,
-        gid: str,
-        tenant: str,
-        request_id: Optional[str],
-        spec: Dict[str, Any],
-    ) -> None:
-        self.gid = gid
-        self.tenant = tenant
-        self.request_id = request_id
-        self.spec = spec
-        self.state = "queued"
-        self.attempts = 0
-        self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
-        self.coordinator_id: Optional[str] = None
-        self.recovered = False  # replayed from the WAL after a restart
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in ("done", "failed", "timed_out")
-
-    def public_view(self) -> Dict[str, Any]:
-        """JSON-safe status payload for the HTTP layer."""
-        view = {
-            "job_id": self.gid,
-            "state": self.state,
-            "tenant": self.tenant,
-            "attempts": self.attempts,
-            "recovered": self.recovered,
-        }
-        if self.error:
-            view["error"] = self.error
-        return view
 
 
 class DurableCoordinator:
@@ -100,82 +55,52 @@ class DurableCoordinator:
         self._lock = threading.Lock()
         self._terminal_cond = threading.Condition(self._lock)
         self._jobs: Dict[str, GatewayJob] = {}
-        self._by_coordinator_id: Dict[str, str] = {}
         self._request_index: Dict[str, str] = {}
         self._seq = 0
         self.recovered_pending = 0  # jobs requeued by WAL replay
         self.recovered_completed = 0  # results served from the journal
 
-        # Journal hooks: queue transitions (serve.JobQueue observer),
-        # dispatch transitions (serve.MicroBatcher observer), terminal
-        # records (coordinator terminal callback).
-        coordinator._queue.observer = self._on_queued
-        coordinator._batcher.observer = self._on_dispatched
-        coordinator.add_terminal_callback(self._on_terminal)
-
+        coordinator.add_listener(self._on_event)
         self._recover()
 
     # -- recovery --------------------------------------------------------------------
 
     def _recover(self) -> None:
         state = self.journal.state
-        pending = sorted(
-            state.pending(), key=lambda j: j.spec.get("seq", 0)
-        )
         for rec in state.jobs.values():
-            job = GatewayJob(
-                gid=rec.gid,
-                tenant=rec.spec.get("tenant", "default"),
-                request_id=rec.spec.get("request_id"),
-                spec=rec.spec,
+            # A copy: the journal applies each record to its own state
+            # before the fsync, and nothing may be visible before durable.
+            self._jobs[rec.gid] = replace(
+                rec, recovered=True,
+                state=rec.state if rec.terminal else "queued",
             )
-            job.state = rec.state if rec.terminal else "queued"
-            job.attempts = rec.attempts
-            job.result = rec.result
-            job.error = rec.error
-            job.recovered = True
-            self._jobs[job.gid] = job
-            if job.request_id:
-                self._request_index[job.request_id] = job.gid
             self._seq = max(self._seq, int(rec.spec.get("seq", 0)))
-        self.recovered_completed = sum(
-            1 for j in self._jobs.values() if j.state == "done"
-        )
-        # Re-enqueue every non-terminal job into the (fresh) coordinator:
-        # this IS the WAL-replay-into-serve.JobQueue path — submit()
-        # pushes into the coordinator's JobQueue with a new epoch-local
-        # id that we map back to the stable gateway id.
-        for rec in pending:
-            self._enqueue(self._jobs[rec.gid], self._image_for(rec.spec))
+        self._request_index.update(state.request_index)
+        self.recovered_completed = len(state.completed())
+        # Everything without a durable terminal record goes back to the
+        # (fresh) coordinator in submit order, under a new epoch-local id.
+        for rec in sorted(state.pending(), key=lambda j: j.spec.get("seq", 0)):
+            self._enqueue(self._jobs[rec.gid])
             self.recovered_pending += 1
 
-    @staticmethod
-    def _image_for(spec: Dict[str, Any]) -> np.ndarray:
-        if "image" in spec:
-            return decode_image(spec["image"])
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
-
-        shape = build_model(
-            spec["model"], scale=spec["scale"], seed=spec["seed"]
-        ).input_shape
-        return synthetic_images(shape, n=1, seed=spec["image_seed"])[0]
-
-    def _enqueue(self, job: GatewayJob, image: np.ndarray) -> None:
+    def _enqueue(
+        self, job: GatewayJob, image: Optional[np.ndarray] = None
+    ) -> None:
         spec = job.spec
-        cid = self.coordinator.submit(
+        if image is None and "image" in spec:
+            image = decode_image(spec["image"])
+        job.coordinator_id = self.coordinator.submit(
             spec["model"],
             image,
+            image_seed=spec.get("image_seed"),
             scale=spec["scale"],
             seed=spec["seed"],
             privacy=spec["privacy"],
             priority=spec.get("priority", 0),
             timeout=spec.get("timeout"),
             tenant=job.tenant,
+            extra={"gid": job.gid},
         )
-        with self._lock:
-            job.coordinator_id = cid
-            self._by_coordinator_id[cid] = job.gid
 
     # -- submission ------------------------------------------------------------------
 
@@ -228,56 +153,43 @@ class DurableCoordinator:
             spec["image"] = encode_image(image)
         else:
             spec["image_seed"] = int(image_seed)
-        job = GatewayJob(gid, tenant, request_id, spec)
+        job = GatewayJob(gid, spec)
         with self._lock:
             self._jobs[gid] = job
             if request_id:
                 self._request_index[request_id] = gid
         # Durable ack: the record is on disk before the caller sees gid.
         self.journal.append(spec, durable=True)
-        self._enqueue(job, image if image is not None
-                      else self._image_for(spec))
+        self._enqueue(job, image)
         return gid
 
-    # -- journal hooks (coordinator threads) -----------------------------------------
+    # -- journal hook (coordinator threads) ------------------------------------------
 
-    def _gid_for(self, coordinator_id: str) -> Optional[str]:
-        with self._lock:
-            return self._by_coordinator_id.get(coordinator_id)
-
-    def _on_queued(self, proof_job: ProofJob, delay: float) -> None:
-        gid = self._gid_for(proof_job.job_id)
+    def _on_event(
+        self, event: str, proof_job: ProofJob, info: Dict[str, Any]
+    ) -> None:
+        """The engine listener.  A :class:`JournalError` from a journal
+        already closed at shutdown is dropped by the engine: a lost
+        queued/dispatched record only loses telemetry, and recovery
+        re-proves anything without a terminal record."""
+        gid = proof_job.extra.get("gid")
         if gid is None:
-            return
-        self._append_observability(
-            {"t": "queued", "gid": gid, "attempts": proof_job.attempts,
-             "delay": round(delay, 4)}
-        )
-
-    def _on_dispatched(self, batch) -> None:
-        for proof_job in batch.jobs:
-            gid = self._gid_for(proof_job.job_id)
-            if gid is None:
-                continue
-            self._append_observability(
-                {"t": "dispatched", "gid": gid,
-                 "batch_id": batch.batch_id}
+            return  # submitted to the coordinator directly, not through us
+        if event == "terminal":
+            self._on_terminal(gid, proof_job)
+        elif event == "queued":
+            if proof_job.attempts:  # a retry: the submit record is the first
+                self.journal.append(
+                    {"t": "queued", "gid": gid,
+                     "attempts": proof_job.attempts,
+                     "delay": round(info["delay"], 4)}
+                )
+        else:
+            self.journal.append(
+                {"t": "dispatched", "gid": gid, "batch_id": info["batch_id"]}
             )
 
-    def _append_observability(self, record: Dict[str, Any]) -> None:
-        """Transition records are best-effort: coordinator threads may
-        still be draining when the journal closes at shutdown, and a
-        dropped queued/dispatched record only loses telemetry, never
-        correctness (recovery re-proves anything non-terminal)."""
-        try:
-            self.journal.append(record)
-        except JournalError:
-            pass
-
-    def _on_terminal(self, proof_job: ProofJob) -> None:
-        gid = self._gid_for(proof_job.job_id)
-        if gid is None:
-            return
+    def _on_terminal(self, gid: str, proof_job: ProofJob) -> None:
         with self._lock:
             job = self._jobs.get(gid)
             if job is None or job.terminal:

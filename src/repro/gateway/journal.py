@@ -58,6 +58,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro.serve.jobs import JobState
+
 _PREFIX = struct.Struct(">II")  # body_len, crc32(body)
 JOURNAL_VERSION = 1
 
@@ -65,7 +67,8 @@ JOURNAL_VERSION = 1
 # for the mini models are a few KB).
 MAX_RECORD_BYTES = 64 << 20
 
-TERMINAL_STATES = ("done", "failed", "timed_out")
+# ``JobState.terminal`` decides; record states are its string values.
+_TERMINAL = frozenset(s.value for s in JobState if s.terminal)
 
 
 class JournalError(RuntimeError):
@@ -144,26 +147,50 @@ def valid_prefix_length(path) -> int:
 
 
 @dataclass
-class RecoveredJob:
-    """One job reconstructed from the WAL."""
+class GatewayJob:
+    """One durable job, keyed by its stable gateway id.
+
+    Replay builds these from the WAL; a running gateway keeps one per
+    job as the view its HTTP layer serves (``coordinator_id`` and
+    ``recovered`` only mean something there).
+    """
 
     gid: str
     spec: Dict[str, Any]  # the submit record
-    state: str = "queued"  # queued | running | done | failed | timed_out
+    state: str = "queued"  # a JobState value
     attempts: int = 0
     result: Optional[Dict[str, Any]] = None  # the done record, if any
     error: Optional[str] = None
+    coordinator_id: Optional[str] = None  # this epoch's engine job id
+    recovered: bool = False  # replayed from the WAL after a restart
+
+    @property
+    def tenant(self) -> str:
+        return self.spec.get("tenant", "default")
 
     @property
     def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
+        return self.state in _TERMINAL
+
+    def public_view(self) -> Dict[str, Any]:
+        """JSON-safe status payload for the HTTP layer."""
+        view = {
+            "job_id": self.gid,
+            "state": self.state,
+            "tenant": self.tenant,
+            "attempts": self.attempts,
+            "recovered": self.recovered,
+        }
+        if self.error:
+            view["error"] = self.error
+        return view
 
 
 @dataclass
 class RecoveredState:
     """Everything :func:`recover_state` can prove from a journal."""
 
-    jobs: Dict[str, RecoveredJob] = field(default_factory=dict)
+    jobs: Dict[str, GatewayJob] = field(default_factory=dict)
     request_index: Dict[str, str] = field(default_factory=dict)
     records: int = 0
     submits: int = 0
@@ -171,7 +198,7 @@ class RecoveredState:
     duplicate_done: int = 0  # >0 would mean a job was double-proved
     orphan_records: int = 0  # transitions for gids with no submit record
 
-    def pending(self) -> List[RecoveredJob]:
+    def pending(self) -> List[GatewayJob]:
         """Jobs with no durable terminal record — must be re-enqueued.
 
         A job that was RUNNING at the crash is pending too: its result
@@ -179,7 +206,7 @@ class RecoveredState:
         """
         return [job for job in self.jobs.values() if not job.terminal]
 
-    def completed(self) -> List[RecoveredJob]:
+    def completed(self) -> List[GatewayJob]:
         return [
             job for job in self.jobs.values() if job.state == "done"
         ]
@@ -194,7 +221,7 @@ class RecoveredState:
             self.submits += 1
             if gid in self.jobs:  # replayed submit (compaction artifact)
                 return
-            job = RecoveredJob(gid=gid, spec=record)
+            job = GatewayJob(gid=gid, spec=record)
             self.jobs[gid] = job
             rid = record.get("request_id")
             if rid:
@@ -232,47 +259,6 @@ def recover_state(path) -> RecoveredState:
     for record in iter_records(path):
         state.apply(record)
     return state
-
-
-def replay_into_queue(state: RecoveredState, queue) -> List[str]:
-    """Push every pending recovered job into a ``serve.JobQueue``.
-
-    Reconstructs full :class:`~repro.serve.jobs.ProofJob` objects (images
-    included) so a restarted coordinator picks up exactly where the
-    crashed one stopped.  Returns the pushed gids in submit order.
-    """
-    from repro.serve.jobs import ProofJob
-
-    pushed = []
-    for job in sorted(state.pending(), key=lambda j: j.spec.get("seq", 0)):
-        spec = job.spec
-        if "image" in spec:
-            image = decode_image(spec["image"])
-        else:
-            from repro.nn.data import synthetic_images
-            from repro.nn.models import build_model
-
-            shape = build_model(
-                spec["model"], scale=spec["scale"], seed=spec["seed"]
-            ).input_shape
-            image = synthetic_images(
-                shape, n=1, seed=spec["image_seed"]
-            )[0]
-        proof_job = ProofJob(
-            job_id=job.gid,
-            model=spec["model"],
-            image=image,
-            scale=spec["scale"],
-            seed=spec["seed"],
-            privacy=spec["privacy"],
-            priority=spec.get("priority", 0),
-            timeout=spec.get("timeout"),
-            tenant=spec.get("tenant", "default"),
-        )
-        proof_job.submitted_at = time.monotonic()
-        queue.push(proof_job)
-        pushed.append(job.gid)
-    return pushed
 
 
 # -- the journal -------------------------------------------------------------------

@@ -10,10 +10,12 @@ Artifacts land in a content-addressed store (:mod:`repro.serve.store`) and
 live counters are exported as a JSON snapshot
 (:mod:`repro.serve.telemetry`).
 
-Entry point: :class:`repro.serve.service.ProvingService`.
+Entry point: :class:`repro.serve.service.ProvingService`, the local-pool
+transport of the one scheduler in :mod:`repro.serve.engine`.
 """
 
 from repro.serve.batcher import Batch, MicroBatcher
+from repro.serve.engine import JobEngine, JobFailedError, synthesize_image
 from repro.serve.jobs import JobQueue, JobResult, JobState, ProofJob
 from repro.serve.service import ProvingService, ServiceConfig
 from repro.serve.store import ArtifactStore
@@ -22,6 +24,8 @@ from repro.serve.telemetry import ServiceTelemetry
 __all__ = [
     "ArtifactStore",
     "Batch",
+    "JobEngine",
+    "JobFailedError",
     "JobQueue",
     "JobResult",
     "JobState",
@@ -30,4 +34,5 @@ __all__ = [
     "ProvingService",
     "ServiceConfig",
     "ServiceTelemetry",
+    "synthesize_image",
 ]

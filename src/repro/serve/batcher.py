@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobs import ProofJob
 
@@ -43,25 +43,13 @@ class _PendingGroup:
 
 
 class MicroBatcher:
-    """Groups pending jobs by batch key; flushes on size or age.
+    """Groups pending jobs by batch key; flushes on size or age."""
 
-    An optional ``observer`` (settable after construction) is invoked as
-    ``observer(batch)`` for every batch :meth:`take_ready` flushes —
-    the moment its jobs leave the batcher for a worker.  The gateway's
-    crash journal hooks here to record dispatch transitions.
-    """
-
-    def __init__(
-        self,
-        max_batch: int = 4,
-        max_wait: float = 0.05,
-        observer: Optional[Callable[[Batch], None]] = None,
-    ) -> None:
+    def __init__(self, max_batch: int = 4, max_wait: float = 0.05) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self.max_wait = max_wait
-        self.observer = observer
         self._groups: Dict[Tuple, _PendingGroup] = {}
         self._ids = itertools.count(1)
 
@@ -103,9 +91,6 @@ class MicroBatcher:
                         created_at=group.opened_at,
                     )
                 )
-        if self.observer is not None:
-            for batch in flushed:
-                self.observer(batch)
         return flushed
 
     def next_flush_at(self) -> Optional[float]:

@@ -14,7 +14,7 @@ State machine::
       │                     └──no budget──> FAILED
       └──deadline passed──> TIMED_OUT
 
-All transitions are driven by :class:`repro.serve.service.ProvingService`;
+All transitions are driven by :class:`repro.serve.engine.JobEngine`;
 this module only provides the data structures.
 """
 
@@ -26,7 +26,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,33 +125,24 @@ class JobQueue:
     Higher ``priority`` pops first; ties pop in submission order.  Jobs
     pushed with ``delay > 0`` (retry backoff) stay in the delayed lane and
     only become poppable after the delay elapses.
-
-    An optional ``observer`` (settable after construction) is invoked as
-    ``observer(job, delay)`` after every push — first enqueue and retry
-    requeues alike — outside the queue lock.  The gateway's crash journal
-    hooks here to record every queue transition.
     """
 
-    def __init__(
-        self,
-        observer: Optional[Callable[["ProofJob", float], None]] = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._seq = itertools.count()
         self._ready: List[Tuple[int, int, ProofJob]] = []  # (-prio, seq, job)
         self._delayed: List[Tuple[float, int, ProofJob]] = []  # (not_before, ...)
-        self.observer = observer
 
-    def push(self, job: ProofJob, delay: float = 0.0) -> None:
-        now = time.monotonic()
+    def push(
+        self, job: ProofJob, delay: float = 0.0, now: Optional[float] = None
+    ) -> None:
+        now = time.monotonic() if now is None else now
         with self._lock:
             seq = next(self._seq)
             if delay > 0:
                 heapq.heappush(self._delayed, (now + delay, seq, job))
             else:
                 heapq.heappush(self._ready, (-job.priority, seq, job))
-        if self.observer is not None:
-            self.observer(job, delay)
 
     def _promote(self, now: float) -> None:
         """Move delayed jobs whose backoff has elapsed into the ready heap."""

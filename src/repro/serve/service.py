@@ -1,42 +1,31 @@
-"""The :class:`ProvingService` facade: submit / status / result / stats.
+"""The :class:`ProvingService`: the job engine over a local process pool.
 
-Lifecycle of a request::
-
-    submit() ──> JobQueue ──dispatcher──> MicroBatcher ──flush──> WorkerPool
-                                                                     │
-    result() <── finalize (DONE/FAILED) <── batch callback <─────────┘
-
-A single dispatcher thread owns all scheduling decisions: it expires
-overdue jobs, drains the queue into the micro-batcher, flushes ready
-batches to the process pool, and samples queue depth for telemetry.
-Batch completions arrive on the executor's callback thread and either
-finalize jobs (storing artifacts) or requeue them with backoff after a
-worker failure.  ``shutdown(drain=True)`` stops accepting work and blocks
-until every in-flight job reaches a terminal state.
+Scheduling — queue, micro-batching, retries, deadlines, finalization — is
+:class:`repro.serve.engine.JobEngine`; see that module for the lifecycle.
+This module holds the engine's :class:`ServiceConfig` and the one
+transport the in-process service needs: ready batches go to a
+:class:`~repro.serve.workers.WorkerPool`, whose futures complete on the
+executor's callback thread.  ``shutdown(drain=True)`` stops accepting work
+and blocks until every accepted job reaches a terminal state.
 """
 
 from __future__ import annotations
 
-import itertools
-import tempfile
 import threading
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from repro.serve.batcher import Batch, MicroBatcher
-from repro.serve.jobs import JobQueue, JobResult, JobState, ProofJob
-from repro.serve.store import ArtifactStore
-from repro.serve.telemetry import ServiceTelemetry
+from repro.serve.batcher import Batch
+from repro.serve.engine import JobEngine, JobFailedError
+from repro.serve.jobs import JobState
 from repro.serve.workers import WorkerPool
 
+__all__ = ["JobFailedError", "ProvingService", "ServiceConfig"]
 
 @dataclass
 class ServiceConfig:
-    """Tunables for one :class:`ProvingService` instance."""
+    """Scheduling and circuit options for one :class:`JobEngine`."""
 
     max_workers: int = 2
     max_batch: int = 4  # micro-batcher size trigger
@@ -46,10 +35,9 @@ class ServiceConfig:
     max_retries: int = 2  # extra attempts after a worker failure
     backoff_base: float = 0.05  # retry backoff: base * 2^(attempt-1)
     backend: str = "simulated"  # "simulated" | "bn254"
-    msm_parallelism: int = 1  # chunked-MSM processes per prover (bn254 G1)
-    # Prover-engine workers per proof (CSR witness rows + QAP NTT chains);
-    # None inherits msm_parallelism so one --parallelism knob drives both.
-    prove_parallelism: Optional[int] = None
+    # Prover processes per proof: CSR witness rows, QAP NTT chains and
+    # chunked bn254 MSMs (the spec's "parallelism" key).
+    parallelism: int = 1
     store_dir: Optional[str] = None  # None = fresh temp directory
     store_entries: int = 256  # artifact-store LRU bound
     prewarm: bool = True  # spawn all workers at startup
@@ -64,169 +52,22 @@ class ServiceConfig:
     deterministic: bool = False
 
 
-class JobFailedError(RuntimeError):
-    """Raised by :meth:`ProvingService.result` for FAILED/TIMED_OUT jobs."""
-
-    def __init__(self, job: ProofJob) -> None:
-        super().__init__(
-            f"{job.job_id} ended {job.state.value}: {job.error or 'unknown'}"
-        )
-        self.job = job
-
-
-class ProvingService:
+class ProvingService(JobEngine):
     """Long-running batched proving service over the ZENO pipeline."""
 
     def __init__(self, config: Optional[ServiceConfig] = None, **overrides):
         self.config = replace(config or ServiceConfig(), **overrides)
-        cfg = self.config
-        self._queue = JobQueue()
-        self._batcher = MicroBatcher(cfg.max_batch, cfg.max_wait)
-        self._pool = WorkerPool(cfg.max_workers)
-        self.telemetry = ServiceTelemetry()
-        store_dir = cfg.store_dir or tempfile.mkdtemp(prefix="repro-serve-")
-        self.store = ArtifactStore(store_dir, max_entries=cfg.store_entries)
-
-        self._jobs: Dict[str, ProofJob] = {}
-        self._job_ids = itertools.count(1)
-        self._lock = threading.RLock()
-        self._terminal = threading.Condition(self._lock)  # job finalized
-        self._wake = threading.Event()  # dispatcher has new work
-        self._inflight = 0
-        self._stop = False
-        self._drain = False
-        self._input_shapes: Dict[Tuple[str, str, int], Tuple[int, ...]] = {}
-        self._terminal_callbacks: List[Callable[[ProofJob], None]] = []
-
-        if cfg.prewarm:
-            self.worker_pids = self._pool.prewarm()
-        else:
-            self.worker_pids = []
+        super().__init__(self.config)
+        self._pool = WorkerPool(self.config.max_workers)
+        self.worker_pids = self._pool.prewarm() if self.config.prewarm else []
         self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatcher",
-            daemon=True,
+            target=self._loop, name="repro-serve-dispatcher", daemon=True
         )
         self._dispatcher.start()
 
-    # -- submission ------------------------------------------------------------------
-
-    def submit(
-        self,
-        model: str,
-        image: Optional[np.ndarray] = None,
-        *,
-        image_seed: Optional[int] = None,
-        scale: str = "mini",
-        seed: int = 0,
-        privacy: str = "one-private",
-        priority: int = 0,
-        timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        tenant: str = "default",
-        extra: Optional[dict] = None,
-    ) -> str:
-        """Enqueue one proving job; returns its job id immediately."""
-        with self._lock:
-            if self._stop or self._drain:
-                raise RuntimeError("service is shutting down")
-        if image is None:
-            if image_seed is None:
-                raise ValueError("provide an image or an image_seed")
-            image = self._synthesize(model, scale, seed, image_seed)
-        cfg = self.config
-        job = ProofJob(
-            job_id=f"job-{next(self._job_ids):06d}",
-            model=model,
-            image=image,
-            scale=scale,
-            seed=seed,
-            privacy=privacy,
-            priority=priority,
-            timeout=cfg.default_timeout if timeout is None else timeout,
-            max_retries=cfg.max_retries if max_retries is None else max_retries,
-            tenant=tenant,
-            extra=extra or {},
-        )
-        job.submitted_at = time.monotonic()
-        with self._lock:
-            self._jobs[job.job_id] = job
-        self._queue.push(job)
-        self.telemetry.record_submit(tenant=tenant)
-        # Sample depth at submit time too: a fast dispatcher can otherwise
-        # drain the queue between its own (poll-interval) samples and
-        # report a zero peak for a workload that really queued.
-        self.telemetry.record_queue_depth(max(1, self._queue.depth()))
-        self._wake.set()
-        return job.job_id
-
-    def _synthesize(
-        self, model: str, scale: str, seed: int, image_seed: int
-    ) -> np.ndarray:
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
-
-        key = (model, scale, seed)
-        shape = self._input_shapes.get(key)
-        if shape is None:
-            shape = build_model(model, scale=scale, seed=seed).input_shape
-            self._input_shapes[key] = shape
-        return synthetic_images(shape, n=1, seed=image_seed)[0]
-
-    # -- inspection ------------------------------------------------------------------
-
-    def add_terminal_callback(
-        self, callback: Callable[[ProofJob], None]
-    ) -> None:
-        """Invoke ``callback(job)`` after every job reaches a terminal
-        state (called on the finalizing thread; must not block long)."""
-        with self._lock:
-            self._terminal_callbacks.append(callback)
-
-    def job(self, job_id: str) -> ProofJob:
-        with self._lock:
-            return self._jobs[job_id]
-
-    def status(self, job_id: str) -> JobState:
-        return self.job(job_id).state
-
-    def result(self, job_id: str, timeout: Optional[float] = None) -> JobResult:
-        """Block until ``job_id`` is terminal; return its proof result.
-
-        Raises :class:`JobFailedError` if the job failed or timed out, and
-        ``TimeoutError`` if it is still live after ``timeout`` seconds.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal:
-            job = self._jobs[job_id]
-            while not job.state.terminal:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(f"{job_id} still {job.state.value}")
-                self._terminal.wait(timeout=remaining)
-            if job.state is not JobState.DONE:
-                raise JobFailedError(job)
-            assert job.result is not None
-            return job.result
-
-    def wait_all(self, timeout: Optional[float] = None) -> bool:
-        """Block until every submitted job is terminal; False on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal:
-            while any(not j.state.terminal for j in self._jobs.values()):
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._terminal.wait(timeout=remaining)
-            return True
-
     def stats(self) -> dict:
         """JSON-safe snapshot of telemetry, store, and pool state."""
-        snap = self.telemetry.snapshot()
-        snap["store"] = self.store.stats()
+        snap = super().stats()
         snap["workers"] = {
             "max": self.config.max_workers,
             "pool_generation": self._pool.generation,
@@ -234,20 +75,11 @@ class ProvingService:
         }
         return snap
 
-    # -- shutdown --------------------------------------------------------------------
-
     def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the service; with ``drain`` wait for in-flight jobs first."""
-        with self._lock:
-            if drain:
-                self._drain = True
-            else:
-                self._stop = True
-        self._wake.set()
+        self._halt(drain)
         self._dispatcher.join(timeout=timeout)
-        with self._lock:
-            self._stop = True
-        self._wake.set()
+        self._halt(drain=False)
         self._pool.shutdown(wait=drain)
 
     def __enter__(self) -> "ProvingService":
@@ -256,188 +88,33 @@ class ProvingService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(drain=exc_type is None)
 
-    # -- dispatcher ------------------------------------------------------------------
+    # -- transport: the local process pool -------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            self._wake.clear()
-            now = time.monotonic()
-            for job in self._queue.expire(now):
-                self._finalize(
-                    job, JobState.TIMED_OUT,
-                    error="deadline exceeded before dispatch",
-                )
-            while True:
-                job = self._queue.pop(now)
-                if job is None:
-                    break
-                if job.expired(now):
-                    self._finalize(
-                        job, JobState.TIMED_OUT,
-                        error="deadline exceeded before dispatch",
-                    )
-                    continue
-                self._batcher.add(job, now)
-            with self._lock:
-                force = self._drain or self._stop
-            for batch in self._batcher.take_ready(now, force=force):
-                self._launch(batch)
-            self.telemetry.record_queue_depth(
-                self._queue.depth() + self._batcher.pending()
-            )
-            with self._lock:
-                inflight = self._inflight
-            self.telemetry.record_gauges(
-                batcher_pending=self._batcher.pending(),
-                inflight_jobs=inflight,
-            )
-            with self._lock:
-                if self._stop:
-                    return
-                idle = (
-                    self._queue.depth() == 0
-                    and self._batcher.pending() == 0
-                    and self._inflight == 0
-                )
-                if self._drain and idle:
-                    return
-            self._wake.wait(timeout=self.config.poll_interval)
+    def _slot(self, now: float) -> WorkerPool:
+        return self._pool  # the executor queues internally: always room
 
-    def _launch(self, batch: Batch) -> None:
-        now = time.monotonic()
-        spec = {
-            "model": batch.jobs[0].model,
-            "scale": batch.jobs[0].scale,
-            "seed": batch.jobs[0].seed,
-            "privacy": batch.jobs[0].privacy,
-            "backend": self.config.backend,
-            "parallelism": (
-                self.config.prove_parallelism
-                if self.config.prove_parallelism is not None
-                else self.config.msm_parallelism
-            ),
-            "audit": self.config.audit,
-            "gadgets": self.config.gadget_mode,
-            "relu_mode": self.config.relu_mode,
-            "deterministic": self.config.deterministic,
-        }
-        # Per-layer aggregate fan-out: the whole batch shares one layer
-        # (batch_key includes it), so the first job's dict speaks for all.
-        aggregate = batch.jobs[0].extra.get("aggregate")
-        if aggregate:
-            spec["aggregate"] = aggregate
-        payloads = []
-        for job in batch.jobs:
-            job.state = JobState.RUNNING
-            job.started_at = now
-            job.attempts += 1
-            payload = {"job_id": job.job_id, "image": job.image}
-            if "crash_token" in job.extra:
-                payload["crash_token"] = job.extra["crash_token"]
-            payloads.append(payload)
-        with self._lock:
-            self._inflight += 1
-        future = self._pool.submit_batch(spec, payloads)
-        future.add_done_callback(
-            lambda fut, batch=batch: self._on_batch_done(batch, fut)
+    def _send(
+        self, pool: WorkerPool, batch: Batch, spec: dict, payloads: List[dict]
+    ) -> None:
+        pool.submit_batch(spec, payloads).add_done_callback(
+            lambda future: self._on_batch_done(batch, future)
         )
-
-    # -- completion (runs on the executor callback thread) ---------------------------
 
     def _on_batch_done(self, batch: Batch, future) -> None:
+        """Runs on the executor callback thread."""
+        self.take(batch.batch_id)
         try:
-            try:
-                out = future.result()
-            except BrokenProcessPool as exc:
-                self._pool.reset()
-                self._requeue_or_fail(batch, f"worker died: {exc!r}")
-            except Exception as exc:  # pickling errors, worker exceptions...
-                self._requeue_or_fail(batch, f"batch failed: {exc!r}")
-            else:
-                if out.get("audit_rejected"):
-                    self._audit_reject(batch, out)
-                else:
-                    self._complete(batch, out)
-        finally:
-            with self._lock:
-                self._inflight -= 1
-            self._wake.set()
-
-    def _complete(self, batch: Batch, out: dict) -> None:
-        self.telemetry.record_batch(
-            len(batch), out["cold"], out["phases"], out.get("msm_tables"),
-            aggregate_layer=out.get("aggregate_layer"),
-        )
-        vk_key = self.store.put("vk", out["vk"])
-        by_id = {r["job_id"]: r for r in out["results"]}
-        for job in batch.jobs:
-            res = by_id[job.job_id]
-            proof_key = self.store.put("proof", res["proof"])
-            job.result = JobResult(
-                proof=res["proof"],
-                public_inputs=res["public_inputs"],
-                logits=res["logits"],
-                verified=res["verified"],
-                worker_pid=out["pid"],
-                batch_id=batch.batch_id,
-                batch_size=len(batch),
-                store_keys={"proof": proof_key, "vk": vk_key},
-            )
-            if res["verified"]:
-                self._finalize(job, JobState.DONE)
-            else:
-                self._finalize(
+            out = future.result()
+        except BrokenProcessPool as exc:
+            self._pool.reset()
+            self.requeue_or_fail(batch.jobs, f"worker died: {exc!r}")
+        except Exception as exc:  # pickling errors, worker exceptions...
+            self.requeue_or_fail(batch.jobs, f"batch failed: {exc!r}")
+        else:
+            if out.get("audit_rejected"):
+                self.audit_reject(batch, out)
+                return
+            for job in self.complete(batch, out):
+                self.finalize(
                     job, JobState.FAILED, error="proof failed verification"
                 )
-
-    def _audit_reject(self, batch: Batch, out: dict) -> None:
-        """Fail every job in an audit-rejected batch — no retries.
-
-        The rejection is a property of the compiled circuit, not of the
-        worker or the witness, so retrying would only re-pay compilation
-        to hit the same verdict.
-        """
-        rejected = out["audit_rejected"]
-        self.telemetry.record_audit_rejection(len(batch))
-        for phase, seconds in out.get("phases", {}).items():
-            self.telemetry.phases.add(phase, seconds)
-        error = (
-            f"circuit audit rejected batch: {rejected['errors']} error(s); "
-            f"first: {rejected['first']}"
-        )
-        for job in batch.jobs:
-            job.result = None
-            self._finalize(job, JobState.FAILED, error=error)
-
-    def _requeue_or_fail(self, batch: Batch, error: str) -> None:
-        now = time.monotonic()
-        for job in batch.jobs:
-            if job.expired(now):
-                self._finalize(
-                    job, JobState.TIMED_OUT, error="deadline exceeded"
-                )
-            elif job.attempts > job.max_retries:
-                self._finalize(job, JobState.FAILED, error=error)
-            else:
-                self.telemetry.record_retry()
-                job.state = JobState.QUEUED
-                self._queue.push(
-                    job, delay=job.next_backoff(self.config.backoff_base)
-                )
-
-    def _finalize(
-        self, job: ProofJob, state: JobState, error: Optional[str] = None
-    ) -> None:
-        with self._terminal:
-            job.state = state
-            job.error = error
-            job.finished_at = time.monotonic()
-            self._terminal.notify_all()
-        self.telemetry.record_terminal(state.value, tenant=job.tenant)
-        with self._lock:
-            callbacks = list(self._terminal_callbacks)
-        for callback in callbacks:
-            try:
-                callback(job)
-            except Exception:  # observers must never break finalization
-                pass

@@ -161,6 +161,45 @@ class TestServe:
         assert stats["jobs"]["completed"] == 3
         assert 0 < stats["batches"]["runs"] < 3
 
+    def test_serve_forwards_relu_mode(self, capsys, tmp_path):
+        """`--relu-mode` reaches the workers: the lookup lowering is a
+        different circuit, so its verifying key differs from bits."""
+        vks = {}
+        for mode in ("lookup", "bits"):
+            store = tmp_path / mode
+            argv = ["serve", "--model", "TINY", "--scale", "micro",
+                    "--relu-mode", mode, "--jobs", "1", "--workers", "1",
+                    "--store-dir", str(store)]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.count("verified=True") == 1
+            (vks[mode],) = [p.name for p in store.glob("vk-*.bin")]
+        assert vks["lookup"] != vks["bits"]
+
+    def test_submit_forwards_circuit_options(self, capsys, tmp_path):
+        vks = {}
+        for mode in ("lookup", "bits"):
+            out_path = tmp_path / f"{mode}.bin"
+            argv = ["submit", "--model", "TINY", "--scale", "micro",
+                    "--gadgets", "strict", "--relu-mode", mode,
+                    "--out", str(out_path)]
+            assert main(argv) == 0
+            vks[mode] = (tmp_path / f"{mode}.bin.vk").read_bytes()
+        assert vks["lookup"] != vks["bits"]
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--sparse"],
+        ["serve", "--prune", "0.5"],
+        ["submit", "--sparse"],
+        ["compare", "--gadgets", "strict"],
+        ["cluster", "submit", "--connect", "127.0.0.1:1", "--relu-mode",
+         "lookup"],
+    ])
+    def test_ignored_flags_are_not_offered(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_submit_writes_verifiable_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "proof.bin"
         assert (

@@ -10,6 +10,7 @@ results across the restart.
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from repro.gateway import (
     JobJournal,
 )
 from repro.gateway.http import StrideScheduler, TokenBucket
+from repro.gateway.journal import recover_state
 from repro.serve.service import ServiceConfig
 
 MODEL, SCALE = "SHAL", "micro"
@@ -179,6 +181,50 @@ class TestCrashRecovery:
         assert d2.job(pending_gid).state == "queued"
         c2.shutdown(drain=False)
         d2.close()
+
+    def test_journal_written_by_the_parent_commit_recovers(self, tmp_path):
+        """A WAL from the last commit before the job engine was unified
+        (a real ``zeno gateway``, SIGKILLed with jobs in flight; recipe in
+        ``tests/fixtures/make_parent_wal.py``): done results are served
+        from disk, pending jobs are proved once, and every proof is the
+        byte string the parent itself produced on restart."""
+        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+        path = tmp_path / "journal.wal"
+        shutil.copyfile(os.path.join(fixtures, "parent_gateway.wal"), path)
+        with open(os.path.join(fixtures, "parent_gateway_expected.json")) as fh:
+            expected = json.load(fh)
+        before = recover_state(path)
+        done = {j.gid for j in before.completed()}
+        pending = {j.gid for j in before.pending()}
+        assert done and pending and done | pending == set(expected)
+
+        coord = make_coordinator()
+        journal = JobJournal(path, batch_window=0.001)
+        durable = DurableCoordinator(coord, journal)
+        assert durable.recovered_completed == len(done)
+        assert durable.recovered_pending == len(pending)
+        for gid in done:  # no node yet: these can only come from the WAL
+            assert durable.result_view(gid)["proof"] == expected[gid]
+        node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
+        try:
+            for gid in pending:
+                assert durable.wait_terminal(gid, timeout=60).state == "done"
+                view = durable.result_view(gid)
+                assert view["proof"] == expected[gid] and view["recovered"]
+            # Same request ids as the fixture's clients used: nothing new.
+            assert {
+                durable.submit(MODEL, image_seed=7000 + i, scale=SCALE,
+                               request_id=f"fixture-{i}")
+                for i in range(len(expected))
+            } == set(expected)
+            assert coord.stats()["jobs"]["submitted"] == len(pending)
+        finally:
+            node.stop()
+            coord.shutdown(drain=False)
+            durable.close()
+        after = recover_state(path)
+        assert after.duplicate_done == 0
+        assert {j.gid for j in after.completed()} == set(expected)
 
     def test_request_index_survives_restart(self, tmp_path):
         path = tmp_path / "journal.wal"

@@ -23,10 +23,8 @@ from repro.gateway.journal import (
     encode_record,
     iter_records,
     recover_state,
-    replay_into_queue,
     valid_prefix_length,
 )
-from repro.serve.jobs import JobQueue
 
 
 def submit_record(gid, seq, model="SHAL", **extra):
@@ -128,23 +126,36 @@ class TestRecoveredState:
         state = recover_state(path)
         assert state.orphan_records == 1 and not state.jobs
 
-    def test_replay_into_queue_orders_by_seq(self, tmp_path):
+    def test_recovery_resubmits_pending_in_seq_order(self, tmp_path):
+        """Pending jobs re-enter the coordinator in ``seq`` order, whatever
+        order their records sit in the WAL; done jobs do not re-enter."""
+        from repro.cluster import ClusterCoordinator
+        from repro.gateway import DurableCoordinator
+
         path = tmp_path / "j.wal"
         frames = [
-            submit_record("g-b", 2),
-            submit_record("g-a", 1),
             submit_record("g-c", 3),
+            submit_record("g-a", 1),
+            submit_record("g-b", 2),
             done_record("g-a"),
         ]
         with path.open("wb") as fh:
             for rec in frames:
                 fh.write(encode_record(rec))
-        queue = JobQueue()
-        pushed = replay_into_queue(recover_state(path), queue)
-        assert pushed == ["g-b", "g-c"]
-        jobs = [queue.pop() for _ in pushed]
-        assert [j.job_id for j in jobs] == ["g-b", "g-c"]
-        assert all(j.image is not None for j in jobs)
+        coord = ClusterCoordinator()  # never started: no threads, no nodes
+        queued = []
+        coord.add_listener(
+            lambda event, job, info: queued.append(job.extra["gid"])
+        )
+        with JobJournal(path) as journal:
+            durable = DurableCoordinator(coord, journal)
+            assert queued == ["g-b", "g-c"]
+            assert durable.recovered_pending == 2
+            assert durable.recovered_completed == 1
+            assert durable.job("g-a").coordinator_id is None
+            for gid in queued:
+                job = coord.job(durable.job(gid).coordinator_id)
+                assert job.extra["gid"] == gid and job.image is not None
 
 
 # One pool of plausible event sequences for the truncation property.

@@ -358,14 +358,23 @@ class TestTelemetryGauges:
         assert tenants["globex"]["in_flight"] == 0
 
     def test_terminal_callback_fires_per_job(self):
+        """The engine listener sees queued → dispatched → terminal, once
+        each, for every job."""
         seen = []
         with ProvingService(max_workers=1, max_batch=2) as service:
-            service.add_terminal_callback(lambda job: seen.append(job))
+            service.add_listener(
+                lambda event, job, info: seen.append((event, job, info))
+            )
             job_ids = [
                 service.submit("SHAL", image_seed=510 + i, scale="micro")
                 for i in range(3)
             ]
             for job_id in job_ids:
                 service.result(job_id, timeout=300)
-        assert sorted(j.job_id for j in seen) == sorted(job_ids)
-        assert all(j.state is JobState.DONE for j in seen)
+        for job_id in job_ids:
+            mine = [(e, i) for e, j, i in seen if j.job_id == job_id]
+            assert [e for e, _ in mine] == ["queued", "dispatched", "terminal"]
+            assert mine[0][1] == {"delay": 0.0}
+            assert set(mine[1][1]) == {"batch_id"}
+        done = [j for e, j, _ in seen if e == "terminal"]
+        assert all(j.state is JobState.DONE for j in done)
