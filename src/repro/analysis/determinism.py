@@ -77,6 +77,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint import boolean_variables
 from repro.analysis.report import Finding, Severity
+from repro.field import signed
 from repro.r1cs.lc import ONE
 from repro.r1cs.system import ConstraintSystem
 
@@ -148,11 +149,6 @@ class DeterminismResult:
                 )
             )
         return out
-
-
-def _signed(value: int, p: int) -> int:
-    """Canonical representative of smallest magnitude (negatives allowed)."""
-    return value if value <= p // 2 else value - p
 
 
 def _uniquely_decodable(
@@ -386,12 +382,12 @@ class _Propagator:
         for v, coeff in unknowns.items():
             if v == var:
                 continue
-            d = _signed(-coeff * inv % p, p)
+            d = signed(-coeff * inv % p, p)
             b_lo, b_hi = self.bounds[v]
             span += abs(d) * (b_hi - b_lo)
             if span > _MAX_BOUND_WIDTH:
                 return False
-        honest = _signed(self.assignment[var], p)
+        honest = signed(self.assignment[var], p)
         new = (honest - span, honest + span)
         old = self.bounds.get(var)
         if old is not None and old[1] - old[0] <= new[1] - new[0]:
@@ -404,7 +400,7 @@ class _Propagator:
         weights = []
         widths = []
         for v, coeff in unknowns.items():
-            weights.append(_signed(coeff, p))
+            weights.append(signed(coeff, p))
             widths.append(self.bounds[v][1] - self.bounds[v][0])
         if not _uniquely_decodable(weights, widths, p):
             return False

@@ -23,8 +23,9 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,41 +35,21 @@ from repro.core.compiler import (
     arkworks_options,
     zeno_options,
 )
-from repro.nn.data import synthetic_images
-from repro.nn.models import (
-    MODEL_ORDER,
-    TRANSFORMER_ORDER,
-    build_model,
-    model_table,
-)
+from repro.core.spec import CircuitSpec
+from repro.field import BN254_FR_MODULUS, signed
+from repro.nn.models import MODEL_ORDER, TRANSFORMER_ORDER, model_table
 from repro.snark import groth16
 from repro.snark.serialize import (
     deserialize_proof,
     deserialize_verifying_key,
     serialize_proof,
+    serialize_verifying_key,
 )
 
-PRIVACY_CHOICES = {
-    "one-private": PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS,
-    "both-private": PrivacySetting.PRIVATE_IMAGE_PRIVATE_WEIGHTS,
-}
 
-
-def _build_artifact(args):
-    model = build_model(
-        args.model, scale=args.scale, seed=args.seed,
-        prune=getattr(args, "prune", None),
-    )
-    image = synthetic_images(model.input_shape, n=1, seed=args.image_seed)[0]
-    options = zeno_options(
-        PRIVACY_CHOICES[args.privacy],
-        sparse=getattr(args, "sparse", False),
-        relu_mode=getattr(args, "relu_mode", None) or "bits",
-    )
-    if args.gadgets:
-        options.gadget_mode = args.gadgets
-    compiler = ZenoCompiler(options)
-    return model, image, compiler, compiler.compile_model(model, image)
+def _spec(args) -> CircuitSpec:
+    """The circuit the parsed flags name (an unset flag = spec default)."""
+    return CircuitSpec.from_mapping(vars(args))
 
 
 def _parse_size(text: str) -> int:
@@ -96,30 +77,16 @@ def cmd_models(args) -> int:
     return 0
 
 
-def _print_relu_comparison(args) -> None:
+def _print_relu_comparison(spec: CircuitSpec, image) -> None:
     """Compile both nonlinearity lowerings and report the constraint delta."""
-    model = build_model(
-        args.model, scale=args.scale, seed=args.seed,
-        prune=getattr(args, "prune", None),
-    )
-    image = synthetic_images(model.input_shape, n=1, seed=args.image_seed)[0]
-    counts = {}
-    for mode in ("bits", "lookup"):
-        options = zeno_options(
-            PRIVACY_CHOICES[args.privacy],
-            sparse=getattr(args, "sparse", False),
-            relu_mode=mode,
-        )
-        if args.gadgets:
-            options.gadget_mode = args.gadgets
-        counts[mode] = ZenoCompiler(options).compile_model(
-            model, image
-        ).num_constraints
-    gadgets = args.gadgets or "lean"
+    counts = {
+        mode: replace(spec, relu_mode=mode).compile(image).num_constraints
+        for mode in ("bits", "lookup")
+    }
     delta = counts["bits"] - counts["lookup"]
     ratio = counts["bits"] / counts["lookup"] if counts["lookup"] else 0.0
     print(
-        f"  relu-mode comparison ({gadgets} gadgets): "
+        f"  relu-mode comparison ({spec.gadgets} gadgets): "
         f"bits={counts['bits']:,} lookup={counts['lookup']:,} "
         f"({'saves' if delta >= 0 else 'costs'} {abs(delta):,} constraints, "
         f"{ratio:.2f}x)"
@@ -127,9 +94,10 @@ def _print_relu_comparison(args) -> None:
 
 
 def cmd_compile(args) -> int:
-    _, _, compiler, artifact = _build_artifact(args)
-    report = compiler.report(artifact)
-    print(report.summary())
+    spec = _spec(args)
+    image = spec.image(args.image_seed)
+    artifact = spec.compile(image)
+    print(ZenoCompiler(artifact.options).report(artifact).summary())
     lookup = artifact.lookup
     if lookup is not None:
         print(
@@ -139,8 +107,8 @@ def cmd_compile(args) -> int:
             f"(bit-decomposition estimate "
             f"{lookup.bits_equivalent_constraints:,})"
         )
-    if getattr(args, "compare_relu", False):
-        _print_relu_comparison(args)
+    if args.compare_relu:
+        _print_relu_comparison(spec, image)
     if artifact.compute.knit_constraints:
         saving = artifact.compute.knit_expressions / artifact.compute.knit_constraints
         print(f"  knit packing: {saving:.1f} equality checks per constraint")
@@ -172,22 +140,12 @@ def cmd_compile(args) -> int:
 def cmd_audit(args) -> int:
     from repro.analysis import assume_from_recipe, audit_system
 
-    model = build_model(
-        args.model, scale=args.scale, seed=args.seed,
-        prune=getattr(args, "prune", None),
-    )
-    image = synthetic_images(model.input_shape, n=1, seed=args.image_seed)[0]
-    options = zeno_options(
-        PRIVACY_CHOICES[args.privacy], record_recipe=True,
-        sparse=getattr(args, "sparse", False),
-        relu_mode=getattr(args, "relu_mode", None) or "bits",
-    )
     # Default to the sound gadget profile: lean mode's slack wires are
     # exactly what the determinism check exists to flag.
-    options.gadget_mode = args.gadgets or "strict"
-    artifact = ZenoCompiler(options).compile_model(model, image)
+    spec = replace(_spec(args), gadgets=args.gadgets or "strict")
+    artifact = spec.compile(spec.image(args.image_seed), record_recipe=True)
     assume = assume_from_recipe(artifact.compute.recipe)
-    if getattr(args, "per_layer", False):
+    if args.per_layer:
         from repro.aggregate import audit_split
 
         split = artifact.split(
@@ -251,10 +209,11 @@ def _cmd_prove_per_layer(args, artifact) -> int:
 
 
 def cmd_prove(args) -> int:
-    model, image, compiler, artifact = _build_artifact(args)
+    spec = _spec(args)
+    artifact = spec.compile(spec.image(args.image_seed))
     if args.per_layer:
         return _cmd_prove_per_layer(args, artifact)
-    max_rss = getattr(args, "max_rss", None)
+    max_rss = args.max_rss
     start = time.perf_counter()
     tmp_store = None
     if max_rss is not None:
@@ -288,24 +247,14 @@ def cmd_prove(args) -> int:
         tmp_store.cleanup()
 
     out = Path(args.out)
-    out.write_bytes(serialize_proof(proof))
-    claim = {
-        "model": args.model,
-        "scale": args.scale,
-        "seed": args.seed,
-        "image_seed": args.image_seed,
-        "privacy": args.privacy,
-        "gadgets": args.gadgets or "lean",
-        "relu_mode": getattr(args, "relu_mode", None) or "bits",
-        "crs_seed": args.crs_seed,
-        "sparse": getattr(args, "sparse", False),
-        "prune": getattr(args, "prune", None),
-        "public_inputs": [str(v) for v in artifact.public_inputs()],
-        "logits": artifact.public_outputs_signed(),
-    }
-    claim_path = out.with_suffix(out.suffix + ".claim.json")
-    claim_path.write_text(json.dumps(claim, indent=2))
-    print(f"prediction: class {int(np.argmax(claim['logits']))}")
+    logits = artifact.public_outputs_signed()
+    # The verifier rebuilds the circuit from the spec and re-derives the
+    # CRS from the recorded seeds (standing in for CRS distribution).
+    claim_path = _write_claim(
+        out, spec, serialize_proof(proof), artifact.public_inputs(), logits,
+        image_seed=args.image_seed, crs_seed=args.crs_seed,
+    )
+    print(f"prediction: class {int(np.argmax(logits))}")
     print(f"proof:  {out} ({out.stat().st_size} bytes)")
     print(f"claim:  {claim_path}")
     print(f"proved m={artifact.num_constraints} constraints in {elapsed:.2f}s")
@@ -325,10 +274,49 @@ def cmd_prove(args) -> int:
     return 0
 
 
+def _write_claim(
+    out: Path, spec: CircuitSpec, proof: bytes, public_inputs, logits,
+    **key_source,
+) -> Path:
+    """Save one proof under the naming contract ``verify --batch`` scans
+    for: ``out`` is the proof and ``<out>.claim.json`` the claim — the
+    circuit's spec, the public inputs, and either the seeds that re-derive
+    the verifying key or the ``vk_file`` that holds it."""
+    out.write_bytes(proof)
+    claim = {
+        **spec.to_json(),
+        **key_source,
+        "public_inputs": [str(v) for v in public_inputs],
+        "logits": logits,
+    }
+    claim_path = out.with_suffix(out.suffix + ".claim.json")
+    claim_path.write_text(json.dumps(claim, indent=2))
+    return claim_path
+
+
+def _claim_vk(
+    claim_path: Path, claim: dict, derived: Dict[Tuple, bytes]
+) -> bytes:
+    """The serialized verifying key a claim's proof must verify under.
+
+    A service-produced claim (``submit``) ships the key as ``vk_file``: the
+    CRS was generated inside a worker.  Otherwise the verifier knows the
+    public model: rebuild the circuit from the claim's spec and re-derive
+    the CRS from the recorded seed, once per recipe (``derived``)."""
+    if "vk_file" in claim:
+        return (claim_path.parent / claim["vk_file"]).read_bytes()
+    spec = CircuitSpec.from_mapping(claim)
+    recipe = (spec, claim["image_seed"], claim["crs_seed"])
+    if recipe not in derived:
+        artifact = spec.compile(spec.image(claim["image_seed"]))
+        setup = groth16.setup(artifact.cs, rng=random.Random(claim["crs_seed"]))
+        derived[recipe] = serialize_verifying_key(setup.verifying_key)
+    return derived[recipe]
+
+
 def _batch_verify_dir(directory: Path) -> int:
     """Verify every ``*.claim.json`` under ``directory`` in one batch pass."""
     from repro.cluster.verification import verify_claims
-    from repro.snark.serialize import serialize_verifying_key
 
     claim_paths = sorted(directory.glob("*.claim.json"))
     if not claim_paths:
@@ -336,39 +324,13 @@ def _batch_verify_dir(directory: Path) -> int:
         return 1
 
     # Claims that share a verifying key verify together under one
-    # random-linear-combination check (k + 3 pairings for k proofs);
-    # seed-derived CRSes are rebuilt once per recipe, not per claim.
-    vk_cache: dict = {}
+    # random-linear-combination check (k + 3 pairings for k proofs).
+    derived: Dict[Tuple, bytes] = {}
     groups: dict = {}
     for claim_path in claim_paths:
         claim = json.loads(claim_path.read_text())
         proof_path = claim_path.with_name(claim_path.name[: -len(".claim.json")])
-        if "vk_file" in claim:
-            vk_bytes = (claim_path.parent / claim["vk_file"]).read_bytes()
-        else:
-            recipe = (
-                claim["model"], claim["scale"], claim["seed"],
-                claim["image_seed"], claim["privacy"], claim["gadgets"],
-                claim.get("relu_mode", "bits"),
-                claim["crs_seed"], claim.get("sparse", False),
-                claim.get("prune"),
-            )
-            if recipe not in vk_cache:
-                ns = argparse.Namespace(
-                    model=claim["model"], scale=claim["scale"],
-                    seed=claim["seed"], image_seed=claim["image_seed"],
-                    privacy=claim["privacy"], gadgets=claim["gadgets"],
-                    relu_mode=claim.get("relu_mode", "bits"),
-                    sparse=claim.get("sparse", False),
-                    prune=claim.get("prune"),
-                )
-                _, _, _, artifact = _build_artifact(ns)
-                setup = groth16.setup(
-                    artifact.cs, rng=random.Random(claim["crs_seed"])
-                )
-                vk_cache[recipe] = serialize_verifying_key(setup.verifying_key)
-            vk_bytes = vk_cache[recipe]
-        groups.setdefault(vk_bytes, []).append(
+        groups.setdefault(_claim_vk(claim_path, claim, derived), []).append(
             (
                 proof_path.name,
                 [int(v) for v in claim["public_inputs"]],
@@ -402,7 +364,6 @@ def _batch_verify_dir(directory: Path) -> int:
 def _verify_aggregate_file(path: Path) -> int:
     """Verify a folded per-layer artifact with one batched pairing check."""
     from repro.aggregate import AggregateError, AggregateProof, verify_aggregate
-    from repro.field import BN254_FR_MODULUS
 
     try:
         agg = AggregateProof.load(str(path))
@@ -417,12 +378,9 @@ def _verify_aggregate_file(path: Path) -> int:
     if not verdict.ok:
         print(f"verification: REJECTED ({verdict.reason})")
         return 1
-    p = BN254_FR_MODULUS
-    half = p // 2
     for i, globals_out in enumerate(verdict.globals_per_inference):
         logits = [
-            v - p if v > half else v
-            for _, v in sorted(globals_out.items())
+            signed(v, BN254_FR_MODULUS) for _, v in sorted(globals_out.items())
         ]
         if logits:
             print(
@@ -445,45 +403,18 @@ def cmd_verify(args) -> int:
         print("verify: either --batch DIR or both --proof and --claim")
         return 2
     proof = deserialize_proof(Path(args.proof).read_bytes())
-    claim = json.loads(Path(args.claim).read_text())
-
-    if "vk_file" in claim:
-        # Service-produced claim (``submit``): the CRS was generated inside a
-        # worker, so the claim ships the verifying key instead of a CRS seed.
-        vk_path = Path(args.claim).parent / claim["vk_file"]
-        vk = deserialize_verifying_key(vk_path.read_bytes())
-        ok = groth16.verify(
-            vk, [int(v) for v in claim["public_inputs"]], proof
-        )
-        print(f"verification: {'ACCEPTED' if ok else 'REJECTED'}")
-        return 0 if ok else 1
-
-    # Rebuild the circuit (the verifier knows the public model) and re-derive
-    # the CRS from the recorded seed.
-    ns = argparse.Namespace(
-        model=claim["model"],
-        scale=claim["scale"],
-        seed=claim["seed"],
-        image_seed=claim["image_seed"],
-        privacy=claim["privacy"],
-        gadgets=claim["gadgets"],
-        relu_mode=claim.get("relu_mode", "bits"),
-        sparse=claim.get("sparse", False),
-        prune=claim.get("prune"),
-    )
-    _, _, _, artifact = _build_artifact(ns)
-    setup = groth16.setup(artifact.cs, rng=random.Random(claim["crs_seed"]))
-    ok = groth16.verify(
-        setup.verifying_key, [int(v) for v in claim["public_inputs"]], proof
-    )
+    claim_path = Path(args.claim)
+    claim = json.loads(claim_path.read_text())
+    vk = deserialize_verifying_key(_claim_vk(claim_path, claim, {}))
+    ok = groth16.verify(vk, [int(v) for v in claim["public_inputs"]], proof)
     print(f"verification: {'ACCEPTED' if ok else 'REJECTED'}")
     return 0 if ok else 1
 
 
 def cmd_compare(args) -> int:
-    model = build_model(args.model, scale=args.scale, seed=args.seed)
-    image = synthetic_images(model.input_shape, n=1, seed=args.image_seed)[0]
-    privacy = PRIVACY_CHOICES[args.privacy]
+    spec = _spec(args)
+    model, image = spec.build_model(), spec.image(args.image_seed)
+    privacy = PrivacySetting.names()[spec.privacy]
     reports = {}
     for options in (arkworks_options(privacy), zeno_options(privacy)):
         compiler = ZenoCompiler(options)
@@ -500,6 +431,7 @@ def cmd_serve(args) -> int:
     """Run a demo workload through the batched multi-worker proving service."""
     from repro.serve import ProvingService
 
+    spec = _spec(args)
     service = ProvingService(
         max_workers=args.workers,
         max_batch=args.max_batch,
@@ -507,8 +439,8 @@ def cmd_serve(args) -> int:
         store_dir=args.store_dir,
         parallelism=args.parallelism,
         audit=args.audit,
-        gadget_mode=args.gadgets,
-        relu_mode=args.relu_mode,
+        gadget_mode=spec.gadgets,
+        relu_mode=spec.relu_mode,
     )
     print(
         f"serving {args.jobs} jobs for {args.model}/{args.scale} "
@@ -538,43 +470,29 @@ def cmd_serve(args) -> int:
 
 
 def _write_job_artifacts(
-    args, out: Path, res, vk: Optional[bytes]
+    spec: CircuitSpec, out: Path, res, vk: Optional[bytes]
 ) -> Tuple[Path, Path]:
-    """Save one service/cluster result under the naming contract
-    ``verify --batch`` scans for: ``out`` is the proof, ``<out>.claim.json``
-    the claim, ``<out>.vk`` the verifying key the claim references."""
-    out.write_bytes(res.proof)
+    """Save one service/cluster result: proof, claim, and ``<out>.vk`` —
+    the verifying key the claim references."""
     vk_path = out.with_suffix(out.suffix + ".vk")
     if vk:
         vk_path.write_bytes(vk)
-    claim = {
-        "model": args.model,
-        "scale": args.scale,
-        "seed": args.seed,
-        "privacy": args.privacy,
-        "public_inputs": [str(v) for v in res.public_inputs],
-        "logits": res.logits,
-        "vk_file": vk_path.name,
-    }
-    claim_path = out.with_suffix(out.suffix + ".claim.json")
-    claim_path.write_text(json.dumps(claim, indent=2))
+    claim_path = _write_claim(
+        out, spec, res.proof, res.public_inputs, res.logits,
+        vk_file=vk_path.name,
+    )
     return vk_path, claim_path
 
 
 def cmd_submit(args) -> int:
     """Enqueue one job (from a saved ``.npy`` input) and save its proof."""
-    from repro.serve import ProvingService, synthesize_image
+    from repro.serve import ProvingService
 
-    if args.input:
-        image = np.load(args.input)
-    else:
-        image = synthesize_image(
-            args.model, args.scale, args.seed, args.image_seed
-        )
-
+    spec = _spec(args)
+    image = np.load(args.input) if args.input else spec.image(args.image_seed)
     service = ProvingService(
         max_workers=1, max_wait=0.0,
-        gadget_mode=args.gadgets, relu_mode=args.relu_mode,
+        gadget_mode=spec.gadgets, relu_mode=spec.relu_mode,
     )
     job_id = service.submit(
         args.model,
@@ -588,7 +506,8 @@ def cmd_submit(args) -> int:
 
     out = Path(args.out)
     vk_path, claim_path = _write_job_artifacts(
-        args, out, res, service.store.get(res.store_keys["vk"])
+        service.job(job_id).circuit, out, res,
+        service.store.get(res.store_keys["vk"]),
     )
     print(f"prediction: class {int(np.argmax(res.logits))}")
     print(f"proof:  {out} ({out.stat().st_size} bytes)  verified={res.verified}")
@@ -688,7 +607,8 @@ def cmd_cluster_submit(args) -> int:
             )
             if out_dir:
                 _write_job_artifacts(
-                    args, out_dir / f"{job_id}.proof.bin", res,
+                    CircuitSpec.from_mapping(client.circuit(job_id)),
+                    out_dir / f"{job_id}.proof.bin", res,
                     client.verifying_key(job_id),
                 )
         if args.stats:
@@ -804,7 +724,8 @@ def _model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="weight seed")
     parser.add_argument("--image-seed", type=int, default=42)
     parser.add_argument(
-        "--privacy", default="one-private", choices=sorted(PRIVACY_CHOICES)
+        "--privacy", default="one-private",
+        choices=sorted(PrivacySetting.names()),
     )
 
 
@@ -992,7 +913,8 @@ def main(argv=None) -> int:
     )
     p_coord.add_argument("--audit", action="store_true",
                          help="soundness-audit each cold circuit on the nodes")
-    p_coord.add_argument("--gadgets", choices=["lean", "strict"], default=None)
+    p_coord.add_argument("--gadgets", choices=["lean", "strict"],
+                         default="lean")
     p_coord.set_defaults(func=cmd_cluster_coordinator)
 
     p_worker = cluster_sub.add_parser(
@@ -1063,7 +985,7 @@ def main(argv=None) -> int:
                                 "(0 = unlimited)")
     p_gateway.add_argument("--burst", type=int, default=64)
     p_gateway.add_argument("--gadgets", choices=["lean", "strict"],
-                           default=None)
+                           default="lean")
     p_gateway.set_defaults(func=cmd_gateway)
 
     args = parser.parse_args(argv)

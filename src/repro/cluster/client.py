@@ -354,6 +354,13 @@ class ClusterClient:
             return None
         return payload["result"].get("vk")
 
+    def circuit(self, job_id: str) -> Optional[dict]:
+        """Flat :class:`~repro.core.spec.CircuitSpec` keys of the circuit a
+        finished job proved (the coordinator's lowering included)."""
+        with self._cond:
+            payload = self._done.get(job_id)
+        return None if payload is None else payload.get("circuit")
+
     def attempts(self, job_id: str) -> Optional[int]:
         """How many dispatch attempts a finished job consumed."""
         with self._cond:

@@ -596,6 +596,9 @@ class ClusterCoordinator(JobEngine):
             "state": job.state.value,
             "error": job.error,
             "attempts": job.attempts,
+            # What was proved, incl. this coordinator's gadget lowering —
+            # the submitter's claim file records it.
+            "circuit": job.circuit.to_json(),
         }
         if job.result is not None:
             res = job.result

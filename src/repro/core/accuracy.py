@@ -31,6 +31,7 @@ from repro.core.circuit.compute import ComputeOptions
 from repro.core.lang.types import Privacy
 from repro.core.reuse.batch import BatchProver
 from repro.ec.backend import GroupBackend, SimulatedBackend
+from repro.field import signed
 from repro.nn.graph import Model
 from repro.snark import groth16
 from repro.snark.keys import VerifyingKey
@@ -69,9 +70,7 @@ class AccuracyCertificate:
 
 
 def _argmax_signed(values: Sequence[int], modulus: int) -> int:
-    half = modulus // 2
-    signed = [v - modulus if v > half else v for v in values]
-    return int(np.argmax(signed))
+    return int(np.argmax([signed(v, modulus) for v in values]))
 
 
 class AccuracyProver:

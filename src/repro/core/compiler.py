@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.core.reuse.cache import CacheService
 from repro.core.schedule.scheduler import ParallelSchedule, WorkloadScheduler
 from repro.core.schedule.simclock import simulate_parallel_time
 from repro.ec.backend import GroupBackend, SimulatedBackend
+from repro.field import signed
 from repro.nn.graph import Model
 from repro.snark import groth16
 from repro.snark.backends import SECURITY_BACKENDS
@@ -46,6 +47,14 @@ class PrivacySetting(enum.Enum):
     PRIVATE_IMAGE_PUBLIC_WEIGHTS = "private_image_public_weights"
     PRIVATE_IMAGE_PRIVATE_WEIGHTS = "private_image_private_weights"
     PUBLIC_IMAGE_PRIVATE_WEIGHTS = "public_image_private_weights"
+
+    @classmethod
+    def names(cls) -> Dict[str, "PrivacySetting"]:
+        """The ``--privacy`` / job-spec spelling of each servable setting."""
+        return {
+            "one-private": cls.PRIVATE_IMAGE_PUBLIC_WEIGHTS,
+            "both-private": cls.PRIVATE_IMAGE_PRIVATE_WEIGHTS,
+        }
 
     @property
     def image_privacy(self) -> Privacy:
@@ -204,8 +213,7 @@ class CompileArtifact:
     def public_outputs_signed(self):
         """Public values decoded back to signed NN space (logits)."""
         p = self.cs.field.modulus
-        half = p // 2
-        return [v - p if v > half else v for v in self.cs.public_values()]
+        return [signed(v, p) for v in self.cs.public_values()]
 
     def split(self, mode: str = "public", num_segments: Optional[int] = None):
         """Split this compilation into per-layer Groth16 instances.
@@ -219,6 +227,37 @@ class CompileArtifact:
         return split_model(self.cs, mode=mode, num_segments=num_segments)
 
 
+def lower_program(
+    program: ZkProgram, options: ComputeOptions
+) -> Tuple[GenerateResult, ComputeResult]:
+    """Generate + Circuit Computation: a typed program -> constraint system."""
+    computer = CircuitComputer(program, options)
+    return computer.generate(), computer.compute()
+
+
+def compile_circuit(
+    model: Model,
+    image: np.ndarray,
+    image_privacy: Privacy,
+    weights_privacy: Privacy,
+    options: ComputeOptions,
+    fusion: bool = True,
+) -> Tuple[Model, ZkProgram, GenerateResult, ComputeResult]:
+    """The one path from a model to its constraint system: §6.2 fusion,
+    typed program, :func:`lower_program`.  :class:`ZenoCompiler` and
+    :class:`~repro.core.reuse.batch.BatchProver` both compile through
+    here, so a circuit is the same circuit whichever door it came in by.
+    Returns the (fused) model actually lowered alongside its program.
+    """
+    if fusion:
+        model = fuse_model(model)
+    program = program_from_model(
+        model, image, image_privacy, weights_privacy,
+        relu_bits=options.relu_bits,
+    )
+    return (model, program, *lower_program(program, options))
+
+
 class ZenoCompiler:
     """Compiles models (or raw programs) and generates proofs."""
 
@@ -229,26 +268,27 @@ class ZenoCompiler:
 
     def compile_model(self, model: Model, image: np.ndarray) -> CompileArtifact:
         opts = self.options
-        if opts.fusion:
-            model = fuse_model(model)
-        program = program_from_model(
-            model,
-            image,
-            opts.privacy.image_privacy,
-            opts.privacy.weights_privacy,
-            relu_bits=opts.relu_bits,
+        compute_opts = opts.compute_options()
+        return self._artifact(
+            compute_opts,
+            *compile_circuit(
+                model, image, opts.privacy.image_privacy,
+                opts.privacy.weights_privacy, compute_opts, opts.fusion,
+            ),
         )
-        return self.compile_program(program, model=model)
 
     def compile_program(
         self, program: ZkProgram, model: Optional[Model] = None
     ) -> CompileArtifact:
-        opts = self.options
-        compute_opts = opts.compute_options()
-        computer = CircuitComputer(program, compute_opts)
-        generated = computer.generate()
-        computed = computer.compute()
+        compute_opts = self.options.compute_options()
+        return self._artifact(
+            compute_opts, model, program, *lower_program(program, compute_opts)
+        )
 
+    def _artifact(
+        self, compute_opts, model, program, generated, computed
+    ) -> CompileArtifact:
+        opts = self.options
         schedule = None
         parallel_time = computed.wall_time
         if opts.scheduler_workers > 1:

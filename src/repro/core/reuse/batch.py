@@ -22,11 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.circuit.compute import (
-    CircuitComputer,
-    ComputeOptions,
-    ComputeResult,
-)
+from repro.core.circuit.compute import ComputeOptions
 from repro.core.circuit.gadgets import RANGE_OFFSET
 from repro.core.lang.program import (
     ActLUTOp,
@@ -40,6 +36,7 @@ from repro.core.lang.program import (
 )
 from repro.core.lang.types import Privacy
 from repro.nn.graph import INPUT, Model
+from repro.nn.layers import MaxPool2d
 
 
 @dataclass
@@ -72,7 +69,9 @@ class BatchProver:
         weights_privacy: Privacy = Privacy.PUBLIC,
         options: Optional[ComputeOptions] = None,
     ) -> None:
-        self.model = model
+        # Deferred: repro.core.compiler imports this package for the cache.
+        from repro.core.compiler import compile_circuit
+
         self.image_privacy = image_privacy
         self.weights_privacy = weights_privacy
         opts = options or ComputeOptions()
@@ -80,21 +79,16 @@ class BatchProver:
         self.options = opts
         self.stats = BatchStats()
 
-        program = program_from_model(
-            model, base_image, image_privacy, weights_privacy,
-            relu_bits=opts.relu_bits,
-        )
-        from repro.core.lang.program import MaxPoolOp
-
-        if any(isinstance(op, MaxPoolOp) for op in program.ops):
+        if any(isinstance(node.layer, MaxPool2d) for node in model.nodes):
             raise NotImplementedError(
                 "batch constraint-system sharing does not support MaxPool2d "
                 "(its comparison-chain witnesses are not recipe-encoded); "
                 "use AvgPool2d or per-image compilation"
             )
-        computer = CircuitComputer(program, opts)
-        generated = computer.generate()
-        self.result: ComputeResult = computer.compute()
+        # ``self.model`` is the fused model: the recipe names its layers.
+        self.model, _program, generated, self.result = compile_circuit(
+            model, base_image, image_privacy, weights_privacy, opts
+        )
         if self.result.recipe is None:
             raise RuntimeError("witness recipe was not recorded")
         self.stats.generate_time = generated.wall_time
@@ -111,7 +105,7 @@ class BatchProver:
         """Run Groth16 setup once for the shared constraint system.
 
         The serving worker pool (:mod:`repro.serve.workers`) keeps one
-        ``BatchProver`` warm per (model, profile); the setup — by far the
+        ``BatchProver`` warm per circuit; the setup — by far the
         most expensive per-key cost — is cached here so every subsequent
         job pays only assign + prove.
 

@@ -20,6 +20,7 @@ from repro.field.fp import (
     BN254_FR_MODULUS,
     Field,
     FieldElement,
+    signed,
 )
 from repro.field.counters import OpCounter, global_counter, count_ops
 from repro.field.vector import batch_inverse, field_dot, powers
@@ -37,4 +38,5 @@ __all__ = [
     "batch_inverse",
     "field_dot",
     "powers",
+    "signed",
 ]

@@ -32,6 +32,16 @@ BN254_FR_MODULUS = (
 IntoInt = Union[int, "FieldElement"]
 
 
+def signed(value: int, modulus: int) -> int:
+    """Decode a field element back to signed NN space.
+
+    Quantized NN values are small signed integers embedded in the field;
+    a value above ``modulus // 2`` represents the negative
+    ``value - modulus``.
+    """
+    return value - modulus if value > modulus // 2 else value
+
+
 class Field:
     """A prime field descriptor: modulus plus raw-``int`` arithmetic.
 
@@ -233,15 +243,8 @@ class FieldElement:
     # -- signed interpretation ---------------------------------------------------
 
     def signed(self) -> int:
-        """Interpret as a signed integer centered at zero.
-
-        Quantized NN values are small signed integers embedded in the field;
-        a value above ``modulus // 2`` represents the negative
-        ``value - modulus``.  Used when decoding circuit outputs back to NN
-        space.
-        """
-        half = self.field.modulus // 2
-        return self.value - self.field.modulus if self.value > half else self.value
+        """Interpret as a signed integer centered at zero (:func:`signed`)."""
+        return signed(self.value, self.field.modulus)
 
 
 BN254_FR = Field(BN254_FR_MODULUS, name="Fr")

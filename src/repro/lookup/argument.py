@@ -48,6 +48,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.field import signed
 from repro.lookup.table import PACK_BASE, LookupTable, get_table
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
@@ -764,10 +765,6 @@ def _verify_sponge(cs: ConstraintSystem, block: LookupBlock) -> Optional[str]:
 # -- batch-sharing witness replay ------------------------------------------------------
 
 
-def _signed(value: int, p: int) -> int:
-    return value - p if value > p // 2 else value
-
-
 def reassign_lookup_columns(cs: ConstraintSystem) -> None:
     """Recompute every lookup column after base wires were re-assigned.
 
@@ -791,7 +788,7 @@ def reassign_lookup_columns(cs: ConstraintSystem) -> None:
                 raise LookupError(
                     f"lookup input var {x_var} unassigned during replay"
                 )
-            x_val = _signed(int(x_raw), p)
+            x_val = signed(int(x_raw), p)
             j = x_val - block.domain_lo
             if not 0 <= j < size:
                 raise LookupError(

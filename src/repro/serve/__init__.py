@@ -2,7 +2,7 @@
 
 Turns the one-shot compiler/prover pipeline into a long-running service:
 jobs enter a priority queue (:mod:`repro.serve.jobs`), an adaptive
-micro-batcher groups jobs for the same (model, profile) so the §6.1
+micro-batcher groups jobs for the same circuit (`CircuitSpec`) so the §6.1
 batch-specialized constraint-system sharing is exercised on the serving
 path (:mod:`repro.serve.batcher`), and a process worker pool with warm
 per-worker proving-key caches executes them (:mod:`repro.serve.workers`).
@@ -15,7 +15,7 @@ transport of the one scheduler in :mod:`repro.serve.engine`.
 """
 
 from repro.serve.batcher import Batch, MicroBatcher
-from repro.serve.engine import JobEngine, JobFailedError, synthesize_image
+from repro.serve.engine import JobEngine, JobFailedError
 from repro.serve.jobs import JobQueue, JobResult, JobState, ProofJob
 from repro.serve.service import ProvingService, ServiceConfig
 from repro.serve.store import ArtifactStore
@@ -34,5 +34,4 @@ __all__ = [
     "ProvingService",
     "ServiceConfig",
     "ServiceTelemetry",
-    "synthesize_image",
 ]

@@ -25,7 +25,7 @@ from repro.serve.jobs import ProofJob
 
 @dataclass
 class Batch:
-    """A flushed group of jobs sharing one (model, profile) key."""
+    """A flushed group of jobs sharing one :meth:`ProofJob.batch_key`."""
 
     batch_id: int
     key: Tuple

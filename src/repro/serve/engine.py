@@ -30,39 +30,22 @@ and ``"terminal"`` (exactly once per job).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import tempfile
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.spec import CircuitSpec
 from repro.serve.batcher import Batch, MicroBatcher
 from repro.serve.jobs import JobQueue, JobResult, JobState, ProofJob
 from repro.serve.store import ArtifactStore
 from repro.serve.telemetry import ServiceTelemetry
 
 Listener = Callable[[str, ProofJob, Dict[str, Any]], None]
-
-
-@functools.lru_cache(maxsize=64)
-def _input_shape(model: str, scale: str, seed: int) -> Tuple[int, ...]:
-    from repro.nn.models import build_model
-
-    return build_model(model, scale=scale, seed=seed).input_shape
-
-
-def synthesize_image(
-    model: str, scale: str, seed: int, image_seed: int
-) -> np.ndarray:
-    """The deterministic synthetic input ``image_seed`` names for a model."""
-    from repro.nn.data import synthetic_images
-
-    shape = _input_shape(model, scale, seed)
-    return synthetic_images(shape, n=1, seed=image_seed)[0]
 
 
 class JobFailedError(RuntimeError):
@@ -137,18 +120,21 @@ class JobEngine:
         with self._lock:
             if self._stop or self._drain:
                 raise RuntimeError("shutting down")
+        cfg = self._cfg
+        # The lowering is the service's choice, fixed here once: everything
+        # downstream (batch key, worker spec, warm cache) reads the spec.
+        circuit = CircuitSpec(
+            model, scale=scale, seed=seed, privacy=privacy,
+            gadgets=cfg.gadget_mode, relu_mode=cfg.relu_mode,
+        )
         if image is None:
             if image_seed is None:
                 raise ValueError("provide an image or an image_seed")
-            image = synthesize_image(model, scale, seed, image_seed)
-        cfg = self._cfg
+            image = circuit.image(image_seed)
         job = ProofJob(
             job_id=f"job-{next(self._job_ids):06d}",
-            model=model,
+            circuit=circuit,
             image=image,
-            scale=scale,
-            seed=seed,
-            privacy=privacy,
             priority=priority,
             timeout=cfg.default_timeout if timeout is None else timeout,
             max_retries=cfg.max_retries if max_retries is None else max_retries,
@@ -301,15 +287,10 @@ class JobEngine:
         """What a worker needs to build the batch's circuit and prover."""
         cfg, first = self._cfg, batch.jobs[0]
         spec = {
-            "model": first.model,
-            "scale": first.scale,
-            "seed": first.seed,
-            "privacy": first.privacy,
+            **first.circuit.to_json(),
             "backend": cfg.backend,
             "parallelism": cfg.parallelism,
             "audit": cfg.audit,
-            "gadgets": cfg.gadget_mode,
-            "relu_mode": cfg.relu_mode,
             "deterministic": cfg.deterministic,
         }
         # Per-layer aggregate fan-out: the whole batch shares one layer

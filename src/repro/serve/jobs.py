@@ -30,6 +30,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.spec import CircuitSpec
+
 
 class JobState(enum.Enum):
     QUEUED = "queued"
@@ -62,11 +64,8 @@ class ProofJob:
     """One proving request; batchable by :meth:`batch_key`."""
 
     job_id: str
-    model: str  # Table-4 abbreviation, e.g. "SHAL"
+    circuit: CircuitSpec  # which constraint system this job proves
     image: np.ndarray
-    scale: str = "mini"
-    seed: int = 0  # weight seed (fixes the network)
-    privacy: str = "one-private"  # "one-private" | "both-private"
     priority: int = 0  # higher pops first
     timeout: Optional[float] = None  # seconds from submission to deadline
     max_retries: int = 2
@@ -90,7 +89,7 @@ class ProofJob:
         are two different circuits, so the micro-batcher must never merge
         them into one batch even though they share a model.
         """
-        key: Tuple = (self.model, self.scale, self.seed, self.privacy)
+        key: Tuple = (self.circuit,)
         agg = self.extra.get("aggregate")
         if agg:
             key += (

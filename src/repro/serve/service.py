@@ -42,8 +42,8 @@ class ServiceConfig:
     store_entries: int = 256  # artifact-store LRU bound
     prewarm: bool = True  # spawn all workers at startup
     audit: bool = False  # pre-prove soundness audit of each cold circuit
-    gadget_mode: Optional[str] = None  # None = worker default; "strict" w/ audit
-    relu_mode: Optional[str] = None  # None = worker default; "lookup" | "bits"
+    gadget_mode: str = "lean"  # CircuitSpec.gadgets of every job; "strict" w/ audit
+    relu_mode: str = "bits"  # CircuitSpec.relu_mode of every job
     # Derive each proof's (r, s) blinding from the CRS seed + image digest
     # instead of fresh OS randomness.  Proofs become a pure function of the
     # job, so any two nodes proving the same job emit byte-identical bytes

@@ -1,12 +1,14 @@
 """Process worker pool with warm per-worker proving-key caches.
 
-Each worker process keeps a module-level cache mapping a batch key
-(model, scale, seed, privacy) to a warm :class:`BatchProver` plus its
-Groth16 :class:`SetupResult`.  The first batch for a key in a given worker
-pays Generate + Circuit Computation + trusted setup (the cold path);
-every later batch only re-assigns witnesses and proves — the paper's §6.1
-sharing, amortized across the worker's lifetime instead of a single
-benchmark loop.
+Each worker process keeps one module-level table mapping
+``(CircuitSpec, backend, crs_seed)`` to a :class:`_WarmEntry`: the warm
+:class:`BatchProver` for that circuit plus whatever keys jobs have asked
+for so far — the whole-model Groth16 setup, and per-layer splits and
+setups for aggregate jobs.  The first batch for a circuit in a given
+worker pays Generate + Circuit Computation (and the first batch of each
+kind its trusted setup); every later batch only re-assigns witnesses and
+proves — the paper's §6.1 sharing, amortized across the worker's lifetime
+instead of a single benchmark loop.
 
 Fault tolerance: a worker dying mid-batch breaks the whole
 ``ProcessPoolExecutor`` (pending futures raise ``BrokenProcessPool``).
@@ -25,125 +27,155 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.aggregate import split_model
+from repro.aggregate.prove import DEFAULT_CRS_SEED, blinding_rng, crs_rng
+from repro.analysis import assume_from_recipe, audit_system
 from repro.core import pool
 from repro.core.metrics import PhaseTimer
 from repro.core.reuse.batch import BatchProver
-from repro.core.lang.types import Privacy
+from repro.core.spec import CircuitSpec
 from repro.ec.backend import backend_by_name
+from repro.field import signed
+from repro.field.backend import backend_name
+from repro.snark import groth16
+from repro.snark.serialize import serialize_proof, serialize_verifying_key
 
 # -- per-process warm state (lives in the worker, not the service) -----------------
 
-_WARM: Dict[Tuple, "_WarmEntry"] = {}
+SERVE_CRS_SEED = 0x5E70  # whole-model CRS when the spec names none
+
+_WARM: Dict[Tuple[CircuitSpec, str, int], "_WarmEntry"] = {}
 
 
 class _WarmEntry:
-    def __init__(self, prover: BatchProver, setup, vk_bytes: bytes) -> None:
+    """One circuit under one (backend, CRS seed) in this worker."""
+
+    def __init__(self, prover: BatchProver) -> None:
         self.prover = prover
-        # The proving key carries the fixed-base CRS tables built once per
-        # key; every proof in every later batch queries them instead of
-        # raw MSMs.
-        self.setup = setup
-        self.vk_bytes = vk_bytes
-        # Audit-gate latch: a warm entry only skips the pre-prove audit
-        # after it has actually passed it once under some audited spec.
+        # Whole-model (SetupResult, vk bytes), built by the first
+        # whole-model batch.  The proving key carries the fixed-base CRS
+        # tables; every proof in every later batch queries them instead
+        # of raw MSMs.
+        self.keys: Optional[Tuple[Any, bytes]] = None
+        # Per-layer aggregate proving: one split per (mode, num_segments)
+        # shared by every layer job, with per-layer (SetupResult, vk
+        # bytes) built lazily — layer 3 jobs don't pay for layer 7's setup.
+        self.splits: Dict[Tuple, Any] = {}
+        self.layer_keys: Dict[Tuple, Tuple[Any, bytes]] = {}
+        # Audit-gate latch: an entry only skips the pre-prove audit after
+        # it has actually passed it once under some audited spec.
         self.audited = False
 
 
-_PRIVACY = {
-    "one-private": (Privacy.PRIVATE, Privacy.PUBLIC),
-    "both-private": (Privacy.PRIVATE, Privacy.PRIVATE),
-}
-
-# Per-layer aggregate proving: one warm split (compile + split_model)
-# shared by every layer job of the same model spec in this worker, with
-# per-layer trusted setups cached lazily — layer 3 jobs don't pay for
-# layer 7's setup.
-_WARM_AGG: Dict[Tuple, "_WarmAggEntry"] = {}
-
-
-class _WarmAggEntry:
-    def __init__(self, prover: BatchProver, split) -> None:
-        self.prover = prover
-        self.split = split
-        self.setups: Dict[int, Any] = {}  # layer index -> SetupResult
-        self.vk_bytes: Dict[int, bytes] = {}
-
-    def layer_setup(self, layer: int, backend, crs_seed: int):
-        from repro.aggregate.prove import crs_rng
-        from repro.snark import groth16
-        from repro.snark.serialize import serialize_verifying_key
-
-        setup = self.setups.get(layer)
-        if setup is None:
-            setup = groth16.setup(
-                self.split.instances[layer].cs,
-                backend,
-                crs_rng(crs_seed, layer),
-            )
-            self.setups[layer] = setup
-            self.vk_bytes[layer] = serialize_verifying_key(
-                setup.verifying_key
-            )
-        return setup
-
-
-def _spec_key(spec: Dict[str, Any]) -> Tuple:
-    """The part of a spec that fixes the shared constraint system."""
-    return (
-        spec["model"], spec["scale"], spec["seed"], spec["privacy"],
-        spec.get("gadgets"), spec.get("relu_mode"),
+def _warm_entry(
+    spec: Dict[str, Any], base_image, phases: Dict[str, float]
+) -> Tuple[Tuple[CircuitSpec, str, int], _WarmEntry]:
+    """The spec's warm key and entry, compiling the circuit on first sight."""
+    key = (
+        CircuitSpec.from_mapping(spec),
+        spec.get("backend", "simulated"),
+        int(spec.get("crs_seed", SERVE_CRS_SEED)),
     )
+    entry = _WARM.get(key)
+    if entry is None:
+        with PhaseTimer("warmup", sink=phases):
+            entry = _WARM[key] = _WarmEntry(key[0].batch_prover(base_image))
+        phases["generate"] = entry.prover.stats.generate_time
+        phases["circuit"] = entry.prover.stats.circuit_time
+    return key, entry
 
 
-def _spec_backend(spec: Dict[str, Any]):
-    return backend_by_name(spec.get("backend", "simulated"))
-
-
-def _build_prover(spec: Dict[str, Any], base_image) -> BatchProver:
-    from repro.core.circuit.compute import ComputeOptions
-    from repro.nn.models import build_model
-
-    image_privacy, weights_privacy = _PRIVACY[spec["privacy"]]
-    model = build_model(spec["model"], scale=spec["scale"], seed=spec["seed"])
-    options = None
-    if spec.get("gadgets") or spec.get("relu_mode"):
-        options = ComputeOptions(
-            gadget_mode=spec.get("gadgets") or "lean",
-            relu_mode=spec.get("relu_mode") or "bits",
+def _audit_rejection(key: Tuple, entry: _WarmEntry, phases) -> Optional[dict]:
+    """Pre-prove soundness gate: lint + determinism over the shared
+    constraint system, once per circuit whatever the job kind.  Latched on
+    the entry, not the cold path: a forked worker can inherit a warm entry
+    that was built under a spec without the gate, and an audited spec must
+    not trust it unaudited.  On rejection the entry is evicted so a
+    resubmitted key re-audits (and fails again) instead of silently
+    proving on the tainted circuit."""
+    with PhaseTimer("audit", sink=phases):
+        audit = audit_system(
+            entry.prover.cs,
+            assume=assume_from_recipe(entry.prover.result.recipe),
         )
-    return BatchProver(
-        model, base_image, image_privacy=image_privacy,
-        weights_privacy=weights_privacy, options=options,
-    )
+    if audit.ok:
+        entry.audited = True
+        return None
+    del _WARM[key]
+    return {
+        "errors": len(audit.errors),
+        "first": audit.errors[0].message,
+        "report": audit.to_json(),
+    }
 
 
-def _warm_up(key: Tuple, spec: Dict[str, Any], base_image) -> _WarmEntry:
-    from repro.snark.serialize import serialize_verifying_key
-
-    prover = _build_prover(spec, base_image)
-    setup = prover.warm_setup(
-        _spec_backend(spec), random.Random(spec.get("crs_seed", 0x5E70))
-    )
-    entry = _WarmEntry(
-        prover, setup, serialize_verifying_key(setup.verifying_key)
-    )
-    _WARM[key] = entry
-    return entry
+def _model_keys(entry: _WarmEntry, crs_seed: int, backend, phases):
+    """The whole-model ``(cold, (setup, vk bytes))``."""
+    cold = entry.keys is None
+    if cold:
+        with PhaseTimer("warmup", sink=phases):
+            setup = entry.prover.warm_setup(backend, random.Random(crs_seed))
+        entry.keys = (setup, serialize_verifying_key(setup.verifying_key))
+        phases["setup"] = entry.prover.stats.setup_time
+    return cold, entry.keys
 
 
-def _proof_rng(spec: Dict[str, Any], image) -> Optional[random.Random]:
+def _layer_keys(entry: _WarmEntry, agg: Dict[str, Any], backend, phases):
+    """One *layer* job's ``(cold, instance, (setup, vk bytes))``.
+
+    ``agg`` is ``spec["aggregate"]``: ``{mode, num_segments, crs_seed,
+    layer}``; the batch key guarantees every payload targets the same
+    layer.  The :func:`repro.aggregate.split_model` cost is shared across
+    ALL layers of the circuit (the split's structure does not depend on
+    the image), and each layer's trusted setup is built the first time
+    that layer lands on this worker, from
+    :func:`repro.aggregate.prove.crs_rng` — a pure function of the job, so
+    local pools and remote cluster nodes hold the same layer keys.
+    """
+    layer = int(agg["layer"])
+    split_key = (agg.get("mode", "public"), agg.get("num_segments"))
+    cold = split_key not in entry.splits
+    if cold:
+        with PhaseTimer("warmup", sink=phases):
+            entry.splits[split_key] = split_model(
+                entry.prover.cs, mode=split_key[0], num_segments=split_key[1]
+            )
+    split = entry.splits[split_key]
+    if layer < 0 or layer >= split.num_instances:
+        raise ValueError(
+            f"layer {layer} out of range: split has "
+            f"{split.num_instances} instances"
+        )
+    inst = split.instances[layer]
+    crs_seed = int(agg.get("crs_seed", DEFAULT_CRS_SEED))
+    layer_key = split_key + (crs_seed, layer)
+    with PhaseTimer("setup", sink=phases):
+        if layer_key not in entry.layer_keys:
+            setup = groth16.setup(inst.cs, backend, crs_rng(crs_seed, layer))
+            entry.layer_keys[layer_key] = (
+                setup, serialize_verifying_key(setup.verifying_key)
+            )
+    return cold, inst, entry.layer_keys[layer_key]
+
+
+def _proof_rng(spec: Dict[str, Any], image, inst) -> Optional[random.Random]:
     """Per-proof randomness source; None = fresh OS-seeded blinding.
 
     With ``spec["deterministic"]`` the (r, s) blinding factors are derived
-    from the CRS seed and the image digest, making the proof bytes a pure
-    function of the job — the property the cluster's cross-node
-    byte-identity checks (and its rerouted retries) rely on.
+    from the CRS seed and the image digest — for a layer instance, from
+    :func:`repro.aggregate.prove.blinding_rng` over its re-assigned
+    publics — making the proof bytes a pure function of the job: the
+    property the cluster's cross-node byte-identity checks (and its
+    rerouted retries) rely on.
     """
     if not spec.get("deterministic"):
         return None
+    if inst is not None:
+        crs_seed = int(spec["aggregate"].get("crs_seed", DEFAULT_CRS_SEED))
+        return blinding_rng(crs_seed, inst.index, inst.cs.public_values())
     digest = hashlib.sha256(image.tobytes()).digest()
     return random.Random(
-        int.from_bytes(digest, "big") ^ spec.get("crs_seed", 0x5E70)
+        int.from_bytes(digest, "big") ^ spec.get("crs_seed", SERVE_CRS_SEED)
     )
 
 
@@ -161,9 +193,6 @@ def _prove_job(
     spec, payload, setup, cs, backend, rng, phases: Dict[str, float]
 ) -> Dict[str, Any]:
     """Prove + self-verify ``cs`` for one job; returns its result row."""
-    from repro.snark import groth16
-    from repro.snark.serialize import serialize_proof
-
     with PhaseTimer("security", sink=phases):
         # phase_sink splits "security" into witness / quotient / msm in
         # the same phases dict the telemetry aggregates.
@@ -175,34 +204,14 @@ def _prove_job(
             parallelism=spec.get("parallelism"),
             phase_sink=phases,
         )
-    publics = cs.public_values()
+    publics = [int(v) for v in cs.public_values()]
     verified = groth16.verify(setup.verifying_key, publics, proof, backend)
-    p = cs.field.modulus
-    half = p // 2
     return {
         "job_id": payload["job_id"],
         "proof": serialize_proof(proof),
-        "public_inputs": [int(v) for v in publics],
-        "logits": [v - p if v > half else v for v in map(int, publics)],
+        "public_inputs": publics,
+        "logits": [signed(v, cs.field.modulus) for v in publics],
         "verified": bool(verified),
-    }
-
-
-def _reply(cold: bool, phases, vk_bytes: bytes, results, **extra):
-    from repro.field.backend import backend_name
-
-    return {
-        "pid": os.getpid(),
-        "cold": cold,
-        "phases": phases,
-        "vk": vk_bytes,
-        # Which field-arithmetic backend this worker proved with
-        # (scalar / numpy / gmpy2) — proofs are byte-identical across
-        # backends, so this is telemetry for capacity planning, not
-        # correctness.
-        "field_backend": backend_name(),
-        "results": results,
-        **extra,
     }
 
 
@@ -211,69 +220,57 @@ def prove_batch(
 ) -> Dict[str, Any]:
     """Prove every job in one batch inside a worker process.
 
-    ``spec`` identifies the shared constraint system; ``payloads`` carry
-    ``{"job_id", "image"}`` (plus optional ``crash_token`` for fault
-    injection, see :func:`_maybe_crash`).
+    ``spec`` carries the flat :class:`CircuitSpec` keys plus ``backend``,
+    ``crs_seed``, ``parallelism``, ``audit``, ``deterministic`` and, for a
+    per-layer job, ``aggregate``; ``payloads`` carry ``{"job_id",
+    "image"}`` (plus optional ``crash_token`` for fault injection, see
+    :func:`_maybe_crash`).
     """
-    if spec.get("aggregate"):
-        return _prove_layer_batch(spec, payloads)
-
-    backend = _spec_backend(spec)
-    key = _spec_key(spec)
+    # A misspelt backend fails here, before any circuit is built.
+    backend = backend_by_name(spec.get("backend", "simulated"))
     phases: Dict[str, float] = {}
-    cold = key not in _WARM
-    if cold:
-        with PhaseTimer("warmup", sink=phases):
-            entry = _warm_up(key, spec, payloads[0]["image"])
-        phases["generate"] = entry.prover.stats.generate_time
-        phases["circuit"] = entry.prover.stats.circuit_time
-        phases["setup"] = entry.prover.stats.setup_time
-    else:
-        entry = _WARM[key]
+    key, entry = _warm_entry(spec, payloads[0]["image"], phases)
+    reply = {"pid": os.getpid(), "phases": phases}
     if spec.get("audit") and not entry.audited:
-        # Pre-prove soundness gate: lint + determinism over the shared
-        # constraint system, once per key.  Keyed on the entry, not the
-        # cold path: a forked worker can inherit a warm entry that was
-        # built under a spec without the gate, and an audited spec must
-        # not trust it unaudited.  On rejection the warm entry is evicted
-        # so a resubmitted key re-audits (and fails again) instead of
-        # silently proving on the tainted circuit.
-        from repro.analysis import assume_from_recipe, audit_system
+        rejected = _audit_rejection(key, entry, phases)
+        if rejected:
+            return dict(reply, audit_rejected=rejected)
+    inst = None  # the layer instance an aggregate job proves
+    if spec.get("aggregate"):
+        cold, inst, (setup, vk_bytes) = _layer_keys(
+            entry, spec["aggregate"], backend, phases
+        )
+        reply["aggregate_layer"] = inst.index
+    else:
+        cold, (setup, vk_bytes) = _model_keys(entry, key[2], backend, phases)
 
-        with PhaseTimer("audit", sink=phases):
-            audit = audit_system(
-                entry.prover.cs,
-                assume=assume_from_recipe(entry.prover.result.recipe),
-            )
-        if not audit.ok:
-            del _WARM[key]
-            return {
-                "pid": os.getpid(),
-                "cold": cold,
-                "phases": phases,
-                "audit_rejected": {
-                    "errors": len(audit.errors),
-                    "first": audit.errors[0].message,
-                    "report": audit.to_json(),
-                },
-            }
-        entry.audited = True
-
-    tables = entry.setup.proving_key.tables
+    prover = entry.prover
+    tables = setup.proving_key.tables
     tables_uses_before = tables.uses() if tables else 0
     results = []
     for payload in payloads:
         _maybe_crash(payload)
         with PhaseTimer("assign", sink=phases):
-            entry.prover.assign_image(payload["image"])
+            prover.assign_image(payload["image"])
+            if inst is not None:
+                inst.refresh_from(prover.cs)
         results.append(
             _prove_job(
-                spec, payload, entry.setup, entry.prover.cs, backend,
-                _proof_rng(spec, payload["image"]), phases,
+                spec, payload, setup,
+                prover.cs if inst is None else inst.cs, backend,
+                _proof_rng(spec, payload["image"], inst), phases,
             )
         )
-    return _reply(
-        cold, phases, entry.vk_bytes, results,
+    return dict(
+        reply,
+        cold=cold,
+        vk=vk_bytes,
+        # Which field-arithmetic backend this worker proved with
+        # (scalar / numpy / gmpy2) — proofs are byte-identical across
+        # backends, so this is telemetry for capacity planning, not
+        # correctness.
+        field_backend=backend_name(),
+        results=results,
         # Fixed-base table telemetry: `built` marks the one-time table
         # construction, `uses` counts table queries served by THIS batch —
         # nonzero on a warm batch proves the CRS tables were reused.
@@ -281,78 +278,6 @@ def prove_batch(
             "built": bool(cold and tables is not None),
             "uses": (tables.uses() - tables_uses_before) if tables else 0,
         },
-    )
-
-
-def _prove_layer_batch(
-    spec: Dict[str, Any], payloads: List[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Prove one *layer instance* of a split model for every job in a batch.
-
-    ``spec["aggregate"]`` carries ``{mode, num_segments, crs_seed, layer}``;
-    the batch key guarantees every payload targets the same layer.  The
-    compile + :func:`repro.aggregate.split_model` cost is shared across
-    ALL layers of the spec via ``_WARM_AGG`` (the split's structure does
-    not depend on the image), and each layer's trusted setup is cached
-    the first time that layer lands on this worker.
-
-    The per-layer CRS comes from :func:`repro.aggregate.prove.crs_rng` and
-    — when ``spec["deterministic"]`` — the blinding from
-    :func:`repro.aggregate.prove.blinding_rng`, both pure functions of the
-    job, so local pools and remote cluster nodes emit byte-identical
-    layer proofs for the same inference.
-    """
-    from repro.aggregate import split_model
-    from repro.aggregate.prove import DEFAULT_CRS_SEED, blinding_rng
-
-    agg = spec["aggregate"]
-    layer = int(agg["layer"])
-    mode = agg.get("mode", "public")
-    num_segments = agg.get("num_segments")
-    crs_seed = int(agg.get("crs_seed", DEFAULT_CRS_SEED))
-    backend = _spec_backend(spec)
-    key = _spec_key(spec) + (mode, num_segments, crs_seed)
-    phases: Dict[str, float] = {}
-    cold = key not in _WARM_AGG
-    if cold:
-        with PhaseTimer("warmup", sink=phases):
-            prover = _build_prover(spec, payloads[0]["image"])
-            split = split_model(
-                prover.cs, mode=mode, num_segments=num_segments
-            )
-            entry = _WarmAggEntry(prover, split)
-            _WARM_AGG[key] = entry
-        phases["generate"] = prover.stats.generate_time
-        phases["circuit"] = prover.stats.circuit_time
-    else:
-        entry = _WARM_AGG[key]
-    if layer < 0 or layer >= entry.split.num_instances:
-        raise ValueError(
-            f"layer {layer} out of range: split has "
-            f"{entry.split.num_instances} instances"
-        )
-    with PhaseTimer("setup", sink=phases):
-        setup = entry.layer_setup(layer, backend, crs_seed)
-    inst = entry.split.instances[layer]
-
-    results = []
-    for payload in payloads:
-        _maybe_crash(payload)
-        with PhaseTimer("assign", sink=phases):
-            entry.prover.assign_image(payload["image"])
-            inst.refresh_from(entry.prover.cs)
-        rng = (
-            blinding_rng(crs_seed, layer, inst.cs.public_values())
-            if spec.get("deterministic")
-            else None
-        )
-        results.append(
-            _prove_job(spec, payload, setup, inst.cs, backend, rng, phases)
-        )
-    return _reply(
-        cold, phases, entry.vk_bytes[layer], results,
-        msm_tables={"built": False, "uses": 0},
-        aggregate_layer=layer,
     )
 
 

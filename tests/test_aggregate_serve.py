@@ -17,9 +17,7 @@ from repro.aggregate import (
     split_model,
     verify_aggregate,
 )
-from repro.core.reuse.batch import BatchProver
-from repro.nn.data import synthetic_images
-from repro.nn.models import build_model
+from repro.core.spec import CircuitSpec
 from repro.serve import ProvingService
 from repro.snark.serialize import serialize_proof
 
@@ -28,15 +26,36 @@ CRS_SEED = 0xBEEF
 SEGMENTS = 3
 
 
-def _local_reference():
-    """Prove the same inference per-layer locally (no service)."""
-    model = build_model(MODEL, scale=SCALE, seed=SEED)
-    image = synthetic_images(model.input_shape, n=1, seed=IMAGE_SEED)[0]
-    prover = BatchProver(model, image)
-    split = split_model(prover.cs, num_segments=SEGMENTS)
+def _local_reference(model=MODEL):
+    """Prove the same inference per-layer locally (no service), from the
+    one-shot compile ``zeno prove --per-layer`` runs."""
+    circuit = CircuitSpec(model, scale=SCALE, seed=SEED)
+    artifact = circuit.compile(circuit.image(IMAGE_SEED))
+    split = split_model(artifact.cs, num_segments=SEGMENTS)
     setups = setup_split(split, crs_seed=CRS_SEED)
     proofs = prove_split(split, setups, crs_seed=CRS_SEED)
     return split, setups, proofs
+
+
+def _serve_layers(service, model, num_layers):
+    job_ids = [
+        service.submit(
+            model,
+            image_seed=IMAGE_SEED,
+            scale=SCALE,
+            seed=SEED,
+            extra={
+                "aggregate": {
+                    "mode": "public",
+                    "num_segments": SEGMENTS,
+                    "crs_seed": CRS_SEED,
+                    "layer": k,
+                }
+            },
+        )
+        for k in range(num_layers)
+    ]
+    return [service.result(j, timeout=300) for j in job_ids]
 
 
 @pytest.fixture(scope="module")
@@ -46,24 +65,7 @@ def served_layers():
         max_workers=2, max_batch=4, max_wait=0.05, deterministic=True
     )
     try:
-        job_ids = [
-            service.submit(
-                MODEL,
-                image_seed=IMAGE_SEED,
-                scale=SCALE,
-                seed=SEED,
-                extra={
-                    "aggregate": {
-                        "mode": "public",
-                        "num_segments": SEGMENTS,
-                        "crs_seed": CRS_SEED,
-                        "layer": k,
-                    }
-                },
-            )
-            for k in range(split.num_instances)
-        ]
-        results = [service.result(j, timeout=300) for j in job_ids]
+        results = _serve_layers(service, MODEL, split.num_instances)
         stats = service.stats()
     finally:
         service.shutdown(drain=True)
@@ -79,6 +81,18 @@ class TestAggregateServe:
         _, _, local_proofs, results, _ = served_layers
         local = [serialize_proof(p) for p in local_proofs]
         assert [r.proof for r in results] == local
+
+    def test_batchnorm_model_byte_identical_to_local(self):
+        """RES18 has BatchNorm layers: served circuits are §6.2-fused like
+        the CLI's, so the layer split — and every layer proof — agree."""
+        split, _, local_proofs = _local_reference("RES18")
+        with ProvingService(
+            max_workers=1, max_wait=0.0, deterministic=True
+        ) as service:
+            results = _serve_layers(service, "RES18", split.num_instances)
+        assert [r.proof for r in results] == [
+            serialize_proof(p) for p in local_proofs
+        ]
 
     def test_layer_publics_match_split(self, served_layers):
         split, _, _, results, _ = served_layers
@@ -112,10 +126,13 @@ class TestAggregateServe:
 
 class TestAggregateJobKeying:
     def test_batch_key_separates_layers(self):
+        from repro.core.spec import CircuitSpec
         from repro.serve.jobs import ProofJob
 
         image = np.zeros((1, 8, 8), dtype=np.uint8)
-        base = dict(model=MODEL, image=image, scale=SCALE, seed=SEED)
+        base = dict(
+            circuit=CircuitSpec(MODEL, scale=SCALE, seed=SEED), image=image
+        )
         plain = ProofJob(job_id="a", **base)
         layer0 = ProofJob(
             job_id="b", extra={"aggregate": {"layer": 0}}, **base

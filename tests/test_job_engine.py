@@ -24,10 +24,10 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
+from repro.core.spec import CircuitSpec
 from repro.serve import (
     JobEngine,
     JobState,
-    ProofJob,
     ProvingService,
     ServiceConfig,
 )
@@ -61,7 +61,7 @@ class FakeTransport(JobEngine):
     def _send(self, slot, batch, spec, payloads):
         assert slot is self and batch.batch_id not in self.wire
         assert len({job.batch_key() for job in batch.jobs}) == 1
-        assert spec["model"] == batch.jobs[0].model
+        assert CircuitSpec.from_mapping(spec) == batch.jobs[0].circuit
         assert [p["job_id"] for p in payloads] == [j.job_id for j in batch.jobs]
         for job in batch.jobs:
             assert job.state is JobState.RUNNING
@@ -239,17 +239,26 @@ class TestNoDrift:
     CONFIG = dict(gadget_mode="strict", relu_mode="lookup", deterministic=True)
 
     def test_both_transports_build_the_same_spec(self, tmp_path):
-        """The cluster's copy of the spec builder had lost ``relu_mode``."""
-        job = ProofJob("j", "SHAL", IMAGE, scale="micro")
-        batch = Batch(1, job.batch_key(), [job], 0.0)
-        service = ProvingService(
+        """The cluster's copy of the spec builder had lost ``relu_mode``;
+        now ``submit`` fixes the lowering on the job and one ``batch_spec``
+        reads it back."""
+        service = ProvingService(  # max_wait: the job is held, never run
             max_workers=1, prewarm=False, store_dir=str(tmp_path / "s"),
-            **self.CONFIG,
+            max_wait=3600.0, **self.CONFIG,
         )
         coord = ClusterCoordinator(ClusterConfig(service=ServiceConfig(
             store_dir=str(tmp_path / "c"), **self.CONFIG)))
+        specs = []
+        for engine in (service, coord):
+            job = engine.job(engine.submit("SHAL", IMAGE, scale="micro"))
+            assert job.circuit == CircuitSpec(
+                "SHAL", scale="micro", gadgets="strict", relu_mode="lookup"
+            )
+            specs.append(
+                engine.batch_spec(Batch(1, job.batch_key(), [job], 0.0))
+            )
         service.shutdown(drain=False)
-        local, remote = service.batch_spec(batch), coord.batch_spec(batch)
+        local, remote = specs
         assert local == remote
         assert local["relu_mode"] == "lookup" and local["gadgets"] == "strict"
 

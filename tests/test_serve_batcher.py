@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.spec import CircuitSpec
 from repro.serve.batcher import MicroBatcher
 from repro.serve.jobs import ProofJob
 
 
-def make_job(job_id, model="SHAL", **kw):
+def make_job(job_id, model="SHAL", privacy="one-private", **kw):
     return ProofJob(
         job_id=job_id,
-        model=model,
+        circuit=CircuitSpec(model, privacy=privacy),
         image=np.zeros((1, 2, 2), dtype=np.int64),
         **kw,
     )

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.spec import CircuitSpec
 from repro.serve.jobs import JobQueue, JobState, ProofJob
 
 
-def make_job(job_id="j1", priority=0, timeout=None, submitted_at=100.0, **kw):
+def make_job(
+    job_id="j1", priority=0, timeout=None, submitted_at=100.0,
+    privacy="one-private", **kw
+):
     job = ProofJob(
         job_id=job_id,
-        model="SHAL",
+        circuit=CircuitSpec("SHAL", privacy=privacy),
         image=np.zeros((1, 2, 2), dtype=np.int64),
         priority=priority,
         timeout=timeout,

@@ -10,6 +10,7 @@ completion rather than hanging the queue.
 import numpy as np
 import pytest
 
+from repro.core.spec import CircuitSpec
 from repro.serve import ArtifactStore, ProvingService
 from repro.serve.jobs import JobState
 from repro.serve.service import JobFailedError
@@ -203,7 +204,9 @@ class TestFixedBaseTableReuse:
             "model": "SHAL", "scale": "mini", "seed": 0,
             "privacy": "one-private", "backend": "simulated",
         }
-        key = ("SHAL", "mini", 0, "one-private")
+        key = (
+            CircuitSpec.from_mapping(spec), "simulated", workers.SERVE_CRS_SEED
+        )
         workers._WARM.pop(key, None)  # force a cold first batch
         shape = build_model("SHAL", scale="mini", seed=0).input_shape
         imgs = synthetic_images(shape, n=2, seed=77)
@@ -242,10 +245,10 @@ class TestUnknownGroupBackend:
         }
         if aggregate:
             spec["aggregate"] = aggregate
-        warm = (len(workers._WARM), len(workers._WARM_AGG))
+        warm = len(workers._WARM)
         with pytest.raises(ValueError, match="unknown group backend 'bn25'"):
             workers.prove_batch(spec, [{"job_id": "typo", "image": None}])
-        assert (len(workers._WARM), len(workers._WARM_AGG)) == warm
+        assert len(workers._WARM) == warm
 
 
 class TestArtifactStore:
