@@ -3,15 +3,16 @@
 The paper's artifact proves over BN254 ("BN254 for the rest of us" [53] in
 the paper's bibliography).  This package implements, from scratch:
 
-* the Fp2/Fp6-free generic extension tower (:mod:`repro.ec.tower`) — BN254
-  Fq2 and Fq12 as polynomial extension fields;
-* generic Jacobian short-Weierstrass point arithmetic
-  (:mod:`repro.ec.curve`) instantiated for G1 (over Fq), G2 (over Fq2) and
-  the Fq12 embedding used by the pairing;
-* the optimal-ate pairing (:mod:`repro.ec.pairing`) — Miller loop plus final
-  exponentiation;
-* Pippenger bucketed multi-scalar multiplication (:mod:`repro.ec.msm`), the
-  dominant cost of security computation;
+* the Fq2 / Fq6 / Fq12 extension tower (:mod:`repro.ec.tower`);
+* affine short-Weierstrass point arithmetic (:mod:`repro.ec.curve`)
+  instantiated for G1 (over Fq) and G2 (over Fq2) — the public surface and
+  the reference — and the inversion-free Jacobian arithmetic every hot
+  path runs on (:mod:`repro.ec.jacobian`);
+* the optimal-ate pairing (:mod:`repro.ec.bn254`) — one multi-Miller loop
+  over prepared G2 lines plus the short final exponentiation;
+* Pippenger bucketed multi-scalar multiplication (:mod:`repro.ec.msm`,
+  :mod:`repro.ec.jacobian`, :mod:`repro.ec.batch_affine`), the dominant
+  cost of security computation;
 * an exponent-tracking *simulated* bilinear group
   (:mod:`repro.ec.simulated`) with the identical API, used by the benchmark
   sweeps (see DESIGN.md "Substitutions");

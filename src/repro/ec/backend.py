@@ -7,8 +7,8 @@ cryptographic hardness — see :mod:`repro.ec.simulated`), never the algebra.
 
 ``msm`` routes through the engine hierarchy (see :mod:`repro.ec.msm` for
 the map): batch-affine signed windows for real G1 vectors, the chunked
-process-parallel mode when a ``parallelism`` knob is passed, the Jacobian
-path for small inputs, and generic affine Pippenger for G2.  The empty MSM
+process-parallel mode when a ``parallelism`` knob is passed, and the
+Jacobian Pippenger for small G1 inputs and for G2.  The empty MSM
 returns the group identity (``zero=`` overrides which one).
 ``precompute_msm`` returns a fixed-base table for CRS-style reuse — the
 serving layer builds tables once per proving key and queries them on every
@@ -21,8 +21,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.field.fp import BN254_FR, Field
-from repro.ec import bn254
-from repro.ec.msm import msm as pippenger_msm
+from repro.ec import bn254, jacobian
 from repro.ec.simulated import (
     G1_TAG,
     G2_TAG,
@@ -95,6 +94,13 @@ class GroupBackend(ABC):
 
     @abstractmethod
     def scalar_mul(self, a: GroupElement, k: int) -> GroupElement: ...
+
+    def base_multiples(
+        self, base: GroupElement, scalars: Sequence[int]
+    ) -> list:
+        """``[k * base for k in scalars]`` — set-up's vectors of generator
+        multiples.  Backends with a fixed-base method override this."""
+        return [self.scalar_mul(base, k) for k in scalars]
 
     @abstractmethod
     def msm(
@@ -198,7 +204,10 @@ class RealBN254Backend(GroupBackend):
         return a.group.neg(a)
 
     def scalar_mul(self, a, k: int):
-        return a.group.scalar_mul(a, k)
+        return jacobian.scalar_mul(a, k)
+
+    def base_multiples(self, base, scalars):
+        return jacobian.base_multiples(base, scalars)
 
     def msm(self, points, scalars, *, zero=None, parallelism=None, window=None):
         if hasattr(points, "iter_chunks"):
@@ -222,11 +231,10 @@ class RealBN254Backend(GroupBackend):
             )
         if not points:
             return zero if zero is not None else self.g1_zero()
-        # G1 MSMs take the inversion-free engines; G2 (whose coordinates
-        # live in Fq2) uses the generic affine Pippenger.
+        # The batch-affine engines are G1-only; G2 (whose coordinates live
+        # in Fq2) always takes the Jacobian Pippenger.
         if points[0].group is bn254.BN254_G1:
             from repro.ec.batch_affine import msm_batch_affine, msm_parallel
-            from repro.ec.jacobian import msm_jacobian
 
             n = len(points)
             if parallelism and parallelism > 1 and n >= _PARALLEL_MIN:
@@ -235,8 +243,7 @@ class RealBN254Backend(GroupBackend):
                 )
             if n >= _BATCH_AFFINE_MIN:
                 return msm_batch_affine(points, scalars, window=window)
-            return msm_jacobian(points, scalars, window=window)
-        return pippenger_msm(points, scalars, window=window)
+        return jacobian.msm_jacobian(points, scalars, window=window)
 
     def precompute_msm(self, points, zero=None):
         if points and points[0].group is bn254.BN254_G1:
@@ -246,7 +253,7 @@ class RealBN254Backend(GroupBackend):
         return super().precompute_msm(points, zero)
 
     def pairing_product_is_one(self, pairs) -> bool:
-        return bn254.pairing_product_is_one(tuple(pairs))
+        return bn254.pairing_product_is_one(pairs)
 
 
 class SimulatedBackend(GroupBackend):

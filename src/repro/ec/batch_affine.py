@@ -36,6 +36,7 @@ from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
     J_INFINITY,
+    SCALAR_BITS,
     JPoint,
     j_add,
     j_add_mixed,
@@ -54,8 +55,6 @@ Affine = Tuple[int, int]
 # Below this many points the bucket lists are too sparse for batching to
 # amortize anything; callers should use the Jacobian path instead.
 BATCH_AFFINE_MIN = 16
-
-SCALAR_BITS = 254  # BN254 Fr scalars
 
 
 def _batch_reduce(buckets: List[List[Affine]]) -> List[Optional[Affine]]:

@@ -1,15 +1,13 @@
-"""Generic short-Weierstrass curve arithmetic.
+"""Generic affine short-Weierstrass curve arithmetic: the reference.
 
-One implementation serves all three groups the pairing touches: G1 (over
-Fq), G2 (over Fq2), and the Fq12-embedded image of both used inside the
-Miller loop.  Coordinates are any objects supporting field operator
-overloading (``FieldElement`` or ``ExtensionField``), so the code reads like
-the textbook affine formulas.
+One implementation serves G1 (over Fq) and G2 (over Fq2).  Coordinates are
+any objects supporting field operator overloading (``FieldElement`` or the
+tower's ``FQ2``), so the code reads like the textbook affine formulas.
 
-Affine arithmetic pays one coordinate-field inversion per addition; that is
-acceptable here because all performance-critical sweeps run on the
-exponent-tracking simulated backend (see :mod:`repro.ec.simulated`), while
-the real curve is used for correctness tests and the quickstart proof.
+Affine arithmetic pays one coordinate-field inversion per addition.  That
+makes it the public ``add / neg / is_on_curve`` surface and the oracle the
+tests hold the fast code to — not a hot path: scalar multiplication, MSM
+and set-up on the real backend run on :mod:`repro.ec.jacobian`.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Any, Optional
 
 from repro.field.counters import global_counter
 
-Coeff = Any  # FieldElement | ExtensionField
+Coeff = Any  # FieldElement | FQ2
 
 
 class Point:

@@ -30,39 +30,18 @@ from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
     J_INFINITY,
+    SCALAR_BITS,
     JPoint,
+    batch_normalize,
     j_add,
     j_add_mixed,
     j_double,
     to_affine,
 )
 from repro.ec.msm import MAX_WINDOW, signed_digits
-from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
-from repro.field.vector import batch_inverse
+from repro.field.fp import BN254_FQ_MODULUS
 
 _Q = BN254_FQ_MODULUS
-
-SCALAR_BITS = 254
-
-
-def batch_normalize(jacobians: Sequence[JPoint]) -> List[Optional[Affine]]:
-    """Jacobian -> affine for many points with one field inversion.
-
-    Identity points (``z == 0``) come back as ``None``: ``batch_inverse``'s
-    ``zero_ok`` mode maps their lanes to zero, so no caller-side pre-filter
-    / re-zip is needed (the fragile contract this replaces).
-    """
-    invs = batch_inverse(
-        BN254_FQ, [z for _, _, z in jacobians], zero_ok=True
-    )
-    out: List[Optional[Affine]] = []
-    for (x, y, z), zi in zip(jacobians, invs):
-        if z == 0:
-            out.append(None)
-            continue
-        zi2 = zi * zi % _Q
-        out.append(((x * zi2) % _Q, (y * zi2 * zi) % _Q))
-    return out
 
 
 def _pick_fixed_base_window(n: int, bits: int = SCALAR_BITS) -> int:

@@ -1,35 +1,53 @@
-"""Jacobian-coordinate G1 arithmetic: the inversion-free fast path.
+"""Jacobian-coordinate arithmetic on BN254 G1 and G2: the inversion-free path.
 
 Affine point addition (:mod:`repro.ec.curve`) pays one field inversion per
-operation — fine for tests, ruinous for MSMs.  This module implements the
-standard Jacobian projective formulas for BN254 G1 (``a = 0``), where a
-point ``(X, Y, Z)`` represents affine ``(X/Z^2, Y/Z^3)``:
+operation — fine as a reference, ruinous for MSMs, scalar multiplications
+and set-up.  This module implements the standard Jacobian projective
+formulas for ``a = 0`` curves, where ``(X, Y, Z)`` represents affine
+``(X/Z^2, Y/Z^3)``:
 
-* doubling: 2M + 5S (a = 0 shortcut), no inversion;
+* doubling: 2M + 5S (dbl-2009-l), no inversion;
 * mixed addition (Jacobian + affine): 7M + 4S, no inversion;
-* one inversion total at the end of an MSM, to normalize the result.
+* one inversion at the end to normalize a result — or one for a whole
+  vector of results (:func:`batch_normalize`, Montgomery's trick).
 
-Everything is raw-``int`` arithmetic on the base prime.  The test suite
-cross-checks every operation against the affine implementation, and
-:func:`msm_jacobian` against both Pippenger-over-affine and the naive MSM.
+The formulas exist twice: over Fq on raw ints for G1 (``j_*``) and over Fq2
+on the raw pairs of :mod:`repro.ec.tower` for G2 (``j2_*``).  Everything
+built on them — :func:`scalar_mul`, the Pippenger :func:`msm_jacobian`, the
+fixed-base :func:`base_multiples` set-up uses and the G2 subgroup check —
+is written once and picks its formulas by the points' group.  The test
+suite cross-checks every operation against the affine implementation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.ec.bn254 import BN254_G1
-from repro.ec.curve import Point
-from repro.ec.msm import pick_window
+from repro.ec.bn254 import BN254_G1, BN254_G2
+from repro.ec.curve import CurveGroup, Point
+from repro.ec.msm import MAX_WINDOW, pick_window, signed_digits
+from repro.ec.tower import FQ2, Fq2, f2_inv, f2_mul, f2_sqr
 from repro.field.counters import global_counter
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
+from repro.field.vector import batch_inverse
 
 _Q = BN254_FQ_MODULUS
 
 # A Jacobian point is (X, Y, Z) with Z == 0 encoding infinity.
 JPoint = Tuple[int, int, int]
+Affine = Tuple[int, int]
 
 J_INFINITY: JPoint = (1, 1, 0)
+
+# The same over Fq2: coordinates are (c0, c1) pairs, Z == (0, 0) is infinity.
+J2Point = Tuple[Fq2, Fq2, Fq2]
+Affine2 = Tuple[Fq2, Fq2]
+
+_ZERO2: Fq2 = (0, 0)
+_ONE2: Fq2 = (1, 0)
+J2_INFINITY: J2Point = (_ONE2, _ONE2, _ZERO2)
+
+SCALAR_BITS = 254  # BN254 Fr scalars
 
 
 def to_jacobian(p: Point) -> JPoint:
@@ -42,6 +60,7 @@ def to_affine(j: JPoint) -> Point:
     x, y, z = j
     if z == 0:
         return BN254_G1.infinity()
+    global_counter().field_inv += 1
     z_inv = pow(z, -1, _Q)
     z2 = (z_inv * z_inv) % _Q
     return BN254_G1.point(
@@ -142,49 +161,342 @@ def j_scalar_mul(p: JPoint, k: int) -> JPoint:
     return acc
 
 
+def batch_normalize(jacobians: Sequence[JPoint]) -> List[Optional[Affine]]:
+    """Jacobian -> affine for many G1 points with one field inversion.
+
+    Identity points (``z == 0``) come back as ``None``: ``batch_inverse``'s
+    ``zero_ok`` mode maps their lanes to zero, so no caller-side pre-filter
+    / re-zip is needed.
+    """
+    invs = batch_inverse(
+        BN254_FQ, [z for _, _, z in jacobians], zero_ok=True
+    )
+    out: List[Optional[Affine]] = []
+    for (x, y, z), zi in zip(jacobians, invs):
+        if z == 0:
+            out.append(None)
+            continue
+        zi2 = zi * zi % _Q
+        out.append(((x * zi2) % _Q, (y * zi2 * zi) % _Q))
+    return out
+
+
+# -- G2: the same formulas over Fq2 -------------------------------------------------
+
+
+def j2_double(p: J2Point) -> J2Point:
+    """Doubling with the a=0 shortcut (dbl-2009-l) over Fq2."""
+    x, y, z = p
+    if z == _ZERO2 or y == _ZERO2:
+        return J2_INFINITY
+    a0, a1 = f2_sqr(x)
+    b0, b1 = f2_sqr(y)
+    c0, c1 = f2_sqr((b0, b1))
+    t0, t1 = f2_sqr((x[0] + b0, x[1] + b1))
+    d0 = 2 * (t0 - a0 - c0)
+    d1 = 2 * (t1 - a1 - c1)
+    e = (3 * a0, 3 * a1)
+    f0, f1 = f2_sqr(e)
+    x0 = (f0 - 2 * d0) % _Q
+    x1 = (f1 - 2 * d1) % _Q
+    t0, t1 = f2_mul(e, (d0 - x0, d1 - x1))
+    z0, z1 = f2_mul(y, z)
+    global_counter().group_add += 1
+    return (
+        (x0, x1),
+        ((t0 - 8 * c0) % _Q, (t1 - 8 * c1) % _Q),
+        (2 * z0 % _Q, 2 * z1 % _Q),
+    )
+
+
+def j2_add_mixed(p: J2Point, q_affine: Affine2) -> J2Point:
+    """Mixed addition over Fq2: Jacobian ``p`` plus affine ``q``."""
+    x1, y1, z1 = p
+    x2, y2 = q_affine
+    if z1 == _ZERO2:
+        return (x2, y2, _ONE2)
+    z1z1 = f2_sqr(z1)
+    u2 = f2_mul(x2, z1z1)
+    s2 = f2_mul(y2, f2_mul(z1, z1z1))
+    if u2 == x1:
+        if s2 == y1:
+            return j2_double(p)
+        return J2_INFINITY
+    h = (u2[0] - x1[0], u2[1] - x1[1])
+    hh0, hh1 = f2_sqr(h)
+    i = (4 * hh0, 4 * hh1)
+    j0, j1 = f2_mul(h, i)
+    r = (2 * (s2[0] - y1[0]), 2 * (s2[1] - y1[1]))
+    v0, v1 = f2_mul(x1, i)
+    t0, t1 = f2_sqr(r)
+    x0 = (t0 - j0 - 2 * v0) % _Q
+    x1_ = (t1 - j1 - 2 * v1) % _Q
+    t0, t1 = f2_mul(r, (v0 - x0, v1 - x1_))
+    u0, u1 = f2_mul(y1, (j0, j1))
+    w0, w1 = f2_sqr((z1[0] + h[0], z1[1] + h[1]))
+    global_counter().group_add += 1
+    return (
+        (x0, x1_),
+        ((t0 - 2 * u0) % _Q, (t1 - 2 * u1) % _Q),
+        ((w0 - z1z1[0] - hh0) % _Q, (w1 - z1z1[1] - hh1) % _Q),
+    )
+
+
+def j2_add(p: J2Point, q: J2Point) -> J2Point:
+    """Full Jacobian addition (add-2007-bl) over Fq2."""
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    if z1 == _ZERO2:
+        return q
+    if z2 == _ZERO2:
+        return p
+    z1z1 = f2_sqr(z1)
+    z2z2 = f2_sqr(z2)
+    u1 = f2_mul(x1, z2z2)
+    u2 = f2_mul(x2, z1z1)
+    s1 = f2_mul(y1, f2_mul(z2, z2z2))
+    s2 = f2_mul(y2, f2_mul(z1, z1z1))
+    if u1 == u2:
+        if s1 == s2:
+            return j2_double(p)
+        return J2_INFINITY
+    h = (u2[0] - u1[0], u2[1] - u1[1])
+    t0, t1 = f2_sqr(h)
+    i = (4 * t0, 4 * t1)
+    j0, j1 = f2_mul(h, i)
+    r = (2 * (s2[0] - s1[0]), 2 * (s2[1] - s1[1]))
+    v0, v1 = f2_mul(u1, i)
+    t0, t1 = f2_sqr(r)
+    x0 = (t0 - j0 - 2 * v0) % _Q
+    x1_ = (t1 - j1 - 2 * v1) % _Q
+    t0, t1 = f2_mul(r, (v0 - x0, v1 - x1_))
+    w0, w1 = f2_mul(s1, (j0, j1))
+    s0, s1_ = f2_sqr((z1[0] + z2[0], z1[1] + z2[1]))
+    global_counter().group_add += 1
+    return (
+        (x0, x1_),
+        ((t0 - 2 * w0) % _Q, (t1 - 2 * w1) % _Q),
+        f2_mul((s0 - z1z1[0] - z2z2[0], s1_ - z1z1[1] - z2z2[1]), h),
+    )
+
+
+def to_jacobian_g2(p: Point) -> J2Point:
+    if p.inf:
+        return J2_INFINITY
+    return (p.x.coeffs, p.y.coeffs, _ONE2)
+
+
+def to_affine_g2(j: J2Point) -> Point:
+    return _lower_g2(batch_normalize_g2([j])[0])
+
+
+def batch_normalize_g2(
+    jacobians: Sequence[J2Point],
+) -> List[Optional[Affine2]]:
+    """:func:`batch_normalize` over Fq2: one inversion for the whole vector."""
+    prefix: List[Fq2] = []
+    acc = _ONE2
+    for _, _, z in jacobians:
+        prefix.append(acc)
+        if z != _ZERO2:
+            acc = f2_mul(acc, z)
+    inv = f2_inv(acc)
+    out: List[Optional[Affine2]] = [None] * len(jacobians)
+    for k in range(len(jacobians) - 1, -1, -1):
+        x, y, z = jacobians[k]
+        if z == _ZERO2:
+            continue
+        zi = f2_mul(inv, prefix[k])
+        inv = f2_mul(inv, z)
+        zi2 = f2_sqr(zi)
+        out[k] = (f2_mul(x, zi2), f2_mul(y, f2_mul(zi2, zi)))
+    return out
+
+
+# -- written once for both groups -------------------------------------------------
+
+
+class _Formulas(NamedTuple):
+    """One group's Jacobian formulas plus the conversions around them."""
+
+    group: CurveGroup
+    infinity: Any  # Z == infinity[2] marks the identity
+    double: Callable
+    add: Callable
+    add_mixed: Callable
+    lift: Callable[[Point], Any]  # finite affine Point -> raw (x, y)
+    negate: Callable  # raw (x, y) -> raw (x, -y)
+    lower: Callable[[Any], Point]  # raw (x, y) or None -> affine Point
+    normalize: Callable  # Jacobian points -> raw (x, y) or None, 1 inversion
+
+
+def _lower_g1(a: Optional[Affine]) -> Point:
+    if a is None:
+        return BN254_G1.infinity()
+    return Point(BN254_G1, BN254_FQ(a[0]), BN254_FQ(a[1]))
+
+
+def _lower_g2(a: Optional[Affine2]) -> Point:
+    if a is None:
+        return BN254_G2.infinity()
+    return Point(BN254_G2, FQ2.from_raw(a[0]), FQ2.from_raw(a[1]))
+
+
+_FORMULAS = {
+    BN254_G1: _Formulas(
+        BN254_G1, J_INFINITY, j_double, j_add, j_add_mixed,
+        lambda p: (p.x.value, p.y.value),
+        lambda a: (a[0], -a[1] % _Q),
+        _lower_g1, batch_normalize,
+    ),
+    BN254_G2: _Formulas(
+        BN254_G2, J2_INFINITY, j2_double, j2_add, j2_add_mixed,
+        lambda p: (p.x.coeffs, p.y.coeffs),
+        lambda a: (a[0], (-a[1][0] % _Q, -a[1][1] % _Q)),
+        _lower_g2, batch_normalize_g2,
+    ),
+}
+
+
+def _double_and_add(fm: _Formulas, base, k: int):
+    """``k * base`` (raw affine ``base``, ``k > 0``) as a Jacobian point."""
+    double, add_mixed = fm.double, fm.add_mixed
+    acc = add_mixed(fm.infinity, base)
+    for bit in bin(k)[3:]:
+        acc = double(acc)
+        if bit == "1":
+            acc = add_mixed(acc, base)
+    return acc
+
+
+def scalar_mul(p: Point, k: int) -> Point:
+    """``k * p`` on G1 or G2: double-and-add with mixed additions, one
+    inversion to normalize the result."""
+    fm = _FORMULAS[p.group]
+    k %= p.group.order
+    if k == 0 or p.inf:
+        return p.group.infinity()
+    global_counter().group_scalar_mul += 1
+    return fm.lower(fm.normalize([_double_and_add(fm, fm.lift(p), k)])[0])
+
+
+def in_subgroup(p: Point) -> bool:
+    """``[r]P == O``: is an on-curve point in the prime-order subgroup?
+    (Always true on G1, whose cofactor is 1; G2's is ~2^254.)"""
+    if p.inf:
+        return True
+    fm = _FORMULAS[p.group]
+    return _double_and_add(fm, fm.lift(p), p.group.order)[2] == fm.infinity[2]
+
+
 def msm_jacobian(
     points: Sequence[Point],
     scalars: Sequence[int],
     window: Optional[int] = None,
+    group: CurveGroup = BN254_G1,
 ) -> Point:
     """Pippenger MSM with Jacobian buckets and affine input points.
 
-    Identical algorithm to :func:`repro.ec.msm.msm`, but bucket
-    accumulation uses inversion-free mixed additions — the production
-    layout (and ~50x faster in CPython).
+    Bucket accumulation uses inversion-free mixed additions — the
+    production layout.  ``group`` names the identity returned for the
+    empty sum; otherwise the points' own group picks the formulas.
     """
     if len(points) != len(scalars):
         raise ValueError(
             f"points/scalars length mismatch: {len(points)} vs {len(scalars)}"
         )
     if not points:
-        return BN254_G1.infinity()  # the empty sum is the group identity
-    order = BN254_G1.order
-    reduced = [s % order for s in scalars]
-    affine = [None if p.inf else (p.x.value, p.y.value) for p in points]
-    n = len(points)
-    c = window or pick_window(n)
-    max_bits = max((s.bit_length() for s in reduced), default=1) or 1
+        return group.infinity()  # the empty sum is the group identity
+    fm = _FORMULAS[points[0].group]
+    double, add, add_mixed = fm.double, fm.add, fm.add_mixed
+    infinity = fm.infinity
+    order = fm.group.order
+    # A scalar above r/2 is the negative of a shorter one: -k * P = k * (-P).
+    # Witness vectors are mostly small signed values, so this is what bounds
+    # max_bits (and with it the number of windows) on real inputs.
+    affine = []
+    reduced = []
+    for p, k in zip(points, scalars):
+        k %= order
+        if k == 0 or p.inf:
+            continue
+        a = fm.lift(p)
+        if 2 * k > order:
+            k = order - k
+            a = fm.negate(a)
+        affine.append(a)
+        reduced.append(k)
+    c = window or pick_window(len(points))
+    max_bits = max((k.bit_length() for k in reduced), default=1)
     num_windows = (max_bits + c - 1) // c
 
-    total = J_INFINITY
+    total = infinity
     mask = (1 << c) - 1
     for w in range(num_windows - 1, -1, -1):
         if w != num_windows - 1:
             for _ in range(c):
-                total = j_double(total)
+                total = double(total)
         shift = w * c
-        buckets: List[JPoint] = [J_INFINITY] * mask
+        buckets = [infinity] * mask
         for pt, scalar in zip(affine, reduced):
-            if pt is None:
-                continue
             idx = (scalar >> shift) & mask
             if idx:
-                buckets[idx - 1] = j_add_mixed(buckets[idx - 1], pt)
-        running = J_INFINITY
-        window_sum = J_INFINITY
+                buckets[idx - 1] = add_mixed(buckets[idx - 1], pt)
+        running = infinity
+        window_sum = infinity
         for bucket in reversed(buckets):
-            running = j_add(running, bucket)
-            window_sum = j_add(window_sum, running)
-        total = j_add(total, window_sum)
-    return to_affine(total)
+            running = add(running, bucket)
+            window_sum = add(window_sum, running)
+        total = add(total, window_sum)
+    return fm.lower(fm.normalize([total])[0])
+
+
+def _pick_base_window(n: int) -> int:
+    """Argmin of ``windows * (2 * 2^(c-1) + n)``: one mixed addition per
+    window per scalar, and a table entry (a full Jacobian addition plus its
+    share of the normalization) weighed as two of them."""
+    return min(
+        range(2, MAX_WINDOW + 1),
+        key=lambda c: (-(-SCALAR_BITS // c) + 1) * ((1 << c) + n),
+    )
+
+
+def base_multiples(base: Point, scalars: Sequence[int]) -> List[Point]:
+    """``[k * base for k in scalars]`` by the fixed-base window method.
+
+    One table ``d * 2^(c j) * base`` (``1 <= d <= 2^(c-1)``, every window
+    ``j``), built with Jacobian additions and normalized with one
+    inversion; each multiple is then one mixed addition per non-zero
+    signed digit, and the whole result vector is normalized with a second
+    inversion.  The table is local: it dies with the call.
+    """
+    group = base.group
+    fm = _FORMULAS[group]
+    reduced = [k % group.order for k in scalars]
+    live = sum(1 for k in reduced if k)
+    if base.inf or not live:
+        return [group.infinity()] * len(reduced)
+    global_counter().group_scalar_mul += live
+    c = _pick_base_window(live)
+    num_windows = -(-SCALAR_BITS // c) + 1  # +1 for the digit carry
+    half = 1 << (c - 1)
+    add, add_mixed, negate = fm.add, fm.add_mixed, fm.negate
+    step = add_mixed(fm.infinity, fm.lift(base))
+    rows = []
+    for _ in range(num_windows):
+        rows.append(step)
+        for _ in range(half - 1):
+            rows.append(add(rows[-1], step))
+        step = fm.double(rows[-1])
+    table = fm.normalize(rows)
+    del rows
+    out = []
+    for k in reduced:
+        acc = fm.infinity
+        for j, d in enumerate(signed_digits(k, c, num_windows)):
+            if d > 0:
+                acc = add_mixed(acc, table[j * half + d - 1])
+            elif d < 0:
+                acc = add_mixed(acc, negate(table[j * half - d - 1]))
+        out.append(acc)
+    return [fm.lower(a) for a in fm.normalize(out)]

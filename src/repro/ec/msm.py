@@ -6,18 +6,20 @@ coefficients (size ``m``).  The paper's observation that proof latency is
 proportional to ``n`` and ``m`` (§2.1) is precisely the MSM size.
 
 This module holds the generic (any :class:`~repro.ec.curve.CurveGroup`,
-affine-coordinate) Pippenger implementation plus the shared helpers every
-MSM variant uses:
+affine-coordinate) Pippenger implementation — the reference the engines
+are cross-checked against, no longer reachable from the real backend —
+plus the shared helpers every MSM variant uses:
 
 * :func:`pick_window` — window size chosen by the ``(bits/c)·(n + B_c)``
   cost model, where ``B_c`` is the bucket count of the variant;
 * :func:`signed_digits` — wNAF-style signed ``c``-bit digit decomposition,
   which halves the bucket count (digits in ``[-2^(c-1), 2^(c-1)]``).
 
-The fast G1-only engines live next door: :mod:`repro.ec.jacobian`
-(inversion-free buckets), :mod:`repro.ec.batch_affine` (batched affine
-buckets + the chunked parallel mode), and :mod:`repro.ec.fixed_base`
-(precomputed tables for CRS-style fixed bases).
+The fast engines live next door: :mod:`repro.ec.jacobian`
+(inversion-free buckets, G1 and G2), :mod:`repro.ec.batch_affine` (G1
+batched affine buckets + the chunked parallel mode), and
+:mod:`repro.ec.fixed_base` (precomputed G1 tables for CRS-style fixed
+bases).
 
 An MSM over the empty vector is the group identity; the implementations
 return it when they know the group (``msm_jacobian`` always does; the
@@ -101,10 +103,11 @@ def msm(
 ) -> Point:
     """Compute ``sum_i scalars[i] * points[i]`` with bucketed windows.
 
-    Works over any :class:`CurveGroup` (this is the G2 path; G1 has the
-    faster engines).  Empty input returns ``group.infinity()`` when
-    ``group`` is given, else raises — the sum over an empty set is the
-    identity, but we cannot conjure the group from nothing.
+    Works over any :class:`CurveGroup`, one inversion per addition (the
+    reference; the backends use the Jacobian engines).  Empty input
+    returns ``group.infinity()`` when ``group`` is given, else raises —
+    the sum over an empty set is the identity, but we cannot conjure the
+    group from nothing.
     """
     if len(points) != len(scalars):
         raise ValueError(

@@ -1,41 +1,346 @@
-"""Polynomial extension fields for the BN254 pairing.
+"""The BN254 extension tower Fq2 -> Fq6 -> Fq12 the pairing evaluates in.
 
-The optimal-ate pairing on BN254 evaluates in Fq12, constructed here (as in
-py_ecc and early arkworks) as direct polynomial extensions of Fq:
+* ``Fq2  = Fq[u]  / (u^2 + 1)``
+* ``Fq6  = Fq2[v] / (v^3 - xi)``, ``xi = 9 + u``
+* ``Fq12 = Fq6[w] / (w^2 - v)``
 
-* ``Fq2  = Fq[u] / (u^2 + 1)``
-* ``Fq12 = Fq[w] / (w^12 - 18 w^6 + 82)``
+Two layers.  The *raw* layer is plain functions on tuples of ints — an Fq2
+element is ``(a0, a1)``, an Fq6 element six ints (three Fq2 coefficients of
+``1, v, v^2``), an Fq12 element twelve (``c0`` then ``c1`` of ``c0 + c1 w``)
+— with Karatsuba products at every level, reduction deferred to the end of
+each Fq12 operation, inversion by norm descent (one base-field inversion
+at the bottom) and Frobenius as a coefficient-wise conjugation times
+constants computed once at import.  The pairing (:mod:`repro.ec.bn254`)
+and the Jacobian G2 formulas (:mod:`repro.ec.jacobian`) run on it.
 
-A single generic :class:`ExtensionField` implements arithmetic for any monic
-modulus polynomial: schoolbook multiplication with reduction, and inversion
-by the extended Euclidean algorithm over Fq[x].  This is not the fastest
-tower (no Karatsuba, no Frobenius precomputation) but it is compact,
-auditable, and exactly matches the reference pairing libraries' semantics.
+The *class* layer, :class:`FQ2` and :class:`FQ12`, wraps raw values with
+operator overloading and ``int`` coercion: G2 affine coordinates are
+``FQ2`` (``.coeffs == (c0, c1)``), pairing values are ``FQ12``.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Sequence, Tuple, Union
 
 from repro.field.counters import global_counter
 from repro.field.fp import BN254_FQ_MODULUS
 
 _Q = BN254_FQ_MODULUS
 
-IntoCoeffs = Union[int, "ExtensionField", Sequence[int]]
+Fq2 = Tuple[int, int]
+Fq6 = Tuple[int, int, int, int, int, int]
+Fq12 = Tuple[int, ...]
+
+# -- raw Fq2 -------------------------------------------------------------------
 
 
-class ExtensionField:
-    """Element of ``Fq[x] / modulus(x)`` for a fixed monic modulus.
+def _m2(a0: int, a1: int, b0: int, b1: int) -> Fq2:
+    """Karatsuba product in Fq2, *unreduced* (callers sum, then reduce)."""
+    t0 = a0 * b0
+    t1 = a1 * b1
+    return t0 - t1, (a0 + a1) * (b0 + b1) - t0 - t1
 
-    Subclasses fix ``degree`` and ``modulus_coeffs`` (the low coefficients of
-    the monic modulus polynomial, i.e. ``x^degree + sum(c_i x^i)``).
-    Coefficients are canonical ints mod the BN254 base prime.
+
+def f2_mul(a: Fq2, b: Fq2) -> Fq2:
+    a0, a1 = a
+    b0, b1 = b
+    t0 = a0 * b0
+    t1 = a1 * b1
+    return (t0 - t1) % _Q, ((a0 + a1) * (b0 + b1) - t0 - t1) % _Q
+
+
+def f2_sqr(a: Fq2) -> Fq2:
+    a0, a1 = a
+    return (a0 + a1) * (a0 - a1) % _Q, 2 * a0 * a1 % _Q
+
+
+def f2_inv(a: Fq2) -> Fq2:
+    """``conj(a) / norm(a)``: one base-field inversion."""
+    a0, a1 = a
+    norm = (a0 * a0 + a1 * a1) % _Q
+    if not norm:
+        raise ZeroDivisionError("inverse of zero in FQ2")
+    global_counter().field_inv += 1
+    inv = pow(norm, -1, _Q)
+    return a0 * inv % _Q, -a1 * inv % _Q
+
+
+def f2_pow(a: Fq2, exponent: int) -> Fq2:
+    result = (1, 0)
+    while exponent:
+        if exponent & 1:
+            result = f2_mul(result, a)
+        a = f2_sqr(a)
+        exponent >>= 1
+    return result
+
+
+# -- raw Fq6 (unreduced products; xi * (x, y) = (9x - y, 9y + x)) ------------------
+
+
+def _mul6(a: Fq6, b: Fq6) -> Fq6:
+    """Karatsuba product in Fq6, unreduced: 6 Fq2 products = 18 int products."""
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    p = a0 * b0
+    q = a1 * b1
+    v0r = p - q
+    v0i = (a0 + a1) * (b0 + b1) - p - q
+    p = a2 * b2
+    q = a3 * b3
+    v1r = p - q
+    v1i = (a2 + a3) * (b2 + b3) - p - q
+    p = a4 * b4
+    q = a5 * b5
+    v2r = p - q
+    v2i = (a4 + a5) * (b4 + b5) - p - q
+    # t12 = (A1 + A2)(B1 + B2) - v1 - v2, and likewise t01, t02
+    s0 = a2 + a4
+    s1 = a3 + a5
+    t0 = b2 + b4
+    t1 = b3 + b5
+    p = s0 * t0
+    q = s1 * t1
+    t12r = p - q - v1r - v2r
+    t12i = (s0 + s1) * (t0 + t1) - p - q - v1i - v2i
+    s0 = a0 + a2
+    s1 = a1 + a3
+    t0 = b0 + b2
+    t1 = b1 + b3
+    p = s0 * t0
+    q = s1 * t1
+    t01r = p - q - v0r - v1r
+    t01i = (s0 + s1) * (t0 + t1) - p - q - v0i - v1i
+    s0 = a0 + a4
+    s1 = a1 + a5
+    t0 = b0 + b4
+    t1 = b1 + b5
+    p = s0 * t0
+    q = s1 * t1
+    t02r = p - q - v0r - v2r
+    t02i = (s0 + s1) * (t0 + t1) - p - q - v0i - v2i
+    return (
+        v0r + 9 * t12r - t12i,
+        v0i + 9 * t12i + t12r,
+        t01r + 9 * v2r - v2i,
+        t01i + 9 * v2i + v2r,
+        t02r + v1r,
+        t02i + v1i,
+    )
+
+
+def _mul6_01(a: Fq6, d0r: int, d0i: int, d1r: int, d1i: int) -> Fq6:
+    """``a * (d0 + d1 v)``, unreduced: 5 Fq2 products."""
+    a0, a1, a2, a3, a4, a5 = a
+    xr, xi = _m2(a0, a1, d0r, d0i)  # A0 d0
+    yr, yi = _m2(a2, a3, d1r, d1i)  # A1 d1
+    pr, pi = _m2(a2 + a4, a3 + a5, d1r, d1i)  # (A1 + A2) d1
+    pr -= yr
+    pi -= yi  # A2 d1
+    qr, qi = _m2(a0 + a2, a1 + a3, d0r + d1r, d0i + d1i)
+    sr, si = _m2(a0 + a4, a1 + a5, d0r, d0i)  # (A0 + A2) d0
+    return (
+        xr + 9 * pr - pi,
+        xi + 9 * pi + pr,
+        qr - xr - yr,
+        qi - xi - yi,
+        sr - xr + yr,
+        si - xi + yi,
+    )
+
+
+def _mul_v(a: Fq6) -> Fq6:
+    """``a * v``: rotate the coefficients, the one that wraps picks up xi."""
+    a0, a1, a2, a3, a4, a5 = a
+    return 9 * a4 - a5, 9 * a5 + a4, a0, a1, a2, a3
+
+
+def _inv6(a: Fq6) -> Fq6:
+    """Norm descent Fq6 -> Fq2: ``a^-1 = (c0, c1, c2) / (a . c)``."""
+    a0 = a[0:2]
+    a1 = a[2:4]
+    a2 = a[4:6]
+    xr, xi = f2_mul(a1, a2)
+    s0, s1 = f2_sqr(a0)
+    c0 = ((s0 - 9 * xr + xi) % _Q, (s1 - 9 * xi - xr) % _Q)  # a0^2 - xi a1 a2
+    s0, s1 = f2_sqr(a2)
+    xr, xi = f2_mul(a0, a1)
+    c1 = ((9 * s0 - s1 - xr) % _Q, (9 * s1 + s0 - xi) % _Q)  # xi a2^2 - a0 a1
+    s0, s1 = f2_sqr(a1)
+    xr, xi = f2_mul(a0, a2)
+    c2 = ((s0 - xr) % _Q, (s1 - xi) % _Q)  # a1^2 - a0 a2
+    xr, xi = f2_mul(a2, c1)
+    yr, yi = f2_mul(a1, c2)
+    zr, zi = f2_mul(a0, c0)
+    xr += yr
+    xi += yi
+    t = f2_inv(((zr + 9 * xr - xi) % _Q, (zi + 9 * xi + xr) % _Q))
+    return f2_mul(c0, t) + f2_mul(c1, t) + f2_mul(c2, t)
+
+
+# -- raw Fq12 ------------------------------------------------------------------
+
+F12_ONE: Fq12 = (1,) + (0,) * 11
+
+
+def f12_mul(a: Fq12, b: Fq12) -> Fq12:
+    """Karatsuba over Fq6: three ``_mul6``, twelve reductions."""
+    a0, a1, b0, b1 = a[:6], a[6:], b[:6], b[6:]
+    v0 = _mul6(a0, b0)
+    v1 = _mul6(a1, b1)
+    t = _mul6([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)])
+    w0, w1, w2, w3, w4, w5 = v1
+    return (
+        (v0[0] + 9 * w4 - w5) % _Q,
+        (v0[1] + 9 * w5 + w4) % _Q,
+        (v0[2] + w0) % _Q,
+        (v0[3] + w1) % _Q,
+        (v0[4] + w2) % _Q,
+        (v0[5] + w3) % _Q,
+        (t[0] - v0[0] - w0) % _Q,
+        (t[1] - v0[1] - w1) % _Q,
+        (t[2] - v0[2] - w2) % _Q,
+        (t[3] - v0[3] - w3) % _Q,
+        (t[4] - v0[4] - w4) % _Q,
+        (t[5] - v0[5] - w5) % _Q,
+    )
+
+
+def f12_sqr(a: Fq12) -> Fq12:
+    """Complex squaring: ``c0 = (a0 + a1)(a0 + v a1) - p - v p``, ``c1 = 2p``
+    with ``p = a0 a1`` — two ``_mul6``."""
+    a0, a1 = a[:6], a[6:]
+    p = _mul6(a0, a1)
+    t = _mul6(
+        [x + y for x, y in zip(a0, a1)],
+        [x + y for x, y in zip(a0, _mul_v(a1))],
+    )
+    p0, p1, p2, p3, p4, p5 = p
+    return (
+        (t[0] - p0 - 9 * p4 + p5) % _Q,
+        (t[1] - p1 - 9 * p5 - p4) % _Q,
+        (t[2] - p2 - p0) % _Q,
+        (t[3] - p3 - p1) % _Q,
+        (t[4] - p4 - p2) % _Q,
+        (t[5] - p5 - p3) % _Q,
+        2 * p0 % _Q,
+        2 * p1 % _Q,
+        2 * p2 % _Q,
+        2 * p3 % _Q,
+        2 * p4 % _Q,
+        2 * p5 % _Q,
+    )
+
+
+def f12_mul_034(a: Fq12, c0: Fq2, c3: Fq2, c4: Fq2) -> Fq12:
+    """``a * (c0 + (c3 + c4 v) w)`` — the shape of a Miller-loop line value
+    (non-zero only at tower positions 0, 3 and 4): 13 Fq2 products, not 18."""
+    a0, a1 = a[:6], a[6:]
+    c0r, c0i = c0
+    c3r, c3i = c3
+    c4r, c4i = c4
+    x = _m2(a0[0], a0[1], c0r, c0i) + _m2(a0[2], a0[3], c0r, c0i) + _m2(
+        a0[4], a0[5], c0r, c0i
+    )
+    y0, y1, y2, y3, y4, y5 = _mul6_01(a1, c3r, c3i, c4r, c4i)
+    e = _mul6_01(
+        [p + q for p, q in zip(a0, a1)], c0r + c3r, c0i + c3i, c4r, c4i
+    )
+    return (
+        (x[0] + 9 * y4 - y5) % _Q,
+        (x[1] + 9 * y5 + y4) % _Q,
+        (x[2] + y0) % _Q,
+        (x[3] + y1) % _Q,
+        (x[4] + y2) % _Q,
+        (x[5] + y3) % _Q,
+        (e[0] - x[0] - y0) % _Q,
+        (e[1] - x[1] - y1) % _Q,
+        (e[2] - x[2] - y2) % _Q,
+        (e[3] - x[3] - y3) % _Q,
+        (e[4] - x[4] - y4) % _Q,
+        (e[5] - x[5] - y5) % _Q,
+    )
+
+
+def f12_conj(a: Fq12) -> Fq12:
+    """``c0 - c1 w``: the q^6-power Frobenius, and the inverse of any element
+    of norm one over Fq6 (everything after the easy final exponentiation)."""
+    return a[:6] + tuple(-x % _Q for x in a[6:])
+
+
+def f12_inv(a: Fq12) -> Fq12:
+    """Norm descent Fq12 -> Fq6 -> Fq2 -> Fq: ``conj(a) / (c0^2 - v c1^2)``."""
+    if not any(a):
+        raise ZeroDivisionError("inverse of zero in FQ12")
+    a0, a1 = a[:6], a[6:]
+    s = _mul6(a0, a0)
+    t = _mul_v(_mul6(a1, a1))
+    n = _inv6(tuple((x - y) % _Q for x, y in zip(s, t)))
+    return tuple(x % _Q for x in _mul6(a0, n)) + tuple(
+        -x % _Q for x in _mul6(a1, n)
+    )
+
+
+def f12_pow(a: Fq12, exponent: int) -> Fq12:
+    """Left-to-right square-and-multiply; ``exponent >= 0``."""
+    if exponent == 0:
+        return F12_ONE
+    result = a
+    for bit in bin(exponent)[3:]:
+        result = f12_sqr(result)
+        if bit == "1":
+            result = f12_mul(result, a)
+    return result
+
+
+# The Fq12 element is sum_k g_k w^k with g_k in Fq2 at these tuple offsets
+# (c0 = g0 + g2 v + g4 v^2, c1 = g1 + g3 v + g5 v^2).
+_W_POWER_SLOT = (0, 6, 2, 8, 4, 10)
+
+_XI = (9, 1)
+
+
+def _frobenius_constants() -> Tuple[Tuple[Fq2, ...], ...]:
+    """``gamma[i][k] = xi^(k (q^i - 1) / 6)`` for ``i = 1, 2, 3``.
+
+    ``(g w^k)^(q^i) = conj^i(g) gamma[i][k] w^k``; the higher rows follow
+    from the first because ``x^q = conj(x)`` on Fq2.
     """
+    g1 = [(1, 0)]
+    step = f2_pow(_XI, (_Q - 1) // 6)
+    for _ in range(5):
+        g1.append(f2_mul(g1[-1], step))
+    g2 = [f2_mul(g, (g[0], -g[1] % _Q)) for g in g1]  # gamma1^(q+1)
+    g3 = [f2_mul(g, h) for g, h in zip(g1, g2)]  # gamma1^(q^2+q+1)
+    return tuple(g1), tuple(g2), tuple(g3)
 
-    degree: int = 0
-    modulus_coeffs: Sequence[int] = ()
 
+FROBENIUS_GAMMA = _frobenius_constants()
+
+
+def f12_frobenius(a: Fq12, power: int) -> Fq12:
+    """``a^(q^power)`` for ``power`` in 1, 2, 3 — a linear map, no powering."""
+    gamma = FROBENIUS_GAMMA[power - 1]
+    out = [0] * 12
+    for k, slot in enumerate(_W_POWER_SLOT):
+        re, im = a[slot], a[slot + 1]
+        if power & 1:
+            im = -im
+        out[slot], out[slot + 1] = f2_mul((re, im), gamma[k])
+    return tuple(out)
+
+
+# -- operator-overloading wrappers -------------------------------------------------
+
+IntoElement = Union[int, "_TowerElement"]
+
+
+class _TowerElement:
+    """What :class:`FQ2` and :class:`FQ12` share: coercion, the derived
+    operators, comparisons.  Subclasses set ``degree`` and the raw
+    ``_mul`` / ``_inv`` functions; ``coeffs`` is a tuple of canonical ints."""
+
+    degree = 0
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]) -> None:
@@ -43,191 +348,134 @@ class ExtensionField:
             raise ValueError(
                 f"expected {self.degree} coefficients, got {len(coeffs)}"
             )
-        self.coeffs = [c % _Q for c in coeffs]
-
-    # -- constructors -----------------------------------------------------------
+        self.coeffs = tuple(c % _Q for c in coeffs)
 
     @classmethod
-    def zero(cls) -> "ExtensionField":
-        return cls([0] * cls.degree)
+    def from_raw(cls, coeffs):
+        """An element from already-canonical raw coefficients."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
-    def one(cls) -> "ExtensionField":
-        return cls([1] + [0] * (cls.degree - 1))
+    def zero(cls):
+        return cls.from_raw((0,) * cls.degree)
 
     @classmethod
-    def from_int(cls, value: int) -> "ExtensionField":
-        return cls([value] + [0] * (cls.degree - 1))
+    def one(cls):
+        return cls.from_int(1)
 
-    def _coerce(self, other: IntoCoeffs) -> "ExtensionField":
-        if isinstance(other, ExtensionField):
-            if type(other) is not type(self):
-                raise TypeError(
-                    f"cannot mix {type(self).__name__} and {type(other).__name__}"
-                )
+    @classmethod
+    def from_int(cls, value: int):
+        return cls.from_raw((value % _Q,) + (0,) * (cls.degree - 1))
+
+    def _coerce(self, other: IntoElement):
+        if type(other) is type(self):
             return other
         if isinstance(other, int):
-            return type(self).from_int(other)
+            return self.from_int(other)
+        if isinstance(other, _TowerElement):
+            raise TypeError(
+                f"cannot mix {type(self).__name__} and {type(other).__name__}"
+            )
         raise TypeError(f"cannot coerce {other!r} into {type(self).__name__}")
 
-    # -- ring operations ----------------------------------------------------------
-
-    def __add__(self, other: IntoCoeffs) -> "ExtensionField":
+    def __add__(self, other: IntoElement):
         o = self._coerce(other)
         global_counter().field_add += self.degree
-        return type(self)(
-            [(a + b) % _Q for a, b in zip(self.coeffs, o.coeffs)]
+        return self.from_raw(
+            tuple((a + b) % _Q for a, b in zip(self.coeffs, o.coeffs))
         )
 
     __radd__ = __add__
 
-    def __sub__(self, other: IntoCoeffs) -> "ExtensionField":
+    def __sub__(self, other: IntoElement):
         o = self._coerce(other)
         global_counter().field_add += self.degree
-        return type(self)(
-            [(a - b) % _Q for a, b in zip(self.coeffs, o.coeffs)]
+        return self.from_raw(
+            tuple((a - b) % _Q for a, b in zip(self.coeffs, o.coeffs))
         )
 
-    def __rsub__(self, other: IntoCoeffs) -> "ExtensionField":
-        return self._coerce(other).__sub__(self)
+    def __rsub__(self, other: IntoElement):
+        return self._coerce(other) - self
 
-    def __neg__(self) -> "ExtensionField":
-        return type(self)([-c % _Q for c in self.coeffs])
+    def __neg__(self):
+        return self.from_raw(tuple(-c % _Q for c in self.coeffs))
 
-    def __mul__(self, other: IntoCoeffs) -> "ExtensionField":
+    def __mul__(self, other: IntoElement):
         if isinstance(other, int):
             global_counter().field_mul += self.degree
-            return type(self)([(c * other) % _Q for c in self.coeffs])
+            return self.from_raw(tuple(c * other % _Q for c in self.coeffs))
         o = self._coerce(other)
-        deg = self.degree
-        global_counter().field_mul += deg * deg
-        # Schoolbook product ...
-        product = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                product[i + j] += a * b
-        # ... then reduce by the monic modulus: x^deg = -modulus_coeffs.
-        for exp in range(2 * deg - 2, deg - 1, -1):
-            top = product[exp] % _Q
-            if top == 0:
-                continue
-            product[exp] = 0
-            base = exp - deg
-            for i, c in enumerate(self.modulus_coeffs):
-                if c:
-                    product[base + i] -= top * c
-        return type(self)([c % _Q for c in product[:deg]])
+        global_counter().field_mul += self._mul_cost
+        return self.from_raw(self._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: IntoCoeffs) -> "ExtensionField":
-        o = self._coerce(other)
-        return self * o.inverse()
+    def inverse(self):
+        return self.from_raw(self._inv(self.coeffs))
 
-    def __rtruediv__(self, other: IntoCoeffs) -> "ExtensionField":
+    def __truediv__(self, other: IntoElement):
+        return self * self._coerce(other).inverse()
+
+    def __rtruediv__(self, other: IntoElement):
         return self._coerce(other) * self.inverse()
 
-    def __pow__(self, exponent: int) -> "ExtensionField":
+    def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = type(self).one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self) -> "ExtensionField":
-        """Extended Euclid over Fq[x] against the modulus polynomial."""
-        if not self:
-            raise ZeroDivisionError(f"inverse of zero in {type(self).__name__}")
-        global_counter().field_inv += 1
-        deg = self.degree
-        lm, hm = [1] + [0] * deg, [0] * (deg + 1)
-        low = list(self.coeffs) + [0]
-        high = list(self.modulus_coeffs) + [0] * (deg - len(self.modulus_coeffs)) + [1]
-        while _poly_degree(low):
-            r = _poly_div(high, low)
-            r += [0] * (deg + 1 - len(r))
-            nm, new = list(hm), list(high)
-            for i in range(deg + 1):
-                for j in range(deg + 1 - i):
-                    nm[i + j] -= lm[i] * r[j]
-                    new[i + j] -= low[i] * r[j]
-            nm = [c % _Q for c in nm]
-            new = [c % _Q for c in new]
-            lm, low, hm, high = nm, new, lm, low
-        inv_lead = pow(low[0], -1, _Q)
-        return type(self)([(c * inv_lead) % _Q for c in lm[:deg]])
-
-    # -- comparisons / misc ---------------------------------------------------------
+        return self.from_raw(self._pow(self.coeffs, exponent))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ExtensionField):
+        if isinstance(other, _TowerElement):
             return type(self) is type(other) and self.coeffs == other.coeffs
         if isinstance(other, int):
-            return self == type(self).from_int(other)
+            return self == self.from_int(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, tuple(self.coeffs)))
+        return hash((type(self).__name__, self.coeffs))
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.coeffs})"
+        return f"{type(self).__name__}({list(self.coeffs)})"
 
 
-def _poly_degree(poly: Sequence[int]) -> int:
-    for i in range(len(poly) - 1, 0, -1):
-        if poly[i] % _Q:
-            return i
-    return 0
-
-
-def _poly_div(numerator: Sequence[int], denominator: Sequence[int]) -> List[int]:
-    """Floor division of polynomials over Fq (py_ecc-style helper)."""
-    num = [n % _Q for n in numerator]
-    deg_num = _poly_degree(num)
-    deg_den = _poly_degree(denominator)
-    out = [0] * (deg_num - deg_den + 1)
-    inv_lead = pow(denominator[deg_den] % _Q, -1, _Q)
-    for shift in range(deg_num - deg_den, -1, -1):
-        factor = (num[deg_den + shift] * inv_lead) % _Q
-        out[shift] = factor
-        if factor == 0:
-            continue
-        for i in range(deg_den + 1):
-            num[shift + i] = (num[shift + i] - factor * denominator[i]) % _Q
-    return out
-
-
-class FQ2(ExtensionField):
-    """BN254 Fq2 = Fq[u] / (u^2 + 1)."""
+class FQ2(_TowerElement):
+    """BN254 Fq2 = Fq[u] / (u^2 + 1); ``coeffs == (c0, c1)`` for ``c0 + c1 u``."""
 
     degree = 2
-    modulus_coeffs = (1, 0)
+    _mul_cost = 3  # Karatsuba
+    _mul = staticmethod(f2_mul)
+    _inv = staticmethod(f2_inv)
+    _pow = staticmethod(f2_pow)
     __slots__ = ()
 
 
-class FQ12(ExtensionField):
-    """BN254 Fq12 = Fq[w] / (w^12 - 18 w^6 + 82)."""
+class FQ12(_TowerElement):
+    """BN254 Fq12 over the 2-3-2 tower; ``coeffs`` are the twelve ints of the
+    raw layer (``c0`` then ``c1``, each ``1, v, v^2`` over ``1, u``)."""
 
     degree = 12
-    modulus_coeffs = (82, 0, 0, 0, 0, 0, -18, 0, 0, 0, 0, 0)
+    _mul_cost = 54  # 18 Karatsuba Fq2 products
+    _mul = staticmethod(f12_mul)
+    _inv = staticmethod(f12_inv)
+    _pow = staticmethod(f12_pow)
     __slots__ = ()
+
+    def conjugate(self) -> "FQ12":
+        return self.from_raw(f12_conj(self.coeffs))
+
+    def frobenius(self, power: int) -> "FQ12":
+        return self.from_raw(f12_frobenius(self.coeffs, power))
 
 
 def fq2(c0: int, c1: int) -> FQ2:
     """Convenience constructor ``c0 + c1*u``."""
-    return FQ2([c0, c1])
+    return FQ2((c0, c1))
 
 
 def fq12(coeffs: Sequence[int]) -> FQ12:
-    return FQ12(list(coeffs))
+    return FQ12(coeffs)

@@ -48,7 +48,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.field import signed
+from repro.field import batch_inverse, signed
 from repro.lookup.table import PACK_BASE, LookupTable, get_table
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
@@ -76,6 +76,34 @@ def round_constants(table_name: str, count: int, modulus: int) -> List[int]:
         digest = hashlib.sha256(seed + i.to_bytes(4, "big")).digest()
         out.append(int.from_bytes(digest, "big") % modulus)
     return out
+
+
+def _logup_fractions(
+    fld,
+    alpha: int,
+    pairs: Sequence[int],
+    rows: Sequence[int],
+    counts: Sequence[int],
+    table_name: str,
+) -> Tuple[List[int], List[int]]:
+    """Both sides of the LogUp sum with one batch inversion.
+
+    ``h_i = 1 / (alpha - p_i)`` per lookup and ``g_j = m_j / (alpha - P_j)``
+    per table row.  A row nobody looked up has ``g_j = 0`` whatever the
+    inverse, so only rows with a non-zero multiplicity are inverted; every
+    denominator is still checked for a challenge collision.
+    """
+    p = fld.modulus
+    h_dens = [(alpha - v) % p for v in pairs]
+    g_dens = [(alpha - r) % p for r in rows]
+    if 0 in h_dens or 0 in g_dens:
+        raise LookupError(f"lookup challenge collision on table {table_name!r}")
+    live = [j for j, c in enumerate(counts) if c]
+    inverses = batch_inverse(fld, h_dens + [g_dens[j] for j in live])
+    g = [0] * len(rows)
+    for j, inv in zip(live, inverses[len(pairs):]):
+        g[j] = counts[j] * inv % p
+    return inverses[: len(pairs)], g
 
 
 def lean_alpha(table_name: str, modulus: int) -> int:
@@ -297,7 +325,7 @@ class LookupEngine:
         st.lookup_constraints += 1
         if self.mode == "lean":
             packed = table.pack(x_value, y_value)
-            cs.assign(h_var, pow((st.alpha_const - packed) % p, p - 2, p))
+            cs.assign(h_var, pow((st.alpha_const - packed) % p, -1, p))
         st.lookups.append((x_var, int(x_value), y_var, y_value, h_var))
         st.bits_equiv += (
             bits_cost
@@ -408,23 +436,16 @@ class LookupEngine:
         # h witnesses: 1 / (alpha - p_i).  In lean mode these were assigned
         # at lookup time from the fixed challenge; recompute uniformly so a
         # strict alpha lands too.
-        for (x_var, x_val, y_var, y_val, h_var), packed in zip(st.lookups, pairs):
-            denom = (alpha - packed) % p
-            if denom == 0:
-                raise LookupError(
-                    f"lookup challenge collision on table {table.name!r}"
-                )
-            cs.assign(h_var, pow(denom, p - 2, p))
+        h_vals, g_vals = _logup_fractions(
+            cs.field, alpha, pairs, packed_rows, counts, table.name
+        )
+        for h_var, h_val in zip(block.h_vars, h_vals):
+            cs.assign(h_var, h_val)
 
         # Table column: (alpha - P_j) * g_j = m_j, one row each.
         for j, row in enumerate(packed_rows):
             denom = (alpha - row) % p
-            if denom == 0:
-                raise LookupError(
-                    f"lookup challenge collision on table {table.name!r}"
-                )
-            g_val = (counts[j] * pow(denom, p - 2, p)) % p
-            g_var = cs.new_private(g_val)
+            g_var = cs.new_private(g_vals[j])
             self._log(g_var, table.name)
             a = cs.lc()
             if self.mode == "strict":
@@ -811,20 +832,12 @@ def reassign_lookup_columns(cs: ConstraintSystem) -> None:
             alpha = _replay_sponge(cs, block, pairs, counts)
         else:
             alpha = block.alpha_const
-        for h_var, packed in zip(block.h_vars, pairs):
-            denom = (alpha - packed) % p
-            if denom == 0:
-                raise LookupError(
-                    f"lookup challenge collision on table {block.table_name!r}"
-                )
-            cs.assign(h_var, pow(denom, p - 2, p))
-        for g_var, row, c in zip(block.g_vars, block.packed_entries, counts):
-            denom = (alpha - row) % p
-            if denom == 0:
-                raise LookupError(
-                    f"lookup challenge collision on table {block.table_name!r}"
-                )
-            cs.assign(g_var, (c * pow(denom, p - 2, p)) % p)
+        h_vals, g_vals = _logup_fractions(
+            cs.field, alpha, pairs, block.packed_entries, counts,
+            block.table_name,
+        )
+        for var, val in zip(block.h_vars + block.g_vars, h_vals + g_vals):
+            cs.assign(var, val)
 
 
 def _replay_sponge(

@@ -31,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.snark.serialize import (
     SerializationError,
     deserialize_g1,
-    deserialize_g2,
+    deserialize_g2_on_curve,
     deserialize_sim,
     serialize_g1,
     serialize_g2,
@@ -56,7 +56,7 @@ _KIND_G2 = 0x03
 _KINDS = {
     "sim": (_KIND_SIM, 33, serialize_sim, deserialize_sim),
     "g1": (_KIND_G1, 33, serialize_g1, deserialize_g1),
-    "g2": (_KIND_G2, 65, serialize_g2, deserialize_g2),
+    "g2": (_KIND_G2, 65, serialize_g2, deserialize_g2_on_curve),
 }
 
 
@@ -304,7 +304,7 @@ def load_chunked_proving_key(store, manifest_key: str):
         )
     sim = manifest["sim"]
     dec1 = deserialize_sim if sim else deserialize_g1
-    dec2 = deserialize_sim if sim else deserialize_g2
+    dec2 = deserialize_sim if sim else deserialize_g2_on_curve
 
     def query(name: str) -> ChunkedQuery:
         q = manifest["queries"][name]

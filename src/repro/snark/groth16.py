@@ -75,73 +75,70 @@ def setup(
     g1 = backend.g1_generator()
     g2 = backend.g2_generator()
 
-    if store is not None:
+    # Every published element is a multiple of a generator: collect the
+    # scalars first, then ask the backend for whole vectors of multiples.
+    combined = [
+        (beta * a + alpha * b + c) % p for a, b, c in zip(a_at, b_at, c_at)
+    ]
+    ic_scalars = [v * gamma_inv % p for v in combined[:num_instance]]
+    l_scalars = [v * delta_inv % p for v in combined[num_instance:]]
+    h_scalars: List[int] = []
+    power = domain.vanishing_at(tau) * delta_inv % p
+    for _ in range(domain.size - 1):
+        h_scalars.append(power)
+        power = (power * tau) % p
+    g1_singles = [alpha, beta, delta]
+    g2_singles = [beta, gamma, delta]
+
+    def multiples(base, *vectors):
+        """One ``base_multiples`` call over the concatenation, split back."""
+        flat = backend.base_multiples(base, [k for v in vectors for k in v])
+        out, pos = [], 0
+        for v in vectors:
+            out.append(flat[pos : pos + len(v)])
+            pos += len(v)
+        return out
+
+    if store is None:
+        a_query, b_query_g1, l_query, h_query, ic, g1_points = multiples(
+            g1, a_at, b_at, l_scalars, h_scalars, ic_scalars, g1_singles
+        )
+        b_query_g2, g2_points = multiples(g2, b_at, g2_singles)
+    else:
         from repro.snark.chunked import ChunkWriter, chunk_bytes_from_env
 
         sim = backend.name == "simulated"
         kind1 = "sim" if sim else "g1"
         kind2 = "sim" if sim else "g2"
         size = chunk_bytes or chunk_bytes_from_env()
-        writers = {
-            "a": ChunkWriter(store, kind1, size),
-            "b1": ChunkWriter(store, kind1, size),
-            "b2": ChunkWriter(store, kind2, size),
-            "l": ChunkWriter(store, kind1, size),
-            "h": ChunkWriter(store, kind1, size),
-        }
 
-        def emit_query(writer, values):
-            for v in values:
-                writer.append(backend.scalar_mul(g1, v))
+        def emit_query(kind, base, values):
+            """Stream a query into the store one chunk's worth at a time."""
+            writer = ChunkWriter(store, kind, size)
+            step = writer.points_per_chunk
+            for lo in range(0, len(values), step):
+                for point in backend.base_multiples(
+                    base, values[lo : lo + step]
+                ):
+                    writer.append(point)
             return writer.finish()
-    else:
-        writers = None
 
-    if writers is not None:
-        a_query = emit_query(writers["a"], a_at)
-        b_query_g1 = emit_query(writers["b1"], b_at)
-        for v in b_at:
-            writers["b2"].append(backend.scalar_mul(g2, v))
-        b_query_g2 = writers["b2"].finish()
-    else:
-        a_query = [backend.scalar_mul(g1, v) for v in a_at]
-        b_query_g1 = [backend.scalar_mul(g1, v) for v in b_at]
-        b_query_g2 = [backend.scalar_mul(g2, v) for v in b_at]
-
-    ic: List = []
-    l_query: List = []
-    for i in range(num_vars):
-        combined = (beta * a_at[i] + alpha * b_at[i] + c_at[i]) % p
-        if i < num_instance:
-            ic.append(backend.scalar_mul(g1, (combined * gamma_inv) % p))
-        elif writers is not None:
-            writers["l"].append(
-                backend.scalar_mul(g1, (combined * delta_inv) % p)
-            )
-        else:
-            l_query.append(backend.scalar_mul(g1, (combined * delta_inv) % p))
-    if writers is not None:
-        l_query = writers["l"].finish()
-
-    z_tau = domain.vanishing_at(tau)
-    h_query: List = []
-    power = 1
-    for _ in range(domain.size - 1):
-        point = backend.scalar_mul(g1, (power * z_tau % p) * delta_inv % p)
-        if writers is not None:
-            writers["h"].append(point)
-        else:
-            h_query.append(point)
-        power = (power * tau) % p
-    if writers is not None:
-        h_query = writers["h"].finish()
+        a_query = emit_query(kind1, g1, a_at)
+        b_query_g1 = emit_query(kind1, g1, b_at)
+        b_query_g2 = emit_query(kind2, g2, b_at)
+        l_query = emit_query(kind1, g1, l_scalars)
+        h_query = emit_query(kind1, g1, h_scalars)
+        ic, g1_points = multiples(g1, ic_scalars, g1_singles)
+        (g2_points,) = multiples(g2, g2_singles)
+    alpha_g1, beta_g1, delta_g1 = g1_points
+    beta_g2, gamma_g2, delta_g2 = g2_points
 
     pk = ProvingKey(
-        alpha_g1=backend.scalar_mul(g1, alpha),
-        beta_g1=backend.scalar_mul(g1, beta),
-        beta_g2=backend.scalar_mul(g2, beta),
-        delta_g1=backend.scalar_mul(g1, delta),
-        delta_g2=backend.scalar_mul(g2, delta),
+        alpha_g1=alpha_g1,
+        beta_g1=beta_g1,
+        beta_g2=beta_g2,
+        delta_g1=delta_g1,
+        delta_g2=delta_g2,
         a_query_g1=a_query,
         b_query_g1=b_query_g1,
         b_query_g2=b_query_g2,
@@ -151,10 +148,10 @@ def setup(
         num_public=cs.num_public,
     )
     vk = VerifyingKey(
-        alpha_g1=pk.alpha_g1,
-        beta_g2=pk.beta_g2,
-        gamma_g2=backend.scalar_mul(g2, gamma),
-        delta_g2=pk.delta_g2,
+        alpha_g1=alpha_g1,
+        beta_g2=beta_g2,
+        gamma_g2=gamma_g2,
+        delta_g2=delta_g2,
         ic_g1=ic,
         backend_name=backend.name,
     )

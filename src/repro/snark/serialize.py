@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.ec.bn254 import BN254_G1, BN254_G2
 from repro.ec.curve import Point
+from repro.ec.jacobian import in_subgroup
 from repro.ec.simulated import G1_TAG, G2_TAG, GT_TAG, SimPoint
 from repro.ec.tower import FQ2
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS, BN254_FR_MODULUS
@@ -138,7 +139,13 @@ def serialize_g2(p: Point) -> bytes:
     return bytes([flag]) + x0.to_bytes(32, "big") + x1.to_bytes(32, "big")
 
 
-def deserialize_g2(data: bytes) -> Point:
+def deserialize_g2_on_curve(data: bytes) -> Point:
+    """Range, curve-membership and sign checks only — NOT the subgroup.
+
+    For the prover's own CRS material (proving-key blobs and chunks, one
+    decode per query point per proof); anything a verifier receives goes
+    through :func:`deserialize_g2`.
+    """
     if len(data) != 65:
         raise SerializationError(f"G2 encoding must be 65 bytes, got {len(data)}")
     flag = data[0]
@@ -160,6 +167,17 @@ def deserialize_g2(data: bytes) -> Point:
     if parity != (flag & FLAG_Y_ODD):
         y = -y
     return BN254_G2.point(x, y)
+
+
+def deserialize_g2(data: bytes) -> Point:
+    """Decode a G2 point a verifier will pair: on the curve *and* in the
+    order-r subgroup.  G2's cofactor is ~2^254, so almost every on-curve
+    Fq2 point is outside it; ``[r]P == O`` on the Jacobian formulas costs
+    a few milliseconds."""
+    point = deserialize_g2_on_curve(data)
+    if not in_subgroup(point):
+        raise SerializationError("G2 point not in the order-r subgroup")
+    return point
 
 
 # -- simulated points ----------------------------------------------------------------
@@ -331,7 +349,7 @@ def deserialize_proving_key(data: bytes):
         dec1 = dec2 = deserialize_sim
         size1 = size2 = 33
     elif fmt == _PK_REAL:
-        dec1, dec2 = deserialize_g1, deserialize_g2
+        dec1, dec2 = deserialize_g1, deserialize_g2_on_curve
         size1, size2 = 33, 65
     else:
         raise SerializationError(f"unknown proving-key format {fmt:#x}")

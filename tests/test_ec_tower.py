@@ -1,4 +1,4 @@
-"""Tests for the Fq2/Fq12 extension tower."""
+"""Tests for the Fq2 / Fq6 / Fq12 extension tower."""
 
 import pytest
 from hypothesis import given, settings
@@ -81,8 +81,9 @@ class TestFQ12:
         assert not FQ12.zero()
 
     def test_w_generates_the_tower(self):
-        w = FQ12([0, 1] + [0] * 10)
-        # w^12 = 18 w^6 - 82 by the modulus polynomial.
+        w = FQ12([0] * 6 + [1] + [0] * 5)  # c1 = 1: the tower's w
+        # w^2 = v, v^3 = xi = 9 + u, u^2 = -1  =>  w^12 = 18 w^6 - 82.
+        assert w**6 == FQ12([9, 1] + [0] * 10)
         lhs = w**12
         rhs = 18 * w**6 - FQ12.from_int(82)
         assert lhs == rhs

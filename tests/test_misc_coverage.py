@@ -11,13 +11,14 @@ from repro.core.compiler import (
     naive_options,
     zeno_options,
 )
-from repro.ec.tower import FQ2, FQ12, _poly_degree, _poly_div
+from repro.ec.tower import FQ2, FQ12
 from repro.field.fp import BN254_FQ_MODULUS as Q
 from repro.nn.data import synthetic_images
 from repro.nn.models import build_model
 from repro.snark import groth16
 from repro.snark.qap import Domain, FR_TWO_ADICITY
 from tests.conftest import tiny_conv_model, tiny_image
+from tests.pairing_oracle import _poly_degree, _poly_div
 
 
 class TestTowerInternals:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.ec.bn254 import BN254_G1, BN254_G2
 from repro.ec.simulated import G1_TAG, SimPoint
-from repro.field.fp import BN254_FR_MODULUS
+from repro.field.fp import BN254_FQ_MODULUS, BN254_FR_MODULUS
 from repro.snark.serialize import (
     FLAG_INFINITY,
     FLAG_Y_ODD,
@@ -65,6 +65,33 @@ class TestMalformedInputFuzz:
         except SerializationError:
             return
         assert BN254_G1.is_on_curve(p)
+
+    @given(
+        x0=st.integers(min_value=0, max_value=BN254_FQ_MODULUS - 1),
+        x1=st.integers(min_value=0, max_value=BN254_FQ_MODULUS - 1),
+        odd=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_g2_never_returns_outside_the_subgroup(self, x0, x1, odd):
+        """A well-formed 65-byte string over a random Fq2 x (half of which
+        are on the twist, practically none in the order-r subgroup) either
+        raises SerializationError or decodes to a subgroup point — and so
+        does a proof carrying it as B."""
+        data = (
+            bytes([FLAG_Y_ODD if odd else 0])
+            + x0.to_bytes(32, "big") + x1.to_bytes(32, "big")
+        )
+        g1 = serialize_g1(BN254_G1.generator)
+        for decode, blob in (
+            (deserialize_g2, data),
+            (lambda b: deserialize_proof(b).b, g1 + data + g1),
+        ):
+            try:
+                p = decode(blob)
+            except SerializationError:
+                continue
+            assert BN254_G2.is_on_curve(p)
+            assert BN254_G2.scalar_mul(p, R - 1) == -p
 
     @given(data=st.binary(min_size=0, max_size=200))
     @settings(max_examples=50, deadline=None)

@@ -14,6 +14,7 @@ from repro.snark.serialize import (
     SerializationError,
     deserialize_g1,
     deserialize_g2,
+    deserialize_g2_on_curve,
     deserialize_proof,
     deserialize_sim,
     serialize_g1,
@@ -24,6 +25,23 @@ from repro.snark.serialize import (
     sqrt_fq2,
 )
 from repro.snark.proof import Proof
+
+
+def off_subgroup_g2_point():
+    """The first ``x = k + u`` whose ``x^3 + b`` is a square in Fq2 and whose
+    point the cofactor does not clear: on the twist, outside the order-r
+    subgroup (as almost every on-curve Fq2 point is)."""
+    from repro.ec.jacobian import in_subgroup
+
+    for k in range(1, 64):
+        x = FQ2([k, 1])
+        y = sqrt_fq2(x * x * x + BN254_G2.b)
+        if y is None:
+            continue
+        point = BN254_G2.point(x, y)
+        if not in_subgroup(point):
+            return point
+    raise AssertionError("no off-subgroup point among the first 63 x")
 
 
 class TestSqrt:
@@ -105,6 +123,15 @@ class TestG2Serialization:
         assert serialize_g2(p) != serialize_g2(-p)
         assert deserialize_g2(serialize_g2(-p)) == -p
 
+    def test_off_subgroup_point_rejected(self):
+        """On the curve is not enough: the pairing is defined on the
+        order-r subgroup, and G2's cofactor is ~2^254."""
+        data = serialize_g2(off_subgroup_g2_point())
+        with pytest.raises(SerializationError, match="subgroup"):
+            deserialize_g2(data)
+        # the prover-side decoder for its own CRS chunks stops at the curve
+        assert BN254_G2.is_on_curve(deserialize_g2_on_curve(data))
+
 
 class TestSimSerialization:
     def test_roundtrip(self):
@@ -137,6 +164,39 @@ class TestProofSerialization:
         assert len(wire_bytes) == 131
         received = deserialize_proof(wire_bytes)
         assert groth16.verify(setup.verifying_key, [35], received, backend)
+
+    def test_off_subgroup_b_rejected_at_decode(self):
+        """An otherwise valid proof (and key) carrying an on-curve,
+        off-subgroup G2 point never reaches the pairing."""
+        from repro.ec.backend import RealBN254Backend
+        from repro.r1cs.system import ConstraintSystem
+        from repro.snark import groth16
+        from repro.snark.serialize import (
+            deserialize_verifying_key,
+            serialize_verifying_key,
+        )
+
+        cs = ConstraintSystem()
+        ref = cs.new_public(35)
+        wire = cs.mul_private(cs.new_private(5), cs.new_private(7))
+        cs.enforce_equal(cs.lc_variable(wire), cs.lc_variable(ref))
+        backend = RealBN254Backend()
+        setup = groth16.setup(cs, backend, random.Random(1))
+        proof = groth16.prove(setup.proving_key, cs, backend, random.Random(2))
+        good = serialize_proof(proof)
+        assert groth16.verify(
+            setup.verifying_key, [35], deserialize_proof(good), backend
+        )
+        rogue = serialize_g2(off_subgroup_g2_point())
+        with pytest.raises(SerializationError, match="subgroup"):
+            deserialize_proof(good[:33] + rogue + good[98:])
+        vk_bytes = serialize_verifying_key(setup.verifying_key)
+        deserialize_verifying_key(vk_bytes)
+        for offset in (33, 98, 163):  # beta, gamma, delta
+            with pytest.raises(SerializationError, match="subgroup"):
+                deserialize_verifying_key(
+                    vk_bytes[:offset] + rogue + vk_bytes[offset + 65:]
+                )
 
     def test_sim_proof_roundtrip(self):
         proof = Proof(
