@@ -105,8 +105,12 @@ def test_ablation_cache(benchmark):
             ["cache off", fmt(without.circuit_seq_time, 3), "-"],
         ],
     )
-    # uint8 weights repeat heavily: the table gets a very high hit rate.
-    assert hit_rate > 0.9
+    # Sliding a filter over the image repeats the same slot-digit vectors:
+    # about three quarters of the packed coefficients are served from the
+    # table (0.77 on LCS).  The rate counts entries whose lambda-bit value
+    # was already built; the per-term packer's 0.99 counted
+    # (weight, slot) products, a different and easier denominator.
+    assert hit_rate > 0.7
     # The cache never hurts much and typically helps (paper: 1.2x).
     assert with_cache.circuit_seq_time < without.circuit_seq_time * 1.15
 

@@ -26,8 +26,9 @@ def waterfall():
     """Per-model circuit-computation times at each optimization level.
 
     Levels: baseline -> ZENO circuit alone (no knit) -> +knit packing
-    (costs LC-scaling work in this phase, pays off in security) -> +cache
-    (serves the knit coefficient products) -> +scheduler.
+    (costs packed-coefficient construction in this phase, pays off in
+    security) -> +cache (builds each distinct packed coefficient once)
+    -> +scheduler.
     """
     out = {}
     for abbr in MODEL_ORDER:
@@ -110,6 +111,15 @@ def test_fig09_circuit_computation_speedup(waterfall, benchmark):
     assert sum(ir_gains) / 6 > 2.0
     assert sum(sched_gains) / 6 > 3.0
     # Knit packing costs some of this phase (it pays off in security),
-    # and the cache claws part of that back (paper: 1.2x).
-    assert sum(knit_costs) / 6 < 1.1
-    assert sum(cache_gains) / 6 > 0.9
+    # and the cache claws part of that back (paper: 1.2x).  Re-anchored at
+    # PR 17 (were `< 1.1` and `> 0.9`, measured 0.53x / 0.98x): those
+    # values timed CPython dict probes in the per-term packer.  With the
+    # whole-layer lowering the knit column is the cost of *constructing*
+    # one lambda-bit integer per surviving (row, variable) entry, where an
+    # unpacked row only looks up a coefficient made canonical once per
+    # distinct weight value (measured 0.68x average, 0.48-0.72x on every
+    # model but sub-10 ms SHAL); the cache column is constructing that
+    # integer once per distinct slot-digit vector instead (measured 1.26x
+    # average, 1.0-1.7x on every model but SHAL).
+    assert sum(knit_costs) / 6 < 0.9
+    assert sum(cache_gains) / 6 > 1.0

@@ -12,8 +12,10 @@ driver:
 
 The baseline path deliberately reproduces the O(n^2) recursive LC
 expansion of scalar-gate frameworks (left-deep merge of binary addition
-gates); the ZENO path builds each dot product's LC in a single O(n) pass.
-Both emit *identical* constraint semantics — a property under test.
+gates), one term at a time; the ZENO path is O(n) per dot and lowers a
+whole layer at a time into CSR row blocks (entry arrays, never per-term
+Python).  Both emit *identical* constraint semantics — a property under
+test.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.circuit.gadgets import GadgetEmitter, GadgetStats
+from repro.core.circuit.gadgets import (
+    GadgetEmitter,
+    GadgetStats,
+    identity_bits,
+)
 from repro.core.circuit.gates import (
     BaselineLayerCircuit,
     ZenoLayerCircuit,
@@ -56,6 +62,38 @@ from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
 
 
+# A dot layer is lowered in runs of dots holding at most this many
+# (dot, tap) entries: the temporaries of one run stay cache-resident and
+# the process's peak memory does not grow with the layer (measured on
+# cnn_whole — see CHANGES.md, PR 17).
+_CHUNK_ENTRIES = 1 << 16
+_PAD = np.iinfo(np.int64).min  # variable slot of a padded (absent) tap
+
+
+def _merge_repeated(dots, variables, coeffs):
+    """Merge entries of one dot that name the same variable.
+
+    Taps of one dot normally read distinct wires in ascending order, which
+    one comparison pass confirms; a gather with a repeated source (or
+    upstream gadget sharing) maps several taps onto one variable, whose
+    coefficients must add — and vanish if they cancel.
+    """
+    if dots.size < 2:
+        return dots, variables, coeffs
+    lo = int(variables.min())
+    span = int(variables.max()) - lo + 1
+    key = dots * span + (variables - lo)
+    if (key[1:] > key[:-1]).all():
+        return dots, variables, coeffs
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    coeffs = np.add.reduceat(coeffs[order], starts)
+    survives = coeffs != 0
+    dots, variables = np.divmod(key[starts][survives], span)
+    return dots, variables + lo, coeffs[survives]
+
+
 @dataclass
 class ComputeOptions:
     """Optimization toggles for one compilation."""
@@ -76,13 +114,14 @@ class ComputeOptions:
     record_recipe: bool = False  # log witness recipe for batch sharing (§6.1)
     # Sparsity-aware compilation (TeleSparse direction).  Active only when
     # weights are public — zero weights are then compile-time knowledge, so
-    # eliding their terms leaks nothing.  Zero-weight taps are skipped via
-    # per-row nonzero plans shared across identical row contents
-    # (constraint-system preserving: identical LCs, byte-identical proofs
-    # vs the dense path), and with ``sparse_share`` structurally identical
-    # gadget emissions are additionally value-numbered so pruned filter
-    # rows collapse to one sub-circuit (changes the constraint system —
-    # strictly fewer constraints).
+    # eliding their terms leaks nothing.  Zero-weight taps are masked out
+    # of the layer's entry arrays (the dense lowering applies the same
+    # mask, so this is constraint-system preserving: identical rows,
+    # byte-identical proofs) and accounted in a SparsityReport; with
+    # ``sparse_share`` structurally identical gadget emissions are
+    # additionally value-numbered so pruned filter rows collapse to one
+    # sub-circuit (changes the constraint system — strictly fewer
+    # constraints).
     sparse: bool = False
     sparse_share: bool = True
     # Nonlinearity lowering: "bits" keeps the per-activation
@@ -101,8 +140,8 @@ class SparsityReport:
     zero_terms_elided: int = 0  # zero-weight taps skipped
     total_rows: int = 0  # filter rows across all dot layers
     zero_rows: int = 0  # all-zero (pruned) rows
-    distinct_rows: int = 0  # distinct row contents (one plan each)
-    row_plan_hits: int = 0  # rows canonicalized via a shared plan
+    distinct_rows: int = 0  # distinct row contents
+    row_plan_hits: int = 0  # rows whose content an earlier row had
     outputs_shared: int = 0  # committed output wires deduplicated
     relus_shared: int = 0  # ReLU sub-circuits deduplicated
 
@@ -180,7 +219,7 @@ class CircuitComputer:
         self.generated: Optional[GenerateResult] = None
         self._recipe: Optional[list] = None
         self._weight_var_cache: Dict[str, np.ndarray] = {}
-        self._row_plan_cache: Dict[bytes, tuple] = {}
+        self._distinct_rows: set = set()  # weight-row contents seen (report)
         self._sparsity: Optional[SparsityReport] = None
         self._engine: Optional[LookupEngine] = None
 
@@ -250,7 +289,7 @@ class CircuitComputer:
         recipe: Optional[list] = [] if opts.record_recipe else None
         self._recipe = recipe
         self._weight_var_cache = {}
-        self._row_plan_cache = {}
+        self._distinct_rows = set()
         sparse_active = opts.sparse and not program.weights_privacy.is_private
         self._sparsity = (
             SparsityReport(enabled=sparse_active) if opts.sparse else None
@@ -352,7 +391,7 @@ class CircuitComputer:
             result.knit_constraints = knit.constraints_emitted
             result.knit_expressions = knit.expressions_packed
         if self._sparsity is not None:
-            self._sparsity.distinct_rows = len(self._row_plan_cache)
+            self._sparsity.distinct_rows = len(self._distinct_rows)
             self._sparsity.outputs_shared = emitter.stats.shared_outputs
             self._sparsity.relus_shared = emitter.stats.shared_relus
         result.lc_terms = global_counter().lc_term - terms_before
@@ -365,13 +404,12 @@ class CircuitComputer:
         values = program.input_values
         if program.image_privacy.is_private:
             flat = values.reshape(-1)
-            indices = np.empty(flat.size, dtype=np.int64)
-            for pos, v in enumerate(flat):
-                var = cs.new_private(int(v))
-                indices[pos] = var
-                if self._recipe is not None:
-                    self._recipe.append((var, ("image", pos)))
-            indices = indices.reshape(values.shape)
+            first = cs.allocate(flat.tolist())
+            if self._recipe is not None:
+                self._recipe.extend(
+                    (first + pos, ("image", pos)) for pos in range(flat.size)
+                )
+            indices = np.arange(first, first + flat.size).reshape(values.shape)
             return ZkTensor(
                 values, Privacy.PRIVATE, stage="input", var_indices=indices,
                 name="image",
@@ -398,24 +436,14 @@ class CircuitComputer:
         )
         if (op.weights_private or naive_products) and x_tensor.is_private:
             out_vars, work = self._dot_both_private(cs, emitter, op, x_tensor, is_final)
-        elif op.weights_private:
-            out_vars, work = self._dot_private_weights(
+        elif op.weights_private or isinstance(circuit, ZenoLayerCircuit):
+            out_vars, work = self._dot_linear(
                 cs, emitter, op, x_tensor, slot_bits, is_final
             )
         else:
-            if isinstance(circuit, ZenoLayerCircuit):
-                if self._sparsity is not None and self._sparsity.enabled:
-                    out_vars, work = self._dot_zeno_sparse(
-                        cs, emitter, op, x_tensor, slot_bits, is_final
-                    )
-                else:
-                    out_vars, work = self._dot_zeno(
-                        cs, emitter, op, x_tensor, slot_bits, is_final
-                    )
-            else:
-                out_vars, work = self._dot_baseline(
-                    cs, emitter, circuit, op, x_tensor, slot_bits, is_final
-                )
+            out_vars, work = self._dot_baseline(
+                cs, emitter, circuit, op, x_tensor, slot_bits, is_final
+            )
 
         env[op.output] = ZkTensor(
             op.out_values,
@@ -428,135 +456,85 @@ class CircuitComputer:
         )
         return work, op.num_dots
 
-    def _dot_zeno(self, cs, emitter, op, x_tensor, slot_bits, is_final):
-        """ZENO circuit computation: one O(n) pass per dot (§5.1)."""
-        x_vars = x_tensor.flat_vars()
-        weight_rows = op.weight_rows
-        input_cols = op.input_cols
-        bias = op.bias
-        acc_values = op.acc_values
-        p = cs.field.modulus
-        counter = global_counter()
-        out_vars = []
-        work = 0
-        # Coefficients live in canonical field form (negative weights map to
-        # large residues), as in any real Fr implementation — this is what
-        # makes coefficient products λ-bit multiplications the cache service
-        # targets (§6.1).  Canonicalize each distinct weight row once.
-        canon_rows = [[int(w) % p for w in row] for row in weight_rows.tolist()]
-        # Tensor semantics let the whole dot product lower in one vectorized
-        # pass: positions within one dot are distinct input taps, so the
-        # term map is a straight zip — no merging, O(n) total (Table 3).
-        for d in range(op.num_dots):
-            r = int(op.row_of_dot[d])
-            row = weight_rows[r]
-            canon = canon_rows[r]
-            positions = input_cols[:, op.col_of_dot[d]]
-            valid = (positions > 0) & (row != 0)
-            vars_d = x_vars[positions[valid] - 1]
-            idx = np.nonzero(valid)[0].tolist()
-            terms = dict(zip(vars_d.tolist(), (canon[i] for i in idx)))
-            b = int(bias[r])
-            if b:
-                terms[0] = (terms.get(0, 0) + b) % p
-            lc = LinearCombination(cs.field, terms)
-            counter.lc_term += len(lc.terms)
-            work += len(row)
-            out_vars.append(
-                emitter.commit_output(
-                    lc,
-                    int(acc_values[d]),
-                    op.requant,
-                    slot_bits,
-                    public=is_final,
-                    tag=op.name,
-                    index=d,
-                )
-            )
-        return out_vars, work
+    def _dot_linear(self, cs, emitter, op, x_tensor, slot_bits, is_final):
+        """ZENO circuit computation, a whole layer at a time (§5.1, Eq. 3).
 
-    def _dot_zeno_sparse(self, cs, emitter, op, x_tensor, slot_bits, is_final):
-        """Sparsity-aware §5.1 lowering (public weights only).
-
-        Zero-weight taps are skipped via per-row *nonzero plans* — the
-        indices and canonical field coefficients of a row's nonzero
-        entries, computed once per distinct row content and shared across
-        all rows/layers with identical bytes (pruned-to-zero rows,
-        repeated filter blocks).  The term maps produced are exactly those
-        of :meth:`_dot_zeno` (which masks zeros per dot), so with gadget
-        sharing off the constraint system — and hence the proof — is
-        byte-identical to the dense path.
+        One private operand: every dot is the linear combination
+        ``sum_i coeff_i * var_i + bias`` with the public operand as the
+        coefficients — public weights over feature wires, or (roles
+        swapped) public feature values over weight variables, allocated
+        once per layer and shared by all dots reusing a weight row.  The
+        layer's ``(dot, tap) -> (variable, coefficient)`` entries are built
+        by broadcasting ``input_cols[:, col_of_dot]`` against
+        ``weight_rows[row_of_dot]``; padded taps and zero coefficients are
+        masked out (sparsity-aware compilation is this same mask — the
+        dense lowering never emitted a zero term either — plus its
+        report), taps of one dot that read the same wire merge, and
+        :meth:`GadgetEmitter.commit_outputs` commits the outputs and packs
+        the rows.  O(n) per dot (Table 3); nothing here runs per term.
         """
-        x_vars = x_tensor.flat_vars()
-        weight_rows = op.weight_rows
-        input_cols = op.input_cols
-        bias = op.bias
-        acc_values = op.acc_values
-        p = cs.field.modulus
-        counter = global_counter()
-        report = self._sparsity
-        n = weight_rows.shape[1]
-        plan_cache = self._row_plan_cache
-        plans = []
-        for r in range(weight_rows.shape[0]):
-            row = weight_rows[r]
-            key = row.tobytes()
-            plan = plan_cache.get(key)
-            if plan is None:
-                nz = np.nonzero(row)[0]
-                canon = np.array(
-                    [int(w) % p for w in row[nz].tolist()], dtype=object
-                )
-                plan_cache[key] = plan = (nz, canon)
-            else:
-                report.row_plan_hits += 1
-            plans.append(plan)
-            report.total_rows += 1
-            if plan[0].size == 0:
-                report.zero_rows += 1
-        out_vars = []
-        work = 0
-        for d in range(op.num_dots):
-            r = int(op.row_of_dot[d])
-            nz, canon = plans[r]
-            report.weight_terms_total += n
-            report.zero_terms_elided += n - int(nz.size)
-            if nz.size:
-                positions = input_cols[nz, op.col_of_dot[d]]
-                valid = positions > 0
-                vars_d = x_vars[positions[valid] - 1].tolist()
-                coeffs = canon[valid].tolist()
-                terms = dict(zip(vars_d, coeffs))
-                if len(terms) != len(vars_d):
-                    # Upstream gadget sharing can map several taps onto one
-                    # variable; merge coefficients instead of overwriting.
-                    terms = {}
-                    for v, c in zip(vars_d, coeffs):
-                        merged = (terms.get(v, 0) + c) % p
-                        if merged:
-                            terms[v] = merged
-                        else:
-                            terms.pop(v, None)
-                work += int(nz.size)
-            else:
-                terms = {}
-            b = int(bias[r])
-            if b:
-                terms[0] = (terms.get(0, 0) + b) % p
-            lc = LinearCombination(cs.field, terms)
-            counter.lc_term += len(lc.terms)
-            out_vars.append(
-                emitter.commit_output(
-                    lc,
-                    int(acc_values[d]),
-                    op.requant,
-                    slot_bits,
-                    public=is_final,
-                    tag=op.name,
-                    index=d,
-                )
+        n = op.dot_length
+        if op.weights_private:
+            var_of = self._weight_vars(cs, op)  # (rows, n)
+            coeff_of = np.where(  # (n, cols); a padded tap reads zero
+                op.input_cols > 0, x_tensor.flat_values()[op.input_cols - 1], 0
             )
-        return out_vars, work
+        else:
+            var_of = np.where(  # (n, cols)
+                op.input_cols > 0, x_tensor.flat_vars()[op.input_cols - 1], _PAD
+            )
+            coeff_of = op.weight_rows  # (rows, n)
+        dtype = np.result_type(coeff_of, op.bias)
+        magnitude = max(
+            max(abs(int(a.min())), abs(int(a.max())))
+            for a in (coeff_of, op.bias)
+        )
+        if dtype != object and magnitude * (n + 1) >= 1 << 62:
+            dtype = object  # merged duplicates could leave int64: go exact
+        work = op.num_dots * n
+        report = self._sparsity
+        if report is not None and report.enabled:
+            nonzeros = np.count_nonzero(op.weight_rows, axis=1)
+            work = int(nonzeros[op.row_of_dot].sum())
+            report.weight_terms_total += op.num_dots * n
+            report.zero_terms_elided += op.num_dots * n - work
+            report.total_rows += nonzeros.size
+            report.zero_rows += int(np.count_nonzero(nonzeros == 0))
+            for row in op.weight_rows:
+                content = row.tobytes()
+                report.row_plan_hits += content in self._distinct_rows
+                self._distinct_rows.add(content)
+
+        # Runs of whole knit rows, so no row is split between two runs.
+        per_row = (
+            emitter.knit.capacity(identity_bits(slot_bits, op.requant))
+            if emitter.knit is not None and not is_final else 1
+        )
+        step = max(1, _CHUNK_ENTRIES // ((n + 1) * per_row)) * per_row
+        out_vars = []
+        for d0 in range(0, op.num_dots, step):
+            rows_d = op.row_of_dot[d0:d0 + step]
+            cols_d = op.col_of_dot[d0:d0 + step]
+            variables = np.zeros((rows_d.size, n + 1), dtype=np.int64)
+            coeffs = np.empty((rows_d.size, n + 1), dtype=dtype)
+            coeffs[:, 0] = op.bias[rows_d]  # column 0: the constant ONE
+            if op.weights_private:
+                variables[:, 1:] = var_of[rows_d]
+                coeffs[:, 1:] = coeff_of[:, cols_d].T
+            else:
+                variables[:, 1:] = var_of[:, cols_d].T
+                coeffs[:, 1:] = coeff_of[rows_d]
+            live = (coeffs != 0) & (variables != _PAD)
+            dots = np.nonzero(live)[0]
+            variables, coeffs = variables[live], coeffs[live]
+            dots, variables, coeffs = _merge_repeated(dots, variables, coeffs)
+            global_counter().lc_term += int(dots.size)
+            out_vars.append(emitter.commit_outputs(
+                dots, variables, coeffs, op.acc_values[d0:d0 + step],
+                op.requant, slot_bits, public=is_final, tag=op.name,
+                first_index=d0,
+            ))
+        return np.concatenate(out_vars), work
 
     def _dot_baseline(self, cs, emitter, circuit, op, x_tensor, slot_bits, is_final):
         """Baseline circuit computation: left-deep binary-add expansion.
@@ -600,48 +578,6 @@ class CircuitComputer:
                 emitter.commit_output(
                     lc,
                     int(acc_values[d]),
-                    op.requant,
-                    slot_bits,
-                    public=is_final,
-                    tag=op.name,
-                    index=d,
-                )
-            )
-        return out_vars, work
-
-    def _dot_private_weights(self, cs, emitter, op, x_tensor, slot_bits, is_final):
-        """Private weights, public features: Eq. 3 with roles swapped.
-
-        Feature values become the public coefficients; weight variables are
-        allocated once per layer and shared across all dots that reuse the
-        same weight row (conv weight sharing).
-        """
-        w_vars = self._weight_vars(cs, op)
-        x_values = x_tensor.flat_values()
-        out_vars = []
-        work = 0
-        counter = global_counter()
-        for d in range(op.num_dots):
-            r = int(op.row_of_dot[d])
-            positions = op.input_cols[:, op.col_of_dot[d]]
-            row_vars = w_vars[r]
-            valid = positions > 0
-            x_d = x_values[positions[valid] - 1]
-            nonzero = x_d != 0
-            # Distinct weight variables per tap: a straight zip suffices.
-            terms = dict(
-                zip(row_vars[valid][nonzero].tolist(), x_d[nonzero].tolist())
-            )
-            b = int(op.bias[r])
-            if b:
-                terms[0] = terms.get(0, 0) + b
-            lc = LinearCombination(cs.field, terms)
-            counter.lc_term += len(lc.terms)
-            work += len(positions)
-            out_vars.append(
-                emitter.commit_output(
-                    lc,
-                    int(op.acc_values[d]),
                     op.requant,
                     slot_bits,
                     public=is_final,
@@ -702,15 +638,15 @@ class CircuitComputer:
         cached = self._weight_var_cache.get(op.name)
         if cached is not None:
             return cached
-        rows, n = op.weight_rows.shape
-        flat = op.weight_rows.reshape(-1)
-        w_vars = np.empty(flat.size, dtype=np.int64)
-        for j, v in enumerate(flat):
-            var = cs.new_private(int(v))
-            w_vars[j] = var
-            if self._recipe is not None:
-                self._recipe.append((var, ("const", int(v))))
-        w_vars = w_vars.reshape(rows, n)
+        flat = op.weight_rows.reshape(-1).tolist()
+        first = cs.allocate(flat)
+        if self._recipe is not None:
+            self._recipe.extend(
+                (first + j, ("const", v)) for j, v in enumerate(flat)
+            )
+        w_vars = np.arange(first, first + len(flat)).reshape(
+            op.weight_rows.shape
+        )
         self._weight_var_cache[op.name] = w_vars
         return w_vars
 

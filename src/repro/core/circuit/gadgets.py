@@ -28,8 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.privacy.knit import KnitPacker
-from repro.r1cs.lc import LinearCombination
+import numpy as np
+
+from repro.core.privacy.knit import KnitPacker, distinct_rows, pack_slots
+from repro.field.counters import global_counter
+from repro.r1cs.lc import LinearCombination, RowBlock
 from repro.r1cs.system import ConstraintSystem
 
 # Signed activations after requantization stay in [-255, 255] (calibrated);
@@ -55,6 +58,13 @@ class GadgetStats:
 # inputs) are all 1-3 terms, while full conv dots — which sort-key in
 # O(n log n) and essentially never collide — are skipped.
 _SHARE_MAX_TERMS = 4
+
+
+def identity_bits(slot_bits: int, shift: int) -> int:
+    """Honest-value bound of ``acc - out * 2^shift - rem``: the accumulator
+    LC (``slot_bits``), the shifted output (8 + ``shift`` bits), and the
+    remainder — the slot width its knit row needs."""
+    return max(slot_bits, 8 + shift) + 1
 
 
 class GadgetEmitter:
@@ -98,11 +108,25 @@ class GadgetEmitter:
     def boolean(self, value: int, tag: str = "bool") -> int:
         """Allocate a bit variable and enforce ``b * (b - 1) = 0``."""
         var = self.cs.new_private(value)
+        self._enforce_boolean(var, tag)
+        return var
+
+    def _enforce_boolean(self, var: int, tag: str) -> None:
         self.stats.committed_wires += 1
         lc = self.cs.lc_variable(var)
         self.cs.enforce(lc, lc - self.cs.lc_constant(1), self.cs.lc(), tag=tag)
         self.stats.range_constraints += 1
-        return var
+
+    def _range_check(self, out_var: int, bit_vars, tag: str) -> None:
+        """``sum_i 2^i * bit_i == out + 256``: with boolean bits, the
+        offset range proof covering [-255, 255]."""
+        cs = self.cs
+        recompose = cs.lc()
+        for i, bit_var in enumerate(bit_vars):
+            recompose.add_term(bit_var, 1 << i)
+        out_plus = cs.lc_variable(out_var) + cs.lc_constant(RANGE_OFFSET)
+        cs.enforce_equal(recompose, out_plus, tag=f"{tag}/range_eq")
+        self.stats.range_constraints += 1
 
     def decompose(
         self, value: int, bits: int, tag: str = "decomp"
@@ -178,25 +202,227 @@ class GadgetEmitter:
         if self.mode == "strict" and not public:
             # Offset range proof: out + 256 in [0, 1024) covers [-255, 255].
             shifted_out = out_value + RANGE_OFFSET
-            recompose = cs.lc()
+            bit_vars = []
             for i in range(RANGE_BITS):
                 bit_var = self.boolean((shifted_out >> i) & 1, tag=f"{tag}/range")
                 self._log(bit_var, ("out_bit", tag, index, shift, i))
-                recompose.add_term(bit_var, 1 << i)
-            out_plus = cs.lc_variable(out_var) + cs.lc_constant(RANGE_OFFSET)
-            cs.enforce_equal(recompose, out_plus, tag=f"{tag}/range_eq")
-            self.stats.range_constraints += 1
+                bit_vars.append(bit_var)
+            self._range_check(out_var, bit_vars, tag)
 
         if self.knit is not None and not public:
-            # Honest-value bound of expr: the accumulator LC (slot_bits),
-            # the shifted output (8 + shift bits), and the remainder.
-            self.knit.push(expr, max(slot_bits, 8 + shift) + 1)
+            self.knit.push(expr, identity_bits(slot_bits, shift))
         else:
             cs.enforce(expr, cs.lc_constant(1), cs.lc(), tag=f"{tag}/eq")
             self.stats.equality_constraints += 1
         if share_key is not None:
             self._commit_cache[share_key] = (out_var, acc_value)
         return out_var
+
+    def commit_outputs(
+        self,
+        exprs,
+        cols,
+        coeffs,
+        acc_values,
+        shift: int,
+        slot_bits: int,
+        public: bool = False,
+        tag: str = "out",
+        first_index: int = 0,
+    ):
+        """:meth:`commit_output` for a whole run of accumulators at once.
+
+        The accumulator LCs arrive as entry arrays: entry ``k`` is the term
+        ``coeffs[k] * var(cols[k])`` of accumulator ``exprs[k]``
+        (``len(acc_values)`` accumulators; entries sorted by accumulator, a
+        column at most once per accumulator, no zero coefficients, small
+        signed integers rather than field residues).  Output / remainder
+        (lean) or output / remainder-bit / range-bit (strict) variables are
+        allocated in bulk in :meth:`commit_output`'s interleaved order, the
+        identities ``acc - out * 2^shift - rem`` are packed — ``s`` per knit
+        row, or one each — by :func:`pack_slots`, and the rows are enforced
+        as one :class:`RowBlock`, strict-mode gadget constraints interleaved
+        where the per-accumulator calls would have put them.  Constraints,
+        variables, recipe entries, stats and op tallies equal those of one
+        :meth:`commit_output` call per accumulator, ``index`` running from
+        ``first_index``.  Returns the output variable indices (ndarray).
+        """
+        cs = self.cs
+        strict = self.mode == "strict"
+        acc_values = np.asarray(acc_values)
+        out_vars = np.zeros(acc_values.size, dtype=np.int64)
+        per_acc = np.bincount(exprs, minlength=acc_values.size)
+        leader = np.arange(acc_values.size)  # whose sub-circuit each one uses
+        fresh_keys = []  # (share key, accumulator that will emit it)
+        if self.share and not public:
+            fresh_keys = self._share_outputs(
+                cols, coeffs, per_acc, acc_values, (shift, slot_bits),
+                out_vars, leader, tag, first_index,
+            )
+        keep = (leader == np.arange(acc_values.size)) & (out_vars == 0)
+        if not keep.all():
+            kept = keep[exprs]
+            exprs = (np.cumsum(keep) - 1)[exprs[kept]]
+            cols, coeffs = cols[kept], coeffs[kept]
+        emit = np.flatnonzero(keep)  # accumulators that get a sub-circuit
+        count = emit.size
+        acc = acc_values[emit]
+        out_values = acc >> shift
+        rem_values = acc - (out_values << shift)
+
+        # Variables, in commit_output's interleaved order.  Per accumulator
+        # the private run is [out] (unless public) + its remainder wires —
+        # one ``rem`` (lean) or ``shift`` bits (strict) — + 10 range bits
+        # (strict, private outputs only).
+        rem_width = (shift if strict else 1) if shift else 0
+        range_width = RANGE_BITS if strict and not public else 0
+        bits = np.arange(max(shift, RANGE_BITS))
+        private = np.concatenate(
+            ([] if public else [out_values[:, None]]) + [
+                (rem_values[:, None] >> bits[:shift]) & 1 if strict
+                else rem_values[:, None][:, :rem_width],
+                ((out_values[:, None] + RANGE_OFFSET) >> bits[:range_width]) & 1,
+            ],
+            axis=1,
+        )
+        stride = private.shape[1]
+        first = cs.allocate(private.reshape(-1).tolist())
+        base = first + stride * np.arange(count)
+        if public:
+            emitted = cs.allocate(out_values.tolist(), public=True) - np.arange(
+                count
+            )
+            rem_base = base
+        else:
+            emitted = base
+            rem_base = base + 1
+        out_vars[emit] = emitted
+        out_vars = out_vars[leader]
+        for key, k in fresh_keys:
+            self._commit_cache[key] = (int(out_vars[k]), int(acc_values[k]))
+        if self.recipe is not None:
+            log = self.recipe.append
+            for k, out_var, at in zip(
+                emit.tolist(), emitted.tolist(), rem_base.tolist()
+            ):
+                index = first_index + k
+                log((out_var, ("out", tag, index, shift)))
+                if strict:
+                    for i in range(shift):
+                        log((at + i, ("rem_bit", tag, index, shift, i)))
+                    for i in range(range_width):
+                        log((at + shift + i, ("out_bit", tag, index, shift, i)))
+                elif shift:
+                    log((at, ("rem", tag, index, shift)))
+        if not public:
+            self.stats.committed_wires += count
+        if not strict:
+            self.stats.committed_wires += count * rem_width
+
+        # The identities' own terms: -2^shift * out, and -2^i * wire_i over
+        # the remainder wires (the lone lean ``rem`` is i = 0).
+        ranks = np.arange(count)
+        wires = np.arange(rem_width)
+        exprs = np.concatenate([exprs, ranks, np.repeat(ranks, rem_width)])
+        cols = np.concatenate(
+            [cols, emitted, (rem_base[:, None] + wires).reshape(-1)]
+        )
+        coeffs = np.concatenate(
+            [coeffs, np.full(count, -(1 << shift)), np.tile(-(1 << wires), count)]
+        )
+        global_counter().lc_term += count * (1 + rem_width)
+
+        if self.knit is not None and not public:
+            block, ends = self.knit.push_many(
+                exprs, cols, coeffs, count, identity_bits(slot_bits, shift)
+            )
+            row_tag = self.knit.row_tag
+        else:
+            block = RowBlock(*pack_slots(
+                exprs, cols, np.zeros_like(exprs), coeffs, count, 63,
+                cs.field.modulus,
+            ))
+            ends = ranks
+            row_tag = f"{tag}/eq"
+            self.stats.equality_constraints += count
+        if not strict:
+            cs.enforce_rows(block, row_tag)
+            return out_vars
+        row = 0
+        ends = ends.tolist()
+        for k, (out_var, at) in enumerate(
+            zip(emitted.tolist(), rem_base.tolist())
+        ):
+            for i in range(shift):
+                self._enforce_boolean(at + i, f"{tag}/rem")
+            if range_width:
+                range_bits = range(at + shift, at + shift + range_width)
+                for bit_var in range_bits:
+                    self._enforce_boolean(bit_var, f"{tag}/range")
+                self._range_check(out_var, range_bits, tag)
+            while row < len(ends) and ends[row] == k:
+                cs.enforce_rows(block, row_tag, row, row + 1)
+                row += 1
+        return out_vars
+
+    def _share_outputs(
+        self, cols, coeffs, per_acc, acc_values, bounds, out_vars, leader,
+        tag, first_index,
+    ) -> list:
+        """Value-number a run of accumulators (``share=True``).
+
+        Accumulators of at most ``_SHARE_MAX_TERMS`` terms are grouped by
+        content with array operations; only one representative per
+        distinct LC builds the ``_commit_cache`` key :meth:`commit_output`
+        uses.  A group whose key is cached gets the cached variable
+        (written to ``out_vars``); otherwise its first member emits and
+        the rest follow it (``leader``).  Returns the ``(key, accumulator)``
+        pairs to register once the emitting variables are allocated.
+        """
+        small = np.flatnonzero(per_acc <= _SHARE_MAX_TERMS)
+        if not small.size:
+            return []
+        starts = (np.cumsum(per_acc) - per_acc)[small]
+        sizes = per_acc[small]
+        content = np.zeros(
+            (small.size, 2 * _SHARE_MAX_TERMS),
+            dtype=object if coeffs.dtype == object else np.int64,
+        )
+        for t in range(_SHARE_MAX_TERMS):
+            has = sizes > t
+            content[has, 2 * t] = cols[starts[has] + t]
+            content[has, 2 * t + 1] = coeffs[starts[has] + t]
+        if content.dtype == object:  # out-of-lane coefficients: no grouping
+            pick = inverse = np.arange(small.size)
+        else:
+            pick, inverse = distinct_rows(content)
+        p = self.cs.field.modulus
+        cached_var = np.zeros(pick.size, dtype=np.int64)
+        expected = acc_values[small[pick]]  # per group: the value to match
+        fresh_keys = []
+        for g, first in enumerate(pick.tolist()):
+            row = content[first, : 2 * int(sizes[first])].tolist()
+            key = (
+                tuple(sorted(zip(row[::2], [c % p for c in row[1::2]]))),
+                *bounds,
+            )
+            cached = self._commit_cache.get(key)
+            if cached is None:
+                fresh_keys.append((key, int(small[first])))
+            else:
+                cached_var[g], expected[g] = cached
+        differs = np.flatnonzero(expected[inverse] != acc_values[small])
+        if differs.size:
+            k = differs[0]
+            raise ValueError(
+                f"shared output {tag}[{first_index + small[k]}]: identical "
+                f"LC with diverging witness values {expected[inverse[k]]} "
+                f"!= {acc_values[small[k]]}"
+            )
+        out_vars[small] = cached_var[inverse]
+        leader[small] = small[pick][inverse]
+        self.stats.shared_outputs += small.size - len(fresh_keys)
+        return fresh_keys
 
     # -- ReLU -----------------------------------------------------------------------------
 

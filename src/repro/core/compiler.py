@@ -93,10 +93,10 @@ class CompilerOptions:
     # Transformer LUT/LayerNorm/embedding layers honor the same knob.
     relu_mode: str = "bits"
     record_recipe: bool = False
-    # Sparsity-aware compilation (public weights only): elide zero-weight
-    # terms via shared per-row plans and — with sparse_share — deduplicate
-    # structurally identical gadget emissions (pruned filter rows collapse
-    # to one sub-circuit).  See ComputeOptions.sparse.
+    # Sparsity-aware compilation (public weights only): account the
+    # zero-weight terms the lowering masks out and — with sparse_share —
+    # deduplicate structurally identical gadget emissions (pruned filter
+    # rows collapse to one sub-circuit).  See ComputeOptions.sparse.
     sparse: bool = False
     sparse_share: bool = True
     # Post-compile soundness audit (repro.analysis): "off", "report"

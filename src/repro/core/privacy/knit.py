@@ -21,18 +21,36 @@ expressions may include requantization remainders, see
 Applicability: only when exactly one of weights/features is private
 (Table 2) — with both private the per-term products are already wires and
 the packing argument gives no constraint saving.
+
+The arithmetic lives in one place, :func:`pack_slots`, which packs any
+number of rows at once.  Whole dot layers arrive as integer arrays of
+small signed coefficients and are packed with NumPy (the *digit lane*);
+one-at-a-time callers (:meth:`KnitPacker.push`) and coefficients outside
+that lane are packed with Python integers (the *exact lane*).  Both give
+the same canonical field coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.field.counters import global_counter
-from repro.r1cs.lc import LinearCombination
+from repro.r1cs.lc import LinearCombination, RowBlock
 from repro.r1cs.system import ConstraintSystem
 
 _SAFETY_BITS = 2
+_WORDS = 4  # 64-bit limbs of one packed coefficient in the digit lane
+_WORD_MASK = (1 << 64) - 1
+
+# Multipliers of the row hash in :func:`distinct_rows`: one pseudo-random
+# odd 64-bit value per column (a packed row never has more slots than
+# field bits / _SAFETY_BITS).  Any fixed values do: groups are checked.
+_HASH_WEIGHTS = np.random.default_rng(0).integers(
+    1 << 63, size=128, dtype=np.uint64
+) * np.uint64(2) + np.uint64(1)
 
 
 def expression_bits(dot_length: int, b_in: int = 8) -> int:
@@ -53,14 +71,203 @@ def knit_batch_size(
     return max(1, b_out // per_slot)
 
 
+def pack_slots(
+    rows, cols, slots, coeffs, num_rows: int, slot_bits: int, modulus: int,
+    cache=None,
+) -> Tuple[List[int], object, List[int]]:
+    """Knit-pack expressions into rows: ``sum_j 2^(slot_bits*j) * expr_j``.
+
+    Entry ``k`` is the term ``coeffs[k] * var(cols[k])`` of the expression
+    sitting in slot ``slots[k]`` of packed row ``rows[k]``; an expression
+    lists a column at most once.  Returns the rows in CSR form
+    ``(indptr, cols, coeffs)``: entries merged per (row, column) with
+    canonical coefficients mod ``modulus``, zero coefficients dropped.
+
+    *Digit lane* — integer ndarrays whose coefficients fit half a slot
+    and whose slots fit the field: entries are grouped with one stable
+    argsort, each surviving entry's per-slot coefficients form a row of
+    small signed *slot digits*, the digits are packed into four ``uint64``
+    limbs with shifts, and one ``int.from_bytes`` per entry — with the
+    §6.1 ``cache`` attached, per *distinct* digit vector (``cache.hits`` /
+    ``misses`` count entries served from / added to that table) — builds
+    the field element.  *Exact lane* — everything else (Python lists,
+    coefficients of any size): the same sum in Python integers, products
+    served by the cache's per-slot tables.  Nothing wraps in either lane.
+    """
+    if not len(coeffs):
+        return [0] * (num_rows + 1), cols, []
+    if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "i":
+        n_slots = int(slots.max()) + 1
+        half = 1 << (slot_bits - 1)
+        lo = int(cols.min())
+        span = int(cols.max()) - lo + 1
+        if (
+            n_slots * slot_bits <= modulus.bit_length() <= 64 * _WORDS
+            and slot_bits < 64
+            and -half < int(coeffs.min()) and int(coeffs.max()) < half
+            and num_rows * span < 1 << 62
+        ):
+            key = rows * span + (cols - lo)
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            head = np.concatenate(([True], key[1:] != key[:-1]))
+            first = np.flatnonzero(head)
+            digits = np.zeros(first.size * n_slots, dtype=np.int64)
+            digits[
+                (np.cumsum(head) - 1) * n_slots + slots[order]
+            ] = coeffs[order]
+            digits = digits.reshape(first.size, n_slots)
+            out_rows, out_cols = np.divmod(key[first], span)
+            out_cols += lo
+            indptr = np.searchsorted(out_rows, np.arange(num_rows + 1))
+            if cache is None and n_slots > 1:
+                values = _digit_values(digits, slot_bits, modulus)
+            else:
+                # Build each distinct digit vector's field element once.
+                # A lone slot carries the coefficient itself (no product,
+                # nothing for the cache to count): each distinct value is
+                # made canonical once, cache or no cache.
+                pick, inverse = distinct_rows(digits)
+                if n_slots > 1:
+                    cache.record(
+                        hits=inverse.size - pick.size, misses=pick.size
+                    )
+                values = np.array(
+                    _digit_values(digits[pick], slot_bits, modulus),
+                    dtype=object,
+                )[inverse].tolist()
+            return indptr.tolist(), out_cols, values
+    merged: dict = {}
+    hits = misses = 0
+    table, table_slot = None, 0
+    for row, col, slot, coeff in zip(
+        _as_list(rows), _as_list(cols), _as_list(slots), _as_list(coeffs)
+    ):
+        if not slot:
+            value = coeff
+        elif cache is None:
+            value = coeff << (slot_bits * slot)
+        else:
+            # One product table per (slot, slot width): the right operand
+            # 2^(slot_bits*slot) is fixed, so the pair key collapses to the
+            # coefficient — "at most 256 values for uint8" (§6.1).
+            if slot != table_slot:
+                table, table_slot = cache.table_for((slot, slot_bits)), slot
+            value = table.get(coeff)
+            if value is None:
+                value = table[coeff] = (coeff << (slot_bits * slot)) % modulus
+                misses += 1
+            else:
+                hits += 1
+        where = (row, col)
+        merged[where] = merged.get(where, 0) + value
+    if cache is not None:
+        cache.record(hits=hits, misses=misses)
+    indptr = [0] * (num_rows + 1)
+    out_cols: List[int] = []
+    values = []
+    # Stable by row: within a row, columns keep first-occurrence order.
+    for (row, col), value in sorted(merged.items(), key=lambda kv: kv[0][0]):
+        value %= modulus
+        if value:
+            indptr[row + 1] += 1
+            out_cols.append(col)
+            values.append(value)
+    for row in range(num_rows):
+        indptr[row + 1] += indptr[row]
+    return indptr, out_cols, values
+
+
+def _as_list(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def distinct_rows(rows) -> Tuple[object, object]:
+    """``(pick, inverse)`` with ``rows[pick][inverse] == rows`` for a
+    non-empty C-contiguous int64 matrix; ``pick`` holds first occurrences.
+
+    A single column whose value range is no larger than the column itself
+    addresses a table directly.  Otherwise rows are grouped by a 64-bit
+    multiply-add hash (one argsort of a 1-D array instead of a
+    lexicographic sort of the matrix) and the grouping is then *checked*
+    against the rows themselves; on a hash collision every row is simply
+    kept as its own group.
+    """
+    count, width = rows.shape
+    if width == 1 and int(rows.max()) - int(rows.min()) < count:
+        index = rows[:, 0] - rows.min()
+        seen = np.zeros(count, dtype=bool)
+        seen[index] = True
+        inverse = (np.cumsum(seen) - 1)[index]
+        groups = int(np.count_nonzero(seen))
+    else:
+        hashed = rows.view(np.uint64) @ _HASH_WEIGHTS[:width]  # mod 2^64
+        order = np.argsort(hashed)
+        hashed = hashed[order]
+        head = np.concatenate(([True], hashed[1:] != hashed[:-1]))
+        inverse = np.empty(count, dtype=np.intp)
+        inverse[order] = np.cumsum(head) - 1
+        groups = int(np.count_nonzero(head))
+    pick = np.empty(groups, dtype=np.intp)
+    pick[inverse[::-1]] = np.arange(count)[::-1]  # first occurrence wins
+    if not np.array_equal(rows[pick][inverse], rows):
+        pick = inverse = np.arange(count)
+    return pick, inverse
+
+
+def _digit_values(digits, slot_bits: int, modulus: int) -> List[int]:
+    """``sum_j digits[:, j] * 2^(slot_bits*j) mod p`` as canonical ints.
+
+    Each signed digit is biased by ``2^(slot_bits-1)`` into its own
+    non-overlapping bit field, so the limbs form by shift-and-or with no
+    carries; the bias total is then subtracted and ``p`` added back where
+    the result went negative (``|sum| < 2^(bits-1) <= p``, so once is
+    enough) — both with explicit borrow/carry across the four limbs.
+    """
+    count, n_slots = digits.shape
+    half = 1 << (slot_bits - 1)
+    fields = (digits + half).astype(np.uint64)
+    limbs = np.zeros((_WORDS, count), dtype="<u8")
+    for slot in range(n_slots):
+        word, bit = divmod(slot_bits * slot, 64)
+        limbs[word] |= fields[:, slot] << np.uint64(bit)
+        if bit + slot_bits > 64:
+            limbs[word + 1] |= fields[:, slot] >> np.uint64(64 - bit)
+    offset = sum(half << (slot_bits * slot) for slot in range(n_slots))
+    borrow = np.zeros(count, dtype=np.uint64)
+    for word in range(_WORDS):
+        sub = np.uint64((offset >> (64 * word)) & _WORD_MASK)
+        under = limbs[word] < sub
+        partial = limbs[word] - sub
+        under |= partial < borrow
+        limbs[word] = partial - borrow
+        borrow = under.astype(np.uint64)
+    negative, carry = borrow, np.zeros(count, dtype=np.uint64)
+    for word in range(_WORDS):
+        add = negative * np.uint64((modulus >> (64 * word)) & _WORD_MASK)
+        partial = limbs[word] + add
+        over = partial < add
+        limbs[word] = partial + carry
+        over |= limbs[word] < carry
+        carry = over.astype(np.uint64)
+    blob = limbs.T.tobytes()
+    stride = 8 * _WORDS
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(blob[at:at + stride], "little")
+        for at in range(0, count * stride, stride)
+    ]
+
+
 class KnitPacker:
     """Accumulates zero-expressions and flushes packed equality constraints.
 
     Usage: for each dot product, build ``expr = LC(acc) - ref_terms`` (which
     an honest prover makes exactly zero) and call :meth:`push` with the bit
-    bound of its honest-value range.  The packer multiplies each expression
-    by the running ``delta^j`` (public scalars — free) and emits one
-    constraint per ``s`` expressions.  Expressions from layers with
+    bound of its honest-value range — or hand a whole layer's expressions
+    to :meth:`push_many` as entry arrays.  Either way expression ``j`` of a
+    row is scaled by ``delta^j`` (public scalars — free) and one constraint
+    is emitted per ``s`` expressions.  Expressions from layers with
     different bounds are never mixed (a flush happens on bound change), so
     the non-overlap argument stays per-constraint.
     """
@@ -78,10 +285,11 @@ class KnitPacker:
         self.field_bits = field_bits
         self.cache = cache  # optional frequency CacheService for coeff muls
         self.tag = tag
-        self._pending: Optional[LinearCombination] = None
-        self._count = 0
         self._slot_bits = 0
-        self._delta_power = 1
+        self._count = 0  # expressions in the open row ...
+        self._cols: list = []  # ... and their entries
+        self._slots: list = []
+        self._coeffs: list = []
         self.constraints_emitted = 0
         self.expressions_packed = 0
 
@@ -92,78 +300,111 @@ class KnitPacker:
             return max(1, self.forced_batch)
         return max(1, self.field_bits // slot_bits)
 
+    def capacity(self, slot_bits: int) -> int:
+        """Expressions per packed row at this (pre-margin) slot width."""
+        return self._capacity(slot_bits + _SAFETY_BITS)
+
+    def _open(self, slot_bits: int) -> int:
+        """Start (or continue) packing at this slot width; returns it with
+        the safety margin added."""
+        slot_bits = slot_bits + _SAFETY_BITS
+        if self._count and slot_bits != self._slot_bits:
+            self.flush()
+        self._slot_bits = slot_bits
+        return slot_bits
+
+    @staticmethod
+    def _tally(terms: int) -> None:
+        """Folding ``delta^j * expr`` into an open row is the encoding's
+        only arithmetic: one public-coefficient multiplication and one
+        "free" addition per term."""
+        counter = global_counter()
+        counter.lc_term += terms
+        counter.field_add += terms
+        counter.field_mul += terms
+
     # -- public API ------------------------------------------------------------
 
-    def push(self, expr: LinearCombination, slot_bits: int) -> None:
-        """Add one zero-expression bounded by ``slot_bits`` bits.
+    @property
+    def row_tag(self) -> str:
+        return f"{self.tag}/knit"
 
-        Folding ``delta^j * expr`` into the pending LC is the knit
-        encoding's only arithmetic: public-coefficient multiplications
-        (served by the frequency cache when one is attached) and "free"
-        additions.
-        """
-        slot_bits = slot_bits + _SAFETY_BITS
-        if self._pending is not None and slot_bits != self._slot_bits:
-            self.flush()
-        if self._pending is None:
-            self._pending = expr.copy()
-            self._slot_bits = slot_bits
-            self._count = 1
-            self._delta_power = 1
-        else:
-            field = self.cs.field
-            p = field.modulus
-            self._delta_power = (self._delta_power << self._slot_bits) % p
-            factor = self._delta_power
-            pending = self._pending.terms
-            cache = self.cache
-            n = len(expr.terms)
-            if cache is not None:
-                # One product table per (delta power, slot width): within a
-                # push the right operand is fixed, so the pair key collapses
-                # to the weight coefficient alone.  The table stays tiny —
-                # "there are at most 256 values for uint8" (§6.1).
-                table = cache.table_for((self._count, self._slot_bits))
-                before = len(table)
-                table_get = table.get
-                for index, coeff in expr.terms.items():
-                    product = table_get(coeff)
-                    if product is None:
-                        product = coeff * factor % p
-                        table[coeff] = product
-                    merged = (pending.get(index, 0) + product) % p
-                    if merged:
-                        pending[index] = merged
-                    else:
-                        pending.pop(index, None)
-                added = len(table) - before
-                cache.record(hits=n - added, misses=added)
-            else:
-                for index, coeff in expr.terms.items():
-                    merged = (pending.get(index, 0) + coeff * factor) % p
-                    if merged:
-                        pending[index] = merged
-                    else:
-                        pending.pop(index, None)
-            counter = global_counter()
-            counter.lc_term += n
-            counter.field_add += n
-            counter.field_mul += n
-            self._count += 1
+    def push(self, expr: LinearCombination, slot_bits: int) -> None:
+        """Add one zero-expression bounded by ``slot_bits`` bits."""
+        slot_bits = self._open(slot_bits)
+        terms = expr.terms
+        self._cols.extend(terms.keys())
+        self._coeffs.extend(terms.values())
+        self._slots.extend([self._count] * len(terms))
+        if self._count:
+            self._tally(len(terms))
+        self._count += 1
         self.expressions_packed += 1
         if self._count >= self._capacity(slot_bits):
             self.flush()
 
+    def push_many(
+        self, exprs, cols, coeffs, count: int, slot_bits: int
+    ) -> Tuple[RowBlock, object]:
+        """Push ``count`` expressions at once, as entry arrays.
+
+        Entry ``k`` is the term ``coeffs[k] * var(cols[k])`` of expression
+        ``exprs[k]`` (``0 <= exprs[k] < count``).  Row membership, slot
+        order and tallies are exactly those of ``count`` :meth:`push`
+        calls.  Returns ``(block, ends)``: the rows these expressions
+        completed and, per row, the index of the expression that completed
+        it — the caller enforces them under :attr:`row_tag` (it may have
+        per-expression constraints to interleave).  An incomplete last row
+        stays open for the next push or :meth:`flush`.
+        """
+        slot_bits = self._open(slot_bits)
+        capacity = self._capacity(slot_bits)
+        opened = self._count
+        rows, slots = np.divmod(exprs + opened, capacity)
+        per_expr = np.bincount(exprs, minlength=count)
+        self._tally(
+            int(per_expr[(np.arange(count) + opened) % capacity != 0].sum())
+        )
+        full, self._count = divmod(opened + count, capacity)
+        parts = [rows, cols, slots, coeffs]
+        if self._count:  # the trailing expressions stay open
+            closed = rows < full
+            parts = [part[closed] for part in parts]
+        if full and self._cols:  # entries already held belong to row 0
+            held = [0] * len(self._cols), self._cols, self._slots, self._coeffs
+            parts = [
+                np.concatenate([np.array(h), part])
+                for h, part in zip(held, parts)
+            ]
+            self._cols, self._slots, self._coeffs = [], [], []
+        block = RowBlock(*pack_slots(
+            *parts, full, slot_bits, self.cs.field.modulus, self.cache
+        ))
+        if self._count:
+            self._cols.extend(cols[~closed].tolist())
+            self._slots.extend(slots[~closed].tolist())
+            self._coeffs.extend(coeffs[~closed].tolist())
+        self.expressions_packed += count
+        self.constraints_emitted += full
+        ends = np.arange(1, full + 1) * capacity - 1 - opened
+        return block, ends
+
     def flush(self) -> None:
-        """Emit the pending packed constraint, if any."""
-        if self._pending is None:
+        """Emit the open packed constraint, if any."""
+        if not self._count:
             return
-        one = self.cs.lc_constant(1)
-        zero = self.cs.lc()
-        self.cs.enforce(self._pending, one, zero, tag=f"{self.tag}/knit")
+        cs = self.cs
+        _, cols, coeffs = pack_slots(
+            [0] * len(self._cols), self._cols, self._slots, self._coeffs,
+            1, self._slot_bits, cs.field.modulus, self.cache,
+        )
+        cs.enforce(
+            LinearCombination(cs.field, dict(zip(cols, coeffs))),
+            cs.lc_constant(1), cs.lc(), tag=self.row_tag,
+        )
         self.constraints_emitted += 1
-        self._pending = None
         self._count = 0
+        self._cols, self._slots, self._coeffs = [], [], []
 
     # -- reporting ----------------------------------------------------------------
 

@@ -15,6 +15,13 @@ The paper's two-phase design is reproduced:
 * **online** — during circuit computation, look pairs up before computing.
 
 Only public data is ever cached (no timing side channel on secrets).
+
+Whole dot layers are knit-packed as arrays
+(:func:`repro.core.privacy.knit.pack_slots`), where the cached unit is a
+packed coefficient's whole *slot-digit vector*: each distinct vector's
+λ-bit value is built once per run of rows and :meth:`CacheService.record`
+receives the tallies (``hits`` = entries served from that table).  The
+one-at-a-time path still probes :meth:`CacheService.table_for` per product.
 """
 
 from __future__ import annotations

@@ -31,6 +31,10 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.r1cs.lc import RowView
+
 # Monotone stamp identifying one (structure, assignment) snapshot state.
 # The parallel executor keys its worker pool on it: same stamp means the
 # workers' copy is still current; a new stamp (fresh structure or a
@@ -109,20 +113,44 @@ def build_csr_structure(constraints, num_public: int, num_private: int,
                         modulus: int) -> CSRSystem:
     """Build the (assignment-free) CSR structure from constraint LCs.
 
-    Terms are copied exactly as stored in each LC — no filtering or
+    Terms are copied exactly as stored — no filtering or
     re-canonicalization — so CSR evaluation performs precisely the same
-    coefficient products the legacy per-LC path does, keeping the op-count
-    parity the regression tests pin down.
+    coefficient products a per-LC walk would, keeping the op-count parity
+    the regression tests pin down.  A side that is still an unread
+    :class:`~repro.r1cs.lc.RowView` is copied as two slices of its
+    :class:`~repro.r1cs.lc.RowBlock` (whose variables are mapped to dense
+    positions once per block, vectorized); only dict LCs are walked.
     """
+    positions = {}  # id(block) -> dense column positions of its variables
+
+    def block_positions(block) -> List[int]:
+        found = positions.get(id(block))
+        if found is None:
+            v = block.variables
+            found = positions[id(block)] = np.where(
+                v > 0, v + num_public, -v
+            ).tolist()
+        return found
+
     mats = []
-    for side in ("a", "b", "c"):
+    for side in map(operator.attrgetter, ("a", "b", "c")):
         indptr = [0]
         indices: List[int] = []
         coeffs: List[int] = []
-        for constraint in constraints:
-            for index, coeff in getattr(constraint, side).terms.items():
-                indices.append(dense_position(index, num_public))
-                coeffs.append(coeff)
+        for lc in map(side, constraints):
+            block = lc.block if lc.__class__ is RowView else None
+            if block is not None:
+                lo, hi = block.indptr[lc.row], block.indptr[lc.row + 1]
+                indices.extend(block_positions(block)[lo:hi])
+                coeffs.extend(block.coeffs[lo:hi])
+            else:
+                terms = lc.terms
+                if terms:
+                    for index in terms:
+                        indices.append(
+                            index + num_public if index > 0 else -index
+                        )
+                    coeffs.extend(terms.values())
             indptr.append(len(indices))
         mats.append(CSRMatrix(indptr, indices, coeffs))
     return CSRSystem(mats[0], mats[1], mats[2], num_public, num_private,

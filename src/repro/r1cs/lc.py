@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, Tuple
 
+import numpy as np
+
 from repro.field.counters import global_counter
 from repro.field.fp import Field
 
@@ -167,6 +169,67 @@ class LinearCombination:
             )
             parts.append(f"{coeff}*{name}")
         return "LC(" + " + ".join(parts) + ")"
+
+
+class RowBlock:
+    """CSR storage for a run of constraint rows lowered a layer at a time.
+
+    ``variables[indptr[i]:indptr[i + 1]]`` are row ``i``'s signed variable
+    indices (an integer ndarray) and ``coeffs`` the aligned canonical
+    field coefficients (ints) — the arrays the prover wants, written once
+    by the whole-layer lowering
+    (:func:`repro.core.privacy.knit.pack_slots`) and copied slice-wise
+    into the CSR snapshot by :func:`repro.r1cs.csr.build_csr_structure`.
+    The coefficients are kept in a tuple: a tuple of ints is dropped from
+    the cyclic collector's books after its first pass (as the ``{int:
+    int}`` dicts of ordinary LCs never enter them), where a list of a
+    million coefficients would be walked by every full collection.
+    """
+
+    __slots__ = ("indptr", "variables", "coeffs")
+
+    def __init__(self, indptr: list, variables, coeffs) -> None:
+        self.indptr = indptr
+        self.variables = np.asarray(variables, dtype=np.int64)
+        self.coeffs = tuple(coeffs)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.indptr) - 1
+
+
+class RowView(LinearCombination):
+    """One :class:`RowBlock` row, read through the LC interface.
+
+    The ``terms`` dict is built on first read (the slot is simply unset
+    until then, so :meth:`__getattr__` runs exactly once); from that point
+    on the view *is* a plain dict LC — ``block`` is dropped, mutations go
+    to the dict, and the CSR builder walks it like any other LC.  The
+    proving path checks ``block`` first and never triggers the read.
+    """
+
+    __slots__ = ("block", "row")
+
+    def __init__(self, field: Field, block: RowBlock, row: int) -> None:
+        self.field = field
+        self.block = block
+        self.row = row
+
+    def __getattr__(self, name: str):
+        if name != "terms":
+            raise AttributeError(name)
+        block, row = self.block, self.row
+        lo, hi = block.indptr[row], block.indptr[row + 1]
+        terms = dict(zip(block.variables[lo:hi].tolist(), block.coeffs[lo:hi]))
+        self.terms = terms
+        self.block = None
+        return terms
+
+    def __len__(self) -> int:
+        block = self.block
+        if block is None:
+            return len(self.terms)
+        return block.indptr[self.row + 1] - block.indptr[self.row]
 
 
 class Assignment:

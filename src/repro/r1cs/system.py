@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.field.fp import BN254_FR, Field
 from repro.r1cs.constraint import Constraint
-from repro.r1cs.lc import ONE, Assignment, LinearCombination
+from repro.r1cs.lc import (
+    ONE,
+    Assignment,
+    LinearCombination,
+    RowBlock,
+    RowView,
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,24 @@ class ConstraintSystem:
         self._dense_cache = None
         return len(self._private_values)
 
+    def allocate(self, values: Iterable[int], public: bool = False) -> int:
+        """Allocate one variable per value in bulk; returns the first index.
+
+        The variables are consecutive in their namespace: private indices
+        ``first, first + 1, ...``, public ones ``first, first - 1, ...`` —
+        exactly what the same sequence of :meth:`new_private` /
+        :meth:`new_public` calls would have returned.
+        """
+        p = self.field.modulus
+        store = self._public_values if public else self._private_values
+        before = len(store)
+        store.extend([v % p for v in values])
+        self._dense_cache = None
+        if public:
+            self._csr_cache = None  # public count shifts every private position
+            return -(before + 1)
+        return before + 1
+
     def assign(self, index: int, value: int) -> None:
         """(Re)assign a variable — used when sharing a system across images."""
         value %= self.field.modulus
@@ -111,6 +135,34 @@ class ConstraintSystem:
     ) -> None:
         """Add the constraint ``a * b = c``."""
         self.constraints.append(Constraint(a, b, c, tag=tag))
+        self._csr_cache = None
+        self._layer_index = None
+
+    def enforce_rows(
+        self,
+        block: RowBlock,
+        tag: str = "",
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> None:
+        """Add ``row * 1 = 0`` for rows ``[start, stop)`` of ``block``.
+
+        Each row lands in :attr:`constraints` as an ordinary
+        :class:`Constraint` whose A side is a :class:`RowView`: readers of
+        ``.a.terms`` get a dict (built on first read), while
+        :meth:`to_csr` copies the block's slices without ever building it.
+        """
+        field = self.field
+        stop = block.num_rows if stop is None else stop
+        self.constraints.extend(
+            Constraint(
+                RowView(field, block, row),
+                LinearCombination(field, {ONE: 1}),
+                LinearCombination(field),
+                tag=tag,
+            )
+            for row in range(start, stop)
+        )
         self._csr_cache = None
         self._layer_index = None
 

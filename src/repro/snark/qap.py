@@ -565,26 +565,24 @@ def qap_evaluations_at(
 ) -> Tuple[List[int], List[int], List[int]]:
     """Per-variable ``(A_i(tau), B_i(tau), C_i(tau))`` in variable order.
 
-    Used by the (trapdoor-simulated) trusted setup: iterate the sparse
-    constraint matrices once, accumulating ``a_{j,i} * L_j(tau)``.
+    Used by the (trapdoor-simulated) trusted setup: sweep the sparse
+    constraint matrices once, accumulating ``a_{j,i} * L_j(tau)``.  Runs
+    over the CSR snapshot, whose columns are already variable-order
+    positions, so block-lowered rows are never expanded into dicts.
     """
     p = domain.field.modulus
     lagrange = domain.lagrange_at(tau)
-    order = variable_order(cs)
-    position: Dict[int, int] = {v: k for k, v in enumerate(order)}
-    n = len(order)
-    a_at = [0] * n
-    b_at = [0] * n
-    c_at = [0] * n
-    for j, constraint in enumerate(cs.constraints):
-        lj = lagrange[j]
-        for index, coeff in constraint.a:
-            a_at[position[index]] = (a_at[position[index]] + coeff * lj) % p
-        for index, coeff in constraint.b:
-            b_at[position[index]] = (b_at[position[index]] + coeff * lj) % p
-        for index, coeff in constraint.c:
-            c_at[position[index]] = (c_at[position[index]] + coeff * lj) % p
-    return a_at, b_at, c_at
+    csr = cs.to_csr(assignment=False)
+    out = []
+    for matrix in csr.matrices():
+        at = [0] * csr.num_variables
+        indptr, indices, coeffs = matrix.indptr, matrix.indices, matrix.coeffs
+        for j in range(csr.num_rows):
+            lj = lagrange[j]
+            for k in range(indptr[j], indptr[j + 1]):
+                at[indices[k]] += coeffs[k] * lj
+        out.append([v % p for v in at])
+    return out[0], out[1], out[2]
 
 
 def witness_polynomial_evals(
