@@ -6,8 +6,9 @@ each :class:`~repro.aggregate.split.LayerInstance` in isolation needs
 the split's provenance maps to translate the whole-model assumptions
 (``assume_from_recipe`` talks about *original* variable indices) into
 each instance's local index space — and, in ``hashed`` mode, to seed the
-determinism detector with the input-boundary privates whose values the
-commitment chain fixes from the producing segment.
+determinism detector with exactly what the instance imports: the
+variables of the parcels it reads and the digests it carries, whose
+values the commitment chain fixes from the producing segment.
 
 :func:`audit_split` runs :func:`repro.analysis.audit_system` per
 instance and merges the results into ONE :class:`AuditReport` whose
@@ -30,25 +31,26 @@ from repro.analysis.report import AuditReport
 def _local_assume(
     inst: LayerInstance,
     assume: Iterable[int],
-    in_boundary: Iterable[int],
+    imported: Iterable[int],
 ) -> List[int]:
     """Translate original-variable assumptions into instance-local ones.
 
     Boundary variables that became local *publics* (``public`` mode) are
     already in the determinism seed set and need no translation; only
-    variables that stayed private (segment locals, and every boundary
-    variable in ``hashed`` mode) are mapped.  Input-boundary variables
-    are always assumed: their value is produced by an earlier segment
-    and pinned by the commitment chain, which the per-instance detector
-    cannot see.
+    variables that stayed private are mapped.  What a ``hashed`` instance
+    imports is always assumed — the variables of the parcels it reads
+    (``imported``) and the digests it carries: their values are produced
+    by an earlier segment and pinned by the commitment chain, which the
+    per-instance detector cannot see.
     """
     orig_to_local: Dict[int, int] = {}
     for i, orig in enumerate(inst.private_map):
         if orig is not None:
             orig_to_local[orig] = i + 1
-    wanted = set(assume) | set(in_boundary)
+    wanted = set(assume) | set(imported)
     return sorted(
-        orig_to_local[orig] for orig in wanted if orig in orig_to_local
+        [orig_to_local[orig] for orig in wanted if orig in orig_to_local]
+        + [var for var, _ in inst.carried]
     )
 
 
@@ -75,12 +77,15 @@ def audit_split(
         num_private=sum(i.cs.num_private for i in split.instances),
     )
     for inst in split.instances:
-        in_boundary = (
-            split.boundaries[inst.index - 1] if inst.index > 0 else ()
-        )
+        imported = [
+            var
+            for (_, reader), parcel in split.parcels.items()
+            if reader == inst.index
+            for var in parcel
+        ]
         report = audit_system(
             inst.cs,
-            assume=_local_assume(inst, assume, in_boundary),
+            assume=_local_assume(inst, assume, imported),
             lint=lint,
             determinism=determinism,
             fuzz=fuzz,

@@ -7,24 +7,36 @@ cut points are exactly the compiler's layer provenance — rows outside
 every tagged range (knit flushes, trailing gadgets) become anonymous
 filler segments, so coverage is total and no constraint is dropped.
 
-A private variable whose uses span several segments is a *boundary*
-variable.  Boundary ``k`` (between instance ``k`` and ``k+1``) is the
-ordered tuple of variables alive across that cut — first use in segment
-``<= k``, last use ``> k``.  Instance ``k``'s input set is boundary
-``k-1`` and its output set is boundary ``k``; a variable alive across
-both cuts (used or merely passing through) occupies exactly ONE local
-slot shared by both sets, so input/output agreement inside one instance
-is structural rather than proved.
+A private variable whose uses span several segments *crosses* every cut
+between its first and last use; how it is bound across them depends on
+the mode.
 
-In ``public`` mode boundary variables become local public inputs (bound
-by Groth16's IC term); in ``hashed`` mode they stay private and each
-side's tuple is absorbed into an in-circuit MiMC sponge (see
-:mod:`repro.aggregate.commit`) whose digest is the instance's public
-input.  Either way, satisfying every instance with chained boundary
-claims is equivalent to satisfying the original system: the union of the
-instances' rows IS the original row set, and the chain pins every
-crossing variable to a single value along the whole path from its
-defining segment to its last consumer.
+``public`` — boundary ``k`` (between instance ``k`` and ``k+1``) is the
+ordered tuple of variables alive across that cut (first use in segment
+``<= k``, last use ``> k``), and each becomes a local public input of
+every instance it touches or passes through, bound by Groth16's IC term.
+A variable alive across both of an instance's cuts occupies exactly ONE
+local slot shared by its input and output tuples, so agreement inside one
+instance is structural rather than proved.
+
+``hashed`` — crossing variables stay private and are committed by
+*parcel*: parcel ``(f, j)`` is the ascending tuple of variables first
+used in segment ``f`` and used in segment ``j``.  Instances ``f`` and
+``j`` each absorb the parcel — variables their own rows use anyway —
+into an in-circuit MiMC sponge (see :mod:`repro.aggregate.commit`); an
+instance strictly between them never allocates the parcel's variables
+and carries its digest as ONE synthesized private.  Boundary ``k`` is the
+tuple of parcels open across the cut (``f <= k < j``, in ``(f, j)``
+order), and each side's single public input is the sponge over those
+parcels' digests; a carried digest is the same local variable in the
+instance's in- and out-sponge, so passing it on unchanged is again
+structural.
+
+Either way, satisfying every instance with chained boundary claims is
+equivalent to satisfying the original system: the union of the
+instances' rows IS the original row set, and the chain pins every reader
+of a crossing variable to the value its first user committed to (the
+argument is written out in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -34,10 +46,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aggregate.commit import (
     MIMC_EXTRA_ROUNDS,
+    mimc_digest,
     mimc_round_constants,
+    mimc_rounds,
 )
 from repro.core.schedule.executor import plan_layer_slices
-from repro.r1cs.constraint import Constraint
 from repro.r1cs.lc import ONE, LinearCombination
 from repro.r1cs.system import ConstraintSystem
 
@@ -46,15 +59,22 @@ class SplitError(ValueError):
     """Raised when a constraint system cannot be split as requested."""
 
 
-@dataclass
-class SpongeRound:
-    """One MiMC round's wires, stored so witness refresh can recompute."""
+ParcelKey = Tuple[int, int]  # (first-use segment f, reading segment j), f < j
 
-    value_var: Optional[int]  # local signed index absorbed (None = pad 0)
-    constant: int
-    w2: int  # local private wires: t², t⁴, t⁵ (the next state)
-    w4: int
-    w5: int
+
+@dataclass
+class Sponge:
+    """One in-circuit MiMC sponge, kept so witness refresh can replay it.
+
+    Round ``i`` owns the consecutive private wires ``first_wire + 3i +
+    (0, 1, 2)`` holding t², t⁴ and t⁵; the last t⁵ is the digest.
+    """
+
+    absorbed: List[int]  # local signed indices, in absorb order
+    first_wire: int
+    # A cut's sponge pins its digest to this public slot; a parcel's
+    # digest stays private (None) and is absorbed by the cut sponges.
+    digest_slot: Optional[int] = None
 
 
 @dataclass
@@ -69,18 +89,28 @@ class LayerInstance:
     # Local-slot provenance: original signed index per local public slot
     # (slot i <-> local variable -(i+1)) and per local private (entry i
     # <-> local variable i+1).  ``None`` marks synthesized variables —
-    # sponge digests/wires — recomputed by :meth:`refresh_from`.
+    # sponge wires, carried and public digests — recomputed by
+    # :meth:`refresh_from`.
     public_map: List[Optional[int]] = dataclass_field(default_factory=list)
     private_map: List[Optional[int]] = dataclass_field(default_factory=list)
     # (local slot, original public index >= 0) for model-level publics.
     global_slots: List[Tuple[int, int]] = dataclass_field(default_factory=list)
-    # Local public slots forming the input/output boundary tuples, in
-    # canonical (ascending original variable) order.
+    # Local public slots forming the input/output boundary tuples: one
+    # per crossing variable in ``public`` mode (ascending original
+    # variable), the single cut digest in ``hashed`` mode.
     in_slots: List[int] = dataclass_field(default_factory=list)
     out_slots: List[int] = dataclass_field(default_factory=list)
-    # hashed mode only: sponge recomputation plans per side.
-    in_sponge: List[SpongeRound] = dataclass_field(default_factory=list)
-    out_sponge: List[SpongeRound] = dataclass_field(default_factory=list)
+    # hashed mode only, in replay order: one sponge per parcel this
+    # instance makes or reads, then its in- and out-cut sponges over the
+    # parcel digests.
+    sponges: List[Sponge] = dataclass_field(default_factory=list)
+    # hashed mode only: (local private, the parcel's original variables)
+    # per parcel passing through — the instance holds the digest and
+    # never the pre-image.
+    carried: List[Tuple[int, Tuple[int, ...]]] = dataclass_field(
+        default_factory=list
+    )
+    extra_rounds: int = MIMC_EXTRA_ROUNDS
 
     @property
     def num_rows(self) -> int:
@@ -98,7 +128,9 @@ class LayerInstance:
 
         After :meth:`repro.core.reuse.batch.BatchProver.assign_image`
         re-assigns the shared system for a new image, this maps the fresh
-        values into the instance and recomputes any sponge wires/digests.
+        values into the instance, recomputes the digests it carries from
+        ``orig`` and replays its sponges — nothing is read from the other
+        instances, so one layer can be refreshed on its own.
         """
         for slot, orig_var in enumerate(self.public_map):
             if orig_var is not None:
@@ -106,36 +138,24 @@ class LayerInstance:
         for i, orig_var in enumerate(self.private_map):
             if orig_var is not None:
                 self.cs.assign(i + 1, orig.value_of(orig_var))
+        p = self.cs.field.modulus
+        for var, parcel in self.carried:
+            values = [orig.value_of(v) for v in parcel]
+            self.cs.assign(var, mimc_digest(values, p, self.extra_rounds))
         self._replay_sponges()
 
     def _replay_sponges(self) -> None:
-        if not self.in_sponge and not self.out_sponge:
-            return
-        p = self.cs.field.modulus
-        digest_slots = {s for s in self.in_slots + self.out_slots}
-        for rounds, slots in (
-            (self.in_sponge, self.in_slots),
-            (self.out_sponge, self.out_slots),
-        ):
-            if not rounds:
-                continue
-            state = 0
-            for rnd in rounds:
-                v = (
-                    self.cs.value_of(rnd.value_var)
-                    if rnd.value_var is not None
-                    else 0
-                )
-                t = (state + v + rnd.constant) % p
-                t2 = (t * t) % p
-                t4 = (t2 * t2) % p
-                state = (t4 * t) % p
-                self.cs.assign(rnd.w2, t2)
-                self.cs.assign(rnd.w4, t4)
-                self.cs.assign(rnd.w5, state)
-            (digest_slot,) = slots
-            assert digest_slot in digest_slots
-            self.cs.assign(-(digest_slot + 1), state)
+        cs, p = self.cs, self.cs.field.modulus
+        for sponge in self.sponges:
+            values = [cs.value_of(v) for v in sponge.absorbed]
+            wire, state = sponge.first_wire, 0
+            for t2, t4, state in mimc_rounds(values, p, self.extra_rounds):
+                cs.assign(wire, t2)
+                cs.assign(wire + 1, t4)
+                cs.assign(wire + 2, state)
+                wire += 3
+            if sponge.digest_slot is not None:
+                cs.assign(-(sponge.digest_slot + 1), state)
 
 
 @dataclass
@@ -145,10 +165,16 @@ class SplitModel:
     mode: str  # "public" | "hashed"
     source_name: str
     instances: List[LayerInstance]
-    # boundaries[k] = original private variables alive across the cut
-    # between instance k and k+1, ascending — the commitment pre-image
-    # order both sides use.
-    boundaries: List[Tuple[int, ...]]
+    # boundaries[k] = what the cut between instance k and k+1 commits to,
+    # in the pre-image order both sides use.  ``public``: the original
+    # private variables alive across it, ascending.  ``hashed``: the
+    # ``(f, j)`` keys of the parcels open across it, ascending.
+    boundaries: List[tuple]
+    # hashed mode only: parcels[(f, j)] = original private variables first
+    # used in segment f and used in segment j, ascending.
+    parcels: Dict[ParcelKey, Tuple[int, ...]] = dataclass_field(
+        default_factory=dict
+    )
 
     @property
     def num_instances(self) -> int:
@@ -160,6 +186,14 @@ class SplitModel:
 
     def total_constraints(self) -> int:
         return sum(inst.cs.num_constraints for inst in self.instances)
+
+    def commitment_rows(self) -> int:
+        """Rows the split added on top of the inherited ones: the
+        in-circuit sponges and digest pins of ``hashed`` mode (0 in
+        ``public`` mode, whose commitments live outside the circuit)."""
+        return self.total_constraints() - sum(
+            inst.num_rows for inst in self.instances
+        )
 
 
 def _merge_segments(
@@ -228,59 +262,64 @@ def split_model(
         segments = [(s.name, s.start, s.stop) for s in slices]
     n = len(segments)
 
-    # -- variable usage scan: first/last segment per private variable ------
-    first_seg: Dict[int, int] = {}
-    last_seg: Dict[int, int] = {}
-    used_globals: List[List[int]] = [[] for _ in range(n)]
-    seen_globals: List[set] = [set() for _ in range(n)]
+    # -- variable usage scan: the segments using each private variable ----
+    uses: Dict[int, List[int]] = {}  # ascending, distinct
+    used_globals: List[List[int]] = []
     for k, (_, start, stop) in enumerate(segments):
-        for row in range(start, stop):
-            constraint = cs.constraints[row]
-            for lc in (constraint.a, constraint.b, constraint.c):
-                for var in lc.indices():
-                    if var == ONE:
-                        continue
-                    if var < 0:
-                        if var not in seen_globals[k]:
-                            seen_globals[k].add(var)
-                            used_globals[k].append(var)
-                        continue
-                    if var not in first_seg:
-                        first_seg[var] = k
-                    last_seg[var] = k
+        seen: set = set()
+        for constraint in cs.constraints[start:stop]:
+            seen.update(
+                constraint.a.terms, constraint.b.terms, constraint.c.terms
+            )
+        seen.discard(ONE)
+        used_globals.append(sorted((v for v in seen if v < 0), reverse=True))
+        for var in seen:
+            if var > 0:
+                uses.setdefault(var, []).append(k)
 
-    # boundaries[k] = vars with first use <= k < last use, ascending.
-    boundaries: List[Tuple[int, ...]] = []
-    for k in range(n - 1):
-        crossing = sorted(
-            v for v, f in first_seg.items() if f <= k < last_seg[v]
-        )
-        boundaries.append(tuple(crossing))
+    parcels: Dict[ParcelKey, Tuple[int, ...]] = {}
+    if mode == "public":
+        boundaries = [
+            tuple(sorted(v for v, u in uses.items() if u[0] <= k < u[-1]))
+            for k in range(n - 1)
+        ]
+    else:
+        members: Dict[ParcelKey, List[int]] = {}
+        for var in sorted(uses):
+            first, *readers = uses[var]
+            for reader in readers:
+                members.setdefault((first, reader), []).append(var)
+        parcels = {key: tuple(members[key]) for key in sorted(members)}
+        boundaries = [
+            tuple(key for key in parcels if key[0] <= k < key[1])
+            for k in range(n - 1)
+        ]
 
     instances: List[LayerInstance] = []
+    # hashed mode: each parcel's digest, recorded by its first user f —
+    # which is built before every instance that carries it.
+    digests: Dict[ParcelKey, Optional[int]] = {}
     for k, (name, start, stop) in enumerate(segments):
-        instances.append(
-            _build_instance(
-                cs,
-                k,
-                name,
-                start,
-                stop,
-                in_vars=boundaries[k - 1] if k > 0 else (),
-                out_vars=boundaries[k] if k < n - 1 else (),
-                globals_used=sorted(used_globals[k], key=lambda v: -v),
-                first_seg=first_seg,
-                last_seg=last_seg,
-                mode=mode,
-                extra_rounds=extra_rounds,
-            )
+        in_cut = boundaries[k - 1] if k > 0 else ()
+        out_cut = boundaries[k] if k < n - 1 else ()
+        inst, var_map = _build_instance(
+            cs, k, name, start, stop,
+            in_vars=in_cut if mode == "public" else (),
+            out_vars=out_cut if mode == "public" else (),
+            globals_used=used_globals[k],
         )
+        if mode == "hashed":
+            inst.extra_rounds = extra_rounds
+            _commit_parcels(inst, var_map, parcels, in_cut, out_cut, digests)
+        inst.cs.mark_layer(name, 0)
+        instances.append(inst)
 
     split = SplitModel(
         mode=mode,
         source_name=cs.name,
         instances=instances,
         boundaries=boundaries,
+        parcels=parcels,
     )
     if split.total_constraints() < num_rows:
         raise SplitError(
@@ -299,11 +338,9 @@ def _build_instance(
     in_vars: Tuple[int, ...],
     out_vars: Tuple[int, ...],
     globals_used: List[int],
-    first_seg: Dict[int, int],
-    last_seg: Dict[int, int],
-    mode: str,
-    extra_rounds: int,
-) -> LayerInstance:
+) -> Tuple[LayerInstance, Dict[int, int]]:
+    """Rows ``[start, stop)`` as their own system, ``in_vars``/``out_vars``
+    exposed as public slots; returns it with the original -> local map."""
     inst_cs = ConstraintSystem(cs.field, name=f"{cs.name}/{name}")
     inst = LayerInstance(
         name=name,
@@ -321,24 +358,20 @@ def _build_instance(
         inst.public_map.append(orig)
         inst.global_slots.append((slot, -orig - 1))
 
-    boundary_union = sorted(set(in_vars) | set(out_vars))
-    if mode == "public":
-        # One shared slot per crossing variable: membership in both the
-        # input and output tuples is structural, not an extra claim.
-        for orig in boundary_union:
-            slot = len(inst.public_map)
-            var_map[orig] = inst_cs.new_public(cs.value_of(orig))
-            inst.public_map.append(orig)
-            if orig in in_vars:
-                inst.in_slots.append(slot)
-            if orig in out_vars:
-                inst.out_slots.append(slot)
-    else:
-        for orig in boundary_union:
-            var_map[orig] = inst_cs.new_private(cs.value_of(orig))
-            inst.private_map.append(orig)
+    # One shared slot per crossing variable: membership in both the
+    # input and output tuples is structural, not an extra claim.
+    for orig in sorted(set(in_vars) | set(out_vars)):
+        slot = len(inst.public_map)
+        var_map[orig] = inst_cs.new_public(cs.value_of(orig))
+        inst.public_map.append(orig)
+        if orig in in_vars:
+            inst.in_slots.append(slot)
+        if orig in out_vars:
+            inst.out_slots.append(slot)
 
-    # Locals: variables used in this segment only.
+    # Every other variable the rows use is a private of this instance,
+    # allocated in order of first use — segment locals and, in hashed
+    # mode, the parcel variables this segment makes or reads.
     for row in range(start, stop):
         constraint = cs.constraints[row]
         for lc in (constraint.a, constraint.b, constraint.c):
@@ -357,26 +390,7 @@ def _build_instance(
             _remap_lc(constraint.c, var_map, inst_cs),
             tag=constraint.tag,
         )
-
-    if mode == "hashed":
-        for side, vars_side in (("in", in_vars), ("out", out_vars)):
-            if not vars_side:
-                continue
-            rounds, digest_slot = _absorb_sponge(
-                inst_cs,
-                [var_map[v] for v in vars_side],
-                extra_rounds,
-                tag=f"{name}/boundary-{side}",
-                private_map=inst.private_map,
-                public_map=inst.public_map,
-            )
-            if side == "in":
-                inst.in_sponge, inst.in_slots = rounds, [digest_slot]
-            else:
-                inst.out_sponge, inst.out_slots = rounds, [digest_slot]
-
-    inst_cs.mark_layer(name, 0)
-    return inst
+    return inst, var_map
 
 
 def _remap_lc(
@@ -387,45 +401,88 @@ def _remap_lc(
     )
 
 
+def _commit_parcels(
+    inst: LayerInstance,
+    var_map: Dict[int, int],
+    parcels: Dict[ParcelKey, Tuple[int, ...]],
+    in_cut: Tuple[ParcelKey, ...],
+    out_cut: Tuple[ParcelKey, ...],
+    digests: Dict[ParcelKey, Optional[int]],
+) -> None:
+    """Append ``inst``'s hashed-mode commitments: parcel and cut sponges.
+
+    A parcel this instance makes or reads is absorbed from the instance's
+    own variables; any other parcel open across one of its cuts passes
+    through as a carried digest.  Each cut's sponge then absorbs the
+    digests of the parcels open across it, and its final state is pinned
+    to the instance's public digest slot for that side.
+    """
+    inst_cs = inst.cs
+    digest_var: Dict[ParcelKey, int] = {}
+    for key in sorted(set(in_cut) | set(out_cut)):
+        if inst.index in key:
+            _, digest_var[key] = _absorb_sponge(
+                inst,
+                [var_map[v] for v in parcels[key]],
+                tag=f"{inst.name}/parcel-{key[0]}-{key[1]}",
+            )
+            if inst.index == key[0]:
+                digests[key] = inst_cs.value_of(digest_var[key])
+        else:
+            digest_var[key] = inst_cs.new_private(digests[key])
+            inst.private_map.append(None)
+            inst.carried.append((digest_var[key], parcels[key]))
+    for side, cut, slots in (
+        ("in", in_cut, inst.in_slots),
+        ("out", out_cut, inst.out_slots),
+    ):
+        if not cut:
+            continue
+        tag = f"{inst.name}/boundary-{side}"
+        sponge, state = _absorb_sponge(
+            inst, [digest_var[key] for key in cut], tag
+        )
+        sponge.digest_slot = len(inst.public_map)
+        slots.append(sponge.digest_slot)
+        public = inst_cs.new_public(inst_cs.value_of(state))
+        inst.public_map.append(None)
+        inst_cs.enforce_equal(
+            inst_cs.lc_variable(state),
+            inst_cs.lc_variable(public),
+            tag=f"{tag}/digest",
+        )
+
+
 def _absorb_sponge(
-    inst_cs: ConstraintSystem,
-    local_vars: List[int],
-    extra_rounds: int,
-    tag: str,
-    private_map: List[Optional[int]],
-    public_map: List[Optional[int]],
-) -> Tuple[List[SpongeRound], int]:
-    """Append MiMC-x⁵ absorb constraints; returns (rounds, digest slot).
+    inst: LayerInstance, local_vars: List[int], tag: str
+) -> Tuple[Sponge, int]:
+    """Append MiMC-x⁵ absorb constraints over ``local_vars`` to ``inst``.
 
     Per round (3 constraints): ``t = state + v + rc`` is a free LC, then
     ``t·t = t²``, ``t²·t² = t⁴``, ``t⁴·t = t⁵`` and the next state is
-    ``t⁵``.  The final state is pinned to a fresh public digest slot.
+    ``t⁵``.  Records the :class:`Sponge` on the instance and returns it
+    with the private wire holding the final state.
     """
+    inst_cs = inst.cs
     p = inst_cs.field.modulus
-    num_rounds = len(local_vars) + extra_rounds
-    constants = mimc_round_constants(num_rounds, p)
-    rounds: List[SpongeRound] = []
-    state_lc = inst_cs.lc()  # initial state 0
-    state_val = 0
-    for i in range(num_rounds):
-        var = local_vars[i] if i < len(local_vars) else None
-        v_val = inst_cs.value_of(var) if var is not None else 0
-        rc = constants[i]
-        t_lc = state_lc.copy()
-        if var is not None:
-            t_lc.add_term(var, 1)
+    values = [inst_cs.value_of(v) for v in local_vars]
+    # An unassigned system splits into unassigned sponges, filled in by
+    # the first refresh_from.
+    wires = None if None in values else mimc_rounds(values, p, inst.extra_rounds)
+    constants = mimc_round_constants(len(local_vars) + inst.extra_rounds, p)
+    sponge = Sponge(list(local_vars), first_wire=inst_cs.num_private + 1)
+    inst.sponges.append(sponge)
+    state = None  # the wire holding the previous round's t⁵; initially 0
+    for i, rc in enumerate(constants):
+        t_lc = inst_cs.lc_variable(state) if state else inst_cs.lc()
+        if i < len(local_vars):
+            t_lc.add_term(local_vars[i], 1)
         t_lc.add_term(ONE, rc)
-        has_values = v_val is not None and state_val is not None
-        t = (state_val + v_val + rc) % p if has_values else None
-        t2 = (t * t) % p if t is not None else None
-        t4 = (t2 * t2) % p if t2 is not None else None
-        t5 = (t4 * t) % p if t4 is not None else None
-        w2 = inst_cs.new_private(t2)
-        private_map.append(None)
-        w4 = inst_cs.new_private(t4)
-        private_map.append(None)
-        w5 = inst_cs.new_private(t5)
-        private_map.append(None)
+        w2, w4, state = (
+            inst_cs.new_private(value)
+            for value in (next(wires) if wires else (None, None, None))
+        )
+        inst.private_map.extend((None, None, None))
         inst_cs.enforce(t_lc, t_lc, inst_cs.lc_variable(w2), tag=tag)
         inst_cs.enforce(
             inst_cs.lc_variable(w2),
@@ -434,15 +491,6 @@ def _absorb_sponge(
             tag=tag,
         )
         inst_cs.enforce(
-            inst_cs.lc_variable(w4), t_lc, inst_cs.lc_variable(w5), tag=tag
+            inst_cs.lc_variable(w4), t_lc, inst_cs.lc_variable(state), tag=tag
         )
-        rounds.append(SpongeRound(var, rc, w2, w4, w5))
-        state_lc = inst_cs.lc_variable(w5)
-        state_val = t5
-    digest_slot = len(public_map)
-    digest_var = inst_cs.new_public(state_val)
-    public_map.append(None)
-    inst_cs.enforce_equal(
-        state_lc, inst_cs.lc_variable(digest_var), tag=f"{tag}/digest"
-    )
-    return rounds, digest_slot
+    return sponge, state

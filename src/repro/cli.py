@@ -199,10 +199,15 @@ def _cmd_prove_per_layer(args, artifact) -> int:
         )
     print(f"aggregate: {out} ({out.stat().st_size} bytes, "
           f"{split.num_instances} layers, mode={split.mode})")
+    commitment = split.commitment_rows()
+    domains = sum(setup.proving_key.domain_size for setup in setups)
     print(
-        f"proved {split.total_constraints()} constraints in {elapsed:.2f}s "
-        f"({args.parallelism} worker(s)); verification costs "
-        f"{verdict.num_pairings} pairings vs {verdict.naive_pairings} naive"
+        f"proved {split.total_constraints()} constraints "
+        f"({split.total_constraints() - commitment} inherited + "
+        f"{commitment} commitment rows, domain sizes sum to {domains}) "
+        f"in {elapsed:.2f}s ({args.parallelism} worker(s)); verification "
+        f"costs {verdict.num_pairings} pairings vs "
+        f"{verdict.naive_pairings} naive"
     )
     print(f"verify with: repro verify --aggregate {out}")
     return 0

@@ -331,7 +331,12 @@ class TestPerLayerProveVerify:
             )
             == 0
         )
-        capsys.readouterr()
+        # The summary line prices the split: rows the model had, rows the
+        # in-circuit commitments added, and the summed domain sizes.
+        summary = capsys.readouterr().out
+        assert " inherited + " in summary
+        assert " commitment rows, domain sizes sum to " in summary
+        assert "+ 0 commitment rows" not in summary
         assert main(["verify", "--aggregate", str(agg_path)]) == 0
         assert "mode=hashed" in capsys.readouterr().out
 
