@@ -9,46 +9,53 @@ arithmetic so those loops can run as array programs instead:
   ints driven through :class:`repro.field.fp.Field`.  Every other backend
   must produce bit-identical results (the hypothesis parity suite and the
   CI prove-smoke assert proofs are byte-identical across backends).
-* :class:`NumpyBackend` — fixed-limb Montgomery representation in NumPy
-  ``int64`` arrays: each vector of field elements is an ``(L, n)`` array of
-  29-bit limbs.  A full Montgomery multiply is an ``O(L^2)`` sequence of
-  vectorized limb products, so the *per-element* cost drops well below a
-  CPython 254-bit ``(a*b) % p`` once ``n`` is a few hundred lanes.
+* :class:`NumpyBackend` — the array kernel below: field elements as columns
+  of float64 limbs, multiplication by a constant as an exact matrix product
+  that BLAS executes.  It serves the QAP transforms of
+  :mod:`repro.snark.qap`; batch inversion stays scalar.
 * :class:`Gmpy2Backend` — a ``gmpy2.mpz`` fast path auto-detected at
-  import.  gmpy2's GMP-backed ints multiply 254-bit values ~2-3x faster
-  than CPython's; the backend mirrors the scalar algorithms element-wise.
+  import; mirrors the scalar algorithms element-wise.
 
 Selection is via the ``ZENO_FIELD_BACKEND`` environment variable
 (``auto`` | ``scalar`` | ``numpy`` | ``gmpy2``); ``auto`` prefers numpy,
 then gmpy2, then scalar.  :func:`set_backend` overrides at runtime (tests,
 CI's forced-scalar second run).
 
-Montgomery layout (the numpy backend)
--------------------------------------
+The constant-operand matmul kernel
+----------------------------------
 
-For an odd modulus ``p`` of ``b`` bits the :class:`LimbPlan` picks
-``W = 29``-bit limbs and ``L = ceil((b + 7) / W)`` of them, so
-``R = 2**(W*L) >= 128 * p``.  All arrays are ``int64`` with shape
-``(L, *lanes)``; limb products are at most ``2**58`` and anti-diagonal
-column sums at most ``9 * 2**58 < 2**63``, so the whole CIOS-style
-multiply-and-reduce runs in exact int64 arithmetic with a single-limb
-carry fix-up per reduction step.  Two value forms appear:
+A vector of ``n`` field elements is an ``(L + 1, n)`` float64 array of
+*signed* ``W = 22``-bit limbs, limb axis first, lanes last: ``L`` limbs
+cover the modulus (12 for BN254) and one more row absorbs carries.  Limbs
+are integers but not canonical: adds and subtracts let them drift, and the
+value they encode is only congruent to the field element, growing by
+multiples of ``p``.
 
-* *plain* — the array encodes ``v`` itself;
-* *mont*  — the array encodes ``v * R mod p``.
+Multiplying by a constant ``w`` is linear in the limbs of the data:
+``x * w = sum_i x_i * (2^(W i) * w mod p)  (mod p)``, so ``w`` *is* the
+``(L, L + 1)`` matrix whose column ``i`` holds the limbs of
+``2^(W i) w mod p`` and the product is one ``matmul``.  The modular
+reduction happens inside the matrix; the result needs only carry
+propagation (:func:`normalize`, two balanced ``rint`` rounds), and
+nothing is reduced mod ``p`` until values leave as Python ints
+(:func:`from_limbs`).  Every multiplication of an NTT has a constant
+operand, so a butterfly stage is one batched matmul of the stage's twiddle
+matrices (:func:`ntt`); only the quotient's ``A * B`` needs the data-by-data
+product (:func:`mul`: schoolbook limb convolution, then the fixed matrix of
+``2^(W k) mod p`` folds the high half back).
 
-``mont_mul(A, B) = A * B / R mod p``, so ``mont_mul(plain, mont)`` is a
-plain product: hot loops keep **data plain** and store their constant
-tables (twiddles, coset scales) in mont form, paying zero conversion
-passes per transform.  Values may drift above ``p`` (bounded lazily by
-multiples of ``p``); :func:`canonicalize` folds them back with a
-compare-and-subtract ladder before results leave the backend.
+Exactness: all operands are integers and every partial sum of every
+product stays below ``2^53`` (:func:`exactness_bounds`, asserted when a
+:class:`LimbPlan` is built), so each float64 operation is exact and the
+result does not depend on BLAS summation order, FMA contraction or thread
+count.  DESIGN.md carries the argument.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from operator import methodcaller
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.field.counters import global_counter
@@ -70,22 +77,84 @@ except Exception:  # pragma: no cover - exercised on hosts without gmpy2
 HAS_NUMPY = _np is not None
 HAS_GMPY2 = _gmpy2 is not None
 
-LIMB_BITS = 29
+LIMB_BITS = 22
+_BASE = float(1 << LIMB_BITS)
+_INV_BASE = 1.0 / _BASE
 _MASK = (1 << LIMB_BITS) - 1
 
-# Values held in limb arrays are allowed to drift up to BOUND_MULTIPLE * p
-# before a canonicalization pass is forced (the NTT adds ~2p of drift per
-# butterfly stage; 32p of headroom covers domains to 2^13 without any
-# mid-transform reduction).
-BOUND_MULTIPLE = 32
+# Lanes per kernel call.  Two reasons, both measured: the scratch of one
+# call (13 x 2048 doubles, twice) stays in L2, and a dgemm stays below the
+# 2^20 multiply-adds at which this OpenBLAS wakes its thread pool (8 ms per
+# call on a shared two-core host, against 0.02 ms for the product itself).
+CHUNK_LANES = 2048
+
+# The deepest transform ntt() accepts (BN254 Fr has 2-adicity 28): the depth
+# exactness_bounds() is asserted for when a plan is built.
+MAX_STAGES = 28
+
+
+def exactness_bounds(bits: int, limbs: int, stages: int) -> Tuple[int, int]:
+    """Worst case of the kernel for a ``bits``-bit modulus in ``limbs`` limbs.
+
+    Returns ``(partial, value)``: the largest magnitude any partial sum of
+    any matmul or limb product can reach — which must stay below ``2^53``
+    for float64 to be exact — and the largest ``|value| / p`` a limb column
+    can encode, which :func:`from_limbs` must be able to offset and pack.
+    Walks the longest pipeline a caller runs, the quotient's — transform,
+    two-level scale, transform, :func:`mul`, transform, scale, subtract —
+    with ``stages`` lazy butterfly stages per transform, each transform
+    starting from the larger of canonical input and what precedes it, so
+    every shorter composition is covered too.  Pure Python ints.
+    """
+    rows = limbs + 1
+    base, half = 1 << LIMB_BITS, 1 << (LIMB_BITS - 1)
+    # Matrix entries are limbs of residues: below 2^W, the top one smaller.
+    top_entry = (1 << max(bits - LIMB_BITS * (limbs - 1), 0)) + 1
+    worst = [0, 1]
+
+    def product(drift: int, terms: int = rows) -> Tuple[int, int]:
+        """``normalize(matrix @ x)`` for limbs ``|x_i| <= drift``."""
+        raw = terms * base * drift  # one row of the matmul
+        worst[0] = max(worst[0], raw)
+        carry = raw // base + 1
+        fresh = half + (half + carry) // base + 2  # after two rint rounds
+        top = terms * top_entry * drift // base + carry // base + 2
+        return max(fresh, top), terms * drift  # |matrix @ x| <= sum |x_i| p
+
+    def transform(drift: int, value: int) -> Tuple[int, int]:
+        drift, value = 2 * max(drift, base), 2 * max(value, 1)  # twiddle 1
+        for _ in range(1, stages):
+            fresh, grown = product(drift)
+            drift, value = drift + fresh, value + grown
+        worst[1] = max(worst[1], value)
+        return drift, value
+
+    drift, value = transform(0, 0)
+    drift, value = product(product(drift)[0])
+    drift, value = transform(drift, value)
+    # mul(): both operands normalized; the carry row holds value / 2^(W L).
+    operand = max(
+        half + (half + drift) // base + 2,
+        (value << bits) // (1 << (LIMB_BITS * limbs)) + 2,
+    )
+    column = rows * operand * operand  # one schoolbook column
+    worst[0] = max(worst[0], column)
+    folded = max(
+        half + (half + column // base) // base + 2,
+        (operand * operand + column // base) // base + 2,
+    )
+    drift, value = transform(*product(folded, terms=2 * rows))
+    drift, value = product(product(drift)[0])
+    worst[1] = max(worst[1], 2 * value)  # the quotient's e - c
+    return worst[0], worst[1]
 
 
 class LimbPlan:
-    """Per-modulus constants for the fixed-limb Montgomery representation."""
+    """Per-modulus constants of the float64 limb representation."""
 
     __slots__ = (
-        "modulus", "bits", "limbs", "R", "R_mod_p", "R2", "Rinv", "n0inv",
-        "p_limbs", "p_col", "kp_cols", "ladder", "r2_col", "one_col",
+        "modulus", "bits", "limbs", "rows", "in_words", "out_words",
+        "top_bits", "offset_col", "p_col", "inv_p", "shift", "fold",
     )
 
     def __init__(self, modulus: int) -> None:
@@ -95,39 +164,54 @@ class LimbPlan:
             )
         self.modulus = modulus
         self.bits = modulus.bit_length()
-        self.limbs = -(-(self.bits + 7) // LIMB_BITS)
-        self.R = 1 << (LIMB_BITS * self.limbs)
-        if self.R < BOUND_MULTIPLE * 4 * modulus:
-            # Tiny moduli leave no lazy-reduction headroom; bump L.
-            while self.R < BOUND_MULTIPLE * 4 * modulus:
-                self.limbs += 1
-                self.R = 1 << (LIMB_BITS * self.limbs)
-        self.R_mod_p = self.R % modulus
-        self.R2 = self.R * self.R % modulus
-        self.Rinv = pow(self.R, -1, modulus)
-        self.n0inv = (-pow(modulus, -1, 1 << LIMB_BITS)) % (1 << LIMB_BITS)
-        self.p_limbs = self._int_limbs(modulus)
-        self.p_col = self.p_limbs.reshape(self.limbs, 1)
-        # k*p offset / subtraction ladder: index k -> limbs of k*p.
-        self.kp_cols = [
-            self._int_limbs(k * modulus).reshape(self.limbs, 1)
-            for k in range(BOUND_MULTIPLE + 3)
-        ]
-        # Compare-and-subtract ladder used by canonicalize(): handles
-        # values up to 64p (NTT drift tops out at 32p; CSR segment sums
-        # at 64-term granularity stay under ~60p).
-        self.ladder = [
-            self._int_limbs(k * modulus)
-            for k in (32, 16, 8, 4, 2, 1)
-        ]
-        self.r2_col = self._int_limbs(self.R2).reshape(self.limbs, 1)
-        self.one_col = self._int_limbs(1).reshape(self.limbs, 1)
+        self.limbs = -(-(self.bits + 2) // LIMB_BITS)
+        self.rows = self.limbs + 1
+        partial, value = exactness_bounds(self.bits, self.limbs, MAX_STAGES)
+        if partial >= 1 << 53:
+            raise ValueError(
+                "%d-bit modulus overflows float64 partial sums" % self.bits
+            )
+        # from_limbs() adds p << k (k = value.bit_length()) so every column
+        # is nonnegative, then packs it: the carry row must fit a double
+        # and the whole value the output words.
+        k = value.bit_length()
+        self.top_bits = self.bits + k + 1 - LIMB_BITS * self.limbs
+        if not 0 < self.top_bits < 53:
+            raise ValueError("%d-bit modulus overflows the carry limb" % self.bits)
+        self.in_words = -(-self.bits // 64)
+        self.out_words = -(-(self.bits + k + 1) // 64)
+        self.offset_col = self.int_col(modulus << k)
+        self.p_col = self.int_col(modulus)
+        self.inv_p = float(1 << (LIMB_BITS * (self.rows - 3))) / float(modulus)
+        self.shift = self.const_matrix(1 << LIMB_BITS)
+        # mul()'s fold: column k holds the limbs of 2^(W k) mod p.
+        self.fold = _np.concatenate(
+            [
+                self.int_col(pow(2, LIMB_BITS * k, modulus))[: self.limbs]
+                for k in range(2 * self.rows)
+            ],
+            axis=1,
+        )
 
-    def _int_limbs(self, value: int):
-        out = _np.zeros(self.limbs, dtype=_np.int64)
+    def int_col(self, value: int):
+        """``(rows, 1)`` canonical limbs of a nonnegative int; whatever
+        exceeds ``limbs`` limbs lands in the carry row."""
+        out = _np.zeros((self.rows, 1))
         for j in range(self.limbs):
-            out[j] = (value >> (LIMB_BITS * j)) & _MASK
+            out[j, 0] = (value >> (LIMB_BITS * j)) & _MASK
+        out[self.limbs, 0] = value >> (LIMB_BITS * self.limbs)
         return out
+
+    def const_matrix(self, w: int):
+        """The ``(limbs, rows)`` matrix of one constant, from Python ints."""
+        p = self.modulus
+        return _np.concatenate(
+            [
+                self.int_col((w << (LIMB_BITS * i)) % p)[: self.limbs]
+                for i in range(self.rows)
+            ],
+            axis=1,
+        )
 
 
 _PLANS: Dict[int, LimbPlan] = {}
@@ -147,11 +231,11 @@ def plan_for(field_or_modulus) -> LimbPlan:
     return plan
 
 
-# -- limb array construction / extraction -------------------------------------------
+# -- ints <-> limb arrays -----------------------------------------------------------
 
 
 def to_limbs(plan: LimbPlan, values: Sequence[int], validate: bool = False):
-    """Canonical ints -> ``(L, n)`` int64 limb array (plain form).
+    """Ints in ``[0, 2^(64 in_words))`` -> ``(rows, n)`` canonical limbs.
 
     With ``validate`` the inputs must already be canonical
     (``0 <= v < p``); non-canonical values raise ``ValueError`` instead of
@@ -159,9 +243,9 @@ def to_limbs(plan: LimbPlan, values: Sequence[int], validate: bool = False):
     representatives only.
     """
     n = len(values)
-    L = plan.limbs
+    out = _np.zeros((plan.rows, n))
     if n == 0:
-        return _np.zeros((L, 0), dtype=_np.int64)
+        return out
     if validate:
         p = plan.modulus
         for v in values:
@@ -170,315 +254,229 @@ def to_limbs(plan: LimbPlan, values: Sequence[int], validate: bool = False):
                     "non-canonical field element %r (expected 0 <= v < p)"
                     % (v,)
                 )
-    nbytes = (LIMB_BITS * L + 7) // 8
-    blob = b"".join(v.to_bytes(nbytes, "little") for v in values)
-    raw = _np.frombuffer(blob, dtype=_np.uint8).reshape(n, nbytes)
-    out = _np.zeros((L, n), dtype=_np.int64)
-    for j in range(L):
-        bit = LIMB_BITS * j
-        byte0 = bit >> 3
-        off = bit & 7
-        acc = _np.zeros(n, dtype=_np.uint64)
-        for k in range((off + LIMB_BITS + 7) // 8):
-            if byte0 + k < nbytes:
-                acc |= raw[:, byte0 + k].astype(_np.uint64) << _np.uint64(8 * k)
-        out[j] = ((acc >> _np.uint64(off)) & _np.uint64(_MASK)).astype(
-            _np.int64
-        )
+    nw = plan.in_words
+    blob = b"".join(map(methodcaller("to_bytes", 8 * nw, "little"), values))
+    words = _np.frombuffer(blob, dtype="<u8").reshape(n, nw)
+    for j in range(plan.limbs):
+        wi, off = divmod(LIMB_BITS * j, 64)
+        if wi >= nw:
+            break
+        limb = words[:, wi] >> _np.uint64(off)
+        if off + LIMB_BITS > 64 and wi + 1 < nw:
+            limb = limb | (words[:, wi + 1] << _np.uint64(64 - off))
+        out[j] = limb & _np.uint64(_MASK)
     return out
 
 
 def from_limbs(plan: LimbPlan, arr) -> List[int]:
-    """Canonical-normalized ``(L, n)`` limb array -> list of canonical ints.
+    """Lazy signed limbs -> canonical ints: the only reduction mod ``p``.
 
-    The array must hold canonical values (``< p``, limbs in
-    ``[0, 2**29)``); run :func:`canonicalize` first if unsure.
+    Adds the plan's multiple of ``p`` so every column is nonnegative,
+    ripples carries to canonical limbs, packs them into bytes and lets
+    Python reduce each value.
     """
-    L = plan.limbs
-    flat = arr.reshape(L, -1)
+    flat = arr.reshape(plan.rows, -1) + plan.offset_col
     n = flat.shape[1]
     if n == 0:
         return []
-    words = (LIMB_BITS * L + 63) // 64
-    w = _np.zeros((n, words), dtype=_np.uint64)
+    low = flat[:-1]
+    for _ in range(plan.rows + 3):
+        carry = _np.floor(low * _INV_BASE)
+        if not carry.any():
+            break
+        flat[1:] += carry
+        low -= carry * _BASE
+    else:
+        raise AssertionError("limb normalization failed to converge")
     limbs_u = flat.astype(_np.uint64)
-    for j in range(L):
-        bit = LIMB_BITS * j
-        wi, off = bit // 64, bit % 64
-        w[:, wi] |= limbs_u[j] << _np.uint64(off)
-        if off + LIMB_BITS > 64 and wi + 1 < words:
-            w[:, wi + 1] |= limbs_u[j] >> _np.uint64(64 - off)
-    blob = w.tobytes()
-    stride = words * 8
+    nw = plan.out_words
+    words = _np.zeros((n, nw), dtype=_np.uint64)
+    for j in range(plan.rows):
+        wi, off = divmod(LIMB_BITS * j, 64)
+        words[:, wi] |= limbs_u[j] << _np.uint64(off)
+        if off + (LIMB_BITS if j < plan.limbs else plan.top_bits) > 64:
+            words[:, wi + 1] |= limbs_u[j] >> _np.uint64(64 - off)
+    blob = words.tobytes()
+    stride, p, load = nw * 8, plan.modulus, int.from_bytes
     return [
-        int.from_bytes(blob[i * stride : (i + 1) * stride], "little")
-        for i in range(n)
+        load(blob[i : i + stride], "little") % p
+        for i in range(0, n * stride, stride)
     ]
 
 
-# -- normalization ------------------------------------------------------------------
+# -- the kernel ---------------------------------------------------------------------
 
 
-def _ripple_norm(arr) -> None:
-    """Propagate limb carries/borrows in place until limbs are canonical.
+def normalize(arr):
+    """Balanced carry propagation along axis 0, in place.
 
-    The value encoded must be nonnegative and < 2**(29*L); the top row is
-    left unmasked so no bits can fall off the end.  Converges in a couple
-    of passes for the magnitudes our kernels produce (the first pass is
-    unconditional — butterfly outputs always need one — then cheap
-    any-carry checks gate the tail).
+    Each round leaves the low limbs in ``[-2^21, 2^21]`` plus the incoming
+    carry; two rounds bring a raw matmul row (below ``2^53``) back to
+    ``2^21`` and a little.  The last row only absorbs.
     """
     low = arr[:-1]
-    c = low >> LIMB_BITS
-    _np.bitwise_and(low, _MASK, out=low)
-    arr[1:] += c
-    for _ in range(arr.shape[0] + 2):
-        _np.right_shift(low, LIMB_BITS, out=c)
-        if not c.any():
-            return
-        _np.bitwise_and(low, _MASK, out=low)
-        arr[1:] += c
-    raise AssertionError("limb normalization failed to converge")
-
-
-def canonicalize(plan: LimbPlan, arr) -> None:
-    """In place: reduce plain/mont values to canonical ``[0, p)`` form.
-
-    Accepts the lazily-bounded output of the NTT/mul kernels (values up to
-    ``BOUND_MULTIPLE * p``): a compare-and-subtract ladder over
-    ``16p, 8p, 4p, 2p, p``.
-    """
-    L = plan.limbs
-    _ripple_norm(arr)
-    flat = arr.reshape(L, -1)
-    for kp in plan.ladder:
-        # Lexicographic >= against the constant, top limb first.
-        ge = flat[L - 1] > kp[L - 1]
-        eq = flat[L - 1] == kp[L - 1]
-        for j in range(L - 2, -1, -1):
-            ge = ge | (eq & (flat[j] > kp[j]))
-            eq = eq & (flat[j] == kp[j])
-        ge = ge | eq
-        if not ge.any():
-            continue
-        flat -= kp.reshape(L, 1) * ge.astype(_np.int64)
-        _ripple_norm(flat)
-
-
-# -- the Montgomery multiply kernel -------------------------------------------------
-
-
-class _Work:
-    """Reusable scratch buffers for one lane width."""
-
-    __slots__ = ("T", "prod", "m")
-
-    def __init__(self, L: int, n: int) -> None:
-        self.T = _np.zeros((2 * L, n), dtype=_np.int64)
-        self.prod = _np.empty((L, n), dtype=_np.int64)
-        self.m = _np.empty(n, dtype=_np.int64)
-
-
-def mont_mul_into(plan: LimbPlan, A, B, out, work: Optional[_Work] = None):
-    """``out = A * B / R mod p`` (+ a multiple of p), limbs canonical.
-
-    ``A``: limbs in ``[0, 2**30)``, value in ``[0, BOUND_MULTIPLE * p)``.
-    ``B``: limbs in ``[0, 2**29)``, value in ``[0, p)`` — the "constant"
-    side (twiddle/scale tables, canonical vectors).  ``B`` may broadcast
-    (an ``(L, 1)`` column against ``(L, n)`` data).
-
-    Output value is ``< p + A*B/R <= ~1.2p`` with canonical-normalized
-    limbs; exact up to the multiple of ``p``, which downstream
-    canonicalization removes.  All loop iterations are full-array numpy
-    ops: ``2 * L**2`` limb products per element.
-    """
-    L = plan.limbs
-    n = out.shape[-1] if out.ndim > 1 else 1
-    flatA = A.reshape(L, -1)
-    flatB = B.reshape(L, -1)
-    flatO = out.reshape(L, -1)
-    lanes = flatA.shape[1]
-    if work is None or work.T.shape[1] != lanes:
-        work = _Work(L, lanes)
-    T, prod, m = work.T, work.prod, work.m
-    T[:] = 0
-    if flatB.shape[1] == 1:
-        # Broadcast-constant multiply: numpy broadcasting handles it.
-        for i in range(L):
-            _np.multiply(flatB, flatA[i], out=prod)
-            T[i : i + L] += prod
-    else:
-        for i in range(L):
-            _np.multiply(flatA[i], flatB, out=prod)
-            T[i : i + L] += prod
-    n0inv = plan.n0inv
-    p_col = plan.p_col
-    for i in range(L):
-        _np.multiply(T[i], n0inv, out=m)
-        _np.bitwise_and(m, _MASK, out=m)
-        _np.multiply(m, p_col, out=prod)
-        T[i : i + L] += prod
-        _np.right_shift(T[i], LIMB_BITS, out=m)
-        T[i + 1] += m
-    hi = T[L:]
+    carry = _np.empty_like(low)
     for _ in range(2):
-        c = hi >> LIMB_BITS
-        _np.bitwise_and(hi, _MASK, out=hi)
-        hi[1:] += c[:-1]
-    flatO[:] = hi
+        _np.multiply(low, _INV_BASE, out=carry)
+        _np.rint(carry, out=carry)
+        arr[1:] += carry
+        carry *= _BASE
+        low -= carry
+    return arr
+
+
+def mul_const(x, mats, out):
+    """``out = mats @ x`` limb-wise, normalized: the kernel's one call.
+
+    ``x`` and ``out`` are ``(rows, *lead, n)`` views with unit stride along
+    ``n``; ``mats`` is ``(*lead, limbs, rows)`` or broadcasts to it — one
+    constant per leading index, applied to that index's ``n`` lanes.
+    Callers keep the lanes of one call at :data:`CHUNK_LANES`.
+    """
+    axes = tuple(range(1, x.ndim - 1)) + (0, x.ndim - 1)
+    _np.matmul(mats, x.transpose(axes), out=out[:-1].transpose(axes))
+    out[-1] = 0.0
+    return normalize(out)
+
+
+def scale(x, mats):
+    """A new array ``mats @ x``: ``x`` is ``(rows, T, ..., n)``, ``mats``
+    has one matrix per leading index or a leading 1 that broadcasts."""
+    out = _np.empty(x.shape)
+    per = x[0, 0].size
+    step = max(1, CHUNK_LANES // per)
+    for t in range(0, x.shape[1], step):
+        mul_const(
+            x[:, t : t + step],
+            mats[t : t + step] if mats.shape[0] > 1 else mats,
+            out[:, t : t + step],
+        )
     return out
 
 
-def mont_mul(plan: LimbPlan, A, B, work: Optional[_Work] = None):
-    out = _np.empty_like(A)
-    return mont_mul_into(plan, A, B, out, work)
+def reduce(plan: LimbPlan, x):
+    """Normalized ``(rows, n)`` limbs -> the balanced residue, in place.
 
-
-def to_mont(plan: LimbPlan, arr):
-    """plain -> mont form (one multiply by ``R^2``)."""
-    return mont_mul(plan, arr, plan.r2_col)
-
-
-def from_mont(plan: LimbPlan, arr):
-    """mont -> plain form (one multiply by 1)."""
-    return mont_mul(plan, arr, plan.one_col)
-
-
-# -- NTT stages as an array program -------------------------------------------------
-
-
-def ntt_stages(
-    plan: LimbPlan,
-    data,
-    stage_twiddles: List,
-    bound_p: int = 1,
-) -> int:
-    """Iterative radix-2 butterflies over bit-reversed ``data``, in place.
-
-    ``data``: contiguous ``(L, C, d)`` plain-form limbs, ``C`` independent
-    vectors batched through every stage together.  ``stage_twiddles``: per
-    stage a canonical *mont-form* twiddle table — either ``(L, half)``
-    (broadcast per group at call time) or pre-tiled ``(L, C*d//2)``
-    covering every lane (the Domain caches tiled tables per batch width so
-    no per-stage broadcast copy is paid) — or ``None`` for the all-ones
-    first stage, which needs no multiplies.  ``bound_p`` is the current
-    value bound in multiples of ``p``; the return value is the new bound.
-    When the running bound would overflow the lazy-reduction headroom the
-    data is canonicalized mid-transform (only reachable for domains past
-    ``~2^13``).
+    One float Barrett step: the top three limbs estimate ``value / p`` to
+    well under 1, so afterwards ``|value| < p``, the carry row is zero and
+    the low rows are limbs a constant matrix may hold.  Needs
+    ``|value| < 2^30 p`` (table construction: one product of a residue).
     """
-    L = plan.limbs
-    d = data.shape[-1]
-    C = data.shape[1] if data.ndim == 3 else 1
-    view = data.reshape(L, C, d)
-    lanes = C * (d // 2)
-    work = _Work(L, lanes) if lanes else None
-    t_flat = _np.empty((L, lanes), dtype=_np.int64)
-    for s, tw in enumerate(stage_twiddles):
-        half = 1 << s
-        groups = d >> (s + 1)
-        # Projected post-stage bound; canonicalize first if it would
-        # exhaust the lazy-reduction headroom.
-        projected = (2 * bound_p) if tw is None else (bound_p + 2)
-        if projected > BOUND_MULTIPLE:
-            canonicalize(plan, view)
-            bound_p = 1
-        V = view.reshape(L, C, groups, 2 * half)
-        u = V[..., :half]
-        odd = V[..., half:]
-        t = t_flat.reshape(L, C, groups, half)
-        if tw is None:
-            t[:] = odd
-            t_bound = bound_p
-        else:
-            _np.copyto(t, odd)
-            if tw.shape[1] == lanes:
-                twb = tw  # pre-tiled across every lane: use as-is
-            else:
-                twb = _np.broadcast_to(
-                    tw.reshape(L, 1, 1, half), (L, C, groups, half)
-                ).reshape(L, -1)
-            mont_mul_into(plan, t_flat, twb, t_flat, work)
-            t_bound = 2  # value < p + 32p * p / R <= 2p
-        off = plan.kp_cols[t_bound].reshape(L, 1, 1, 1)
-        _np.subtract(u, t, out=odd)  # u still holds the original even half
-        odd += off
-        u += t
-        _ripple_norm(view.reshape(L, -1))
-        bound_p = bound_p + t_bound
-    return bound_p
+    q = (x[-1] * _BASE + x[-2]) * _BASE + x[-3]
+    q *= plan.inv_p
+    _np.rint(q, out=q)
+    x -= plan.p_col * q
+    return normalize(x)
 
 
-def bit_reverse_gather(data, bitrev):
-    """Apply the bit-reversal permutation along the last axis (copies)."""
-    return _np.ascontiguousarray(data[..., bitrev])
+def _times(plan: LimbPlan, x, matrix):
+    """Reduced ``x * constant`` for table construction (``x`` ``(rows, n)``)."""
+    out = _np.empty(x.shape)
+    for l in range(0, x.shape[1], CHUNK_LANES):
+        at = (slice(None), slice(l, l + CHUNK_LANES))
+        reduce(plan, mul_const(x[at], matrix, out[at]))
+    return out
 
 
-def pointwise_mont(plan: LimbPlan, data, table, work: Optional[_Work] = None):
-    """``data[..., i] * table[..., i] / R`` — one fused pointwise pass.
-
-    ``data`` is ``(L, C, d)`` (or ``(L, d)``); ``table`` is ``(L, d)`` and
-    broadcasts across the ``C`` axis.  With a mont-form ``table`` this is a
-    plain pointwise product (the coset-shift / INTT-scale passes); with a
-    plain table the result picks up an extra ``R^{-1}`` (used to pre-divide
-    one quotient chain).
-    """
-    L = plan.limbs
-    flat = _np.ascontiguousarray(data).reshape(L, -1)
-    out = _np.empty_like(flat)
-    if table.size == data.size:
-        mont_mul_into(
-            plan, flat, _np.ascontiguousarray(table).reshape(L, -1), out, work
-        )
-    else:
-        # Table repeats across the batch axis: multiply each chain's
-        # contiguous block against it instead of materializing a broadcast.
-        tflat = _np.ascontiguousarray(table).reshape(L, -1)
-        d = tflat.shape[1]
-        reps = flat.shape[1] // d
-        seg_work = _Work(L, d) if reps > 1 else work
-        for c in range(reps):
-            mont_mul_into(
-                plan,
-                flat[:, c * d:(c + 1) * d],
-                tflat,
-                out[:, c * d:(c + 1) * d],
-                seg_work,
-            )
-    return out.reshape(data.shape)
-
-
-def powers_limbs(plan: LimbPlan, base: int, count: int, mont: bool = False):
-    """``[base^0 .. base^(count-1)]`` built resident, by block doubling.
-
-    Each doubling step extends the table with one vectorized multiply by
-    the constant ``base^block``, so construction is ~1 lane-multiply per
-    element with no Python-int chain.  With ``mont`` the table is produced
-    in Montgomery form (ready to be a butterfly/scale constant).  Output is
-    canonical.
-    """
+def powers_limbs(plan: LimbPlan, base: int, count: int, first: int = 1):
+    """Reduced limbs of ``first * base^k``, ``k < count``, by block doubling:
+    each step multiplies the table so far by the constant ``base^block``."""
     p = plan.modulus
-    L = plan.limbs
-    base %= p
-    out = _np.zeros((L, max(count, 0)), dtype=_np.int64)
+    out = _np.zeros((plan.rows, max(count, 0)))
     if count <= 0:
         return out
-    first = plan.R_mod_p if mont else 1
-    out[:, 0] = to_limbs(plan, [first])[:, 0]
+    out[:, :1] = plan.int_col(first % p)
     block = 1
-    work: Optional[_Work] = None
     while block < count:
         width = min(block, count - block)
-        # Constant multiplier for this doubling: base^block (mont-form
-        # tables fold the R factor into the running values, so the
-        # constant itself stays canonical either way).
-        const_col = to_limbs(plan, [pow(base, block, p) * plan.R_mod_p % p])
-        out[:, block : block + width] = mont_mul(
-            plan, _np.ascontiguousarray(out[:, :width]), const_col
+        out[:, block : block + width] = _times(
+            plan, out[:, :width], plan.const_matrix(pow(base, block, p))
         )
         block <<= 1
-    canonicalize(plan, out)
     return out
+
+
+def const_matrices(plan: LimbPlan, limbs):
+    """Reduced ``(rows, T)`` limbs -> ``(T, limbs, rows)`` constant matrices,
+    built by the kernel: column ``i + 1`` is column ``i`` times ``2^W``."""
+    mats = _np.empty((limbs.shape[1], plan.limbs, plan.rows))
+    for i in range(plan.rows):
+        mats[:, :, i] = limbs[:-1].T
+        if i + 1 < plan.rows:
+            limbs = _times(plan, limbs, plan.shift)
+    return mats
+
+
+def mul(plan: LimbPlan, x, y):
+    """Data-by-data product of two ``(rows, n)`` arrays (normalized in
+    place first): schoolbook limb convolution into ``2 rows`` limbs, then
+    the fold matrix maps the high limbs back — a new normalized array."""
+    rows, n = x.shape
+    out = _np.empty((rows, n))
+    step = CHUNK_LANES // 2  # the fold matmul is twice as deep
+    for l in range(0, n, step):
+        xs = normalize(x[:, l : l + step])
+        ys = normalize(y[:, l : l + step])
+        acc = _np.zeros((2 * rows, xs.shape[1]))
+        tmp = _np.empty_like(xs)
+        for i in range(rows):
+            _np.multiply(xs[i], ys, out=tmp)
+            acc[i : i + rows] += tmp
+        mul_const(normalize(acc), plan.fold, out[:, l : l + step])
+    return out
+
+
+def _butterflies(a, b, mats, y0, y1) -> None:
+    """``y0 = a + w b``, ``y1 = a - w b`` over ``(rows, m, n)`` views, one
+    matrix of ``mats`` per index of axis 1, a chunk of lanes at a time."""
+    m, n = a.shape[1:]
+    mc, nc = (1, CHUNK_LANES) if n >= CHUNK_LANES else (CHUNK_LANES // n, n)
+    scratch = _np.empty((a.shape[0], min(m, mc) * nc))
+    for p in range(0, m, mc):
+        for l in range(0, n, nc):
+            at = (slice(None), slice(p, p + mc), slice(l, l + nc))
+            t = scratch[:, : b[at][0].size].reshape(b[at].shape)
+            mul_const(b[at], mats[p : p + mc], t)
+            _np.subtract(a[at], t, out=y1[at])
+            _np.add(a[at], t, out=y0[at])
+
+
+def ntt(x, twiddles, inverse: bool = False):
+    """Unscaled NTT along axis 1 of ``(rows, d, C)`` limbs.  Returns a new
+    array; ``x`` is the other half of the ping-pong and is overwritten.
+
+    Radix-2 decimation in time on the Stockham autosort schedule: natural
+    order in and out, no bit-reversal pass.  Stage ``m`` reads pairs
+    ``(p, 0|1, q)`` and writes ``(0|1, p, q)``, so the product operand and
+    both outputs are whole blocks and only the pass-through operand is a
+    strided view.  ``twiddles`` holds the matrices of ``omega^k`` for
+    ``k = 0..d/2``; the inverse root needs no second table, since
+    ``omega^-k = -omega^(d/2 - k)``: read the table backwards and swap the
+    outputs.  The twiddle product is freshly normalized every stage; the
+    pass-through operand is never normalized and drifts by one such limb
+    per stage, which :func:`exactness_bounds` covers to :data:`MAX_STAGES`.
+    """
+    rows, d, C = x.shape
+    if d > 1 << MAX_STAGES:
+        raise ValueError(f"transform size {d} exceeds 2^{MAX_STAGES}")
+    half = d // 2
+    y = _np.empty(x.shape)
+    m = 1
+    while m < d:
+        s = half // m
+        xv = x.reshape(rows, m, 2, s * C)
+        yv = y.reshape(rows, 2, m, s * C)
+        a, b, y0, y1 = xv[:, :, 0], xv[:, :, 1], yv[:, 0], yv[:, 1]
+        if m == 1:
+            _np.add(a, b, out=y0)
+            _np.subtract(a, b, out=y1)
+        elif inverse:
+            _butterflies(a, b, twiddles[half:0:-s], y1, y0)
+        else:
+            _butterflies(a, b, twiddles[0:half:s], y0, y1)
+        x, y = y, x
+        m <<= 1
+    return x
 
 
 # -- backend objects ----------------------------------------------------------------
@@ -489,22 +487,6 @@ class ScalarBackend:
 
     name = "scalar"
     supports_ntt = False
-    supports_vector = False
-
-    def mul_list(self, field: Field, xs, ys):
-        p = field.modulus
-        global_counter().field_mul += len(xs)
-        return [x * y % p for x, y in zip(xs, ys)]
-
-    def add_list(self, field: Field, xs, ys):
-        p = field.modulus
-        global_counter().field_add += len(xs)
-        return [(x + y) % p for x, y in zip(xs, ys)]
-
-    def sub_list(self, field: Field, xs, ys):
-        p = field.modulus
-        global_counter().field_add += len(xs)
-        return [(x - y) % p for x, y in zip(xs, ys)]
 
     def inv_list(self, field: Field, xs, zero_ok: bool = False):
         # The scalar Montgomery batch-inversion trick: one field inversion
@@ -549,76 +531,20 @@ class ScalarBackend:
 
 
 class NumpyBackend(ScalarBackend):
-    """Vectorized limb-Montgomery backend (numpy int64 arrays)."""
+    """The array kernel of this module; serves the QAP transforms."""
 
     name = "numpy"
     supports_ntt = True
-    supports_vector = True
 
-    # Below this many elements the per-call numpy overhead beats the win;
-    # list-level entry points fall back to scalar arithmetic.
-    min_lanes = 64
-
-    # No inv_list override: on SIMD-less int64 hardware limb conversions
-    # plus ~250ns/lane kernel passes lose to the scalar backend's
-    # 3-mulmod/element Montgomery trick at every size (0.65x at 16k
-    # elements measured).
-
-    def _validated(self, plan: LimbPlan, xs):
-        return to_limbs(plan, xs, validate=True)
-
-    def mul_list(self, field: Field, xs, ys):
-        if len(xs) < self.min_lanes:
-            return ScalarBackend.mul_list(self, field, xs, ys)
-        plan = plan_for(field)
-        A = self._validated(plan, xs)
-        B = to_mont(plan, self._validated(plan, ys))
-        out = mont_mul(plan, A, B)
-        canonicalize(plan, out)
-        global_counter().field_mul += len(xs)
-        return from_limbs(plan, out)
-
-    def add_list(self, field: Field, xs, ys):
-        if len(xs) < self.min_lanes:
-            return ScalarBackend.add_list(self, field, xs, ys)
-        plan = plan_for(field)
-        out = self._validated(plan, xs) + self._validated(plan, ys)
-        canonicalize(plan, out)
-        global_counter().field_add += len(xs)
-        return from_limbs(plan, out)
-
-    def sub_list(self, field: Field, xs, ys):
-        if len(xs) < self.min_lanes:
-            return ScalarBackend.sub_list(self, field, xs, ys)
-        plan = plan_for(field)
-        out = self._validated(plan, xs) - self._validated(plan, ys)
-        out += plan.kp_cols[1]
-        canonicalize(plan, out)
-        global_counter().field_add += len(xs)
-        return from_limbs(plan, out)
+    # inv_list is inherited: on int lists the conversion to and from limbs
+    # costs more than the scalar loop saves (0.65x at 16k elements measured).
 
 
 class Gmpy2Backend(ScalarBackend):
-    """GMP-backed big-int fast path (list-level ops on ``mpz`` values)."""
+    """GMP-backed big-int fast path (batch inversion on ``mpz`` values)."""
 
     name = "gmpy2"
     supports_ntt = False
-    supports_vector = False
-
-    def mul_list(self, field: Field, xs, ys):
-        p = _mpz(field.modulus)
-        global_counter().field_mul += len(xs)
-        return [int(_mpz(x) * y % p) for x, y in zip(xs, ys)]
-
-    def add_list(self, field: Field, xs, ys):
-        p = _mpz(field.modulus)
-        global_counter().field_add += len(xs)
-        return [int((_mpz(x) + y) % p) for x, y in zip(xs, ys)]
-
-    def sub_list(self, field: Field, xs, ys):
-        p = _mpz(field.modulus)
-        global_counter().field_add += len(xs)
-        return [int((_mpz(x) - y) % p) for x, y in zip(xs, ys)]
 
     def inv_list(self, field: Field, xs, zero_ok: bool = False):
         p = _mpz(field.modulus)

@@ -1,9 +1,9 @@
 """Batch field utilities shared by the curve, QAP, and compiler layers.
 
 These entry points dispatch to the active field backend
-(:mod:`repro.field.backend`): the scalar reference, the vectorized
-limb-Montgomery numpy backend, or the gmpy2 big-int fast path, selected
-via ``ZENO_FIELD_BACKEND``.  All backends are bit-identical on canonical
+(:mod:`repro.field.backend`): the scalar reference, the numpy array
+kernel, or the gmpy2 big-int fast path, selected via
+``ZENO_FIELD_BACKEND``.  All backends are bit-identical on canonical
 inputs and charge identical op-counter totals, so callers (and the cost
 model) never observe which one ran.
 """
@@ -78,8 +78,8 @@ def field_dot(field: Field, xs: Sequence[int], ys: Sequence[int]) -> int:
 def powers(field: Field, base: int, count: int) -> List[int]:
     """``[1, base, base^2, ..., base^(count-1)]`` as raw ints.
 
-    Sequential by nature (each term feeds the next); the resident
-    limb-domain variant used for twiddle/scale table construction lives in
+    Sequential by nature (each term feeds the next); the limb-array
+    variant used for twiddle/scale table construction lives in
     :func:`repro.field.backend.powers_limbs`.
     """
     out = [1] * count if count > 0 else []

@@ -23,8 +23,9 @@ whole domains per ``(size, modulus)``.
 The prover-side entry points accept an optional CSR snapshot
 (:meth:`repro.r1cs.system.ConstraintSystem.to_csr`) and a ``parallelism``
 degree: witness rows evaluate through the §5.2 schedule executor
-(:mod:`repro.core.schedule.executor`) and the three independent
-INTT → coset-NTT chains of the quotient dispatch to worker processes.
+(:mod:`repro.core.schedule.executor`) and, on the scalar field backend,
+the two INTT → coset-NTT chains of the quotient dispatch to worker
+processes.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ def domain_cache_info() -> Tuple[int, int]:
     return len(_DOMAIN_CACHE), _DOMAIN_CACHE_MAX
 
 
-# Below this domain size the per-call numpy dispatch overhead beats the
-# vectorized butterfly win; the scalar lazy-reduction path stays faster.
-_VECTOR_NTT_MIN = int(os.environ.get("ZENO_VECTOR_NTT_MIN", "256"))
+# Below this domain size the scalar lazy-reduction path is faster than the
+# array kernel's fixed cost per stage (a measured crossover, EXPERIMENTS.md;
+# tests patch the attribute to force either path).
+_VECTOR_NTT_MIN = 128
 
 
 class Domain:
@@ -107,8 +109,8 @@ class Domain:
         self._coset_intt_scale = [
             (g * self.size_inv) % p for g in self.coset_inv_powers
         ]
-        # Limb-resident twiddle/scale tables for the vectorized backend,
-        # built lazily on first vector-path transform.
+        # Constant matrices for the array kernel, built lazily on the first
+        # array-path transform.
         self._vec: Optional["_VectorTables"] = None
 
     @classmethod
@@ -207,40 +209,21 @@ class Domain:
         counter.field_mul += (self.size >> 1) * log2d * transforms
         counter.field_add += self.size * log2d * transforms
 
-    def _vec_transform(
-        self,
-        vectors: List[List[int]],
-        root: int,
-        pre_scale=None,
-        post_scale=None,
-    ) -> List[List[int]]:
-        """Batched NTT of ``vectors`` through the limb backend.
-
-        ``pre_scale``/``post_scale`` are canonical mont-form pointwise
-        tables (the coset shift and fused INTT scales), applied in natural
-        order before bit-reversal / after the butterflies — mirroring the
-        scalar methods exactly, including which passes the cost model
-        counts (only the butterflies)."""
+    def _vec_run(self, vec, values: List[int], *steps: str) -> List[int]:
+        """One vector through ``steps`` on the array kernel: ``"ntt"`` /
+        ``"intt"`` are the unscaled transforms (the passes the cost model
+        counts, as on the scalar path), anything else names a pointwise
+        table of ``vec``, this domain's :class:`_VectorTables`."""
         from repro.field import backend as fb
 
-        vec = self._vec
-        plan = vec.plan
-        d = self.size
-        C = len(vectors)
-        flat = [x for v in vectors for x in v]
-        arr = fb.to_limbs(plan, flat).reshape(plan.limbs, C, d)
-        bound = 1
-        if pre_scale is not None:
-            arr = fb.pointwise_mont(plan, arr, pre_scale)
-            bound = 2
-        arr = fb.bit_reverse_gather(arr, vec.bitrev)
-        fb.ntt_stages(plan, arr, vec.tiled_stages(root, C), bound)
-        if post_scale is not None:
-            arr = fb.pointwise_mont(plan, arr, post_scale)
-        fb.canonicalize(plan, arr)
-        out = fb.from_limbs(plan, arr)
-        self._bump_ntt_counters(C)
-        return [out[c * d : (c + 1) * d] for c in range(C)]
+        x = fb.to_limbs(vec.plan, values).reshape(vec.plan.rows, self.size, 1)
+        for step in steps:
+            if step in ("ntt", "intt"):
+                x = fb.ntt(x, vec.twiddles, inverse=step == "intt")
+                self._bump_ntt_counters(1)
+            else:
+                x = vec.pointwise(x, step)
+        return fb.from_limbs(vec.plan, x)
 
     # -- NTT core ----------------------------------------------------------------
 
@@ -289,7 +272,7 @@ class Domain:
         padded = list(coeffs) + [0] * (self.size - len(coeffs))
         vec = self._vector_tables()
         if vec is not None and self._all_canonical(padded, self.field.modulus):
-            return self._vec_transform([padded], self.omega)[0]
+            return self._vec_run(vec, padded, "ntt")
         return self._ntt(padded, self.omega)
 
     def intt(self, evals: Sequence[int]) -> List[int]:
@@ -298,9 +281,7 @@ class Domain:
         values = list(evals)
         vec = self._vector_tables()
         if vec is not None and self._all_canonical(values, p):
-            return self._vec_transform(
-                [values], self.omega_inv, post_scale=vec.size_inv_mont
-            )[0]
+            return self._vec_run(vec, values, "intt", "size_inv")
         out = self._ntt(values, self.omega_inv)
         size_inv = self.size_inv
         return [(v * size_inv) % p for v in out]
@@ -311,9 +292,7 @@ class Domain:
         padded = list(coeffs) + [0] * (self.size - len(coeffs))
         vec = self._vector_tables()
         if vec is not None and self._all_canonical(padded, p):
-            return self._vec_transform(
-                [padded], self.omega, pre_scale=vec.coset_mont
-            )[0]
+            return self._vec_run(vec, padded, "coset", "ntt")
         shifted = [(c * g) % p for c, g in zip(padded, self.coset_powers)]
         return self._ntt(shifted, self.omega)
 
@@ -324,9 +303,7 @@ class Domain:
         values = list(evals)
         vec = self._vector_tables()
         if vec is not None and self._all_canonical(values, p):
-            return self._vec_transform(
-                [values], self.omega_inv, post_scale=vec.coset_intt_mont
-            )[0]
+            return self._vec_run(vec, values, "intt", "coset_intt")
         out = self._ntt(values, self.omega_inv)
         return [(v * s) % p for v, s in zip(out, self._coset_intt_scale)]
 
@@ -336,51 +313,17 @@ class Domain:
         Equivalent to ``coset_ntt(intt(evals))`` with the INTT's ``1/d``
         and the coset shift fused into a single cached pointwise table —
         the unit of work the parallel quotient dispatches per polynomial.
-        On the vector backend both transforms run limb-resident with one
-        fused mont-form scale pass between them.
         """
         p = self.field.modulus
         values = list(evals)
         vec = self._vector_tables()
         if vec is not None and self._all_canonical(values, p):
-            from repro.field import backend as fb
-
-            plan = vec.plan
-            arr = fb.to_limbs(plan, values).reshape(plan.limbs, 1, self.size)
-            arr, _ = self._vec_intt_to_coset(arr)
-            fb.canonicalize(plan, arr)
-            self._bump_ntt_counters(2)
-            return fb.from_limbs(plan, arr)
+            return self._vec_run(vec, values, "intt", "intt_coset", "ntt")
         coeffs = self._ntt(values, self.omega_inv)
         shifted = [
             (c * s) % p for c, s in zip(coeffs, self._intt_coset_scale)
         ]
         return self._ntt(shifted, self.omega)
-
-    def _vec_intt_to_coset(self, arr, scale=None):
-        """Limb-resident INTT -> fused scale -> coset NTT (lazy output).
-
-        ``arr`` is canonical ``(L, C, d)``; ``scale`` defaults to the
-        mont-form fused table (per-chain tables may mix in a plain-form
-        column — the quotient's ``1/R`` trick).  Returns the un-canonical
-        coset evaluations and their lazy value bound (in multiples of p);
-        callers canonicalize (or feed the pointwise quotient step, which
-        tolerates the bound) and charge the 2-NTT counter cost."""
-        from repro.field import backend as fb
-
-        vec = self._vec
-        plan = vec.plan
-        batch = arr.shape[1] if arr.ndim == 3 else 1
-        arr = fb.bit_reverse_gather(arr, vec.bitrev)
-        fb.ntt_stages(plan, arr, vec.tiled_stages(self.omega_inv, batch), 1)
-        arr = fb.pointwise_mont(
-            plan, arr, vec.intt_coset_mont if scale is None else scale
-        )
-        arr = fb.bit_reverse_gather(arr, vec.bitrev)
-        bound = fb.ntt_stages(
-            plan, arr, vec.tiled_stages(self.omega, batch), 2
-        )
-        return arr, bound
 
     # -- vanishing polynomial -------------------------------------------------------
 
@@ -411,87 +354,75 @@ class Domain:
 
 
 class _VectorTables:
-    """Per-domain limb-resident tables for the vectorized NTT backend.
+    """Per-domain constant matrices for the array kernel
+    (:mod:`repro.field.backend`), built by the kernel itself.
 
-    Twiddles and fused scale tables are stored as canonical Montgomery-form
-    ``(L, n)`` int64 arrays so every butterfly/scale pass is a single
-    ``mont_mul`` with plain data — no per-transform Montgomery conversion.
-    Built once per (domain, process) and cached on the Domain, so they
-    ride the domain LRU and fork into worker pools for free.
+    ``twiddles`` holds the matrices of ``omega^k`` for ``k = 0..d/2`` —
+    every stage of either direction reads a strided view of it.  A
+    pointwise table is ``(hi, lo)``: a constant ``c`` is one matrix
+    (``lo`` is ``None``); a geometric table ``c g^i`` is two-level,
+    ``c g^(B hi)`` per block of ``B ~ sqrt(d)`` lanes and ``g^lo`` inside
+    every block, so it costs ``d/B + B`` matrices instead of ``d``.  Built
+    once per (domain, process) and cached on the Domain, so the tables
+    ride the domain LRU and fork into worker pools for free; they are
+    read-only afterwards, and every call brings its own scratch.
     """
 
-    __slots__ = (
-        "plan", "bitrev", "stages", "coset_mont", "intt_coset_mont",
-        "intt_coset_plain", "coset_intt_mont", "size_inv_mont",
-        "_tiled", "size",
-    )
+    __slots__ = ("plan", "twiddles", "tables")
 
     def __init__(self, domain: "Domain") -> None:
-        import numpy as np
-
         from repro.field import backend as fb
 
-        plan = fb.plan_for(domain.field)
+        plan = self.plan = fb.plan_for(domain.field)
         p = domain.field.modulus
-        rm = plan.R_mod_p
-        self.plan = plan
-        self.bitrev = np.array(domain._bitrev, dtype=np.int64)
-        self.size = domain.size
-        self.stages = {}
-        self._tiled = {}
-        for root in (domain.omega, domain.omega_inv):
-            scalar_stages = domain._stage_twiddles(root)
-            tables = [None]  # stage 0 twiddle is 1: pure add/sub butterfly
-            for s in range(1, len(scalar_stages)):
-                tables.append(
-                    fb.to_limbs(
-                        plan, [w * rm % p for w in scalar_stages[s]]
-                    )
-                )
-            self.stages[root] = tables
-        self.coset_mont = fb.to_limbs(
-            plan, [v * rm % p for v in domain.coset_powers]
-        )
-        self.intt_coset_mont = fb.to_limbs(
-            plan, [v * rm % p for v in domain._intt_coset_scale]
-        )
-        # Plain-form variant: multiplying by it through mont_mul leaves an
-        # extra 1/R on the chain — the quotient pipeline runs its C chain
-        # through this table so (A*B - C) needs no Montgomery conversion.
-        self.intt_coset_plain = fb.to_limbs(plan, domain._intt_coset_scale)
-        self.coset_intt_mont = fb.to_limbs(
-            plan, [v * rm % p for v in domain._coset_intt_scale]
-        )
-        self.size_inv_mont = fb.to_limbs(plan, [domain.size_inv * rm % p])
+        d = domain.size
+        block = 1 << (d.bit_length() // 2)
 
-    def tiled_stages(self, root: int, batch: int):
-        """Stage twiddles pre-tiled to the full ``(L, batch * d/2)`` lane
-        width, memoized per (root, batch).
-
-        Tiling once per domain (a few MB per batch width, riding the
-        domain LRU) lets every butterfly stage feed the Montgomery kernel
-        a single contiguous operand instead of materializing a broadcast
-        copy on each of the ~log2(d) stages of every transform.
-        """
-        import numpy as np
-
-        key = (root, batch)
-        cached = self._tiled.get(key)
-        if cached is not None:
-            return cached
-        lanes = batch * (self.size // 2)
-        tables = [None]
-        for s, base in enumerate(self.stages[root]):
-            if s == 0:
-                continue
-            reps = lanes // base.shape[1]
-            tables.append(
-                np.ascontiguousarray(np.tile(base, reps))
-                if reps > 1
-                else base
+        def matrices(base: int, count: int, first: int = 1):
+            return fb.const_matrices(
+                plan, fb.powers_limbs(plan, base, count, first)
             )
-        self._tiled[key] = tables
-        return tables
+
+        self.twiddles = matrices(domain.omega, d // 2 + 1)
+        g, g_inv = domain.coset_shift, domain.coset_shift_inv
+        low = {base: matrices(base, block)[None] for base in (g, g_inv)}
+
+        def geometric(base: int, first: int):
+            return matrices(pow(base, block, p), d // block, first), low[base]
+
+        # 1 / (d Z(g)): the quotient's last division, folded into the
+        # scale that undoes the coset shift.
+        over_dz = domain.size_inv * pow(
+            domain.coset_vanishing_constant(), -1, p
+        ) % p
+        self.tables = {
+            "size_inv": (plan.const_matrix(domain.size_inv)[None], None),
+            "over_dz": (plan.const_matrix(over_dz)[None], None),
+            "coset": geometric(g, 1),
+            "intt_coset": geometric(g, domain.size_inv),
+            "coset_intt": geometric(g_inv, domain.size_inv),
+            "coset_intt_over_dz": geometric(g_inv, over_dz),
+        }
+
+    def nbytes(self) -> int:
+        """Bytes held by this domain's matrices (shared ones once)."""
+        arrays = {id(t): t for pair in self.tables.values() for t in pair}
+        arrays[id(self.twiddles)] = self.twiddles
+        return sum(t.nbytes for t in arrays.values() if t is not None)
+
+    def pointwise(self, x, name: str):
+        """``x[:, i] * table[i]`` over ``(rows, d, C)`` limbs; a new array."""
+        from repro.field import backend as fb
+
+        rows, d, lanes = x.shape
+        hi, lo = self.tables[name]
+        if lo is None:
+            x = x.reshape(rows, -1, min(d, fb.CHUNK_LANES))
+            return fb.scale(x, hi).reshape(rows, d, lanes)
+        block = lo.shape[1]
+        x = x.reshape(rows, d // block, block * lanes)
+        x = fb.scale(x, hi).reshape(rows, d // block, block, lanes)
+        return fb.scale(x, lo).reshape(rows, d, lanes)
 
 
 def _vector_quotient(
@@ -500,51 +431,33 @@ def _vector_quotient(
     b_evals: List[int],
     c_evals: List[int],
 ) -> List[int]:
-    """Array-resident quotient: all three chains batched as ``(L, 3, d)``.
+    """The quotient on the array kernel, six transforms.
 
-    The A/B chains run through the mont-form fused scale table, the C
-    chain through the plain-form one, so on the coset the stored values
-    are ``A``, ``B`` and ``C/R``; then ``mont_mul(A, B) - C/R`` is
-    ``(AB - C)/R`` with zero conversion passes, and one final multiply by
-    the canonical constant ``z_inv * R^2`` yields ``(AB - C) * z_inv``
-    exactly.  Counter totals equal the scalar path's seven NTTs.
+    One batch-3 inverse NTT takes ``A, B, C`` to (``d`` times) their
+    coefficients.  ``C`` stays there.  ``A, B`` are shifted onto the
+    coset, transformed, multiplied — the one data-by-data product — and
+    transformed back to ``e``; then ``h_i = (g^-i e_i - C_i) / (d Z(g))``,
+    which is the scalar path's ``coset_intt((A B - C) / Z(g))`` for every
+    input because the coset transform is linear and ``C`` has degree below
+    ``d``.  Counter totals equal the scalar path's six NTTs.
     """
-    import numpy as np
-
     from repro.field import backend as fb
 
     vec = domain._vector_tables()
-    plan = vec.plan
-    p = domain.field.modulus
-    d = domain.size
-    L = plan.limbs
-    flat = list(a_evals) + list(b_evals) + list(c_evals)
-    arr = fb.to_limbs(plan, flat).reshape(L, 3, d)
-    scale = np.stack(
-        [vec.intt_coset_mont, vec.intt_coset_mont, vec.intt_coset_plain],
-        axis=1,
-    )
-    arr, bound = domain._vec_intt_to_coset(arr, scale=scale)
-    a_c = np.ascontiguousarray(arr[:, 0])
-    b_c = np.ascontiguousarray(arr[:, 1])
-    c_c = np.ascontiguousarray(arr[:, 2])
-    fb.canonicalize(plan, b_c)  # the mont-multiply's B operand
-    u = fb.mont_mul(plan, a_c, b_c)  # stored: A*B/R, value < 2p
-    if bound + 2 >= len(plan.kp_cols):
-        fb.canonicalize(plan, c_c)
-        bound = 1
-    u -= c_c
-    u += plan.kp_cols[bound]  # keep the subtraction nonnegative
-    fb._ripple_norm(u)
-    z_inv = pow(domain.coset_vanishing_constant(), -1, p)
-    z_col = fb.to_limbs(plan, [z_inv * plan.R2 % p])
-    h = fb.mont_mul(plan, u, z_col).reshape(L, 1, d)
-    h = fb.bit_reverse_gather(h, vec.bitrev)
-    fb.ntt_stages(plan, h, vec.tiled_stages(domain.omega_inv, 1), 2)
-    h = fb.pointwise_mont(plan, h, vec.coset_intt_mont)
-    fb.canonicalize(plan, h)
-    h_coeffs = fb.from_limbs(plan, h)
-    domain._bump_ntt_counters(7)
+    plan, twiddles = vec.plan, vec.twiddles
+    rows, d = plan.rows, domain.size
+    x = fb.to_limbs(plan, a_evals + b_evals + c_evals)
+    x = x.reshape(rows, 3, d).transpose(0, 2, 1).copy()  # chains innermost
+    x = fb.ntt(x, twiddles, inverse=True)
+    c = vec.pointwise(x[:, :, 2:].copy(), "over_dz")
+    ab = vec.pointwise(x[:, :, :2].copy(), "intt_coset")
+    ab = fb.ntt(ab, twiddles)
+    e = fb.mul(plan, ab[:, :, 0].copy(), ab[:, :, 1].copy())
+    e = fb.ntt(e.reshape(rows, d, 1), twiddles, inverse=True)
+    e = vec.pointwise(e, "coset_intt_over_dz")
+    e -= c
+    h_coeffs = fb.from_limbs(plan, e)
+    domain._bump_ntt_counters(6)
     if h_coeffs[-1] != 0:
         raise ValueError("witness does not satisfy the constraint system")
     return h_coeffs[:-1]
@@ -647,7 +560,7 @@ def _coset_chain(payload: Tuple[int, int, List[int]]) -> List[int]:
 
     Self-contained payload (domain size, modulus, H-evaluations) so it
     pickles to any pool; the worker-side :meth:`Domain.for_size` cache
-    amortizes table builds across the three chains and across proves.
+    amortizes table builds across the chains and across proves.
     """
     size, modulus, evals = payload
     field = BN254_FR if modulus == BN254_FR.modulus else Field(modulus)
@@ -663,15 +576,17 @@ def quotient_coefficients(
 ) -> List[int]:
     """Coefficients of ``h(x) = (A_w(x) B_w(x) - C_w(x)) / Z(x)``.
 
-    Standard coset trick: interpolate A_w/B_w/C_w from their H-evaluations,
+    Standard coset trick: interpolate A_w/B_w from their H-evaluations,
     re-evaluate on the coset ``g*H`` where Z is the nonzero constant
-    ``g^d - 1``, divide pointwise, and interpolate back.  Raises if the
-    witness does not satisfy the R1CS (remainder nonzero).
+    ``g^d - 1``, multiply there and interpolate back; ``C_w`` has degree
+    below ``d`` and is subtracted in coefficient form, so the quotient is
+    six transforms.  Raises if the witness does not satisfy the R1CS
+    (remainder nonzero).
 
     With ``parallelism > 1`` the witness rows evaluate through the
-    schedule executor and the three independent INTT -> coset-NTT chains
-    dispatch to worker processes (op counts merged into this process's
-    counter so the cost model matches the sequential path).
+    schedule executor and the two INTT -> coset-NTT chains dispatch to
+    worker processes (op counts merged into this process's counter so the
+    cost model matches the sequential path).
     """
     p = domain.field.modulus
     if evals is None:
@@ -684,33 +599,31 @@ def quotient_coefficients(
         Domain._all_canonical(list(v), p)
         for v in (a_evals, b_evals, c_evals)
     ):
-        # Vectorized backend: all three chains batch through one
-        # limb-resident pipeline — faster than forking the chain workers,
-        # so the pool is bypassed (witness rows still parallelize
-        # upstream).  Counter totals match the scalar path exactly.
+        # Array kernel: all chains batch through one in-process pipeline —
+        # faster than forking the chain workers, so the pool is bypassed
+        # (witness rows still parallelize upstream).  Counter totals match
+        # the scalar path exactly.
         return _vector_quotient(
             domain, list(a_evals), list(b_evals), list(c_evals)
         )
     if parallelism is not None and parallelism > 1:
-        # Two chains go to workers; the parent computes the third itself
-        # instead of idling on the gather.
+        # The chains go to workers; the parent interpolates C meanwhile.
         chains = pool.map(
             _coset_chain,
             [(domain.size, p, evals) for evals in (a_evals, b_evals)],
             min(parallelism, 2),
         )
-        c_coset = domain.chain_to_coset(c_evals)
+        c_coeffs = domain.intt(c_evals)
         a_coset, b_coset = chains
     else:
         a_coset = domain.chain_to_coset(a_evals)
         b_coset = domain.chain_to_coset(b_evals)
-        c_coset = domain.chain_to_coset(c_evals)
+        c_coeffs = domain.intt(c_evals)
     z_inv = pow(domain.coset_vanishing_constant(), -1, p)
-    h_coset = [
-        ((a * b - c) % p) * z_inv % p
-        for a, b, c in zip(a_coset, b_coset, c_coset)
-    ]
-    h_coeffs = domain.coset_intt(h_coset)
+    ab_coeffs = domain.coset_intt(
+        [a * b % p for a, b in zip(a_coset, b_coset)]
+    )
+    h_coeffs = [(ab - c) * z_inv % p for ab, c in zip(ab_coeffs, c_coeffs)]
     # deg(h) <= d - 2: the top coefficient must vanish for a valid witness.
     if h_coeffs[-1] != 0:
         raise ValueError("witness does not satisfy the constraint system")

@@ -1,16 +1,19 @@
-"""Property and regression tests for the vectorized field backend.
+"""Property and regression tests for the array field backend.
 
-Covers the ISSUE-7 satellite checklist: backend parity (add/sub/mul/inv
-and NTT against the scalar ``Field`` reference, including the boundary
-values 0, 1, p-1), rejection of non-canonical inputs, the bounded domain
-LRU and its fork-consistency in worker pools, ``zero_ok`` batch
-inversion feeding the batch-affine bucket fold, ``field_dot`` chunked
-reduction, and cross-backend proof byte-identity.
+Backend parity (add/sub/constant multiply/data-by-data multiply/normalise,
+to/from ints and the NTT against the scalar ``Field`` reference, including
+the boundary values 0, 1, p-1), the exactness bounds and an adversarial
+case at the extremes they allow for, rejection of non-canonical inputs,
+kernel-call counts per transform, the bounded domain LRU and its
+fork-consistency in worker pools, ``zero_ok`` batch inversion feeding the
+batch-affine bucket fold, ``field_dot`` chunked reduction, and
+cross-backend proof byte-identity.
 """
 
 import multiprocessing
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,16 +23,13 @@ from repro.field import backend as fb
 from repro.field.backend import (
     NumpyBackend,
     ScalarBackend,
-    canonicalize,
     from_limbs,
-    mont_mul,
     plan_for,
     powers_limbs,
     to_limbs,
-    to_mont,
 )
 from repro.field.counters import count_ops
-from repro.field.fp import BN254_FR
+from repro.field.fp import BN254_FQ, BN254_FR
 from repro.field.vector import batch_inverse, field_dot
 from repro.snark.qap import Domain, domain_cache_info
 
@@ -42,6 +42,16 @@ boundary = st.sampled_from([0, 1, P - 1])
 vectors = st.lists(st.one_of(elements, boundary), min_size=1, max_size=80)
 
 
+@pytest.fixture
+def array_backend():
+    """Domain dispatches on the active backend: tests of the array path
+    select it, whatever ``ZENO_FIELD_BACKEND`` the run was started with."""
+    original = fb.backend_name()
+    fb.set_backend("numpy")
+    yield
+    fb.set_backend(original)
+
+
 def scalar_ref(op, xs, ys):
     if op == "add":
         return [(x + y) % P for x, y in zip(xs, ys)]
@@ -50,16 +60,106 @@ def scalar_ref(op, xs, ys):
     return [BN254_FR.mul(x, y) for x, y in zip(xs, ys)]
 
 
+def stockham_reference(values, table, inverse, modulus=P):
+    """``fb.ntt``'s schedule over Python ints, for any table of constants
+    (not only roots of unity): stage ``m`` pairs ``(p, 0|1, q)``, twiddle
+    ``table[p s]``, or ``-table[d/2 - p s]`` for the inverse."""
+    d = len(values)
+    half = d // 2
+    x, m = list(values), 1
+    while m < d:
+        s = half // m
+        y = [0] * d
+        for p in range(m):
+            w = -table[half - p * s] if inverse and m > 1 else table[p * s]
+            if m == 1:
+                w = 1
+            for q in range(s):
+                a, b = x[(2 * p) * s + q], x[(2 * p + 1) * s + q]
+                y[p * s + q] = (a + w * b) % modulus
+                y[(p + m) * s + q] = (a - w * b) % modulus
+        x, m = y, 2 * m
+    return x
+
+
+class TestExactnessBounds:
+    def test_bn254_bounds_hold_to_the_largest_domain(self):
+        # Re-derived, not assumed: 28 stages is a 2^28 domain, the
+        # 2-adicity of Fr and the most Domain accepts.
+        partial, value = fb.exactness_bounds(P.bit_length(), 12, 28)
+        assert partial < 2**53
+        assert fb.MAX_STAGES == qap_mod.FR_TWO_ADICITY == 28
+        # from_limbs' offset p << k dominates every encodable value and the
+        # offset sum packs into the plan's output words.
+        k = value.bit_length()
+        assert (value + (1 << k)) * P < 1 << (64 * PLAN.out_words)
+        assert PLAN.offset_col[-1, 0] < 2.0**PLAN.top_bits < 2**53
+        # Bounds grow with depth, and 13 stages (d = 8,192) sit lower.
+        low_partial, low_value = fb.exactness_bounds(P.bit_length(), 12, 13)
+        assert low_partial < partial and low_value < value
+        assert low_partial < 2**51
+
+    def test_plan_shape(self):
+        assert (PLAN.limbs, PLAN.rows, fb.LIMB_BITS) == (12, 13, 22)
+        assert PLAN.fold.shape == (12, 26)
+        assert plan_for(BN254_FQ).limbs == 12
+
+    def test_plan_refuses_a_modulus_it_cannot_hold_exactly(self):
+        # 23 limbs per row and 28 stages of drift exceed 2^53.
+        wide = (1 << 500) + 1
+        assert fb.exactness_bounds(wide.bit_length(), 23, 28)[0] >= 2**53
+        with pytest.raises(ValueError):
+            fb.LimbPlan(wide)
+        with pytest.raises(ValueError):
+            fb.LimbPlan(10)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_adversarial_extremes_match_python_ints(self, inverse):
+        # Inputs and "twiddles" at the patterns that maximise limb
+        # magnitudes and carries: p - 1, (p - 1) / 2 and 2^(22 k) - 1 (every
+        # limb below k all ones), through 13 stages.
+        d = 1 << 13
+        extremes = [P - 1, (P - 1) // 2] + [
+            (1 << (22 * k)) - 1 for k in range(1, 12)
+        ]
+        for shift, fixed in enumerate([None, P - 1, (P - 1) // 2]):
+            table = [
+                extremes[(k + shift) % len(extremes)] if fixed is None
+                else fixed
+                for k in range(d // 2 + 1)
+            ]
+            values = [
+                extremes[(3 * i + shift) % len(extremes)] if fixed is None
+                else fixed
+                for i in range(d)
+            ]
+            mats = fb.const_matrices(PLAN, to_limbs(PLAN, table))
+            x = to_limbs(PLAN, values).reshape(PLAN.rows, d, 1)
+            out = fb.ntt(x, mats, inverse=inverse)
+            # The drift the run reached feeds the next matmul exactly.
+            assert PLAN.rows * 2**22 * float(np.abs(out).max()) < 2**53
+            assert from_limbs(PLAN, out) == stockham_reference(
+                values, table, inverse
+            )
+
+    def test_ntt_refuses_more_stages_than_the_bounds_cover(self, monkeypatch):
+        monkeypatch.setattr(fb, "MAX_STAGES", 3)
+        with pytest.raises(ValueError):
+            fb.ntt(np.zeros((PLAN.rows, 16, 1)), None)
+
+
 class TestBackendParity:
     @given(vectors, st.sampled_from(["add", "sub", "mul"]))
     @settings(max_examples=40, deadline=None)
     def test_list_ops_match_scalar_field(self, xs, op):
         ys = list(reversed(xs))
-        nb, sb = NumpyBackend(), ScalarBackend()
-        fn = {"add": "add_list", "sub": "sub_list", "mul": "mul_list"}[op]
-        got = getattr(nb, fn)(BN254_FR, xs, ys)
-        ref = getattr(sb, fn)(BN254_FR, xs, ys)
-        assert got == ref == scalar_ref(op, xs, ys)
+        x, y = to_limbs(PLAN, xs), to_limbs(PLAN, ys)
+        got = from_limbs(PLAN, {
+            "add": lambda: x + y,
+            "sub": lambda: x - y,  # limbs are signed: no offset needed
+            "mul": lambda: fb.mul(PLAN, x, y),
+        }[op]())
+        assert got == scalar_ref(op, xs, ys)
 
     @given(vectors)
     @settings(max_examples=30, deadline=None)
@@ -76,30 +176,71 @@ class TestBackendParity:
     def test_limb_round_trip(self, xs):
         assert from_limbs(PLAN, to_limbs(PLAN, xs)) == xs
 
+    @given(vectors, elements)
+    @settings(max_examples=20, deadline=None)
+    def test_const_multiply_matches_scalar(self, xs, w):
+        x = to_limbs(PLAN, xs)
+        want = [v * w % P for v in xs]
+        # one constant, its matrix made from Python ints
+        shaped = x.reshape(PLAN.rows, 1, len(xs))
+        one = fb.scale(shaped, PLAN.const_matrix(w)[None])
+        assert from_limbs(PLAN, one) == want
+        # the output is normalized and the carry row is small
+        assert np.abs(one[:-1]).max() <= 2**21 + 2**8
+        # a different constant per lane, matrices built by the kernel:
+        # multiply w by each x
+        mats = fb.const_matrices(PLAN, fb.reduce(PLAN, x.copy()))
+        lanes = to_limbs(PLAN, [w] * len(xs)).reshape(PLAN.rows, len(xs), 1)
+        assert from_limbs(PLAN, fb.scale(lanes, mats)) == want
+
     @given(vectors)
     @settings(max_examples=20, deadline=None)
-    def test_mont_round_trip_and_mul(self, xs):
-        arr = to_limbs(PLAN, xs)
-        m = to_mont(PLAN, arr)
-        back = fb.from_mont(PLAN, m)
-        canonicalize(PLAN, back)
-        assert from_limbs(PLAN, back) == xs
-        # mont(x_m, x) == x^2 exactly
-        sq = mont_mul(PLAN, m, arr)
-        canonicalize(PLAN, sq)
-        assert from_limbs(PLAN, sq) == [x * x % P for x in xs]
+    def test_normalize_and_reduce_keep_the_value(self, xs):
+        x = to_limbs(PLAN, xs)
+        drifted = x * 1000.0 - to_limbs(PLAN, list(reversed(xs))) * 999.0
+        want = [
+            (1000 * a - 999 * b) % P for a, b in zip(xs, reversed(xs))
+        ]
+        assert from_limbs(PLAN, drifted) == want
+        fb.normalize(drifted)
+        assert np.abs(drifted[:-1]).max() <= 2**21 + 2**8
+        assert from_limbs(PLAN, drifted) == want
+        fb.reduce(PLAN, drifted)
+        assert not drifted[-1].any()
+        assert from_limbs(PLAN, drifted) == want
+
+    def test_other_modulus(self):
+        plan = plan_for(BN254_FQ)
+        q = BN254_FQ.modulus
+        rng = random.Random(5)
+        xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(61)]
+        ys = xs[::-1]
+        assert from_limbs(plan, to_limbs(plan, xs)) == xs
+        got = fb.mul(plan, to_limbs(plan, xs), to_limbs(plan, ys))
+        assert from_limbs(plan, got) == [a * b % q for a, b in zip(xs, ys)]
 
     @pytest.mark.parametrize("bad", [-1, P, P + 12345, 1 << 300])
     def test_non_canonical_rejected(self, bad):
         with pytest.raises((ValueError, OverflowError)):
             to_limbs(PLAN, [1, bad, 2], validate=True)
 
-    def test_non_canonical_rejected_through_list_ops(self):
-        nb = NumpyBackend()
-        xs = [P] + [1] * nb.min_lanes  # long enough to take the limb path
-        with pytest.raises((ValueError, OverflowError)):
-            nb.mul_list(BN254_FR, xs, xs)
+    @pytest.mark.usefixtures("array_backend")
+    def test_non_canonical_never_reaches_the_kernel(self, monkeypatch):
+        # The Domain entry points send non-canonical vectors down the
+        # scalar path, which reduces them; the kernel sees canonical
+        # representatives only.
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1)
+        domain = Domain(64, BN254_FR)
+        values = [P + 5, -3] + list(range(62))
+        want = domain.ntt([v % P for v in values])
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel called on non-canonical input")
+
+        monkeypatch.setattr(fb, "mul_const", refuse)
+        assert domain.ntt(values) == want
+
+    @pytest.mark.usefixtures("array_backend")
     @pytest.mark.parametrize("size", [4, 32, 256])
     def test_ntt_parity_with_scalar_domain(self, size, monkeypatch):
         random.seed(size)
@@ -117,6 +258,7 @@ class TestBackendParity:
             monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1 << 30)
             assert got == ref, name
 
+    @pytest.mark.usefixtures("array_backend")
     def test_ntt_counter_parity(self, monkeypatch):
         size = 64
         values = list(range(size))
@@ -133,9 +275,90 @@ class TestBackendParity:
         base = 987654321
         ref = [pow(base, i, P) for i in range(77)]
         assert from_limbs(PLAN, powers_limbs(PLAN, base, 77)) == ref
-        mont = powers_limbs(PLAN, base, 77, mont=True)
-        rm = PLAN.R_mod_p
-        assert from_limbs(PLAN, mont) == [v * rm % P for v in ref]
+        scaled = powers_limbs(PLAN, base, 5000, first=P - 2)
+        assert from_limbs(PLAN, scaled) == [
+            (P - 2) * pow(base, i, P) % P for i in range(5000)
+        ]
+        # limbs a constant matrix may hold (entry 0 is canonical, the rest
+        # balanced residues), carry row empty
+        assert not scaled[-1].any()
+        assert np.abs(scaled).max() < 2**22
+        assert np.abs(scaled[:, 1:]).max() <= 2**21 + 2**8
+        assert powers_limbs(PLAN, base, 0).shape == (PLAN.rows, 0)
+
+
+@pytest.mark.usefixtures("array_backend")
+class TestQuotientPaths:
+    """The quotient is six transforms on both paths and the same ``h``."""
+
+    @staticmethod
+    def _evals(size, satisfied=True):
+        rng = random.Random(size)
+        a = [rng.randrange(P) for _ in range(size)]
+        b = [rng.randrange(P) for _ in range(size)]
+        c = [x * y % P for x, y in zip(a, b)]
+        if not satisfied:
+            c[size // 3] = (c[size // 3] + 1) % P
+        return a, b, c
+
+    @pytest.mark.parametrize("size", [4, 64, 512])
+    def test_array_quotient_matches_scalar(self, size, monkeypatch):
+        evals = self._evals(size)
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1)
+        with count_ops() as vec_ops:
+            got = qap_mod.quotient_coefficients(
+                None, Domain(size, BN254_FR), evals=evals
+            )
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1 << 30)
+        with count_ops() as ref_ops:
+            ref = qap_mod.quotient_coefficients(
+                None, Domain(size, BN254_FR), evals=evals
+            )
+        assert got == ref and len(got) == size - 1
+        log2d = size.bit_length() - 1
+        assert vec_ops.field_mul == ref_ops.field_mul == 6 * (size // 2) * log2d
+        assert vec_ops.field_add == ref_ops.field_add == 6 * size * log2d
+
+    @pytest.mark.parametrize("gate", [1, 1 << 30])
+    def test_unsatisfied_witness_raises_on_both_paths(self, gate, monkeypatch):
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", gate)
+        evals = self._evals(256, satisfied=False)
+        with pytest.raises(ValueError, match="does not satisfy"):
+            qap_mod.quotient_coefficients(
+                None, Domain(256, BN254_FR), evals=evals
+            )
+
+    @pytest.mark.parametrize(
+        "name", ["ntt", "intt", "coset_ntt", "coset_intt", "chain_to_coset"]
+    )
+    def test_transforms_make_log_d_kernel_calls(self, name, monkeypatch):
+        # Count, not time: a broadcast constant is one matrix and one call,
+        # however many lanes it meets (Domain.intt used to multiply by 1/d
+        # one lane at a time: 1,033 kernel calls at this size).
+        size, calls = 1024, []
+        kernel = fb.mul_const
+        monkeypatch.setattr(
+            fb, "mul_const",
+            lambda *args: calls.append(1) or kernel(*args),
+        )
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1)
+        domain = Domain(size, BN254_FR)
+        domain._vector_tables()  # table construction is not a transform
+        del calls[:]
+        getattr(domain, name)(list(range(size)))
+        log2d = size.bit_length() - 1
+        transforms = 2 if name == "chain_to_coset" else 1
+        # every stage but the first is one call; a pointwise table is two
+        assert transforms * (log2d - 1) <= len(calls)
+        assert len(calls) <= transforms * (log2d - 1) + 2
+
+    def test_tables_stay_inside_their_budget(self, monkeypatch):
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1)
+        tables = Domain(8192, BN254_FR)._vector_tables()
+        # d/2 + 1 twiddle matrices, two-level scale tables: 5.5 MiB, against
+        # 27 MiB (base + pre-tiled) for the int64 kernel at this size.
+        assert tables.twiddles.shape == (4097, 12, 13)
+        assert tables.nbytes() < 6 * 2**20
 
 
 class TestBatchInverseZeroOk:
