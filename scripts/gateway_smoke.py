@@ -14,9 +14,11 @@ autoscaled inline worker nodes) on localhost, then:
    pre-crash results replay byte-identical, and re-submitting every
    request id mints zero new jobs.
 
-Exit code 0 on success.  Used by the CI "Gateway smoke" step::
+Exit code 0 on success.  Used by the CI "Gateway smoke" step; an optional
+job count turns it into a soak (24 by default)::
 
     PYTHONPATH=src python scripts/gateway_smoke.py
+    PYTHONPATH=src python scripts/gateway_smoke.py 1000
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def submit(base: str, i: int) -> str:
     return body["job_id"]
 
 
-def main() -> int:
+def main(n_jobs: int = N_JOBS) -> int:
     workdir = tempfile.mkdtemp(prefix="gateway-smoke-")
     data_dir = os.path.join(workdir, "data")
     port_file = os.path.join(workdir, "port.txt")
@@ -108,8 +110,8 @@ def main() -> int:
     base = base_url(port_file)
     print(f"gateway on {base} (2 inline worker nodes)")
     try:
-        gids = [submit(base, i) for i in range(N_JOBS)]
-        print(f"submitted {N_JOBS} jobs (durable acks)")
+        gids = [submit(base, i) for i in range(n_jobs)]
+        print(f"submitted {n_jobs} jobs (durable acks)")
 
         # Snapshot pre-crash completions for the byte-identical check.
         pre = {}
@@ -136,7 +138,7 @@ def main() -> int:
         )
 
         # Idempotent resubmission: every request id maps to its old job.
-        for i in range(N_JOBS):
+        for i in range(n_jobs):
             status, body = request(
                 "POST", base + "/submit",
                 {
@@ -161,7 +163,7 @@ def main() -> int:
             time.sleep(0.25)
         missing = [g for g, s in states.items() if s != "done"]
         assert not missing, f"jobs lost across the crash: {missing}"
-        print(f"all {N_JOBS} jobs done after restart (zero lost)")
+        print(f"all {n_jobs} jobs done after restart (zero lost)")
 
         for i, proof in pre.items():
             _, body = request("GET", f"{base}/result/{gids[i]}")
@@ -173,10 +175,10 @@ def main() -> int:
         _, metrics = request("GET", base + "/metrics")
         journal = metrics["gateway_jobs"]
         assert metrics["journal"]["duplicate_done"] == 0, metrics["journal"]
-        assert journal["done"] == N_JOBS, journal
+        assert journal["done"] == n_jobs, journal
         print(
             "exactly-once held: done="
-            f"{journal['done']}/{N_JOBS}, duplicate_done=0, "
+            f"{journal['done']}/{n_jobs}, duplicate_done=0, "
             f"journal fsyncs={metrics['journal']['fsyncs']}"
         )
     finally:
@@ -187,4 +189,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(*map(int, sys.argv[1:2])))

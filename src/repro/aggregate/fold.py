@@ -18,7 +18,8 @@ check:
 3. **pairing** — a single :func:`repro.snark.groth16.batch_verify_multi`
    call over every (vk, claims) group: ``P + 3·L`` pairings for ``P``
    proofs across ``L`` layers, vs ``4·P`` for independent verification —
-   the sub-linear growth `BENCH_aggregate.json` tracks.
+   the sub-linear growth the e2e metrics ``aggregate.pairings`` /
+   ``aggregate.naive_pairings`` track.
 
 Soundness of the chain: Groth16 binds each instance's public-input
 vector, commitments are collision-resistant hashes of those vectors'

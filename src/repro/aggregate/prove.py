@@ -4,7 +4,9 @@ Every derivation here is a pure function of ``(crs_seed, layer_index)``
 (plus the instance's public inputs for blinding), so a local process
 pool, the serving :class:`~repro.serve.pool.WorkerPool`, and remote
 ``repro.cluster`` worker nodes all produce byte-identical proofs for the
-same inference — asserted by the tests and by ``BENCH_aggregate.json``.
+same inference — asserted by ``tests/test_pool.py`` (pool),
+``tests/test_aggregate_serve.py`` (serve) and ``scripts/aggregate_smoke.py``
+(two cluster subprocesses).
 """
 
 from __future__ import annotations

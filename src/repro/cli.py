@@ -19,9 +19,12 @@ for CRS distribution (a real deployment ships the verifying key instead).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -185,7 +188,10 @@ def _cmd_prove_per_layer(args, artifact) -> int:
     agg = fold(split, setups, [proofs], crs_seed=args.crs_seed)
     verdict = verify_aggregate(agg)
     elapsed = time.perf_counter() - start
-    assert verdict.ok, f"aggregate self-check failed: {verdict.reason}"
+    if not verdict.ok:
+        print(f"aggregate self-check failed: {verdict.reason}",
+              file=sys.stderr)
+        return 1
 
     out = Path(args.out if args.out != "proof.bin" else "aggregate.json")
     agg.save(str(out))
@@ -213,6 +219,30 @@ def _cmd_prove_per_layer(args, artifact) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _streamed_crs():
+    """``prove --max-rss``: a throw-away content-addressed chunk store for
+    the CRS, with the working-set knob defaulted while it is open.
+
+    The prover then maps one chunk at a time and evaluates witness rows in
+    blocks, so its working set is bounded by ``ZENO_MSM_CHUNK_BYTES``
+    instead of the full proving key.  Both the knob and the directory are
+    gone when the block exits, however it exits.
+    """
+    from repro.serve.store import ArtifactStore
+    from repro.snark.chunked import CHUNK_BYTES_ENV
+
+    defaulted = CHUNK_BYTES_ENV not in os.environ
+    if defaulted:
+        os.environ[CHUNK_BYTES_ENV] = str(8 << 20)
+    try:
+        with tempfile.TemporaryDirectory(prefix="zeno-crs-") as root:
+            yield ArtifactStore(root, max_entries=1 << 30)
+    finally:
+        if defaulted:
+            del os.environ[CHUNK_BYTES_ENV]
+
+
 def cmd_prove(args) -> int:
     spec = _spec(args)
     artifact = spec.compile(spec.image(args.image_seed))
@@ -220,36 +250,22 @@ def cmd_prove(args) -> int:
         return _cmd_prove_per_layer(args, artifact)
     max_rss = args.max_rss
     start = time.perf_counter()
-    tmp_store = None
-    if max_rss is not None:
-        # Streamed mode: the CRS goes through a content-addressed chunk
-        # store and the prover maps one chunk at a time, so the working
-        # set stays bounded by ZENO_MSM_CHUNK_BYTES instead of the full
-        # proving key.
-        import os as _os
-        import tempfile
-
-        from repro.serve.store import ArtifactStore
-
-        _os.environ.setdefault("ZENO_MSM_CHUNK_BYTES", str(8 << 20))
-        tmp_store = tempfile.TemporaryDirectory(prefix="zeno-crs-")
-        store = ArtifactStore(tmp_store.name, max_entries=1 << 30)
+    phases: dict = {}
+    streamed = max_rss is not None
+    with _streamed_crs() if streamed else contextlib.nullcontext() as store:
         setup = groth16.setup(
             artifact.cs, rng=random.Random(args.crs_seed), store=store
         )
-    else:
-        setup = groth16.setup(artifact.cs, rng=random.Random(args.crs_seed))
-    phases: dict = {}
-    proof = groth16.prove(
-        setup.proving_key, artifact.cs, parallelism=args.parallelism,
-        phase_sink=phases,
-    )
+        proof = groth16.prove(
+            setup.proving_key, artifact.cs, parallelism=args.parallelism,
+            phase_sink=phases,
+        )
     elapsed = time.perf_counter() - start
-    assert groth16.verify(
+    if not groth16.verify(
         setup.verifying_key, artifact.public_inputs(), proof
-    ), "self-check failed"
-    if tmp_store is not None:
-        tmp_store.cleanup()
+    ):
+        print("self-check failed: the proof does not verify", file=sys.stderr)
+        return 1
 
     out = Path(args.out)
     logits = artifact.public_outputs_signed()
@@ -814,9 +830,8 @@ def main(argv=None) -> int:
     p_prove.add_argument("--crs-seed", type=int, default=2024)
     p_prove.add_argument(
         "--parallelism", type=int, default=1,
-        help="prover worker processes: CSR witness rows via the §5.2 "
-             "schedule executor, QAP coset-NTT chains, and chunked MSMs "
-             "(bn254 G1, large inputs)",
+        help="worker processes for CSR witness rows (the §5.2 schedule "
+             "executor, above its size gate) and for --per-layer instances",
     )
     p_prove.add_argument(
         "--max-rss", type=_parse_size, default=None, metavar="SIZE",
@@ -874,8 +889,8 @@ def main(argv=None) -> int:
                          help="artifact store directory (default: temp)")
     p_serve.add_argument(
         "--parallelism", type=int, default=1,
-        help="prover-engine processes per proving worker (CSR witness "
-             "rows, QAP NTT chains, and chunked bn254 MSMs)",
+        help="witness-row processes per proving worker (the §5.2 "
+             "schedule executor, above its size gate)",
     )
     p_serve.add_argument(
         "--audit", action="store_true",

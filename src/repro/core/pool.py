@@ -1,25 +1,25 @@
 """The prover's one worker-process layer.
 
 Every prover module that hands work to other processes does it through
-the three calls here, so the start method, the executor caches, the
-"share a big object with the workers" mechanics, op-count bookkeeping and
-process-exit teardown are each decided once:
+the calls here, so the start method, the executor cache, the "share a big
+object with the workers" mechanics, op-count bookkeeping, process-exit
+teardown and what a worker does when its parent is killed are each
+decided once:
 
 * :func:`context` — the start method: ``fork`` where the platform has it
   (workers inherit the imported package and warm caches), else the
   platform default.  :class:`repro.serve.workers.WorkerPool` builds its
   crash-recovery executor on it;
-* :func:`map` — a cached executor per worker count for self-contained
-  (pickled) payloads: the QAP coset-NTT chains and the chunked MSM;
 * :func:`map_shared` — publish one large object to fresh workers, then map
   over small payloads: witness rows over a CSR snapshot, per-layer proofs
   over a split model.  The object rides the executor's ``initargs``, so
   under ``fork`` the workers inherit it copy-on-write and on other start
-  methods it is pickled once per worker — one code path either way.
+  methods it is pickled once per worker — one code path either way;
+* :func:`shutdown` — tear the kept pool down (tests, process exit).
 
-Both map calls submit every payload before returning and yield results in
-payload order.  Each task runs under a fresh op-counter scope and its
-whole :class:`~repro.field.counters.OpCounter` is merged into the
+:func:`map_shared` submits every payload before returning and yields
+results in payload order.  Each task runs under a fresh op-counter scope
+and its whole :class:`~repro.field.counters.OpCounter` is merged into the
 consumer's active counter as the result is read, so cost-model counts
 match the sequential path.
 """
@@ -29,11 +29,12 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.util
 import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
-    Dict,
     Hashable,
     Iterable,
     Iterator,
@@ -44,7 +45,6 @@ from typing import (
 
 from repro.field.counters import count_ops, global_counter
 
-_cached: Dict[int, ProcessPoolExecutor] = {}  # worker count -> executor
 _shared_pool: Optional[ProcessPoolExecutor] = None
 _shared_key: Optional[Tuple[Hashable, int]] = None
 _published: Any = None  # worker side: the object this worker's pool shares
@@ -59,12 +59,31 @@ def context():
         return multiprocessing.get_context()
 
 
-def _publish(shared: Any) -> None:
+def _leave_with_parent(parent: int) -> None:
+    """Worker initializer: exit once the process that started this worker
+    is gone.
+
+    A parent that is SIGKILLed dismisses nobody, and an idle pool worker
+    blocks on its call queue forever — re-parented to init, holding its
+    memory.  The pid the parent passes is compared with ``getppid()``,
+    which changes as soon as the worker is re-parented.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _start_worker(shared: Any, parent: int) -> None:
     global _published
     _published = shared
+    _leave_with_parent(parent)
 
 
-def _executor(workers: int, shared: Any = None) -> ProcessPoolExecutor:
+def _executor(workers: int, shared: Any) -> ProcessPoolExecutor:
     global _exit_hooked
     if not _exit_hooked:
         # A process that exits while its pool workers sit idle must tell
@@ -84,13 +103,13 @@ def _executor(workers: int, shared: Any = None) -> ProcessPoolExecutor:
         _exit_hooked = True
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=context(),
-        initializer=_publish, initargs=(shared,),
+        initializer=_start_worker, initargs=(shared, os.getpid()),
     )
 
 
-def _task(fn: Callable, payload: Any, shared: bool):
+def _task(fn: Callable, payload: Any):
     with count_ops() as ops:
-        result = fn(_published, payload) if shared else fn(payload)
+        result = fn(_published, payload)
     return result, ops
 
 
@@ -105,15 +124,6 @@ def _gather(
     finally:
         if owner is not None:
             owner.shutdown(cancel_futures=True)
-
-
-def map(fn: Callable, payloads: Iterable[Any], workers: int) -> Iterator[Any]:
-    """``fn(payload)`` for every payload on the cached ``workers``-process
-    executor; ``fn`` and the payloads are pickled."""
-    executor = _cached.get(workers)
-    if executor is None:
-        executor = _cached[workers] = _executor(workers)
-    return _gather([executor.submit(_task, fn, p, False) for p in payloads])
 
 
 def map_shared(
@@ -135,30 +145,26 @@ def map_shared(
     if key is None:
         executor = _executor(workers, shared)
         return _gather(
-            [executor.submit(_task, fn, p, True) for p in payloads], executor
+            [executor.submit(_task, fn, p) for p in payloads], executor
         )
     if _shared_key != (key, workers):
         if _shared_pool is not None:
             _shared_pool.shutdown(wait=False, cancel_futures=True)
         _shared_pool = _executor(workers, shared)
         _shared_key = (key, workers)
-    return _gather([_shared_pool.submit(_task, fn, p, True) for p in payloads])
+    return _gather([_shared_pool.submit(_task, fn, p) for p in payloads])
 
 
 def shutdown() -> None:
-    """Tear down every cached pool (tests / process exit); the next map
-    call starts fresh ones.
+    """Tear down the kept pool (tests / process exit); the next keyed
+    call starts a fresh one.
 
     Waits for the workers to leave: at process exit a teardown still in
     flight would race the interpreter closing the queues it needs.
     """
     global _shared_pool, _shared_key
-    pools = list(_cached.values())
-    if _shared_pool is not None:
-        pools.append(_shared_pool)
-    _cached.clear()
-    _shared_pool = _shared_key = None
-    for executor in pools:
+    executor, _shared_pool, _shared_key = _shared_pool, None, None
+    if executor is not None:
         executor.shutdown(cancel_futures=True)
 
 
@@ -168,7 +174,6 @@ def _forget_inherited() -> None:
     # to one would hang.  Drop them so a nested map starts its own — and
     # hooks this process's own exit when it does.
     global _shared_pool, _shared_key, _exit_hooked
-    _cached.clear()
     _shared_pool = _shared_key = None
     _exit_hooked = False
 

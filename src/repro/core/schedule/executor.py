@@ -41,8 +41,12 @@ from repro.r1cs.csr import CSRSystem, evaluate_rows
 # ahead in both runs only at 2.58M, so the gate sits between those two.
 # Even there it is marginal on two cores: with a fresh fork per witness
 # the workers lost at every one of these sizes (0.72-0.86x at 2.58M), and
-# prove_bench's own p2-vs-p1 on LCL:full flipped sign run to run (all
-# runs in CHANGES.md, PR 12).  A host with more cores should re-measure.
+# inside a whole groth16.prove on LCL:full (2.58M terms, the one paper
+# model above the gate) two workers lost 5 of 5 alternating pairs, 1.28 s
+# against 0.90 s: the reference host's second vCPU only delivers a second
+# core after about a second of sustained load, which a 0.3 s phase never
+# is (EXPERIMENTS.md "One benchmark layer").  The gate is a placeholder
+# until it is re-measured on a host with real cores.
 PARALLEL_MIN_TERMS = 2_000_000
 
 

@@ -6,8 +6,7 @@ The SNARK layer (:mod:`repro.snark`) programs exclusively against
 cryptographic hardness — see :mod:`repro.ec.simulated`), never the algebra.
 
 ``msm`` routes through the engine hierarchy (see :mod:`repro.ec.msm` for
-the map): batch-affine signed windows for real G1 vectors, the chunked
-process-parallel mode when a ``parallelism`` knob is passed, and the
+the map): batch-affine signed windows for real G1 vectors, and the
 Jacobian Pippenger for small G1 inputs and for G2.  The empty MSM
 returns the group identity (``zero=`` overrides which one).
 ``precompute_msm`` returns a fixed-base table for CRS-style reuse — the
@@ -38,8 +37,6 @@ GroupElement = Any  # Point | SimPoint
 # Below this size the sparse bucket lists of the batch-affine engine cannot
 # amortize their inversions; the Jacobian path wins.
 _BATCH_AFFINE_MIN = 32
-# Below this size chunking overhead (pickling + IPC) swamps the win.
-_PARALLEL_MIN = 256
 
 
 class _GenericMSMTable:
@@ -109,15 +106,12 @@ class GroupBackend(ABC):
         scalars: Sequence[int],
         *,
         zero: Optional[GroupElement] = None,
-        parallelism: Optional[int] = None,
         window: Optional[int] = None,
     ) -> GroupElement:
         """``sum scalars[i] * points[i]``; the identity on empty input.
 
         ``zero`` names the identity returned for an empty vector (default
         G1 — the only group Groth16 issues possibly-empty MSMs in).
-        ``parallelism > 1`` opts into the chunked process-parallel engine
-        where the backend supports it.
         """
 
     @abstractmethod
@@ -132,7 +126,6 @@ class GroupBackend(ABC):
         scalars: Sequence[int],
         *,
         zero: Optional[GroupElement] = None,
-        parallelism: Optional[int] = None,
         window: Optional[int] = None,
     ) -> GroupElement:
         """MSM over a chunked query: one decoded chunk in memory at a time.
@@ -152,7 +145,6 @@ class GroupBackend(ABC):
                 chunk,
                 scalars[offset : offset + len(chunk)],
                 zero=zero,
-                parallelism=parallelism,
                 window=window,
             )
             acc = part if acc is None else self.add(acc, part)
@@ -209,7 +201,7 @@ class RealBN254Backend(GroupBackend):
     def base_multiples(self, base, scalars):
         return jacobian.base_multiples(base, scalars)
 
-    def msm(self, points, scalars, *, zero=None, parallelism=None, window=None):
+    def msm(self, points, scalars, *, zero=None, window=None):
         if hasattr(points, "iter_chunks"):
             if len(points) != len(scalars):
                 raise ValueError(
@@ -220,10 +212,7 @@ class RealBN254Backend(GroupBackend):
                 from repro.ec.batch_affine import msm_streamed
 
                 return msm_streamed(points.iter_chunks(), scalars, window=window)
-            return self._msm_chunked(
-                points, scalars, zero=zero, parallelism=parallelism,
-                window=window,
-            )
+            return self._msm_chunked(points, scalars, zero=zero, window=window)
         if len(points) != len(scalars):
             raise ValueError(
                 f"points/scalars length mismatch: "
@@ -234,14 +223,9 @@ class RealBN254Backend(GroupBackend):
         # The batch-affine engines are G1-only; G2 (whose coordinates live
         # in Fq2) always takes the Jacobian Pippenger.
         if points[0].group is bn254.BN254_G1:
-            from repro.ec.batch_affine import msm_batch_affine, msm_parallel
+            from repro.ec.batch_affine import msm_batch_affine
 
-            n = len(points)
-            if parallelism and parallelism > 1 and n >= _PARALLEL_MIN:
-                return msm_parallel(
-                    points, scalars, parallelism=parallelism, window=window
-                )
-            if n >= _BATCH_AFFINE_MIN:
+            if len(points) >= _BATCH_AFFINE_MIN:
                 return msm_batch_affine(points, scalars, window=window)
         return jacobian.msm_jacobian(points, scalars, window=window)
 
@@ -282,9 +266,9 @@ class SimulatedBackend(GroupBackend):
     def scalar_mul(self, a: SimPoint, k: int) -> SimPoint:
         return a * k
 
-    def msm(self, points, scalars, *, zero=None, parallelism=None, window=None):
-        # parallelism/window shape the modeled real-curve cost, not the
-        # log-space dot product, so they are accepted and ignored here.
+    def msm(self, points, scalars, *, zero=None, window=None):
+        # window shapes the modeled real-curve cost, not the log-space dot
+        # product, so it is accepted and ignored here.
         if hasattr(points, "iter_chunks"):
             return self._msm_chunked(points, scalars, zero=zero)
         if not points:

@@ -1,4 +1,4 @@
-"""Batch-affine G1 MSM engine: amortized inversions + chunked parallelism.
+"""Batch-affine G1 MSM engine: bucket additions with amortized inversions.
 
 The Jacobian fast path (:mod:`repro.ec.jacobian`) avoids inversions by
 carrying a Z coordinate, paying 7M + 4S per mixed addition.  An *affine*
@@ -11,16 +11,11 @@ single one via Montgomery's trick
 the trick charges per element, an amortized affine addition costs ~5M+1S —
 roughly half the Jacobian formula.
 
-Two further pieces:
-
-* **signed digits** (:func:`repro.ec.msm.signed_digits`) cut the bucket
-  count per window from ``2^c - 1`` to ``2^(c-1)`` — point negation is
-  free (``(x, -y)``) so digit ``-d`` adds the negated point to bucket
-  ``d``;
-* **chunked parallel mode** (:func:`msm_parallel`): the point/scalar
-  vector is split across :mod:`repro.core.pool` workers (MSM is linear in
-  the points, so partial Jacobian sums combine with plain additions);
-  worker op counts are merged back so the cost model stays honest.
+**Signed digits** (:func:`repro.ec.msm.signed_digits`) cut the bucket
+count per window from ``2^c - 1`` to ``2^(c-1)`` — point negation is free
+(``(x, -y)``) so digit ``-d`` adds the negated point to bucket ``d``.
+:func:`msm_streamed` runs the same engine over a chunked CRS query, one
+decoded chunk at a time.
 
 Everything operates on raw ``(x, y)`` int pairs mod the base prime, like
 the Jacobian module; infinity inputs and zero scalars are filtered first.
@@ -28,10 +23,8 @@ the Jacobian module; infinity inputs and zero scalars are filtered first.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core import pool
 from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
@@ -220,50 +213,4 @@ def msm_streamed(
         total = j_add(total, _msm_raw(affine, reduced, c))
     if total[2] == 0:
         return BN254_G1.infinity()
-    return to_affine(total)
-
-
-# -- chunked parallel mode ---------------------------------------------------------
-
-def _parallel_chunk(
-    payload: Tuple[List[Affine], List[int], Optional[int]]
-) -> JPoint:
-    """Worker entry: batch-affine MSM over one chunk."""
-    affine, reduced, window = payload
-    c = window or pick_window(len(affine), signed=True)
-    return _msm_raw(affine, reduced, c)
-
-
-def msm_parallel(
-    points: Sequence[Point],
-    scalars: Sequence[int],
-    parallelism: Optional[int] = None,
-    window: Optional[int] = None,
-) -> Point:
-    """Split the MSM across ``parallelism`` processes and combine partials.
-
-    MSM is linear in the point vector, so each chunk's Jacobian partial
-    sum combines with plain group additions.
-    """
-    if len(points) != len(scalars):
-        raise ValueError(
-            f"points/scalars length mismatch: {len(points)} vs {len(scalars)}"
-        )
-    workers = parallelism or min(4, os.cpu_count() or 1)
-    affine, reduced = _to_raw(points, scalars)
-    if not affine:
-        return BN254_G1.infinity()
-    workers = max(1, min(workers, len(affine)))
-    if workers == 1:
-        c = window or pick_window(len(affine), signed=True)
-        return to_affine(_msm_raw(affine, reduced, c))
-
-    step = -(-len(affine) // workers)
-    payloads = [
-        (affine[i : i + step], reduced[i : i + step], window)
-        for i in range(0, len(affine), step)
-    ]
-    total = J_INFINITY
-    for partial in pool.map(_parallel_chunk, payloads, workers):
-        total = j_add(total, partial)
     return to_affine(total)

@@ -17,7 +17,7 @@ plus the shared helpers every MSM variant uses:
 
 The fast engines live next door: :mod:`repro.ec.jacobian`
 (inversion-free buckets, G1 and G2), :mod:`repro.ec.batch_affine` (G1
-batched affine buckets + the chunked parallel mode), and
+batched affine buckets, one-shot and streamed over a chunked CRS), and
 :mod:`repro.ec.fixed_base` (precomputed G1 tables for CRS-style fixed
 bases).
 
@@ -57,10 +57,6 @@ def pick_window(n: int, bits: int = 254, signed: bool = False) -> int:
         if best_cost is None or cost < best_cost:
             best_c, best_cost = c, cost
     return best_c
-
-
-# Backwards-compatible alias (the old private name is referenced in tests).
-_pick_window = pick_window
 
 
 def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:

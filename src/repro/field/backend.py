@@ -6,20 +6,19 @@ operations.  This module provides interchangeable *backends* for bulk field
 arithmetic so those loops can run as array programs instead:
 
 * :class:`ScalarBackend` — the always-available reference; plain Python
-  ints driven through :class:`repro.field.fp.Field`.  Every other backend
-  must produce bit-identical results (the hypothesis parity suite and the
-  CI prove-smoke assert proofs are byte-identical across backends).
+  ints driven through :class:`repro.field.fp.Field`.  The kernel must
+  produce bit-identical results (the hypothesis parity suite, and
+  ``tests/test_golden_quotients.py`` pins quotients and proof bytes of both
+  to the same frozen fixture).
 * :class:`NumpyBackend` — the array kernel below: field elements as columns
   of float64 limbs, multiplication by a constant as an exact matrix product
   that BLAS executes.  It serves the QAP transforms of
   :mod:`repro.snark.qap`; batch inversion stays scalar.
-* :class:`Gmpy2Backend` — a ``gmpy2.mpz`` fast path auto-detected at
-  import; mirrors the scalar algorithms element-wise.
 
 Selection is via the ``ZENO_FIELD_BACKEND`` environment variable
-(``auto`` | ``scalar`` | ``numpy`` | ``gmpy2``); ``auto`` prefers numpy,
-then gmpy2, then scalar.  :func:`set_backend` overrides at runtime (tests,
-CI's forced-scalar second run).
+(``auto`` | ``scalar`` | ``numpy``); ``auto`` is numpy where it imports,
+else scalar.  :func:`set_backend` overrides at runtime (tests, CI's
+forced-scalar second run).
 
 The constant-operand matmul kernel
 ----------------------------------
@@ -66,16 +65,7 @@ try:  # numpy ships with the package (pyproject dependency) but stay gated
 except Exception:  # pragma: no cover - numpy is a hard dep in practice
     _np = None
 
-try:  # optional GMP fast path; never required
-    import gmpy2 as _gmpy2
-
-    _mpz = _gmpy2.mpz
-except Exception:  # pragma: no cover - exercised on hosts without gmpy2
-    _gmpy2 = None
-    _mpz = None
-
 HAS_NUMPY = _np is not None
-HAS_GMPY2 = _gmpy2 is not None
 
 LIMB_BITS = 22
 _BASE = float(1 << LIMB_BITS)
@@ -540,48 +530,7 @@ class NumpyBackend(ScalarBackend):
     # costs more than the scalar loop saves (0.65x at 16k elements measured).
 
 
-class Gmpy2Backend(ScalarBackend):
-    """GMP-backed big-int fast path (batch inversion on ``mpz`` values)."""
-
-    name = "gmpy2"
-    supports_ntt = False
-
-    def inv_list(self, field: Field, xs, zero_ok: bool = False):
-        p = _mpz(field.modulus)
-        n = len(xs)
-        if n == 0:
-            return []
-        prefix = [None] * n
-        running = _mpz(1)
-        for i, v in enumerate(xs):
-            if v == 0:
-                if not zero_ok:
-                    raise ZeroDivisionError(
-                        "batch_inverse received a zero element"
-                    )
-                continue
-            running = running * v % p
-            prefix[i] = running
-        counter = global_counter()
-        counter.field_inv += 1
-        inv_running = _gmpy2.invert(running, p)
-        out = [0] * n
-        last_prefix = _mpz(1)
-        for i in range(n - 1, -1, -1):
-            if xs[i] == 0:
-                continue
-            prev = None
-            for j in range(i - 1, -1, -1):
-                if prefix[j] is not None:
-                    prev = prefix[j]
-                    break
-            out[i] = int(inv_running * (prev if prev is not None else 1) % p)
-            inv_running = inv_running * xs[i] % p
-        counter.field_mul += 3 * max(n - 1, 0)
-        return out
-
-
-_VALID = ("auto", "scalar", "numpy", "gmpy2")
+_VALID = ("auto", "scalar", "numpy")
 _lock = threading.Lock()
 _active: Optional[ScalarBackend] = None
 _active_name: Optional[str] = None
@@ -589,19 +538,11 @@ _active_name: Optional[str] = None
 
 def _resolve(name: str) -> ScalarBackend:
     if name == "auto":
-        if HAS_NUMPY:
-            return NumpyBackend()
-        if HAS_GMPY2:
-            return Gmpy2Backend()
-        return ScalarBackend()
+        return NumpyBackend() if HAS_NUMPY else ScalarBackend()
     if name == "numpy":
         if not HAS_NUMPY:
             raise RuntimeError("ZENO_FIELD_BACKEND=numpy but numpy is absent")
         return NumpyBackend()
-    if name == "gmpy2":
-        if not HAS_GMPY2:
-            raise RuntimeError("ZENO_FIELD_BACKEND=gmpy2 but gmpy2 is absent")
-        return Gmpy2Backend()
     return ScalarBackend()
 
 

@@ -1,11 +1,10 @@
 """Batch field utilities shared by the curve, QAP, and compiler layers.
 
 These entry points dispatch to the active field backend
-(:mod:`repro.field.backend`): the scalar reference, the numpy array
-kernel, or the gmpy2 big-int fast path, selected via
-``ZENO_FIELD_BACKEND``.  All backends are bit-identical on canonical
-inputs and charge identical op-counter totals, so callers (and the cost
-model) never observe which one ran.
+(:mod:`repro.field.backend`): the scalar reference or the numpy array
+kernel, selected via ``ZENO_FIELD_BACKEND``.  Both are bit-identical on
+canonical inputs and charge identical op-counter totals, so callers (and
+the cost model) never observe which one ran.
 """
 
 from __future__ import annotations

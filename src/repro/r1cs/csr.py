@@ -100,15 +100,6 @@ class CSRSystem:
         return self.a.nnz + self.b.nnz + self.c.nnz
 
 
-def dense_position(index: int, num_public: int) -> int:
-    """Map a signed variable index to its dense ``z`` position."""
-    if index < 0:
-        return -index
-    if index > 0:
-        return num_public + index
-    return 0
-
-
 def build_csr_structure(constraints, num_public: int, num_private: int,
                         modulus: int) -> CSRSystem:
     """Build the (assignment-free) CSR structure from constraint LCs.

@@ -35,8 +35,8 @@ class ServiceConfig:
     max_retries: int = 2  # extra attempts after a worker failure
     backoff_base: float = 0.05  # retry backoff: base * 2^(attempt-1)
     backend: str = "simulated"  # "simulated" | "bn254"
-    # Prover processes per proof: CSR witness rows, QAP NTT chains and
-    # chunked bn254 MSMs (the spec's "parallelism" key).
+    # Worker processes per proof for CSR witness rows, used above the
+    # schedule executor's size gate (the spec's "parallelism" key).
     parallelism: int = 1
     store_dir: Optional[str] = None  # None = fresh temp directory
     store_entries: int = 256  # artifact-store LRU bound

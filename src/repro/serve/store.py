@@ -13,9 +13,6 @@ entry count: a megabyte-scale CRS chunk and a 100-byte proof used to cost
 the same toward the bound, which let key chunks blow well past any
 intended disk budget.  ``max_bytes`` bounds the total; ``max_entries``
 still caps the count.
-
-Typed helpers round-trip through :mod:`repro.snark.serialize`, so
-anything read back is a validated on-curve object, not raw bytes.
 """
 
 from __future__ import annotations
@@ -120,35 +117,3 @@ class ArtifactStore:
                 "bytes": self.total_bytes,
                 "evictions": self.evictions,
             }
-
-    # -- typed helpers (round-trip through repro.snark.serialize) ------------------
-
-    def put_proof(self, proof) -> str:
-        from repro.snark.serialize import serialize_proof
-
-        return self.put("proof", serialize_proof(proof))
-
-    def get_proof(self, key: str):
-        from repro.snark.serialize import deserialize_proof
-
-        return deserialize_proof(self.get(key))
-
-    def put_verifying_key(self, vk) -> str:
-        from repro.snark.serialize import serialize_verifying_key
-
-        return self.put("vk", serialize_verifying_key(vk))
-
-    def get_verifying_key(self, key: str):
-        from repro.snark.serialize import deserialize_verifying_key
-
-        return deserialize_verifying_key(self.get(key))
-
-    def put_proving_key(self, pk) -> str:
-        from repro.snark.serialize import serialize_proving_key
-
-        return self.put("pk", serialize_proving_key(pk))
-
-    def get_proving_key(self, key: str):
-        from repro.snark.serialize import deserialize_proving_key
-
-        return deserialize_proving_key(self.get(key))

@@ -266,9 +266,8 @@ def prove_batch(
         cold=cold,
         vk=vk_bytes,
         # Which field-arithmetic backend this worker proved with
-        # (scalar / numpy / gmpy2) — proofs are byte-identical across
-        # backends, so this is telemetry for capacity planning, not
-        # correctness.
+        # (scalar / numpy) — proofs are byte-identical across backends,
+        # so this is telemetry for capacity planning, not correctness.
         field_backend=backend_name(),
         results=results,
         # Fixed-base table telemetry: `built` marks the one-time table
@@ -296,7 +295,8 @@ class WorkerPool:
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=self._ctx
+                max_workers=self.max_workers, mp_context=self._ctx,
+                initializer=pool._leave_with_parent, initargs=(os.getpid(),),
             )
         return self._executor
 

@@ -185,10 +185,10 @@ def prove(
     A key carrying fixed-base tables (``pk.tables``, attached by
     :func:`repro.snark.keys.precompute_proving_tables`) routes the proving
     MSMs through them — the serving path, where one CRS is queried by many
-    proofs.  ``parallelism`` drives the whole engine: executor-parallel
-    witness-row evaluation over the CSR snapshot, worker dispatch of the
-    QAP coset-NTT chains, and the chunked-MSM knob on
-    :meth:`GroupBackend.msm`.  ``phase_sink``, if given, receives wall
+    proofs.  ``parallelism`` is the worker-process count for witness-row
+    evaluation over the CSR snapshot (the §5.2 schedule executor, which
+    stays in-process below its size gate); the quotient and the MSMs
+    always run in this process.  ``phase_sink``, if given, receives wall
     seconds per prover phase (``witness`` / ``quotient`` / ``msm``) —
     accumulated, so the serve telemetry can hand the same dict to every
     proof in a batch.
@@ -202,7 +202,7 @@ def prove(
     def query_msm(points, scalars, table):
         if table is not None:
             return table.msm(scalars)
-        return backend.msm(points, scalars, parallelism=parallelism)
+        return backend.msm(points, scalars)
 
     def tick(phase: str, since: float) -> float:
         now = time.perf_counter()

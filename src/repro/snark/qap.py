@@ -22,10 +22,9 @@ whole domains per ``(size, modulus)``.
 
 The prover-side entry points accept an optional CSR snapshot
 (:meth:`repro.r1cs.system.ConstraintSystem.to_csr`) and a ``parallelism``
-degree: witness rows evaluate through the §5.2 schedule executor
-(:mod:`repro.core.schedule.executor`) and, on the scalar field backend,
-the two INTT → coset-NTT chains of the quotient dispatch to worker
-processes.
+degree, which sends the witness rows through the §5.2 schedule executor
+(:mod:`repro.core.schedule.executor`); the quotient's transforms always
+run in-process.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import pool
 from repro.field.fp import BN254_FR, Field
 from repro.field.vector import batch_inverse
 from repro.r1cs.lc import ONE
@@ -51,8 +49,8 @@ def _next_pow2(n: int) -> int:
 
 
 # Domains memoized per (size, modulus): the power/twiddle tables are pure
-# functions of the domain, so every prove over the same circuit size —
-# including the QAP chain workers — shares one instance.
+# functions of the domain, so every prove over the same circuit size
+# shares one instance.
 #
 # The cache is a bounded LRU: long-running serve/gateway processes see an
 # unbounded variety of circuit sizes (one entry per (size, modulus), each
@@ -311,8 +309,7 @@ class Domain:
         """One quotient chain: H-evaluations -> coset evaluations.
 
         Equivalent to ``coset_ntt(intt(evals))`` with the INTT's ``1/d``
-        and the coset shift fused into a single cached pointwise table —
-        the unit of work the parallel quotient dispatches per polynomial.
+        and the coset shift fused into a single cached pointwise table.
         """
         p = self.field.modulus
         values = list(evals)
@@ -535,38 +532,6 @@ def witness_polynomial_evals(
     return a_evals, b_evals, c_evals
 
 
-def witness_polynomial_evals_lc(
-    cs: ConstraintSystem, domain: Domain
-) -> Tuple[List[int], List[int], List[int]]:
-    """Legacy per-LC reference path (dict walk per constraint term).
-
-    Kept as the equivalence oracle for the CSR/executor paths — the
-    property tests assert identical output, and ``prove_bench`` uses it as
-    the pre-CSR sequential baseline.
-    """
-    assignment = cs.assignment()
-    a_evals = [0] * domain.size
-    b_evals = [0] * domain.size
-    c_evals = [0] * domain.size
-    for j, constraint in enumerate(cs.constraints):
-        a_evals[j] = constraint.a.evaluate(assignment)
-        b_evals[j] = constraint.b.evaluate(assignment)
-        c_evals[j] = constraint.c.evaluate(assignment)
-    return a_evals, b_evals, c_evals
-
-
-def _coset_chain(payload: Tuple[int, int, List[int]]) -> List[int]:
-    """Worker entry for one INTT -> coset-NTT chain.
-
-    Self-contained payload (domain size, modulus, H-evaluations) so it
-    pickles to any pool; the worker-side :meth:`Domain.for_size` cache
-    amortizes table builds across the chains and across proves.
-    """
-    size, modulus, evals = payload
-    field = BN254_FR if modulus == BN254_FR.modulus else Field(modulus)
-    return Domain.for_size(size, field).chain_to_coset(evals)
-
-
 def quotient_coefficients(
     cs: ConstraintSystem,
     domain: Domain,
@@ -583,10 +548,8 @@ def quotient_coefficients(
     six transforms.  Raises if the witness does not satisfy the R1CS
     (remainder nonzero).
 
-    With ``parallelism > 1`` the witness rows evaluate through the
-    schedule executor and the two INTT -> coset-NTT chains dispatch to
-    worker processes (op counts merged into this process's counter so the
-    cost model matches the sequential path).
+    ``parallelism`` only reaches :func:`witness_polynomial_evals`, when
+    ``evals`` is not given.
     """
     p = domain.field.modulus
     if evals is None:
@@ -599,26 +562,14 @@ def quotient_coefficients(
         Domain._all_canonical(list(v), p)
         for v in (a_evals, b_evals, c_evals)
     ):
-        # Array kernel: all chains batch through one in-process pipeline —
-        # faster than forking the chain workers, so the pool is bypassed
-        # (witness rows still parallelize upstream).  Counter totals match
-        # the scalar path exactly.
+        # Array kernel: all chains batch through one pipeline.  Counter
+        # totals match the scalar path exactly.
         return _vector_quotient(
             domain, list(a_evals), list(b_evals), list(c_evals)
         )
-    if parallelism is not None and parallelism > 1:
-        # The chains go to workers; the parent interpolates C meanwhile.
-        chains = pool.map(
-            _coset_chain,
-            [(domain.size, p, evals) for evals in (a_evals, b_evals)],
-            min(parallelism, 2),
-        )
-        c_coeffs = domain.intt(c_evals)
-        a_coset, b_coset = chains
-    else:
-        a_coset = domain.chain_to_coset(a_evals)
-        b_coset = domain.chain_to_coset(b_evals)
-        c_coeffs = domain.intt(c_evals)
+    a_coset = domain.chain_to_coset(a_evals)
+    b_coset = domain.chain_to_coset(b_evals)
+    c_coeffs = domain.intt(c_evals)
     z_inv = pow(domain.coset_vanishing_constant(), -1, p)
     ab_coeffs = domain.coset_intt(
         [a * b % p for a, b in zip(a_coset, b_coset)]

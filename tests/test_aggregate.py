@@ -32,6 +32,7 @@ from repro.core.circuit.compute import ComputeOptions
 from repro.core.compiler import PrivacySetting, ZenoCompiler, zeno_options
 from repro.core.reuse.batch import BatchProver
 from repro.field import BN254_FR_MODULUS
+from repro.field.counters import count_ops
 from repro.nn.data import synthetic_images
 from repro.nn.models import build_model
 from repro.r1cs.system import ConstraintSystem
@@ -224,11 +225,13 @@ class TestProveFold:
     @pytest.mark.parametrize("agg_fixture", ["public_agg", "hashed_agg"])
     def test_end_to_end_accepts(self, agg_fixture, request):
         agg = request.getfixturevalue(agg_fixture)
-        verdict = verify_aggregate(agg)
+        with count_ops() as ops:
+            verdict = verify_aggregate(agg)
         assert verdict.ok, verdict.reason
         assert verdict.num_layers == len(agg.layers)
         assert verdict.num_proofs == len(agg.layers)
         assert verdict.num_pairings == verdict.num_proofs + 3 * verdict.num_layers
+        assert ops.pairing == verdict.num_pairings  # counted, not claimed
 
     def test_verdict_exposes_model_prediction(self, artifact, public_agg):
         verdict = verify_aggregate(public_agg)

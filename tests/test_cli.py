@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import tempfile
 
 import pytest
 
 from repro.cli import main
+from repro.snark import groth16
+from repro.snark.chunked import CHUNK_BYTES_ENV
 
 
 class TestModels:
@@ -120,6 +124,66 @@ class TestProveVerify:
             )
             == 0
         )
+
+
+class TestMaxRss:
+    """``prove --max-rss``: a streamed-CRS prove under a cap, which leaves
+    neither its working-set knob nor its chunk store behind."""
+
+    @pytest.fixture
+    def scratch(self, tmp_path, monkeypatch):
+        """Where ``tempfile`` puts the chunk store, so leftovers show."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        return scratch
+
+    def _prove(self, tmp_path, cap):
+        return main(["prove", "--model", "SHAL", "--scale", "mini",
+                     "--max-rss", cap, "--out", str(tmp_path / "p.bin")])
+
+    @pytest.mark.parametrize(
+        "cap, preset, code, word",
+        [("64G", None, 0, "within"), ("1M", "65536", 3, "EXCEEDED")],
+    )
+    def test_cap_verdict_and_nothing_left_behind(
+        self, tmp_path, scratch, monkeypatch, capsys, cap, preset, code, word
+    ):
+        if preset is None:
+            monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
+        else:
+            monkeypatch.setenv(CHUNK_BYTES_ENV, preset)
+        assert self._prove(tmp_path, cap) == code
+        assert f"({word} --max-rss" in capsys.readouterr().out
+        assert os.environ.get(CHUNK_BYTES_ENV) == preset
+        assert list(scratch.iterdir()) == []
+        proof = tmp_path / "p.bin"
+        assert main(["verify", "--proof", str(proof),
+                     "--claim", str(proof) + ".claim.json"]) == 0
+
+    def test_failed_prove_leaves_nothing_behind(
+        self, tmp_path, scratch, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            assert os.environ[CHUNK_BYTES_ENV] == str(8 << 20)  # set while open
+            assert [d.name[:9] for d in scratch.iterdir()] == ["zeno-crs-"]
+            raise RuntimeError("prover died")
+
+        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
+        monkeypatch.setattr(groth16, "prove", broken)
+        with pytest.raises(RuntimeError, match="prover died"):
+            self._prove(tmp_path, "64G")
+        assert CHUNK_BYTES_ENV not in os.environ
+        assert list(scratch.iterdir()) == []
+
+    def test_unverifiable_proof_is_an_error_not_an_assert(
+        self, tmp_path, scratch, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(groth16, "verify", lambda *a, **k: False)
+        assert self._prove(tmp_path, "64G") == 1
+        assert "self-check failed" in capsys.readouterr().err
+        assert not (tmp_path / "p.bin").exists()
+        assert list(scratch.iterdir()) == []
 
 
 class TestCompare:

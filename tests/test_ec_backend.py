@@ -67,13 +67,6 @@ class TestMSMDispatch:
         assert backend.msm([], []) == backend.g1_zero()
         assert backend.msm([], [], zero=backend.g2_zero()) == backend.g2_zero()
 
-    def test_parallelism_knob_accepted(self, backend):
-        g = backend.g1_generator()
-        points = [backend.scalar_mul(g, k) for k in (2, 3)]
-        assert backend.msm(points, [5, 7], parallelism=2) == backend.msm(
-            points, [5, 7]
-        )
-
     def test_precompute_msm_matches_direct(self, backend):
         g = backend.g1_generator()
         points = [backend.scalar_mul(g, k) for k in (2, 3, 5, 7)]

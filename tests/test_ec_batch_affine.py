@@ -1,4 +1,4 @@
-"""Cross-variant MSM tests: batch-affine, parallel, and fixed-base engines.
+"""Cross-variant MSM tests: batch-affine, Jacobian and fixed-base engines.
 
 Every engine in :mod:`repro.ec` must agree with naive double-and-add on
 the same inputs — including the adversarial scalars (zero, negative,
@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ec.batch_affine import msm_batch_affine, msm_parallel
+from repro.ec.batch_affine import msm_batch_affine
 from repro.ec.bn254 import BN254_G1
 from repro.ec.fixed_base import FixedBaseTableG1, batch_normalize
 from repro.ec.jacobian import msm_jacobian, to_jacobian
 from repro.ec.msm import msm, msm_naive, signed_digits
-from repro.field.counters import count_ops
 
 R = BN254_G1.order
 G = BN254_G1.generator
@@ -35,9 +34,6 @@ def _variants(points, scalars, window=None):
         "affine": msm(points, scalars, window=window, group=BN254_G1),
         "jacobian": msm_jacobian(points, scalars, window=window),
         "batch_affine": msm_batch_affine(points, scalars, window=window),
-        "parallel": msm_parallel(
-            points, scalars, parallelism=2, window=window
-        ),
     }
     table = FixedBaseTableG1(points, window=window)
     out["fixed_base"] = table.msm(scalars)
@@ -93,14 +89,11 @@ class TestCrossVariantAgreement:
 
     def test_empty_inputs_are_identity(self):
         assert msm_batch_affine([], []).is_infinity()
-        assert msm_parallel([], [], parallelism=2).is_infinity()
         assert FixedBaseTableG1([]).msm([]).is_infinity()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             msm_batch_affine([G], [])
-        with pytest.raises(ValueError):
-            msm_parallel([G], [1, 2])
 
     @given(
         st.lists(
@@ -176,30 +169,6 @@ class TestSignedDigits:
             half = 1 << (c - 1)
             assert all(-half < d <= half for d in digits)
             assert sum(d << (c * j) for j, d in enumerate(digits)) == s
-
-
-class TestParallel:
-    def test_worker_tallies_merged(self):
-        """Forked chunk workers must not lose their op counts."""
-        points = _points(24, seed=6)
-        scalars = [random.Random(7).randrange(R) for _ in points]
-        with count_ops() as serial_ops:
-            expected = msm_batch_affine(points, scalars)
-        with count_ops() as par_ops:
-            got = msm_parallel(points, scalars, parallelism=2)
-        assert got == expected
-        assert par_ops.group_add > 0
-        assert par_ops.field_inv > 0
-        # Chunks re-run the doubling chain, so the parallel tally is at
-        # least the serial one — never a fraction of it.
-        assert par_ops.group_add >= serial_ops.group_add
-
-    def test_parallelism_one_runs_inline(self):
-        points = _points(5, seed=8)
-        scalars = [11, 22, 33, 44, 55]
-        assert msm_parallel(points, scalars, parallelism=1) == msm_naive(
-            points, scalars, group=BN254_G1
-        )
 
 
 class TestFixedBase:

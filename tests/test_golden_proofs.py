@@ -16,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.ec.backend as ec_backend
 from repro.core.circuit.compute import ComputeOptions
 from repro.core.reuse.batch import BatchProver
 from repro.core.schedule import executor as executor_mod
@@ -47,10 +46,9 @@ def _circuit():
 
 @pytest.mark.parametrize("backend_name", sorted(GOLDEN["proofs"]))
 def test_golden_bytes(_circuit, backend_name, monkeypatch):
-    # The circuit is far below both size gates; open them so parallelism=2
-    # really runs the witness executor and the chunked MSM in workers.
+    # The circuit is far below the executor's size gate; open it so
+    # parallelism=2 really evaluates the witness rows in workers.
     monkeypatch.setattr(executor_mod, "PARALLEL_MIN_TERMS", 0)
-    monkeypatch.setattr(ec_backend, "_PARALLEL_MIN", 0)
     cs = _circuit
     backend = backend_by_name(backend_name)
     keys = groth16.setup(cs, backend, random.Random(GOLDEN["crs_seed"]))

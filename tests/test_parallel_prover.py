@@ -1,4 +1,4 @@
-"""Parallel prover engine: CSR evaluation, schedule executor, QAP chains.
+"""Parallel prover engine: CSR evaluation, schedule executor, QAP domains.
 
 The contract under test (ISSUE 4): the CSR fast path, the
 executor-parallel path, and the legacy per-LC path are *the same
@@ -33,10 +33,10 @@ from repro.snark.qap import (
     Domain,
     quotient_coefficients,
     witness_polynomial_evals,
-    witness_polynomial_evals_lc,
 )
 from repro.snark.serialize import serialize_proof
 from tests.conftest import tiny_conv_model, tiny_image
+from tests.lc_oracle import witness_polynomial_evals_lc
 
 
 @pytest.fixture(autouse=True)

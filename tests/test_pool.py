@@ -1,9 +1,14 @@
-"""`repro.core.pool`: the one worker-process layer and its four clients."""
+"""`repro.core.pool`: the one worker-process layer and its two clients."""
 
+import inspect
 import multiprocessing
 import os
 import random
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,12 +18,9 @@ from repro.core import pool
 from repro.core.compiler import PrivacySetting, ZenoCompiler, zeno_options
 from repro.core.schedule import ScheduleExecutor
 from repro.core.schedule import executor as executor_mod
-from repro.ec.batch_affine import msm_parallel
-from repro.ec.bn254 import BN254_G1
-from repro.field.backend import backend_name, set_backend
+from repro.ec.backend import GroupBackend
 from repro.field.counters import count_ops, global_counter
 from repro.r1cs import evaluate_rows
-from repro.snark.qap import Domain, quotient_coefficients
 from repro.snark.serialize import serialize_proof
 from tests.conftest import tiny_conv_model, tiny_image
 from tests.test_parallel_prover import random_system
@@ -34,7 +36,7 @@ def fresh_pools():
 # Worker entry points must be importable by path (spawn re-imports them).
 
 
-def _square(x):
+def _square(shared, x):
     global_counter().field_mul += 1  # one "op" per task, to trace merging
     return x * x, os.getpid()
 
@@ -45,34 +47,41 @@ def _scale(shared, x):
 
 
 def _nested(shared, x):
-    # A pool worker that itself maps: must start its own executor, not
-    # submit to the one it inherited from the parent.
-    return [r for r, _ in pool.map(_square, [x, x + 1], 1)]
+    # A pool worker that itself maps — under the key and worker count its
+    # parent's kept pool has: must start its own executor, not submit to
+    # the one it inherited.
+    out = pool.map_shared(None, _square, [x, x + 1], 1, key="k")
+    return [r for r, _ in out]
 
 
 class TestMap:
+    """The kept (keyed) pool: what a caller that maps again and again over
+    the same shared state gets."""
+
     def test_results_in_order_and_ops_merged(self):
         with count_ops() as ops:
-            out = list(pool.map(_square, range(6), 2))
+            out = list(pool.map_shared(None, _square, range(6), 2, key="k"))
         assert [r for r, _ in out] == [x * x for x in range(6)]
         assert ops.field_mul == 6
 
     def test_executor_cached_per_worker_count(self):
-        pids = {pid for _, pid in pool.map(_square, range(4), 1)}
-        one = pool._cached[1]
-        assert {pid for _, pid in pool.map(_square, range(4), 1)} == pids
-        assert pool._cached[1] is one  # reused, not rebuilt
-        list(pool.map(_square, range(4), 2))
-        assert set(pool._cached) == {1, 2}
-        assert pool._cached[1] is one
+        def pids(workers):
+            out = pool.map_shared(None, _square, range(4), workers, key="k")
+            return {pid for _, pid in out}
+
+        first = pids(1)
+        one = pool._shared_pool
+        assert pids(1) == first
+        assert pool._shared_pool is one  # reused, not rebuilt
+        assert not pids(2) & first
+        assert pool._shared_pool is not one  # replaced: one kept pool
+        assert pool._shared_key == ("k", 2)
 
     def test_shutdown_idempotent_and_recreatable(self):
-        list(pool.map(_square, [1], 1))
         list(pool.map_shared({"factor": 2}, _scale, [1], 1, key="k"))
         pool.shutdown()
         pool.shutdown()
-        assert pool._cached == {} and pool._shared_pool is None
-        assert [r for r, _ in pool.map(_square, [3], 1)] == [9]
+        assert pool._shared_pool is None and pool._shared_key is None
         assert list(
             pool.map_shared({"factor": 2}, _scale, [3], 1, key="k")
         ) == [6]
@@ -115,24 +124,9 @@ class TestMapShared:
         assert ops.field_mul == 5
 
     def test_nested_map_in_forked_worker(self):
-        list(pool.map(_square, [0], 1))  # parent owns a cached executor
-        got = list(pool.map_shared(None, _nested, [2, 5], 1))
+        # The parent owns a kept executor, which its worker inherits.
+        got = list(pool.map_shared(None, _nested, [2, 5], 1, key="k"))
         assert got == [[4, 9], [25, 36]]
-
-
-def _in_process(monkeypatch):
-    """Swap both map calls for in-process equivalents: the sequential
-    reference the pooled op counts are compared against."""
-    monkeypatch.setattr(
-        pool, "map", lambda fn, payloads, workers: (fn(p) for p in payloads)
-    )
-    monkeypatch.setattr(
-        pool,
-        "map_shared",
-        lambda shared, fn, payloads, workers, key=None: (
-            fn(shared, p) for p in payloads
-        ),
-    )
 
 
 class TestClientOpCountParity:
@@ -149,41 +143,6 @@ class TestClientOpCountParity:
         assert (got.a_rows, got.b_rows, got.c_rows) == expected
         assert pooled.snapshot() == seq.snapshot()
         assert pool._shared_key == (csr.stamp, 2)
-
-    def test_qap_coset_chains(self):
-        cs = random_system(random.Random(43), rows=20)
-        domain = Domain(max(cs.num_constraints, 2))
-        original = backend_name()
-        try:
-            # The vectorized backend batches all three chains in-process;
-            # the scalar one is the path that dispatches to workers.
-            set_backend("scalar")
-            # unsatisfied random system: compare up to the remainder check
-            with count_ops() as seq:
-                with pytest.raises(ValueError):
-                    quotient_coefficients(cs, domain)
-            with count_ops() as pooled:
-                with pytest.raises(ValueError):
-                    quotient_coefficients(cs, domain, parallelism=2)
-        finally:
-            set_backend(original)
-        assert 2 in pool._cached
-        assert pooled.snapshot() == seq.snapshot()
-
-    def test_chunked_msm(self, monkeypatch):
-        rng = random.Random(47)
-        g = BN254_G1.generator
-        points = [g * rng.randrange(1, 1 << 20) for _ in range(24)]
-        scalars = [rng.randrange(BN254_G1.order) for _ in points]
-        with count_ops() as pooled:
-            got = msm_parallel(points, scalars, parallelism=2)
-        assert 2 in pool._cached
-        _in_process(monkeypatch)
-        with count_ops() as seq:
-            expected = msm_parallel(points, scalars, parallelism=2)
-        assert got == expected
-        assert pooled.snapshot() == seq.snapshot()
-        assert pooled.group_add > 0 and pooled.field_inv > 0
 
     def test_per_layer_proving(self, monkeypatch):
         opts = zeno_options(
@@ -221,3 +180,76 @@ def test_only_the_pool_module_starts_processes():
         if pattern.search(path.read_text())
     }
     assert offenders == {"repro/core/pool.py", "repro/serve/workers.py"}
+
+
+_KILLED_PARENT = """
+import multiprocessing, os, time
+from repro.core import pool
+from repro.serve.workers import WorkerPool
+
+def pid(shared, payload):
+    return os.getpid()
+
+workers = WorkerPool(2)
+workers.prewarm()
+list(pool.map_shared(None, pid, range(4), 2, key="k"))
+print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # unreaped is still gone
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigkilled_parent_leaves_no_children():
+    """Nobody dismisses the workers of a parent that is SIGKILLed: they
+    have to notice on their own, the serve pool's and the prover's alike."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_PARENT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        children = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(children) == 4 and all(map(_running, children))
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+    deadline = time.monotonic() + 5
+    while any(map(_running, children)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not [pid for pid in children if _running(pid)]
+
+
+def test_retired_layers_stay_retired():
+    """One benchmark layer, one meaning per prover knob: the legacy
+    harnesses, their checked-in JSON and the prover modes that lived only
+    as their columns cannot grow back."""
+    root = Path(__file__).resolve().parent.parent
+    harness = {
+        path.stem for path in (root / "benchmarks").glob("*.py")
+        if not path.stem.startswith("test_")
+    }
+    assert harness <= {"__init__", "_shared", "conftest"}
+    assert not list(root.glob("BENCH_*.json"))
+    assert {
+        name for name, value in vars(pool).items()
+        if callable(value) and not name.startswith("_")
+        and value.__module__ == pool.__name__
+    } == {"context", "map_shared", "shutdown"}
+    assert "parallelism" not in inspect.signature(GroupBackend.msm).parameters
+    retired = re.compile(
+        "msm_parallel|_coset_chain|Gmpy2Backend|witness_polynomial_evals_lc"
+    )
+    assert not [
+        str(path.relative_to(root))
+        for path in (root / "src").rglob("*.py")
+        if retired.search(path.read_text())
+    ]
