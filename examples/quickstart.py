@@ -8,7 +8,7 @@ Arkworks-style baseline.
 
 Run:
     python examples/quickstart.py           # fast simulated group
-    python examples/quickstart.py --real    # genuine BN254 pairing (~10 s)
+    python examples/quickstart.py --real    # genuine BN254 pairing (~3 s)
 """
 
 import argparse

@@ -109,10 +109,11 @@ class BatchProver:
         most expensive per-key cost — is cached here so every subsequent
         job pays only assign + prove.
 
-        With ``precompute`` (the default), fixed-base MSM tables are built
-        over the CRS query vectors alongside the setup and attached to the
-        proving key, so every proof of the session skips re-deriving
-        window-shifted bases (see :mod:`repro.ec.fixed_base`).
+        With ``precompute`` (the default), the key's fixed-base tables
+        (:class:`repro.snark.keys.ProvingKeyTables`: the h query and the
+        two delta points — the parts of a proof whose scalars are uniform
+        field elements) are built alongside the setup and attached to the
+        proving key, so every proof of the session reuses them.
         """
         if self._setup is None:
             from repro.ec.backend import SimulatedBackend

@@ -6,12 +6,14 @@ The SNARK layer (:mod:`repro.snark`) programs exclusively against
 cryptographic hardness — see :mod:`repro.ec.simulated`), never the algebra.
 
 ``msm`` routes through the engine hierarchy (see :mod:`repro.ec.msm` for
-the map): batch-affine signed windows for real G1 vectors, and the
-Jacobian Pippenger for small G1 inputs and for G2.  The empty MSM
-returns the group identity (``zero=`` overrides which one).
-``precompute_msm`` returns a fixed-base table for CRS-style reuse — the
-serving layer builds tables once per proving key and queries them on every
-proof.
+the map): the width-routed batch-affine pass for real G1 vectors — it
+sizes its windows by the scalars it is handed, so there is no window for
+a caller to pick — and the Jacobian Pippenger for small G1 inputs and for
+G2.  The empty MSM returns the group identity (``zero=`` overrides which
+one).  ``precompute_msm`` returns a fixed-base table over a G1 vector
+that meets uniform scalars (the h query) and ``precompute_base`` one over
+a single point (delta_1, delta_2) — the serving layer builds them once per
+proving key and queries them on every proof.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.ec.simulated import (
     G1_TAG,
     G2_TAG,
     GT_TAG,
+    SimBaseTable,
     SimFixedBaseTable,
     SimPoint,
     sim_generator,
@@ -37,32 +40,6 @@ GroupElement = Any  # Point | SimPoint
 # Below this size the sparse bucket lists of the batch-affine engine cannot
 # amortize their inversions; the Jacobian path wins.
 _BATCH_AFFINE_MIN = 32
-
-
-class _GenericMSMTable:
-    """Fallback 'fixed-base table': no precomputation, but tracked reuse.
-
-    Used where real shifted-window tables are not implemented (G2 vectors,
-    empty vectors).  Presents the same ``msm(scalars)`` / ``uses``
-    interface as :class:`repro.ec.fixed_base.FixedBaseTableG1`.
-    """
-
-    def __init__(self, points, msm_fn, zero) -> None:
-        self.points = list(points)
-        self.n = len(self.points)
-        self._msm = msm_fn
-        self._zero = zero
-        self.uses = 0
-
-    def msm(self, scalars: Sequence[int]) -> GroupElement:
-        if len(scalars) > self.n:
-            raise ValueError(
-                f"{len(scalars)} scalars for a table of {self.n} points"
-            )
-        self.uses += 1
-        if not scalars or not self.points:
-            return self._zero
-        return self._msm(self.points[: len(scalars)], list(scalars))
 
 
 class GroupBackend(ABC):
@@ -106,7 +83,6 @@ class GroupBackend(ABC):
         scalars: Sequence[int],
         *,
         zero: Optional[GroupElement] = None,
-        window: Optional[int] = None,
     ) -> GroupElement:
         """``sum scalars[i] * points[i]``; the identity on empty input.
 
@@ -126,7 +102,6 @@ class GroupBackend(ABC):
         scalars: Sequence[int],
         *,
         zero: Optional[GroupElement] = None,
-        window: Optional[int] = None,
     ) -> GroupElement:
         """MSM over a chunked query: one decoded chunk in memory at a time.
 
@@ -142,16 +117,14 @@ class GroupBackend(ABC):
         acc: Optional[GroupElement] = None
         for offset, chunk in points.iter_chunks():
             part = self.msm(
-                chunk,
-                scalars[offset : offset + len(chunk)],
-                zero=zero,
-                window=window,
+                chunk, scalars[offset : offset + len(chunk)], zero=zero
             )
             acc = part if acc is None else self.add(acc, part)
         if acc is None:
             return zero if zero is not None else self.g1_zero()
         return acc
 
+    @abstractmethod
     def precompute_msm(
         self,
         points: Sequence[GroupElement],
@@ -161,12 +134,15 @@ class GroupBackend(ABC):
 
         The returned object exposes ``msm(scalars)`` (accepting *up to*
         ``len(points)`` scalars; missing ones count as zero) and a ``uses``
-        counter.  Default implementation is a dispatch-only wrapper;
-        backends override with real precomputation.
+        counter.  Worth its build only where the scalars are uniform field
+        elements: a witness-like vector is faster through :meth:`msm`.
         """
-        return _GenericMSMTable(
-            points, self.msm, zero if zero is not None else self.g1_zero()
-        )
+
+    @abstractmethod
+    def precompute_base(self, base: GroupElement):
+        """Build a reusable table of multiples of the single point ``base``
+        (G1 or G2): ``multiples(scalars)`` returns ``[k * base for k in
+        scalars]`` and ``uses`` counts the calls."""
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.add(a, self.neg(b))
@@ -201,40 +177,40 @@ class RealBN254Backend(GroupBackend):
     def base_multiples(self, base, scalars):
         return jacobian.base_multiples(base, scalars)
 
-    def msm(self, points, scalars, *, zero=None, window=None):
-        if hasattr(points, "iter_chunks"):
-            if len(points) != len(scalars):
-                raise ValueError(
-                    f"points/scalars length mismatch: "
-                    f"{len(points)} vs {len(scalars)}"
-                )
-            if getattr(points, "kind", None) == "g1":
-                from repro.ec.batch_affine import msm_streamed
-
-                return msm_streamed(points.iter_chunks(), scalars, window=window)
-            return self._msm_chunked(points, scalars, zero=zero, window=window)
+    def msm(self, points, scalars, *, zero=None):
         if len(points) != len(scalars):
             raise ValueError(
                 f"points/scalars length mismatch: "
                 f"{len(points)} vs {len(scalars)}"
             )
+        if hasattr(points, "iter_chunks"):
+            if getattr(points, "kind", None) == "g1":
+                from repro.ec.batch_affine import msm_streamed
+
+                return msm_streamed(points.iter_chunks(), scalars)
+            return self._msm_chunked(points, scalars, zero=zero)
         if not points:
             return zero if zero is not None else self.g1_zero()
-        # The batch-affine engines are G1-only; G2 (whose coordinates live
-        # in Fq2) always takes the Jacobian Pippenger.
-        if points[0].group is bn254.BN254_G1:
+        # The batch-affine pass is G1-only; G2 (whose coordinates live in
+        # Fq2) always takes the Jacobian Pippenger.
+        if (
+            points[0].group is bn254.BN254_G1
+            and len(points) >= _BATCH_AFFINE_MIN
+        ):
             from repro.ec.batch_affine import msm_batch_affine
 
-            if len(points) >= _BATCH_AFFINE_MIN:
-                return msm_batch_affine(points, scalars, window=window)
-        return jacobian.msm_jacobian(points, scalars, window=window)
+            return msm_batch_affine(points, scalars)
+        return jacobian.msm_jacobian(points, scalars)
 
     def precompute_msm(self, points, zero=None):
-        if points and points[0].group is bn254.BN254_G1:
-            from repro.ec.fixed_base import FixedBaseTableG1
+        if points and points[0].group is not bn254.BN254_G1:
+            raise ValueError("fixed-base MSM tables exist over G1 only")
+        from repro.ec.fixed_base import FixedBaseTableG1
 
-            return FixedBaseTableG1(points)
-        return super().precompute_msm(points, zero)
+        return FixedBaseTableG1(points)
+
+    def precompute_base(self, base):
+        return jacobian.BaseTable(base, jacobian.KEPT_BASE_WINDOW)
 
     def pairing_product_is_one(self, pairs) -> bool:
         return bn254.pairing_product_is_one(pairs)
@@ -266,9 +242,7 @@ class SimulatedBackend(GroupBackend):
     def scalar_mul(self, a: SimPoint, k: int) -> SimPoint:
         return a * k
 
-    def msm(self, points, scalars, *, zero=None, window=None):
-        # window shapes the modeled real-curve cost, not the log-space dot
-        # product, so it is accepted and ignored here.
+    def msm(self, points, scalars, *, zero=None):
         if hasattr(points, "iter_chunks"):
             return self._msm_chunked(points, scalars, zero=zero)
         if not points:
@@ -278,6 +252,9 @@ class SimulatedBackend(GroupBackend):
     def precompute_msm(self, points, zero=None):
         tag = zero.tag if zero is not None else G1_TAG
         return SimFixedBaseTable(points, tag=tag)
+
+    def precompute_base(self, base):
+        return SimBaseTable(base)
 
     def pairing_product_is_one(self, pairs) -> bool:
         acc = 0

@@ -14,8 +14,16 @@ roughly half the Jacobian formula.
 **Signed digits** (:func:`repro.ec.msm.signed_digits`) cut the bucket
 count per window from ``2^c - 1`` to ``2^(c-1)`` — point negation is free
 (``(x, -y)``) so digit ``-d`` adds the negated point to bucket ``d``.
-:func:`msm_streamed` runs the same engine over a chunked CRS query, one
-decoded chunk at a time.
+
+**Routing by observed width.**  ZENO's premise (§4) is that an NN witness
+is low-bit, and a bucket pass sized for 254-bit scalars spends nearly all
+of its time folding empty buckets when every scalar has one digit.  The
+one entry (:func:`msm_streamed`; :func:`msm_batch_affine` is its one-chunk
+case) therefore looks before it sizes: scalars are sign-folded
+(``k > r/2`` becomes ``(r - k)·(-P)``), split at :data:`SHORT_BITS` into a
+short class and a full-width remainder, and each class runs the same
+bucket pass with the window and window count its own live size and widest
+scalar call for.
 
 Everything operates on raw ``(x, y)`` int pairs mod the base prime, like
 the Jacobian module; infinity inputs and zero scalars are filtered first.
@@ -29,14 +37,13 @@ from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
     J_INFINITY,
-    SCALAR_BITS,
     JPoint,
     j_add,
     j_add_mixed,
     j_double,
     to_affine,
 )
-from repro.ec.msm import pick_window, signed_digits
+from repro.ec.msm import pick_window, signed_digits, signed_windows
 from repro.field.counters import global_counter
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
 from repro.field.vector import batch_inverse
@@ -44,10 +51,6 @@ from repro.field.vector import batch_inverse
 _Q = BN254_FQ_MODULUS
 
 Affine = Tuple[int, int]
-
-# Below this many points the bucket lists are too sparse for batching to
-# amortize anything; callers should use the Jacobian path instead.
-BATCH_AFFINE_MIN = 16
 
 
 def _batch_reduce(buckets: List[List[Affine]]) -> List[Optional[Affine]]:
@@ -120,16 +123,32 @@ def _batch_reduce(buckets: List[List[Affine]]) -> List[Optional[Affine]]:
     return [lst[0] if lst else None for lst in buckets]
 
 
+def fold_buckets(folded: Sequence[Optional[Affine]]) -> JPoint:
+    """``sum (d + 1) * folded[d]`` by the running-sum trick (Jacobian)."""
+    running = J_INFINITY
+    total = J_INFINITY
+    for b in reversed(folded):
+        if b is not None:
+            running = j_add_mixed(running, b)
+        if running[2] != 0:  # nothing to add below the top live bucket
+            total = j_add(total, running)
+    return total
+
+
 def _msm_raw(
     affine: Sequence[Affine],
     reduced: Sequence[int],
     c: int,
-    bits: int = SCALAR_BITS,
+    bits: int,
 ) -> JPoint:
-    """Signed-window batch-affine MSM over raw affine pairs -> Jacobian."""
+    """Signed-window batch-affine MSM over raw affine pairs -> Jacobian.
+
+    ``bits`` bounds the scalars' width: it sets the window *count*, so a
+    class of short scalars pays for the windows it has digits in.
+    """
     n = len(affine)
     half = 1 << (c - 1)
-    num_windows = -(-bits // c) + 1  # +1 absorbs the signed-digit carry
+    num_windows = signed_windows(bits, c)
     digits = [signed_digits(s, c, num_windows) for s in reduced]
 
     total = J_INFINITY
@@ -145,32 +164,53 @@ def _msm_raw(
             elif d < 0:
                 x, y = affine[i]
                 buckets[-d - 1].append((x, _Q - y))
-        folded = _batch_reduce(buckets)
-        running = J_INFINITY
-        window_sum = J_INFINITY
-        for b in reversed(folded):
-            if b is not None:
-                running = j_add_mixed(running, b)
-            if running[2] != 0:
-                window_sum = j_add(window_sum, running)
-        total = j_add(total, window_sum)
+        total = j_add(total, fold_buckets(_batch_reduce(buckets)))
     return total
 
 
-def _to_raw(
-    points: Sequence[Point], scalars: Sequence[int]
-) -> Tuple[List[Affine], List[int]]:
-    """Reduce scalars mod r and drop identity points / zero scalars."""
+# The width router's class boundary: a sign-folded scalar of at most this
+# many bits is "short".  Measured over the six paper models and TINY (lean
+# / strict / hashed per-layer instances; EXPERIMENTS.md "The real-curve
+# prover follows its scalars") every live witness scalar is <= 17 bits or
+# >= 201 bits wide, so any boundary in between splits real traffic the
+# same way; a machine word keeps stray mid-width values (an unshifted
+# int8 x int8 accumulator is ~24 bits) with the witness they sit in.
+SHORT_BITS = 32
+
+
+def _msm_routed(
+    points: Sequence[Point], scalars: Sequence[int], window: Optional[int]
+) -> JPoint:
+    """One chunk of the routed G1 MSM, as a Jacobian point.
+
+    Scalars reduce mod r; zero scalars and identity points drop out; a
+    scalar above r/2 becomes the shorter ``(r - k) * (-P)`` (a witness's
+    small negatives arrive as ``r - k``).  What is left splits at
+    :data:`SHORT_BITS` into a short class and a full-width remainder,
+    and each runs the bucket pass with the window and the window count
+    its own live size and widest scalar call for.
+    """
     order = BN254_G1.order
-    affine: List[Affine] = []
-    reduced: List[int] = []
-    for p, s in zip(points, scalars):
-        s %= order
-        if s == 0 or p.inf:
+    half_order = order >> 1
+    classes: Tuple[Tuple[List[Affine], List[int]], ...] = (([], []), ([], []))
+    for p, k in zip(points, scalars):
+        k %= order
+        if k == 0 or p.inf:
             continue
-        affine.append((p.x.value, p.y.value))
-        reduced.append(s)
-    return affine, reduced
+        x, y = p.x.value, p.y.value
+        if k > half_order:
+            k = order - k
+            y = _Q - y
+        affine, reduced = classes[k.bit_length() > SHORT_BITS]
+        affine.append((x, y))
+        reduced.append(k)
+    total = J_INFINITY
+    for affine, reduced in classes:
+        if affine:
+            bits = max(reduced).bit_length()
+            c = window or pick_window(len(affine), bits, signed=True)
+            total = j_add(total, _msm_raw(affine, reduced, c, bits))
+    return total
 
 
 def msm_batch_affine(
@@ -178,16 +218,14 @@ def msm_batch_affine(
     scalars: Sequence[int],
     window: Optional[int] = None,
 ) -> Point:
-    """Batch-affine signed-window MSM over BN254 G1."""
+    """Width-routed batch-affine MSM over BN254 G1: the one-chunk case of
+    :func:`msm_streamed`.  ``window`` overrides the cost model for every
+    class (the cross-variant tests sweep it)."""
     if len(points) != len(scalars):
         raise ValueError(
             f"points/scalars length mismatch: {len(points)} vs {len(scalars)}"
         )
-    affine, reduced = _to_raw(points, scalars)
-    if not affine:
-        return BN254_G1.infinity()
-    c = window or pick_window(len(affine), signed=True)
-    return to_affine(_msm_raw(affine, reduced, c))
+    return msm_streamed([(0, points)], scalars, window)
 
 
 def msm_streamed(
@@ -195,22 +233,19 @@ def msm_streamed(
     scalars: Sequence[int],
     window: Optional[int] = None,
 ) -> Point:
-    """Batch-affine MSM over an ``(offset, points)`` chunk stream.
+    """Width-routed batch-affine MSM over an ``(offset, points)`` stream.
 
-    The streamed-CRS path: each chunk is converted, reduced, and released
+    The streamed-CRS path: each chunk is classified, reduced, and released
     before the next is decoded, so the peak working set is one chunk plus
     a Jacobian accumulator — bounded by ``ZENO_MSM_CHUNK_BYTES`` instead
     of the full query.  MSM is linear in the point vector, so per-chunk
-    partial sums combine to the *exact* group element the one-shot engines
-    compute (proof bytes are unchanged).
+    (and per-class) partial sums combine to the *exact* group element a
+    single pass computes (proof bytes are unchanged).
     """
     total = J_INFINITY
     for offset, chunk in chunks:
-        affine, reduced = _to_raw(chunk, scalars[offset : offset + len(chunk)])
-        if not affine:
-            continue
-        c = window or pick_window(len(affine), signed=True)
-        total = j_add(total, _msm_raw(affine, reduced, c))
-    if total[2] == 0:
-        return BN254_G1.infinity()
+        part = _msm_routed(
+            chunk, scalars[offset : offset + len(chunk)], window
+        )
+        total = j_add(total, part)
     return to_affine(total)

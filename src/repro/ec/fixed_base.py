@@ -1,10 +1,10 @@
-"""Fixed-base MSM precomputation for CRS point tables.
+"""Fixed-base MSM precomputation for a CRS point vector.
 
 Every Groth16 proof in a serving session multiplies *the same* CRS query
-vectors (``a_query_g1``, ``b_query_g1/g2``, ``h_query_g1``, ``l_query_g1``)
-by fresh witness scalars.  Precomputing the window-shifted bases
-``2^(c·j) · P_i`` once turns each subsequent MSM into a single bucket
-pass:
+vectors by fresh scalars.  Where those scalars are uniform field elements
+— the quotient coefficients against ``h_query_g1`` — precomputing the
+window-shifted bases ``2^(c·j) · P_i`` once turns each subsequent MSM
+into a single bucket pass:
 
 * no doubling chain between windows (the shifts are baked into the
   table), and
@@ -15,7 +15,11 @@ pass:
 
 Build cost is ``bits`` doublings per point (amortized across a serving
 session); query cost drops from ``(bits/c)·(n + 2·2^(c-1))`` to
-``(bits/c)·n + 2·2^(c-1)`` additions, all batch-affine.
+``(bits/c)·n + 2·2^(c-1)`` additions, all batch-affine.  The witness
+queries (a / b / l) have no table: their scalars are short, a table sized
+for 254 bits folds a thousand empty buckets per query, and the
+width-routed pass (:mod:`repro.ec.batch_affine`) beats it with nothing to
+build.
 
 ``uses`` counts completed queries so the serving layer can assert tables
 are actually reused across jobs (telemetry, not security).
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ec.batch_affine import Affine, _batch_reduce
+from repro.ec.batch_affine import Affine, _batch_reduce, fold_buckets
 from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
@@ -33,12 +37,10 @@ from repro.ec.jacobian import (
     SCALAR_BITS,
     JPoint,
     batch_normalize,
-    j_add,
-    j_add_mixed,
     j_double,
     to_affine,
 )
-from repro.ec.msm import MAX_WINDOW, signed_digits
+from repro.ec.msm import MAX_WINDOW, signed_digits, signed_windows
 from repro.field.fp import BN254_FQ_MODULUS
 
 _Q = BN254_FQ_MODULUS
@@ -65,7 +67,7 @@ class FixedBaseTableG1:
     ) -> None:
         self.n = len(points)
         self.window = window or _pick_fixed_base_window(self.n, bits)
-        self.num_windows = -(-bits // self.window) + 1  # +1 for digit carry
+        self.num_windows = signed_windows(bits, self.window)
         self.uses = 0
         base: List[Optional[Affine]] = [
             None if p.inf else (p.x.value, p.y.value) for p in points
@@ -112,12 +114,4 @@ class FixedBaseTableG1:
                     buckets[d - 1].append(pt)
                 else:
                     buckets[-d - 1].append((pt[0], _Q - pt[1]))
-        folded = _batch_reduce(buckets)
-        running = J_INFINITY
-        total = J_INFINITY
-        for b in reversed(folded):
-            if b is not None:
-                running = j_add_mixed(running, b)
-            if running[2] != 0:  # j_add/j_add_mixed count their own ops
-                total = j_add(total, running)
-        return to_affine(total)
+        return to_affine(fold_buckets(_batch_reduce(buckets)))

@@ -25,7 +25,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ec.bn254 import BN254_G1, BN254_G2
 from repro.ec.curve import CurveGroup, Point
-from repro.ec.msm import MAX_WINDOW, pick_window, signed_digits
+from repro.ec.msm import MAX_WINDOW, pick_window, signed_digits, signed_windows
 from repro.ec.tower import FQ2, Fq2, f2_inv, f2_mul, f2_sqr
 from repro.field.counters import global_counter
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
@@ -426,8 +426,10 @@ def msm_jacobian(
             a = fm.negate(a)
         affine.append(a)
         reduced.append(k)
-    c = window or pick_window(len(points))
+    # Sized by what is left and how wide it is, not by the call's length
+    # and 254 bits: the SHAL:micro b2 query is 17 live 10-bit scalars of 281.
     max_bits = max((k.bit_length() for k in reduced), default=1)
+    c = window or pick_window(len(affine), max_bits)
     num_windows = (max_bits + c - 1) // c
 
     total = infinity
@@ -451,52 +453,88 @@ def msm_jacobian(
     return fm.lower(fm.normalize([total])[0])
 
 
-def _pick_base_window(n: int) -> int:
-    """Argmin of ``windows * (2 * 2^(c-1) + n)``: one mixed addition per
-    window per scalar, and a table entry (a full Jacobian addition plus its
-    share of the normalization) weighed as two of them."""
-    return min(
-        range(2, MAX_WINDOW + 1),
-        key=lambda c: (-(-SCALAR_BITS // c) + 1) * ((1 << c) + n),
-    )
+def _base_table_cost(c: int, n: int) -> int:
+    """Mixed additions a window-``c`` :class:`BaseTable` and ``n`` multiples
+    from it cost: one per window per scalar, and a table entry (a full
+    Jacobian addition plus its share of the normalization) weighed as two."""
+    return signed_windows(SCALAR_BITS, c) * ((1 << c) + n)
+
+
+# Double-and-add in the same unit: a doubling per bit, an addition per set
+# bit.  The model puts the crossover between two and three multiples;
+# measured, one costs 1.9 ms (G1) / 5.2 ms (G2) against 3.3 / 8.8 through
+# a table, two are level, three read 5.5 / 15.6 against 4.5 / 12.2.
+_DOUBLE_AND_ADD_COST = SCALAR_BITS + SCALAR_BITS // 2
+
+# Window of a table that outlives the call (a proving key's delta_1 and
+# delta_2).  Measured build / per-multiple ms, G1 and G2: c = 3: 3.9 / 0.49
+# and 10.9 / 1.39; c = 4: 6.0 / 0.39 and 17.5 / 1.12; c = 5: 9.9 / 0.31 and
+# 28.9 / 0.90 (double-and-add: 1.93 and 5.27).  A proof takes three
+# multiples, so 4 repays 3 within 20 proofs and 5 repays 4 only after 40.
+KEPT_BASE_WINDOW = 4
+
+
+class BaseTable:
+    """Every signed-digit multiple of one fixed G1 or G2 point.
+
+    ``d * 2^(c j) * base`` for ``1 <= d <= 2^(c-1)`` and every window
+    ``j``, built with Jacobian additions and normalized with one
+    inversion; a multiple ``k * base`` is then one mixed addition per
+    non-zero signed digit of ``k`` — no doubling.  Set-up builds one per
+    vector of generator multiples and drops it (:func:`base_multiples`);
+    a proving key keeps one each for delta_1 and delta_2, whose multiples
+    blind every proof.  ``uses`` counts :meth:`multiples` calls.
+    """
+
+    def __init__(self, base: Point, window: int) -> None:
+        if base.inf:
+            raise ValueError("no table of multiples of the identity")
+        self.fm = fm = _FORMULAS[base.group]
+        self.window = window
+        self.num_windows = signed_windows(SCALAR_BITS, window)
+        self.uses = 0
+        half = 1 << (window - 1)
+        step = fm.add_mixed(fm.infinity, fm.lift(base))
+        rows = []
+        for _ in range(self.num_windows):
+            rows.append(step)
+            for _ in range(half - 1):
+                rows.append(fm.add(rows[-1], step))
+            step = fm.double(rows[-1])
+        self.table = fm.normalize(rows)
+
+    def multiples(self, scalars: Sequence[int]) -> List[Point]:
+        """``[k * base for k in scalars]``; one inversion for the vector."""
+        self.uses += 1
+        fm = self.fm
+        add_mixed, negate, table = fm.add_mixed, fm.negate, self.table
+        c, half = self.window, 1 << (self.window - 1)
+        order = fm.group.order
+        reduced = [k % order for k in scalars]
+        global_counter().group_scalar_mul += sum(1 for k in reduced if k)
+        out = []
+        for k in reduced:
+            acc = fm.infinity
+            for j, d in enumerate(signed_digits(k, c, self.num_windows)):
+                if d > 0:
+                    acc = add_mixed(acc, table[j * half + d - 1])
+                elif d < 0:
+                    acc = add_mixed(acc, negate(table[j * half - d - 1]))
+            out.append(acc)
+        return [fm.lower(a) for a in fm.normalize(out)]
 
 
 def base_multiples(base: Point, scalars: Sequence[int]) -> List[Point]:
-    """``[k * base for k in scalars]`` by the fixed-base window method.
-
-    One table ``d * 2^(c j) * base`` (``1 <= d <= 2^(c-1)``, every window
-    ``j``), built with Jacobian additions and normalized with one
-    inversion; each multiple is then one mixed addition per non-zero
-    signed digit, and the whole result vector is normalized with a second
-    inversion.  The table is local: it dies with the call.
-    """
-    group = base.group
-    fm = _FORMULAS[group]
-    reduced = [k % group.order for k in scalars]
-    live = sum(1 for k in reduced if k)
+    """``[k * base for k in scalars]``: by a :class:`BaseTable` sized for
+    this many multiples and local to the call, or by double-and-add when
+    there are too few to pay for one."""
+    order = base.group.order
+    live = sum(1 for k in scalars if k % order)
     if base.inf or not live:
-        return [group.infinity()] * len(reduced)
-    global_counter().group_scalar_mul += live
-    c = _pick_base_window(live)
-    num_windows = -(-SCALAR_BITS // c) + 1  # +1 for the digit carry
-    half = 1 << (c - 1)
-    add, add_mixed, negate = fm.add, fm.add_mixed, fm.negate
-    step = add_mixed(fm.infinity, fm.lift(base))
-    rows = []
-    for _ in range(num_windows):
-        rows.append(step)
-        for _ in range(half - 1):
-            rows.append(add(rows[-1], step))
-        step = fm.double(rows[-1])
-    table = fm.normalize(rows)
-    del rows
-    out = []
-    for k in reduced:
-        acc = fm.infinity
-        for j, d in enumerate(signed_digits(k, c, num_windows)):
-            if d > 0:
-                acc = add_mixed(acc, table[j * half + d - 1])
-            elif d < 0:
-                acc = add_mixed(acc, negate(table[j * half - d - 1]))
-        out.append(acc)
-    return [fm.lower(a) for a in fm.normalize(out)]
+        return [base.group.infinity()] * len(scalars)
+    cost, c = min(
+        (_base_table_cost(c, live), c) for c in range(2, MAX_WINDOW + 1)
+    )
+    if cost > live * _DOUBLE_AND_ADD_COST:
+        return [scalar_mul(base, k) for k in scalars]
+    return BaseTable(base, c).multiples(scalars)

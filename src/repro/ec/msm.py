@@ -10,16 +10,21 @@ affine-coordinate) Pippenger implementation — the reference the engines
 are cross-checked against, no longer reachable from the real backend —
 plus the shared helpers every MSM variant uses:
 
-* :func:`pick_window` — window size chosen by the ``(bits/c)·(n + B_c)``
-  cost model, where ``B_c`` is the bucket count of the variant;
+* :func:`pick_window` — window size chosen by the ``windows·(n + B_c)``
+  cost model over the *live* point count and the *observed* scalar width,
+  where ``B_c`` is the bucket count of the variant;
 * :func:`signed_digits` — wNAF-style signed ``c``-bit digit decomposition,
-  which halves the bucket count (digits in ``[-2^(c-1), 2^(c-1)]``).
+  which halves the bucket count (digits in ``[-2^(c-1), 2^(c-1)]``), and
+  :func:`signed_windows`, how many of them a width needs.
 
 The fast engines live next door: :mod:`repro.ec.jacobian`
-(inversion-free buckets, G1 and G2), :mod:`repro.ec.batch_affine` (G1
-batched affine buckets, one-shot and streamed over a chunked CRS), and
-:mod:`repro.ec.fixed_base` (precomputed G1 tables for CRS-style fixed
-bases).
+(inversion-free buckets, G1 and G2, and the single-point
+:class:`~repro.ec.jacobian.BaseTable`), :mod:`repro.ec.batch_affine` (the
+G1 pass with batched affine buckets, routed by observed scalar width into
+a short class and a full-width remainder; one-shot and streamed over a
+chunked CRS are the same routine), and :mod:`repro.ec.fixed_base`
+(precomputed G1 tables for a fixed vector that meets uniform scalars —
+the h query).
 
 An MSM over the empty vector is the group identity; the implementations
 return it when they know the group (``msm_jacobian`` always does; the
@@ -40,23 +45,37 @@ MAX_WINDOW = 13
 
 
 def pick_window(n: int, bits: int = 254, signed: bool = False) -> int:
-    """Window size minimizing the ``(bits/c) * (n + buckets)`` cost model.
+    """Window size minimizing the ``windows * (n + buckets)`` cost model.
 
-    ``buckets`` is ``2^c - 1`` for the unsigned bucketing and ``2^(c-1)``
-    when signed digits halve the bucket count.  The argmin stays near 13
-    for any practical ``n`` (the old ``min(16, log2 n - 2)`` clamp kept
-    growing and allocated 65,535 slots per window for n >= 2^18).
+    ``n`` is the number of live points and ``bits`` the width of the widest
+    scalar — callers that have looked at their input pass what they saw,
+    so a vector of 10-bit witness values is not windowed like 254-bit
+    field elements.  Unsigned bucketing runs ``ceil(bits/c)`` windows of
+    ``2^c - 1`` buckets; signed digits halve the buckets to ``2^(c-1)``
+    and run ``bits // c + 1`` windows (:func:`signed_windows`).  The
+    argmin stays near 13 for any practical ``n`` (the old
+    ``min(16, log2 n - 2)`` clamp kept growing and allocated 65,535 slots
+    per window for n >= 2^18).
     """
     if n < 4:
         return 2
     best_c = 2
     best_cost = None
     for c in range(2, MAX_WINDOW + 1):
-        buckets = (1 << (c - 1)) if signed else (1 << c) - 1
-        cost = -(-bits // c) * (n + buckets)
+        if signed:
+            cost = signed_windows(bits, c) * (n + (1 << (c - 1)))
+        else:
+            cost = -(-bits // c) * (n + (1 << c) - 1)
         if best_cost is None or cost < best_cost:
             best_c, best_cost = c, cost
     return best_c
+
+
+def signed_windows(bits: int, c: int) -> int:
+    """Signed ``c``-bit digits a ``bits``-bit scalar needs: ``ceil((bits +
+    1) / c)``.  The extra bit absorbs the carry — a top digit below
+    ``2^(c-1)`` stays at or under ``half`` even with a carry in."""
+    return bits // c + 1
 
 
 def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
@@ -64,7 +83,7 @@ def signed_digits(scalar: int, c: int, num_windows: int) -> List[int]:
 
     Returns ``num_windows`` digits ``d_j`` in ``[-(2^(c-1) - 1), 2^(c-1)]``
     with ``scalar == sum_j d_j * 2^(c*j)``.  Callers must size
-    ``num_windows`` to absorb the final carry (``ceil(bits/c) + 1``).
+    ``num_windows`` to absorb the final carry (:func:`signed_windows`).
     """
     mask = (1 << c) - 1
     half = 1 << (c - 1)

@@ -175,3 +175,17 @@ class SimFixedBaseTable:
         for log, scalar in zip(self.logs, scalars):
             acc += log * (scalar % _R)
         return SimPoint(self.tag, acc)
+
+
+class SimBaseTable:
+    """Simulated analogue of :class:`repro.ec.jacobian.BaseTable`: the
+    multiples of one point, with the ``uses`` counter the serving layer
+    reads.  There is nothing to precompute in the exponent."""
+
+    def __init__(self, base: SimPoint) -> None:
+        self.base = base
+        self.uses = 0
+
+    def multiples(self, scalars: Sequence[int]) -> list:
+        self.uses += 1
+        return [self.base * k for k in scalars]

@@ -88,7 +88,7 @@ class ServiceTelemetry:
         self.key_cache_hits = 0  # warm batches: worker reused its prover+CRS
         self.key_cache_misses = 0  # cold batches: paid compile + setup
         self.msm_table_builds = 0  # one-time fixed-base CRS table builds
-        self.msm_table_uses = 0  # table-backed MSM queries served
+        self.msm_table_uses = 0  # ProvingKeyTables.uses(), summed over batches
         self.audit_rejected_batches = 0  # pre-prove audit gate rejections
         self.audit_rejected_jobs = 0
         self.aggregate_batches = 0  # per-layer (repro.aggregate) batches

@@ -53,9 +53,9 @@ class _WarmEntry:
     def __init__(self, prover: BatchProver) -> None:
         self.prover = prover
         # Whole-model (SetupResult, vk bytes), built by the first
-        # whole-model batch.  The proving key carries the fixed-base CRS
-        # tables; every proof in every later batch queries them instead
-        # of raw MSMs.
+        # whole-model batch.  The proving key carries the fixed-base
+        # tables (h query, delta_1, delta_2); every proof in every later
+        # batch queries them.
         self.keys: Optional[Tuple[Any, bytes]] = None
         # Per-layer aggregate proving: one split per (mode, num_segments)
         # shared by every layer job, with per-layer (SetupResult, vk
@@ -271,7 +271,8 @@ def prove_batch(
         field_backend=backend_name(),
         results=results,
         # Fixed-base table telemetry: `built` marks the one-time table
-        # construction, `uses` counts table queries served by THIS batch —
+        # construction, `uses` counts table queries served by THIS batch
+        # (ProvingKeyTables.uses(): keys.TABLE_QUERIES_PER_PROOF a proof) —
         # nonzero on a warm batch proves the CRS tables were reused.
         msm_tables={
             "built": bool(cold and tables is not None),

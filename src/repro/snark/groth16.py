@@ -183,26 +183,23 @@ def prove(
     """Generate a proof for the (fully assigned) constraint system.
 
     A key carrying fixed-base tables (``pk.tables``, attached by
-    :func:`repro.snark.keys.precompute_proving_tables`) routes the proving
-    MSMs through them — the serving path, where one CRS is queried by many
-    proofs.  ``parallelism`` is the worker-process count for witness-row
-    evaluation over the CSR snapshot (the §5.2 schedule executor, which
-    stays in-process below its size gate); the quotient and the MSMs
-    always run in this process.  ``phase_sink``, if given, receives wall
-    seconds per prover phase (``witness`` / ``quotient`` / ``msm``) —
-    accumulated, so the serve telemetry can hand the same dict to every
-    proof in a batch.
+    :func:`repro.snark.keys.precompute_proving_tables`) takes the quotient
+    MSM and the blinding multiples of delta from them — the serving path,
+    where one CRS is queried by many proofs; the witness MSMs (a / b / l)
+    always go through ``backend.msm``, which sizes itself by the scalars'
+    observed width.  ``parallelism`` is the worker-process count for
+    witness-row evaluation over the CSR snapshot (the §5.2 schedule
+    executor, which stays in-process below its size gate); the quotient
+    and the MSMs always run in this process.  ``phase_sink``, if given,
+    receives wall seconds per prover phase (``witness`` / ``quotient`` /
+    ``msm``) — accumulated, so the serve telemetry can hand the same dict
+    to every proof in a batch.
     """
     backend = backend or SimulatedBackend()
     rng = rng or random.Random()
     field = backend.scalar_field
     p = field.modulus
     tables = pk.tables
-
-    def query_msm(points, scalars, table):
-        if table is not None:
-            return table.msm(scalars)
-        return backend.msm(points, scalars)
 
     def tick(phase: str, since: float) -> float:
         now = time.perf_counter()
@@ -236,43 +233,39 @@ def prove(
     r = rng.randrange(p)
     s = rng.randrange(p)
 
+    # What has uniform scalars whatever the circuit — the blinding
+    # multiples of the two delta points and the quotient MSM — comes from
+    # the key's tables when it carries them.
+    if tables is not None:
+        r_delta, s_delta = tables.delta_g1.multiples([r, s])
+        (s_delta_g2,) = tables.delta_g2.multiples([s])
+        h_acc = tables.h_query_g1.msm(h_coeffs)
+    else:
+        r_delta, s_delta = backend.base_multiples(pk.delta_g1, [r, s])
+        (s_delta_g2,) = backend.base_multiples(pk.delta_g2, [s])
+        h_acc = backend.msm(pk.h_query_g1[: len(h_coeffs)], h_coeffs)
+
     # A = alpha + sum z_i A_i(tau) + r * delta        (in G1)
-    a_acc = query_msm(pk.a_query_g1, z, tables.a_query_g1 if tables else None)
-    proof_a = backend.add(
-        backend.add(pk.alpha_g1, a_acc), backend.scalar_mul(pk.delta_g1, r)
-    )
+    a_sum = backend.add(pk.alpha_g1, backend.msm(pk.a_query_g1, z))
+    proof_a = backend.add(a_sum, r_delta)
 
     # B = beta + sum z_i B_i(tau) + s * delta         (in G2, mirrored in G1)
-    b_acc_g2 = query_msm(
-        pk.b_query_g2, z, tables.b_query_g2 if tables else None
-    )
     proof_b = backend.add(
-        backend.add(pk.beta_g2, b_acc_g2), backend.scalar_mul(pk.delta_g2, s)
-    )
-    b_acc_g1 = query_msm(
-        pk.b_query_g1, z, tables.b_query_g1 if tables else None
+        backend.add(pk.beta_g2, backend.msm(pk.b_query_g2, z)), s_delta_g2
     )
     b_g1 = backend.add(
-        backend.add(pk.beta_g1, b_acc_g1), backend.scalar_mul(pk.delta_g1, s)
+        backend.add(pk.beta_g1, backend.msm(pk.b_query_g1, z)), s_delta
     )
 
-    # C = sum_priv z_i L_i + sum h_k [tau^k Z/delta] + s*A + r*B1 - rs*delta
-    # (empty MSMs — no private variables, an all-zero quotient — return the
+    # C = sum_priv z_i L_i + sum h_k [tau^k Z/delta] + s*A + r*B1 - rs*delta,
+    # computed as ... + s*(alpha + sum z_i A_i) + r*B1: s*A carries its own
+    # rs*delta, so the subtraction cancels on paper instead of on the curve.
+    # (Empty MSMs — no private variables, an all-zero quotient — return the
     # identity, so no call-site guards are needed.)
-    num_instance = 1 + pk.num_public
-    private_z = z[num_instance:]
-    c_acc = query_msm(
-        pk.l_query_g1, private_z, tables.l_query_g1 if tables else None
-    )
-    h_acc = query_msm(
-        pk.h_query_g1[: len(h_coeffs)],
-        h_coeffs,
-        tables.h_query_g1 if tables else None,
-    )
+    c_acc = backend.msm(pk.l_query_g1, z[1 + pk.num_public :])
     c_acc = backend.add(c_acc, h_acc)
-    c_acc = backend.add(c_acc, backend.scalar_mul(proof_a, s))
+    c_acc = backend.add(c_acc, backend.scalar_mul(a_sum, s))
     c_acc = backend.add(c_acc, backend.scalar_mul(b_g1, r))
-    c_acc = backend.sub(c_acc, backend.scalar_mul(pk.delta_g1, (r * s) % p))
     tick("msm", began)
 
     return Proof(a=proof_a, b=proof_b, c=c_acc)

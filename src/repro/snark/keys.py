@@ -28,9 +28,9 @@ class ProvingKey:
     h_query_g1: List[GroupElement]  # [tau^k Z(tau)/delta]_1, k in 0..d-2
     domain_size: int
     num_public: int = 0
-    # Fixed-base tables over this key's own query vectors, attached by
-    # :func:`precompute_proving_tables`; ``prove`` uses them when present.
-    # Derived data: not compared, not serialized.
+    # Fixed-base tables over this key's own h query and delta points,
+    # attached by :func:`precompute_proving_tables`; ``prove`` uses them
+    # when present.  Derived data: not compared, not serialized.
     tables: Optional["ProvingKeyTables"] = field(
         default=None, compare=False, repr=False
     )
@@ -65,42 +65,40 @@ class SetupResult:
 
 @dataclass
 class ProvingKeyTables:
-    """Fixed-base MSM tables over every CRS query vector of a proving key.
+    """Fixed-base tables over the parts of a proving key whose scalars are
+    uniform field elements, whatever the circuit: the h query (quotient
+    coefficients) and the two delta points (the blinding factors r, s).
 
+    The a / b / l queries have none: they meet the witness, which is
+    low-bit (ZENO §4), and the width-routed MSM serves short scalars
+    faster than a table sized for 254-bit ones — with nothing to build.
     Built once per key via :func:`precompute_proving_tables`, which hangs
     them on ``pk.tables`` so they cannot be paired with another key, and
-    reused across every proof in a serving session — each entry exposes
-    ``msm(scalars)`` plus a ``uses`` counter (see
-    :meth:`repro.ec.backend.GroupBackend.precompute_msm`).
+    reused across every proof in a serving session.
     """
 
-    a_query_g1: Any
-    b_query_g1: Any
-    b_query_g2: Any
-    l_query_g1: Any
-    h_query_g1: Any
+    h_query_g1: Any  # GroupBackend.precompute_msm: .msm(scalars), .uses
+    delta_g1: Any  # GroupBackend.precompute_base: .multiples(scalars), .uses
+    delta_g2: Any
 
     def uses(self) -> int:
-        """Total table queries served (telemetry: proof = 5 table MSMs)."""
-        return (
-            self.a_query_g1.uses
-            + self.b_query_g1.uses
-            + self.b_query_g2.uses
-            + self.l_query_g1.uses
-            + self.h_query_g1.uses
-        )
+        """Table queries served — the ``msm_tables.uses`` of the worker
+        reply, ``ServiceTelemetry`` and ``/metrics``.  A proof makes
+        :data:`TABLE_QUERIES_PER_PROOF` of them."""
+        return self.h_query_g1.uses + self.delta_g1.uses + self.delta_g2.uses
+
+
+# One h-query MSM, one delta_1 query (r * delta_1 and s * delta_1 together)
+# and one delta_2 query (s * delta_2).
+TABLE_QUERIES_PER_PROOF = 3
 
 
 def precompute_proving_tables(pk: ProvingKey, backend) -> ProvingKeyTables:
-    """Precompute fixed-base tables for all five CRS query vectors and
-    attach them to the key (``pk.tables``); returns them for telemetry."""
-    g1_zero = backend.g1_zero()
-    g2_zero = backend.g2_zero()
+    """Precompute the h-query and delta tables and attach them to the key
+    (``pk.tables``); returns them for telemetry."""
     pk.tables = ProvingKeyTables(
-        a_query_g1=backend.precompute_msm(pk.a_query_g1, zero=g1_zero),
-        b_query_g1=backend.precompute_msm(pk.b_query_g1, zero=g1_zero),
-        b_query_g2=backend.precompute_msm(pk.b_query_g2, zero=g2_zero),
-        l_query_g1=backend.precompute_msm(pk.l_query_g1, zero=g1_zero),
-        h_query_g1=backend.precompute_msm(pk.h_query_g1, zero=g1_zero),
+        h_query_g1=backend.precompute_msm(pk.h_query_g1),
+        delta_g1=backend.precompute_base(pk.delta_g1),
+        delta_g2=backend.precompute_base(pk.delta_g2),
     )
     return pk.tables

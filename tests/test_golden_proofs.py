@@ -68,7 +68,7 @@ def test_golden_bytes(_circuit, backend_name, monkeypatch):
     tables = precompute_proving_tables(pk, backend)
     assert prove(1) == expected
     assert prove(2) == expected
-    assert tables.uses() == 10  # five table MSMs per proof, two proofs
+    assert tables.uses() == 6  # h MSM, delta_1, delta_2 query per proof; two proofs
     assert groth16.verify(
         keys.verifying_key, cs.public_values(),
         deserialize_proof(expected), backend,

@@ -15,6 +15,7 @@ from repro.serve import ArtifactStore, ProvingService
 from repro.serve.jobs import JobState
 from repro.serve.service import JobFailedError
 from repro.snark import groth16
+from repro.snark.keys import TABLE_QUERIES_PER_PROOF
 from repro.snark.serialize import deserialize_proof, deserialize_verifying_key
 
 N_JOBS = 8
@@ -81,12 +82,12 @@ class TestEndToEnd:
     def test_fixed_base_tables_built_once_then_reused(self, served):
         """Telemetry proof of CRS-table reuse: tables are built on cold
         batches only, but every proof queries them — so across the
-        workload, uses must dwarf builds (5 table MSMs per proof)."""
+        workload, uses must dwarf builds (``TABLE_QUERIES_PER_PROOF``)."""
         service, _, _ = served
         stats = service.stats()["msm_tables"]
         cold_batches = service.stats()["key_cache"]["misses"]
         assert stats["builds"] == cold_batches
-        assert stats["uses"] >= 5 * N_JOBS
+        assert stats["uses"] >= TABLE_QUERIES_PER_PROOF * N_JOBS
 
     def test_jobs_reach_done_state(self, served):
         service, job_ids, _ = served
@@ -223,9 +224,11 @@ class TestFixedBaseTableReuse:
         assert out1["cold"] and not out2["cold"]
         assert out1["msm_tables"]["built"] is True
         assert out2["msm_tables"]["built"] is False  # reused, not rebuilt
-        # Each proof issues 5 table-backed MSMs (a, b_g1, b_g2, l, h).
-        assert out1["msm_tables"]["uses"] == 5
-        assert out2["msm_tables"]["uses"] == 5
+        # Each proof queries the h table, the delta_1 table and the
+        # delta_2 table once; the witness MSMs (a, b, l) have no table.
+        assert TABLE_QUERIES_PER_PROOF == 3
+        assert out1["msm_tables"]["uses"] == TABLE_QUERIES_PER_PROOF
+        assert out2["msm_tables"]["uses"] == TABLE_QUERIES_PER_PROOF
         assert all(
             r["verified"] for r in out1["results"] + out2["results"]
         )
