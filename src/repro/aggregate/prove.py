@@ -2,7 +2,7 @@
 
 Every derivation here is a pure function of ``(crs_seed, layer_index)``
 (plus the instance's public inputs for blinding), so a local process
-pool, the serving :class:`~repro.serve.pool.WorkerPool`, and remote
+pool, the serving :class:`~repro.serve.workers.WorkerPool`, and remote
 ``repro.cluster`` worker nodes all produce byte-identical proofs for the
 same inference — asserted by ``tests/test_pool.py`` (pool),
 ``tests/test_aggregate_serve.py`` (serve) and ``scripts/aggregate_smoke.py``
@@ -125,10 +125,14 @@ def prove_split(
 
     The parallel path runs complete per-layer prove pipelines in worker
     processes — a model-prove becomes max(layer prove) instead of
-    sum(layer prove), which is the whole point of splitting.  The split
+    sum(layer prove), which is the whole point of splitting, and the one
+    way this codebase spends a second core on one inference.  The split
     and proving keys are published to the workers once
     (:func:`repro.core.pool.map_shared`), so jobs carry only a layer index
-    — constant-size regardless of model size.
+    — constant-size regardless of model size.  The pool serves this call
+    only; a worker that dies surfaces as ``BrokenProcessPool``, an
+    unsatisfied instance as the prover's ``ValueError``, and either way
+    no worker outlives the call.
     """
     backend = backend or SimulatedBackend()
     if len(setups) != split.num_instances:

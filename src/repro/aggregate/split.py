@@ -1,11 +1,11 @@
 """Split a compiled constraint system at layer boundaries.
 
 ``split_model`` turns one monolithic :class:`ConstraintSystem` into an
-ordered list of independent per-layer instances, reusing the §5.2 layer
-partition (:func:`repro.core.schedule.executor.plan_layer_slices`) so the
-cut points are exactly the compiler's layer provenance — rows outside
-every tagged range (knit flushes, trailing gadgets) become anonymous
-filler segments, so coverage is total and no constraint is dropped.
+ordered list of independent per-layer instances.  The cut points are
+exactly the compiler's layer provenance (:func:`plan_layer_slices`) —
+rows outside every tagged range (knit flushes, trailing gadgets) become
+anonymous filler segments, so coverage is total and no constraint is
+dropped.
 
 A private variable whose uses span several segments *crosses* every cut
 between its first and last use; how it is bound across them depends on
@@ -50,7 +50,6 @@ from repro.aggregate.commit import (
     mimc_round_constants,
     mimc_rounds,
 )
-from repro.core.schedule.executor import plan_layer_slices
 from repro.r1cs.lc import ONE, LinearCombination
 from repro.r1cs.system import ConstraintSystem
 
@@ -196,18 +195,51 @@ class SplitModel:
         )
 
 
+Segment = Tuple[str, int, int]  # (name, first row, one past the last row)
+
+
+def plan_layer_slices(
+    num_rows: int, layer_ranges: Optional[Dict[str, range]] = None
+) -> List[Segment]:
+    """Partition ``num_rows`` constraint rows into per-layer segments.
+
+    Layer provenance comes from ``ConstraintSystem.layer_ranges``, taken
+    in order of first row and clipped to ``num_rows``; rows outside every
+    tagged range (e.g. a trailing knit flush) become anonymous filler
+    segments ``rows[a:b]`` so coverage is total.  Where two ranges
+    overlap, the one starting later keeps only the rows past the earlier
+    one's end.
+    """
+    ordered = sorted(
+        (rng.start, min(rng.stop, num_rows), name)
+        for name, rng in (layer_ranges or {}).items()
+        if rng.start < min(rng.stop, num_rows)
+    )
+    plan: List[Segment] = []
+    cursor = 0
+    for start, stop, name in ordered:
+        if start > cursor:
+            plan.append((f"rows[{cursor}:{start}]", cursor, start))
+        if stop > max(start, cursor):
+            plan.append((name, max(start, cursor), stop))
+        cursor = max(cursor, stop)
+    if cursor < num_rows:
+        plan.append((f"rows[{cursor}:{num_rows}]", cursor, num_rows))
+    return plan
+
+
 def _merge_segments(
-    slices: Sequence, num_segments: int
-) -> List[Tuple[str, int, int]]:
+    slices: Sequence[Segment], num_segments: int
+) -> List[Segment]:
     """Greedy proportional merge of ordered slices into ``num_segments``
     contiguous groups, balancing constraint-row counts."""
-    segments: List[Tuple[str, int, int]] = []
-    total = sum(s.num_rows for s in slices)
+    segments: List[Segment] = []
+    total = sum(stop - start for _, start, stop in slices)
     consumed = 0
-    group: List = []
+    group: List[Segment] = []
     for pos, s in enumerate(slices):
         group.append(s)
-        consumed += s.num_rows
+        consumed += s[2] - s[1]
         remaining_groups = num_segments - len(segments)
         slices_left = len(slices) - pos - 1
         # Cut when the cumulative row count reaches this group's
@@ -227,12 +259,10 @@ def _merge_segments(
     return segments
 
 
-def _group_to_segment(group: Sequence) -> Tuple[str, int, int]:
+def _group_to_segment(group: Sequence[Segment]) -> Segment:
     if len(group) == 1:
-        name = group[0].name
-    else:
-        name = f"{group[0].name}..{group[-1].name}"
-    return (name, group[0].start, group[-1].stop)
+        return group[0]
+    return (f"{group[0][0]}..{group[-1][0]}", group[0][1], group[-1][2])
 
 
 def split_model(
@@ -253,13 +283,13 @@ def split_model(
     num_rows = cs.num_constraints
     if num_rows == 0:
         raise SplitError("cannot split an empty constraint system")
-    slices = plan_layer_slices(num_rows, cs.layer_ranges, num_workers=1)
+    segments = plan_layer_slices(num_rows, cs.layer_ranges)
     if num_segments is not None:
         if num_segments < 1:
             raise SplitError("num_segments must be >= 1")
-        segments = _merge_segments(slices, min(num_segments, len(slices)))
-    else:
-        segments = [(s.name, s.start, s.stop) for s in slices]
+        segments = _merge_segments(
+            segments, min(num_segments, len(segments))
+        )
     n = len(segments)
 
     # -- variable usage scan: the segments using each private variable ----

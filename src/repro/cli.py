@@ -257,8 +257,7 @@ def cmd_prove(args) -> int:
             artifact.cs, rng=random.Random(args.crs_seed), store=store
         )
         proof = groth16.prove(
-            setup.proving_key, artifact.cs, parallelism=args.parallelism,
-            phase_sink=phases,
+            setup.proving_key, artifact.cs, phase_sink=phases
         )
     elapsed = time.perf_counter() - start
     if not groth16.verify(
@@ -280,7 +279,7 @@ def cmd_prove(args) -> int:
     print(f"claim:  {claim_path}")
     print(f"proved m={artifact.num_constraints} constraints in {elapsed:.2f}s")
     breakdown = ", ".join(f"{k} {v:.3f}s" for k, v in phases.items())
-    print(f"prover phases ({args.parallelism} worker(s)): {breakdown}")
+    print(f"prover phases: {breakdown}")
     if max_rss is not None:
         from repro.core.metrics import peak_rss_bytes
 
@@ -458,7 +457,6 @@ def cmd_serve(args) -> int:
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         store_dir=args.store_dir,
-        parallelism=args.parallelism,
         audit=args.audit,
         gadget_mode=spec.gadgets,
         relu_mode=spec.relu_mode,
@@ -830,8 +828,8 @@ def main(argv=None) -> int:
     p_prove.add_argument("--crs-seed", type=int, default=2024)
     p_prove.add_argument(
         "--parallelism", type=int, default=1,
-        help="worker processes for CSR witness rows (the §5.2 schedule "
-             "executor, above its size gate) and for --per-layer instances",
+        help="with --per-layer: worker processes proving the instances "
+             "(a whole-model proof always runs in this one process)",
     )
     p_prove.add_argument(
         "--max-rss", type=_parse_size, default=None, metavar="SIZE",
@@ -848,7 +846,7 @@ def main(argv=None) -> int:
     p_prove.add_argument(
         "--segments", type=int, default=None,
         help="with --per-layer: merge layer slices into this many "
-             "balanced instances (e.g. match --parallelism)",
+             "instances of balanced row count (default: one per layer)",
     )
     p_prove.add_argument(
         "--boundary-mode", choices=["public", "hashed"], default="public",
@@ -887,11 +885,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--max-wait", type=float, default=0.05)
     p_serve.add_argument("--store-dir", default=None,
                          help="artifact store directory (default: temp)")
-    p_serve.add_argument(
-        "--parallelism", type=int, default=1,
-        help="witness-row processes per proving worker (the §5.2 "
-             "schedule executor, above its size gate)",
-    )
     p_serve.add_argument(
         "--audit", action="store_true",
         help="soundness-audit each cold circuit before proving "
@@ -1009,6 +1002,12 @@ def main(argv=None) -> int:
     p_gateway.set_defaults(func=cmd_gateway)
 
     args = parser.parse_args(argv)
+    if args.command == "prove" and args.parallelism > 1 and not args.per_layer:
+        p_prove.error(
+            "--parallelism starts worker processes for --per-layer "
+            "instances; a whole-model proof runs in one process "
+            "(add --per-layer, or drop --parallelism)"
+        )
     return args.func(args)
 
 

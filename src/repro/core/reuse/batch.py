@@ -138,16 +138,16 @@ class BatchProver:
         image: Optional[np.ndarray] = None,
         backend=None,
         rng=None,
-        parallelism: Optional[int] = None,
         phase_sink: Optional[Dict[str, float]] = None,
     ):
         """Prove the current witness (re-assigning ``image`` first if given).
 
         Bundles the whole warm path: cached setup + fixed-base tables from
-        :meth:`warm_setup`, witness re-assignment via the recipe, and the
-        parallel prover engine — the shared CSR structure is reused across
-        images automatically (``to_csr`` only refreshes the dense ``z``).
-        ``phase_sink`` accumulates per-phase prover seconds across calls.
+        :meth:`warm_setup`, witness re-assignment via the recipe, and
+        :func:`repro.snark.groth16.prove` — the shared CSR structure is
+        reused across images automatically (``to_csr`` only refreshes the
+        dense ``z``).  ``phase_sink`` accumulates per-phase prover seconds
+        across calls.
         """
         from repro.ec.backend import SimulatedBackend
         from repro.snark import groth16
@@ -157,12 +157,7 @@ class BatchProver:
         if image is not None:
             self.assign_image(image)
         return groth16.prove(
-            setup.proving_key,
-            self.cs,
-            backend,
-            rng,
-            parallelism=parallelism,
-            phase_sink=phase_sink,
+            setup.proving_key, self.cs, backend, rng, phase_sink=phase_sink
         )
 
     # -- per-image witness assignment -------------------------------------------------

@@ -1,12 +1,6 @@
-"""Workload-specialized parallel scheduler (§5.2): model and executor."""
+"""Workload-specialized parallel scheduler (§5.2) on a simulated clock."""
 
 from repro.core.schedule.counter import layer_gate_counts
-from repro.core.schedule.executor import (
-    LayerSlices,
-    ScheduleExecutor,
-    WitnessEvaluation,
-    plan_layer_slices,
-)
 from repro.core.schedule.scheduler import ParallelSchedule, WorkloadScheduler
 from repro.core.schedule.simclock import (
     LayerComparison,
@@ -17,12 +11,8 @@ from repro.core.schedule.simclock import (
 __all__ = [
     "layer_gate_counts",
     "LayerComparison",
-    "LayerSlices",
-    "ScheduleExecutor",
-    "WitnessEvaluation",
     "WorkloadScheduler",
     "ParallelSchedule",
     "modeled_vs_measured",
-    "plan_layer_slices",
     "simulate_parallel_time",
 ]

@@ -42,7 +42,7 @@ class LayerComparison:
 
     name: str
     modeled: float  # seconds the simclock model predicts for this layer
-    measured: float  # max worker-span seconds the executor observed
+    measured: float  # seconds a real run spent on this layer
 
     @property
     def ratio(self) -> float:
@@ -55,14 +55,13 @@ def modeled_vs_measured(
     layer_work: Sequence,
     measured_spans: Dict[str, float],
 ) -> List[LayerComparison]:
-    """Compare the simclock's predicted per-layer spans against spans the
-    :class:`~repro.core.schedule.executor.ScheduleExecutor` actually
-    measured (``WitnessEvaluation.layer_seconds``).
+    """Compare the simclock's predicted per-layer spans against measured
+    ones (``measured_spans``: ``{layer name: seconds}``, from whatever ran
+    the layers for real).
 
     The model stays the deterministic source of truth for figures; this
-    hook quantifies how far real fork/IPC overhead and GIL-free worker
-    arithmetic land from it.  Layers present on only one side are skipped
-    (the executor adds anonymous filler layers the model never sees).
+    hook quantifies how far a real run lands from it.  Layers present on
+    only one side are skipped.
     """
     by_name = {layer.name: layer for layer in layer_work}
     out: List[LayerComparison] = []

@@ -14,9 +14,7 @@ snapshot replaces all of that with three flat arrays per matrix —
 — and one dense assignment vector, so a row evaluates as a contiguous
 slice accumulation with no dict lookups.  The structure depends only on
 the constraints (not the witness), so batch-specialized sharing (§6.1)
-builds it once and only refreshes ``z`` per image; the parallel executor
-(:mod:`repro.core.schedule.executor`) publishes the same arrays to worker
-processes and hands out row spans.
+builds it once and only refreshes ``z`` per image.
 
 Signed variable indices (see :mod:`repro.r1cs.lc`) map to dense positions
 as ``ONE -> 0``, public ``-k -> k``, private ``+k -> num_public + k`` —
@@ -25,7 +23,6 @@ exactly :func:`repro.snark.qap.variable_order`.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -34,12 +31,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.r1cs.lc import RowView
-
-# Monotone stamp identifying one (structure, assignment) snapshot state.
-# The parallel executor keys its worker pool on it: same stamp means the
-# workers' copy is still current; a new stamp (fresh structure or a
-# re-assigned witness) forces fresh workers.
-_STAMPS = itertools.count(1)
 
 
 @dataclass
@@ -63,7 +54,7 @@ class CSRSystem:
     """CSR snapshot of a constraint system plus its dense assignment."""
 
     __slots__ = ("a", "b", "c", "num_rows", "num_public", "num_private",
-                 "modulus", "z", "stamp")
+                 "modulus", "z")
 
     def __init__(
         self,
@@ -83,11 +74,6 @@ class CSRSystem:
         self.num_private = num_private
         self.modulus = modulus
         self.z = z  # [1, publics..., privates...] — Groth16 variable order
-        self.stamp = next(_STAMPS)
-
-    def restamp(self) -> None:
-        """Mark the snapshot state as changed (new structure or new z)."""
-        self.stamp = next(_STAMPS)
 
     @property
     def num_variables(self) -> int:
@@ -166,14 +152,13 @@ def _stream_block_nnz() -> Optional[int]:
     return max(1024, int(raw) // _STREAM_BYTES_PER_TERM)
 
 
-def _eval_span(
+def _eval_block(
     matrix: CSRMatrix,
     z: List[int],
     modulus: int,
     out: List[int],
     start_row: int,
     stop_row: int,
-    base_row: int,
 ) -> None:
     indptr = matrix.indptr
     lo, hi = indptr[start_row], indptr[stop_row]
@@ -184,66 +169,50 @@ def _eval_span(
     begin = 0
     for row in range(start_row, stop_row):
         end = indptr[row + 1] - lo
-        out[row - base_row] = sum(prods[begin:end]) % modulus
+        out[row] = sum(prods[begin:end]) % modulus
         begin = end
 
 
 def matrix_row_evals(
-    matrix: CSRMatrix,
-    z: List[int],
-    modulus: int,
-    out: Optional[List[int]] = None,
-    start_row: int = 0,
-    stop_row: Optional[int] = None,
+    matrix: CSRMatrix, z: List[int], modulus: int
 ) -> List[int]:
-    """Evaluate ``<M_j, z>`` for rows ``[start_row, stop_row)``.
+    """Evaluate ``<M_j, z>`` for every row ``j``.
 
     Single pass: all coefficient products are formed in one C-level
     ``map(mul, ...)`` sweep, then each row reduces to a slice sum and one
     modular reduction — no per-term Python bytecode.  When
-    ``ZENO_MSM_CHUNK_BYTES`` is set, the span is processed in row-aligned
-    blocks whose transient product list stays within that budget, so the
-    witness pass streams instead of materializing O(nnz) products.
+    ``ZENO_MSM_CHUNK_BYTES`` is set, the rows are processed in blocks
+    whose transient product list stays within that budget, so the witness
+    pass streams instead of materializing O(nnz) products.
     """
     indptr = matrix.indptr
-    stop_row = matrix.num_rows if stop_row is None else stop_row
-    if out is None:
-        out = [0] * (stop_row - start_row)
+    num_rows = matrix.num_rows
+    out = [0] * num_rows
     limit = _stream_block_nnz()
-    if limit is not None and indptr[stop_row] - indptr[start_row] > limit:
-        row = start_row
-        while row < stop_row:
-            end = row + 1  # always make progress, even on a giant row
-            while end < stop_row and indptr[end + 1] - indptr[row] <= limit:
-                end += 1
-            _eval_span(matrix, z, modulus, out, row, end, start_row)
-            row = end
+    if limit is None or matrix.nnz <= limit:
+        _eval_block(matrix, z, modulus, out, 0, num_rows)
         return out
-    _eval_span(matrix, z, modulus, out, start_row, stop_row, start_row)
+    row = 0
+    while row < num_rows:
+        end = row + 1  # always make progress, even on a giant row
+        while end < num_rows and indptr[end + 1] - indptr[row] <= limit:
+            end += 1
+        _eval_block(matrix, z, modulus, out, row, end)
+        row = end
     return out
 
 
-def evaluate_rows(
-    csr: CSRSystem, start_row: int = 0, stop_row: Optional[int] = None
-) -> Tuple[List[int], List[int], List[int]]:
-    """``(A_w, B_w, C_w)`` row evaluations over ``[start_row, stop_row)``.
+def evaluate_rows(csr: CSRSystem) -> Tuple[List[int], List[int], List[int]]:
+    """``(A_w, B_w, C_w)`` row evaluations, in the calling process.
 
     Tallies one ``field_mul`` per materialized term, matching what the
-    legacy ``LinearCombination.evaluate`` path records.
+    per-LC oracle (``tests/lc_oracle.py``) records.
     """
     from repro.field.counters import global_counter
 
     if csr.z is None:
         raise ValueError("CSR snapshot has no assignment vector")
-    stop_row = csr.num_rows if stop_row is None else stop_row
     z, p = csr.z, csr.modulus
-    a, b, c = (
-        matrix_row_evals(matrix, z, p, start_row=start_row, stop_row=stop_row)
-        for matrix in csr.matrices()
-    )
-    counter = global_counter()
-    for matrix in csr.matrices():
-        counter.field_mul += (
-            matrix.indptr[stop_row] - matrix.indptr[start_row]
-        )
+    a, b, c = (matrix_row_evals(matrix, z, p) for matrix in csr.matrices())
+    global_counter().field_mul += csr.total_terms()
     return a, b, c

@@ -288,10 +288,7 @@ class ConstraintSystem:
             )
             self._csr_cache = csr
         csr.num_private = self.num_private  # privates may grow post-snapshot
-        z = self.dense_assignment() if assignment else None
-        if z is not csr.z:
-            csr.z = z
-            csr.restamp()  # tell pooled executor workers their fork is stale
+        csr.z = self.dense_assignment() if assignment else None
         return csr
 
     def public_values(self) -> List[int]:

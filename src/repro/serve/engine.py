@@ -289,7 +289,6 @@ class JobEngine:
         spec = {
             **first.circuit.to_json(),
             "backend": cfg.backend,
-            "parallelism": cfg.parallelism,
             "audit": cfg.audit,
             "deterministic": cfg.deterministic,
         }

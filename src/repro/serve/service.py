@@ -35,9 +35,6 @@ class ServiceConfig:
     max_retries: int = 2  # extra attempts after a worker failure
     backoff_base: float = 0.05  # retry backoff: base * 2^(attempt-1)
     backend: str = "simulated"  # "simulated" | "bn254"
-    # Worker processes per proof for CSR witness rows, used above the
-    # schedule executor's size gate (the spec's "parallelism" key).
-    parallelism: int = 1
     store_dir: Optional[str] = None  # None = fresh temp directory
     store_entries: int = 256  # artifact-store LRU bound
     prewarm: bool = True  # spawn all workers at startup

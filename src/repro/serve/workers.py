@@ -190,19 +190,14 @@ def _maybe_crash(payload: Dict[str, Any]) -> None:
 
 
 def _prove_job(
-    spec, payload, setup, cs, backend, rng, phases: Dict[str, float]
+    payload, setup, cs, backend, rng, phases: Dict[str, float]
 ) -> Dict[str, Any]:
     """Prove + self-verify ``cs`` for one job; returns its result row."""
     with PhaseTimer("security", sink=phases):
         # phase_sink splits "security" into witness / quotient / msm in
         # the same phases dict the telemetry aggregates.
         proof = groth16.prove(
-            setup.proving_key,
-            cs,
-            backend,
-            rng=rng,
-            parallelism=spec.get("parallelism"),
-            phase_sink=phases,
+            setup.proving_key, cs, backend, rng=rng, phase_sink=phases
         )
     publics = [int(v) for v in cs.public_values()]
     verified = groth16.verify(setup.verifying_key, publics, proof, backend)
@@ -221,10 +216,10 @@ def prove_batch(
     """Prove every job in one batch inside a worker process.
 
     ``spec`` carries the flat :class:`CircuitSpec` keys plus ``backend``,
-    ``crs_seed``, ``parallelism``, ``audit``, ``deterministic`` and, for a
-    per-layer job, ``aggregate``; ``payloads`` carry ``{"job_id",
-    "image"}`` (plus optional ``crash_token`` for fault injection, see
-    :func:`_maybe_crash`).
+    ``crs_seed``, ``audit``, ``deterministic`` and, for a per-layer job,
+    ``aggregate`` (keys it does not know — an older coordinator's — are
+    ignored); ``payloads`` carry ``{"job_id", "image"}`` (plus optional
+    ``crash_token`` for fault injection, see :func:`_maybe_crash`).
     """
     # A misspelt backend fails here, before any circuit is built.
     backend = backend_by_name(spec.get("backend", "simulated"))
@@ -256,7 +251,7 @@ def prove_batch(
                 inst.refresh_from(prover.cs)
         results.append(
             _prove_job(
-                spec, payload, setup,
+                payload, setup,
                 prover.cs if inst is None else inst.cs, backend,
                 _proof_rng(spec, payload["image"], inst), phases,
             )

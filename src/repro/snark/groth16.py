@@ -177,7 +177,6 @@ def prove(
     cs: ConstraintSystem,
     backend: Optional[GroupBackend] = None,
     rng: Optional[random.Random] = None,
-    parallelism: Optional[int] = None,
     phase_sink: Optional[Dict[str, float]] = None,
 ) -> Proof:
     """Generate a proof for the (fully assigned) constraint system.
@@ -187,10 +186,9 @@ def prove(
     MSM and the blinding multiples of delta from them — the serving path,
     where one CRS is queried by many proofs; the witness MSMs (a / b / l)
     always go through ``backend.msm``, which sizes itself by the scalars'
-    observed width.  ``parallelism`` is the worker-process count for
-    witness-row evaluation over the CSR snapshot (the §5.2 schedule
-    executor, which stays in-process below its size gate); the quotient
-    and the MSMs always run in this process.  ``phase_sink``, if given,
+    observed width.  Everything runs in the calling process; the way to
+    spend a second core on one inference is per-layer instances
+    (:func:`repro.aggregate.prove_split`).  ``phase_sink``, if given,
     receives wall seconds per prover phase (``witness`` / ``quotient`` /
     ``msm``) — accumulated, so the serve telemetry can hand the same dict
     to every proof in a batch.
@@ -221,13 +219,9 @@ def prove(
     domain = Domain.for_size(max(cs.num_constraints, 2), field)
     if domain.size != pk.domain_size:
         raise ValueError("constraint count changed since setup")
-    evals = witness_polynomial_evals(
-        cs, domain, csr=csr, parallelism=parallelism
-    )
+    evals = witness_polynomial_evals(cs, domain, csr=csr)
     began = tick("witness", began)
-    h_coeffs = quotient_coefficients(
-        cs, domain, csr=csr, parallelism=parallelism, evals=evals
-    )
+    h_coeffs = quotient_coefficients(cs, domain, csr=csr, evals=evals)
     began = tick("quotient", began)
 
     r = rng.randrange(p)
@@ -445,17 +439,9 @@ class Groth16:
         pk: ProvingKey,
         cs: ConstraintSystem,
         rng=None,
-        parallelism: Optional[int] = None,
         phase_sink: Optional[Dict[str, float]] = None,
     ) -> Proof:
-        return prove(
-            pk,
-            cs,
-            self.backend,
-            rng,
-            parallelism=parallelism,
-            phase_sink=phase_sink,
-        )
+        return prove(pk, cs, self.backend, rng, phase_sink=phase_sink)
 
     def verify(self, vk: VerifyingKey, public_inputs, proof: Proof) -> bool:
         return verify(vk, public_inputs, proof, self.backend)

@@ -21,10 +21,8 @@ loop) never rebuilds an O(d) power chain; :meth:`Domain.for_size` memoizes
 whole domains per ``(size, modulus)``.
 
 The prover-side entry points accept an optional CSR snapshot
-(:meth:`repro.r1cs.system.ConstraintSystem.to_csr`) and a ``parallelism``
-degree, which sends the witness rows through the §5.2 schedule executor
-(:mod:`repro.core.schedule.executor`); the quotient's transforms always
-run in-process.
+(:meth:`repro.r1cs.system.ConstraintSystem.to_csr`); witness rows and the
+quotient's transforms run in the calling process.
 """
 
 from __future__ import annotations
@@ -496,18 +494,12 @@ def qap_evaluations_at(
 
 
 def witness_polynomial_evals(
-    cs: ConstraintSystem,
-    domain: Domain,
-    csr=None,
-    parallelism: Optional[int] = None,
+    cs: ConstraintSystem, domain: Domain, csr=None
 ) -> Tuple[List[int], List[int], List[int]]:
     """Evaluations of ``A_w, B_w, C_w`` over H (one value per constraint row).
 
     Runs over the CSR snapshot (built on demand; pass ``csr`` to reuse a
-    batch-shared structure).  With ``parallelism > 1`` the rows go through
-    the §5.2 schedule executor, partitioned by the constraint system's
-    layer ranges — in real worker processes once the system is large
-    enough for that to pay (the executor decides).
+    batch-shared structure).
     """
     from repro.r1cs.csr import evaluate_rows
 
@@ -515,28 +507,15 @@ def witness_polynomial_evals(
         csr = cs.to_csr()
     elif csr.z is None:
         csr.z = cs.dense_assignment()
-    if parallelism is not None and parallelism > 1:
-        from repro.core.schedule.executor import ScheduleExecutor
-
-        evaluation = ScheduleExecutor(parallelism).evaluate_witness(
-            csr, cs.layer_ranges
-        )
-        rows = (evaluation.a_rows, evaluation.b_rows, evaluation.c_rows)
-    else:
-        rows = evaluate_rows(csr)
-    a_evals = [0] * domain.size
-    b_evals = [0] * domain.size
-    c_evals = [0] * domain.size
-    m = csr.num_rows
-    a_evals[:m], b_evals[:m], c_evals[:m] = rows[0], rows[1], rows[2]
-    return a_evals, b_evals, c_evals
+    a_rows, b_rows, c_rows = evaluate_rows(csr)
+    pad = [0] * (domain.size - csr.num_rows)
+    return a_rows + pad, b_rows + pad, c_rows + pad
 
 
 def quotient_coefficients(
     cs: ConstraintSystem,
     domain: Domain,
     csr=None,
-    parallelism: Optional[int] = None,
     evals: Optional[Tuple[List[int], List[int], List[int]]] = None,
 ) -> List[int]:
     """Coefficients of ``h(x) = (A_w(x) B_w(x) - C_w(x)) / Z(x)``.
@@ -547,15 +526,10 @@ def quotient_coefficients(
     below ``d`` and is subtracted in coefficient form, so the quotient is
     six transforms.  Raises if the witness does not satisfy the R1CS
     (remainder nonzero).
-
-    ``parallelism`` only reaches :func:`witness_polynomial_evals`, when
-    ``evals`` is not given.
     """
     p = domain.field.modulus
     if evals is None:
-        evals = witness_polynomial_evals(
-            cs, domain, csr=csr, parallelism=parallelism
-        )
+        evals = witness_polynomial_evals(cs, domain, csr=csr)
     a_evals, b_evals, c_evals = evals
     vec = domain._vector_tables()
     if vec is not None and all(

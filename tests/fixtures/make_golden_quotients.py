@@ -11,7 +11,7 @@ big-endian words) and the simulated-group proof bytes under fixed CRS /
 blinding / image seeds.  It was written by running this against d42163d,
 the commit *before* the int64 Montgomery kernel was replaced by the
 float64 matmul kernel; ``tests/test_golden_quotients.py`` requires both
-field backends to reproduce it at ``parallelism`` 1 and 2.
+field backends to reproduce it.
 """
 
 import hashlib
@@ -57,18 +57,17 @@ def circuits():
         raise AssertionError(f"no TINY instance with domain size {wanted}")
 
 
-def quotient_digest(cs, parallelism=None) -> str:
+def quotient_digest(cs) -> str:
     domain = Domain.for_size(max(cs.num_constraints, 2))
-    h = quotient_coefficients(cs, domain, parallelism=parallelism)
+    h = quotient_coefficients(cs, domain)
     return hashlib.sha256(
         b"".join(v.to_bytes(32, "big") for v in h)
     ).hexdigest()
 
 
-def proof_hex(cs, keys, parallelism=None) -> str:
+def proof_hex(cs, keys) -> str:
     proof = groth16.prove(
-        keys.proving_key, cs, SimulatedBackend(),
-        random.Random(BLIND_SEED), parallelism=parallelism,
+        keys.proving_key, cs, SimulatedBackend(), random.Random(BLIND_SEED)
     )
     return serialize_proof(proof).hex()
 

@@ -1,7 +1,7 @@
 """The per-LC witness evaluation, kept as the differential-test oracle:
 what ``witness_polynomial_evals`` did before the CSR snapshot — one
 ``LinearCombination.evaluate`` dict walk per constraint side.  Shares no
-code with ``repro.r1cs.csr`` or the schedule executor."""
+code with ``repro.r1cs.csr``."""
 
 from typing import List, Tuple
 

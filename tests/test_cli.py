@@ -254,6 +254,7 @@ class TestServe:
         ["serve", "--sparse"],
         ["serve", "--prune", "0.5"],
         ["submit", "--sparse"],
+        ["serve", "--parallelism", "2"],
         ["compare", "--gadgets", "strict"],
         ["cluster", "submit", "--connect", "127.0.0.1:1", "--relu-mode",
          "lookup"],
@@ -403,6 +404,30 @@ class TestPerLayerProveVerify:
         assert "+ 0 commitment rows" not in summary
         assert main(["verify", "--aggregate", str(agg_path)]) == 0
         assert "mode=hashed" in capsys.readouterr().out
+
+    def test_parallelism_is_worker_processes_for_instances(
+        self, tmp_path, capsys
+    ):
+        """The one flag that starts prover processes: same aggregate bytes
+        whatever the worker count, and a usage error without --per-layer
+        (it used to fork above a size gate and do nothing below it)."""
+        argv = ["prove", "--model", "LCS", "--scale", "micro"]
+        blobs = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"agg-{workers}.json"
+            assert main(argv + ["--per-layer", "--parallelism", workers,
+                                "--out", str(out)]) == 0
+            assert f"({workers} worker(s))" in capsys.readouterr().out
+            blobs[workers] = out.read_bytes()
+        assert blobs["2"] == blobs["1"]
+        assert main(["verify", "--aggregate", str(out)]) == 0
+        assert "ACCEPTED" in capsys.readouterr().out
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--parallelism", "2", "--out", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        assert "--per-layer" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_unreadable_artifact_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"

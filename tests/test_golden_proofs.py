@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.circuit.compute import ComputeOptions
 from repro.core.reuse.batch import BatchProver
-from repro.core.schedule import executor as executor_mod
 from repro.ec.backend import backend_by_name
 from repro.nn.data import synthetic_images
 from repro.nn.models import build_model
@@ -45,30 +44,24 @@ def _circuit():
 
 
 @pytest.mark.parametrize("backend_name", sorted(GOLDEN["proofs"]))
-def test_golden_bytes(_circuit, backend_name, monkeypatch):
-    # The circuit is far below the executor's size gate; open it so
-    # parallelism=2 really evaluates the witness rows in workers.
-    monkeypatch.setattr(executor_mod, "PARALLEL_MIN_TERMS", 0)
+def test_golden_bytes(_circuit, backend_name):
     cs = _circuit
     backend = backend_by_name(backend_name)
     keys = groth16.setup(cs, backend, random.Random(GOLDEN["crs_seed"]))
     pk = keys.proving_key
     expected = bytes.fromhex(GOLDEN["proofs"][backend_name])
 
-    def prove(parallelism):
+    def prove():
         proof = groth16.prove(
-            pk, cs, backend, random.Random(GOLDEN["blind_seed"]),
-            parallelism=parallelism,
+            pk, cs, backend, random.Random(GOLDEN["blind_seed"])
         )
         return serialize_proof(proof)
 
     assert pk.tables is None
-    assert prove(1) == expected
-    assert prove(2) == expected
+    assert prove() == expected
     tables = precompute_proving_tables(pk, backend)
-    assert prove(1) == expected
-    assert prove(2) == expected
-    assert tables.uses() == 6  # h MSM, delta_1, delta_2 query per proof; two proofs
+    assert prove() == expected
+    assert tables.uses() == 3  # h MSM, delta_1, delta_2 query; one proof
     assert groth16.verify(
         keys.verifying_key, cs.public_values(),
         deserialize_proof(expected), backend,

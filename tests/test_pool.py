@@ -1,14 +1,15 @@
-"""`repro.core.pool`: the one worker-process layer and its two clients."""
+"""`repro.core.pool`: the one worker-process layer and its client."""
 
 import inspect
 import multiprocessing
 import os
-import random
 import re
 import signal
 import subprocess
 import sys
 import time
+import tokenize
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -16,21 +17,20 @@ import pytest
 from repro.aggregate import prove_split, setup_split
 from repro.core import pool
 from repro.core.compiler import PrivacySetting, ZenoCompiler, zeno_options
-from repro.core.schedule import ScheduleExecutor
-from repro.core.schedule import executor as executor_mod
+from repro.core.reuse.batch import BatchProver
 from repro.ec.backend import GroupBackend
 from repro.field.counters import count_ops, global_counter
-from repro.r1cs import evaluate_rows
+from repro.serve import ProvingService, ServiceConfig
+from repro.snark import groth16, qap
 from repro.snark.serialize import serialize_proof
 from tests.conftest import tiny_conv_model, tiny_image
-from tests.test_parallel_prover import random_system
 
 
-@pytest.fixture(autouse=True)
-def fresh_pools():
-    pool.shutdown()
-    yield
-    pool.shutdown()
+def _no_children(within: float = 5.0) -> bool:
+    deadline = time.monotonic() + within
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not multiprocessing.active_children()
 
 
 # Worker entry points must be importable by path (spawn re-imports them).
@@ -47,44 +47,34 @@ def _scale(shared, x):
 
 
 def _nested(shared, x):
-    # A pool worker that itself maps — under the key and worker count its
-    # parent's kept pool has: must start its own executor, not submit to
-    # the one it inherited.
-    out = pool.map_shared(None, _square, [x, x + 1], 1, key="k")
+    # A pool worker that itself maps: the nested call starts its own
+    # workers from inside a forked child.
+    out = pool.map_shared(None, _square, [x, x + 1], 1)
     return [r for r, _ in out]
 
 
-class TestMap:
-    """The kept (keyed) pool: what a caller that maps again and again over
-    the same shared state gets."""
+def _die_once(shared, x):
+    # As serve.workers._maybe_crash: the token makes the death one-shot.
+    if x == 3 and os.path.exists(shared):
+        os.remove(shared)
+        os._exit(1)
+    return x
 
+
+def _mark_or_raise(shared, x):
+    if x == 0:
+        raise ValueError("payload 0 is bad")
+    time.sleep(0.05)
+    Path(shared, str(x)).touch()
+    return x
+
+
+class TestMap:
     def test_results_in_order_and_ops_merged(self):
         with count_ops() as ops:
-            out = list(pool.map_shared(None, _square, range(6), 2, key="k"))
+            out = list(pool.map_shared(None, _square, range(6), 2))
         assert [r for r, _ in out] == [x * x for x in range(6)]
         assert ops.field_mul == 6
-
-    def test_executor_cached_per_worker_count(self):
-        def pids(workers):
-            out = pool.map_shared(None, _square, range(4), workers, key="k")
-            return {pid for _, pid in out}
-
-        first = pids(1)
-        one = pool._shared_pool
-        assert pids(1) == first
-        assert pool._shared_pool is one  # reused, not rebuilt
-        assert not pids(2) & first
-        assert pool._shared_pool is not one  # replaced: one kept pool
-        assert pool._shared_key == ("k", 2)
-
-    def test_shutdown_idempotent_and_recreatable(self):
-        list(pool.map_shared({"factor": 2}, _scale, [1], 1, key="k"))
-        pool.shutdown()
-        pool.shutdown()
-        assert pool._shared_pool is None and pool._shared_key is None
-        assert list(
-            pool.map_shared({"factor": 2}, _scale, [3], 1, key="k")
-        ) == [6]
 
 
 class TestMapShared:
@@ -95,22 +85,7 @@ class TestMapShared:
             got = list(pool.map_shared(shared, _scale, payloads, 2))
         assert got == [_scale(shared, x) for x in payloads]
         assert ops.field_mul == len(payloads)
-        assert pool._shared_pool is None  # unkeyed: one-shot, nothing kept
-
-    def test_keyed_pool_reused_until_key_changes(self):
-        shared = {"factor": 3}
-        assert list(pool.map_shared(shared, _scale, [1], 2, key=1)) == [3]
-        first = pool._shared_pool
-        assert list(pool.map_shared(shared, _scale, [2], 2, key=1)) == [6]
-        assert pool._shared_pool is first
-        # Workers hold the object as published; a new key republishes it.
-        shared["factor"] = 5
-        assert list(pool.map_shared(shared, _scale, [2], 2, key=1)) == [6]
-        assert list(pool.map_shared(shared, _scale, [2], 2, key=2)) == [10]
-        assert pool._shared_pool is not first
-        second = pool._shared_pool
-        list(pool.map_shared(shared, _scale, [2], 1, key=2))
-        assert pool._shared_pool is not second  # worker count is in the key
+        assert not multiprocessing.active_children()  # nothing is kept
 
     def test_pickled_publish_equals_fork(self, monkeypatch):
         shared = {"factor": 11}
@@ -124,25 +99,13 @@ class TestMapShared:
         assert ops.field_mul == 5
 
     def test_nested_map_in_forked_worker(self):
-        # The parent owns a kept executor, which its worker inherits.
-        got = list(pool.map_shared(None, _nested, [2, 5], 1, key="k"))
+        got = list(pool.map_shared(None, _nested, [2, 5], 1))
         assert got == [[4, 9], [25, 36]]
 
 
 class TestClientOpCountParity:
     """Sequential vs pooled, folded in through ``OpCounter.merge``: every
     client's cost-model counters must not depend on where the work ran."""
-
-    def test_witness_executor(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "PARALLEL_MIN_TERMS", 0)
-        csr = random_system(random.Random(41), rows=20).to_csr()
-        with count_ops() as seq:
-            expected = evaluate_rows(csr)
-        with count_ops() as pooled:
-            got = ScheduleExecutor(2).evaluate_witness(csr)
-        assert (got.a_rows, got.b_rows, got.c_rows) == expected
-        assert pooled.snapshot() == seq.snapshot()
-        assert pool._shared_key == (csr.stamp, 2)
 
     def test_per_layer_proving(self, monkeypatch):
         opts = zeno_options(
@@ -166,6 +129,63 @@ class TestClientOpCountParity:
         blobs = [serialize_proof(p) for p in expected]
         assert [serialize_proof(p) for p in got] == blobs
         assert [serialize_proof(p) for p in spawned] == blobs
+
+
+@pytest.fixture(scope="module")
+def tiny_split():
+    """``(split, setups, sequential proof bytes)`` of the tiny conv model."""
+    opts = zeno_options(
+        PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS, record_recipe=True
+    )
+    artifact = ZenoCompiler(opts).compile_model(
+        tiny_conv_model(), tiny_image()
+    )
+    split = artifact.split(mode="public")
+    setups = setup_split(split, crs_seed=9)
+    proofs = prove_split(split, setups, crs_seed=9)
+    return split, setups, [serialize_proof(p) for p in proofs]
+
+
+class TestFailureModel:
+    """What the caller of ``map_shared`` sees when a worker dies or a task
+    raises: the error, no process left behind, and a next call that works."""
+
+    def test_dead_worker_breaks_the_call_not_the_next_one(
+        self, tmp_path, tiny_split
+    ):
+        token = tmp_path / "crash"
+        token.touch()
+        with pytest.raises(BrokenProcessPool):
+            list(pool.map_shared(str(token), _die_once, range(8), 2))
+        assert not token.exists()  # the worker really died mid-map
+        assert _no_children()
+        split, setups, blobs = tiny_split
+        again = prove_split(split, setups, crs_seed=9, parallelism=2)
+        assert [serialize_proof(p) for p in again] == blobs
+
+    def test_task_error_reaches_caller_and_cancels_the_rest(self, tmp_path):
+        with pytest.raises(ValueError, match="payload 0 is bad"):
+            list(pool.map_shared(str(tmp_path), _mark_or_raise, range(12), 1))
+        assert _no_children()
+        # The executor had already queued a call or two past the failing
+        # one; everything behind those was cancelled, not run.
+        assert len(list(tmp_path.iterdir())) <= 3
+
+    def test_unsatisfied_instance_fails_the_split(self, tiny_split):
+        split, setups, blobs = tiny_split
+        inst = split.instances[1]
+        var = max(v for c in inst.cs.constraints for v in c.a.terms)
+        assert var > 0  # a private wire this instance's rows read
+        value = inst.cs.value_of(var)
+        inst.cs.assign(var, value + 1)
+        try:
+            with pytest.raises(ValueError, match="does not satisfy"):
+                prove_split(split, setups, crs_seed=9, parallelism=2)
+        finally:
+            inst.cs.assign(var, value)
+        assert _no_children()
+        again = prove_split(split, setups, crs_seed=9, parallelism=2)
+        assert [serialize_proof(p) for p in again] == blobs
 
 
 def test_only_the_pool_module_starts_processes():
@@ -192,9 +212,21 @@ def pid(shared, payload):
 
 workers = WorkerPool(2)
 workers.prewarm()
-list(pool.map_shared(None, pid, range(4), 2, key="k"))
+held = pool.map_shared(None, pid, range(4), 2)  # open: its workers stay
+next(held)
 print(*(child.pid for child in multiprocessing.active_children()), flush=True)
 time.sleep(60)
+"""
+
+_OPEN_ITERATOR_AT_EXIT = """
+import os
+from repro.core import pool
+
+def pid(shared, payload):
+    return os.getpid()
+
+held = pool.map_shared(None, pid, range(4), 2)
+print(next(held), flush=True)
 """
 
 
@@ -228,10 +260,36 @@ def test_sigkilled_parent_leaves_no_children():
     assert not [pid for pid in children if _running(pid)]
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_exit_with_open_iterator_is_clean():
+    """The module has no exit hook: a process that ends with results still
+    unread neither hangs on its idle workers nor leaves them behind."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _OPEN_ITERATOR_AT_EXIT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert not _running(int(done.stdout))
+
+
+def _names_in_code(path: Path, word: str) -> bool:
+    """``word`` as an identifier or a whole string literal — a parameter,
+    keyword, attribute or dict key; prose in docstrings does not count."""
+    with tokenize.open(path) as handle:
+        return any(
+            (tok.type == tokenize.NAME and tok.string == word)
+            or (tok.type == tokenize.STRING and tok.string[1:-1] == word)
+            for tok in tokenize.generate_tokens(handle.readline)
+        )
+
+
 def test_retired_layers_stay_retired():
-    """One benchmark layer, one meaning per prover knob: the legacy
-    harnesses, their checked-in JSON and the prover modes that lived only
-    as their columns cannot grow back."""
+    """One benchmark layer, one process-parallel axis: the legacy
+    harnesses, their checked-in JSON, the prover modes that lived only as
+    their columns, and the witness-row executor with every ``parallelism=``
+    that fed it cannot grow back."""
     root = Path(__file__).resolve().parent.parent
     harness = {
         path.stem for path in (root / "benchmarks").glob("*.py")
@@ -243,10 +301,29 @@ def test_retired_layers_stay_retired():
         name for name, value in vars(pool).items()
         if callable(value) and not name.startswith("_")
         and value.__module__ == pool.__name__
-    } == {"context", "map_shared", "shutdown"}
-    assert "parallelism" not in inspect.signature(GroupBackend.msm).parameters
+    } == {"context", "map_shared"}
+    assert list(inspect.signature(pool.map_shared).parameters) == [
+        "shared", "fn", "payloads", "workers"
+    ]
+    for fn in (
+        GroupBackend.msm, groth16.prove, groth16.Groth16.prove,
+        BatchProver.prove, qap.witness_polynomial_evals,
+        qap.quotient_coefficients,
+    ):
+        assert "parallelism" not in inspect.signature(fn).parameters
+    assert "parallelism" not in ServiceConfig.__dataclass_fields__
+    with pytest.raises(TypeError, match="parallelism"):
+        ProvingService(parallelism=2)  # loud, not a silent no-op
+    package = root / "src" / "repro"
+    assert not (package / "core" / "schedule" / "executor.py").exists()
+    assert {
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if _names_in_code(path, "parallelism")
+    } == {"aggregate/prove.py", "cli.py"}
     retired = re.compile(
         "msm_parallel|_coset_chain|Gmpy2Backend|witness_polynomial_evals_lc"
+        "|ScheduleExecutor|PARALLEL_MIN_TERMS|restamp"
     )
     assert not [
         str(path.relative_to(root))

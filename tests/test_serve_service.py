@@ -215,8 +215,10 @@ class TestFixedBaseTableReuse:
             out1 = workers.prove_batch(
                 spec, [{"job_id": "a", "image": imgs[0]}]
             )
+            # An older coordinator's spec still carries "parallelism":
+            # ignored — same warm entry, same proof path.
             out2 = workers.prove_batch(
-                spec, [{"job_id": "b", "image": imgs[1]}]
+                dict(spec, parallelism=2), [{"job_id": "b", "image": imgs[1]}]
             )
         finally:
             workers._WARM.pop(key, None)
