@@ -41,8 +41,11 @@ argument is written out in DESIGN.md).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.aggregate.commit import (
     MIMC_EXTRA_ROUNDS,
@@ -50,7 +53,8 @@ from repro.aggregate.commit import (
     mimc_round_constants,
     mimc_rounds,
 )
-from repro.r1cs.lc import ONE, LinearCombination
+from repro.field.counters import global_counter
+from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 
@@ -131,30 +135,43 @@ class LayerInstance:
         ``orig`` and replays its sponges — nothing is read from the other
         instances, so one layer can be refreshed on its own.
         """
-        for slot, orig_var in enumerate(self.public_map):
-            if orig_var is not None:
-                self.cs.assign(-(slot + 1), orig.value_of(orig_var))
-        for i, orig_var in enumerate(self.private_map):
-            if orig_var is not None:
-                self.cs.assign(i + 1, orig.value_of(orig_var))
+        self._refresh(orig, {})
+
+    def _refresh(
+        self, orig: ConstraintSystem, digests: Dict[Tuple[int, ...], int]
+    ) -> None:
+        """:meth:`refresh_from`, sharing the carried parcels' ``digests``
+        (parcel -> digest under ``orig``'s current witness) with whoever
+        refreshes the neighbours from the same ``orig``."""
+        dense, offset = orig.dense_assignment(), orig.num_public
+        # Inherited variables lead each namespace; the synthesized ones
+        # (``None``) follow and are recomputed below.
+        for first, provenance in ((-1, self.public_map), (1, self.private_map)):
+            inherited = len(provenance) - provenance.count(None)
+            self.cs.assign_run(first, [
+                dense[v + offset if v > 0 else -v]
+                for v in provenance[:inherited]
+            ])
         p = self.cs.field.modulus
         for var, parcel in self.carried:
-            values = [orig.value_of(v) for v in parcel]
-            self.cs.assign(var, mimc_digest(values, p, self.extra_rounds))
+            digest = digests.get(parcel)
+            if digest is None:
+                digest = digests[parcel] = mimc_digest(
+                    [dense[v + offset] for v in parcel], p, self.extra_rounds
+                )
+            self.cs.assign(var, digest)
         self._replay_sponges()
 
     def _replay_sponges(self) -> None:
         cs, p = self.cs, self.cs.field.modulus
         for sponge in self.sponges:
             values = [cs.value_of(v) for v in sponge.absorbed]
-            wire, state = sponge.first_wire, 0
-            for t2, t4, state in mimc_rounds(values, p, self.extra_rounds):
-                cs.assign(wire, t2)
-                cs.assign(wire + 1, t4)
-                cs.assign(wire + 2, state)
-                wire += 3
+            wires = list(itertools.chain.from_iterable(
+                mimc_rounds(values, p, self.extra_rounds)
+            ))
+            cs.assign_run(sponge.first_wire, wires)
             if sponge.digest_slot is not None:
-                cs.assign(-(sponge.digest_slot + 1), state)
+                cs.assign(-(sponge.digest_slot + 1), wires[-1])
 
 
 @dataclass
@@ -180,8 +197,11 @@ class SplitModel:
         return len(self.instances)
 
     def refresh_from(self, orig: ConstraintSystem) -> None:
+        """Refresh every instance; a parcel carried by several of them is
+        digested once."""
+        digests: Dict[Tuple[int, ...], int] = {}
         for inst in self.instances:
-            inst.refresh_from(orig)
+            inst._refresh(orig, digests)
 
     def total_constraints(self) -> int:
         return sum(inst.cs.num_constraints for inst in self.instances)
@@ -277,6 +297,11 @@ def split_model(
     slices into balanced contiguous groups (useful to match a worker
     pool's parallelism); by default every layer slice — named or
     anonymous filler — becomes its own instance.
+
+    The rows never leave arrays: the plan is made on ``cs``'s CSR
+    snapshot, every instance's inherited rows are one renumbered slice of
+    it, ``hashed`` mode's sponge rows are generated as arrays, and each
+    instance's system is born holding the one :class:`RowBlock` of both.
     """
     if mode not in ("public", "hashed"):
         raise SplitError(f"unknown boundary mode {mode!r}")
@@ -292,62 +317,86 @@ def split_model(
         )
     n = len(segments)
 
-    # -- variable usage scan: the segments using each private variable ----
-    uses: Dict[int, List[int]] = {}  # ascending, distinct
-    used_globals: List[List[int]] = []
-    for k, (_, start, stop) in enumerate(segments):
-        seen: set = set()
-        for constraint in cs.constraints[start:stop]:
-            seen.update(
-                constraint.a.terms, constraint.b.terms, constraint.c.terms
-            )
-        seen.discard(ONE)
-        used_globals.append(sorted((v for v in seen if v < 0), reverse=True))
-        for var in seen:
-            if var > 0:
-                uses.setdefault(var, []).append(k)
+    snapshot = _Snapshot(cs)
+    offset = snapshot.offset  # dense position of private v is offset + v
+    # -- variable usage scan: what each segment's rows read, ascending,
+    # with where in the segment's scan each variable first appears --------
+    used = [snapshot.variables_of(start, stop) for _, start, stop in segments]
+    by_segment = [positions[positions > offset] for positions, _ in used]
+    # (private variable, using segment) pairs, by variable then segment
+    var = np.concatenate(by_segment) - offset
+    order = np.argsort(var, kind="stable")
+    var = var[order]
+    seg = np.repeat(np.arange(n), [len(found) for found in by_segment])[order]
+    distinct, heads = np.unique(var, return_index=True)
+    first = seg[heads]  # per distinct private variable, ascending
+    last = np.maximum.reduceat(seg, heads)
 
+    alive = [_NO_VARIABLES] * (n - 1)  # variables made public at each cut
     parcels: Dict[ParcelKey, Tuple[int, ...]] = {}
     if mode == "public":
-        boundaries = [
-            tuple(sorted(v for v, u in uses.items() if u[0] <= k < u[-1]))
-            for k in range(n - 1)
-        ]
+        alive = [distinct[(first <= k) & (k < last)] for k in range(n - 1)]
+        boundaries = [tuple(crossing.tolist()) for crossing in alive]
     else:
-        members: Dict[ParcelKey, List[int]] = {}
-        for var in sorted(uses):
-            first, *readers = uses[var]
-            for reader in readers:
-                members.setdefault((first, reader), []).append(var)
-        parcels = {key: tuple(members[key]) for key in sorted(members)}
+        # every use after the first reads the variable from parcel
+        # (first user, reader)
+        reads = np.ones(len(var), dtype=bool)
+        reads[heads] = False
+        maker = np.repeat(first, np.diff(np.r_[heads, len(var)]))[reads]
+        key = maker * n + seg[reads]
+        order = np.argsort(key, kind="stable")
+        keys, lows = np.unique(key[order], return_index=True)
+        members = var[reads][order].tolist()  # ascending within a parcel
+        parcels = {
+            divmod(key, n): tuple(members[lo:hi])
+            for key, lo, hi in zip(
+                keys.tolist(), lows.tolist(), lows[1:].tolist() + [len(members)]
+            )
+        }
         boundaries = [
             tuple(key for key in parcels if key[0] <= k < key[1])
             for k in range(n - 1)
         ]
 
-    instances: List[LayerInstance] = []
+    drafts: List[_Draft] = []
     # hashed mode: each parcel's digest, recorded by its first user f —
-    # which is built before every instance that carries it.
+    # which is drafted before every instance that carries it.
     digests: Dict[ParcelKey, Optional[int]] = {}
+    # instance k sits between cuts k - 1 and k; the ends have none
+    alive = [_NO_VARIABLES, *alive, _NO_VARIABLES]
+    cuts = [(), *boundaries, ()]
     for k, (name, start, stop) in enumerate(segments):
-        in_cut = boundaries[k - 1] if k > 0 else ()
-        out_cut = boundaries[k] if k < n - 1 else ()
-        inst, var_map = _build_instance(
-            cs, k, name, start, stop,
-            in_vars=in_cut if mode == "public" else (),
-            out_vars=out_cut if mode == "public" else (),
-            globals_used=used_globals[k],
+        draft = snapshot.instance(
+            k, name, start, stop, used[k],
+            in_vars=alive[k], out_vars=alive[k + 1],
         )
         if mode == "hashed":
-            inst.extra_rounds = extra_rounds
-            _commit_parcels(inst, var_map, parcels, in_cut, out_cut, digests)
-        inst.cs.mark_layer(name, 0)
-        instances.append(inst)
+            draft.inst.extra_rounds = extra_rounds
+            _commit_parcels(
+                draft, snapshot, parcels, cuts[k], cuts[k + 1], digests
+            )
+        drafts.append(draft)
+
+    sponge_rows = _sponge_rows(
+        [sponge for draft in drafts for sponge in draft.inst.sponges],
+        [tag for draft in drafts for tag in draft.sponge_tags],
+        extra_rounds, cs.field.modulus,
+    )
+    at = 0  # the first of sponge_rows' sponges not yet in a block
+    for draft in drafts:
+        inst = draft.inst
+        inst.cs.allocate(draft.public, public=True)
+        inst.cs.allocate(draft.private)
+        inst.cs.enforce_rows(
+            draft.block(sponge_rows, at, at + len(inst.sponges))
+        )
+        inst.cs.mark_layer(inst.name, 0)
+        at += len(inst.sponges)
 
     split = SplitModel(
         mode=mode,
         source_name=cs.name,
-        instances=instances,
+        instances=[draft.inst for draft in drafts],
         boundaries=boundaries,
         parcels=parcels,
     )
@@ -359,87 +408,169 @@ def split_model(
     return split
 
 
-def _build_instance(
-    cs: ConstraintSystem,
-    index: int,
-    name: str,
-    start: int,
-    stop: int,
-    in_vars: Tuple[int, ...],
-    out_vars: Tuple[int, ...],
-    globals_used: List[int],
-) -> Tuple[LayerInstance, Dict[int, int]]:
-    """Rows ``[start, stop)`` as their own system, ``in_vars``/``out_vars``
-    exposed as public slots; returns it with the original -> local map."""
-    inst_cs = ConstraintSystem(cs.field, name=f"{cs.name}/{name}")
-    inst = LayerInstance(
-        name=name,
-        index=index,
-        row_start=start,
-        row_stop=stop,
-        cs=inst_cs,
-    )
-    var_map: Dict[int, int] = {ONE: ONE}
+_NO_VARIABLES = np.zeros(0, dtype=np.int64)
 
-    # Model-level publics keep their meaning via global_slots provenance.
-    for orig in globals_used:
-        slot = len(inst.public_map)
-        var_map[orig] = inst_cs.new_public(cs.value_of(orig))
-        inst.public_map.append(orig)
-        inst.global_slots.append((slot, -orig - 1))
+# One side (A, B or C) of some rows in CSR form, rebased to start at 0: the
+# rows' signed variables end to end, the aligned coefficients, and indptr.
+_Side = Tuple[np.ndarray, List[int], np.ndarray]
 
-    # One shared slot per crossing variable: membership in both the
-    # input and output tuples is structural, not an extra claim.
-    for orig in sorted(set(in_vars) | set(out_vars)):
-        slot = len(inst.public_map)
-        var_map[orig] = inst_cs.new_public(cs.value_of(orig))
-        inst.public_map.append(orig)
-        if orig in in_vars:
-            inst.in_slots.append(slot)
-        if orig in out_vars:
-            inst.out_slots.append(slot)
 
-    # Every other variable the rows use is a private of this instance,
-    # allocated in order of first use — segment locals and, in hashed
-    # mode, the parcel variables this segment makes or reads.
-    for row in range(start, stop):
-        constraint = cs.constraints[row]
-        for lc in (constraint.a, constraint.b, constraint.c):
-            for var in lc.indices():
-                if var <= 0 or var in var_map:
-                    continue
-                var_map[var] = inst_cs.new_private(cs.value_of(var))
-                inst.private_map.append(var)
+class _SpongeRows(NamedTuple):
+    """The commitment rows of a whole split, sponge after sponge."""
 
-    # Remap the inherited rows verbatim.
-    for row in range(start, stop):
-        constraint = cs.constraints[row]
-        inst_cs.enforce(
-            _remap_lc(constraint.a, var_map, inst_cs),
-            _remap_lc(constraint.b, var_map, inst_cs),
-            _remap_lc(constraint.c, var_map, inst_cs),
-            tag=constraint.tag,
+    sides: Tuple[_Side, ...]
+    tags: List[str]  # one per row
+    first_row: np.ndarray  # of each sponge, and one past the last row
+
+
+@dataclass
+class _Draft:
+    """One instance while it is gathered: its inherited rows renumbered,
+    its witness in allocation order (``None`` where the original system
+    holds no value) and the tag of each of its sponges."""
+
+    inst: LayerInstance
+    sides: Tuple[_Side, ...]
+    tags: List[str]
+    public: list
+    private: list
+    sponge_tags: List[str] = dataclass_field(default_factory=list)
+
+    def block(self, extra: _SpongeRows, first: int, last: int) -> RowBlock:
+        """The inherited rows, then the rows of sponges ``[first, last)``
+        of ``extra``."""
+        lo, hi = extra.first_row[first], extra.first_row[last]
+        sides = []
+        for (variables, coeffs, indptr), (more, more_coeffs, more_indptr) in zip(
+            self.sides, extra.sides
+        ):
+            terms = slice(more_indptr[lo], more_indptr[hi])
+            sides.append(RowSide(
+                np.r_[
+                    indptr,
+                    more_indptr[lo + 1:hi + 1] - terms.start + indptr[-1],
+                ].tolist(),
+                np.r_[variables, more[terms]],
+                coeffs + more_coeffs[terms],
+            ))
+        return RowBlock(*sides, tags=self.tags + extra.tags[lo:hi])
+
+
+class _Snapshot:
+    """The original system as arrays: its CSR matrices, row tags and dense
+    witness, and the slicing / renumbering of a row range out of them."""
+
+    def __init__(self, cs: ConstraintSystem) -> None:
+        csr = cs.to_csr(assignment=False)
+        self.cs = cs
+        self.offset = cs.num_public
+        self.tags = cs.row_tags()
+        try:
+            dense = cs.dense_assignment()
+        except ValueError:  # an unassigned variable: carry the holes along
+            dense = [1] + [
+                cs.value_of(sign * (i + 1))
+                for sign, count in ((-1, cs.num_public), (1, cs.num_private))
+                for i in range(count)
+            ]
+        self.dense = np.array(dense, dtype=object)
+        self.sides = [
+            (
+                np.asarray(matrix.indptr, dtype=np.int64),
+                np.asarray(matrix.indices, dtype=np.int64),
+                matrix.coeffs,
+            )
+            for matrix in csr.matrices()
+        ]
+        # Every term's dense position in scan order — row-major, A then B
+        # then C within a row, in-row order as stored — which is the
+        # order instances number their privates by first use.
+        widths = [np.diff(indptr) for indptr, _, _ in self.sides]
+        self.row_ptr = np.r_[0, np.cumsum(sum(widths))]
+        self.scan = np.empty(int(self.row_ptr[-1]), dtype=np.int64)
+        at = self.row_ptr[:-1]
+        for (indptr, indices, _), width in zip(self.sides, widths):
+            self.scan[
+                np.repeat(at - indptr[:-1], width) + np.arange(len(indices))
+            ] = indices
+            at = at + width
+        # original dense position -> local signed variable, of the
+        # instance being drafted (each one overwrites what it reads)
+        self.local = np.zeros(csr.num_variables, dtype=np.int64)
+
+    def variables_of(self, start: int, stop: int):
+        """Dense positions rows ``[start, stop)`` read (ascending, without
+        the constant one) and each one's first index in their scan."""
+        scan = self.scan[self.row_ptr[start]:self.row_ptr[stop]]
+        positions, first_seen = np.unique(scan, return_index=True)
+        skip = int(len(positions) and positions[0] == 0)
+        return positions[skip:], first_seen[skip:]
+
+    def instance(
+        self, index: int, name: str, start: int, stop: int, used,
+        in_vars, out_vars,
+    ) -> _Draft:
+        """Rows ``[start, stop)`` renumbered for their own system, with
+        ``in_vars`` / ``out_vars`` (original privates, ascending) exposed
+        as public slots.  Leaves :attr:`local` mapping every variable the
+        instance holds."""
+        offset, local = self.offset, self.local
+        positions, first_seen = used
+        # Model-level publics (descending signed = ascending position)
+        # keep their meaning via global_slots provenance; then one shared
+        # slot per crossing variable: membership in both the input and
+        # output tuples is structural, not an extra claim.
+        model_publics = positions[positions <= offset]
+        crossing = np.union1d(in_vars, out_vars)
+        publics = np.r_[model_publics, crossing + offset]
+        # Every other variable the rows use is a private of this
+        # instance, numbered in order of first use — segment locals and,
+        # in hashed mode, the parcel variables this segment makes or reads.
+        mine = (positions > offset) & ~np.isin(positions, crossing + offset)
+        privates = positions[mine][np.argsort(first_seen[mine], kind="stable")]
+        local[publics] = -1 - np.arange(len(publics))
+        local[privates] = 1 + np.arange(len(privates))
+
+        g = len(model_publics)
+        inst = LayerInstance(
+            name=name,
+            index=index,
+            row_start=start,
+            row_stop=stop,
+            cs=ConstraintSystem(self.cs.field, name=f"{self.cs.name}/{name}"),
+            public_map=(-model_publics).tolist() + crossing.tolist(),
+            private_map=(privates - offset).tolist(),
+            global_slots=list(zip(range(g), (model_publics - 1).tolist())),
+            in_slots=(g + np.flatnonzero(np.isin(crossing, in_vars))).tolist(),
+            out_slots=(g + np.flatnonzero(np.isin(crossing, out_vars))).tolist(),
         )
-    return inst, var_map
-
-
-def _remap_lc(
-    lc: LinearCombination, var_map: Dict[int, int], inst_cs: ConstraintSystem
-) -> LinearCombination:
-    return LinearCombination(
-        inst_cs.field, {var_map[i]: c for i, c in lc.terms.items()}
-    )
+        return _Draft(
+            inst,
+            sides=tuple(
+                (
+                    local[indices[indptr[start]:indptr[stop]]],
+                    coeffs[indptr[start]:indptr[stop]],
+                    indptr[start:stop + 1] - indptr[start],
+                )
+                for indptr, indices, coeffs in self.sides
+            ),
+            tags=self.tags[start:stop],
+            public=self.dense[publics].tolist(),
+            private=self.dense[privates].tolist(),
+        )
 
 
 def _commit_parcels(
-    inst: LayerInstance,
-    var_map: Dict[int, int],
+    draft: _Draft,
+    snapshot: _Snapshot,
     parcels: Dict[ParcelKey, Tuple[int, ...]],
     in_cut: Tuple[ParcelKey, ...],
     out_cut: Tuple[ParcelKey, ...],
     digests: Dict[ParcelKey, Optional[int]],
 ) -> None:
-    """Append ``inst``'s hashed-mode commitments: parcel and cut sponges.
+    """Lay out and value ``draft``'s hashed-mode commitments: parcel and
+    cut sponges (their rows follow from the layout, see
+    :func:`_sponge_rows`).
 
     A parcel this instance makes or reads is absorbed from the instance's
     own variables; any other parcel open across one of its cuts passes
@@ -447,19 +578,44 @@ def _commit_parcels(
     digests of the parcels open across it, and its final state is pinned
     to the instance's public digest slot for that side.
     """
-    inst_cs = inst.cs
+    inst, private = draft.inst, draft.private
+    p = inst.cs.field.modulus
+
+    def absorb(
+        local_vars: List[int], tag: str, digest_slot: Optional[int] = None
+    ) -> int:
+        """A sponge over ``local_vars``, its wires allocated and valued;
+        returns the wire holding the final state."""
+        inst.sponges.append(
+            Sponge(local_vars, len(private) + 1, digest_slot)
+        )
+        draft.sponge_tags.append(tag)
+        absorbed = [private[v - 1] for v in local_vars]
+        wires = 3 * (len(local_vars) + inst.extra_rounds)
+        # An unassigned system splits into unassigned sponges, filled in
+        # by the first refresh_from.
+        private.extend(
+            [None] * wires if None in absorbed
+            else itertools.chain.from_iterable(
+                mimc_rounds(absorbed, p, inst.extra_rounds)
+            )
+        )
+        inst.private_map.extend([None] * wires)
+        return len(private)
+
     digest_var: Dict[ParcelKey, int] = {}
     for key in sorted(set(in_cut) | set(out_cut)):
         if inst.index in key:
-            _, digest_var[key] = _absorb_sponge(
-                inst,
-                [var_map[v] for v in parcels[key]],
+            members = np.asarray(parcels[key]) + snapshot.offset
+            digest_var[key] = absorb(
+                snapshot.local[members].tolist(),
                 tag=f"{inst.name}/parcel-{key[0]}-{key[1]}",
             )
             if inst.index == key[0]:
-                digests[key] = inst_cs.value_of(digest_var[key])
+                digests[key] = private[-1]
         else:
-            digest_var[key] = inst_cs.new_private(digests[key])
+            private.append(digests[key])
+            digest_var[key] = len(private)
             inst.private_map.append(None)
             inst.carried.append((digest_var[key], parcels[key]))
     for side, cut, slots in (
@@ -468,59 +624,115 @@ def _commit_parcels(
     ):
         if not cut:
             continue
-        tag = f"{inst.name}/boundary-{side}"
-        sponge, state = _absorb_sponge(
-            inst, [digest_var[key] for key in cut], tag
+        slot = len(inst.public_map)
+        absorb(
+            [digest_var[key] for key in cut],
+            tag=f"{inst.name}/boundary-{side}",
+            digest_slot=slot,
         )
-        sponge.digest_slot = len(inst.public_map)
-        slots.append(sponge.digest_slot)
-        public = inst_cs.new_public(inst_cs.value_of(state))
+        slots.append(slot)
+        draft.public.append(private[-1])
         inst.public_map.append(None)
-        inst_cs.enforce_equal(
-            inst_cs.lc_variable(state),
-            inst_cs.lc_variable(public),
-            tag=f"{tag}/digest",
-        )
 
 
-def _absorb_sponge(
-    inst: LayerInstance, local_vars: List[int], tag: str
-) -> Tuple[Sponge, int]:
-    """Append MiMC-x⁵ absorb constraints over ``local_vars`` to ``inst``.
+def _sponge_rows(
+    sponges: Sequence[Sponge], tags: Sequence[str], extra_rounds: int,
+    modulus: int,
+) -> _SpongeRows:
+    """The MiMC-x⁵ absorb rows of ``sponges``, each followed by its digest
+    pin if it has a ``digest_slot``.
 
     Per round (3 constraints): ``t = state + v + rc`` is a free LC, then
     ``t·t = t²``, ``t²·t² = t⁴``, ``t⁴·t = t⁵`` and the next state is
-    ``t⁵``.  Records the :class:`Sponge` on the instance and returns it
-    with the private wire holding the final state.
+    ``t⁵`` — the wires ``first_wire + 3i + (0, 1, 2)`` of round ``i``.
+    The first round has no state and a finalization round no ``v``.  The
+    pin is ``(state - digest) · 1 = 0``.  Tallies what building the same
+    rows as LCs would: a term per addend folded into ``t`` or the pin, and
+    the pin's one subtraction.
     """
-    inst_cs = inst.cs
-    p = inst_cs.field.modulus
-    values = [inst_cs.value_of(v) for v in local_vars]
-    # An unassigned system splits into unassigned sponges, filled in by
-    # the first refresh_from.
-    wires = None if None in values else mimc_rounds(values, p, inst.extra_rounds)
-    constants = mimc_round_constants(len(local_vars) + inst.extra_rounds, p)
-    sponge = Sponge(list(local_vars), first_wire=inst_cs.num_private + 1)
-    inst.sponges.append(sponge)
-    state = None  # the wire holding the previous round's t⁵; initially 0
-    for i, rc in enumerate(constants):
-        t_lc = inst_cs.lc_variable(state) if state else inst_cs.lc()
-        if i < len(local_vars):
-            t_lc.add_term(local_vars[i], 1)
-        t_lc.add_term(ONE, rc)
-        w2, w4, state = (
-            inst_cs.new_private(value)
-            for value in (next(wires) if wires else (None, None, None))
+    count = len(sponges)
+    absorbed = np.fromiter(
+        (len(sponge.absorbed) for sponge in sponges), np.int64, count
+    )
+    pinned = np.fromiter(
+        (sponge.digest_slot is not None for sponge in sponges), bool, count
+    )
+    first_wire = np.fromiter(
+        (sponge.first_wire for sponge in sponges), np.int64, count
+    )
+    rounds = absorbed + extra_rounds
+    total = int(rounds.sum())
+    # per round: its sponge, its index in the sponge, its wires
+    owner = np.repeat(np.arange(count), rounds)
+    i = np.arange(total) - (np.cumsum(rounds) - rounds)[owner]
+    t2 = first_wire[owner] + 3 * i
+    t4, t5 = t2 + 1, t2 + 2
+    has_value = i < absorbed[owner]
+    value = np.zeros(total, dtype=np.int64)
+    value[has_value] = [v for sponge in sponges for v in sponge.absorbed]
+    # rows: three per round, one more per pinned sponge
+    first_row = np.r_[0, np.cumsum(3 * rounds + pinned)]
+    square = first_row[owner] + 3 * i  # each round's first row
+    pin = first_row[1:][pinned] - 1
+    num_rows = int(first_row[-1])
+
+    # A row is up to three terms, picked from three candidates.  ``t``:
+    # the previous t⁵, v, the constant; a wire or the pin: what is given.
+    t_vars = np.stack([t2 - 1, value, np.zeros_like(value)], axis=1)
+    t_used = np.stack([i > 0, has_value, np.ones_like(has_value)], axis=1)
+    constants = np.array(
+        mimc_round_constants(int(rounds.max(initial=0)), modulus), dtype=object
+    )[i]
+
+    def side(steps, pin_vars, pin_coeffs) -> _Side:
+        """Rows whose three per round hold ``steps`` — each ``t_vars`` or
+        a wire per round — and whose pins hold ``pin_vars``."""
+        variables = np.zeros((num_rows, 3), dtype=np.int64)
+        used = np.zeros((num_rows, 3), dtype=bool)
+        coeffs = np.full((num_rows, 3), 1, dtype=object)
+        for step, wire in enumerate(steps):
+            if wire is t_vars:
+                variables[square + step] = t_vars
+                used[square + step] = t_used
+                coeffs[square + step, 2] = constants
+            else:
+                variables[square + step, 0] = wire
+                used[square + step, 0] = True
+        width = len(pin_coeffs)
+        variables[pin, :width] = pin_vars
+        used[pin, :width] = True
+        coeffs[pin, :width] = pin_coeffs
+        return (
+            variables[used],
+            coeffs[used].tolist(),
+            np.r_[0, np.cumsum(used.sum(axis=1))],
         )
-        inst.private_map.extend((None, None, None))
-        inst_cs.enforce(t_lc, t_lc, inst_cs.lc_variable(w2), tag=tag)
-        inst_cs.enforce(
-            inst_cs.lc_variable(w2),
-            inst_cs.lc_variable(w2),
-            inst_cs.lc_variable(w4),
-            tag=tag,
-        )
-        inst_cs.enforce(
-            inst_cs.lc_variable(w4), t_lc, inst_cs.lc_variable(state), tag=tag
-        )
-    return sponge, state
+
+    state = (first_wire + 3 * rounds - 1)[pinned]
+    slot = np.fromiter(
+        (s.digest_slot for s in sponges if s.digest_slot is not None),
+        np.int64, len(pin),
+    )
+    sides = (
+        side(
+            (t_vars, t2, t4),
+            np.stack([state, -(slot + 1)], axis=1), (1, modulus - 1),
+        ),
+        side((t_vars, t2, t_vars), 0, (1,)),
+        side((t2, t4, t5), 0, ()),
+    )
+    counter = global_counter()
+    counter.lc_term += int(has_value.sum()) + total + len(pin)
+    counter.field_add += len(pin)
+    counter.field_mul += len(pin)
+    return _SpongeRows(
+        sides,
+        [
+            row_tag
+            for tag, rows, is_pinned in zip(
+                tags, (3 * rounds).tolist(), pinned.tolist()
+            )
+            for row_tag in [tag] * rows + [f"{tag}/digest"] * is_pinned
+        ],
+        first_row,
+    )

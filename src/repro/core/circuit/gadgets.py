@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.privacy.knit import KnitPacker, distinct_rows, pack_slots
 from repro.field.counters import global_counter
-from repro.r1cs.lc import LinearCombination, RowBlock
+from repro.r1cs.lc import LinearCombination, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 # Signed activations after requantization stay in [-255, 255] (calibrated);
@@ -338,10 +338,10 @@ class GadgetEmitter:
             )
             row_tag = self.knit.row_tag
         else:
-            block = RowBlock(*pack_slots(
+            block = RowBlock(RowSide(*pack_slots(
                 exprs, cols, np.zeros_like(exprs), coeffs, count, 63,
                 cs.field.modulus,
-            ))
+            )))
             ends = ranks
             row_tag = f"{tag}/eq"
             self.stats.equality_constraints += count

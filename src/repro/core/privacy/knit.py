@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.field.counters import global_counter
-from repro.r1cs.lc import LinearCombination, RowBlock
+from repro.r1cs.lc import LinearCombination, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 _SAFETY_BITS = 2
@@ -377,9 +377,9 @@ class KnitPacker:
                 for h, part in zip(held, parts)
             ]
             self._cols, self._slots, self._coeffs = [], [], []
-        block = RowBlock(*pack_slots(
+        block = RowBlock(RowSide(*pack_slots(
             *parts, full, slot_bits, self.cs.field.modulus, self.cache
-        ))
+        )))
         if self._count:
             self._cols.extend(cols[~closed].tolist())
             self._slots.extend(slots[~closed].tolist())

@@ -23,6 +23,7 @@ exactly :func:`repro.snark.qap.variable_order`.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.r1cs.lc import RowView
+from repro.r1cs.lc import RowRun, RowView, TermRun
 
 
 @dataclass
@@ -86,49 +87,79 @@ class CSRSystem:
         return self.a.nnz + self.b.nnz + self.c.nnz
 
 
-def build_csr_structure(constraints, num_public: int, num_private: int,
+def build_csr_structure(rows, num_public: int, num_private: int,
                         modulus: int) -> CSRSystem:
-    """Build the (assignment-free) CSR structure from constraint LCs.
+    """Build the (assignment-free) CSR structure of a system's rows.
 
+    ``rows`` holds, in order, the runs a system keeps until something reads
+    its ``constraints`` (:class:`~repro.r1cs.lc.TermRun`,
+    :class:`~repro.r1cs.lc.RowRun`) and the
+    :class:`~repro.r1cs.constraint.Constraint` s they were turned into.
     Terms are copied exactly as stored — no filtering or
     re-canonicalization — so CSR evaluation performs precisely the same
     coefficient products a per-LC walk would, keeping the op-count parity
-    the regression tests pin down.  A side that is still an unread
-    :class:`~repro.r1cs.lc.RowView` is copied as two slices of its
-    :class:`~repro.r1cs.lc.RowBlock` (whose variables are mapped to dense
-    positions once per block, vectorized); only dict LCs are walked.
+    the regression tests pin down.  A run is copied a side at a time with
+    no per-term bytecode: a TermRun's column of dicts is chained through
+    the signed-to-dense table, a RowRun is three slices of its
+    :class:`~repro.r1cs.lc.RowSide` (or the constant columns an absent B,
+    ``1``, and C, ``0``, stand for).  A Constraint side that is still an
+    unread :class:`~repro.r1cs.lc.RowView` is copied as the slices of its
+    one row, and only a Constraint's dict LCs are walked.
     """
-    positions = {}  # id(block) -> dense column positions of its variables
+    # The dense position of an (allocated) signed variable, as one list
+    # lookup: a private counts up from the front, a public — a negative
+    # index — down from the back.
+    position_of = [
+        0, *range(num_public + 1, num_public + num_private + 1),
+        *range(num_public, 0, -1),
+    ].__getitem__
+    chain = itertools.chain.from_iterable
 
-    def block_positions(block) -> List[int]:
-        found = positions.get(id(block))
-        if found is None:
-            v = block.variables
-            found = positions[id(block)] = np.where(
-                v > 0, v + num_public, -v
-            ).tolist()
-        return found
+    def slice_positions(side, lo: int, hi: int) -> List[int]:
+        v = side.variables[lo:hi]
+        return np.where(v > 0, v + num_public, -v).tolist()
 
     mats = []
-    for side in map(operator.attrgetter, ("a", "b", "c")):
+    for name in ("a", "b", "c"):
+        get = operator.attrgetter(name)
         indptr = [0]
         indices: List[int] = []
         coeffs: List[int] = []
-        for lc in map(side, constraints):
-            block = lc.block if lc.__class__ is RowView else None
-            if block is not None:
-                lo, hi = block.indptr[lc.row], block.indptr[lc.row + 1]
-                indices.extend(block_positions(block)[lo:hi])
-                coeffs.extend(block.coeffs[lo:hi])
+        for piece in rows:
+            if piece.__class__ is TermRun:
+                column = get(piece)
+                indptr.extend(itertools.accumulate(
+                    map(len, column), initial=indptr.pop()
+                ))
+                indices.extend(map(position_of, chain(column)))
+                coeffs.extend(chain(map(dict.values, column)))
+            elif piece.__class__ is RowRun:
+                side = get(piece.block)
+                start, stop = piece.start, piece.stop
+                if side is not None:
+                    lo, hi = side.indptr[start], side.indptr[stop]
+                    shift = len(indices) - lo
+                    ends = side.indptr[start + 1:stop + 1]
+                    indptr.extend([end + shift for end in ends] if shift else ends)
+                    indices.extend(slice_positions(side, lo, hi))
+                    coeffs.extend(side.coeffs[lo:hi])
+                elif name == "b":  # the constant 1: one term a row
+                    indptr.extend(range(indptr[-1] + 1, indptr[-1] + 1 + stop - start))
+                    indices.extend([0] * (stop - start))
+                    coeffs.extend([1] * (stop - start))
+                else:  # the constant 0: empty rows
+                    indptr.extend([indptr[-1]] * (stop - start))
             else:
-                terms = lc.terms
-                if terms:
-                    for index in terms:
-                        indices.append(
-                            index + num_public if index > 0 else -index
-                        )
-                    coeffs.extend(terms.values())
-            indptr.append(len(indices))
+                lc = get(piece)
+                side = lc.block if lc.__class__ is RowView else None
+                if side is not None:
+                    lo, hi = side.indptr[lc.row], side.indptr[lc.row + 1]
+                    indices.extend(slice_positions(side, lo, hi))
+                    coeffs.extend(side.coeffs[lo:hi])
+                else:
+                    indices.extend(map(position_of, lc.terms))
+                    coeffs.extend(lc.terms.values())
+                indptr.append(len(indices))
         mats.append(CSRMatrix(indptr, indices, coeffs))
     return CSRSystem(mats[0], mats[1], mats[2], num_public, num_private,
                      modulus)

@@ -17,7 +17,16 @@ arithmetic but zero constraints (§2.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -171,15 +180,16 @@ class LinearCombination:
         return "LC(" + " + ".join(parts) + ")"
 
 
-class RowBlock:
-    """CSR storage for a run of constraint rows lowered a layer at a time.
+class RowSide:
+    """CSR storage for one side (A, B or C) of a run of constraint rows.
 
     ``variables[indptr[i]:indptr[i + 1]]`` are row ``i``'s signed variable
     indices (an integer ndarray) and ``coeffs`` the aligned canonical
     field coefficients (ints) — the arrays the prover wants, written once
-    by the whole-layer lowering
-    (:func:`repro.core.privacy.knit.pack_slots`) and copied slice-wise
-    into the CSR snapshot by :func:`repro.r1cs.csr.build_csr_structure`.
+    by whoever lowers a whole layer at a time
+    (:func:`repro.core.privacy.knit.pack_slots`,
+    :func:`repro.aggregate.split.split_model`) and copied slice-wise into
+    the CSR snapshot by :func:`repro.r1cs.csr.build_csr_structure`.
     The coefficients are kept in a tuple: a tuple of ints is dropped from
     the cyclic collector's books after its first pass (as the ``{int:
     int}`` dicts of ordinary LCs never enter them), where a list of a
@@ -193,13 +203,92 @@ class RowBlock:
         self.variables = np.asarray(variables, dtype=np.int64)
         self.coeffs = tuple(coeffs)
 
-    @property
-    def num_rows(self) -> int:
+    def __len__(self) -> int:
+        """The number of rows."""
         return len(self.indptr) - 1
 
 
+class RowBlock:
+    """A run of constraint rows ``<A_i, z> * <B_i, z> = <C_i, z>`` held as
+    three row-aligned :class:`RowSide` s.
+
+    ``b`` / ``c`` absent means ``row * 1 = 0`` — the shape of every packed
+    zero-expression the dot lowering emits.  ``tags`` is an optional
+    per-row provenance list; without it the rows take the tag
+    :meth:`~repro.r1cs.system.ConstraintSystem.enforce_rows` is given.
+    """
+
+    __slots__ = ("a", "b", "c", "tags")
+
+    def __init__(
+        self,
+        a: RowSide,
+        b: Optional[RowSide] = None,
+        c: Optional[RowSide] = None,
+        tags: Optional[Sequence[str]] = None,
+    ) -> None:
+        rows = len(a)
+        for side in (b, c, tags):
+            if side is not None and len(side) != rows:
+                raise ValueError(
+                    f"row block sides disagree: {len(side)} != {rows} rows"
+                )
+        self.a = a
+        self.b = b
+        self.c = c
+        self.tags = tags
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.a)
+
+
+class RowRun(NamedTuple):
+    """Rows ``[start, stop)`` of ``block``, as a constraint system holds
+    them until something reads ``cs.constraints``."""
+
+    block: RowBlock
+    start: int
+    stop: int
+    tag: str
+
+    def tags(self) -> Sequence[str]:
+        """One provenance tag per row of the run."""
+        tags = self.block.tags
+        if tags is None:
+            return [self.tag] * (self.stop - self.start)
+        return tags[self.start:self.stop]
+
+
+class TermRun:
+    """Consecutive :meth:`~repro.r1cs.system.ConstraintSystem.enforce` rows,
+    as a constraint system holds them until something reads
+    ``cs.constraints``: one column per side of the rows' ``terms`` dicts —
+    the dicts themselves, so an in-place edit of an LC after it was
+    enforced still reaches its row — and one of their tags.
+
+    Columns, because an ``{int: int}`` dict never enters the cyclic
+    collector's books while a :class:`~repro.r1cs.constraint.Constraint`
+    and the three LC objects it holds always do: a compiled model would
+    otherwise leave four tracked objects per row for every collection to
+    walk, and the prover reads none of them.
+    """
+
+    __slots__ = ("a", "b", "c", "tag_column")
+
+    def __init__(self) -> None:
+        self.a: List[Dict[int, int]] = []
+        self.b: List[Dict[int, int]] = []
+        self.c: List[Dict[int, int]] = []
+        self.tag_column: List[str] = []
+
+    def tags(self) -> Sequence[str]:
+        """One provenance tag per row of the run."""
+        return self.tag_column
+
+
 class RowView(LinearCombination):
-    """One :class:`RowBlock` row, read through the LC interface.
+    """One :class:`RowSide` row, read through the LC interface.
 
     The ``terms`` dict is built on first read (the slot is simply unset
     until then, so :meth:`__getattr__` runs exactly once); from that point
@@ -210,7 +299,7 @@ class RowView(LinearCombination):
 
     __slots__ = ("block", "row")
 
-    def __init__(self, field: Field, block: RowBlock, row: int) -> None:
+    def __init__(self, field: Field, block: RowSide, row: int) -> None:
         self.field = field
         self.block = block
         self.row = row

@@ -68,7 +68,7 @@ def referenced_private_variables(cs: ConstraintSystem) -> Set[int]:
     return used
 
 
-def _remap_lc(
+def _compacted_lc(
     lc: LinearCombination, mapping: Dict[int, int], field
 ) -> LinearCombination:
     terms = {}
@@ -97,9 +97,9 @@ def eliminate_unconstrained(
     for constraint in cs.constraints:
         out.constraints.append(
             Constraint(
-                _remap_lc(constraint.a, mapping, cs.field),
-                _remap_lc(constraint.b, mapping, cs.field),
-                _remap_lc(constraint.c, mapping, cs.field),
+                _compacted_lc(constraint.a, mapping, cs.field),
+                _compacted_lc(constraint.b, mapping, cs.field),
+                _compacted_lc(constraint.c, mapping, cs.field),
                 tag=constraint.tag,
             )
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.field.fp import BN254_FR, Field
 from repro.r1cs.constraint import Constraint
@@ -13,7 +13,9 @@ from repro.r1cs.lc import (
     Assignment,
     LinearCombination,
     RowBlock,
+    RowRun,
     RowView,
+    TermRun,
 )
 
 
@@ -48,7 +50,15 @@ class ConstraintSystem:
     def __init__(self, field: Field = BN254_FR, name: str = "cs") -> None:
         self.field = field
         self.name = name
-        self.constraints: List[Constraint] = []
+        # Rows in order, as runs: a TermRun per stretch of ``enforce``
+        # calls, a RowRun per ``enforce_rows`` — columns and arrays until
+        # the first read of :attr:`constraints` turns them into Constraints
+        # in place.  From then on the list is handed out (``_listed``) and
+        # stays a plain list of Constraints its holders may edit.
+        self._rows: list = []
+        self._listed = False
+        self._runs = 0  # runs in _rows ...
+        self._run_rows = 0  # ... and the constraint rows they stand for
         self._public_values: List[Optional[int]] = []
         self._private_values: List[Optional[int]] = []
         # Layer provenance: constraint index ranges per compiler-layer tag.
@@ -90,12 +100,13 @@ class ConstraintSystem:
         The variables are consecutive in their namespace: private indices
         ``first, first + 1, ...``, public ones ``first, first - 1, ...`` —
         exactly what the same sequence of :meth:`new_private` /
-        :meth:`new_public` calls would have returned.
+        :meth:`new_public` calls would have returned (``None`` leaves a
+        variable unassigned, as it does there).
         """
         p = self.field.modulus
         store = self._public_values if public else self._private_values
         before = len(store)
-        store.extend([v % p for v in values])
+        store.extend([v if v is None else v % p for v in values])
         self._dense_cache = None
         if public:
             self._csr_cache = None  # public count shifts every private position
@@ -111,6 +122,22 @@ class ConstraintSystem:
             self._public_values[-index - 1] = value
         else:
             self._private_values[index - 1] = value
+        self._dense_cache = None
+
+    def assign_run(self, first: int, values: Sequence[int]) -> None:
+        """(Re)assign consecutive variables in bulk, from ``first`` on.
+
+        The counterpart of :meth:`allocate`: private ``first, first + 1,
+        ...`` or public ``first, first - 1, ...`` take ``values`` in order.
+        """
+        p = self.field.modulus
+        if first == ONE:
+            raise ValueError("cannot assign the constant-one variable")
+        store = self._public_values if first < 0 else self._private_values
+        start = abs(first) - 1
+        if start + len(values) > len(store):
+            raise IndexError("assign_run past the last allocated variable")
+        store[start:start + len(values)] = [v % p for v in values]
         self._dense_cache = None
 
     # -- LC helpers -----------------------------------------------------------
@@ -133,8 +160,26 @@ class ConstraintSystem:
         c: LinearCombination,
         tag: str = "",
     ) -> None:
-        """Add the constraint ``a * b = c``."""
-        self.constraints.append(Constraint(a, b, c, tag=tag))
+        """Add the constraint ``a * b = c``.
+
+        Until :attr:`constraints` is first read the row keeps the three
+        ``terms`` dicts (not the LC objects) in the :class:`TermRun` this
+        call extends, and that read wraps them in LCs again.
+        """
+        rows = self._rows
+        if self._listed:
+            rows.append(Constraint(a, b, c, tag=tag))
+        else:
+            run = rows[-1] if rows else None
+            if run.__class__ is not TermRun:
+                run = TermRun()
+                rows.append(run)
+                self._runs += 1
+            run.a.append(a.terms)
+            run.b.append(b.terms)
+            run.c.append(c.terms)
+            run.tag_column.append(tag)
+            self._run_rows += 1
         self._csr_cache = None
         self._layer_index = None
 
@@ -145,24 +190,21 @@ class ConstraintSystem:
         start: int = 0,
         stop: Optional[int] = None,
     ) -> None:
-        """Add ``row * 1 = 0`` for rows ``[start, stop)`` of ``block``.
+        """Add rows ``[start, stop)`` of ``block``, ``tag``ged unless the
+        block carries its own per-row tags.
 
-        Each row lands in :attr:`constraints` as an ordinary
-        :class:`Constraint` whose A side is a :class:`RowView`: readers of
-        ``.a.terms`` get a dict (built on first read), while
-        :meth:`to_csr` copies the block's slices without ever building it.
+        No per-row object is built: the run is held as arrays, which
+        :meth:`to_csr` copies wholesale, and only a read of
+        :attr:`constraints` turns it into ordinary :class:`Constraint` s
+        (at once, when that list is already handed out).
         """
-        field = self.field
         stop = block.num_rows if stop is None else stop
-        self.constraints.extend(
-            Constraint(
-                RowView(field, block, row),
-                LinearCombination(field, {ONE: 1}),
-                LinearCombination(field),
-                tag=tag,
-            )
-            for row in range(start, stop)
-        )
+        if stop > start:
+            self._rows.append(RowRun(block, start, stop, tag))
+            self._runs += 1
+            self._run_rows += stop - start
+            if self._listed:
+                self._list_runs()
         self._csr_cache = None
         self._layer_index = None
 
@@ -204,14 +246,71 @@ class ConstraintSystem:
 
     def mark_layer(self, tag: str, start: int) -> None:
         """Record that constraints ``[start, len)`` belong to layer ``tag``."""
-        self.layer_ranges[tag] = range(start, len(self.constraints))
+        self.layer_ranges[tag] = range(start, self.num_constraints)
         self._layer_index = None
 
     # -- inspection ------------------------------------------------------------------
 
     @property
+    def constraints(self) -> List[Constraint]:
+        """Every row as a :class:`Constraint`, in order — the list itself,
+        so readers may edit it.
+
+        Rows become Constraints here, on the first read: an
+        :meth:`enforce` row gets three plain LCs over the dicts it was
+        given; an :meth:`enforce_rows` row gets a :class:`RowView` of each
+        side its block holds, the LC ``1`` for an absent B and the zero LC
+        for an absent C.  Rows added later join the list as Constraints.
+        """
+        self._listed = True
+        if self._runs:
+            self._list_runs()
+        return self._rows
+
+    def _list_runs(self) -> None:
+        """Turn every run in ``_rows`` into its Constraints, in place."""
+        field = self.field
+
+        def views(side, span: range, absent: Dict[int, int]) -> list:
+            if side is None:
+                return [LinearCombination(field, dict(absent)) for _ in span]
+            return [RowView(field, side, row) for row in span]
+
+        rows: List[Constraint] = []
+        for piece in self._rows:
+            if piece.__class__ is TermRun:
+                sides = (
+                    [LinearCombination(field, terms) for terms in column]
+                    for column in (piece.a, piece.b, piece.c)
+                )
+                rows.extend(map(Constraint, *sides, piece.tag_column))
+            elif piece.__class__ is RowRun:
+                block, span = piece.block, range(piece.start, piece.stop)
+                rows.extend(map(
+                    Constraint,
+                    views(block.a, span, {}),
+                    views(block.b, span, {ONE: 1}),
+                    views(block.c, span, {}),
+                    piece.tags(),
+                ))
+            else:
+                rows.append(piece)
+        self._rows[:] = rows
+        self._runs = self._run_rows = 0
+
+    def row_tags(self) -> List[str]:
+        """The provenance tag of every row, in order."""
+        tags: List[str] = []
+        for piece in self._rows:
+            if piece.__class__ is Constraint:
+                tags.append(piece.tag)
+            else:
+                tags.extend(piece.tags())
+        return tags
+
+    @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._rows) - self._runs + self._run_rows
 
     @property
     def num_public(self) -> int:
@@ -283,7 +382,7 @@ class ConstraintSystem:
         csr = self._csr_cache
         if csr is None or csr.num_rows != self.num_constraints:
             csr = build_csr_structure(
-                self.constraints, self.num_public, self.num_private,
+                self._rows, self.num_public, self.num_private,
                 self.field.modulus,
             )
             self._csr_cache = csr

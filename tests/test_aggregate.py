@@ -5,9 +5,15 @@ setups / proofs across the suite; tamper tests mutate fresh JSON copies
 of the folded artifact, never the shared objects.
 """
 
+import ast
+import inspect
+import io
 import json
 import random
+import tokenize
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,17 +35,26 @@ from repro.aggregate import (
 from repro.aggregate.commit import cut_digest, mimc_round_constants
 from repro.analysis import assume_from_recipe
 from repro.core.circuit.compute import ComputeOptions
-from repro.core.compiler import PrivacySetting, ZenoCompiler, zeno_options
+from repro.core.compiler import (
+    CompileArtifact,
+    PrivacySetting,
+    ZenoCompiler,
+    zeno_options,
+)
 from repro.core.reuse.batch import BatchProver
 from repro.field import BN254_FR_MODULUS
 from repro.field.counters import count_ops
 from repro.nn.data import synthetic_images
 from repro.nn.models import build_model
+from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 from repro.snark import groth16
 from repro.snark.serialize import serialize_proof
 from tests.conftest import tiny_conv_model, tiny_image
 from tests.fixtures import make_parent_aggregates as parent_recipe
+from tests.fixtures import make_parent_split as parent_split
+from tests.split_oracle import split_model_lc
+from tests.test_circuit_spec import FAMILIES
 
 CRS_SEED = 0xC0FFEE
 
@@ -618,6 +633,35 @@ class TestParcels:
             else:
                 assert inst.cs.dense_assignment() == before
 
+    def test_whole_split_refresh_digests_each_carried_parcel_once(
+        self, provers, monkeypatch
+    ):
+        """19 distinct parcels are carried 222 times on TINY:micro."""
+        from repro.aggregate import split as split_module
+
+        prover, images = provers["TINY:micro"]
+        prover.assign_image(images[0])
+        split = split_model(prover.cs, mode="hashed")
+        carried = [parcel for inst in split.instances for _, parcel in inst.carried]
+        assert len(set(carried)) < len(carried)
+        digested = []
+
+        def counting(values, modulus, extra_rounds):
+            digested.append(tuple(values))
+            return mimc_digest(values, modulus, extra_rounds)
+
+        monkeypatch.setattr(split_module, "mimc_digest", counting)
+        prover.assign_image(images[1])
+        split.refresh_from(prover.cs)
+        assert len(digested) == len(set(carried))
+        del digested[:]
+        busiest = max(split.instances, key=lambda inst: len(inst.carried))
+        busiest.refresh_from(prover.cs)  # on its own: every parcel it carries
+        assert len(digested) == len(busiest.carried)
+        fresh = split_model(prover.cs, mode="hashed")
+        for inst, again in zip(split.instances, fresh.instances):
+            assert inst.cs.dense_assignment() == again.cs.dense_assignment()
+
     def test_transformer_budget(self, tiny_proved):
         """TINY:micro strict+lookup: the split's overhead stays a fraction
         of the model (it was 35,665 rows / Σd 50,944 when every layer
@@ -692,7 +736,9 @@ class TestParcels:
 
 class TestParentArtifacts:
     """``tests/fixtures/parent_aggregate_*.json`` were folded by the commit
-    before hashed boundaries were committed by parcel."""
+    before hashed boundaries were committed by parcel;
+    ``parent_split.json`` describes the instances of the commit before
+    ``split_model`` planned on the CSR snapshot."""
 
     @pytest.mark.parametrize("mode", ["public", "hashed"])
     def test_parent_written_artifact_still_verifies(self, mode):
@@ -704,3 +750,268 @@ class TestParentArtifacts:
         assert parent_recipe.folded("public") == (
             parent_recipe.fixture_path("public").read_text()
         )
+
+
+    @pytest.mark.parametrize("name", list(parent_split.SPLITS))
+    def test_split_reproduces_the_parents_instances(self, name):
+        """Rows, witness, provenance maps, verifying key and proof bytes
+        of every instance, as the per-LC split built them."""
+        golden = json.loads(
+            Path(parent_split.__file__).with_name("parent_split.json").read_text()
+        )
+        assert parent_split.fingerprint(name) == golden[name]
+
+    def test_rows_stay_arrays_under_src(self):
+        """The per-term remap and the dict-LC sponge cannot grow back."""
+        src = Path(inspect.getfile(ConstraintSystem)).parents[1]
+        split = ast.parse((src / "aggregate" / "split.py").read_text())
+        per_variable = {"enforce", "new_private", "new_public"}
+        loops = (
+            ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+            ast.GeneratorExp,
+        )
+        for node in ast.walk(split):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "terms", node.lineno
+            if isinstance(node, (ast.Name, ast.alias)):
+                assert "LinearCombination" not in ast.unparse(node), node.lineno
+            if isinstance(node, loops):
+                for call in ast.walk(node):
+                    assert not (
+                        isinstance(call, ast.Call)
+                        and getattr(call.func, "attr", None) in per_variable
+                    ), call.lineno
+        for path in src.rglob("*.py"):
+            names = {
+                token.string
+                for token in tokenize.generate_tokens(
+                    io.StringIO(path.read_text()).readline
+                )
+                if token.type == tokenize.NAME
+            }
+            assert not names & {"_remap_lc", "_build_instance"}, path
+        enforce_rows = next(
+            node
+            for node in ast.walk(ast.parse(inspect.getsource(ConstraintSystem)))
+            if isinstance(node, ast.FunctionDef) and node.name == "enforce_rows"
+        )
+        assert not any(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "Constraint"
+            for call in ast.walk(enforce_rows)
+        )
+        # one path each: no parameter was added to select another
+        for function, parameters in (
+            (split_model, "cs mode num_segments extra_rounds"),
+            (CompileArtifact.split, "self mode num_segments"),
+            (ConstraintSystem.enforce_rows, "self block tag start stop"),
+            (ConstraintSystem.to_csr, "self assignment"),
+        ):
+            assert list(inspect.signature(function).parameters) == (
+                parameters.split()
+            )
+
+
+# -- split_model against the per-LC split it replaced -------------------------
+
+
+def _products(cs: ConstraintSystem, pairs, tag: str = "") -> list:
+    """``x * y = wire`` for every ``(x, y)`` of ``pairs``, one
+    :meth:`~ConstraintSystem.enforce` at a time; returns the wires."""
+    return [cs.mul_private(x, y, tag=tag) for x, y in pairs]
+
+
+def _product_block(cs: ConstraintSystem, pairs, tags=None) -> list:
+    """The same rows as one three-sided :class:`RowBlock`."""
+    p = cs.field.modulus
+    first = cs.allocate(
+        [cs.value_of(x) * cs.value_of(y) % p for x, y in pairs]
+    )
+    wires = list(range(first, first + len(pairs)))
+    unit = list(range(len(pairs) + 1)), [1] * len(pairs)
+    cs.enforce_rows(
+        RowBlock(
+            RowSide(unit[0], [x for x, _ in pairs], unit[1]),
+            RowSide(unit[0], [y for _, y in pairs], unit[1]),
+            RowSide(unit[0], wires, unit[1]),
+            tags=tags,
+        ),
+        tag="block",
+    )
+    return wires
+
+
+def _pinned_block(cs: ConstraintSystem, variables) -> None:
+    """``(v - value) * 1 = 0`` per variable: a block with an A side only."""
+    p = cs.field.modulus
+    cs.enforce_rows(
+        RowBlock(RowSide(
+            list(range(0, 2 * len(variables) + 1, 2)),
+            [term for v in variables for term in (v, 0)],
+            [c for v in variables for c in (1, (-cs.value_of(v)) % p)],
+        )),
+        tag="pin",
+    )
+
+
+def interleaved_system() -> ConstraintSystem:
+    """Block rows and ``enforce`` rows alternating inside and across
+    layers, as a CNN's dot-then-ReLU lowers."""
+    cs = ConstraintSystem(name="interleaved")
+    x = [cs.new_private(v) for v in (3, 5, 7, 11)]
+    out = cs.new_public(3 * 5)
+    start = cs.num_constraints
+    a = _products(cs, [(x[0], x[1]), (x[1], x[2])], tag="conv/mul")
+    b = _product_block(cs, [(a[0], x[3]), (a[1], a[0]), (x[2], x[2])])
+    _products(cs, [(b[2], a[1])], tag="conv/mul")
+    cs.mark_layer("conv", start)
+    start = cs.num_constraints
+    _pinned_block(cs, [b[0], b[1]])
+    c = _products(cs, [(b[0], b[1])], tag="relu/mul")
+    _product_block(
+        cs, [(c[0], x[0]), (a[0], a[0])], tags=["relu/first", "relu/second"]
+    )
+    cs.mark_layer("relu", start)
+    cs.enforce_equal(
+        cs.lc_variable(a[0]), cs.lc_variable(out), tag="logits"
+    )  # a trailing filler segment reading a model public
+    assert cs.is_satisfied()
+    return cs
+
+
+def far_reader_system() -> ConstraintSystem:
+    """One variable made in layer 0 and read again in layers 2 and 4, so
+    layers 1 and 3 carry a parcel they never open; a model public used by
+    layers 1 and 3; and a layer that touches no private of its own."""
+    cs = ConstraintSystem(name="far")
+    pub = cs.new_public(9)
+    seed = cs.new_private(4)
+    shared = None
+    previous = seed
+    for layer in range(5):
+        start = cs.num_constraints
+        if layer % 2:
+            # previous * public: the public keeps its meaning in two layers
+            wire = cs.new_private(cs.value_of(previous) * 9)
+            cs.enforce(
+                cs.lc_variable(previous), cs.lc_variable(pub),
+                cs.lc_variable(wire), tag=f"l{layer}/scale",
+            )
+            previous = wire
+        else:
+            operand = previous if shared is None else shared
+            (previous,) = _products(
+                cs, [(previous, operand)], tag=f"l{layer}/mul"
+            )
+            if shared is None:
+                shared = previous
+        cs.mark_layer(f"l{layer}", start)
+    assert cs.is_satisfied()
+    return cs
+
+
+HAND_BUILT = {
+    "interleaved": interleaved_system,
+    "far-reader": far_reader_system,
+}
+
+
+def _rows(cs: ConstraintSystem) -> list:
+    return [
+        (con.tag, *(sorted(lc.terms.items()) for lc in (con.a, con.b, con.c)))
+        for con in cs.constraints
+    ]
+
+
+def assert_same_split(got, want) -> None:
+    assert (got.mode, got.source_name) == (want.mode, want.source_name)
+    assert got.boundaries == want.boundaries
+    assert list(got.parcels.items()) == list(want.parcels.items())
+    assert got.num_instances == want.num_instances
+    for mine, theirs in zip(got.instances, want.instances):
+        for attribute in (
+            "name", "index", "row_start", "row_stop", "public_map",
+            "private_map", "global_slots", "in_slots", "out_slots",
+            "sponges", "carried", "extra_rounds",
+        ):
+            assert getattr(mine, attribute) == getattr(theirs, attribute), (
+                mine.name, attribute
+            )
+        assert mine.cs.name == theirs.cs.name
+        assert mine.cs.layer_ranges == theirs.cs.layer_ranges
+        assert mine.cs.num_constraints == theirs.cs.num_constraints
+        for var in range(-mine.cs.num_public, mine.cs.num_private + 1):
+            assert mine.cs.value_of(var) == theirs.cs.value_of(var), (
+                mine.name, var
+            )
+        assert mine.cs.num_public == theirs.cs.num_public
+        assert mine.cs.num_private == theirs.cs.num_private
+        assert _rows(mine.cs) == _rows(theirs.cs), mine.name
+
+
+@pytest.fixture(scope="module")
+def family_systems():
+    """One compiled system per circuit family, compiled on first use."""
+    compiled = {}
+
+    def system(circuit) -> ConstraintSystem:
+        if circuit not in compiled:
+            compiled[circuit] = circuit.compile(circuit.image(11)).cs
+        return compiled[circuit]
+
+    return system
+
+
+@pytest.mark.parametrize("num_segments", [None, 1, 3])
+@pytest.mark.parametrize("mode", ["public", "hashed"])
+class TestSplitOracle:
+    """``split_model`` and ``tests/split_oracle.py`` — the per-LC split it
+    replaced — build the same instances, field by field, and tally the
+    same operations."""
+
+    def compare(self, cs, mode, num_segments):
+        with count_ops() as ops:
+            got = split_model(cs, mode=mode, num_segments=num_segments)
+        with count_ops() as oracle_ops:
+            want = split_model_lc(cs, mode=mode, num_segments=num_segments)
+        assert_same_split(got, want)
+        assert ops.snapshot() == oracle_ops.snapshot()
+        return got
+
+    @pytest.mark.parametrize(
+        "circuit", FAMILIES, ids=lambda c: f"{c.model}-{c.privacy}"
+    )
+    def test_model_families(self, family_systems, circuit, mode, num_segments):
+        self.compare(family_systems(circuit), mode, num_segments)
+
+    @pytest.mark.parametrize("name", list(HAND_BUILT))
+    def test_hand_built(self, name, mode, num_segments):
+        split = self.compare(HAND_BUILT[name](), mode, num_segments)
+        for inst in split.instances:
+            assert inst.cs.is_satisfied(), inst.name
+
+    def test_unassigned_then_refreshed(self, mode, num_segments):
+        cs = far_reader_system()
+        blank = parent_split.unassigned_copy(cs)
+        split = self.compare(blank, mode, num_segments)
+        split.refresh_from(cs)
+        assert_same_split(
+            split, split_model(cs, mode=mode, num_segments=num_segments)
+        )
+
+
+def test_hand_built_systems_are_what_they_claim():
+    """The carried parcel, the twice-used public and the interleaving the
+    differential test relies on are really there."""
+    far = split_model(far_reader_system(), mode="hashed")
+    assert {(0, 2), (0, 4)} <= set(far.parcels)
+    assert far.parcels[(0, 2)] == far.parcels[(0, 4)]
+    carriers = [inst.index for inst in far.instances if inst.carried]
+    assert {1, 3} <= set(carriers)
+    assert [bool(inst.global_slots) for inst in far.instances] == [
+        False, True, False, True, False
+    ]
+    rows = interleaved_system()._rows
+    assert [type(piece).__name__ for piece in rows] == [
+        "TermRun", "RowRun", "TermRun", "RowRun", "TermRun", "RowRun", "TermRun"
+    ]

@@ -23,7 +23,8 @@ from repro.core.schedule import (
 )
 from repro.core.schedule.scheduler import LayerAssignment
 from repro.field.counters import count_ops
-from repro.r1cs import evaluate_rows
+from repro.r1cs import evaluate_rows, system as r1cs_system
+from repro.r1cs.lc import ONE, RowBlock, RowSide, RowView
 from repro.r1cs.system import ConstraintSystem
 from repro.snark.qap import Domain, witness_polynomial_evals
 from tests.conftest import tiny_conv_model, tiny_image
@@ -81,6 +82,133 @@ class TestCSREquivalence:
         fast = cs.violations()
         slow = cs.violations(assignment=cs.assignment())
         assert [v.index for v in fast] == [v.index for v in slow]
+
+
+def random_side(rng: random.Random, indices, rows: int) -> RowSide:
+    p = ConstraintSystem().field.modulus
+    indptr, variables, coeffs = [0], [], []
+    for _ in range(rows):
+        picked = rng.sample(indices, rng.randint(0, min(4, len(indices))))
+        variables.extend(picked)
+        coeffs.extend(rng.randrange(1, p) for _ in picked)
+        indptr.append(len(variables))
+    return RowSide(indptr, variables, coeffs)
+
+
+def pending_system(seed: int) -> ConstraintSystem:
+    """``enforce`` rows, a three-sided block, more ``enforce`` rows, rows
+    ``[1, 3)`` of an A-only block with its own tags, one more ``enforce``
+    row — nothing read yet."""
+    rng = random.Random(seed)
+    cs = random_system(rng, rows=3)
+    indices = list(range(-cs.num_public, cs.num_private + 1))
+    cs.mark_layer("head", 0)
+    start = cs.num_constraints
+    cs.enforce_rows(
+        RowBlock(*(random_side(rng, indices, 4) for _ in range(3))),
+        tag="three-sided",
+    )
+    cs.enforce(cs.lc_variable(1), cs.lc_variable(-1), cs.lc_variable(2), tag="mid")
+    cs.enforce_rows(
+        RowBlock(random_side(rng, indices, 4), tags=["t0", "t1", "t2", "t3"]),
+        start=1, stop=3,
+    )
+    cs.mark_layer("body", start)
+    cs.enforce(cs.lc(), cs.lc_constant(1), cs.lc(), tag="tail")
+    return cs
+
+
+class TestPendingRows:
+    """Rows stay columns and arrays until something reads
+    ``cs.constraints``; the prover's path never does."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_csr_of_pending_rows_equals_csr_of_their_constraints(self, seed):
+        pending, listed = pending_system(seed), pending_system(seed)
+        assert [type(row).__name__ for row in listed.constraints] == (
+            ["Constraint"] * 11
+        )
+        before, after = pending.to_csr(), listed.to_csr()
+        for mine, theirs in zip(before.matrices(), after.matrices()):
+            assert mine.indptr == theirs.indptr
+            assert mine.indices == theirs.indices
+            assert mine.coeffs == theirs.coeffs
+        assert evaluate_rows(before) == evaluate_rows(after)
+        domain = Domain(16)
+        assert witness_polynomial_evals(pending, domain) == (
+            witness_polynomial_evals_lc(listed, domain)
+        )
+        assert pending.row_tags() == [c.tag for c in listed.constraints]
+
+    def test_materialized_rows(self):
+        cs = pending_system(5)
+        rows = cs.constraints
+        assert rows is cs.constraints  # the list itself, once and for all
+        assert [c.tag for c in rows] == (
+            [""] * 3 + ["three-sided"] * 4 + ["mid", "t1", "t2", "tail"]
+        )
+        three_sided, a_only = rows[3], rows[8]
+        assert all(
+            type(lc) is RowView for lc in (three_sided.a, three_sided.b, three_sided.c)
+        )
+        assert type(a_only.a) is RowView and a_only.a.row == 1
+        assert a_only.b.terms == {ONE: 1} and a_only.c.terms == {}
+        # rows added after the list was handed out join it as Constraints
+        cs.enforce(cs.lc(), cs.lc(), cs.lc(), tag="late")
+        cs.enforce_rows(RowBlock(random_side(random.Random(1), [1, 2], 2)), tag="later")
+        assert [c.tag for c in rows[-3:]] == ["late", "later", "later"]
+        assert cs.num_constraints == len(rows) == 14
+
+    def test_an_enforced_lc_is_still_edited_in_place(self):
+        cs = ConstraintSystem()
+        x = cs.new_private(3)
+        lc = cs.lc_variable(x)
+        cs.enforce(lc, cs.lc_constant(1), cs.lc())
+        lc.add_term(ONE, 5)  # after the fact, before any read
+        assert cs.to_csr(assignment=False).a.nnz == 2
+        assert cs.constraints[0].a.terms == {x: 1, ONE: 5}
+
+    def test_proving_path_builds_no_row_object(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a per-row object was built")
+
+        cs = pending_system(7)
+        # x * y = w by enforce, y * w = u as a three-sided block row,
+        # (u - 75) * 1 = 0 as an A-only one: satisfied
+        sat = ConstraintSystem()
+        x, y = sat.new_private(3), sat.new_private(5)
+        w = sat.mul_private(x, y)
+        u = sat.new_private(75)
+        sat.enforce_rows(RowBlock(
+            *(RowSide([0, 1], [v], [1]) for v in (y, w, u))
+        ))
+        sat.enforce_rows(RowBlock(
+            RowSide([0, 2], [u, ONE], [1, sat.field.modulus - 75])
+        ))
+        monkeypatch.setattr(r1cs_system, "Constraint", no_rows)
+        monkeypatch.setattr(r1cs_system, "RowView", no_rows)
+        monkeypatch.setattr(r1cs_system, "LinearCombination", no_rows)
+        assert cs.num_constraints == 11
+        assert [cs.layer_of(i) for i in (0, 3, 7, 9, 10)] == [
+            "head", "body", "body", "body", None
+        ]
+        evals = evaluate_rows(cs.to_csr())
+        clone = pickle.loads(pickle.dumps(cs))  # prove_split under spawn
+        assert clone.num_constraints == 11
+        assert evaluate_rows(clone.to_csr()) == evals
+        # a satisfied system reports no violation without reading a row
+        assert sat.violations() == [] and sat.is_satisfied()
+        sat.assign(u, 76)
+        with pytest.raises(AssertionError, match="per-row object"):
+            sat.violations()  # reporting one does read it
+
+    def test_block_sides_must_agree(self):
+        rng = random.Random(2)
+        with pytest.raises(ValueError, match="disagree"):
+            RowBlock(random_side(rng, [1], 3), random_side(rng, [1], 2))
+        with pytest.raises(ValueError, match="disagree"):
+            RowBlock(random_side(rng, [1], 3), tags=["only", "two"])
 
 
 class TestCompiledModelEquivalence:
