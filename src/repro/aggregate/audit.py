@@ -8,7 +8,14 @@ the split's provenance maps to translate the whole-model assumptions
 each instance's local index space — and, in ``hashed`` mode, to seed the
 determinism detector with exactly what the instance imports: the
 variables of the parcels it reads and the digests it carries, whose
-values the commitment chain fixes from the producing segment.
+values the commitment chain fixes from the producing segment.  A lookup
+argument's rows are spread over the instances — each membership row in
+the layer that looks up, the table column in its ``lookup:<table>``
+instance — so no instance can grant what the argument determines on its
+own: the split records the source's :class:`~repro.lookup.LookupBlock` s,
+each is structurally verified once against the rows the instances
+inherited, and a verified block's wires are assumed wherever they occur
+(its *inputs* are not: the instance computing them audits them).
 
 :func:`audit_split` runs :func:`repro.analysis.audit_system` per
 instance and merges the results into ONE :class:`AuditReport` whose
@@ -25,7 +32,30 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.aggregate.split import LayerInstance, SplitModel
 from repro.analysis import audit_system
+from repro.analysis.determinism import lookup_block_finding
 from repro.analysis.report import AuditReport
+from repro.lookup import verify_lookup_block
+from repro.r1cs.lc import ONE, LinearCombination
+from repro.r1cs.system import ConstraintSystem
+
+
+def _source_system(split: SplitModel) -> ConstraintSystem:
+    """The source system's rows, read back out of the instances that
+    inherited them and renumbered to the source's variables — what the
+    row and variable indices a lookup block recorded refer to."""
+    source = ConstraintSystem(split.instances[0].cs.field)
+    for inst in split.instances:
+        # local signed index -> source variable; publics from the end
+        origin = [ONE, *inst.private_map, *reversed(inst.public_map)]
+        for row in inst.cs.constraints[:inst.num_rows]:
+            a, b, c = (
+                LinearCombination(
+                    lc.field, {origin[v]: k for v, k in lc.terms.items()}
+                )
+                for lc in (row.a, row.b, row.c)
+            )
+            source.enforce(a, b, c, tag=row.tag)
+    return source
 
 
 def _local_assume(
@@ -37,11 +67,12 @@ def _local_assume(
 
     Boundary variables that became local *publics* (``public`` mode) are
     already in the determinism seed set and need no translation; only
-    variables that stayed private are mapped.  What a ``hashed`` instance
-    imports is always assumed — the variables of the parcels it reads
-    (``imported``) and the digests it carries: their values are produced
-    by an earlier segment and pinned by the commitment chain, which the
-    per-instance detector cannot see.
+    variables that stayed private are mapped.  What an instance imports
+    is always assumed — the wires of verified lookup arguments and, in
+    ``hashed`` mode, the variables of the parcels it reads (``imported``)
+    and the digests it carries: their values are produced by an earlier
+    segment and pinned by the commitment chain, which the per-instance
+    detector cannot see.
     """
     orig_to_local: Dict[int, int] = {}
     for i, orig in enumerate(inst.private_map):
@@ -76,8 +107,17 @@ def audit_split(
         num_public=sum(i.cs.num_public for i in split.instances),
         num_private=sum(i.cs.num_private for i in split.instances),
     )
+    granted: List[int] = []  # by the source's verified strict lookup blocks
+    strict = [b for b in split.lookup_blocks if b.mode == "strict"]
+    source = _source_system(split) if strict else None
+    for block in strict:  # a lean challenge is unsound: never granted
+        defect = verify_lookup_block(source, block)
+        if defect is None:
+            granted.extend(block.engine_vars())
+        else:
+            merged.extend([lookup_block_finding(block.table_name, defect)])
     for inst in split.instances:
-        imported = [
+        imported = granted + [
             var
             for (_, reader), parcel in split.parcels.items()
             if reader == inst.index

@@ -29,31 +29,21 @@ Either way the artifact-level commitment bytes are a SHA-256 over the
 claimed boundary *slot values* (in ``hashed`` mode that tuple is just the
 one digest element), so the fold/verify chain logic is mode-independent.
 
-**Known issue — the sponge has no capacity.**  Each round adds the
-absorbed value to the *whole* state before the x⁵ permutation, so anyone
-who knows the values can steer the state: change ``v_1``, then pick the
-``v_2`` that cancels the difference, and the digest is unchanged
-(``tests/test_aggregate.py::TestCommit::test_sponge_has_capacity`` is a
-strict xfail that states the collision).  ``hashed`` mode's chain
-argument *assumes* a collision-resistant sponge; until the round function
-gets a capacity element (ROADMAP "Soundness closure") that assumption
-does not hold against a malicious prover.  The fix multiplies the cost
-per absorb, which is why the parcel layout — 3.6× fewer absorbs — comes
-first.
+The sponge itself — round function, constants, rows, witness replay and
+its **known issue: it has no capacity**, so ``hashed`` mode's chain
+argument does not yet hold against a malicious prover — lives in
+:mod:`repro.r1cs.mimc`; this module binds the boundary domain to it.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Iterator, List, Sequence, Tuple
 
+from repro.r1cs import mimc
+
 BOUNDARY_DOMAIN = b"zeno.aggregate.boundary.v1"
 MIMC_DOMAIN = b"zeno.aggregate.mimc.v1"
-
-# Finalization rounds absorbed with value 0 after the payload, so the
-# digest of a prefix is never the digest of the full tuple.
-MIMC_EXTRA_ROUNDS = 2
 
 
 def boundary_commitment(values: Sequence[int]) -> bytes:
@@ -72,56 +62,24 @@ def boundary_commitment(values: Sequence[int]) -> bytes:
     return h.digest()
 
 
-@functools.lru_cache(maxsize=None)
-def _round_constant(i: int, modulus: int) -> int:
-    # A pure function of (round, modulus), and every sponge of a split
-    # asks for a prefix of the same sequence: memoised for the life of
-    # the process, one entry per round of the longest sponge seen.
-    digest = hashlib.sha256(MIMC_DOMAIN + i.to_bytes(4, "big")).digest()
-    return int.from_bytes(digest, "big") % modulus
-
-
 def mimc_round_constants(count: int, modulus: int) -> List[int]:
-    """Deterministic per-round constants: ``sha256(dom || u32(i)) mod p``."""
-    return [_round_constant(i, modulus) for i in range(count)]
+    """The boundary sponge's first ``count`` round constants."""
+    return mimc.constants(MIMC_DOMAIN, count, modulus)
 
 
 def mimc_rounds(
-    values: Sequence[int], modulus: int, extra_rounds: int = MIMC_EXTRA_ROUNDS
+    values: Sequence[int], modulus: int
 ) -> Iterator[Tuple[int, int, int]]:
-    """Each round's ``(t², t⁴, t⁵)`` — the wires the circuit allocates.
-
-    One round per absorbed value: ``t = state + v + rc_i``, ``state' =
-    t⁵``.  x⁵ is a permutation of BN254 Fr (``gcd(5, r-1) = 1``), which
-    is what makes each round invertible.  ``extra_rounds`` rounds
-    absorbing 0 finalize.
-    """
-    rounds = len(values) + extra_rounds
-    state = 0
-    for i, rc in enumerate(mimc_round_constants(rounds, modulus)):
-        v = int(values[i]) if i < len(values) else 0
-        t = (state + v + rc) % modulus
-        t2 = (t * t) % modulus
-        t4 = (t2 * t2) % modulus
-        state = (t4 * t) % modulus
-        yield t2, t4, state
+    """Each round's ``(t², t⁴, t⁵)`` — the wires the circuit allocates."""
+    return zip(*[iter(mimc.rounds(values, MIMC_DOMAIN, modulus))] * 3)
 
 
-def mimc_digest(
-    values: Sequence[int], modulus: int, extra_rounds: int = MIMC_EXTRA_ROUNDS
-) -> int:
-    """Native evaluation of the in-circuit sponge: its final state."""
-    state = 0
-    for _, _, state in mimc_rounds(values, modulus, extra_rounds):
-        pass
-    return state
+def mimc_digest(values: Sequence[int], modulus: int) -> int:
+    """Native evaluation of the boundary sponge: its final state."""
+    return mimc.digest(values, MIMC_DOMAIN, modulus)
 
 
-def cut_digest(
-    parcels: Sequence[Sequence[int]],
-    modulus: int,
-    extra_rounds: int = MIMC_EXTRA_ROUNDS,
-) -> int:
+def cut_digest(parcels: Sequence[Sequence[int]], modulus: int) -> int:
     """Native reference for one ``hashed`` cut's public digest.
 
     ``parcels`` holds the value tuples of the parcels open across the cut,
@@ -129,7 +87,5 @@ def cut_digest(
     is the sponge over those digests.
     """
     return mimc_digest(
-        [mimc_digest(values, modulus, extra_rounds) for values in parcels],
-        modulus,
-        extra_rounds,
+        [mimc_digest(values, modulus) for values in parcels], modulus
     )

@@ -23,7 +23,7 @@ instance is structural rather than proved.
 *parcel*: parcel ``(f, j)`` is the ascending tuple of variables first
 used in segment ``f`` and used in segment ``j``.  Instances ``f`` and
 ``j`` each absorb the parcel — variables their own rows use anyway —
-into an in-circuit MiMC sponge (see :mod:`repro.aggregate.commit`); an
+into an in-circuit MiMC sponge (see :mod:`repro.r1cs.mimc`); an
 instance strictly between them never allocates the parcel's variables
 and carries its digest as ONE synthesized private.  Boundary ``k`` is the
 tuple of parcels open across the cut (``f <= k < j``, in ``(f, j)``
@@ -41,19 +41,13 @@ argument is written out in DESIGN.md).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregate.commit import (
-    MIMC_EXTRA_ROUNDS,
-    mimc_digest,
-    mimc_round_constants,
-    mimc_rounds,
-)
-from repro.field.counters import global_counter
+from repro.aggregate.commit import MIMC_DOMAIN, mimc_digest
+from repro.r1cs import mimc
 from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
@@ -63,21 +57,6 @@ class SplitError(ValueError):
 
 
 ParcelKey = Tuple[int, int]  # (first-use segment f, reading segment j), f < j
-
-
-@dataclass
-class Sponge:
-    """One in-circuit MiMC sponge, kept so witness refresh can replay it.
-
-    Round ``i`` owns the consecutive private wires ``first_wire + 3i +
-    (0, 1, 2)`` holding t², t⁴ and t⁵; the last t⁵ is the digest.
-    """
-
-    absorbed: List[int]  # local signed indices, in absorb order
-    first_wire: int
-    # A cut's sponge pins its digest to this public slot; a parcel's
-    # digest stays private (None) and is absorbed by the cut sponges.
-    digest_slot: Optional[int] = None
 
 
 @dataclass
@@ -106,14 +85,14 @@ class LayerInstance:
     # hashed mode only, in replay order: one sponge per parcel this
     # instance makes or reads, then its in- and out-cut sponges over the
     # parcel digests.
-    sponges: List[Sponge] = dataclass_field(default_factory=list)
+    sponges: List[mimc.Sponge] = dataclass_field(default_factory=list)
     # hashed mode only: (local private, the parcel's original variables)
     # per parcel passing through — the instance holds the digest and
     # never the pre-image.
     carried: List[Tuple[int, Tuple[int, ...]]] = dataclass_field(
         default_factory=list
     )
-    extra_rounds: int = MIMC_EXTRA_ROUNDS
+    extra_rounds: int = mimc.FINAL_ROUNDS  # as recorded; not a setting
 
     @property
     def num_rows(self) -> int:
@@ -152,26 +131,27 @@ class LayerInstance:
                 dense[v + offset if v > 0 else -v]
                 for v in provenance[:inherited]
             ])
+        self._commit(dense, offset, digests)
+
+    def _commit(
+        self, dense: Sequence[int], offset: int,
+        digests: Dict[Tuple[int, ...], int],
+    ) -> None:
+        """Value what the instance synthesizes: the digests it carries,
+        from the original system's ``dense`` witness, then its sponges."""
         p = self.cs.field.modulus
         for var, parcel in self.carried:
             digest = digests.get(parcel)
             if digest is None:
                 digest = digests[parcel] = mimc_digest(
-                    [dense[v + offset] for v in parcel], p, self.extra_rounds
+                    [dense[v + offset] for v in parcel], p
                 )
             self.cs.assign(var, digest)
         self._replay_sponges()
 
     def _replay_sponges(self) -> None:
-        cs, p = self.cs, self.cs.field.modulus
         for sponge in self.sponges:
-            values = [cs.value_of(v) for v in sponge.absorbed]
-            wires = list(itertools.chain.from_iterable(
-                mimc_rounds(values, p, self.extra_rounds)
-            ))
-            cs.assign_run(sponge.first_wire, wires)
-            if sponge.digest_slot is not None:
-                cs.assign(-(sponge.digest_slot + 1), wires[-1])
+            mimc.replay(self.cs, sponge, MIMC_DOMAIN)
 
 
 @dataclass
@@ -191,6 +171,10 @@ class SplitModel:
     parcels: Dict[ParcelKey, Tuple[int, ...]] = dataclass_field(
         default_factory=dict
     )
+    # The source's lookup arguments (repro.lookup.LookupBlock, in the
+    # source's row and variable numbering), for audit_split: their rows
+    # are spread over the instances.
+    lookup_blocks: list = dataclass_field(default_factory=list)
 
     @property
     def num_instances(self) -> int:
@@ -289,7 +273,6 @@ def split_model(
     cs: ConstraintSystem,
     mode: str = "public",
     num_segments: Optional[int] = None,
-    extra_rounds: int = MIMC_EXTRA_ROUNDS,
 ) -> SplitModel:
     """Split ``cs`` into independent per-layer instances.
 
@@ -359,9 +342,6 @@ def split_model(
         ]
 
     drafts: List[_Draft] = []
-    # hashed mode: each parcel's digest, recorded by its first user f —
-    # which is drafted before every instance that carries it.
-    digests: Dict[ParcelKey, Optional[int]] = {}
     # instance k sits between cuts k - 1 and k; the ends have none
     alive = [_NO_VARIABLES, *alive, _NO_VARIABLES]
     cuts = [(), *boundaries, ()]
@@ -371,18 +351,17 @@ def split_model(
             in_vars=alive[k], out_vars=alive[k + 1],
         )
         if mode == "hashed":
-            draft.inst.extra_rounds = extra_rounds
-            _commit_parcels(
-                draft, snapshot, parcels, cuts[k], cuts[k + 1], digests
-            )
+            _commit_parcels(draft, snapshot, parcels, cuts[k], cuts[k + 1])
         drafts.append(draft)
 
-    sponge_rows = _sponge_rows(
+    sponge_rows = mimc.sponge_rows(
         [sponge for draft in drafts for sponge in draft.inst.sponges],
         [tag for draft in drafts for tag in draft.sponge_tags],
-        extra_rounds, cs.field.modulus,
+        MIMC_DOMAIN, cs.field.modulus,
     )
     at = 0  # the first of sponge_rows' sponges not yet in a block
+    # hashed mode: each carried parcel's digest, under cs's witness
+    digests: Dict[Tuple[int, ...], int] = {}
     for draft in drafts:
         inst = draft.inst
         inst.cs.allocate(draft.public, public=True)
@@ -392,6 +371,10 @@ def split_model(
         )
         inst.cs.mark_layer(inst.name, 0)
         at += len(inst.sponges)
+        # An unassigned system splits into unassigned commitments, filled
+        # in by the first refresh_from.
+        if snapshot.assigned:
+            inst._commit(snapshot.dense, offset, digests)
 
     split = SplitModel(
         mode=mode,
@@ -399,6 +382,7 @@ def split_model(
         instances=[draft.inst for draft in drafts],
         boundaries=boundaries,
         parcels=parcels,
+        lookup_blocks=list(cs.lookup_blocks),
     )
     if split.total_constraints() < num_rows:
         raise SplitError(
@@ -410,18 +394,6 @@ def split_model(
 
 _NO_VARIABLES = np.zeros(0, dtype=np.int64)
 
-# One side (A, B or C) of some rows in CSR form, rebased to start at 0: the
-# rows' signed variables end to end, the aligned coefficients, and indptr.
-_Side = Tuple[np.ndarray, List[int], np.ndarray]
-
-
-class _SpongeRows(NamedTuple):
-    """The commitment rows of a whole split, sponge after sponge."""
-
-    sides: Tuple[_Side, ...]
-    tags: List[str]  # one per row
-    first_row: np.ndarray  # of each sponge, and one past the last row
-
 
 @dataclass
 class _Draft:
@@ -430,13 +402,13 @@ class _Draft:
     holds no value) and the tag of each of its sponges."""
 
     inst: LayerInstance
-    sides: Tuple[_Side, ...]
+    sides: Tuple[mimc.Side, ...]
     tags: List[str]
     public: list
     private: list
     sponge_tags: List[str] = dataclass_field(default_factory=list)
 
-    def block(self, extra: _SpongeRows, first: int, last: int) -> RowBlock:
+    def block(self, extra: mimc.SpongeRows, first: int, last: int) -> RowBlock:
         """The inherited rows, then the rows of sponges ``[first, last)``
         of ``extra``."""
         lo, hi = extra.first_row[first], extra.first_row[last]
@@ -465,9 +437,11 @@ class _Snapshot:
         self.cs = cs
         self.offset = cs.num_public
         self.tags = cs.row_tags()
+        self.assigned = True
         try:
             dense = cs.dense_assignment()
         except ValueError:  # an unassigned variable: carry the holes along
+            self.assigned = False
             dense = [1] + [
                 cs.value_of(sign * (i + 1))
                 for sign, count in ((-1, cs.num_public), (1, cs.num_private))
@@ -566,11 +540,10 @@ def _commit_parcels(
     parcels: Dict[ParcelKey, Tuple[int, ...]],
     in_cut: Tuple[ParcelKey, ...],
     out_cut: Tuple[ParcelKey, ...],
-    digests: Dict[ParcelKey, Optional[int]],
 ) -> None:
-    """Lay out and value ``draft``'s hashed-mode commitments: parcel and
-    cut sponges (their rows follow from the layout, see
-    :func:`_sponge_rows`).
+    """Lay out ``draft``'s hashed-mode commitments, all still unvalued:
+    parcel and cut sponges (their rows follow from the layout, see
+    :func:`repro.r1cs.mimc.sponge_rows`).
 
     A parcel this instance makes or reads is absorbed from the instance's
     own variables; any other parcel open across one of its cuts passes
@@ -579,28 +552,22 @@ def _commit_parcels(
     to the instance's public digest slot for that side.
     """
     inst, private = draft.inst, draft.private
-    p = inst.cs.field.modulus
+    rows = inst.num_rows  # so far: the inherited ones
 
     def absorb(
         local_vars: List[int], tag: str, digest_slot: Optional[int] = None
     ) -> int:
-        """A sponge over ``local_vars``, its wires allocated and valued;
-        returns the wire holding the final state."""
-        inst.sponges.append(
-            Sponge(local_vars, len(private) + 1, digest_slot)
+        """A sponge over ``local_vars``, its wires allocated; returns the
+        wire holding the final state."""
+        nonlocal rows
+        sponge = mimc.Sponge(
+            local_vars, len(private) + 1, digest_slot, first_row=rows
         )
+        inst.sponges.append(sponge)
         draft.sponge_tags.append(tag)
-        absorbed = [private[v - 1] for v in local_vars]
-        wires = 3 * (len(local_vars) + inst.extra_rounds)
-        # An unassigned system splits into unassigned sponges, filled in
-        # by the first refresh_from.
-        private.extend(
-            [None] * wires if None in absorbed
-            else itertools.chain.from_iterable(
-                mimc_rounds(absorbed, p, inst.extra_rounds)
-            )
-        )
-        inst.private_map.extend([None] * wires)
+        rows += sponge.num_rows
+        private.extend([None] * len(sponge.wires))
+        inst.private_map.extend([None] * len(sponge.wires))
         return len(private)
 
     digest_var: Dict[ParcelKey, int] = {}
@@ -611,10 +578,8 @@ def _commit_parcels(
                 snapshot.local[members].tolist(),
                 tag=f"{inst.name}/parcel-{key[0]}-{key[1]}",
             )
-            if inst.index == key[0]:
-                digests[key] = private[-1]
         else:
-            private.append(digests[key])
+            private.append(None)
             digest_var[key] = len(private)
             inst.private_map.append(None)
             inst.carried.append((digest_var[key], parcels[key]))
@@ -631,108 +596,5 @@ def _commit_parcels(
             digest_slot=slot,
         )
         slots.append(slot)
-        draft.public.append(private[-1])
+        draft.public.append(None)
         inst.public_map.append(None)
-
-
-def _sponge_rows(
-    sponges: Sequence[Sponge], tags: Sequence[str], extra_rounds: int,
-    modulus: int,
-) -> _SpongeRows:
-    """The MiMC-x⁵ absorb rows of ``sponges``, each followed by its digest
-    pin if it has a ``digest_slot``.
-
-    Per round (3 constraints): ``t = state + v + rc`` is a free LC, then
-    ``t·t = t²``, ``t²·t² = t⁴``, ``t⁴·t = t⁵`` and the next state is
-    ``t⁵`` — the wires ``first_wire + 3i + (0, 1, 2)`` of round ``i``.
-    The first round has no state and a finalization round no ``v``.  The
-    pin is ``(state - digest) · 1 = 0``.  Tallies what building the same
-    rows as LCs would: a term per addend folded into ``t`` or the pin, and
-    the pin's one subtraction.
-    """
-    count = len(sponges)
-    absorbed = np.fromiter(
-        (len(sponge.absorbed) for sponge in sponges), np.int64, count
-    )
-    pinned = np.fromiter(
-        (sponge.digest_slot is not None for sponge in sponges), bool, count
-    )
-    first_wire = np.fromiter(
-        (sponge.first_wire for sponge in sponges), np.int64, count
-    )
-    rounds = absorbed + extra_rounds
-    total = int(rounds.sum())
-    # per round: its sponge, its index in the sponge, its wires
-    owner = np.repeat(np.arange(count), rounds)
-    i = np.arange(total) - (np.cumsum(rounds) - rounds)[owner]
-    t2 = first_wire[owner] + 3 * i
-    t4, t5 = t2 + 1, t2 + 2
-    has_value = i < absorbed[owner]
-    value = np.zeros(total, dtype=np.int64)
-    value[has_value] = [v for sponge in sponges for v in sponge.absorbed]
-    # rows: three per round, one more per pinned sponge
-    first_row = np.r_[0, np.cumsum(3 * rounds + pinned)]
-    square = first_row[owner] + 3 * i  # each round's first row
-    pin = first_row[1:][pinned] - 1
-    num_rows = int(first_row[-1])
-
-    # A row is up to three terms, picked from three candidates.  ``t``:
-    # the previous t⁵, v, the constant; a wire or the pin: what is given.
-    t_vars = np.stack([t2 - 1, value, np.zeros_like(value)], axis=1)
-    t_used = np.stack([i > 0, has_value, np.ones_like(has_value)], axis=1)
-    constants = np.array(
-        mimc_round_constants(int(rounds.max(initial=0)), modulus), dtype=object
-    )[i]
-
-    def side(steps, pin_vars, pin_coeffs) -> _Side:
-        """Rows whose three per round hold ``steps`` — each ``t_vars`` or
-        a wire per round — and whose pins hold ``pin_vars``."""
-        variables = np.zeros((num_rows, 3), dtype=np.int64)
-        used = np.zeros((num_rows, 3), dtype=bool)
-        coeffs = np.full((num_rows, 3), 1, dtype=object)
-        for step, wire in enumerate(steps):
-            if wire is t_vars:
-                variables[square + step] = t_vars
-                used[square + step] = t_used
-                coeffs[square + step, 2] = constants
-            else:
-                variables[square + step, 0] = wire
-                used[square + step, 0] = True
-        width = len(pin_coeffs)
-        variables[pin, :width] = pin_vars
-        used[pin, :width] = True
-        coeffs[pin, :width] = pin_coeffs
-        return (
-            variables[used],
-            coeffs[used].tolist(),
-            np.r_[0, np.cumsum(used.sum(axis=1))],
-        )
-
-    state = (first_wire + 3 * rounds - 1)[pinned]
-    slot = np.fromiter(
-        (s.digest_slot for s in sponges if s.digest_slot is not None),
-        np.int64, len(pin),
-    )
-    sides = (
-        side(
-            (t_vars, t2, t4),
-            np.stack([state, -(slot + 1)], axis=1), (1, modulus - 1),
-        ),
-        side((t_vars, t2, t_vars), 0, (1,)),
-        side((t2, t4, t5), 0, ()),
-    )
-    counter = global_counter()
-    counter.lc_term += int(has_value.sum()) + total + len(pin)
-    counter.field_add += len(pin)
-    counter.field_mul += len(pin)
-    return _SpongeRows(
-        sides,
-        [
-            row_tag
-            for tag, rows, is_pinned in zip(
-                tags, (3 * rounds).tolist(), pinned.tolist()
-            )
-            for row_tag in [tag] * rows + [f"{tag}/digest"] * is_pinned
-        ],
-        first_row,
-    )

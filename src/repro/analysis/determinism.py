@@ -86,6 +86,17 @@ from repro.r1cs.system import ConstraintSystem
 _MAX_BOUND_WIDTH = 1 << 64
 
 
+def lookup_block_finding(table_name: str, defect: str) -> Finding:
+    """The ERROR naming a lookup block that failed its structural check."""
+    return Finding(
+        rule="lookup-block",
+        severity=Severity.ERROR,
+        message=f"lookup block {table_name!r} is not a sound "
+                f"LogUp lowering: {defect}",
+        layer=f"lookup:{table_name}",
+    )
+
+
 @dataclass
 class DeterminismResult:
     """Outcome of one uniqueness-propagation run."""
@@ -108,17 +119,10 @@ class DeterminismResult:
     def findings(self, cs: ConstraintSystem) -> List[Finding]:
         """One ERROR finding per under-constrained private variable,
         plus one per structurally broken lookup block (named defect)."""
-        out: List[Finding] = []
-        for table_name, defect in self.lookup_errors:
-            out.append(
-                Finding(
-                    rule="lookup-block",
-                    severity=Severity.ERROR,
-                    message=f"lookup block {table_name!r} is not a sound "
-                            f"LogUp lowering: {defect}",
-                    layer=f"lookup:{table_name}",
-                )
-            )
+        out = [
+            lookup_block_finding(table_name, defect)
+            for table_name, defect in self.lookup_errors
+        ]
         if not self.undetermined:
             return out
         touching: Dict[int, List[int]] = {v: [] for v in self.undetermined}

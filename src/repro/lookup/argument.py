@@ -26,14 +26,19 @@ after the multiset is chosen; in particular the multiplicities ``m_j`` are
 field elements, and for a challenge independent of them a prover could
 satisfy the sum check for ANY lookups by solving one linear equation in
 the ``m_j``.  In ``strict`` gadget mode the engine therefore derives
-``alpha`` *in-circuit* with a MiMC-x^5 sponge (same permutation as
-:mod:`repro.aggregate.commit`, separate domain) absorbing (a) the packed
-pairs, seven per round, and (b) every multiplicity, one per round — one
-per round because multiplicities are unbounded field elements, so packing
-several per round would re-open a collision lattice.  In ``lean`` mode
-``alpha`` is a fixed per-table constant: constraint counts match the
-paper-accounting budget but the argument is NOT sound (documented; the
-soundness suite runs strict).
+``alpha`` *in-circuit* with the MiMC-x^5 sponge of :mod:`repro.r1cs.mimc`
+(per-table seed) absorbing (a) the packed pairs, seven per round, and
+(b) every multiplicity, one per round — one per round because
+multiplicities are unbounded field elements, so packing several per
+round would re-open a collision lattice.  The argument *assumes* that
+sponge is a random oracle to the prover, which it currently is not: it
+has no capacity, so the last multiplicity absorbed can be solved for
+any target ``alpha`` (the known issue stated in :mod:`repro.r1cs.mimc`,
+pinned by ``tests/test_mimc.py::test_lookup_challenge_cannot_be_steered``;
+ROADMAP "Soundness closure").  In ``lean`` mode ``alpha`` is a fixed
+per-table constant: constraint counts match the paper-accounting budget
+but the argument is NOT sound (documented; the soundness suite runs
+strict).
 
 The engine also implements witness generation for the lookup columns
 (``h``, ``g``, ``m``, sponge states) and records a :class:`LookupBlock`
@@ -49,8 +54,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.field import batch_inverse, signed
+from repro.field.counters import global_counter
 from repro.lookup.table import PACK_BASE, LookupTable, get_table
-from repro.r1cs.lc import LinearCombination
+from repro.r1cs import mimc
+from repro.r1cs.lc import ONE, LinearCombination
 from repro.r1cs.system import ConstraintSystem
 
 # Sponge absorption layout: packed pairs are < 2^32, so seven fit a BN254
@@ -58,7 +65,6 @@ from repro.r1cs.system import ConstraintSystem
 # docstring for why they must not share a round).
 CHUNK_SIZE = 7
 CHUNK_BASE = 1 << 32
-EXTRA_ROUNDS = 2
 
 _RC_DOMAIN = b"repro.lookup.logup.v1"
 _LEAN_DOMAIN = b"repro.lookup.lean-alpha.v1"
@@ -68,14 +74,15 @@ class LookupError(ValueError):
     """Raised on malformed lookup usage or unassignable lookup columns."""
 
 
+def sponge_seed(table_name: str) -> bytes:
+    """The per-table seed binding :mod:`repro.r1cs.mimc` to one table's
+    challenge (domain-separated from every other sponge)."""
+    return hashlib.sha256(_RC_DOMAIN + table_name.encode("utf-8")).digest()
+
+
 def round_constants(table_name: str, count: int, modulus: int) -> List[int]:
     """Per-table MiMC round constants (domain-separated, deterministic)."""
-    seed = hashlib.sha256(_RC_DOMAIN + table_name.encode("utf-8")).digest()
-    out = []
-    for i in range(count):
-        digest = hashlib.sha256(seed + i.to_bytes(4, "big")).digest()
-        out.append(int.from_bytes(digest, "big") % modulus)
-    return out
+    return mimc.constants(sponge_seed(table_name), count, modulus)
 
 
 def _logup_fractions(
@@ -132,8 +139,8 @@ class LookupBlock:
     g_vars: List[int] = field(default_factory=list)
     g_constraints: List[int] = field(default_factory=list)
     sum_constraint: Optional[int] = None
-    # Strict only: (t2_var, t4_var, out_var, first_constraint_idx) per round.
-    sponge_rounds: List[Tuple[int, int, int, int]] = field(default_factory=list)
+    # Strict only: the challenge sponge's layout (its ``out`` is alpha_var).
+    sponge: Optional[mimc.Sponge] = None
     # Per-lookup input range proofs: x_var -> (bit_vars, recompose_cidx).
     xbits: Dict[int, Tuple[Tuple[int, ...], int]] = field(default_factory=dict)
 
@@ -145,8 +152,8 @@ class LookupBlock:
         """All wires this argument introduced (for determinism grants)."""
         out = list(self.y_vars) + list(self.h_vars)
         out += list(self.m_vars) + list(self.g_vars)
-        for t2, t4, state, _ in self.sponge_rounds:
-            out += [t2, t4, state]
+        if self.sponge is not None:
+            out += self.sponge.wires
         for bits, _ in self.xbits.values():
             out += list(bits)
         if self.alpha_var is not None:
@@ -429,7 +436,7 @@ class LookupEngine:
         )
 
         if self.mode == "strict":
-            alpha = self._emit_sponge(block, pairs, counts)
+            alpha = self._challenge(block)
         else:
             alpha = st.alpha_const
 
@@ -475,77 +482,34 @@ class LookupEngine:
             mark(f"lookup:{table.name}", start)
         return block
 
-    def _emit_sponge(
-        self, block: LookupBlock, pairs: Sequence[int], counts: Sequence[int]
-    ) -> int:
+    def _challenge(self, block: LookupBlock) -> int:
         """In-circuit Fiat–Shamir: absorb pairs (chunked) then multiplicities.
 
-        Returns the challenge value and assigns ``block.alpha_var``.  Each
-        round is the x^5 MiMC permutation (3 constraints: square, fourth
-        power, fifth power into the next state wire); the final round's
-        output wire IS the pre-allocated alpha.
+        Emits ``block``'s sponge — its last round's output wire IS the
+        pre-allocated alpha — and returns the challenge value.
         """
         cs = self.cs
-        p = cs.field.modulus
-        table_consts = (block.y_bias * PACK_BASE - block.domain_lo) % p
-
-        # Absorb schedule: (lc, value) per round.
-        absorbs: List[Tuple[LinearCombination, int]] = []
-        lookups = list(zip(block.x_vars, block.y_vars, pairs))
-        for base in range(0, len(lookups), CHUNK_SIZE):
-            chunk = lookups[base : base + CHUNK_SIZE]
-            lc = cs.lc()
-            const = 0
-            value = 0
-            for k, (x_var, y_var, packed) in enumerate(chunk):
-                scale = pow(CHUNK_BASE, k, p)
-                lc.add_term(x_var, scale)
-                lc.add_term(y_var, (scale * PACK_BASE) % p)
-                const = (const + scale * table_consts) % p
-                value = (value + scale * packed) % p
-            if const:
-                lc.add_term(0, const)
-            absorbs.append((lc, value))
-        for m_var, count in zip(block.m_vars, counts):
-            absorbs.append((cs.lc_variable(m_var), count % p))
-        for _ in range(EXTRA_ROUNDS):
-            absorbs.append((cs.lc(), 0))
-
-        rc = round_constants(block.table_name, len(absorbs), p)
-        state_lc = cs.lc()
-        state_val = 0
-        for r, (absorb_lc, absorb_val) in enumerate(absorbs):
-            t_lc = state_lc + absorb_lc + cs.lc_constant(rc[r])
-            t_val = (state_val + absorb_val + rc[r]) % p
-            t2_val = (t_val * t_val) % p
-            t4_val = (t2_val * t2_val) % p
-            out_val = (t4_val * t_val) % p
-            t2 = cs.new_private(t2_val)
-            t4 = cs.new_private(t4_val)
-            last = r == len(absorbs) - 1
-            out = block.alpha_var if last else cs.new_private(out_val)
-            self._log(t2, block.table_name)
-            self._log(t4, block.table_name)
-            if not last:
-                self._log(out, block.table_name)
-            first_cidx = cs.num_constraints
-            cs.enforce(
-                t_lc, t_lc.copy(), cs.lc_variable(t2),
-                tag=f"lookup:{block.table_name}/sponge",
-            )
-            cs.enforce(
-                cs.lc_variable(t2), cs.lc_variable(t2), cs.lc_variable(t4),
-                tag=f"lookup:{block.table_name}/sponge",
-            )
-            cs.enforce(
-                cs.lc_variable(t4), t_lc.copy(), cs.lc_variable(out),
-                tag=f"lookup:{block.table_name}/sponge",
-            )
-            block.sponge_rounds.append((t2, t4, out, first_cidx))
-            state_lc = cs.lc_variable(out)
-            state_val = out_val
-        cs.assign(block.alpha_var, state_val)
-        return state_val
+        name = block.table_name
+        seed = sponge_seed(name)
+        block.sponge = sponge = mimc.Sponge(
+            _absorb_schedule(block, cs.field),
+            first_wire=cs.num_private + 1,
+            out=block.alpha_var,
+            first_row=cs.num_constraints,
+        )
+        counter = global_counter()
+        tallied = counter.lc_term
+        rows = mimc.sponge_rows(
+            [sponge], [f"lookup:{name}/sponge"], seed, cs.field.modulus
+        )
+        # The per-LC build summed each round's t with ``+``, which counts
+        # an addition next to every term sponge_rows tallies.
+        counter.field_add += counter.lc_term - tallied
+        cs.allocate([None] * len(sponge.wires))
+        if self.recipe is not None:
+            self.recipe.extend((var, ("lut", name)) for var in sponge.wires)
+        cs.enforce_rows(rows.block())
+        return mimc.replay(cs, sponge, seed)
 
     # -- reporting ---------------------------------------------------------------------
 
@@ -709,78 +673,39 @@ def verify_lookup_block(cs: ConstraintSystem, block: LookupBlock) -> Optional[st
     return None
 
 
-def _expected_absorb_terms(
-    block: LookupBlock, p: int
-) -> List[Dict[int, int]]:
-    """The A-side term dicts each sponge round must absorb (minus state/rc)."""
+def _absorb_schedule(block: LookupBlock, field) -> List[mimc.Absorb]:
+    """What each payload round of ``block``'s sponge absorbs: the packed
+    pairs, ``CHUNK_SIZE`` per round, then every multiplicity on its own."""
+    p = field.modulus
     table_consts = (block.y_bias * PACK_BASE - block.domain_lo) % p
-    absorbs: List[Dict[int, int]] = []
+    absorbs: List[mimc.Absorb] = []
     lookups = list(zip(block.x_vars, block.y_vars))
     for base in range(0, len(lookups), CHUNK_SIZE):
-        chunk = lookups[base : base + CHUNK_SIZE]
-        terms: Dict[int, int] = {}
-        for k, (x_var, y_var) in enumerate(chunk):
+        # an LC, so a variable looked up twice in a chunk folds
+        lc = LinearCombination(field)
+        const = 0
+        for k, (x_var, y_var) in enumerate(lookups[base : base + CHUNK_SIZE]):
             scale = pow(CHUNK_BASE, k, p)
-            terms[x_var] = (terms.get(x_var, 0) + scale) % p
-            terms[y_var] = (terms.get(y_var, 0) + scale * PACK_BASE) % p
-            terms[0] = (terms.get(0, 0) + scale * table_consts) % p
-        absorbs.append(terms)
-    for m_var in block.m_vars:
-        absorbs.append({m_var: 1})
-    for _ in range(EXTRA_ROUNDS):
-        absorbs.append({})
+            lc.add_term(x_var, scale)
+            lc.add_term(y_var, (scale * PACK_BASE) % p)
+            const = (const + scale * table_consts) % p
+        if const:
+            lc.add_term(ONE, const)
+        absorbs.append(lc.terms)
+    absorbs.extend(block.m_vars)
     return absorbs
 
 
 def _verify_sponge(cs: ConstraintSystem, block: LookupBlock) -> Optional[str]:
-    p = cs.field.modulus
-    absorbs = _expected_absorb_terms(block, p)
-    if len(block.sponge_rounds) != len(absorbs):
-        return (
-            f"lookup block {block.table_name!r}: sponge has "
-            f"{len(block.sponge_rounds)} rounds, expected {len(absorbs)}"
+    sponge = block.sponge
+    if sponge is None or sponge.out != block.alpha_var:
+        defect = "sponge output is not the challenge wire"
+    else:
+        defect = mimc.check_rows(
+            cs, sponge, sponge_seed(block.table_name),
+            _absorb_schedule(block, cs.field),
         )
-    rc = round_constants(block.table_name, len(absorbs), p)
-    prev_state: Optional[int] = None
-    for r, (t2, t4, out, first_cidx) in enumerate(block.sponge_rounds):
-        if not (0 <= first_cidx and first_cidx + 2 < cs.num_constraints):
-            return f"lookup block {block.table_name!r}: sponge round {r} missing"
-        expected_t = dict(absorbs[r])
-        if prev_state is not None:
-            expected_t[prev_state] = (expected_t.get(prev_state, 0) + 1) % p
-        expected_t[0] = (expected_t.get(0, 0) + rc[r]) % p
-        expected_t = {v: c for v, c in expected_t.items() if c}
-        c0 = cs.constraints[first_cidx]
-        c1 = cs.constraints[first_cidx + 1]
-        c2 = cs.constraints[first_cidx + 2]
-        if (
-            _terms(c0.a) != expected_t
-            or _terms(c0.b) != expected_t
-            or _terms(c0.c) != {t2: 1}
-        ):
-            return (
-                f"lookup block {block.table_name!r}: sponge round {r} does "
-                f"not absorb the recorded pairs"
-            )
-        if (
-            _terms(c1.a) != {t2: 1}
-            or _terms(c1.b) != {t2: 1}
-            or _terms(c1.c) != {t4: 1}
-        ):
-            return f"lookup block {block.table_name!r}: sponge round {r} broken"
-        if (
-            _terms(c2.a) != {t4: 1}
-            or _terms(c2.b) != expected_t
-            or _terms(c2.c) != {out: 1}
-        ):
-            return f"lookup block {block.table_name!r}: sponge round {r} broken"
-        prev_state = out
-    if prev_state != block.alpha_var:
-        return (
-            f"lookup block {block.table_name!r}: sponge output is not the "
-            f"challenge wire"
-        )
-    return None
+    return defect and f"lookup block {block.table_name!r}: {defect}"
 
 
 # -- batch-sharing witness replay ------------------------------------------------------
@@ -829,7 +754,7 @@ def reassign_lookup_columns(cs: ConstraintSystem) -> None:
             cs.assign(m_var, c)
 
         if block.mode == "strict":
-            alpha = _replay_sponge(cs, block, pairs, counts)
+            alpha = mimc.replay(cs, block.sponge, sponge_seed(block.table_name))
         else:
             alpha = block.alpha_const
         h_vals, g_vals = _logup_fractions(
@@ -838,29 +763,3 @@ def reassign_lookup_columns(cs: ConstraintSystem) -> None:
         )
         for var, val in zip(block.h_vars + block.g_vars, h_vals + g_vals):
             cs.assign(var, val)
-
-
-def _replay_sponge(
-    cs: ConstraintSystem, block: LookupBlock, pairs: Sequence[int],
-    counts: Sequence[int],
-) -> int:
-    p = cs.field.modulus
-    values: List[int] = []
-    for base in range(0, len(pairs), CHUNK_SIZE):
-        chunk = pairs[base : base + CHUNK_SIZE]
-        values.append(
-            sum(pow(CHUNK_BASE, k, p) * v for k, v in enumerate(chunk)) % p
-        )
-    values.extend(c % p for c in counts)
-    values.extend(0 for _ in range(EXTRA_ROUNDS))
-    rc = round_constants(block.table_name, len(values), p)
-    state = 0
-    for r, ((t2, t4, out, _), v) in enumerate(zip(block.sponge_rounds, values)):
-        t = (state + v + rc[r]) % p
-        t2_val = (t * t) % p
-        t4_val = (t2_val * t2_val) % p
-        state = (t4_val * t) % p
-        cs.assign(t2, t2_val)
-        cs.assign(t4, t4_val)
-        cs.assign(out, state)
-    return state

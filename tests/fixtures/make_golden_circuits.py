@@ -21,6 +21,7 @@ import random
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.core.compiler import (
     PrivacySetting,
@@ -49,6 +50,8 @@ FAMILIES = [
 _PRUNED = CircuitSpec("RES18", scale="micro", prune="0.5,0.1")
 _SHAL = CircuitSpec("SHAL", scale="micro")
 _LCS = CircuitSpec("LCS", scale="micro")
+_TINY = FAMILIES[-1]
+REPLAY_SEED = 12
 
 # name -> (spec, CompilerOptions overrides applied on top of spec.options())
 CIRCUITS = {
@@ -68,11 +71,26 @@ CIRCUITS = {
     "LCS-knit-off": (_LCS, {"knit": False}),
     "LCS-knit-batch-2": (_LCS, {"knit_batch": 2}),
     "SHAL-arkworks": (_SHAL, "arkworks"),
+    # Written at 857c91e, the commit before the LogUp sponge moved to
+    # repro.r1cs.mimc.  A CNN through lookup ReLUs: hundreds of lookups
+    # per table, so many full 7-pair chunk rounds and inputs repeated
+    # inside a chunk (TINY's tables see 4-16 lookups).
+    "LCS-micro-strict-lookup": (
+        replace(_LCS, gadgets="strict", relu_mode="lookup"), {}
+    ),
+    # The same system as family/TINY-one-private, compiled for witness
+    # replay and re-assigned to image REPLAY_SEED: pins
+    # reassign_lookup_columns -> sponge replay -> VK / proof bytes.
+    "TINY-micro-strict-lookup-replayed": (_TINY, "replayed"),
 }
 
 
 def compile_circuit(name: str):
     spec, overrides = CIRCUITS[name]
+    if overrides == "replayed":
+        prover = spec.batch_prover(spec.image(IMAGE_SEED))
+        prover.assign_image(spec.image(REPLAY_SEED))
+        return SimpleNamespace(cs=prover.cs, compute=prover.result)
     options = (
         arkworks_options() if overrides == "arkworks"
         else replace(spec.options(), **overrides)

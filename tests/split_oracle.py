@@ -2,34 +2,36 @@
 ``split_model`` did before it planned on the CSR snapshot — the usage scan
 over ``constraint.{a,b,c}.terms``, one ``new_private`` per first use, one
 ``LinearCombination`` per remapped side, and MiMC sponges emitted as dict
-LCs one ``enforce`` at a time.  Shares the slice plan
-(``plan_layer_slices`` / ``_merge_segments``) and the result dataclasses
-with ``repro.aggregate.split``, and nothing else."""
+LCs one ``enforce`` at a time (``tests/sponge_oracle.py``, the one per-LC
+sponge under ``tests/``).  Shares the slice plan (``plan_layer_slices`` /
+``_merge_segments``) and the result dataclasses with
+``repro.aggregate.split``, and nothing else."""
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.aggregate.commit import (
-    MIMC_EXTRA_ROUNDS,
-    mimc_round_constants,
-    mimc_rounds,
-)
+from repro.aggregate.commit import MIMC_DOMAIN
 from repro.aggregate.split import (
     LayerInstance,
     ParcelKey,
     SplitModel,
-    Sponge,
     _merge_segments,
     plan_layer_slices,
 )
 from repro.r1cs.lc import ONE, LinearCombination
+from repro.r1cs.mimc import Sponge
 from repro.r1cs.system import ConstraintSystem
+from tests.sponge_oracle import (
+    EXTRA_ROUNDS,
+    emit_rounds,
+    fold_terms,
+    seeded_constants,
+)
 
 
 def split_model_lc(
     cs: ConstraintSystem,
     mode: str = "public",
     num_segments: Optional[int] = None,
-    extra_rounds: int = MIMC_EXTRA_ROUNDS,
 ) -> SplitModel:
     segments = plan_layer_slices(cs.num_constraints, cs.layer_ranges)
     if num_segments is not None:
@@ -85,7 +87,6 @@ def split_model_lc(
             globals_used=used_globals[k],
         )
         if mode == "hashed":
-            inst.extra_rounds = extra_rounds
             _commit_parcels(inst, var_map, parcels, in_cut, out_cut, digests)
         inst.cs.mark_layer(name, 0)
         instances.append(inst)
@@ -219,40 +220,24 @@ def _commit_parcels(
 def _absorb_sponge(
     inst: LayerInstance, local_vars: List[int], tag: str
 ) -> Tuple[Sponge, int]:
-    """Append MiMC-x⁵ absorb constraints over ``local_vars`` to ``inst``.
-
-    Per round (3 constraints): ``t = state + v + rc`` is a free LC, then
-    ``t·t = t²``, ``t²·t² = t⁴``, ``t⁴·t = t⁵`` and the next state is
-    ``t⁵``.
-    """
+    """Append MiMC-x⁵ absorb constraints over ``local_vars`` to ``inst``;
+    returns the layout and the wire holding the digest."""
     inst_cs = inst.cs
-    p = inst_cs.field.modulus
-    values = [inst_cs.value_of(v) for v in local_vars]
     # An unassigned system splits into unassigned sponges, filled in by
     # the first refresh_from.
-    wires = None if None in values else mimc_rounds(values, p, inst.extra_rounds)
-    constants = mimc_round_constants(len(local_vars) + inst.extra_rounds, p)
-    sponge = Sponge(list(local_vars), first_wire=inst_cs.num_private + 1)
+    absorbs = [
+        (inst_cs.lc_variable(v), inst_cs.value_of(v)) for v in local_vars
+    ] + [(inst_cs.lc(), 0)] * EXTRA_ROUNDS
+    sponge = Sponge(
+        list(local_vars),
+        first_wire=inst_cs.num_private + 1,
+        first_row=inst_cs.num_constraints,
+    )
     inst.sponges.append(sponge)
-    state = None  # the wire holding the previous round's t⁵; initially 0
-    for i, rc in enumerate(constants):
-        t_lc = inst_cs.lc_variable(state) if state else inst_cs.lc()
-        if i < len(local_vars):
-            t_lc.add_term(local_vars[i], 1)
-        t_lc.add_term(ONE, rc)
-        w2, w4, state = (
-            inst_cs.new_private(value)
-            for value in (next(wires) if wires else (None, None, None))
-        )
-        inst.private_map.extend((None, None, None))
-        inst_cs.enforce(t_lc, t_lc, inst_cs.lc_variable(w2), tag=tag)
-        inst_cs.enforce(
-            inst_cs.lc_variable(w2),
-            inst_cs.lc_variable(w2),
-            inst_cs.lc_variable(w4),
-            tag=tag,
-        )
-        inst_cs.enforce(
-            inst_cs.lc_variable(w4), t_lc, inst_cs.lc_variable(state), tag=tag
-        )
-    return sponge, state
+    rounds, _ = emit_rounds(
+        inst_cs, absorbs,
+        seeded_constants(MIMC_DOMAIN, len(absorbs), inst_cs.field.modulus),
+        tag, add=fold_terms,
+    )
+    inst.private_map.extend([None] * 3 * len(rounds))
+    return sponge, rounds[-1][2]

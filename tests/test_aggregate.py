@@ -55,6 +55,7 @@ from tests.fixtures import make_parent_aggregates as parent_recipe
 from tests.fixtures import make_parent_split as parent_split
 from tests.split_oracle import split_model_lc
 from tests.test_circuit_spec import FAMILIES
+from tests.test_lookup_audit import compile_tiny, lookup_gadget_cs
 
 CRS_SEED = 0xC0FFEE
 
@@ -503,6 +504,42 @@ class TestAuditSplit:
         assert report.ok, report.summary()
         assert report.num_constraints == split.total_constraints()
 
+    @pytest.mark.parametrize("mode", ["public", "hashed"])
+    def test_strict_lookup_split_audits_clean(self, mode):
+        """A lookup argument's rows are spread over the instances — the
+        membership rows in the layers, the column in ``lookup:<table>`` —
+        so its grant comes from the split, not from any one instance
+        (12,840 / 14,713 false errors before it did)."""
+        artifact = compile_tiny("lookup")
+        split = artifact.split(mode=mode)
+        assert len(split.lookup_blocks) == len(artifact.cs.lookup_blocks) > 0
+        report = audit_split(
+            split, assume=assume_from_recipe(artifact.compute.recipe)
+        )
+        assert report.ok, report.summary()
+        assert report.num_constraints == split.total_constraints()
+
+    @pytest.mark.parametrize("mode", ["public", "hashed"])
+    @pytest.mark.parametrize("defect", ["sum check", "multiplicity", "membership"])
+    def test_broken_lookup_surfaces_once_through_the_split(self, mode, defect):
+        """The three ``TestBrokenLookupFixture`` defects, split after the
+        tampering: one ``lookup-block`` error naming the table, and no
+        grant (the argument's wires surface as under-constrained)."""
+        cs, block, x_vars = lookup_gadget_cs([-6, 0, 44])
+        if defect == "sum check":
+            cs.constraints[block.sum_constraint].a.terms.clear()
+        elif defect == "multiplicity":
+            cs.constraints[block.g_constraints[40]].c.terms.clear()
+        else:
+            cs.constraints[block.h_constraints[0]].a.add_term(
+                block.y_vars[0], 1
+            )
+        report = audit_split(split_model(cs, mode=mode), assume=x_vars)
+        named = [f for f in report.errors if f.rule == "lookup-block"]
+        assert [f.layer for f in named] == ["lookup:relu8"]
+        assert defect in named[0].message
+        assert len(report.errors) > 1
+
     def test_findings_carry_instance_layer(self, artifact):
         split = artifact.split(mode="public")
         # Inject an unreferenced private into one instance: the merged
@@ -646,9 +683,9 @@ class TestParcels:
         assert len(set(carried)) < len(carried)
         digested = []
 
-        def counting(values, modulus, extra_rounds):
+        def counting(values, modulus):
             digested.append(tuple(values))
-            return mimc_digest(values, modulus, extra_rounds)
+            return mimc_digest(values, modulus)
 
         monkeypatch.setattr(split_module, "mimc_digest", counting)
         prover.assign_image(images[1])
@@ -802,7 +839,7 @@ class TestParentArtifacts:
         )
         # one path each: no parameter was added to select another
         for function, parameters in (
-            (split_model, "cs mode num_segments extra_rounds"),
+            (split_model, "cs mode num_segments"),
             (CompileArtifact.split, "self mode num_segments"),
             (ConstraintSystem.enforce_rows, "self block tag start stop"),
             (ConstraintSystem.to_csr, "self assignment"),

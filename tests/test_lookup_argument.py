@@ -128,7 +128,7 @@ class TestChallengeDerivation:
     def test_strict_alpha_is_sponge_output(self):
         cs, block, _ = emit_lookups([1, 2], mode="strict")
         assert block.alpha_var is not None
-        assert block.sponge_rounds[-1][2] == block.alpha_var
+        assert block.sponge.out == block.alpha_var
         assert cs.value_of(block.alpha_var) is not None
 
     def test_alpha_changes_with_multiset(self):

@@ -26,7 +26,8 @@ from tests.test_lookup_argument import emit_lookups
 def _replay_cheat(cs, block, pairs):
     """Recompute sponge/h/g/m the way a consistent cheater would, given the
     (possibly tampered) packed pairs currently claimed by x/y wires."""
-    from repro.lookup.argument import _replay_sponge
+    from repro.lookup.argument import sponge_seed
+    from repro.r1cs import mimc
 
     p = cs.field.modulus
     size = len(block.packed_entries)
@@ -37,7 +38,7 @@ def _replay_cheat(cs, block, pairs):
             counts[j] += 1
     for m_var, c in zip(block.m_vars, counts):
         cs.assign(m_var, c)
-    alpha = _replay_sponge(cs, block, pairs, counts)
+    alpha = mimc.replay(cs, block.sponge, sponge_seed(block.table_name))
     for h_var, packed in zip(block.h_vars, pairs):
         cs.assign(h_var, pow((alpha - packed) % p, p - 2, p))
     for g_var, row, c in zip(block.g_vars, block.packed_entries, counts):
