@@ -275,14 +275,22 @@ class ClusterCoordinator(JobEngine):
     def _serve_node(self, conn: socket.socket, hello: Dict[str, Any]) -> None:
         node_id = str(hello.get("node_id") or f"node-{id(conn):x}")
         node = _Node(node_id, conn, hello)
-        with self._lock:
-            if node_id in self._nodes:  # reconnect: replace the stale handle
-                self._node_died(self._nodes[node_id], "replaced by reconnect")
-            self._nodes[node_id] = node
-            self._dead_nodes.pop(node_id, None)
-        try:
-            write_frame(conn, MsgType.HELLO_ACK, {"node_id": node_id})
-        except OSError:
+        # HELLO_ACK must be the node's first frame: its send lock is held
+        # from registration until the ack is written, so a batch the
+        # dispatcher routes to it in between waits behind the ack.
+        with node.send_lock:
+            with self._lock:
+                stale = self._nodes.get(node_id)
+                if stale is not None:  # reconnect: replace the stale handle
+                    self._node_died(stale, "replaced by reconnect")
+                self._nodes[node_id] = node
+                self._dead_nodes.pop(node_id, None)
+            try:
+                write_frame(conn, MsgType.HELLO_ACK, {"node_id": node_id})
+                acked = True
+            except OSError:
+                acked = False
+        if not acked:
             self._node_died(node, "handshake failed")
             return
         self._wake.set()

@@ -92,9 +92,17 @@ class GroupBackend(ABC):
 
     @abstractmethod
     def pairing_product_is_one(
-        self, pairs: Sequence[Tuple[GroupElement, GroupElement]]
+        self,
+        pairs: Sequence[Tuple[GroupElement, GroupElement]],
+        fixed: Sequence[Tuple[GroupElement, GroupElement]] = (),
     ) -> bool:
-        """Check ``prod e(P_i, Q_i) == 1`` — the Groth16 verify primitive."""
+        """Check ``prod e(P_i, Q_i) == 1`` over ``pairs`` and ``fixed`` —
+        the Groth16 verify primitive.
+
+        ``fixed`` holds pairs whose two points are both constants of a
+        verifying key (Groth16's ``(alpha, beta)``): a backend may reuse
+        work on them across calls, never change the verdict.
+        """
 
     def _msm_chunked(
         self,
@@ -212,8 +220,8 @@ class RealBN254Backend(GroupBackend):
     def precompute_base(self, base):
         return jacobian.BaseTable(base, jacobian.KEPT_BASE_WINDOW)
 
-    def pairing_product_is_one(self, pairs) -> bool:
-        return bn254.pairing_product_is_one(pairs)
+    def pairing_product_is_one(self, pairs, fixed=()) -> bool:
+        return bn254.pairing_product_is_one(pairs, fixed)
 
 
 class SimulatedBackend(GroupBackend):
@@ -256,10 +264,11 @@ class SimulatedBackend(GroupBackend):
     def precompute_base(self, base):
         return SimBaseTable(base)
 
-    def pairing_product_is_one(self, pairs) -> bool:
+    def pairing_product_is_one(self, pairs, fixed=()) -> bool:
         acc = 0
-        for p, q in pairs:
-            acc += sim_pairing(p, q).log
+        for group in (pairs, fixed):
+            for p, q in group:
+                acc += sim_pairing(p, q).log
         return acc % BN254_FR.modulus == 0
 
 

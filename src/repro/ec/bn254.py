@@ -20,12 +20,21 @@ one final exponentiation:
 * the loop squares the running value once per digit for all pairs and
   folds each line in with the sparse product
   :func:`repro.ec.tower.f12_mul_034`;
+* a pair whose two points are both constants of a verifying key
+  (Groth16's ``(alpha, beta)``) is passed as ``fixed``: its Miller value
+  is computed once, kept in a second LRU keyed by both points, and
+  multiplied into the loop's output — the same Fq12 value the loop would
+  have reached with the pair inside it;
 * the final exponentiation splits ``(q^12 - 1)/r`` into the easy part
   ``(q^6 - 1)(q^2 + 1)`` (one inversion, a conjugation, a Frobenius) and
   the hard part ``(q^4 - q^2 + 1)/r = l3 q^3 + l2 q^2 + l1 q + l0`` of
   Devegili–Scott–Dahab (:data:`HARD_PART_LAMBDAS`): three powerings by
-  ``u``, Frobenius maps and a short addition chain.  The decomposition is
-  exact, so the value is the reduced pairing itself, not a power of it.
+  ``u``, Frobenius maps and a short addition chain.  After the easy part
+  every value lies in the cyclotomic subgroup, so the hard part squares
+  with :func:`repro.ec.tower.f12_cyclotomic_sqr` and powers by ``u`` over
+  its signed digits (an inverse there is a conjugation).  The
+  decomposition is exact, so the value is the reduced pairing itself, not
+  a power of it.
 
 Affine :class:`~repro.ec.curve.CurveGroup` arithmetic on ``BN254_G1`` /
 ``BN254_G2`` is the public ``add / neg / is_on_curve`` surface and the
@@ -50,11 +59,11 @@ from repro.ec.tower import (
     f2_mul,
     f2_sqr,
     f12_conj,
+    f12_cyclotomic_sqr,
     f12_frobenius,
     f12_inv,
     f12_mul,
     f12_mul_034,
-    f12_pow,
     f12_sqr,
 )
 
@@ -131,11 +140,26 @@ Line = Tuple[Fq2, Fq2, Fq2]
 #: Prepared G2 points kept (least recently used evicted first).  One entry
 #: is 88 lines x 6 ints, 51 KiB measured; 16 entries hold the
 #: beta/gamma/delta of five verifying keys plus a transient proof.b in
-#: 0.8 MiB.
+#: 0.8 MiB.  The fixed-pair Miller values (12 ints an entry) are bounded
+#: by the same number.
 PREPARED_G2_MAX = 16
 _PREPARED: "OrderedDict[Tuple[int, int, int, int], Tuple[Line, ...]]" = (
     OrderedDict()
 )
+_FIXED: "OrderedDict[Tuple[int, ...], Fq12]" = OrderedDict()
+
+
+def _lru(cache: OrderedDict, key, build):
+    """``cache[key]``, built on a miss; the least recently used entry
+    goes once the cache holds more than :data:`PREPARED_G2_MAX`."""
+    value = cache.get(key)
+    if value is not None:
+        cache.move_to_end(key)
+        return value
+    value = cache[key] = build()
+    if len(cache) > PREPARED_G2_MAX:
+        cache.popitem(last=False)
+    return value
 
 
 def _double_step(x: Fq2, y: Fq2, z: Fq2):
@@ -202,11 +226,10 @@ def _twist_frobenius(x: Fq2, y: Fq2) -> Tuple[Fq2, Fq2]:
 def _prepare_g2(q_point: Point) -> Tuple[Line, ...]:
     """The line coefficients of the whole Miller loop over ``q_point``."""
     qx, qy = q_point.x.coeffs, q_point.y.coeffs
-    key = qx + qy
-    lines = _PREPARED.get(key)
-    if lines is not None:
-        _PREPARED.move_to_end(key)
-        return lines
+    return _lru(_PREPARED, qx + qy, lambda: _lines(qx, qy))
+
+
+def _lines(qx: Fq2, qy: Fq2) -> Tuple[Line, ...]:
     neg_qy = (-qy[0] % _Q, -qy[1] % _Q)
     r = (qx, qy, (1, 0))
     out: List[Line] = []
@@ -222,10 +245,7 @@ def _prepare_g2(q_point: Point) -> Tuple[Line, ...]:
     out.append(line)
     _, line = _add_step(*r, q2x, (-q2y[0] % _Q, -q2y[1] % _Q))
     out.append(line)
-    lines = _PREPARED[key] = tuple(out)
-    if len(_PREPARED) > PREPARED_G2_MAX:
-        _PREPARED.popitem(last=False)
-    return lines
+    return tuple(out)
 
 
 # -- Miller loop and final exponentiation ------------------------------------------------
@@ -257,14 +277,44 @@ def _miller_product(pairs: Iterable[Tuple[Point, Point]]) -> Fq12:
     return f
 
 
+def _fixed_miller(p_point: Point, q_point: Point) -> Fq12:
+    """The Miller value of one fixed pair, memoised on both points."""
+    if p_point.inf or q_point.inf:
+        return F12_ONE
+    key = (p_point.x.value, p_point.y.value) + q_point.x.coeffs
+    key += q_point.y.coeffs
+    return _lru(_FIXED, key, lambda: _miller_product(((p_point, q_point),)))
+
+
+# u below its leading one in signed digits, high digit first: 62 cyclotomic
+# squarings and 23 products (the binary expansion would need 27).
+_U_DIGITS = tuple(reversed(_signed_digits(BN_U)[:-1]))
+
+
+def _cyclotomic_pow_u(f: Fq12) -> Fq12:
+    """``f^u`` for ``f`` in the cyclotomic subgroup, where ``f^-1`` is
+    ``conj(f)``."""
+    f_inv = f12_conj(f)
+    out = f
+    for digit in _U_DIGITS:
+        out = f12_cyclotomic_sqr(out)
+        if digit > 0:
+            out = f12_mul(out, f)
+        elif digit < 0:
+            out = f12_mul(out, f_inv)
+    return out
+
+
 def _final_exponentiation(f: Fq12) -> Fq12:
-    # Easy part: f^((q^6 - 1)(q^2 + 1)).  From here on inverse == conjugate.
+    # Easy part: f^((q^6 - 1)(q^2 + 1)).  From here on every value is in the
+    # cyclotomic subgroup: inverse == conjugate, squaring is the cheap kind.
     f = f12_mul(f12_conj(f), f12_inv(f))
     f = f12_mul(f12_frobenius(f, 2), f)
     # Hard part: f^(l0 + l1 q + l2 q^2 + q^3), HARD_PART_LAMBDAS.
-    fu = f12_pow(f, BN_U)
-    fu2 = f12_pow(fu, BN_U)
-    fu3 = f12_pow(fu2, BN_U)
+    sqr = f12_cyclotomic_sqr
+    fu = _cyclotomic_pow_u(f)
+    fu2 = _cyclotomic_pow_u(fu)
+    fu3 = _cyclotomic_pow_u(fu2)
     y0 = f12_mul(
         f12_mul(f12_frobenius(f, 1), f12_frobenius(f, 2)), f12_frobenius(f, 3)
     )
@@ -275,13 +325,13 @@ def _final_exponentiation(f: Fq12) -> Fq12:
     y5 = f12_conj(fu2)
     y6 = f12_conj(f12_mul(fu3, f12_frobenius(fu3, 1)))
     # y0 y1^2 y2^6 y3^12 y4^18 y5^30 y6^36 by Scott et al.'s addition chain.
-    t0 = f12_mul(f12_mul(f12_sqr(y6), y4), y5)
+    t0 = f12_mul(f12_mul(sqr(y6), y4), y5)
     t1 = f12_mul(f12_mul(y3, y5), t0)
     t0 = f12_mul(t0, y2)
-    t1 = f12_sqr(f12_mul(f12_sqr(t1), t0))
+    t1 = sqr(f12_mul(sqr(t1), t0))
     t0 = f12_mul(t1, y1)
     t1 = f12_mul(t1, y0)
-    return f12_mul(f12_sqr(t0), t1)
+    return f12_mul(sqr(t0), t1)
 
 
 def miller_loop(q_point: Point, p_point: Point) -> FQ12:
@@ -305,7 +355,21 @@ def bn254_pairing(p_point: Point, q_point: Point) -> FQ12:
     return final_exponentiate(miller_loop(q_point, p_point))
 
 
-def pairing_product_is_one(pairs: Sequence[Tuple[Point, Point]]) -> bool:
-    """Check ``prod e(P_i, Q_i) == 1``: one multi-Miller loop, one final
-    exponentiation — how Groth16 verification is implemented in practice."""
-    return _final_exponentiation(_miller_product(pairs)) == F12_ONE
+def pairing_product_is_one(
+    pairs: Sequence[Tuple[Point, Point]],
+    fixed: Sequence[Tuple[Point, Point]] = (),
+) -> bool:
+    """Check ``prod e(P_i, Q_i) == 1`` over ``pairs`` and ``fixed``: one
+    multi-Miller loop, one final exponentiation — how Groth16 verification
+    is implemented in practice.
+
+    ``fixed`` holds pairs whose two points are both constants of a
+    verifying key; their Miller values come from a memo (computed, and
+    counted as a pairing, only on a miss) and multiply into the loop's
+    output, which leaves the Fq12 value exactly what one loop over every
+    pair would give.
+    """
+    f = _miller_product(pairs)
+    for p_point, q_point in fixed:
+        f = f12_mul(f, _fixed_miller(p_point, q_point))
+    return _final_exponentiation(f) == F12_ONE

@@ -13,20 +13,22 @@ formulas for ``a = 0`` curves, where ``(X, Y, Z)`` represents affine
 
 The formulas exist twice: over Fq on raw ints for G1 (``j_*``) and over Fq2
 on the raw pairs of :mod:`repro.ec.tower` for G2 (``j2_*``).  Everything
-built on them — :func:`scalar_mul`, the Pippenger :func:`msm_jacobian`, the
-fixed-base :func:`base_multiples` set-up uses and the G2 subgroup check —
-is written once and picks its formulas by the points' group.  The test
-suite cross-checks every operation against the affine implementation.
+built on them — :func:`scalar_mul`, the Pippenger :func:`msm_jacobian` and
+the fixed-base :func:`base_multiples` set-up uses — is written once and
+picks its formulas by the points' group.  The G2 subgroup check
+(:func:`in_subgroup`) adds the twist endomorphism ``psi`` on Jacobian
+coordinates.  The test suite cross-checks every operation against the
+affine implementation.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.ec.bn254 import BN254_G1, BN254_G2
+from repro.ec.bn254 import BN254_G1, BN254_G2, BN_U
 from repro.ec.curve import CurveGroup, Point
 from repro.ec.msm import MAX_WINDOW, pick_window, signed_digits, signed_windows
-from repro.ec.tower import FQ2, Fq2, f2_inv, f2_mul, f2_sqr
+from repro.ec.tower import FQ2, FROBENIUS_GAMMA, Fq2, f2_inv, f2_mul, f2_sqr
 from repro.field.counters import global_counter
 from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
 from repro.field.vector import batch_inverse
@@ -380,13 +382,58 @@ def scalar_mul(p: Point, k: int) -> Point:
     return fm.lower(fm.normalize([_double_and_add(fm, fm.lift(p), k)])[0])
 
 
+_PSI_X, _PSI_Y = FROBENIUS_GAMMA[0][2], FROBENIUS_GAMMA[0][3]
+
+
+def j2_psi(p: J2Point) -> J2Point:
+    """``psi``, the q-power Frobenius of the untwisted point back on the
+    twist (:func:`repro.ec.bn254._twist_frobenius`) on Jacobian
+    coordinates: conjugation commutes with ``X/Z^2`` and ``Y/Z^3``, so Z is
+    conjugated too.  On G2, ``psi`` is multiplication by ``q mod r``."""
+    (x0, x1), (y0, y1), (z0, z1) = p
+    return (
+        f2_mul((x0, -x1 % _Q), _PSI_X),
+        f2_mul((y0, -y1 % _Q), _PSI_Y),
+        (z0, -z1 % _Q),
+    )
+
+
+def j2_equal(p: J2Point, q: J2Point) -> bool:
+    """Do two Jacobian points represent the same affine point?  (By
+    cross-multiplication: no inversion.)"""
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    if z1 == _ZERO2 or z2 == _ZERO2:
+        return z1 == z2
+    z1z1 = f2_sqr(z1)
+    z2z2 = f2_sqr(z2)
+    return f2_mul(x1, z2z2) == f2_mul(x2, z1z1) and f2_mul(
+        y1, f2_mul(z2, z2z2)
+    ) == f2_mul(y2, f2_mul(z1, z1z1))
+
+
 def in_subgroup(p: Point) -> bool:
-    """``[r]P == O``: is an on-curve point in the prime-order subgroup?
-    (Always true on G1, whose cofactor is 1; G2's is ~2^254.)"""
-    if p.inf:
+    """Is a point *already known to be on its curve* in the order-r
+    subgroup?  Always on G1, whose cofactor is 1.
+
+    On G2 (cofactor ~2^254) the test is Scott's (ePrint 2021/1130):
+    ``[u+1]P + psi([u]P) + psi^2([u]P) == psi^3([2u]P)`` — one 63-bit
+    scalar multiplication by the BN parameter ``u`` instead of a 254-bit
+    one by ``r``.  It is sound for points of E'(Fq2) only: the element
+    ``(u+1) + uX + uX^2 - 2uX^3`` of ``Z[X] / (X^2 - tX + q)`` has a norm
+    divisible by r and prime to the cofactor ``2q - r``, and r^2 does not
+    divide #E'(Fq2), so only the order-r points satisfy it
+    (El Housni–Guillevic–Piellard, ePrint 2022/352).  Off the curve the
+    answer means nothing; decoders check the curve equation first.
+    """
+    if p.inf or p.group is BN254_G1:
         return True
-    fm = _FORMULAS[p.group]
-    return _double_and_add(fm, fm.lift(p), p.group.order)[2] == fm.infinity[2]
+    base = (p.x.coeffs, p.y.coeffs)
+    up = _double_and_add(_FORMULAS[BN254_G2], base, BN_U)
+    psi1 = j2_psi(up)
+    psi2 = j2_psi(psi1)
+    lhs = j2_add(j2_add(j2_add_mixed(up, base), psi1), psi2)
+    return j2_equal(lhs, j2_double(j2_psi(psi2)))
 
 
 def msm_jacobian(

@@ -11,7 +11,10 @@ construction:
 * **prove** costs three witness-sized MSMs plus one quotient-sized MSM —
   this is the paper's claim that security-computation latency is
   proportional to the number of private values ``n`` and constraints ``m``.
-* **verify** is one product of four pairings.
+* **verify** is one product of four pairings — ``e(alpha, beta)`` a
+  constant of the key, whose Miller value the real backend computes once.
+  A public input outside ``[0, r)`` is rejected before any group work: a
+  claim has one encoding, not one per residue class.
 """
 
 from __future__ import annotations
@@ -265,18 +268,32 @@ def prove(
     return Proof(a=proof_a, b=proof_b, c=c_acc)
 
 
+def _in_range(public_inputs: Sequence[int], modulus: int) -> bool:
+    """Every public input canonical, in ``[0, modulus)``.  (The MSM would
+    reduce ``v + r`` to ``v`` and accept it; the batch transcript could not
+    even encode a negative or 257-bit ``v``.)  A plain loop: on ten inputs
+    it costs two thirds of ``min`` plus ``max``."""
+    for value in public_inputs:
+        if not 0 <= value < modulus:
+            return False
+    return True
+
+
 def verify(
     vk: VerifyingKey,
     public_inputs: Sequence[int],
     proof: Proof,
     backend: Optional[GroupBackend] = None,
 ) -> bool:
-    """Check ``e(A,B) == e(alpha,beta) * e(IC(pub),gamma) * e(C,delta)``."""
+    """Check ``e(A,B) == e(alpha,beta) * e(IC(pub),gamma) * e(C,delta)``;
+    False for a public input outside ``[0, r)``."""
     backend = backend or SimulatedBackend()
     if len(public_inputs) != vk.num_public:
         raise ValueError(
             f"expected {vk.num_public} public inputs, got {len(public_inputs)}"
         )
+    if not _in_range(public_inputs, backend.scalar_field.modulus):
+        return False
     # The empty MSM (zero public inputs) is the identity, so this needs no
     # guard — a no-public-input circuit verifies like any other.
     acc = backend.add(
@@ -285,10 +302,10 @@ def verify(
     return backend.pairing_product_is_one(
         [
             (backend.neg(proof.a), proof.b),
-            (vk.alpha_g1, vk.beta_g2),
             (acc, vk.gamma_g2),
             (proof.c, vk.delta_g2),
-        ]
+        ],
+        fixed=((vk.alpha_g1, vk.beta_g2),),
     )
 
 
@@ -353,13 +370,20 @@ def batch_verify_multi(
     Coefficients ``t_i`` are Fiat–Shamir-derived from the canonical bytes
     of every key, public-input vector, and proof in the batch (so the
     check is deterministic and replayable, and any flipped byte re-keys
-    the whole combination); pass ``rng`` to sample them instead.
+    the whole combination); pass ``rng`` to sample them instead.  A public
+    input outside ``[0, r)`` anywhere in the batch makes it False.
     """
     backend = backend or SimulatedBackend()
     total = sum(len(claims) for _, claims in groups)
     if total == 0:
         return True
     p = backend.scalar_field.modulus
+    if not all(
+        _in_range(public_inputs, p)
+        for _, claims in groups
+        for public_inputs, _ in claims
+    ):
+        return False
     if rng is not None:
         coefficients = [rng.randrange(1, p) for _ in range(total)]
     else:

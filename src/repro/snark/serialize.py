@@ -172,8 +172,10 @@ def deserialize_g2_on_curve(data: bytes) -> Point:
 def deserialize_g2(data: bytes) -> Point:
     """Decode a G2 point a verifier will pair: on the curve *and* in the
     order-r subgroup.  G2's cofactor is ~2^254, so almost every on-curve
-    Fq2 point is outside it; ``[r]P == O`` on the Jacobian formulas costs
-    a few milliseconds."""
+    Fq2 point is outside it; the subgroup test
+    (:func:`repro.ec.jacobian.in_subgroup`, one 63-bit scalar
+    multiplication and three endomorphisms) runs after the curve check it
+    relies on."""
     point = deserialize_g2_on_curve(data)
     if not in_subgroup(point):
         raise SerializationError("G2 point not in the order-r subgroup")

@@ -161,6 +161,18 @@ def oracle_pairing(p_point, q_point):
     return miller_loop(q_point, p_point) ** FINAL_EXP_POWER
 
 
+def in_subgroup_by_order(p):
+    """``[r]P == O`` by double-and-add on the Jacobian formulas — the G2
+    membership check ``src/`` used to run, now the oracle for the
+    endomorphism test in :func:`repro.ec.jacobian.in_subgroup`."""
+    if p.inf:
+        return True
+    from repro.ec.jacobian import _FORMULAS, _double_and_add
+
+    fm = _FORMULAS[p.group]
+    return _double_and_add(fm, fm.lift(p), p.group.order)[2] == fm.infinity[2]
+
+
 def to_flat(gt):
     """A :class:`repro.ec.tower.FQ12` in the oracle's flat ``w`` basis.
 

@@ -407,6 +407,66 @@ class TestTamperRejection:
         assert verdict.reason
 
 
+@pytest.fixture(scope="module")
+def real_curve_agg():
+    """SHAL:micro split in public mode, set up, proved and folded on the
+    genuine BN254 curve (three instances, ≈ 0.5 s)."""
+    from repro.core.spec import CircuitSpec
+    from repro.ec.backend import RealBN254Backend
+
+    spec = CircuitSpec(model="SHAL", scale="micro", gadgets="lean")
+    split = spec.compile(spec.image(0)).split(mode="public")
+    backend = RealBN254Backend()
+    setups = setup_split(split, backend, crs_seed=CRS_SEED)
+    proofs = prove_split(split, setups, backend, crs_seed=CRS_SEED)
+    return fold(split, setups, [proofs], crs_seed=CRS_SEED)
+
+
+class TestRealCurveAggregate:
+    """``verify_aggregate`` on BN254: VK decoding (three G2 subgroup checks
+    per layer), proof decoding and one batched real pairing check."""
+
+    def test_accepts(self, real_curve_agg):
+        loaded = AggregateProof.from_json(real_curve_agg.to_json())
+        verdict = verify_aggregate(loaded)
+        assert verdict.ok, verdict.reason
+        assert verdict.num_layers == len(real_curve_agg.layers) >= 2
+
+    def test_flipped_proof_byte_rejected(self, real_curve_agg):
+        def mutate(payload):
+            proof = bytearray.fromhex(payload["inferences"][0]["proofs"][1])
+            proof[33 + 40] ^= 0x01  # inside B, the G2 element
+            payload["inferences"][0]["proofs"][1] = proof.hex()
+
+        verdict = verify_aggregate(_tampered(real_curve_agg, mutate))
+        assert not verdict and verdict.reason
+
+    def test_off_subgroup_beta_rejected(self, real_curve_agg):
+        """beta re-encoded as an on-curve point outside the order-r
+        subgroup: the VK decoder refuses it."""
+        from repro.snark.serialize import serialize_g2
+        from tests.test_snark_serialize import off_subgroup_g2_point
+
+        def mutate(payload):
+            vk = bytearray.fromhex(payload["layers"][0]["vk"])
+            vk[33:98] = serialize_g2(off_subgroup_g2_point())  # alpha || beta
+            payload["layers"][0]["vk"] = vk.hex()
+
+        verdict = verify_aggregate(_tampered(real_curve_agg, mutate))
+        assert not verdict
+        assert "layer 0" in verdict.reason and "subgroup" in verdict.reason
+
+    def test_out_of_range_public_rejected(self, real_curve_agg):
+        def mutate(payload):
+            value = int(payload["inferences"][0]["publics"][0][0])
+            payload["inferences"][0]["publics"][0][0] = str(
+                value + BN254_FR_MODULUS
+            )
+
+        verdict = verify_aggregate(_tampered(real_curve_agg, mutate))
+        assert not verdict and "range" in verdict.reason
+
+
 class TestBatchReuse:
     """§6.1 reuse: refresh the split for a new image, prove, fold both."""
 

@@ -23,7 +23,17 @@ from repro.ec.bn254 import (
     miller_loop,
     pairing_product_is_one,
 )
-from repro.ec.tower import FQ12
+from repro.ec.jacobian import scalar_mul
+from repro.ec.tower import (
+    FQ12,
+    f12_conj,
+    f12_cyclotomic_sqr,
+    f12_frobenius,
+    f12_inv,
+    f12_mul,
+    f12_pow,
+    f12_sqr,
+)
 from repro.field.counters import count_ops
 from repro.field.fp import BN254_FQ_MODULUS as Q
 from tests import pairing_oracle
@@ -75,6 +85,52 @@ class TestAgainstOracle:
         f = miller_loop(G2, G1)
         naive = to_flat(f) ** pairing_oracle.FINAL_EXP_POWER
         assert to_flat(final_exponentiate(f)) == naive
+
+    def test_final_exponentiation_of_multi_pair_miller_values(self):
+        """Eight products of random pairs, not just e(G1, G2): the
+        cyclotomic hard part against the naive power."""
+        for f in random_miller_values(8, seed=0xF1):
+            naive = to_flat(FQ12.from_raw(f)) ** pairing_oracle.FINAL_EXP_POWER
+            fast = FQ12.from_raw(bn254._final_exponentiation(f))
+            assert to_flat(fast) == naive
+
+
+def random_miller_values(count, seed, pairs=3):
+    rng = random.Random(seed)
+
+    def pair():
+        return (
+            scalar_mul(G1, rng.randrange(1, R)),
+            scalar_mul(G2, rng.randrange(1, R)),
+        )
+
+    return [
+        bn254._miller_product([pair() for _ in range(pairs)])
+        for _ in range(count)
+    ]
+
+
+def easy_part(f):
+    """``f^((q^6 - 1)(q^2 + 1))``: into the cyclotomic subgroup."""
+    f = f12_mul(f12_conj(f), f12_inv(f))
+    return f12_mul(f12_frobenius(f, 2), f)
+
+
+class TestCyclotomic:
+    def test_cyclotomic_square_is_the_square_after_the_easy_part(self):
+        for f in random_miller_values(4, seed=0xC7, pairs=2):
+            g = easy_part(f)
+            assert f12_cyclotomic_sqr(g) == f12_sqr(g)
+            # a formula for the subgroup only: a raw Miller value is outside
+            assert f12_cyclotomic_sqr(f) != f12_sqr(f)
+
+    def test_power_by_u_over_its_signed_digits(self):
+        g = easy_part(random_miller_values(1, seed=0xA5, pairs=1)[0])
+        assert bn254._cyclotomic_pow_u(g) == f12_pow(g, BN_U)
+        value = 1
+        for digit in bn254._U_DIGITS:
+            value = 2 * value + digit
+        assert value == BN_U
 
 
 class TestPairing:
@@ -143,6 +199,13 @@ class TestProductCheck:
                 ((2 * G1, G2), (-G1, 2 * G2), (BN254_G1.infinity(), G2))
             )
         assert ops.pairing == 2
+        # a fixed pair runs its Miller loop on a memo miss only
+        bn254._FIXED.clear()
+        pairs, fixed = ((-(6 * G1), G2),), ((3 * G1, 2 * G2),)
+        for expected in (2, 1):
+            with count_ops() as ops:
+                assert pairing_product_is_one(pairs, fixed)
+            assert ops.pairing == expected
 
     def test_memo_overflow_still_answers_correctly(self):
         bn254._PREPARED.clear()
@@ -157,6 +220,55 @@ class TestProductCheck:
         assert qs[0].x.coeffs + qs[0].y.coeffs not in bn254._PREPARED
         assert pairing_product_is_one(((2 * G1, G2), (-G1, qs[0])))
         assert not pairing_product_is_one(pairs[:-1] + [(-(total * G1), 2 * G2)])
+
+    def test_fixed_pairs_leave_the_miller_value_unchanged(self):
+        pairs = [(2 * G1, G2), (-(5 * G1), 3 * G2)]
+        fixed = [(7 * G1, 4 * G2)]
+        bn254._FIXED.clear()
+        assert f12_mul(
+            bn254._miller_product(pairs), bn254._fixed_miller(*fixed[0])
+        ) == bn254._miller_product(pairs + fixed)
+
+    def test_fixed_memo_cold_warm_and_after_overflow(self):
+        """``PREPARED_G2_MAX + 3`` keys: each answers the same cold, warm
+        and after it was evicted; a wrong product is rejected throughout."""
+        bn254._FIXED.clear()
+        count = bn254.PREPARED_G2_MAX + 3
+        keys = [(k * G1, G2) for k in range(2, 2 + count)]
+
+        def check(k):
+            alpha, beta = keys[k]
+            good = ((-((k + 2) * G1), G2),)
+            bad = ((-((k + 3) * G1), G2),)
+            return (
+                pairing_product_is_one(good, ((alpha, beta),)),
+                pairing_product_is_one(bad, ((alpha, beta),)),
+            )
+
+        first = check(0)
+        assert first == (True, False) == check(0)  # cold, then warm
+        for k in range(1, count):
+            assert check(k) == (True, False)
+        assert len(bn254._FIXED) == bn254.PREPARED_G2_MAX
+        alpha, beta = keys[0]
+        key = (alpha.x.value, alpha.y.value) + beta.x.coeffs + beta.y.coeffs
+        assert key not in bn254._FIXED
+        assert check(0) == (True, False)  # evicted, recomputed
+
+    def test_keys_sharing_beta_do_not_share_an_entry(self):
+        bn254._FIXED.clear()
+        beta = 5 * G2
+        pairs = ((-(15 * G1), G2),)
+        assert pairing_product_is_one(pairs, ((3 * G1, beta),))
+        assert not pairing_product_is_one(pairs, ((7 * G1, beta),))
+        assert pairing_product_is_one(((-(35 * G1), G2),), ((7 * G1, beta),))
+        assert len(bn254._FIXED) == 2
+        assert pairing_product_is_one(pairs, ((3 * G1, beta),))
+
+    def test_fixed_infinity_contributes_one(self):
+        assert pairing_product_is_one((), ((BN254_G1.infinity(), G2),))
+        at_infinity = ((G1, BN254_G2.infinity()),)
+        assert not pairing_product_is_one(((G1, G2),), at_infinity)
 
     def test_memo_returns_the_same_lines(self):
         bn254._PREPARED.clear()

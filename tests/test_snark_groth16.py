@@ -140,6 +140,22 @@ class TestRealBN254Backend:
         assert verify(result.verifying_key, [ref], proof, self.backend)
         assert not verify(result.verifying_key, [ref + 1], proof, self.backend)
 
+    def test_wrong_alpha_rejects_with_the_fixed_pair_memoised(self):
+        """``(alpha, beta)`` is memoised per key — on both points, so a
+        key that differs in alpha alone gets its own Miller value."""
+        import dataclasses
+
+        cs, ref = dot_product_cs([3, 1], [2, 5])
+        result = setup(cs, self.backend, random.Random(1))
+        vk = result.verifying_key
+        proof = prove(result.proving_key, cs, self.backend, random.Random(2))
+        forged = dataclasses.replace(
+            vk, alpha_g1=self.backend.scalar_mul(vk.alpha_g1, 2)
+        )
+        for _ in range(2):  # cold, then warm memo
+            assert verify(vk, [ref], proof, self.backend)
+            assert not verify(forged, [ref], proof, self.backend)
+
     def test_zero_public_inputs_on_real_curve(self):
         """Regression: zero-public-input circuits prove and verify end to
         end on the genuine curve (empty MSMs return the identity)."""
