@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import random
 import sys
 import tempfile
@@ -222,25 +221,16 @@ def _cmd_prove_per_layer(args, artifact) -> int:
 @contextlib.contextmanager
 def _streamed_crs():
     """``prove --max-rss``: a throw-away content-addressed chunk store for
-    the CRS, with the working-set knob defaulted while it is open.
+    the CRS, gone when the block exits, however it exits.
 
-    The prover then maps one chunk at a time and evaluates witness rows in
-    blocks, so its working set is bounded by ``ZENO_MSM_CHUNK_BYTES``
-    instead of the full proving key.  Both the knob and the directory are
-    gone when the block exits, however it exits.
+    The prover then maps one 8 MiB chunk at a time
+    (:data:`repro.snark.chunked.DEFAULT_CHUNK_BYTES`) instead of holding
+    the full proving key.
     """
     from repro.serve.store import ArtifactStore
-    from repro.snark.chunked import CHUNK_BYTES_ENV
 
-    defaulted = CHUNK_BYTES_ENV not in os.environ
-    if defaulted:
-        os.environ[CHUNK_BYTES_ENV] = str(8 << 20)
-    try:
-        with tempfile.TemporaryDirectory(prefix="zeno-crs-") as root:
-            yield ArtifactStore(root, max_entries=1 << 30)
-    finally:
-        if defaulted:
-            del os.environ[CHUNK_BYTES_ENV]
+    with tempfile.TemporaryDirectory(prefix="zeno-crs-") as root:
+        yield ArtifactStore(root, max_entries=1 << 30)
 
 
 def cmd_prove(args) -> int:
@@ -833,9 +823,9 @@ def main(argv=None) -> int:
     )
     p_prove.add_argument(
         "--max-rss", type=_parse_size, default=None, metavar="SIZE",
-        help="stream the CRS through chunked storage (ZENO_MSM_CHUNK_BYTES "
-             "sets the chunk size) and exit 3 if peak RSS exceeds SIZE "
-             "(e.g. 512M, 16G)",
+        help="stream the CRS through chunked storage (8 MiB chunks) and "
+             "exit 3 if peak RSS exceeds SIZE (e.g. 512M, 16G); whole-model "
+             "proofs only",
     )
     p_prove.add_argument(
         "--per-layer", action="store_true",
@@ -1007,6 +997,12 @@ def main(argv=None) -> int:
             "--parallelism starts worker processes for --per-layer "
             "instances; a whole-model proof runs in one process "
             "(add --per-layer, or drop --parallelism)"
+        )
+    if args.command == "prove" and args.max_rss is not None and args.per_layer:
+        p_prove.error(
+            "--max-rss streams the CRS of a whole-model proof; --per-layer "
+            "proves in memory and would ignore the cap "
+            "(drop --per-layer, or drop --max-rss)"
         )
     return args.func(args)
 

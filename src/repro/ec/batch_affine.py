@@ -237,8 +237,8 @@ def msm_streamed(
 
     The streamed-CRS path: each chunk is classified, reduced, and released
     before the next is decoded, so the peak working set is one chunk plus
-    a Jacobian accumulator — bounded by ``ZENO_MSM_CHUNK_BYTES`` instead
-    of the full query.  MSM is linear in the point vector, so per-chunk
+    a Jacobian accumulator — bounded by the CRS chunk size instead of the
+    full query.  MSM is linear in the point vector, so per-chunk
     (and per-class) partial sums combine to the *exact* group element a
     single pass computes (proof bytes are unchanged).
     """

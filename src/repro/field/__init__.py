@@ -7,8 +7,7 @@ paper).  This package provides:
   arithmetic used in hot loops (MSM, QAP evaluation).
 * :class:`~repro.field.fp.FieldElement` — an ergonomic wrapper element type.
 * BN254 scalar field (``BN254_FR``) and base field (``BN254_FQ``) instances.
-* Batch utilities (:mod:`repro.field.vector`) such as Montgomery batch
-  inversion and field dot products.
+* Montgomery batch inversion (:mod:`repro.field.vector`).
 * Operation counters (:mod:`repro.field.counters`) used by the benchmark
   harness to attribute cost to pipeline phases.
 """
@@ -23,7 +22,7 @@ from repro.field.fp import (
     signed,
 )
 from repro.field.counters import OpCounter, global_counter, count_ops
-from repro.field.vector import batch_inverse, field_dot, powers
+from repro.field.vector import batch_inverse
 
 __all__ = [
     "Field",
@@ -36,7 +35,5 @@ __all__ = [
     "global_counter",
     "count_ops",
     "batch_inverse",
-    "field_dot",
-    "powers",
     "signed",
 ]

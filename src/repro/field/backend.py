@@ -1,24 +1,15 @@
-"""Array-oriented field-arithmetic backends (``repro.field.backend``).
+"""The array field kernel (``repro.field.backend``).
 
-Every prover hot path — NTT butterflies, MSM bucket reduction, CSR witness
-evaluation — ultimately bottoms out in per-element Python big-int ``%``
-operations.  This module provides interchangeable *backends* for bulk field
-arithmetic so those loops can run as array programs instead:
-
-* :class:`ScalarBackend` — the always-available reference; plain Python
-  ints driven through :class:`repro.field.fp.Field`.  The kernel must
-  produce bit-identical results (the hypothesis parity suite, and
-  ``tests/test_golden_quotients.py`` pins quotients and proof bytes of both
-  to the same frozen fixture).
-* :class:`NumpyBackend` — the array kernel below: field elements as columns
-  of float64 limbs, multiplication by a constant as an exact matrix product
-  that BLAS executes.  It serves the QAP transforms of
-  :mod:`repro.snark.qap`; batch inversion stays scalar.
-
-Selection is via the ``ZENO_FIELD_BACKEND`` environment variable
-(``auto`` | ``scalar`` | ``numpy``); ``auto`` is numpy where it imports,
-else scalar.  :func:`set_backend` overrides at runtime (tests, CI's
-forced-scalar second run).
+An NTT over Python ints bottoms out in per-element big-int ``%``
+operations.  This module runs the QAP transforms of :mod:`repro.snark.qap`
+as array programs instead: field elements as columns of float64 limbs,
+multiplication by a constant as an exact matrix product that BLAS
+executes.  :class:`repro.snark.qap.Domain` uses it at domain sizes from
+``qap._VECTOR_NTT_MIN`` up and keeps its scalar ``_ntt`` below that, where
+the kernel's fixed cost per stage loses; the scalar path is also the
+oracle the kernel must match bit for bit (the hypothesis parity suite, and
+``tests/test_golden_quotients.py`` pins quotients and proof bytes of both
+to the same frozen fixture).
 
 The constant-operand matmul kernel
 ----------------------------------
@@ -52,20 +43,11 @@ count.  DESIGN.md carries the argument.
 
 from __future__ import annotations
 
-import os
 import threading
 from operator import methodcaller
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.field.counters import global_counter
-from repro.field.fp import Field
-
-try:  # numpy ships with the package (pyproject dependency) but stay gated
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a hard dep in practice
-    _np = None
-
-HAS_NUMPY = _np is not None
+import numpy as _np
 
 LIMB_BITS = 22
 _BASE = float(1 << LIMB_BITS)
@@ -229,7 +211,7 @@ def to_limbs(plan: LimbPlan, values: Sequence[int], validate: bool = False):
 
     With ``validate`` the inputs must already be canonical
     (``0 <= v < p``); non-canonical values raise ``ValueError`` instead of
-    being silently reduced — the backend parity contract is on canonical
+    being silently reduced — the kernel's parity contract is on canonical
     representatives only.
     """
     n = len(values)
@@ -469,111 +451,8 @@ def ntt(x, twiddles, inverse: bool = False):
     return x
 
 
-# -- backend objects ----------------------------------------------------------------
-
-
-class ScalarBackend:
-    """Reference backend: canonical Python-int arithmetic via ``Field``."""
-
-    name = "scalar"
-    supports_ntt = False
-
-    def inv_list(self, field: Field, xs, zero_ok: bool = False):
-        # The scalar Montgomery batch-inversion trick: one field inversion
-        # plus 3(n-1) multiplies, zeros masked to 0 when allowed.
-        p = field.modulus
-        n = len(xs)
-        if n == 0:
-            return []
-        prefix = [0] * n
-        running = 1
-        any_nonzero = False
-        for i, v in enumerate(xs):
-            if v == 0:
-                if not zero_ok:
-                    raise ZeroDivisionError(
-                        "batch_inverse received a zero element"
-                    )
-                prefix[i] = 0
-                continue
-            running = running * v % p
-            prefix[i] = running
-            any_nonzero = True
-        counter = global_counter()
-        out = [0] * n
-        if not any_nonzero:
-            counter.field_inv += 1
-            counter.field_mul += 3 * max(n - 1, 0)
-            return out
-        inv_running = field.inv(running)  # the single inversion (counted)
-        for i in range(n - 1, -1, -1):
-            if xs[i] == 0:
-                continue
-            prev = 1
-            for j in range(i - 1, -1, -1):
-                if prefix[j]:
-                    prev = prefix[j]
-                    break
-            out[i] = inv_running * prev % p
-            inv_running = inv_running * xs[i] % p
-        counter.field_mul += 3 * max(n - 1, 0)
-        return out
-
-
-class NumpyBackend(ScalarBackend):
-    """The array kernel of this module; serves the QAP transforms."""
-
-    name = "numpy"
-    supports_ntt = True
-
-    # inv_list is inherited: on int lists the conversion to and from limbs
-    # costs more than the scalar loop saves (0.65x at 16k elements measured).
-
-
-_VALID = ("auto", "scalar", "numpy")
-_lock = threading.Lock()
-_active: Optional[ScalarBackend] = None
-_active_name: Optional[str] = None
-
-
-def _resolve(name: str) -> ScalarBackend:
-    if name == "auto":
-        return NumpyBackend() if HAS_NUMPY else ScalarBackend()
-    if name == "numpy":
-        if not HAS_NUMPY:
-            raise RuntimeError("ZENO_FIELD_BACKEND=numpy but numpy is absent")
-        return NumpyBackend()
-    return ScalarBackend()
-
-
-def get_backend() -> ScalarBackend:
-    """The process-wide active backend (env-selected, overridable)."""
-    global _active, _active_name
-    if _active is None:
-        with _lock:
-            if _active is None:
-                name = os.environ.get("ZENO_FIELD_BACKEND", "auto").lower()
-                if name not in _VALID:
-                    raise ValueError(
-                        "ZENO_FIELD_BACKEND must be one of %s, got %r"
-                        % ("/".join(_VALID), name)
-                    )
-                _active = _resolve(name)
-                _active_name = name
-    return _active
-
-
-def set_backend(name: str) -> ScalarBackend:
-    """Force a backend by name (tests / CI); returns the new instance."""
-    global _active, _active_name
-    if name not in _VALID:
-        raise ValueError("unknown backend %r" % (name,))
-    with _lock:
-        _active = _resolve(name)
-        _active_name = name
-    return _active
-
-
 def backend_name() -> str:
-    """The active backend's concrete name (resolves ``auto``)."""
-    return get_backend().name
+    """``"numpy"``, the one field kernel.  Kept because the benchmark
+    harness (``benchmarks/e2e/harness.py::environment``) records it in
+    every result's environment block."""
+    return "numpy"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -165,22 +165,11 @@ def build_csr_structure(rows, num_public: int, num_private: int,
                      modulus)
 
 
-# Rough upper bound on the transient footprint of one scheduled product:
-# the ~508-bit product int (~92 bytes) plus its list slot.  Used to turn
-# the ZENO_MSM_CHUNK_BYTES working-set budget into a block nnz.
-_STREAM_BYTES_PER_TERM = 96
-
-
-def _stream_block_nnz() -> Optional[int]:
-    """nnz budget per evaluation block, from ``ZENO_MSM_CHUNK_BYTES``.
-
-    Read per call (the CLI's ``--max-rss`` sets it mid-process); unset
-    means unbounded — the historical single-sweep behavior.
-    """
-    raw = os.environ.get("ZENO_MSM_CHUNK_BYTES")
-    if not raw:
-        return None
-    return max(1024, int(raw) // _STREAM_BYTES_PER_TERM)
+# Terms per evaluation block: a 32 MiB product list at 96 bytes a term (the
+# ~508-bit product int plus its list slot).  Every benchmarked matrix fits
+# one block (LCS:full's A side is 224,922 terms) and keeps the single
+# sweep; LCL:full (2.5M) streams in blocks.
+_BLOCK_NNZ = (32 << 20) // 96
 
 
 def _eval_block(
@@ -211,23 +200,18 @@ def matrix_row_evals(
 
     Single pass: all coefficient products are formed in one C-level
     ``map(mul, ...)`` sweep, then each row reduces to a slice sum and one
-    modular reduction — no per-term Python bytecode.  When
-    ``ZENO_MSM_CHUNK_BYTES`` is set, the rows are processed in blocks
-    whose transient product list stays within that budget, so the witness
-    pass streams instead of materializing O(nnz) products.
+    modular reduction — no per-term Python bytecode.  A matrix above
+    :data:`_BLOCK_NNZ` terms is swept in row blocks of at most that many
+    terms (a longer row is a block of its own), so the transient product
+    list stays bounded instead of growing with nnz.
     """
     indptr = matrix.indptr
     num_rows = matrix.num_rows
     out = [0] * num_rows
-    limit = _stream_block_nnz()
-    if limit is None or matrix.nnz <= limit:
-        _eval_block(matrix, z, modulus, out, 0, num_rows)
-        return out
     row = 0
     while row < num_rows:
-        end = row + 1  # always make progress, even on a giant row
-        while end < num_rows and indptr[end + 1] - indptr[row] <= limit:
-            end += 1
+        # The last row end within budget, but at least one row.
+        end = bisect_right(indptr, indptr[row] + _BLOCK_NNZ, row + 2) - 1
         _eval_block(matrix, z, modulus, out, row, end)
         row = end
     return out

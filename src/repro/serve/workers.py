@@ -36,7 +36,6 @@ from repro.core.reuse.batch import BatchProver
 from repro.core.spec import CircuitSpec
 from repro.ec.backend import backend_by_name
 from repro.field import signed
-from repro.field.backend import backend_name
 from repro.snark import groth16
 from repro.snark.serialize import serialize_proof, serialize_verifying_key
 
@@ -260,10 +259,6 @@ def prove_batch(
         reply,
         cold=cold,
         vk=vk_bytes,
-        # Which field-arithmetic backend this worker proved with
-        # (scalar / numpy) — proofs are byte-identical across backends,
-        # so this is telemetry for capacity planning, not correctness.
-        field_backend=backend_name(),
         results=results,
         # Fixed-base table telemetry: `built` marks the one-time table
         # construction, `uses` counts table queries served by THIS batch

@@ -11,10 +11,11 @@ JSON *manifest* binding the chunk keys together.
 :class:`ChunkedQuery` is the lazy read view: a ``Sequence`` of group
 points that decodes at most one chunk at a time.  The MSM engines iterate
 it via :meth:`ChunkedQuery.iter_chunks`, so the prover's peak working set
-is one chunk (``ZENO_MSM_CHUNK_BYTES``) instead of the whole query — and
-since MSM is linear in the points, per-chunk partial sums combine to the
-exact same group element the one-shot engines produce: proofs from a
-chunked key are byte-identical to proofs from a dense key.
+is one chunk (:data:`DEFAULT_CHUNK_BYTES`, or the ``chunk_bytes`` given to
+:func:`repro.snark.groth16.setup`) instead of the whole query — and since
+MSM is linear in the points, per-chunk partial sums combine to the exact
+same group element the one-shot engines produce: proofs from a chunked key
+are byte-identical to proofs from a dense key.
 
 Chunk blob layout: ``kind_byte || u32(count) || count fixed-size point
 encodings`` (the canonical encodings of :mod:`repro.snark.serialize`).
@@ -23,7 +24,6 @@ encodings`` (the canonical encodings of :mod:`repro.snark.serialize`).
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -38,11 +38,10 @@ from repro.snark.serialize import (
     serialize_sim,
 )
 
-#: Working-set knob: target chunk size in bytes for CRS chunks and the
-#: streamed MSM/CSR paths.  Read dynamically so tests and the CLI's
-#: ``--max-rss`` can adjust it per run.
-CHUNK_BYTES_ENV = "ZENO_MSM_CHUNK_BYTES"
-DEFAULT_CHUNK_BYTES = 1 << 20
+#: Bytes of one CRS chunk — the points one streamed MSM step holds — when
+#: ``setup(store=)`` gets no ``chunk_bytes``; ``zeno prove --max-rss`` has
+#: always run at this size (RES50:full in 6.3 GB).
+DEFAULT_CHUNK_BYTES = 8 << 20
 
 #: Artifact-store kind tag for proving-key chunks.
 CHUNK_KIND = "pkc"
@@ -60,22 +59,17 @@ _KINDS = {
 }
 
 
-def chunk_bytes_from_env(default: int = DEFAULT_CHUNK_BYTES) -> int:
-    """The configured chunk size (``ZENO_MSM_CHUNK_BYTES``), or ``default``."""
-    raw = os.environ.get(CHUNK_BYTES_ENV)
-    if not raw:
-        return default
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{CHUNK_BYTES_ENV} must be positive, got {value}")
-    return value
+def _chunk_blob(kind: str, encodings: List[bytes]) -> bytes:
+    """``kind byte || u32 count || encodings``: the one chunk layout."""
+    tag = _KINDS[kind][0]
+    return b"".join(
+        [bytes([tag]), len(encodings).to_bytes(4, "big"), *encodings]
+    )
 
 
 def encode_chunk(kind: str, points: Sequence) -> bytes:
-    tag, _, enc, _ = _KINDS[kind]
-    parts = [bytes([tag]), len(points).to_bytes(4, "big")]
-    parts.extend(enc(p) for p in points)
-    return b"".join(parts)
+    enc = _KINDS[kind][2]
+    return _chunk_blob(kind, [enc(p) for p in points])
 
 
 def decode_chunk(data: bytes) -> Tuple[str, List]:
@@ -235,10 +229,7 @@ class ChunkWriter:
     def _flush(self) -> None:
         if not self._buffer:
             return
-        tag, _, _, _ = _KINDS[self.kind]
-        blob = b"".join(
-            [bytes([tag]), len(self._buffer).to_bytes(4, "big")] + self._buffer
-        )
+        blob = _chunk_blob(self.kind, self._buffer)
         self.keys.append(self.store.put(CHUNK_KIND, blob))
         self.counts.append(len(self._buffer))
         self._buffer = []

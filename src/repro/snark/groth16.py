@@ -47,8 +47,8 @@ def setup(
 
     With ``store`` (a :class:`repro.serve.ArtifactStore`), the five query
     vectors are emitted as content-addressed chunks of ``chunk_bytes``
-    (default ``ZENO_MSM_CHUNK_BYTES`` or 1 MiB) instead of in-memory
-    lists: the returned proving key holds lazy
+    (default :data:`~repro.snark.chunked.DEFAULT_CHUNK_BYTES`, 8 MiB)
+    instead of in-memory lists: the returned proving key holds lazy
     :class:`~repro.snark.chunked.ChunkedQuery` views, the manifest key
     lands in ``stats["pk_manifest_key"]``, and proving streams one chunk
     at a time — proofs are byte-identical to the dense-key path.
@@ -108,12 +108,12 @@ def setup(
         )
         b_query_g2, g2_points = multiples(g2, b_at, g2_singles)
     else:
-        from repro.snark.chunked import ChunkWriter, chunk_bytes_from_env
+        from repro.snark.chunked import DEFAULT_CHUNK_BYTES, ChunkWriter
 
         sim = backend.name == "simulated"
         kind1 = "sim" if sim else "g1"
         kind2 = "sim" if sim else "g2"
-        size = chunk_bytes or chunk_bytes_from_env()
+        size = chunk_bytes or DEFAULT_CHUNK_BYTES
 
         def emit_query(kind, base, values):
             """Stream a query into the store one chunk's worth at a time."""

@@ -27,7 +27,6 @@ quotient's transforms run in the calling process.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,7 +59,7 @@ def _next_pow2(n: int) -> int:
 # tests/test_field_backend.py).
 _DOMAIN_CACHE: "OrderedDict[Tuple[int, int], Domain]" = OrderedDict()
 _DOMAIN_CACHE_LOCK = threading.Lock()
-_DOMAIN_CACHE_MAX = max(2, int(os.environ.get("ZENO_DOMAIN_CACHE_MAX", "8")))
+_DOMAIN_CACHE_MAX = 8
 
 
 def domain_cache_info() -> Tuple[int, int]:
@@ -173,16 +172,12 @@ class Domain:
             self._stage_twiddle_cache[root] = stages
         return stages
 
-    # -- vectorized backend plumbing ---------------------------------------------
+    # -- array kernel plumbing ---------------------------------------------------
 
     def _vector_tables(self) -> Optional["_VectorTables"]:
-        """The limb-resident table bundle, or ``None`` when the active
-        backend is scalar / the domain is below the vector threshold."""
+        """The limb-resident table bundle, or ``None`` below
+        :data:`_VECTOR_NTT_MIN`, where the scalar ``_ntt`` runs."""
         if self.size < _VECTOR_NTT_MIN:
-            return None
-        from repro.field.backend import get_backend
-
-        if not getattr(get_backend(), "supports_ntt", False):
             return None
         vec = self._vec
         if vec is None:
@@ -196,7 +191,7 @@ class Domain:
 
     def _bump_ntt_counters(self, transforms: int) -> None:
         """Charge the cost-model counters for ``transforms`` NTT passes —
-        identical totals to the scalar butterfly loop, so backends are
+        identical totals to the scalar butterfly loop, so the two paths are
         indistinguishable to the op-count benchmarks."""
         from repro.field.counters import global_counter
 

@@ -3,14 +3,15 @@
 The streamed full-scale proving path decomposes into independently
 checkable pieces, each tested here against its dense counterpart:
 
-* chunk blob encode/decode round-trips (and rejects corruption);
+* chunk blob encode/decode round-trips (and rejects corruption), and a
+  ``ChunkWriter`` blob is ``encode_chunk`` of the same points;
 * ``ChunkedQuery`` sequence semantics, including the prefix-slice view
   ``prove()`` takes of ``h_query_g1``;
 * ``msm_streamed`` equals the one-shot batch-affine engine;
 * ``groth16.setup(store=...)`` + ``prove`` produce proofs byte-identical
   to the dense path on both group backends, including after a cold
   reload via :func:`load_chunked_proving_key`;
-* CSR witness evaluation blocked by ``ZENO_MSM_CHUNK_BYTES`` matches the
+* CSR witness evaluation in row blocks (a patched nnz budget) matches the
   single-sweep result;
 * ``ArtifactStore`` LRU eviction charges actual on-disk chunk bytes;
 * ``PhaseTimer`` reports a nonzero ``peak_rss_bytes``.
@@ -26,10 +27,8 @@ from repro.ec.backend import RealBN254Backend, SimulatedBackend
 from repro.serve.store import ArtifactStore
 from repro.snark import groth16
 from repro.snark.chunked import (
-    CHUNK_BYTES_ENV,
     ChunkedQuery,
     ChunkWriter,
-    chunk_bytes_from_env,
     decode_chunk,
     encode_chunk,
     load_chunked_proving_key,
@@ -75,14 +74,24 @@ class TestChunkCodec:
         with pytest.raises(SerializationError):
             decode_chunk(b"\x01\x00")  # shorter than header
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
-        assert chunk_bytes_from_env(4096) == 4096
-        monkeypatch.setenv(CHUNK_BYTES_ENV, "8192")
-        assert chunk_bytes_from_env() == 8192
-        monkeypatch.setenv(CHUNK_BYTES_ENV, "0")
-        with pytest.raises(ValueError):
-            chunk_bytes_from_env()
+    @pytest.mark.parametrize("kind", ["sim", "g1", "g2"])
+    def test_writer_blob_is_encode_chunk(self, tmp_path, kind):
+        from repro.ec.bn254 import BN254_G1, BN254_G2
+        from repro.ec.simulated import G1_TAG, SimPoint
+
+        pts = {
+            "sim": [SimPoint(G1_TAG, k) for k in (0, 1, 12345)],
+            "g1": [BN254_G1.scalar_mul(BN254_G1.generator, k)
+                   for k in (1, 2, 3)],
+            "g2": [BN254_G2.scalar_mul(BN254_G2.generator, k)
+                   for k in (1, 2, 3)],
+        }[kind]
+        store = ArtifactStore(str(tmp_path / "store"))
+        writer = ChunkWriter(store, kind, chunk_bytes=1 << 20)
+        for p in pts:
+            writer.append(p)
+        (key,) = writer.finish().keys
+        assert store.get(key) == encode_chunk(kind, pts)
 
 
 class TestChunkedQuery:
@@ -192,30 +201,19 @@ class TestStreamedCSR:
 
         cs = tiny_cs()
         csr = cs.to_csr()
-        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
+        assert csr.a.nnz <= csr_mod._BLOCK_NNZ  # one sweep by default
         baseline = [
             matrix_row_evals(m, csr.z, csr.modulus)
             for m in (csr.a, csr.b, csr.c)
         ]
-        # A tiny nnz budget forces many row-aligned spans (the env knob's
-        # floor of 1024 nnz would leave this small system un-blocked).
-        monkeypatch.setattr(csr_mod, "_stream_block_nnz", lambda: 5)
+        # A tiny nnz budget forces many row-aligned spans.
+        monkeypatch.setattr(csr_mod, "_BLOCK_NNZ", 5)
         blocked = [
             matrix_row_evals(m, csr.z, csr.modulus)
             for m in (csr.a, csr.b, csr.c)
         ]
         for base, block in zip(baseline, blocked):
             assert list(base) == list(block)
-
-    def test_env_knob_respected_end_to_end(self, monkeypatch):
-        from repro.r1cs.csr import matrix_row_evals
-
-        cs = tiny_cs()
-        csr = cs.to_csr()
-        monkeypatch.setenv(CHUNK_BYTES_ENV, "100000")
-        blocked = matrix_row_evals(csr.a, csr.z, csr.modulus)
-        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
-        assert blocked == matrix_row_evals(csr.a, csr.z, csr.modulus)
 
 
 class TestStoreByteBudget:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.snark import groth16
-from repro.snark.chunked import CHUNK_BYTES_ENV
 
 
 class TestModels:
@@ -128,7 +127,7 @@ class TestProveVerify:
 
 class TestMaxRss:
     """``prove --max-rss``: a streamed-CRS prove under a cap, which leaves
-    neither its working-set knob nor its chunk store behind."""
+    neither its chunk store behind nor the environment changed."""
 
     @pytest.fixture
     def scratch(self, tmp_path, monkeypatch):
@@ -143,19 +142,15 @@ class TestMaxRss:
                      "--max-rss", cap, "--out", str(tmp_path / "p.bin")])
 
     @pytest.mark.parametrize(
-        "cap, preset, code, word",
-        [("64G", None, 0, "within"), ("1M", "65536", 3, "EXCEEDED")],
+        "cap, code, word", [("64G", 0, "within"), ("1M", 3, "EXCEEDED")]
     )
     def test_cap_verdict_and_nothing_left_behind(
-        self, tmp_path, scratch, monkeypatch, capsys, cap, preset, code, word
+        self, tmp_path, scratch, capsys, cap, code, word
     ):
-        if preset is None:
-            monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
-        else:
-            monkeypatch.setenv(CHUNK_BYTES_ENV, preset)
+        environ = dict(os.environ)
         assert self._prove(tmp_path, cap) == code
         assert f"({word} --max-rss" in capsys.readouterr().out
-        assert os.environ.get(CHUNK_BYTES_ENV) == preset
+        assert dict(os.environ) == environ
         assert list(scratch.iterdir()) == []
         proof = tmp_path / "p.bin"
         assert main(["verify", "--proof", str(proof),
@@ -165,15 +160,14 @@ class TestMaxRss:
         self, tmp_path, scratch, monkeypatch
     ):
         def broken(*args, **kwargs):
-            assert os.environ[CHUNK_BYTES_ENV] == str(8 << 20)  # set while open
             assert [d.name[:9] for d in scratch.iterdir()] == ["zeno-crs-"]
             raise RuntimeError("prover died")
 
-        monkeypatch.delenv(CHUNK_BYTES_ENV, raising=False)
+        environ = dict(os.environ)
         monkeypatch.setattr(groth16, "prove", broken)
         with pytest.raises(RuntimeError, match="prover died"):
             self._prove(tmp_path, "64G")
-        assert CHUNK_BYTES_ENV not in os.environ
+        assert dict(os.environ) == environ
         assert list(scratch.iterdir()) == []
 
     def test_unverifiable_proof_is_an_error_not_an_assert(
@@ -183,6 +177,18 @@ class TestMaxRss:
         assert self._prove(tmp_path, "64G") == 1
         assert "self-check failed" in capsys.readouterr().err
         assert not (tmp_path / "p.bin").exists()
+        assert list(scratch.iterdir()) == []
+
+    def test_per_layer_is_a_usage_error(self, tmp_path, scratch, capsys):
+        """Per-layer proving holds its keys in memory: with --max-rss it
+        used to print no verdict and exit 0 whatever the peak."""
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", "--model", "SHAL", "--scale", "micro",
+                  "--per-layer", "--max-rss", "1M",
+                  "--out", str(tmp_path / "agg.json")])
+        assert exc.value.code == 2
+        assert "--per-layer" in capsys.readouterr().err
+        assert not (tmp_path / "agg.json").exists()
         assert list(scratch.iterdir()) == []
 
 

@@ -1,13 +1,13 @@
-"""Property and regression tests for the array field backend.
+"""Property and regression tests for the array field kernel.
 
-Backend parity (add/sub/constant multiply/data-by-data multiply/normalise,
+Kernel parity (add/sub/constant multiply/data-by-data multiply/normalise,
 to/from ints and the NTT against the scalar ``Field`` reference, including
 the boundary values 0, 1, p-1), the exactness bounds and an adversarial
 case at the extremes they allow for, rejection of non-canonical inputs,
 kernel-call counts per transform, the bounded domain LRU and its
 fork-consistency in worker pools, ``zero_ok`` batch inversion feeding the
-batch-affine bucket fold, ``field_dot`` chunked reduction, and
-cross-backend proof byte-identity.
+batch-affine bucket fold, the blocked CSR row sweep, and proof
+byte-identity whichever path the transforms take.
 """
 
 import multiprocessing
@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 import repro.snark.qap as qap_mod
 from repro.field import backend as fb
 from repro.field.backend import (
-    NumpyBackend,
-    ScalarBackend,
     from_limbs,
     plan_for,
     powers_limbs,
@@ -30,7 +28,7 @@ from repro.field.backend import (
 )
 from repro.field.counters import count_ops
 from repro.field.fp import BN254_FQ, BN254_FR
-from repro.field.vector import batch_inverse, field_dot
+from repro.field.vector import batch_inverse
 from repro.snark.qap import Domain, domain_cache_info
 
 P = BN254_FR.modulus
@@ -40,16 +38,6 @@ PLAN = plan_for(BN254_FR)
 elements = st.integers(min_value=0, max_value=P - 1)
 boundary = st.sampled_from([0, 1, P - 1])
 vectors = st.lists(st.one_of(elements, boundary), min_size=1, max_size=80)
-
-
-@pytest.fixture
-def array_backend():
-    """Domain dispatches on the active backend: tests of the array path
-    select it, whatever ``ZENO_FIELD_BACKEND`` the run was started with."""
-    original = fb.backend_name()
-    fb.set_backend("numpy")
-    yield
-    fb.set_backend(original)
 
 
 def scalar_ref(op, xs, ys):
@@ -164,12 +152,8 @@ class TestBackendParity:
     @given(vectors)
     @settings(max_examples=30, deadline=None)
     def test_inv_matches_scalar(self, xs):
-        nb, sb = NumpyBackend(), ScalarBackend()
-        got = nb.inv_list(BN254_FR, xs, zero_ok=True)
-        ref = sb.inv_list(BN254_FR, xs, zero_ok=True)
-        assert got == ref
-        for x, i in zip(xs, got):
-            assert (x * i) % P == (1 if x else 0)
+        got = batch_inverse(BN254_FR, xs, zero_ok=True)
+        assert got == [pow(x, -1, P) if x else 0 for x in xs]
 
     @given(vectors)
     @settings(max_examples=30, deadline=None)
@@ -224,7 +208,6 @@ class TestBackendParity:
         with pytest.raises((ValueError, OverflowError)):
             to_limbs(PLAN, [1, bad, 2], validate=True)
 
-    @pytest.mark.usefixtures("array_backend")
     def test_non_canonical_never_reaches_the_kernel(self, monkeypatch):
         # The Domain entry points send non-canonical vectors down the
         # scalar path, which reduces them; the kernel sees canonical
@@ -240,7 +223,6 @@ class TestBackendParity:
         monkeypatch.setattr(fb, "mul_const", refuse)
         assert domain.ntt(values) == want
 
-    @pytest.mark.usefixtures("array_backend")
     @pytest.mark.parametrize("size", [4, 32, 256])
     def test_ntt_parity_with_scalar_domain(self, size, monkeypatch):
         random.seed(size)
@@ -258,7 +240,6 @@ class TestBackendParity:
             monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1 << 30)
             assert got == ref, name
 
-    @pytest.mark.usefixtures("array_backend")
     def test_ntt_counter_parity(self, monkeypatch):
         size = 64
         values = list(range(size))
@@ -287,7 +268,6 @@ class TestBackendParity:
         assert powers_limbs(PLAN, base, 0).shape == (PLAN.rows, 0)
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestQuotientPaths:
     """The quotient is six transforms on both paths and the same ``h``."""
 
@@ -403,16 +383,27 @@ class TestBatchInverseZeroOk:
 
 
 class TestFieldDotChunking:
-    def test_long_row_matches_naive(self):
-        random.seed(23)
-        n = 500  # several DOT_CHUNK windows plus a partial tail
-        xs = [random.randrange(P) for _ in range(n)]
-        ys = [random.randrange(P) for _ in range(n)]
-        naive = sum(x * y for x, y in zip(xs, ys)) % P
-        with count_ops() as ops:
-            assert field_dot(BN254_FR, xs, ys) == naive
-        assert ops.field_mul == n
-        assert ops.field_add == n - 1
+    def test_long_row_matches_naive(self, monkeypatch):
+        """Row dot products in the blocked CSR sweep: rows of 1..3 terms
+        around one 500-term row, under a 64-term block budget — several
+        blocks of short rows, and the long row a block of its own."""
+        import repro.r1cs.csr as csr_mod
+
+        monkeypatch.setattr(csr_mod, "_BLOCK_NNZ", 64)
+        rng = random.Random(23)
+        z = [rng.randrange(P) for _ in range(600)]
+        lengths = [1 + k % 3 for k in range(40)] + [500] + [2] * 30
+        indptr, indices, coeffs = [0], [], []
+        for n in lengths:
+            indices += [rng.randrange(len(z)) for _ in range(n)]
+            coeffs += [rng.randrange(P) for _ in range(n)]
+            indptr.append(len(indices))
+        matrix = csr_mod.CSRMatrix(indptr, indices, coeffs)
+        naive = [
+            sum(c * z[i] for c, i in zip(coeffs[lo:hi], indices[lo:hi])) % P
+            for lo, hi in zip(indptr, indptr[1:])
+        ]
+        assert csr_mod.matrix_row_evals(matrix, z, P) == naive
 
 
 class TestDomainCacheLRU:
@@ -474,33 +465,10 @@ class TestDomainCacheLRU:
 
 
 class TestBackendSelection:
-    def test_env_selection_and_override(self, monkeypatch):
-        from repro.field.backend import backend_name, set_backend
-
-        original = backend_name()
-        try:
-            assert set_backend("scalar").name == "scalar"
-            assert backend_name() == "scalar"
-            assert set_backend("auto").name == "numpy"
-            with pytest.raises(ValueError):
-                set_backend("gmpy2")
-            monkeypatch.setenv("ZENO_FIELD_BACKEND", "gmpy2")
-            fb._active = None  # as at first use; restored just below
-            with pytest.raises(ValueError, match="must be one of"):
-                backend_name()
-        finally:
-            set_backend(original)
-
-    def test_proofs_byte_identical_across_backends(self):
-        from repro.field.backend import backend_name, set_backend
+    def test_proofs_byte_identical_across_backends(self, monkeypatch):
         from tests.conftest import tiny_proof_bytes
 
-        original = backend_name()
-        try:
-            set_backend("scalar")
-            scalar_proof = tiny_proof_bytes()
-            set_backend("numpy")
-            numpy_proof = tiny_proof_bytes()
-        finally:
-            set_backend(original)
+        numpy_proof = tiny_proof_bytes()
+        monkeypatch.setattr(qap_mod, "_VECTOR_NTT_MIN", 1 << 30)
+        scalar_proof = tiny_proof_bytes()
         assert scalar_proof == numpy_proof

@@ -1,11 +1,13 @@
-"""Tests for batch field utilities."""
+"""Tests for batch field utilities: inversion, row dot products, powers."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.field.fp import BN254_FR
-from repro.field.vector import batch_inverse, field_dot, powers
+from repro.field.backend import from_limbs, plan_for, powers_limbs
+from repro.field.vector import batch_inverse
+from repro.r1cs.csr import CSRMatrix, matrix_row_evals
 
 P = BN254_FR.modulus
 
@@ -33,28 +35,37 @@ class TestBatchInverse:
         assert all((v * i) % P == 1 for v, i in zip(values, out))
 
 
+def dot(coeffs, values):
+    """One CSR row ``coeffs`` against ``z = values``: the prover's dot
+    product (``repro.r1cs.csr.matrix_row_evals``)."""
+    row = CSRMatrix([0, len(coeffs)], list(range(len(coeffs))), list(coeffs))
+    return matrix_row_evals(row, list(values), P)[0]
+
+
 class TestFieldDot:
     def test_basic(self):
-        assert field_dot(BN254_FR, [1, 2, 3], [4, 5, 6]) == 32
+        assert dot([1, 2, 3], [4, 5, 6]) == 32
 
     def test_reduction(self):
-        assert field_dot(BN254_FR, [P - 1], [P - 1]) == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            field_dot(BN254_FR, [1], [1, 2])
+        assert dot([P - 1], [P - 1]) == 1
 
     def test_empty(self):
-        assert field_dot(BN254_FR, [], []) == 0
+        assert dot([], []) == 0
+
+
+def powers(base, count):
+    """``[base^0, ..., base^(count-1)] mod p`` from the kernel's table
+    builder (``repro.field.backend.powers_limbs``)."""
+    plan = plan_for(BN254_FR)
+    return from_limbs(plan, powers_limbs(plan, base, count))
 
 
 class TestPowers:
     def test_basic(self):
-        assert powers(BN254_FR, 3, 4) == [1, 3, 9, 27]
+        assert powers(3, 4) == [1, 3, 9, 27]
 
     def test_zero_count(self):
-        assert powers(BN254_FR, 3, 0) == []
+        assert powers(3, 0) == []
 
     def test_reduction(self):
-        out = powers(BN254_FR, P - 1, 3)  # (-1)^k
-        assert out == [1, P - 1, 1]
+        assert powers(P - 1, 3) == [1, P - 1, 1]  # (-1)^k

@@ -3,9 +3,10 @@
 ``tests/fixtures/golden_quotients.json`` was written at d42163d — the
 commit before the int64 Montgomery kernel was replaced by the float64
 matmul kernel and the quotient went from seven transforms to six — by
-``tests/fixtures/make_golden_quotients.py``.  Both field backends must
-reproduce its quotient digests and proof bytes, and threads sharing one
-cached ``Domain`` must too.
+``tests/fixtures/make_golden_quotients.py``.  The array kernel and the
+scalar ``Domain._ntt`` it replaces from ``qap._VECTOR_NTT_MIN`` up must
+both reproduce its quotient digests and proof bytes, and threads sharing
+one cached ``Domain`` must too.
 """
 
 import json
@@ -14,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.field.backend import backend_name, set_backend
 from repro.snark import qap
 from tests.fixtures import make_golden_quotients as recipe
 
@@ -28,11 +28,12 @@ def circuits():
 
 
 @pytest.fixture(params=["numpy", "scalar"])
-def field_backend(request):
-    original = backend_name()
-    set_backend(request.param)
-    yield request.param
-    set_backend(original)
+def field_backend(request, monkeypatch):
+    """``numpy``: the array kernel at every size it serves; ``scalar``: the
+    scalar transforms at every size, as if the kernel's gate never opened."""
+    gate = qap._VECTOR_NTT_MIN if request.param == "numpy" else 1 << 30
+    monkeypatch.setattr(qap, "_VECTOR_NTT_MIN", gate)
+    return request.param
 
 
 def test_fixture_covers_the_array_path():
@@ -61,8 +62,7 @@ def test_threads_share_one_domain(circuits):
     name = "TINY:micro/20"
     cs, keys = circuits[name]
     want = GOLDEN[name]["proof"]
-    original, interval = backend_name(), sys.getswitchinterval()
-    set_backend("numpy")
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         domain = qap.Domain.for_size(cs.num_constraints)
@@ -83,6 +83,5 @@ def test_threads_share_one_domain(circuits):
             assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        set_backend(original)
     assert proofs == [[want] * 3] * 3
     assert qap.Domain.for_size(cs.num_constraints) is domain

@@ -146,17 +146,12 @@ class TestPermutedTableColumn:
 
 
 class TestCrossBackendIdentity:
-    def test_lookup_proof_bytes_identical_across_backends(self):
-        from repro.field.backend import backend_name, set_backend
+    def test_lookup_proof_bytes_identical_across_backends(self, monkeypatch):
+        from repro.snark import qap
 
-        original = backend_name()
-        try:
-            set_backend("scalar")
-            scalar_proof = self._prove_bytes()
-            set_backend("numpy")
-            numpy_proof = self._prove_bytes()
-        finally:
-            set_backend(original)
+        numpy_proof = self._prove_bytes()
+        monkeypatch.setattr(qap, "_VECTOR_NTT_MIN", 1 << 30)  # scalar only
+        scalar_proof = self._prove_bytes()
         assert scalar_proof == numpy_proof
 
     @staticmethod

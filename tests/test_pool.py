@@ -274,15 +274,19 @@ def test_exit_with_open_iterator_is_clean():
     assert not _running(int(done.stdout))
 
 
-def _names_in_code(path: Path, word: str) -> bool:
-    """``word`` as an identifier or a whole string literal — a parameter,
-    keyword, attribute or dict key; prose in docstrings does not count."""
+def _code_names(path: Path) -> set:
+    """Identifiers and whole string literals of a module — parameters,
+    keywords, attributes, dict keys; prose in docstrings does not count."""
     with tokenize.open(path) as handle:
-        return any(
-            (tok.type == tokenize.NAME and tok.string == word)
-            or (tok.type == tokenize.STRING and tok.string[1:-1] == word)
+        return {
+            tok.string if tok.type == tokenize.NAME else tok.string[1:-1]
             for tok in tokenize.generate_tokens(handle.readline)
-        )
+            if tok.type in (tokenize.NAME, tokenize.STRING)
+        }
+
+
+def _names_in_code(path: Path, word: str) -> bool:
+    return word in _code_names(path)
 
 
 def test_retired_layers_stay_retired():
@@ -330,3 +334,33 @@ def test_retired_layers_stay_retired():
         for path in (root / "src").rglob("*.py")
         if retired.search(path.read_text())
     ]
+
+
+def test_prover_reads_no_environment():
+    """Every prover decision follows its arguments or a module constant:
+    the only environment access under ``src/repro`` is the autoscaler
+    copying it for the worker processes it starts, and the backend-object
+    layer the variables selected cannot grow back."""
+    from repro.field import vector
+
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "repro"
+    assert {
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if _code_names(path) & {"environ", "getenv", "putenv"}
+    } == {"gateway/autoscale.py"}
+    retired = {
+        "get_backend", "set_backend", "ScalarBackend", "NumpyBackend",
+        "HAS_NUMPY", "chunk_bytes_from_env", "CHUNK_BYTES_ENV", "field_dot",
+    }
+    assert not [
+        str(path.relative_to(root))
+        for path in (root / "src").rglob("*.py")
+        if _code_names(path) & retired
+    ]
+    assert {
+        name for name, value in vars(vector).items()
+        if callable(value) and not name.startswith("_")
+        and value.__module__ == vector.__name__
+    } == {"batch_inverse"}

@@ -144,16 +144,16 @@ class TestByteIdentity:
         assert rep.zero_terms_elided == 0
 
     @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_proofs_byte_identical_per_field_backend(self, backend):
-        from repro.field.backend import backend_name, set_backend
+    def test_proofs_byte_identical_per_field_backend(
+        self, backend, monkeypatch
+    ):
+        from repro.snark import qap
 
-        original = backend_name()
-        try:
-            set_backend(backend)
-            dense, sparse = self._pair("0.5,0.2")
-            assert proof_bytes(dense.cs) == proof_bytes(sparse.cs)
-        finally:
-            set_backend(original)
+        # "scalar" keeps every transform off the array kernel.
+        if backend == "scalar":
+            monkeypatch.setattr(qap, "_VECTOR_NTT_MIN", 1 << 30)
+        dense, sparse = self._pair("0.5,0.2")
+        assert proof_bytes(dense.cs) == proof_bytes(sparse.cs)
 
 
 class TestSharing:
