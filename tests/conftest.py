@@ -42,6 +42,14 @@ def tiny_conv_model(seed: int = 0) -> Model:
     return calibrate(model)
 
 
+def relu_wire(em, in_var: int, value: int, bits: int = 16) -> int:
+    """One wire through ``GadgetEmitter.relu_rows`` (tag ``relu``)."""
+    return int(em.relu_rows(
+        np.array([0]), np.array([in_var]), np.array([1]), [value], bits,
+        "relu", -1,
+    )[0])
+
+
 @pytest.fixture
 def tiny_model() -> Model:
     return tiny_conv_model()

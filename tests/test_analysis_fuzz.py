@@ -15,7 +15,7 @@ from repro.analysis.report import Severity
 from repro.core.circuit.gadgets import GadgetEmitter
 from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.r1cs.system import ConstraintSystem
-from tests.conftest import tiny_conv_model, tiny_image
+from tests.conftest import relu_wire, tiny_conv_model, tiny_image
 
 MUTATIONS = 200
 
@@ -24,7 +24,7 @@ def strict_relu(value=37):
     cs = ConstraintSystem()
     em = GadgetEmitter(cs, mode="strict")
     in_var = cs.new_private(value)
-    em.relu(in_var, value)
+    relu_wire(em, in_var, value)
     return cs
 
 
@@ -99,7 +99,7 @@ class TestBrokenCircuitsCaught:
         cs = ConstraintSystem()
         em = GadgetEmitter(cs, mode="lean")
         in_var = cs.new_private(0)
-        em.relu(in_var, 0)
+        relu_wire(em, in_var, 0)
         report = fuzz_witness(cs, mutations=MUTATIONS, rng=random.Random(5))
         assert report.accepted  # free sign bit at zero input
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.circuit.gadgets import GadgetEmitter
 from repro.r1cs.system import ConstraintSystem
+from tests.conftest import relu_wire
 
 
 def emitter(mode="lean", recipe=None):
@@ -120,27 +121,27 @@ class TestRelu:
     def test_relu_values(self, mode, value):
         cs, em = emitter(mode)
         in_var = cs.new_private(value)
-        out = em.relu(in_var, value, bits=12)
+        out = relu_wire(em, in_var, value, bits=12)
         assert cs.value_of(out) == max(0, value)
         assert cs.is_satisfied()
 
     def test_lean_single_constraint(self):
         cs, em = emitter("lean")
         in_var = cs.new_private(5)
-        em.relu(in_var, 5)
+        relu_wire(em, in_var, 5)
         assert cs.num_constraints == 1
 
     def test_strict_constraint_budget(self):
         cs, em = emitter("strict")
         in_var = cs.new_private(5)
-        em.relu(in_var, 5, bits=12)
+        relu_wire(em, in_var, 5, bits=12)
         # booleanity(sign) + 11 low bits + sign recomposition + select
         assert cs.num_constraints == 1 + 11 + 1 + 1
 
     def test_strict_sign_flip_caught(self):
         cs, em = emitter("strict")
         in_var = cs.new_private(-5)
-        out = em.relu(in_var, -5, bits=12)
+        out = relu_wire(em, in_var, -5, bits=12)
         cs.assign(out, (-5) % cs.field.modulus)  # claim relu(-5) = -5
         assert not cs.is_satisfied()
 
@@ -148,10 +149,10 @@ class TestRelu:
         cs, em = emitter("strict")
         in_var = cs.new_private(1 << 20)
         with pytest.raises(ValueError):
-            em.relu(in_var, 1 << 20, bits=12)
+            relu_wire(em, in_var, 1 << 20, bits=12)
 
     def test_stats(self):
         cs, em = emitter("lean")
-        em.relu(cs.new_private(3), 3)
+        relu_wire(em, cs.new_private(3), 3)
         assert em.stats.relu_constraints == 1
         assert em.stats.committed_wires == 2  # sign + out

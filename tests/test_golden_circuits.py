@@ -6,7 +6,9 @@ layers were lowered a whole layer at a time.  Every circuit listed there
 must still compile to the same constraints in the same order (tags and
 term maps), the same witness, the same verifying key and — under equal
 CRS and blinding — the same proof bytes, with the same ``lc_terms`` /
-``knit_constraints`` / ``work_units`` accounting.
+``knit_constraints`` / ``work_units`` accounting.  Later entries name the
+commit they were written at in the recipe file; the element-wise ones
+also pin renumbering-invariant digests (``recipe_digests``).
 """
 
 import json
