@@ -120,6 +120,20 @@ CIRCUITS = {
     "TINY-micro-naive": (
         _TINY, {"privacy_adaptive": False, "record_recipe": True}
     ),
+    # Written at b1ee5e3, the commit before every layer committed its
+    # outputs through commit_outputs: layer-norm's one-hot rsqrt selector
+    # between its var and out commits (the bits path), and strict commits
+    # summing product wires (matmul, row-scale, layer-norm, both-private
+    # dots), knit-packed or not.
+    "TINY-micro-strict-bits": (
+        replace(_TINY, relu_mode="bits"), {"record_recipe": True}
+    ),
+    "SHAL-micro-both-private-strict": (
+        CircuitSpec(
+            "SHAL", scale="micro", privacy="both-private", gadgets="strict"
+        ),
+        {"record_recipe": True},
+    ),
 }
 
 
