@@ -36,11 +36,17 @@ def _knit_run(num_dots=32):
     """Pack ``num_dots`` zero-expressions; count emitted constraints."""
     cs = ConstraintSystem()
     packer = KnitPacker(cs)
-    for i in range(num_dots):
-        var = cs.new_private(i + 1)
-        expr = cs.lc_variable(var)
-        expr.add_term(0, (-(i + 1)) % cs.field.modulus)
-        packer.push(expr, slot_bits=2 * 8 + 11)
+    values = np.arange(1, num_dots + 1)
+    first = cs.allocate(values.tolist())
+    # expression k: var_k - (k + 1)
+    block, _ = packer.push_many(
+        np.repeat(np.arange(num_dots), 2),
+        np.stack([first + np.arange(num_dots), np.zeros(num_dots, int)],
+                 axis=1).reshape(-1),
+        np.stack([np.ones(num_dots, int), -values], axis=1).reshape(-1),
+        num_dots, 2 * 8 + 11,
+    )
+    cs.enforce_rows(block, packer.row_tag)
     packer.flush()
     assert cs.is_satisfied()
     return packer, cs

@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.circuit.gadgets import (
     GadgetEmitter,
     GadgetStats,
+    Products,
     identity_bits,
     lc_entries,
 )
@@ -59,7 +60,7 @@ from repro.core.privacy.knit import KnitPacker, expression_bits
 from repro.field.counters import global_counter
 from repro.lookup import LookupEngine, LookupReport, LookupTable, get_table
 from repro.nn.graph import INPUT
-from repro.r1cs.lc import LinearCombination, RowBlock, RowSide
+from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 
@@ -69,6 +70,7 @@ from repro.r1cs.system import ConstraintSystem
 # cnn_whole — see CHANGES.md, PR 17).
 _CHUNK_ENTRIES = 1 << 16
 _PAD = np.iinfo(np.int64).min  # variable slot of a padded (absent) tap
+_NO_TERMS = np.zeros(0, dtype=np.int64)  # accumulators of product wires only
 
 
 def _merge_repeated(dots, variables, coeffs):
@@ -554,14 +556,14 @@ class CircuitComputer:
 
         Each addition gate merges its children's expanded term lists — the
         O(n^2) recursive expansion of §5.1.  Term lists stay plain Python
-        lists so the copying cost is the real, measured cost.
+        lists so the copying cost is the real, measured cost.  The merged
+        terms (a wire read twice adds up, and vanishes if it cancels) are
+        committed by one :meth:`GadgetEmitter.commit_outputs` call.
         """
         x_vars = x_tensor.flat_vars()
-        acc_values = op.acc_values
         bias = op.bias
-        p = cs.field.modulus
         counter = global_counter()
-        out_vars = []
+        exprs, cols, coeffs = [], [], []
         work = 0
         x_pos = circuit.x_pos
         coeff = circuit.coeff
@@ -586,61 +588,53 @@ class CircuitComputer:
             b = int(bias[op.row_of_dot[d]])
             if b:
                 terms[0] = terms.get(0, 0) + b
-            lc = LinearCombination(cs.field, {v: c % p for v, c in terms.items()})
-            out_vars.append(
-                emitter.commit_output(
-                    lc,
-                    int(acc_values[d]),
-                    op.requant,
-                    slot_bits,
-                    public=is_final,
-                    tag=op.name,
-                    index=d,
-                )
-            )
+            exprs += [d] * len(terms)
+            cols += terms
+            coeffs += terms.values()
+        coeffs = np.array(coeffs)
+        live = coeffs != 0
+        out_vars = emitter.commit_outputs(
+            np.array(exprs, dtype=np.int64)[live],
+            np.array(cols, dtype=np.int64)[live], coeffs[live],
+            op.acc_values, op.requant, slot_bits, public=is_final, tag=op.name,
+        )
         return out_vars, work
 
     def _dot_both_private(self, cs, emitter, op, x_tensor, is_final):
-        """Both private: Eq. 2 — one constraint per scalar product."""
-        w_vars = self._weight_vars(cs, op)
-        x_vars = x_tensor.flat_vars()
-        out_vars = []
-        work = 0
-        for d in range(op.num_dots):
-            r = int(op.row_of_dot[d])
-            positions = op.input_cols[:, op.col_of_dot[d]].tolist()
-            row_vars = w_vars[r]
-            row_w = op.weight_rows[r]
-            lc = cs.lc()
-            for i, pos in enumerate(positions):
-                if not pos:
-                    continue
-                w = int(row_w[i])
-                if not w:
-                    continue
-                wire = cs.mul_private(
-                    int(x_vars[pos - 1]), int(row_vars[i]), tag=f"{op.name}/mul"
-                )
-                if self._recipe is not None:
-                    self._recipe.append((wire, ("dot_wire", op.name, d, i)))
-                lc.add_term(wire, 1)
-                work += 1
-            b = int(op.bias[r])
-            if b:
-                lc.add_term(0, b)
-            # Knit is inapplicable here (Table 2): plain equality check.
-            out_vars.append(
-                emitter.commit_output(
-                    lc,
-                    int(op.acc_values[d]),
-                    op.requant,
-                    expression_bits(op.dot_length),
-                    public=is_final,
-                    tag=op.name,
-                    index=d,
-                )
-            )
-        return out_vars, work
+        """Both private: Eq. 2 — one constraint per scalar product.
+
+        Every live tap (a real input, a nonzero weight) is a product wire
+        ``w * x``; each dot sums its wires plus its bias, one
+        :meth:`GadgetEmitter.commit_outputs` call for the layer.
+        """
+        taps = op.input_cols[:, op.col_of_dot].T  # (dot, tap) input positions
+        weights = op.weight_rows[op.row_of_dot]  # (dot, tap)
+        dots, tap = np.nonzero((taps != 0) & (weights != 0))
+        at = taps[dots, tap] - 1
+        w_vars = self._weight_vars(cs, op)[op.row_of_dot[dots], tap]
+        x_vars = x_tensor.flat_vars()[at]
+        bias = op.bias[op.row_of_dot]
+        biased = np.flatnonzero(bias)
+        counter = global_counter()
+        counter.field_mul += dots.size  # each wire's value
+        counter.lc_term += dots.size + biased.size
+        # Knit is inapplicable here (Table 2): plain equality check.
+        out_vars = emitter.commit_outputs(
+            biased, np.zeros_like(biased), bias[biased], op.acc_values,
+            op.requant, expression_bits(op.dot_length), public=is_final,
+            tag=op.name,
+            products=Products(
+                dots, (w_vars[:, None], (1,)), (x_vars[:, None], (1,)),
+                x_tensor.flat_values()[at].astype(np.int64)
+                * weights[dots, tap],
+                f"{op.name}/mul",
+                None if self._recipe is None else [
+                    ("dot_wire", op.name, d, i)
+                    for d, i in zip(dots.tolist(), tap.tolist())
+                ],
+            ),
+        )
+        return out_vars, int(dots.size)
 
     def _weight_vars(self, cs, op: DotLayerOp) -> np.ndarray:
         """Allocate (once per compilation) the layer's weight variables.
@@ -692,8 +686,9 @@ class CircuitComputer:
         """Window maxima via chained ``max(a,b) = a + relu(b - a)`` gadgets.
 
         Each window costs ``k - 1`` comparison selects plus one equality
-        binding the final maximum LC to a committed output wire — the
-        "higher cost" pooling the paper contrasts with average pooling.
+        binding the final maximum LC to a committed output wire (one
+        :meth:`GadgetEmitter.commit_outputs` call) — the "higher cost"
+        pooling the paper contrasts with average pooling.
         Each select is one :meth:`GadgetEmitter.relu_rows` call whose input
         is ``tap - best``, the running-maximum LC ``tap_0 + r_0 + ...``
         over the selects already emitted.
@@ -716,10 +711,10 @@ class CircuitComputer:
                     diffs[w, j:j + 1], op.bits, op.name, -1,
                 ).tolist()
                 best_lc.add_term(r_var, 1)
-            out_vars.append(emitter.commit_output(
-                best_lc, int(best[w, -1]), 0, 10, public=is_final,
-                tag=op.name, index=w,
-            ))
+            out_vars += emitter.commit_outputs(
+                *lc_entries(best_lc), best[w, -1:], 0, 10, public=is_final,
+                tag=op.name, first_index=w,
+            ).tolist()
         self._tensor_out(env, op, out_vars)
         return (op.window_size - 1) * op.num_windows, op.num_windows
 
@@ -956,6 +951,9 @@ class CircuitComputer:
         return work, int(op.out_values.size)
 
     def _compute_matmul(self, cs, emitter, env, op: MatMulOp):
+        """``a @ b`` of two private operands: a product wire per scalar
+        product, each output summing its ``k`` wires — one
+        :meth:`GadgetEmitter.commit_outputs` call for the layer."""
         a = env[op.inputs[0]]
         b = env[op.inputs[1]]
         if not (a.is_private and b.is_private):
@@ -963,75 +961,72 @@ class CircuitComputer:
         m, k, n = op.dims
         a_vars = a.flat_vars().reshape(op.a_shape)
         b_vars = b.flat_vars().reshape(op.b_shape)
-        is_final = op.name == self.program.output_name
+        a_vals = a.flat_values().reshape(op.a_shape).astype(np.int64)
+        b_vals = b.flat_values().reshape(op.b_shape).astype(np.int64)
+        if not op.transpose_b:
+            b_vars, b_vals = b_vars.T, b_vals.T  # (n, k)
+        shape = (m, n, k)  # product (i, j, kk) = a[i, kk] * b[j, kk]
+        size = m * n * k
+        counter = global_counter()
+        counter.field_mul += size  # each wire's value
+        counter.lc_term += size  # each wire into its output
         # Operands are requantized activations (|.| < 2^9), so each
         # product fits 18 bits and the k-term sum 18 + log2(k).
         slot_bits = 18 + max(1, k - 1).bit_length()
-        recipe = self._recipe
-        out_vars = []
-        work = 0
-        for i in range(m):
-            for jj in range(n):
-                d = i * n + jj
-                lc = cs.lc()
-                for kk in range(k):
-                    av = int(a_vars[i, kk])
-                    bv = int(
-                        b_vars[jj, kk] if op.transpose_b else b_vars[kk, jj]
-                    )
-                    wire = cs.mul_private(av, bv, tag=f"{op.name}/mul")
-                    if recipe is not None:
-                        recipe.append((wire, ("mul_wire", op.name, d, kk)))
-                    lc.add_term(wire, 1)
-                    work += 1
-                out_vars.append(
-                    emitter.commit_output(
-                        lc,
-                        int(op.acc_values[d]),
-                        op.requant,
-                        slot_bits,
-                        public=is_final,
-                        tag=op.name,
-                        index=d,
-                    )
-                )
+        out_vars = emitter.commit_outputs(
+            _NO_TERMS, _NO_TERMS, _NO_TERMS, op.acc_values, op.requant,
+            slot_bits, public=op.name == self.program.output_name,
+            tag=op.name,
+            products=Products(
+                np.repeat(np.arange(m * n), k),
+                (np.broadcast_to(b_vars[None], shape).reshape(-1, 1), (1,)),
+                (np.broadcast_to(a_vars[:, None], shape).reshape(-1, 1), (1,)),
+                (a_vals[:, None] * b_vals[None]).reshape(-1),
+                f"{op.name}/mul",
+                None if self._recipe is None else [
+                    ("mul_wire", op.name, d, kk)
+                    for d in range(m * n) for kk in range(k)
+                ],
+            ),
+        )
         self._tensor_out(env, op, out_vars)
-        return work, m * n
+        return size, m * n
 
     def _compute_rowscale(self, cs, emitter, env, op: RowScaleOp):
+        """``e * r[row]``: one product wire per element, each its own
+        output's accumulator — one :meth:`GadgetEmitter.commit_outputs`
+        call for the layer."""
         e = env[op.inputs[0]]
         r = env[op.inputs[1]]
         if not (e.is_private and r.is_private):
             raise ValueError(f"rowscale operands of {op.name!r} must be private")
-        e_vars = e.flat_vars()
-        r_vars = r.flat_vars()
-        is_final = op.name == self.program.output_name
-        recipe = self._recipe
-        n = op.width
-        out_vars = []
-        for idx in range(op.acc_values.size):
-            row = idx // n
-            wire = cs.mul_private(
-                int(e_vars[idx]), int(r_vars[row]), tag=f"{op.name}/mul"
-            )
-            if recipe is not None:
-                recipe.append((wire, ("mul_wire", op.name, idx, 0)))
-            # e is uint8, r a 15-bit fixed-point reciprocal: 23-bit product.
-            out_vars.append(
-                emitter.commit_output(
-                    cs.lc_variable(wire),
-                    int(op.acc_values[idx]),
-                    op.requant,
-                    23,
-                    public=is_final,
-                    tag=op.name,
-                    index=idx,
-                )
-            )
+        size = op.acc_values.size
+        row = np.arange(size) // op.width
+        global_counter().field_mul += size  # each wire's value
+        # e is uint8, r a 15-bit fixed-point reciprocal: 23-bit product.
+        out_vars = emitter.commit_outputs(
+            _NO_TERMS, _NO_TERMS, _NO_TERMS, op.acc_values, op.requant, 23,
+            public=op.name == self.program.output_name, tag=op.name,
+            products=Products(
+                np.arange(size), (r.flat_vars()[row, None], (1,)),
+                (e.flat_vars()[:, None], (1,)),
+                e.flat_values().astype(np.int64)
+                * r.flat_values().astype(np.int64)[row],
+                f"{op.name}/mul",
+                None if self._recipe is None else [
+                    ("mul_wire", op.name, idx, 0) for idx in range(size)
+                ],
+            ),
+        )
         self._tensor_out(env, op, out_vars)
-        return len(out_vars), len(out_vars)
+        return size, size
 
     def _compute_layernorm(self, cs, emitter, env, op: LayerNormOp):
+        """Per row, three :meth:`GadgetEmitter.commit_outputs` calls: the
+        mean, the variance over the ``d`` squares ``c * c`` of the centered
+        values ``c = x - mean`` (LCs, never wires), and the ``d`` outputs,
+        each over its product ``c * y`` with ``y = rsqrt(var)`` — looked up
+        (or one-hot selected) between the last two."""
         x = env[op.inputs[0]]
         if not x.is_private:
             raise ValueError(f"layernorm input {op.inputs[0]!r} must be private")
@@ -1041,60 +1036,34 @@ class CircuitComputer:
         rsqrt = get_table("rsqrt")
         is_final = op.name == self.program.output_name
         recipe = self._recipe
-        p = cs.field.modulus
+        counter = global_counter()
         mean_slot = 8 + max(1, d - 1).bit_length() + 1
         var_slot = 20 + max(1, d - 1).bit_length()
         out_vars = np.empty((rows, d), dtype=np.int64)
-        work = 0
         for i in range(rows):
-            row_vals = x_vals[i].tolist()
-            row_vars = x_vars[i].tolist()
-            mean_lc = cs.lc()
-            for v in row_vars:
-                mean_lc.add_term(int(v), 1)
-            row_sum = int(sum(row_vals))
-            mean_var = emitter.commit_output(
-                mean_lc,
-                row_sum,
-                op.mean_shift,
-                mean_slot,
-                public=False,
-                tag=f"{op.name}#mean",
-                index=i,
+            counter.lc_term += 3 * d  # x into the mean; c's mean; c * c
+            row_sum = int(x_vals[i].sum())
+            (mean_var,) = emitter.commit_outputs(
+                np.zeros(d, dtype=np.int64), x_vars[i],
+                np.ones(d, dtype=np.int64), [row_sum], op.mean_shift,
+                mean_slot, tag=f"{op.name}#mean", first_index=i,
+            ).tolist()
+            c = x_vals[i] - (row_sum >> op.mean_shift)
+            centered = (
+                np.stack([x_vars[i], np.full(d, mean_var)], axis=1), (1, -1)
             )
-            mean = row_sum >> op.mean_shift
-            # Centered values are LCs (x_j - mean), never materialized as
-            # wires; squares and normalized products are.
-            c_lcs = []
-            c_vals = []
-            sq_vars = []
-            var_lc = cs.lc()
-            var_sum = 0
-            for j in range(d):
-                c_lc = cs.lc_variable(int(row_vars[j]))
-                c_lc.add_term(mean_var, p - 1)
-                c = int(row_vals[j]) - mean
-                sq = cs.new_private(c * c)
-                if recipe is not None:
-                    recipe.append((sq, ("ln_sq", op.name, i * d + j)))
-                cs.enforce(
-                    c_lc, c_lc.copy(), cs.lc_variable(sq), tag=f"{op.name}/sq"
-                )
-                c_lcs.append(c_lc)
-                c_vals.append(c)
-                sq_vars.append(sq)
-                var_lc.add_term(sq, 1)
-                var_sum += c * c
-                work += 2
-            var_var = emitter.commit_output(
-                var_lc,
-                var_sum,
-                op.var_shift,
-                var_slot,
-                public=False,
-                tag=f"{op.name}#var",
-                index=i,
-            )
+            names = range(i * d, (i + 1) * d)
+            var_sum = int((c * c).sum())
+            (var_var,) = emitter.commit_outputs(
+                _NO_TERMS, _NO_TERMS, _NO_TERMS, [var_sum],
+                op.var_shift, var_slot, tag=f"{op.name}#var", first_index=i,
+                products=Products(
+                    np.zeros(d, dtype=np.int64), centered, centered, c * c,
+                    f"{op.name}/sq",
+                    None if recipe is None
+                    else [("ln_sq", op.name, j) for j in names],
+                ),
+            ).tolist()
             var_q = var_sum >> op.var_shift
             if self.options.relu_mode == "lookup":
                 y_var = self._engine.lookup(
@@ -1106,28 +1075,18 @@ class CircuitComputer:
                     f"{op.name}#y", i,
                 )
             y = rsqrt.lookup(var_q)
-            for j in range(d):
-                prod_val = c_vals[j] * y
-                prod = cs.new_private(prod_val)
-                if recipe is not None:
-                    recipe.append((prod, ("ln_prod", op.name, i * d + j)))
-                cs.enforce(
-                    c_lcs[j],
-                    cs.lc_variable(y_var),
-                    cs.lc_variable(prod),
-                    tag=f"{op.name}/prod",
-                )
-                out_vars[i, j] = emitter.commit_output(
-                    cs.lc_variable(prod),
-                    prod_val,
-                    op.out_shift,
-                    21,
-                    public=is_final,
-                    tag=f"{op.name}#out",
-                    index=i * d + j,
-                )
+            out_vars[i] = emitter.commit_outputs(
+                _NO_TERMS, _NO_TERMS, _NO_TERMS, c * y, op.out_shift, 21,
+                public=is_final, tag=f"{op.name}#out", first_index=i * d,
+                products=Products(
+                    np.arange(d), centered,
+                    (np.full((d, 1), y_var), (1,)), c * y, f"{op.name}/prod",
+                    None if recipe is None
+                    else [("ln_prod", op.name, j) for j in names],
+                ),
+            )
         self._tensor_out(env, op, out_vars.reshape(-1).tolist())
-        return work, rows * d
+        return 2 * rows * d, rows * d
 
     def _compute_gather(self, env, op: GatherOp) -> None:
         srcs = [env[name] for name in op.inputs]

@@ -1,4 +1,4 @@
-"""Shared constraint gadgets: requantization, ReLU, booleanity.
+"""Shared constraint gadgets: output commitment with requantization, ReLU.
 
 These gadgets are identical under both IRs ("on the ReLU layer, ZENO shares
 the same circuit as scalar-level zkSNARK frameworks", §5.1) and under every
@@ -26,7 +26,7 @@ single constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +67,26 @@ def identity_bits(slot_bits: int, shift: int) -> int:
     return max(slot_bits, 8 + shift) + 1
 
 
+class Products(NamedTuple):
+    """Product wires for :meth:`GadgetEmitter.commit_outputs` to allocate.
+
+    Wire ``j`` holds ``<a_j, z> * <b_j, z>``, enforced by one ``tag`` row
+    ``a_j * b_j = wire_j``, and joins accumulator ``of[j]`` (ascending)
+    with coefficient 1.  A side is ``(variables, coeffs)``: a ``(P, w)``
+    array of variables — one wire (``w = 1``) or a short LC such as
+    ``x - mean`` — and ``w`` small signed coefficients every product
+    shares.  ``recipe`` holds one witness-recipe descriptor per wire; it
+    is read only when the emitter logs a recipe.
+    """
+
+    of: np.ndarray
+    a: Tuple[np.ndarray, tuple]
+    b: Tuple[np.ndarray, tuple]
+    values: np.ndarray
+    tag: str
+    recipe: Optional[list] = None
+
+
 class GadgetEmitter:
     """Emits output-commitment and ReLU gadgets into a constraint system.
 
@@ -100,124 +120,7 @@ class GadgetEmitter:
         self._commit_cache: dict = {}
         self._relu_cache: dict = {}
 
-    def _log(self, var: int, descriptor: tuple) -> None:
-        if self.recipe is not None:
-            self.recipe.append((var, descriptor))
-
-    # -- low-level helpers ---------------------------------------------------------
-
-    def boolean(self, value: int, tag: str = "bool") -> int:
-        """Allocate a bit variable and enforce ``b * (b - 1) = 0``."""
-        var = self.cs.new_private(value)
-        self._enforce_boolean(var, tag)
-        return var
-
-    def _enforce_boolean(self, var: int, tag: str) -> None:
-        self.stats.committed_wires += 1
-        lc = self.cs.lc_variable(var)
-        self.cs.enforce(lc, lc - self.cs.lc_constant(1), self.cs.lc(), tag=tag)
-        self.stats.range_constraints += 1
-
-    def _range_check(self, out_var: int, bit_vars, tag: str) -> None:
-        """``sum_i 2^i * bit_i == out + 256``: with boolean bits, the
-        offset range proof covering [-255, 255]."""
-        cs = self.cs
-        recompose = cs.lc()
-        for i, bit_var in enumerate(bit_vars):
-            recompose.add_term(bit_var, 1 << i)
-        out_plus = cs.lc_variable(out_var) + cs.lc_constant(RANGE_OFFSET)
-        cs.enforce_equal(recompose, out_plus, tag=f"{tag}/range_eq")
-        self.stats.range_constraints += 1
-
-    def decompose(
-        self, value: int, bits: int, tag: str = "decomp"
-    ) -> List[int]:
-        """Bit-decompose ``value`` into ``bits`` boolean variables."""
-        if value < 0 or value >= (1 << bits):
-            raise ValueError(f"{value} does not fit in {bits} bits ({tag})")
-        return [self.boolean((value >> i) & 1, tag=tag) for i in range(bits)]
-
     # -- output commitment with folded requantization ----------------------------------
-
-    def commit_output(
-        self,
-        acc_lc: LinearCombination,
-        acc_value: int,
-        shift: int,
-        slot_bits: int,
-        public: bool = False,
-        tag: str = "out",
-        index: int = -1,
-    ) -> int:
-        """Bind an accumulator LC to its requantized output variable.
-
-        Emits the single linear identity
-
-            acc_lc - out * 2^shift - rem == 0
-
-        either as its own constraint (Eq. 2/3's equality check) or pushed
-        into the knit packer.  Returns the output variable index (public
-        for the network's final logits, private otherwise).  ``acc_lc`` is
-        consumed (mutated in place).
-
-        In strict mode the remainder is bit-decomposed (booleanity per bit)
-        and the output gets an offset range proof covering [-255, 255].
-        """
-        cs = self.cs
-        share_key = None
-        if self.share and not public and len(acc_lc.terms) <= _SHARE_MAX_TERMS:
-            # Key on the LC *before* it is consumed below.
-            share_key = (tuple(sorted(acc_lc.terms.items())), shift, slot_bits)
-            cached = self._commit_cache.get(share_key)
-            if cached is not None:
-                out_var, cached_value = cached
-                if cached_value != acc_value:
-                    raise ValueError(
-                        f"shared output {tag}[{index}]: identical LC with "
-                        f"diverging witness values {cached_value} != {acc_value}"
-                    )
-                self.stats.shared_outputs += 1
-                return out_var
-        out_value = acc_value >> shift
-        rem_value = acc_value - (out_value << shift)
-
-        out_var = cs.new_public(out_value) if public else cs.new_private(out_value)
-        self._log(out_var, ("out", tag, index, shift))
-        if not public:
-            self.stats.committed_wires += 1
-        expr = acc_lc  # consumed: callers build a fresh LC per output
-        expr.add_term(out_var, cs.field.modulus - (1 << shift))
-
-        if shift:
-            if self.mode == "strict":
-                for i in range(shift):
-                    bit_var = self.boolean((rem_value >> i) & 1, tag=f"{tag}/rem")
-                    self._log(bit_var, ("rem_bit", tag, index, shift, i))
-                    expr.add_term(bit_var, cs.field.modulus - (1 << i))
-            else:
-                rem_var = cs.new_private(rem_value)
-                self._log(rem_var, ("rem", tag, index, shift))
-                self.stats.committed_wires += 1
-                expr.add_term(rem_var, cs.field.modulus - 1)
-
-        if self.mode == "strict" and not public:
-            # Offset range proof: out + 256 in [0, 1024) covers [-255, 255].
-            shifted_out = out_value + RANGE_OFFSET
-            bit_vars = []
-            for i in range(RANGE_BITS):
-                bit_var = self.boolean((shifted_out >> i) & 1, tag=f"{tag}/range")
-                self._log(bit_var, ("out_bit", tag, index, shift, i))
-                bit_vars.append(bit_var)
-            self._range_check(out_var, bit_vars, tag)
-
-        if self.knit is not None and not public:
-            self.knit.push(expr, identity_bits(slot_bits, shift))
-        else:
-            cs.enforce(expr, cs.lc_constant(1), cs.lc(), tag=f"{tag}/eq")
-            self.stats.equality_constraints += 1
-        if share_key is not None:
-            self._commit_cache[share_key] = (out_var, acc_value)
-        return out_var
 
     def commit_outputs(
         self,
@@ -230,57 +133,99 @@ class GadgetEmitter:
         public: bool = False,
         tag: str = "out",
         first_index: int = 0,
+        products: Optional[Products] = None,
     ):
-        """:meth:`commit_output` for a whole run of accumulators at once.
+        """Bind a run of accumulators to their requantized output wires.
 
-        The accumulator LCs arrive as entry arrays: entry ``k`` is the term
+        Each accumulator ``acc`` is bound by the single linear identity
+
+            acc - out * 2^shift - rem == 0
+
+        (Eq. 2/3's equality check with the power-of-two requantization
+        folded in), emitted as its own ``{tag}/eq`` row or knit-packed —
+        ``s`` per row — by :func:`pack_slots`.  With ``public`` the outputs
+        are instance variables (the network's final logits) and never
+        knit-packed.  In strict mode the remainder is bit-decomposed (a
+        booleanity row ``{tag}/rem`` per bit) and a private output gets the
+        offset range proof ``sum 2^i bit_i == out + 256`` over ten
+        ``{tag}/range`` bits (``{tag}/range_eq``); an output outside its
+        range ``[-256, 768)`` raises.
+
+        The accumulators arrive as entry arrays: entry ``k`` is the term
         ``coeffs[k] * var(cols[k])`` of accumulator ``exprs[k]``
         (``len(acc_values)`` accumulators; entries sorted by accumulator, a
         column at most once per accumulator, no zero coefficients, small
-        signed integers rather than field residues).  Output / remainder
-        (lean) or output / remainder-bit / range-bit (strict) variables are
-        allocated in bulk in :meth:`commit_output`'s interleaved order, the
-        identities ``acc - out * 2^shift - rem`` are packed — ``s`` per knit
-        row, or one each — by :func:`pack_slots`, and the rows are enforced
-        as one :class:`RowBlock`, strict-mode gadget constraints interleaved
-        where the per-accumulator calls would have put them.  Constraints,
-        variables, recipe entries, stats and op tallies equal those of one
-        :meth:`commit_output` call per accumulator, ``index`` running from
-        ``first_index``.  Returns the output variable indices (ndarray).
+        signed integers rather than field residues) — plus, with
+        ``products``, the product wires this call allocates, each added
+        with coefficient 1.  ``acc_values`` are the whole accumulators'
+        values.
+
+        Per accumulator, in order: its product wires, then its output (if
+        private), remainder wires — one ``rem`` (lean) or ``shift`` bits
+        (strict) — and range bits are allocated by one ``allocate``; its
+        product rows, strict-mode rows and the identity (or the knit rows
+        it completes) form one three-sided :class:`RowBlock` with per-row
+        tags.  That is the order one accumulator at a time, each after its
+        own multiplications, would produce.  Accumulator ``k`` is logged as
+        index ``first_index + k``.  With ``share`` (value numbering) a
+        private accumulator of at most ``_SHARE_MAX_TERMS`` terms and no
+        products reuses the output of an earlier identical one.  The
+        caller tallies building its accumulators and products; this call
+        tallies what binding them costs.  Returns the output variable
+        indices (ndarray).
         """
         cs = self.cs
         strict = self.mode == "strict"
         acc_values = np.asarray(acc_values)
         out_vars = np.zeros(acc_values.size, dtype=np.int64)
-        per_acc = np.bincount(exprs, minlength=acc_values.size)
         leader = np.arange(acc_values.size)  # whose sub-circuit each one uses
         fresh_keys = []  # (share key, accumulator that will emit it)
         if self.share and not public:
+            multiplied = np.zeros(acc_values.size, dtype=bool)
+            if products is not None:
+                multiplied[products.of] = True
             fresh_keys, shared = self._value_number(
-                self._commit_cache, "output", cols, coeffs, per_acc,
-                acc_values, (shift, slot_bits), out_vars, leader, tag,
-                first_index,
+                self._commit_cache, "output", cols, coeffs,
+                np.bincount(exprs, minlength=acc_values.size), acc_values,
+                (shift, slot_bits), out_vars, leader, tag, first_index,
+                skip=multiplied,
             )
             self.stats.shared_outputs += shared
         keep = (leader == np.arange(acc_values.size)) & (out_vars == 0)
+        rank = np.cumsum(keep) - 1
         if not keep.all():
             kept = keep[exprs]
-            exprs = (np.cumsum(keep) - 1)[exprs[kept]]
+            exprs = rank[exprs[kept]]
             cols, coeffs = cols[kept], coeffs[kept]
         emit = np.flatnonzero(keep)  # accumulators that get a sub-circuit
         count = emit.size
+        if not count:
+            return out_vars[leader]
         acc = acc_values[emit]
         out_values = acc >> shift
         rem_values = acc - (out_values << shift)
-
-        # Variables, in commit_output's interleaved order.  Per accumulator
-        # the private run is [out] (unless public) + its remainder wires —
-        # one ``rem`` (lean) or ``shift`` bits (strict) — + 10 range bits
-        # (strict, private outputs only).
         rem_width = (shift if strict else 1) if shift else 0
         range_width = RANGE_BITS if strict and not public else 0
+        if range_width:
+            bad = np.flatnonzero((out_values + RANGE_OFFSET) >> RANGE_BITS != 0)
+            if bad.size:
+                k = bad[0]
+                raise ValueError(
+                    f"output {tag}[{first_index + emit[k]}] = {out_values[k]} "
+                    f"is outside the strict range proof's "
+                    f"[{-RANGE_OFFSET}, {(1 << RANGE_BITS) - RANGE_OFFSET})"
+                )
+
+        # Variables.  Per accumulator: its product wires, then [out]
+        # (unless public) + its remainder wires + range bits (strict,
+        # private outputs only) — ``stride`` fixed wires.
+        of = (
+            np.zeros(0, dtype=np.int64) if products is None
+            else rank[products.of]
+        )
+        made = np.bincount(of, minlength=count)  # product wires of each
         bits = np.arange(max(shift, RANGE_BITS))
-        private = np.concatenate(
+        fixed = np.concatenate(
             ([] if public else [out_values[:, None]]) + [
                 (rem_values[:, None] >> bits[:shift]) & 1 if strict
                 else rem_values[:, None][:, :rem_width],
@@ -288,9 +233,17 @@ class GadgetEmitter:
             ],
             axis=1,
         )
-        stride = private.shape[1]
-        first = cs.allocate(private.reshape(-1).tolist())
-        base = first + stride * np.arange(count)
+        stride = fixed.shape[1]
+        made_before = np.cumsum(made) - made
+        wires = np.arange(of.size) + stride * of  # positions in the run
+        base = made_before + made + stride * np.arange(count)
+        private = np.empty(of.size + fixed.size, dtype=object)
+        if products is not None:
+            private[wires] = products.values
+        private[base[:, None] + np.arange(stride)] = fixed
+        first = cs.allocate(private.tolist())
+        wires += first
+        base += first
         if public:
             emitted = cs.allocate(out_values.tolist(), public=True) - np.arange(
                 count
@@ -305,9 +258,14 @@ class GadgetEmitter:
             self._commit_cache[key] = (int(out_vars[k]), int(acc_values[k]))
         if self.recipe is not None:
             log = self.recipe.append
-            for k, out_var, at in zip(
-                emit.tolist(), emitted.tolist(), rem_base.tolist()
+            wire_log = [] if products is None else list(
+                zip(wires.tolist(), products.recipe)
+            )
+            for k, out_var, at, before, until in zip(
+                emit.tolist(), emitted.tolist(), rem_base.tolist(),
+                made_before.tolist(), (made_before + made).tolist(),
             ):
+                self.recipe.extend(wire_log[before:until])
                 index = first_index + k
                 log((out_var, ("out", tag, index, shift)))
                 if strict:
@@ -323,16 +281,18 @@ class GadgetEmitter:
             self.stats.committed_wires += count * rem_width
 
         # The identities' own terms: -2^shift * out, and -2^i * wire_i over
-        # the remainder wires (the lone lean ``rem`` is i = 0).
+        # the remainder wires (the lone lean ``rem`` is i = 0); then the
+        # product wires at 1.
         ranks = np.arange(count)
-        wires = np.arange(rem_width)
-        exprs = np.concatenate([exprs, ranks, np.repeat(ranks, rem_width)])
-        cols = np.concatenate(
-            [cols, emitted, (rem_base[:, None] + wires).reshape(-1)]
-        )
-        coeffs = np.concatenate(
-            [coeffs, np.full(count, -(1 << shift)), np.tile(-(1 << wires), count)]
-        )
+        rem_wires = np.arange(rem_width)
+        exprs = np.concatenate([exprs, ranks, np.repeat(ranks, rem_width), of])
+        cols = np.concatenate([
+            cols, emitted, (rem_base[:, None] + rem_wires).reshape(-1), wires,
+        ])
+        coeffs = np.concatenate([
+            coeffs, np.full(count, -(1 << shift)),
+            np.tile(-(1 << rem_wires), count), np.ones(of.size, dtype=np.int64),
+        ])
         global_counter().lc_term += count * (1 + rem_width)
 
         if self.knit is not None and not public:
@@ -348,33 +308,88 @@ class GadgetEmitter:
             ends = ranks
             row_tag = f"{tag}/eq"
             self.stats.equality_constraints += count
-        if not strict:
+        if not strict and products is None:
             cs.enforce_rows(block, row_tag)
             return out_vars
-        row = 0
-        ends = ends.tolist()
-        for k, (out_var, at) in enumerate(
-            zip(emitted.tolist(), rem_base.tolist())
-        ):
-            for i in range(shift):
-                self._enforce_boolean(at + i, f"{tag}/rem")
-            if range_width:
-                range_bits = range(at + shift, at + shift + range_width)
-                for bit_var in range_bits:
-                    self._enforce_boolean(bit_var, f"{tag}/range")
-                self._range_check(out_var, range_bits, tag)
-            while row < len(ends) and ends[row] == k:
-                cs.enforce_rows(block, row_tag, row, row + 1)
-                row += 1
+
+        # Rows, per accumulator: its product rows; in strict mode a
+        # booleanity row ``b * (b - 1) = 0`` per remainder and range bit and
+        # the range proof; then the rows it completes.  Each side is
+        # gathered from its pieces in within-row order.
+        booleans = shift + range_width if strict else 0
+        checks = booleans + (range_width > 0)  # strict rows per accumulator
+        done = np.bincount(ends, minlength=count)  # rows each one completes
+        size = made + checks + done
+        row0 = np.cumsum(size) - size
+        total = int(size.sum())
+        tags = np.empty(total, dtype=object)
+        a, b, c = [], [], []
+        if products is not None:
+            product_rows = row0[of] + np.arange(of.size) - made_before[of]
+            for (variables, side_coeffs), pieces in (
+                (products.a, a), (products.b, b)
+            ):
+                pieces.append((
+                    np.repeat(product_rows, variables.shape[1]),
+                    variables.reshape(-1),
+                    np.broadcast_to(side_coeffs, variables.shape).reshape(-1),
+                ))
+            c.append((product_rows, wires, 1))
+            tags[product_rows] = products.tag
+        check_rows = (row0 + made)[:, None] + np.arange(checks)
+        if booleans:
+            rows = check_rows[:, :booleans].reshape(-1)
+            bit_wires = (rem_base[:, None] + np.arange(booleans)).reshape(-1)
+            a.append((rows, bit_wires, 1))
+            b += [(rows, bit_wires, 1), (rows, ONE, -1)]
+            tags[check_rows[:, :shift]] = f"{tag}/rem"
+            tags[check_rows[:, shift:booleans]] = f"{tag}/range"
+        if range_width:
+            rows = check_rows[:, booleans]
+            range_bits = rem_base[:, None] + shift + np.arange(RANGE_BITS)
+            a += [
+                (np.repeat(rows, RANGE_BITS), range_bits.reshape(-1),
+                 np.tile(1 << np.arange(RANGE_BITS), count)),
+                (rows, emitted, -1),
+                (rows, ONE, -RANGE_OFFSET),
+            ]
+            b.append((rows, ONE, 1))
+            tags[rows] = f"{tag}/range_eq"
+        completed_before = np.cumsum(done) - done
+        rows = (row0 + made + checks)[ends] + (
+            np.arange(ends.size) - completed_before[ends]
+        )
+        a.append((
+            np.repeat(rows, np.diff(block.a.indptr)), block.a.variables,
+            np.array(block.a.coeffs, dtype=object),
+        ))
+        b.append((rows, ONE, 1))
+        tags[rows] = row_tag
+        if strict:
+            checked = count * booleans
+            ranged = count if range_width else 0
+            self.stats.committed_wires += checked
+            self.stats.range_constraints += checked + ranged
+            # b * (b - 1): one subtraction; the range proof: its recomposition,
+            # out + 256 and the difference.
+            counter = global_counter()
+            counter.lc_term += checked + (RANGE_BITS + 3) * ranged
+            counter.field_add += checked + 3 * ranged
+            counter.field_mul += checked + 2 * ranged
+        cs.enforce_rows(RowBlock(
+            self._gather(total, a), self._gather(total, b),
+            self._gather(total, c) if c else None, tags.tolist(),
+        ), row_tag)
         return out_vars
 
     def _value_number(
         self, cache, kind, cols, coeffs, per_row, values, bounds, out_vars,
-        leader, tag, first_index,
+        leader, tag, first_index, skip=None,
     ):
         """Value-number a run of rows (``share=True``) through ``cache``.
 
-        Rows of at most ``_SHARE_MAX_TERMS`` terms are grouped by content
+        Rows of at most ``_SHARE_MAX_TERMS`` terms, bar those ``skip``
+        marks, are grouped by content
         with array operations; only one representative per distinct LC
         builds the key a per-row emission would have used — its sorted
         canonical terms, then ``bounds``.  A group whose key is cached gets
@@ -383,7 +398,10 @@ class GadgetEmitter:
         ``(key, row)`` pairs to register once the emitting variables are
         allocated, and how many rows were shared.
         """
-        small = np.flatnonzero(per_row <= _SHARE_MAX_TERMS)
+        small = per_row <= _SHARE_MAX_TERMS
+        if skip is not None:
+            small &= ~skip
+        small = np.flatnonzero(small)
         if not small.size:
             return [], 0
         starts = (np.cumsum(per_row) - per_row)[small]

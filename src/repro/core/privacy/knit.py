@@ -23,11 +23,11 @@ Applicability: only when exactly one of weights/features is private
 the packing argument gives no constraint saving.
 
 The arithmetic lives in one place, :func:`pack_slots`, which packs any
-number of rows at once.  Whole dot layers arrive as integer arrays of
-small signed coefficients and are packed with NumPy (the *digit lane*);
-one-at-a-time callers (:meth:`KnitPacker.push`) and coefficients outside
-that lane are packed with Python integers (the *exact lane*).  Both give
-the same canonical field coefficients.
+number of rows at once.  Whole layers arrive as integer arrays of small
+signed coefficients and are packed with NumPy (the *digit lane*); the
+row a layer leaves open and coefficients outside that lane are packed
+with Python integers (the *exact lane*).  Both give the same canonical
+field coefficients.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.field.counters import global_counter
-from repro.r1cs.lc import LinearCombination, RowBlock, RowSide
+from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 _SAFETY_BITS = 2
@@ -260,16 +260,15 @@ def _digit_values(digits, slot_bits: int, modulus: int) -> List[int]:
 
 
 class KnitPacker:
-    """Accumulates zero-expressions and flushes packed equality constraints.
+    """Accumulates zero-expressions and emits packed equality constraints.
 
-    Usage: for each dot product, build ``expr = LC(acc) - ref_terms`` (which
-    an honest prover makes exactly zero) and call :meth:`push` with the bit
-    bound of its honest-value range — or hand a whole layer's expressions
-    to :meth:`push_many` as entry arrays.  Either way expression ``j`` of a
-    row is scaled by ``delta^j`` (public scalars — free) and one constraint
-    is emitted per ``s`` expressions.  Expressions from layers with
-    different bounds are never mixed (a flush happens on bound change), so
-    the non-overlap argument stays per-constraint.
+    Usage: hand a layer's zero-expressions ``acc - ref_terms`` (which an
+    honest prover makes exactly zero) to :meth:`push_many` as entry
+    arrays, with the bit bound of their honest-value range.  Expression
+    ``j`` of a row is scaled by ``delta^j`` (public scalars — free) and one
+    constraint is emitted per ``s`` expressions.  Expressions with
+    different bounds are never mixed (a push at a new bound closes the open
+    row), so the non-overlap argument stays per-constraint.
     """
 
     def __init__(
@@ -304,14 +303,17 @@ class KnitPacker:
         """Expressions per packed row at this (pre-margin) slot width."""
         return self._capacity(slot_bits + _SAFETY_BITS)
 
-    def _open(self, slot_bits: int) -> int:
-        """Start (or continue) packing at this slot width; returns it with
-        the safety margin added."""
-        slot_bits = slot_bits + _SAFETY_BITS
-        if self._count and slot_bits != self._slot_bits:
-            self.flush()
-        self._slot_bits = slot_bits
-        return slot_bits
+    def _close(self) -> RowSide:
+        """Pack the open row — its one row of a :class:`RowSide` — and
+        start an empty one."""
+        side = RowSide(*pack_slots(
+            [0] * len(self._cols), self._cols, self._slots, self._coeffs,
+            1, self._slot_bits, self.cs.field.modulus, self.cache,
+        ))
+        self.constraints_emitted += 1
+        self._count = 0
+        self._cols, self._slots, self._coeffs = [], [], []
+        return side
 
     @staticmethod
     def _tally(terms: int) -> None:
@@ -329,35 +331,27 @@ class KnitPacker:
     def row_tag(self) -> str:
         return f"{self.tag}/knit"
 
-    def push(self, expr: LinearCombination, slot_bits: int) -> None:
-        """Add one zero-expression bounded by ``slot_bits`` bits."""
-        slot_bits = self._open(slot_bits)
-        terms = expr.terms
-        self._cols.extend(terms.keys())
-        self._coeffs.extend(terms.values())
-        self._slots.extend([self._count] * len(terms))
-        if self._count:
-            self._tally(len(terms))
-        self._count += 1
-        self.expressions_packed += 1
-        if self._count >= self._capacity(slot_bits):
-            self.flush()
-
     def push_many(
         self, exprs, cols, coeffs, count: int, slot_bits: int
     ) -> Tuple[RowBlock, object]:
-        """Push ``count`` expressions at once, as entry arrays.
+        """Push ``count >= 1`` expressions at once, as entry arrays.
 
         Entry ``k`` is the term ``coeffs[k] * var(cols[k])`` of expression
         ``exprs[k]`` (``0 <= exprs[k] < count``).  Row membership, slot
-        order and tallies are exactly those of ``count`` :meth:`push`
-        calls.  Returns ``(block, ends)``: the rows these expressions
+        order and tallies are exactly those of pushing the expressions one
+        at a time.  Returns ``(block, ends)``: the rows these expressions
         completed and, per row, the index of the expression that completed
         it — the caller enforces them under :attr:`row_tag` (it may have
-        per-expression constraints to interleave).  An incomplete last row
-        stays open for the next push or :meth:`flush`.
+        per-expression constraints to interleave).  A row an earlier push
+        left open at another slot width is completed by expression 0, ahead
+        of the rows it fills itself.  An incomplete last row stays open for
+        the next push or :meth:`flush`.
         """
-        slot_bits = self._open(slot_bits)
+        slot_bits += _SAFETY_BITS
+        stale = None  # a row left open at another width
+        if self._count and slot_bits != self._slot_bits:
+            stale = self._close()
+        self._slot_bits = slot_bits
         capacity = self._capacity(slot_bits)
         opened = self._count
         rows, slots = np.divmod(exprs + opened, capacity)
@@ -377,9 +371,9 @@ class KnitPacker:
                 for h, part in zip(held, parts)
             ]
             self._cols, self._slots, self._coeffs = [], [], []
-        block = RowBlock(RowSide(*pack_slots(
+        side = RowSide(*pack_slots(
             *parts, full, slot_bits, self.cs.field.modulus, self.cache
-        )))
+        ))
         if self._count:
             self._cols.extend(cols[~closed].tolist())
             self._slots.extend(slots[~closed].tolist())
@@ -387,24 +381,20 @@ class KnitPacker:
         self.expressions_packed += count
         self.constraints_emitted += full
         ends = np.arange(1, full + 1) * capacity - 1 - opened
-        return block, ends
+        if stale is not None:
+            terms = len(stale.coeffs)  # of its one row
+            side = RowSide(
+                [0] + [terms + at for at in side.indptr],
+                np.concatenate([stale.variables, side.variables]),
+                stale.coeffs + side.coeffs,
+            )
+            ends = np.concatenate(([0], ends))
+        return RowBlock(side), ends
 
     def flush(self) -> None:
         """Emit the open packed constraint, if any."""
-        if not self._count:
-            return
-        cs = self.cs
-        _, cols, coeffs = pack_slots(
-            [0] * len(self._cols), self._cols, self._slots, self._coeffs,
-            1, self._slot_bits, cs.field.modulus, self.cache,
-        )
-        cs.enforce(
-            LinearCombination(cs.field, dict(zip(cols, coeffs))),
-            cs.lc_constant(1), cs.lc(), tag=self.row_tag,
-        )
-        self.constraints_emitted += 1
-        self._count = 0
-        self._cols, self._slots, self._coeffs = [], [], []
+        if self._count:
+            self.cs.enforce_rows(RowBlock(self._close()), self.row_tag)
 
     # -- reporting ----------------------------------------------------------------
 

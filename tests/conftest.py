@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.circuit.gadgets import lc_entries
 from repro.nn.data import synthetic_images
 from repro.nn.graph import Model
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
@@ -47,6 +48,17 @@ def relu_wire(em, in_var: int, value: int, bits: int = 16) -> int:
     return int(em.relu_rows(
         np.array([0]), np.array([in_var]), np.array([1]), [value], bits,
         "relu", -1,
+    )[0])
+
+
+def commit_lc(
+    em, lc, acc: int, shift: int, slot_bits: int, public: bool = False,
+    tag: str = "out", index: int = 0,
+) -> int:
+    """One accumulator LC through ``GadgetEmitter.commit_outputs``."""
+    return int(em.commit_outputs(
+        *lc_entries(lc), [acc], shift, slot_bits, public=public, tag=tag,
+        first_index=index,
     )[0])
 
 

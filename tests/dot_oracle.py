@@ -1,8 +1,9 @@
 """The per-term dot-layer lowering, kept as the differential-test oracle:
-what ``CircuitComputer`` and ``KnitPacker.push`` did before whole-layer
+what ``CircuitComputer`` and the knit packer did before whole-layer
 lowering — one ``LinearCombination`` dict per dot, built and knit-packed one
 term per Python step (plus one fix: taps of a dot reading the same wire
-merge).  Shares no code with ``pack_slots`` or ``commit_outputs``."""
+merge), each committed by ``tests.commit_oracle.commit_output``.  Shares no
+code with ``pack_slots`` or ``commit_outputs``."""
 
 from unittest import mock
 
@@ -10,6 +11,7 @@ from repro.core.circuit import compute
 from repro.core.privacy.knit import _SAFETY_BITS, KnitPacker
 from repro.field.counters import global_counter
 from repro.r1cs.lc import LinearCombination
+from tests.commit_oracle import commit_output
 
 
 class TermLoopPacker(KnitPacker):
@@ -65,8 +67,8 @@ def _dot_terms(self, cs, emitter, op, x_tensor, slot_bits, is_final):
         if int(op.bias[r]):
             terms[0] = int(op.bias[r]) % p
         global_counter().lc_term += len(terms)
-        out_vars.append(emitter.commit_output(
-            LinearCombination(cs.field, terms), int(op.acc_values[d]),
+        out_vars.append(commit_output(
+            emitter, LinearCombination(cs.field, terms), int(op.acc_values[d]),
             op.requant, slot_bits, public=is_final, tag=op.name, index=d,
         ))
     return out_vars, op.num_dots * op.dot_length

@@ -3,11 +3,12 @@
 layer at a time — one ``boolean`` / ``new_private`` / ``enforce`` per wire
 and row, dict LCs throughout, one ``_relu_cache`` lookup per element.
 ``public`` commits the output as an instance variable (the final layer of
-a program), which also takes the element out of value numbering, as
-``commit_output`` does.  Drives a :class:`GadgetEmitter`'s system, recipe,
+a program), which also takes the element out of value numbering, as an
+output commitment does.  Drives a :class:`GadgetEmitter`'s system, recipe,
 stats and cache, and shares no code with ``relu_rows``."""
 
 from repro.core.circuit.gadgets import _SHARE_MAX_TERMS
+from tests.commit_oracle import boolean, log
 
 
 def relu_lc(
@@ -38,8 +39,8 @@ def relu_lc(
     out_value = in_value if in_value > 0 else 0
 
     if em.mode == "strict":
-        sign_var = em.boolean(sign, tag=f"{tag}/sign")
-        em._log(sign_var, ("sign", tag, index, bits))
+        sign_var = boolean(em, sign, tag=f"{tag}/sign")
+        log(em, sign_var, ("sign", tag, index, bits))
         shifted = in_value + (1 << (bits - 1))
         if (shifted >> (bits - 1)) & 1 != sign or not 0 <= shifted < (1 << bits):
             raise ValueError(
@@ -48,8 +49,8 @@ def relu_lc(
         low = shifted & ((1 << (bits - 1)) - 1)
         recompose = cs.lc()
         for i in range(bits - 1):
-            bit_var = em.boolean((low >> i) & 1, tag=f"{tag}/bits")
-            em._log(bit_var, ("relu_bit", tag, index, bits, i))
+            bit_var = boolean(em, (low >> i) & 1, tag=f"{tag}/bits")
+            log(em, bit_var, ("relu_bit", tag, index, bits, i))
             recompose.add_term(bit_var, 1 << i)
         recompose.add_term(sign_var, 1 << (bits - 1))
         shifted_lc = in_lc + cs.lc_constant(1 << (bits - 1))
@@ -57,11 +58,11 @@ def relu_lc(
         em.stats.range_constraints += 1
     else:
         sign_var = cs.new_private(sign)
-        em._log(sign_var, ("sign", tag, index, bits))
+        log(em, sign_var, ("sign", tag, index, bits))
         em.stats.committed_wires += 1
 
     out_var = cs.new_public(out_value) if public else cs.new_private(out_value)
-    em._log(out_var, ("relu_out", tag, index, bits))
+    log(em, out_var, ("relu_out", tag, index, bits))
     if not public:
         em.stats.committed_wires += 1
     cs.enforce(

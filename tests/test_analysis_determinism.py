@@ -18,7 +18,8 @@ from repro.core.circuit.gadgets import GadgetEmitter, lc_entries
 from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.core.privacy.knit import KnitPacker
 from repro.r1cs.system import ConstraintSystem
-from tests.conftest import relu_wire, tiny_conv_model, tiny_image
+from tests.commit_oracle import decompose
+from tests.conftest import commit_lc, relu_wire, tiny_conv_model, tiny_image
 
 
 def emitter(mode="strict", knit=None):
@@ -46,7 +47,7 @@ class TestStrictGadgetsClean:
     def test_commit_output(self, acc, shift):
         cs, em = emitter()
         lc, in_var = private_input(cs, acc)
-        em.commit_output(lc, acc, shift=shift, slot_bits=16)
+        commit_lc(em, lc, acc, shift=shift, slot_bits=16)
         result = check_determinism(cs, assume=[in_var])
         assert result.undetermined == []
 
@@ -59,7 +60,7 @@ class TestStrictGadgetsClean:
         inputs = []
         for acc in (1000, -700, 345, -42, 900):
             lc, in_var = private_input(cs, acc)
-            em.commit_output(lc, acc, shift=3, slot_bits=16)
+            commit_lc(em, lc, acc, shift=3, slot_bits=16)
             inputs.append(in_var)
         knit.flush()
         assert cs.is_satisfied()
@@ -89,7 +90,7 @@ class TestStrictGadgetsClean:
 
     def test_decompose(self):
         cs, em = emitter()
-        em.decompose(0b1011, 4)
+        decompose(em, 0b1011, 4)
         # Bits are boolean-bounded but pinned by nothing else: a raw
         # decompose without a recomposition is genuinely free.
         result = check_determinism(cs)
@@ -109,7 +110,7 @@ class TestLeanModeFlagged:
     def test_commit_output_slack_remainder(self):
         cs, em = emitter("lean")
         lc, in_var = private_input(cs, 1000)
-        em.commit_output(lc, 1000, shift=3, slot_bits=16)
+        commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         result = check_determinism(cs, assume=[in_var])
         # out and rem share one equation: neither is pinned alone.
         assert result.undetermined
@@ -119,10 +120,10 @@ class TestKnownBadFixtures:
     """Deliberately broken strict circuits the detector must flag."""
 
     def broken_commit(self):
-        """Strict commit_output with its offset range proof deleted."""
+        """A strict output commitment with its offset range proof deleted."""
         cs, em = emitter()
         lc, in_var = private_input(cs, 1000)
-        out_var = em.commit_output(lc, 1000, shift=3, slot_bits=16)
+        out_var = commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         doomed = [i for i, c in enumerate(cs.constraints) if c.tag == "out/range_eq"]
         assert len(doomed) == 1
         del cs.constraints[doomed[0]]

@@ -15,7 +15,7 @@ from repro.analysis.report import Severity
 from repro.core.circuit.gadgets import GadgetEmitter
 from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.r1cs.system import ConstraintSystem
-from tests.conftest import relu_wire, tiny_conv_model, tiny_image
+from tests.conftest import commit_lc, relu_wire, tiny_conv_model, tiny_image
 
 MUTATIONS = 200
 
@@ -32,7 +32,7 @@ def strict_commit(acc=1000, shift=3):
     cs = ConstraintSystem()
     em = GadgetEmitter(cs, mode="strict")
     var = cs.new_private(acc)
-    em.commit_output(cs.lc_variable(var), acc, shift=shift, slot_bits=16)
+    commit_lc(em, cs.lc_variable(var), acc, shift=shift, slot_bits=16)
     return cs
 
 
@@ -72,7 +72,8 @@ class TestStockCircuitsSurvive:
 
 class TestBrokenCircuitsCaught:
     def broken_commit(self):
-        """Strict commit_output minus its offset range proof (soundness hole)."""
+        """A strict output commitment minus its offset range proof (a
+        soundness hole)."""
         cs = strict_commit()
         doomed = [i for i, c in enumerate(cs.constraints) if c.tag == "out/range_eq"]
         del cs.constraints[doomed[0]]

@@ -1,10 +1,12 @@
-"""Tests for the shared requantization / ReLU gadgets."""
+"""Tests for the shared requantization / ReLU gadgets (booleanity and
+bit decomposition through the per-element oracle)."""
 
 import pytest
 
 from repro.core.circuit.gadgets import GadgetEmitter
 from repro.r1cs.system import ConstraintSystem
-from tests.conftest import relu_wire
+from tests.commit_oracle import boolean, decompose
+from tests.conftest import commit_lc, relu_wire
 
 
 def emitter(mode="lean", recipe=None):
@@ -20,26 +22,26 @@ def acc_lc(cs, value):
 class TestBoolean:
     def test_booleanity_holds_for_bits(self):
         cs, em = emitter("strict")
-        em.boolean(0)
-        em.boolean(1)
+        boolean(em, 0)
+        boolean(em, 1)
         assert cs.is_satisfied()
 
     def test_non_bit_caught(self):
         cs, em = emitter("strict")
-        var = em.boolean(1)
+        var = boolean(em, 1)
         cs.assign(var, 2)
         assert not cs.is_satisfied()
 
     def test_decompose_range_checked(self):
         cs, em = emitter("strict")
         with pytest.raises(ValueError):
-            em.decompose(9, 3)
+            decompose(em, 9, 3)
         with pytest.raises(ValueError):
-            em.decompose(-1, 3)
+            decompose(em, -1, 3)
 
     def test_decompose_bits(self):
         cs, em = emitter("strict")
-        bits = em.decompose(0b101, 3)
+        bits = decompose(em, 0b101, 3)
         assert [cs.value_of(b) for b in bits] == [1, 0, 1]
 
 
@@ -47,7 +49,7 @@ class TestCommitOutput:
     def test_lean_no_shift(self):
         cs, em = emitter("lean")
         lc, _ = acc_lc(cs, 42)
-        out = em.commit_output(lc, 42, shift=0, slot_bits=16)
+        out = commit_lc(em, lc, 42, shift=0, slot_bits=16)
         assert cs.value_of(out) == 42
         assert cs.num_constraints == 1
         assert cs.is_satisfied()
@@ -55,7 +57,7 @@ class TestCommitOutput:
     def test_lean_with_shift(self):
         cs, em = emitter("lean")
         lc, _ = acc_lc(cs, 1000)
-        out = em.commit_output(lc, 1000, shift=3, slot_bits=16)
+        out = commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         assert cs.value_of(out) == 125
         assert cs.num_constraints == 1  # requant folds into the equality
         assert cs.is_satisfied()
@@ -63,14 +65,14 @@ class TestCommitOutput:
     def test_lean_negative_acc(self):
         cs, em = emitter("lean")
         lc, _ = acc_lc(cs, -1000)
-        out = em.commit_output(lc, -1000, shift=3, slot_bits=16)
+        out = commit_lc(em, lc, -1000, shift=3, slot_bits=16)
         assert cs.value_of(out) == ((-1000) >> 3) % cs.field.modulus
         assert cs.is_satisfied()
 
     def test_public_final_output(self):
         cs, em = emitter("lean")
         lc, _ = acc_lc(cs, 7)
-        out = em.commit_output(lc, 7, shift=0, slot_bits=16, public=True)
+        out = commit_lc(em, lc, 7, shift=0, slot_bits=16, public=True)
         assert out < 0  # public namespace
         assert cs.public_values() == [7]
         assert cs.is_satisfied()
@@ -78,14 +80,14 @@ class TestCommitOutput:
     def test_lean_wrong_out_caught(self):
         cs, em = emitter("lean")
         lc, _ = acc_lc(cs, 1000)
-        out = em.commit_output(lc, 1000, shift=3, slot_bits=16)
+        out = commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         cs.assign(out, 126)
         assert not cs.is_satisfied()
 
     def test_strict_emits_range_constraints(self):
         cs, em = emitter("strict")
         lc, _ = acc_lc(cs, 1000)
-        em.commit_output(lc, 1000, shift=3, slot_bits=16)
+        commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         # equality + 3 rem booleanity + 10 range bits + range recomposition
         assert cs.num_constraints == 1 + 3 + 10 + 1
         assert cs.is_satisfied()
@@ -95,7 +97,7 @@ class TestCommitOutput:
         """Strict mode binds the remainder bits: forging out+rem fails."""
         cs, em = emitter("strict")
         lc, _ = acc_lc(cs, 1000)
-        out = em.commit_output(lc, 1000, shift=3, slot_bits=16)
+        out = commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         # 1000 = 125*8; try out=124, rem=8+... — rem bits can't reach 8.
         cs.assign(out, 124)
         assert not cs.is_satisfied()
@@ -109,7 +111,7 @@ class TestCommitOutput:
         recipe = []
         cs, em = emitter("lean", recipe=recipe)
         lc, _ = acc_lc(cs, 1000)
-        em.commit_output(lc, 1000, shift=3, slot_bits=16, tag="conv1", index=4)
+        commit_lc(em, lc, 1000, shift=3, slot_bits=16, tag="conv1", index=4)
         kinds = [d[0] for _, d in recipe]
         assert kinds == ["out", "rem"]
         assert recipe[0][1][1:] == ("conv1", 4, 3)

@@ -3,8 +3,8 @@
 ``GadgetEmitter.relu_rows`` against the per-element oracle
 (``tests/relu_oracle.py``) — rows in order, tags, variables and values,
 recipe, stats, op tallies and both error messages; a program ending in a
-ReLU commits its outputs publicly; and the per-element lowering cannot grow
-back under ``src/``.
+ReLU commits its outputs publicly; and the per-element lowerings — ReLU
+and output commitment — cannot grow back under ``src/``.
 """
 
 import ast
@@ -21,6 +21,7 @@ from repro.core.circuit import compute
 from repro.core.circuit.gadgets import GadgetEmitter, lc_entries
 from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.core.lang.primitives import ProgramBuilder
+from repro.core.privacy.knit import KnitPacker
 from repro.field.counters import count_ops
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
@@ -267,6 +268,18 @@ def _names(source: str) -> list:
     ]
 
 
+def _method_calls(name: str):
+    """``(tree, attribute names called)`` of a ``CircuitComputer`` method."""
+    tree = ast.parse(
+        inspect.getsource(getattr(compute.CircuitComputer, name)).strip()
+    )
+    return tree, {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
 class TestStructure:
     def test_per_element_relu_is_gone(self):
         """No ``relu_lc`` and no ``.relu(`` call anywhere under ``src/``."""
@@ -281,21 +294,41 @@ class TestStructure:
                 for i in range(len(tokens) - 2)
             ), path
 
-    @pytest.mark.parametrize(
-        "name", ["_compute_relu", "_compute_add", "_compute_affine"]
-    )
+    def test_per_element_commitment_is_gone(self):
+        """No ``commit_output``, ``_enforce_boolean`` or ``_range_check``
+        token and no ``.boolean(`` or ``.decompose(`` call under ``src/``;
+        the knit packer takes whole runs only."""
+        src = Path(inspect.getfile(compute)).parents[3]
+        for path in src.rglob("*.py"):
+            tokens = _names(path.read_text())
+            strings = {s for _, s in tokens}
+            assert not strings & {
+                "commit_output", "_enforce_boolean", "_range_check"
+            }, path
+            assert not any(
+                tokens[i][1] == "." and tokens[i + 1][1] in (
+                    "boolean", "decompose"
+                ) and tokens[i + 2][1] == "("
+                for i in range(len(tokens) - 2)
+            ), path
+        assert not hasattr(KnitPacker, "push")
+
+    @pytest.mark.parametrize("name", [
+        "_compute_relu", "_compute_add", "_compute_affine",
+        "_compute_matmul", "_compute_rowscale", "_dot_both_private",
+    ])
     def test_layer_lowerings_have_no_per_element_loop(self, name):
         """No ``for`` statement (a comprehension building entry arrays or
         recipe lists is fine) and no per-element gadget call."""
-        tree = ast.parse(
-            inspect.getsource(getattr(compute.CircuitComputer, name)).strip()
-        )
+        tree, calls = _method_calls(name)
         assert not any(isinstance(node, ast.For) for node in ast.walk(tree))
-        calls = {
-            node.func.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-        }
-        assert not calls & {"commit_output", "new_private", "new_public",
-                            "enforce", "mul_private", "lc_variable"}
+        assert not calls & {"new_private", "new_public", "enforce",
+                            "mul_private", "lc_variable"}
+
+    @pytest.mark.parametrize("name", ["_compute_layernorm", "_compute_maxpool"])
+    def test_row_loops_multiply_through_commit_outputs(self, name):
+        """Layer-norm and max-pool keep a loop over rows or windows, but
+        no product is a ``mul_private`` call."""
+        _, calls = _method_calls(name)
+        assert "mul_private" not in calls
+        assert "commit_outputs" in calls

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.core.circuit.gadgets import lc_entries
 from repro.core.privacy.knit import KnitPacker, expression_bits, knit_batch_size
 from repro.core.reuse.cache import CacheService
 from repro.r1cs.system import ConstraintSystem
@@ -32,6 +35,23 @@ class TestBatchSizeSelection:
         assert s * expression_bits(n) <= 254
 
 
+def push_all(packer, exprs, slot_bits):
+    """The LCs ``exprs`` through one ``push_many``; the rows they
+    complete are enforced."""
+    entries = [lc_entries(expr) for expr in exprs]
+    block, _ = packer.push_many(
+        np.concatenate([e + k for k, (e, _, _) in enumerate(entries)]),
+        np.concatenate([cols for _, cols, _ in entries]),
+        np.concatenate([coeffs for _, _, coeffs in entries]),
+        len(exprs), slot_bits,
+    )
+    packer.cs.enforce_rows(block, packer.row_tag)
+
+
+def push(packer, expr, slot_bits):
+    push_all(packer, [expr], slot_bits)
+
+
 def zero_expr(cs, magnitude):
     """An LC that evaluates to zero: v - v with v committed."""
     var = cs.new_private(magnitude)
@@ -45,7 +65,7 @@ class TestKnitPacker:
         cs = ConstraintSystem()
         packer = KnitPacker(cs)
         for i in range(10):
-            packer.push(zero_expr(cs, i + 1), slot_bits=24)
+            push(packer, zero_expr(cs, i + 1), slot_bits=24)
         packer.flush()
         # capacity = 254 // 26 = 9 -> 10 expressions need 2 constraints
         assert packer.constraints_emitted == 2
@@ -56,7 +76,7 @@ class TestKnitPacker:
         cs = ConstraintSystem()
         packer = KnitPacker(cs, batch_size=3)
         for i in range(7):
-            packer.push(zero_expr(cs, i), slot_bits=24)
+            push(packer, zero_expr(cs, i), slot_bits=24)
         packer.flush()
         assert packer.constraints_emitted == 3  # ceil(7/3)
 
@@ -64,8 +84,8 @@ class TestKnitPacker:
         """Expressions with different bounds never share a constraint."""
         cs = ConstraintSystem()
         packer = KnitPacker(cs)
-        packer.push(zero_expr(cs, 1), slot_bits=20)
-        packer.push(zero_expr(cs, 2), slot_bits=30)  # different bound
+        push(packer, zero_expr(cs, 1), slot_bits=20)
+        push(packer, zero_expr(cs, 2), slot_bits=30)  # different bound
         packer.flush()
         assert packer.constraints_emitted == 2
 
@@ -74,7 +94,7 @@ class TestKnitPacker:
         packer = KnitPacker(cs)
         packer.flush()
         assert packer.constraints_emitted == 0
-        packer.push(zero_expr(cs, 5), slot_bits=24)
+        push(packer, zero_expr(cs, 5), slot_bits=24)
         packer.flush()
         packer.flush()
         assert packer.constraints_emitted == 1
@@ -83,7 +103,7 @@ class TestKnitPacker:
         cs = ConstraintSystem()
         packer = KnitPacker(cs, batch_size=4)
         for i in range(8):
-            packer.push(zero_expr(cs, i), slot_bits=24)
+            push(packer, zero_expr(cs, i), slot_bits=24)
         packer.flush()
         assert packer.saving_ratio() == 4.0
 
@@ -94,9 +114,9 @@ class TestKnitPacker:
         v1 = cs.new_private(10)
         bad = cs.lc_variable(v1)
         bad.add_term(0, (-9) % cs.field.modulus)  # v1 - 9 != 0
-        packer.push(bad, slot_bits=24)
+        push(packer, bad, slot_bits=24)
         good = zero_expr(cs, 3)
-        packer.push(good, slot_bits=24)
+        push(packer, good, slot_bits=24)
         packer.flush()
         assert not cs.is_satisfied()
 
@@ -110,8 +130,8 @@ class TestKnitPacker:
         v = cs.new_private(delta)
         e1 = cs.lc_variable(v)  # evaluates to +delta (out of bound)
         e2 = cs.lc_constant((-1) % cs.field.modulus)  # evaluates to -1
-        packer.push(e1, slot_bits=24)
-        packer.push(e2, slot_bits=24)
+        push(packer, e1, slot_bits=24)
+        push(packer, e2, slot_bits=24)
         packer.flush()
         # The packed sum is delta * 1 + (-1) * delta = 0: satisfied, i.e.
         # the attack needs a value of magnitude >= delta — 2^26 > any honest
@@ -123,8 +143,8 @@ class TestKnitPacker:
         cs = ConstraintSystem()
         cache = CacheService()
         packer = KnitPacker(cs, cache=cache)
-        for i in range(30):  # several batches so delta-power tables re-hit
-            packer.push(zero_expr(cs, 7), slot_bits=24)
+        # several batches in one push, so equal coefficients re-hit
+        push_all(packer, [zero_expr(cs, 7) for _ in range(30)], slot_bits=24)
         packer.flush()
         assert cache.hits + cache.misses > 0
         assert cache.hits > 0  # repeated coefficient values hit
@@ -135,6 +155,6 @@ class TestKnitPacker:
         cs = ConstraintSystem()
         packer = KnitPacker(cs, batch_size=9)
         for i in range(9):
-            packer.push(zero_expr(cs, i), slot_bits=24)
+            push(packer, zero_expr(cs, i), slot_bits=24)
         packer.flush()
         assert cs.num_constraints == 1

@@ -152,11 +152,18 @@ class TestKnitPackingProperties:
     def test_packed_zero_expressions_always_satisfy(self, magnitudes, slot_bits):
         cs = ConstraintSystem()
         packer = KnitPacker(cs)
-        for m in magnitudes:
-            var = cs.new_private(m)
-            expr = cs.lc_variable(var)
-            expr.add_term(0, (-m) % cs.field.modulus)
-            packer.push(expr, slot_bits=slot_bits)
+        first = cs.allocate(magnitudes)
+        count = len(magnitudes)
+        # expression k: var_k - m_k
+        block, _ = packer.push_many(
+            np.repeat(np.arange(count), 2),
+            np.stack([np.arange(first, first + count), np.zeros(count, int)],
+                     axis=1).reshape(-1),
+            np.stack([np.ones(count, int), -np.array(magnitudes)],
+                     axis=1).reshape(-1),
+            count, slot_bits,
+        )
+        cs.enforce_rows(block, packer.row_tag)
         packer.flush()
         assert cs.is_satisfied()
         assert packer.expressions_packed == len(magnitudes)
