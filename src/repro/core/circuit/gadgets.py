@@ -376,9 +376,10 @@ class GadgetEmitter:
             counter.lc_term += checked + (RANGE_BITS + 3) * ranged
             counter.field_add += checked + 3 * ranged
             counter.field_mul += checked + 2 * ranged
+        p = cs.field.modulus
         cs.enforce_rows(RowBlock(
-            self._gather(total, a), self._gather(total, b),
-            self._gather(total, c) if c else None, tags.tolist(),
+            RowSide.gather(total, a, p), RowSide.gather(total, b, p),
+            RowSide.gather(total, c, p) if c else None, tags.tolist(),
         ), row_tag)
         return out_vars
 
@@ -582,37 +583,107 @@ class GadgetEmitter:
             tags = [f"{tag}/sign"] + [f"{tag}/bits"] * (bits - 1) + [
                 f"{tag}/signproof", f"{tag}/select",
             ]
+        p = cs.field.modulus
         block = RowBlock(
-            self._gather(n * per, a), self._gather(n * per, b),
-            self._gather(n * per, [(select, emitted, 1)]),
+            RowSide.gather(n * per, a, p), RowSide.gather(n * per, b, p),
+            RowSide.gather(n * per, [(select, emitted, 1)], p),
             tags if tags is None else tags * n,
         )
         cs.enforce_rows(block, f"{tag}/select")
         return out_vars
 
-    def _canonical(self, coeffs) -> list:
-        """Small signed coefficients as canonical field residues."""
-        if coeffs.size and coeffs.min() < 0:
-            p = self.cs.field.modulus
-            return [c % p for c in coeffs.tolist()]
-        return coeffs.tolist()
+    # -- one-hot table selection --------------------------------------------------------
 
-    def _gather(self, num_rows: int, pieces) -> RowSide:
-        """One :class:`RowSide` of ``num_rows`` rows from ``(rows,
-        variables, coeffs)`` pieces (a scalar stands for every entry of its
-        piece); within a row, terms keep piece order."""
-        rows = np.concatenate([r for r, _, _ in pieces])
-        variables, coeffs = (
-            np.concatenate([np.broadcast_to(piece[i], piece[0].shape)
-                            for piece in pieces])
-            for i in (1, 2)
-        )
-        order = np.argsort(rows, kind="stable")
-        return RowSide(
-            _indptr(np.bincount(rows, minlength=num_rows)),
-            variables[order],
-            self._canonical(coeffs[order]),
-        )
+    def select_rows(
+        self, x_vars, x_values, domain_lo: int, columns, tag: str,
+        first_index: int = 0,
+    ):
+        """``out_j = columns[x - domain_lo, j]`` for a run of inputs, each
+        through a one-hot selector over the table's rows — the
+        per-activation cost the shared lookup argument amortizes away.
+
+        Per input, one ``allocate`` holds an indicator per table row, then
+        the ``d`` outputs; one :class:`RowBlock` holds the indicators'
+        booleanity ``{tag}/sel_bool`` (strict), their sum to one
+        ``/sel_one``, the recomposition ``sum (domain_lo + v) b_v = x``
+        ``/sel_in`` and a ``sum columns[v, j] b_v = out_j`` ``/sel_out`` per
+        column, no zero coefficient stored.  Input ``k`` is logged as ``i =
+        first_index + k``: ``("sel_bit", tag, i, v)``, ``("sel_out", tag, i
+        * d + j)``.  An input outside the table raises before anything is
+        allocated.  Returns the output variables, shape ``(inputs, d)``.
+        """
+        cs = self.cs
+        strict = self.mode == "strict"
+        x_vars = np.asarray(x_vars, dtype=np.int64).reshape(-1)
+        x_values = np.asarray(x_values, dtype=np.int64).reshape(-1)
+        columns = np.asarray(columns, dtype=np.int64)
+        size, d = columns.shape
+        n = x_vars.size
+        row_of = x_values - domain_lo
+        outside = np.flatnonzero((row_of < 0) | (row_of >= size))
+        if outside.size:
+            k = outside[0]
+            raise ValueError(
+                f"selector input {tag}[{first_index + k}] = {x_values[k]} "
+                f"is outside the table's [{domain_lo}, {domain_lo + size - 1}]"
+            )
+        onehot = (np.arange(size) == row_of[:, None]).astype(np.int64)
+        base = cs.allocate(
+            np.concatenate([onehot, columns[row_of]], axis=1).reshape(-1).tolist()
+        ) + (size + d) * np.arange(n)
+        indicators = base[:, None] + np.arange(size)
+        out_vars = base[:, None] + size + np.arange(d)
+        if self.recipe is not None:
+            for i, first in enumerate(base.tolist(), first_index):
+                self.recipe.extend(
+                    (first + v, ("sel_bit", tag, i, v)) for v in range(size)
+                )
+                self.recipe.extend(
+                    (first + size + j, ("sel_out", tag, i * d + j))
+                    for j in range(d)
+                )
+
+        # Rows per input: [size booleanity rows], sum, recomposition, and
+        # one output row per column; zero coefficients are left out.
+        booleans = size if strict else 0
+        per = booleans + 2 + d
+        one_row = per * np.arange(n) + booleans
+        in_row = one_row + 1
+        out_rows = in_row[:, None] + 1 + np.arange(d)
+        reco = domain_lo + np.arange(size)
+        live = np.flatnonzero(reco)
+        column, entry = np.nonzero(columns.T)  # per column, its nonzero rows
+        a = [
+            (np.repeat(one_row, size), indicators.reshape(-1), 1),
+            (one_row, ONE, -1),
+            (np.repeat(in_row, live.size), indicators[:, live].reshape(-1),
+             np.tile(reco[live], n)),
+            (in_row, x_vars, -1),
+            (out_rows[:, column].reshape(-1),
+             indicators[:, entry].reshape(-1), np.tile(columns[entry, column], n)),
+            (out_rows.reshape(-1), out_vars.reshape(-1), -1),
+        ]
+        b = [(one_row, ONE, 1), (in_row, ONE, 1), (out_rows.reshape(-1), ONE, 1)]
+        if strict:
+            rows = (one_row[:, None] - size + np.arange(size)).reshape(-1)
+            a.insert(0, (rows, indicators.reshape(-1), 1))
+            b[:0] = [(rows, indicators.reshape(-1), 1), (rows, ONE, -1)]
+        # Each ``lhs - rhs`` (and strict ``b - 1``): a term, an addition and
+        # a multiplication; then every stored indicator term.
+        checks = n * (2 + d) + booleans * n
+        counter = global_counter()
+        counter.lc_term += n * (size + live.size + entry.size) + checks
+        counter.field_add += checks
+        counter.field_mul += checks
+        tags = [f"{tag}/sel_bool"] * booleans + [
+            f"{tag}/sel_one", f"{tag}/sel_in",
+        ] + [f"{tag}/sel_out"] * d
+        p = cs.field.modulus
+        cs.enforce_rows(RowBlock(
+            RowSide.gather(n * per, a, p), RowSide.gather(n * per, b, p), None,
+            tags * n,
+        ))
+        return out_vars
 
 
 def lc_entries(lc: LinearCombination):
@@ -628,11 +699,6 @@ def lc_entries(lc: LinearCombination):
             dtype=np.int64,
         ),
     )
-
-
-def _indptr(counts) -> list:
-    """CSR row offsets from per-row term counts."""
-    return np.concatenate(([0], np.cumsum(counts))).tolist()
 
 
 def _row_index(first_index: int, k: int) -> int:

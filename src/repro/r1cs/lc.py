@@ -207,6 +207,29 @@ class RowSide:
         """The number of rows."""
         return len(self.indptr) - 1
 
+    @classmethod
+    def gather(cls, num_rows: int, pieces, modulus: int) -> "RowSide":
+        """``num_rows`` rows from ``(rows, variables, coeffs)`` pieces (a
+        scalar stands for every entry of its piece); within a row, terms
+        keep piece order.  Coefficients are small signed integers or
+        field residues, stored canonical."""
+        rows = np.concatenate([r for r, _, _ in pieces])
+        variables, coeffs = (
+            np.concatenate([np.broadcast_to(piece[i], piece[0].shape)
+                            for piece in pieces])
+            for i in (1, 2)
+        )
+        order = np.argsort(rows, kind="stable")
+        coeffs = coeffs[order]
+        return cls(
+            np.concatenate(
+                ([0], np.cumsum(np.bincount(rows, minlength=num_rows)))
+            ).tolist(),
+            variables[order],
+            [c % modulus for c in coeffs.tolist()]
+            if coeffs.size and coeffs.min() < 0 else coeffs.tolist(),
+        )
+
 
 class RowBlock:
     """A run of constraint rows ``<A_i, z> * <B_i, z> = <C_i, z>`` held as

@@ -11,10 +11,11 @@ import hashlib
 import operator
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.lookup.argument import LookupBlock, LookupEngine
+from repro.lookup.argument import LookupBlock
 from repro.lookup.table import PACK_BASE
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
+from tests.lookup_oracle import ScalarLookupEngine
 
 CHUNK_SIZE = 7
 CHUNK_BASE = 1 << 32
@@ -173,9 +174,9 @@ def replay_lookup_sponge(
     return state
 
 
-class PerLCEngine(LookupEngine):
-    """The engine with its challenge sponge emitted per LC.  ``rounds``
-    keeps each table's, for :func:`replay_lookup_sponge`."""
+class PerLCEngine(ScalarLookupEngine):
+    """The per-element engine with its challenge sponge emitted per LC.
+    ``rounds`` keeps each table's, for :func:`replay_lookup_sponge`."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -3,8 +3,9 @@
 ``GadgetEmitter.relu_rows`` against the per-element oracle
 (``tests/relu_oracle.py``) — rows in order, tags, variables and values,
 recipe, stats, op tallies and both error messages; a program ending in a
-ReLU commits its outputs publicly; and the per-element lowerings — ReLU
-and output commitment — cannot grow back under ``src/``.
+ReLU commits its outputs publicly; and the per-element lowerings — ReLU,
+output commitment and the table lowerings — cannot grow back under
+``src/``.
 """
 
 import ast
@@ -23,6 +24,7 @@ from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.core.lang.primitives import ProgramBuilder
 from repro.core.privacy.knit import KnitPacker
 from repro.field.counters import count_ops
+from repro.lookup.argument import LookupEngine
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
 from repro.snark import groth16
@@ -268,11 +270,9 @@ def _names(source: str) -> list:
     ]
 
 
-def _method_calls(name: str):
-    """``(tree, attribute names called)`` of a ``CircuitComputer`` method."""
-    tree = ast.parse(
-        inspect.getsource(getattr(compute.CircuitComputer, name)).strip()
-    )
+def _method_calls(name: str, owner=compute.CircuitComputer):
+    """``(tree, attribute names called)`` of a method of ``owner``."""
+    tree = ast.parse(inspect.getsource(getattr(owner, name)).strip())
     return tree, {
         node.func.attr
         for node in ast.walk(tree)
@@ -313,17 +313,44 @@ class TestStructure:
             ), path
         assert not hasattr(KnitPacker, "push")
 
+    def test_per_element_table_lowerings_are_gone(self):
+        """No ``_lut_onehot``, ``_lookups`` or ``_range_proof`` token under
+        ``src/``: the table lowerings take whole runs only."""
+        src = Path(inspect.getfile(compute)).parents[3]
+        for path in src.rglob("*.py"):
+            strings = {s for _, s in _names(path.read_text())}
+            assert not strings & {"_lut_onehot", "_lookups", "_range_proof"}, path
+
+    @pytest.mark.parametrize("name", ["lookup", "_finalize_table"])
+    def test_lookup_engine_emits_in_bulk(self, name):
+        """The engine allocates and enforces a run at a time."""
+        _, calls = _method_calls(name, LookupEngine)
+        assert not calls & {"new_private", "enforce", "enforce_equal"}
+
     @pytest.mark.parametrize("name", [
         "_compute_relu", "_compute_add", "_compute_affine",
         "_compute_matmul", "_compute_rowscale", "_dot_both_private",
+        "_compute_lut", "_compute_embed",
     ])
     def test_layer_lowerings_have_no_per_element_loop(self, name):
-        """No ``for`` statement (a comprehension building entry arrays or
-        recipe lists is fine) and no per-element gadget call."""
+        """No ``for`` statement and no per-element gadget call; a
+        comprehension builds entry arrays or recipe lists, and calls an
+        emitter only in ``_compute_embed``, over its ``d`` tables."""
         tree, calls = _method_calls(name)
         assert not any(isinstance(node, ast.For) for node in ast.walk(tree))
         assert not calls & {"new_private", "new_public", "enforce",
                             "mul_private", "lc_variable"}
+        for comp in ast.walk(tree):
+            if isinstance(comp, (ast.ListComp, ast.GeneratorExp)):
+                inside = {
+                    node.func.attr for node in ast.walk(comp)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                }
+                if inside & {"lookup", "select_rows", "relu_rows",
+                             "commit_outputs"}:
+                    assert name == "_compute_embed"
+                    assert ast.unparse(comp.generators[0].iter) == "range(d)"
 
     @pytest.mark.parametrize("name", ["_compute_layernorm", "_compute_maxpool"])
     def test_row_loops_multiply_through_commit_outputs(self, name):

@@ -16,17 +16,15 @@ from repro.r1cs.system import ConstraintSystem
 
 
 def emit_lookups(xs, mode="strict", table_name="relu", input_ranged=True):
-    """One engine, one table, one lookup per x; returns (cs, block, y_vars)."""
+    """One engine, one table, one lookup call over xs; returns (cs, block,
+    y_vars)."""
     cs = ConstraintSystem(name=f"lookup-{mode}")
-    table = get_table(table_name)
     engine = LookupEngine(cs, mode=mode)
-    y_vars = [
-        engine.lookup(
-            table, cs.new_private(int(x) % cs.field.modulus), int(x),
-            tag="t", index=i, input_ranged=input_ranged,
-        )
-        for i, x in enumerate(xs)
-    ]
+    first = cs.allocate([int(x) for x in xs])
+    y_vars = engine.lookup(
+        get_table(table_name), range(first, first + len(xs)), xs, tag="t",
+        input_ranged=input_ranged,
+    ).tolist()
     blocks = engine.finalize(cs.mark_layer)
     return cs, blocks[0], y_vars
 
@@ -54,7 +52,7 @@ class TestArgumentSatisfied:
         engine = LookupEngine(cs, mode="lean")
         x = cs.new_private(400)
         with pytest.raises(ValueError, match="rejected, not wrapped"):
-            engine.lookup(get_table("relu"), x, 400)
+            engine.lookup(get_table("relu"), [x], [400])
 
     def test_double_finalize_rejected(self):
         cs, _, _ = emit_lookups([1])
@@ -87,8 +85,8 @@ class TestAmortization:
                         entries=(10 + j, 20 + j, 30 + j, 40 + j))
             for j in range(4)
         ]
-        for i, t in enumerate(tables):
-            engine.lookup(t, x, 3, index=i, input_ranged=False)
+        for t in tables:
+            engine.lookup(t, [x], [3], input_ranged=False)
         blocks = engine.finalize()
         assert cs.is_satisfied()
         proofs = {b.xbits[x][1] for b in blocks if x in b.xbits}
@@ -98,8 +96,8 @@ class TestAmortization:
         cs = ConstraintSystem()
         engine = LookupEngine(cs, mode="strict")
         relu = get_table("relu")
-        for i in range(6):
-            engine.lookup(relu, cs.new_private(i), i, index=i)
+        first = cs.allocate(range(6))
+        engine.lookup(relu, range(first, first + 6), range(6))
         engine.finalize()
         rep = engine.report()
         assert rep.total_lookups == 6
@@ -114,9 +112,9 @@ class TestAmortization:
         engine = LookupEngine(cs, mode="lean")
         a = LookupTable(name="dup", domain_lo=0, entries=(1, 2))
         b = LookupTable(name="dup", domain_lo=0, entries=(3, 4))
-        engine.lookup(a, cs.new_private(0), 0)
+        engine.lookup(a, [cs.new_private(0)], [0])
         with pytest.raises(LookupError, match="two different tables"):
-            engine.lookup(b, cs.new_private(1), 1)
+            engine.lookup(b, [cs.new_private(1)], [1])
 
 
 class TestChallengeDerivation:

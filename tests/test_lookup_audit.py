@@ -33,9 +33,9 @@ def lookup_gadget_cs(xs, mode="strict"):
     cs = ConstraintSystem(name="lookup-audit")
     relu = get_table("relu")
     engine = LookupEngine(cs, mode=mode)
-    x_vars = [cs.new_private(int(x) % cs.field.modulus) for x in xs]
-    for i, (xv, x) in enumerate(zip(x_vars, xs)):
-        engine.lookup(relu, xv, int(x), index=i, input_ranged=False)
+    first = cs.allocate([int(x) for x in xs])
+    x_vars = list(range(first, first + len(xs)))
+    engine.lookup(relu, x_vars, xs, input_ranged=False)
     blocks = engine.finalize(cs.mark_layer)
     return cs, blocks[0], x_vars
 

@@ -127,7 +127,7 @@ class TestPermutedTableColumn:
         cs = ConstraintSystem()
         engine = LookupEngine(cs, mode="strict")
         x_val = canonical.domain_lo + 300
-        engine.lookup(permuted, cs.new_private(x_val % cs.field.modulus), x_val)
+        engine.lookup(permuted, [cs.new_private(x_val)], [x_val])
         block = engine.finalize()[0]
         assert cs.is_satisfied()  # internally consistent ...
         defect = verify_lookup_block(cs, block)

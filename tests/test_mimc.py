@@ -295,7 +295,7 @@ def _lookup_system(engine_class, inputs):
     wires = [cs.new_private(x % P) for x in inputs]
     for table, k, raw in LOOKUPS:
         engine.lookup(
-            get_table(table), wires[k], inputs[k], tag=f"l{k}",
+            get_table(table), [wires[k]], [inputs[k]], tag=f"l{k}",
             input_ranged=not raw,
         )
     engine.finalize(cs.mark_layer)
