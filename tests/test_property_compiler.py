@@ -85,6 +85,27 @@ class TestRandomPrograms:
         assert len(outputs) == 1
         assert list(outputs.pop()) == [int(v) for v in program.final_logits()]
 
+    def test_ir_equivalence_all_zero_layer(self):
+        """A layer of all-zero dots gives the baseline lowering no terms;
+        its commitment rows keep exact field coefficients (a hypothesis
+        find of ``test_ir_equivalence_knit_off``)."""
+        builder = ProgramBuilder(
+            "zero", np.array([15, 4]), image_privacy=Privacy.PRIVATE,
+            weights_privacy=Privacy.PUBLIC,
+        )
+        builder.fully_connected(np.zeros((1, 2), dtype=np.int64))
+        builder.fully_connected(np.array([[0], [-2]], dtype=np.int64))
+        program = builder.build()
+        base, zeno = (
+            CircuitComputer(
+                program, ComputeOptions(zeno_circuit=ir, knit=False)
+            ).compute()
+            for ir in (False, True)
+        )
+        for cb, cz in zip(base.cs.constraints, zeno.cs.constraints):
+            assert cb.a.terms == cz.a.terms
+            assert all(type(c) is int for c in cb.a.terms.values())
+
     @given(program=small_programs())
     @settings(max_examples=20, deadline=None)
     def test_ir_equivalence_knit_off(self, program):
