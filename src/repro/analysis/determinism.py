@@ -79,6 +79,7 @@ from repro.analysis.lint import boolean_variables
 from repro.analysis.report import Finding, Severity
 from repro.field import signed
 from repro.r1cs.lc import ONE
+from repro.r1cs.recipe import Inputs
 from repro.r1cs.system import ConstraintSystem
 
 # Derived integer bounds wider than this are useless for decomposition
@@ -447,8 +448,12 @@ def assume_from_recipe(recipe) -> List[int]:
     """Free-input variables from a witness recipe: image pixels + weights.
 
     The recipe (``record_recipe=True`` compilations, and every
-    :class:`~repro.core.reuse.batch.BatchProver`) logs each allocation as
-    ``(var, descriptor)``; ``image`` and ``const`` descriptors are exactly
-    the variables the prover chooses freely.
+    :class:`~repro.core.reuse.batch.BatchProver`) holds one step per
+    emitter call; its :class:`~repro.r1cs.recipe.Inputs` steps — the image
+    and the constants — are exactly the variables the prover chooses
+    freely.
     """
-    return [var for var, desc in recipe if desc[0] in ("image", "const")]
+    return [
+        var for step in recipe if isinstance(step, Inputs)
+        for var in step.variables().tolist()
+    ]

@@ -61,6 +61,7 @@ from repro.field.counters import global_counter
 from repro.lookup import LookupEngine, LookupReport, LookupTable, get_table
 from repro.nn.graph import INPUT
 from repro.r1cs.lc import RowBlock, RowSide
+from repro.r1cs.recipe import Inputs, product_step
 from repro.r1cs.system import ConstraintSystem
 
 
@@ -126,7 +127,7 @@ class ComputeOptions:
     gadget_mode: str = "lean"
     field_bits: int = 254
     relu_bits: int = 16
-    record_recipe: bool = False  # log witness recipe for batch sharing (§6.1)
+    record_recipe: bool = False  # record witness replay steps (§6.1)
     # Sparsity-aware compilation (TeleSparse direction).  Active only when
     # weights are public — zero weights are then compile-time knowledge, so
     # eliding their terms leaks nothing.  Zero-weight taps are masked out
@@ -216,7 +217,7 @@ class ComputeResult:
     knit_expressions: int = 0
     lc_terms: int = 0
     wall_time: float = 0.0
-    recipe: Optional[list] = None  # (var, descriptor) witness log
+    recipe: Optional[list] = None  # witness replay steps (repro.r1cs.recipe)
     sparsity: Optional[SparsityReport] = None
     lookup: Optional[LookupReport] = None
 
@@ -421,9 +422,7 @@ class CircuitComputer:
             flat = values.reshape(-1)
             first = cs.allocate(flat.tolist())
             if self._recipe is not None:
-                self._recipe.extend(
-                    (first + pos, ("image", pos)) for pos in range(flat.size)
-                )
+                self._recipe.append(Inputs(first, flat.size))
             indices = np.arange(first, first + flat.size).reshape(values.shape)
             return ZkTensor(
                 values, Privacy.PRIVATE, stage="input", var_indices=indices,
@@ -629,10 +628,6 @@ class CircuitComputer:
                 x_tensor.flat_values()[at].astype(np.int64)
                 * weights[dots, tap],
                 f"{op.name}/mul",
-                None if self._recipe is None else [
-                    ("dot_wire", op.name, d, i)
-                    for d, i in zip(dots.tolist(), tap.tolist())
-                ],
             ),
         )
         return out_vars, int(dots.size)
@@ -646,13 +641,11 @@ class CircuitComputer:
         cached = self._weight_var_cache.get(op.name)
         if cached is not None:
             return cached
-        flat = op.weight_rows.reshape(-1).tolist()
-        first = cs.allocate(flat)
+        flat = op.weight_rows.reshape(-1)
+        first = cs.allocate(flat.tolist())
         if self._recipe is not None:
-            self._recipe.extend(
-                (first + j, ("const", v)) for j, v in enumerate(flat)
-            )
-        w_vars = np.arange(first, first + len(flat)).reshape(
+            self._recipe.append(Inputs(first, flat.size, flat))
+        w_vars = np.arange(first, first + flat.size).reshape(
             op.weight_rows.shape
         )
         self._weight_var_cache[op.name] = w_vars
@@ -744,14 +737,13 @@ class CircuitComputer:
             )
             wires = first + consts.size + np.arange(size)
             if self._recipe is not None:
-                self._recipe.extend(
-                    (first + j, ("const", v))
-                    for j, v in enumerate(consts.tolist())
-                )
-                self._recipe.extend(
-                    (wire, ("affine_wire", op.name, k))
-                    for k, wire in enumerate(wires.tolist())
-                )
+                self._recipe += [
+                    Inputs(first, consts.size, consts),
+                    product_step(
+                        wires, ((first + gamma_of)[:, None], (1,)),
+                        (x_vars[:, None], (1,)),
+                    ),
+                ]
             ranks = list(range(size + 1))
             ones = [1] * size
             cs.enforce_rows(RowBlock(
@@ -902,10 +894,6 @@ class CircuitComputer:
                 (np.broadcast_to(a_vars[:, None], shape).reshape(-1, 1), (1,)),
                 (a_vals[:, None] * b_vals[None]).reshape(-1),
                 f"{op.name}/mul",
-                None if self._recipe is None else [
-                    ("mul_wire", op.name, d, kk)
-                    for d in range(m * n) for kk in range(k)
-                ],
             ),
         )
         self._tensor_out(env, op, out_vars)
@@ -932,9 +920,6 @@ class CircuitComputer:
                 e.flat_values().astype(np.int64)
                 * r.flat_values().astype(np.int64)[row],
                 f"{op.name}/mul",
-                None if self._recipe is None else [
-                    ("mul_wire", op.name, idx, 0) for idx in range(size)
-                ],
             ),
         )
         self._tensor_out(env, op, out_vars)
@@ -954,7 +939,6 @@ class CircuitComputer:
         x_vals = op.in_values.astype(np.int64)
         rsqrt = get_table("rsqrt")
         is_final = op.name == self.program.output_name
-        recipe = self._recipe
         counter = global_counter()
         mean_slot = 8 + max(1, d - 1).bit_length() + 1
         var_slot = 20 + max(1, d - 1).bit_length()
@@ -971,7 +955,6 @@ class CircuitComputer:
             centered = (
                 np.stack([x_vars[i], np.full(d, mean_var)], axis=1), (1, -1)
             )
-            names = range(i * d, (i + 1) * d)
             var_sum = int((c * c).sum())
             (var_var,) = emitter.commit_outputs(
                 _NO_TERMS, _NO_TERMS, _NO_TERMS, [var_sum],
@@ -979,8 +962,6 @@ class CircuitComputer:
                 products=Products(
                     np.zeros(d, dtype=np.int64), centered, centered, c * c,
                     f"{op.name}/sq",
-                    None if recipe is None
-                    else [("ln_sq", op.name, j) for j in names],
                 ),
             ).tolist()
             var_q = var_sum >> op.var_shift
@@ -999,8 +980,6 @@ class CircuitComputer:
                 products=Products(
                     np.arange(d), centered,
                     (np.full((d, 1), y_var), (1,)), c * y, f"{op.name}/prod",
-                    None if recipe is None
-                    else [("ln_prod", op.name, j) for j in names],
                 ),
             )
         self._tensor_out(env, op, out_vars.reshape(-1).tolist())

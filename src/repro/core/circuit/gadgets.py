@@ -17,15 +17,19 @@ Two gadget budgets are provided (see DESIGN.md):
   fully sound deployment (ZEN's scheme) would.  Used by soundness tests
   and available to every example via one flag.
 
-When a ``recipe`` list is supplied, every variable allocation is logged as
-``(var_index, descriptor)`` so batch-specialized constraint-system sharing
-(§6.1) can re-assign the witness for a new image without regenerating a
-single constraint.
+Each gadget's witness arithmetic is one value function —
+:func:`commit_values`, :func:`relu_values`, :func:`select_values` — run by
+its emitter at compile time and, when a ``recipe`` list is supplied,
+recorded with the call's inputs as one :class:`repro.r1cs.recipe.Step`, so
+batch-specialized constraint-system sharing (§6.1) re-assigns the witness
+for a new image by the same function, without regenerating a single
+constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -33,6 +37,7 @@ import numpy as np
 from repro.core.privacy.knit import KnitPacker, distinct_rows, pack_slots
 from repro.field.counters import global_counter
 from repro.r1cs.lc import ONE, LinearCombination, RowBlock, RowSide
+from repro.r1cs.recipe import Step, product_step, wire_step
 from repro.r1cs.system import ConstraintSystem
 
 # Signed activations after requantization stay in [-255, 255] (calibrated);
@@ -67,6 +72,82 @@ def identity_bits(slot_bits: int, shift: int) -> int:
     return max(slot_bits, 8 + shift) + 1
 
 
+def _widths(shift: int, strict: bool, public: bool) -> Tuple[int, int]:
+    """Remainder wires and range bits of one output commitment."""
+    rem_width = (shift if strict else 1) if shift else 0
+    return rem_width, RANGE_BITS if strict and not public else 0
+
+
+def commit_values(
+    acc, shift: int, strict: bool, public: bool, tag: str, indices
+):
+    """What one output commitment writes per accumulator, one row each: the
+    output ``acc >> shift``, its remainder wires — one ``rem`` (lean) or
+    ``shift`` bits (strict) — and, for a strict private output, the ten
+    bits of ``out + 256``.  An output outside that range proof's ``[-256,
+    768)`` raises, naming ``tag[indices[k]]``."""
+    out = acc >> shift
+    rem = acc - (out << shift)
+    rem_width, range_width = _widths(shift, strict, public)
+    if range_width:
+        bad = np.flatnonzero((out + RANGE_OFFSET) >> RANGE_BITS != 0)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"output {tag}[{indices[k]}] = {out[k]} is outside the strict "
+                f"range proof's [{-RANGE_OFFSET}, "
+                f"{(1 << RANGE_BITS) - RANGE_OFFSET})"
+            )
+    bits = np.arange(max(shift, RANGE_BITS))
+    return np.concatenate([
+        out[:, None],
+        (rem[:, None] >> bits[:shift]) & 1 if strict
+        else rem[:, None][:, :rem_width],
+        ((out[:, None] + RANGE_OFFSET) >> bits[:range_width]) & 1,
+    ], axis=1)
+
+
+def relu_values(in_values, bits: int, strict: bool, tag: str, indices):
+    """What one ReLU writes per input, one row each: its sign, in strict
+    mode the low ``bits - 1`` bits of ``in + 2^(bits-1)`` (the sign proof;
+    the sign is its top bit), then ``max(0, in)``.  A strict input outside
+    the sign gadget's range raises, naming ``tag[indices[k]]``."""
+    shifted = in_values + (1 << (bits - 1))
+    if strict:
+        bad = np.flatnonzero((shifted < 0) | (shifted >= 1 << bits))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"relu input {tag}[{indices[k]}] = {in_values[k]} exceeds "
+                f"{bits}-bit sign gadget range"
+            )
+    return np.concatenate([
+        (in_values >= 0)[:, None].astype(np.int64),
+        (shifted[:, None] >> np.arange(bits - 1 if strict else 0)) & 1,
+        np.maximum(in_values, 0)[:, None],
+    ], axis=1)
+
+
+def select_values(
+    x_values, domain_lo: int, columns, tag: str, first_index: int
+):
+    """What one one-hot selection writes per input, one row each: an
+    indicator per table row, set at ``x - domain_lo``, then the ``d``
+    outputs ``columns[x - domain_lo]``.  An input outside the table
+    raises, naming ``tag[first_index + k]``."""
+    size = columns.shape[0]
+    row_of = x_values - domain_lo
+    outside = np.flatnonzero((row_of < 0) | (row_of >= size))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(
+            f"selector input {tag}[{first_index + k}] = {x_values[k]} "
+            f"is outside the table's [{domain_lo}, {domain_lo + size - 1}]"
+        )
+    onehot = (np.arange(size) == row_of[:, None]).astype(np.int64)
+    return np.concatenate([onehot, columns[row_of]], axis=1)
+
+
 class Products(NamedTuple):
     """Product wires for :meth:`GadgetEmitter.commit_outputs` to allocate.
 
@@ -75,8 +156,8 @@ class Products(NamedTuple):
     with coefficient 1.  A side is ``(variables, coeffs)``: a ``(P, w)``
     array of variables — one wire (``w = 1``) or a short LC such as
     ``x - mean`` — and ``w`` small signed coefficients every product
-    shares.  ``recipe`` holds one witness-recipe descriptor per wire; it
-    is read only when the emitter logs a recipe.
+    shares.  ``values`` are the products' values; a recorded recipe
+    re-derives them from the sides (:func:`repro.r1cs.recipe.pair_products`).
     """
 
     of: np.ndarray
@@ -84,7 +165,6 @@ class Products(NamedTuple):
     b: Tuple[np.ndarray, tuple]
     values: np.ndarray
     tag: str
-    recipe: Optional[list] = None
 
 
 class GadgetEmitter:
@@ -166,9 +246,11 @@ class GadgetEmitter:
         product rows, strict-mode rows and the identity (or the knit rows
         it completes) form one three-sided :class:`RowBlock` with per-row
         tags.  That is the order one accumulator at a time, each after its
-        own multiplications, would produce.  Accumulator ``k`` is logged as
-        index ``first_index + k``.  With ``share`` (value numbering) a
-        private accumulator of at most ``_SHARE_MAX_TERMS`` terms and no
+        own multiplications, would produce; the fixed wires' values are
+        :func:`commit_values`, whose errors name accumulator ``k`` as
+        ``tag[first_index + k]``.  With a recipe the call appends its step
+        (after the step of its product wires).  With ``share`` (value
+        numbering) a private accumulator of at most ``_SHARE_MAX_TERMS`` terms and no
         products reuses the output of an earlier identical one.  The
         caller tallies building its accumulators and products; this call
         tallies what binding them costs.  Returns the output variable
@@ -201,20 +283,11 @@ class GadgetEmitter:
         count = emit.size
         if not count:
             return out_vars[leader]
-        acc = acc_values[emit]
-        out_values = acc >> shift
-        rem_values = acc - (out_values << shift)
-        rem_width = (shift if strict else 1) if shift else 0
-        range_width = RANGE_BITS if strict and not public else 0
-        if range_width:
-            bad = np.flatnonzero((out_values + RANGE_OFFSET) >> RANGE_BITS != 0)
-            if bad.size:
-                k = bad[0]
-                raise ValueError(
-                    f"output {tag}[{first_index + emit[k]}] = {out_values[k]} "
-                    f"is outside the strict range proof's "
-                    f"[{-RANGE_OFFSET}, {(1 << RANGE_BITS) - RANGE_OFFSET})"
-                )
+        indices = first_index + emit
+        values = commit_values(
+            acc_values[emit], shift, strict, public, tag, indices
+        )
+        rem_width, range_width = _widths(shift, strict, public)
 
         # Variables.  Per accumulator: its product wires, then [out]
         # (unless public) + its remainder wires + range bits (strict,
@@ -224,15 +297,7 @@ class GadgetEmitter:
             else rank[products.of]
         )
         made = np.bincount(of, minlength=count)  # product wires of each
-        bits = np.arange(max(shift, RANGE_BITS))
-        fixed = np.concatenate(
-            ([] if public else [out_values[:, None]]) + [
-                (rem_values[:, None] >> bits[:shift]) & 1 if strict
-                else rem_values[:, None][:, :rem_width],
-                ((out_values[:, None] + RANGE_OFFSET) >> bits[:range_width]) & 1,
-            ],
-            axis=1,
-        )
+        fixed = values[:, int(public):]
         stride = fixed.shape[1]
         made_before = np.cumsum(made) - made
         wires = np.arange(of.size) + stride * of  # positions in the run
@@ -245,9 +310,9 @@ class GadgetEmitter:
         wires += first
         base += first
         if public:
-            emitted = cs.allocate(out_values.tolist(), public=True) - np.arange(
-                count
-            )
+            emitted = cs.allocate(
+                values[:, 0].tolist(), public=True
+            ) - np.arange(count)
             rem_base = base
         else:
             emitted = base
@@ -257,24 +322,26 @@ class GadgetEmitter:
         for key, k in fresh_keys:
             self._commit_cache[key] = (int(out_vars[k]), int(acc_values[k]))
         if self.recipe is not None:
-            log = self.recipe.append
-            wire_log = [] if products is None else list(
-                zip(wires.tolist(), products.recipe)
-            )
-            for k, out_var, at, before, until in zip(
-                emit.tolist(), emitted.tolist(), rem_base.tolist(),
-                made_before.tolist(), (made_before + made).tolist(),
-            ):
-                self.recipe.extend(wire_log[before:until])
-                index = first_index + k
-                log((out_var, ("out", tag, index, shift)))
-                if strict:
-                    for i in range(shift):
-                        log((at + i, ("rem_bit", tag, index, shift, i)))
-                    for i in range(range_width):
-                        log((at + shift + i, ("out_bit", tag, index, shift, i)))
-                elif shift:
-                    log((at, ("rem", tag, index, shift)))
+            inputs = exprs, cols, coeffs
+            if products is not None:  # the product wires join as inputs
+                self.recipe.append(product_step(wires, products.a, products.b))
+                order = np.argsort(np.concatenate([exprs, of]), kind="stable")
+                inputs = (
+                    np.concatenate([exprs, of])[order],
+                    np.concatenate([cols, wires])[order],
+                    np.concatenate([coeffs, np.ones_like(of)])[order],
+                )
+            self.recipe.append(Step(
+                np.concatenate([
+                    emitted[:, None],
+                    rem_base[:, None] + np.arange(values.shape[1] - 1),
+                ], axis=1),
+                partial(
+                    commit_values, shift=shift, strict=strict, public=public,
+                    tag=tag, indices=indices,
+                ),
+                *inputs, count,
+            ))
         if not public:
             self.stats.committed_wires += count
         if not strict:
@@ -477,10 +544,12 @@ class GadgetEmitter:
         out.  With ``public`` the outputs are instance variables instead
         (and take no part in sharing).  The rows are one
         three-sided :class:`RowBlock` tagged ``{tag}/sign``, ``/bits``,
-        ``/signproof``, ``/select`` per row.  Input ``k`` is logged as index
-        ``first_index + k``; a negative ``first_index`` logs every input as
-        ``-1``.  Constraints, variables, recipe entries, stats and op
-        tallies equal those of the per-element gadget, one input at a time.
+        ``/signproof``, ``/select`` per row.  The wires' values are
+        :func:`relu_values`, whose errors name input ``k`` as
+        ``tag[first_index + k]`` (every input as ``-1`` for a negative
+        ``first_index``); with a recipe the call appends its step.
+        Constraints, variables, stats and op tallies equal those of the
+        per-element gadget, one input at a time.
         Returns the output variable indices (ndarray).
         """
         cs = self.cs
@@ -506,26 +575,15 @@ class GadgetEmitter:
             cols, coeffs = cols[kept], coeffs[kept]
         emit = np.flatnonzero(keep)  # inputs that get a sub-circuit
         n = emit.size
-        values = in_values[emit]
-        shifted = values + (1 << (bits - 1))
-        if strict:
-            bad = np.flatnonzero((shifted < 0) | (shifted >= 1 << bits))
-            if bad.size:
-                raise ValueError(
-                    f"relu input {values[bad[0]]} exceeds {bits}-bit sign "
-                    f"gadget range"
-                )
-        outs = np.maximum(values, 0)
-        private = [(values >= 0)[:, None].astype(np.int64)]
-        if strict:  # the low bits of in + 2^(bits-1); its top bit is the sign
-            private.append((shifted[:, None] >> np.arange(bits - 1)) & 1)
-        if not public:
-            private.append(outs[:, None])
+        indices = np.where(first_index >= 0, first_index + emit, -1)
+        values = relu_values(in_values[emit], bits, strict, tag, indices)
         signs = cs.allocate(
-            np.concatenate(private, axis=1).reshape(-1).tolist()
+            values[:, :stride].reshape(-1).tolist()
         ) + stride * np.arange(n)
         if public:
-            emitted = cs.allocate(outs.tolist(), public=True) - np.arange(n)
+            emitted = cs.allocate(
+                values[:, -1].tolist(), public=True
+            ) - np.arange(n)
         else:
             emitted = signs + (stride - 1)
         out_vars[emit] = emitted
@@ -534,15 +592,17 @@ class GadgetEmitter:
             self._relu_cache[key] = (int(out_vars[k]), int(in_values[k]))
         proof_bits = bits - 1 if strict else 0
         if self.recipe is not None:
-            log = self.recipe.append
-            for k, sign, out in zip(
-                emit.tolist(), signs.tolist(), emitted.tolist()
-            ):
-                index = _row_index(first_index, k)
-                log((sign, ("sign", tag, index, bits)))
-                for i in range(proof_bits):
-                    log((sign + 1 + i, ("relu_bit", tag, index, bits, i)))
-                log((out, ("relu_out", tag, index, bits)))
+            self.recipe.append(Step(
+                np.concatenate([
+                    signs[:, None] + np.arange(values.shape[1] - 1),
+                    emitted[:, None],
+                ], axis=1),
+                partial(
+                    relu_values, bits=bits, strict=strict, tag=tag,
+                    indices=indices,
+                ),
+                exprs, cols, coeffs, n,
+            ))
         self.stats.committed_wires += n * (1 + proof_bits) + (not public) * n
         self.stats.relu_constraints += n
         # Per input, the select ``sign * in = out`` — in strict mode after
@@ -607,10 +667,11 @@ class GadgetEmitter:
         booleanity ``{tag}/sel_bool`` (strict), their sum to one
         ``/sel_one``, the recomposition ``sum (domain_lo + v) b_v = x``
         ``/sel_in`` and a ``sum columns[v, j] b_v = out_j`` ``/sel_out`` per
-        column, no zero coefficient stored.  Input ``k`` is logged as ``i =
-        first_index + k``: ``("sel_bit", tag, i, v)``, ``("sel_out", tag, i
-        * d + j)``.  An input outside the table raises before anything is
-        allocated.  Returns the output variables, shape ``(inputs, d)``.
+        column, no zero coefficient stored.  The wires' values are
+        :func:`select_values`: an input outside the table raises, naming
+        ``tag[first_index + k]``, before anything is allocated.  With a
+        recipe the call appends its step.  Returns the output variables,
+        shape ``(inputs, d)``.
         """
         cs = self.cs
         strict = self.mode == "strict"
@@ -619,29 +680,21 @@ class GadgetEmitter:
         columns = np.asarray(columns, dtype=np.int64)
         size, d = columns.shape
         n = x_vars.size
-        row_of = x_values - domain_lo
-        outside = np.flatnonzero((row_of < 0) | (row_of >= size))
-        if outside.size:
-            k = outside[0]
-            raise ValueError(
-                f"selector input {tag}[{first_index + k}] = {x_values[k]} "
-                f"is outside the table's [{domain_lo}, {domain_lo + size - 1}]"
-            )
-        onehot = (np.arange(size) == row_of[:, None]).astype(np.int64)
+        values = select_values(x_values, domain_lo, columns, tag, first_index)
         base = cs.allocate(
-            np.concatenate([onehot, columns[row_of]], axis=1).reshape(-1).tolist()
+            values.reshape(-1).tolist()
         ) + (size + d) * np.arange(n)
         indicators = base[:, None] + np.arange(size)
         out_vars = base[:, None] + size + np.arange(d)
         if self.recipe is not None:
-            for i, first in enumerate(base.tolist(), first_index):
-                self.recipe.extend(
-                    (first + v, ("sel_bit", tag, i, v)) for v in range(size)
-                )
-                self.recipe.extend(
-                    (first + size + j, ("sel_out", tag, i * d + j))
-                    for j in range(d)
-                )
+            self.recipe.append(wire_step(
+                base[:, None] + np.arange(size + d),
+                partial(
+                    select_values, domain_lo=domain_lo, columns=columns,
+                    tag=tag, first_index=first_index,
+                ),
+                x_vars,
+            ))
 
         # Rows per input: [size booleanity rows], sum, recomposition, and
         # one output row per column; zero coefficients are left out.

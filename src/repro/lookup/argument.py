@@ -43,16 +43,19 @@ strict).
 The engine lowers a run of activations per call and records a
 :class:`LookupBlock` per table on ``cs.lookup_blocks`` — consumed by the
 `repro.analysis` determinism auditor (:func:`verify_lookup_block`) and by
-§6.1 batch witness replay (:func:`reassign_lookup_columns`).  One
-function, :func:`assign_lookup_columns`, writes a block's derived
-witness (outputs, input range bits, ``m``, sponge states, ``h``, ``g``),
-at finalize and on replay alike.
+§6.1 batch witness replay.  The witness is split at the challenge: per
+call, :func:`lookup_values` writes the outputs and input range bits (at
+compile time and, through the call's recipe step, on replay); per table,
+:func:`assign_lookup_columns` writes ``m``, the sponge states, the
+challenge, ``h`` and ``g`` — at finalize and after a replay's last step
+alike.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,6 +65,7 @@ from repro.field.counters import global_counter
 from repro.lookup.table import PACK_BASE, LookupTable, get_table
 from repro.r1cs import mimc
 from repro.r1cs.lc import ONE, LinearCombination, RowBlock, RowSide
+from repro.r1cs.recipe import Step, wire_step
 from repro.r1cs.system import ConstraintSystem
 
 # Sponge absorption layout: packed pairs are < 2^32, so seven fit a BN254
@@ -169,6 +173,29 @@ class LookupReport:
         }
 
 
+def lookup_values(
+    x_values, table: LookupTable, proved, tag: str, first_index: int
+):
+    """What one lookup call writes: the bits of ``x - domain_lo`` for each
+    input ``proved`` marks (its range proof), then every input's output
+    ``table[x]``.  An input outside the table raises, naming ``tag[first_index
+    + k]``."""
+    lo = table.domain_lo
+    row_of = x_values - lo
+    outside = np.flatnonzero((row_of < 0) | (row_of >= table.size))
+    if outside.size:
+        k = outside[0]
+        raise LookupError(
+            f"{tag}[{first_index + k}]: input {x_values[k]} outside lookup "
+            f"table {table.name!r} domain [{lo}, {table.domain_hi}] — "
+            f"quantized activation out of range (rejected, not wrapped)"
+        )
+    bits = (row_of[proved][:, None] >> np.arange(table.domain_bits)) & 1
+    return np.concatenate([
+        bits.reshape(-1), np.asarray(table.entries, dtype=np.int64)[row_of],
+    ])
+
+
 class _TableState:
     """Per-table accumulation between first lookup and finalize: the block
     its lookups are recorded in, and what the report counts."""
@@ -218,17 +245,9 @@ class LookupEngine:
     def active(self) -> bool:
         return bool(self._states)
 
-    def _log(self, first: int, count: int, table_name: str) -> None:
-        """Log the ``count`` wires from ``first`` as ``table_name``'s."""
-        if self.recipe is not None:
-            self.recipe.extend(
-                (var, ("lut", table_name)) for var in range(first, first + count)
-            )
-
-    def _wires(self, count: int, table_name: str) -> List[int]:
-        """``count`` wires of ``table_name``'s columns, valued later."""
+    def _wires(self, count: int) -> List[int]:
+        """``count`` wires of a table's columns, valued later."""
         first = self.cs.allocate([None] * count)
-        self._log(first, count, table_name)
         return list(range(first, first + count))
 
     def _state(self, table: LookupTable) -> _TableState:
@@ -240,7 +259,6 @@ class LookupEngine:
                 # can reference it before the sponge that assigns it is
                 # emitted at finalize.
                 alpha_var = self.cs.allocate([0])
-                self._log(alpha_var, 1, table.name)
             else:
                 alpha_const = lean_alpha(table.name, self.cs.field.modulus)
             st = self._states[table.name] = _TableState(table, LookupBlock(
@@ -284,7 +302,9 @@ class LookupEngine:
         membership row ``{tag}/lookup:<table>``.  ``bits_cost`` is the
         caller's estimate of one activation on the bit-decomposition path
         (for the report).  An input outside the table raises, naming
-        ``tag[first_index + k]``, before anything is allocated.
+        ``tag[first_index + k]``, before anything is allocated.  The bits'
+        and outputs' values are :func:`lookup_values`; with a recipe the
+        call appends its step.
         """
         if self._finalized:
             raise LookupError("lookup engine already finalized")
@@ -293,19 +313,6 @@ class LookupEngine:
         lo, width = table.domain_lo, table.domain_bits
         x_vars = np.asarray(x_vars, dtype=np.int64).reshape(-1)
         x_values = np.asarray(x_values, dtype=np.int64).reshape(-1)
-        row_of = x_values - lo
-        outside = np.flatnonzero((row_of < 0) | (row_of >= table.size))
-        if outside.size:
-            k = outside[0]
-            raise LookupError(
-                f"{tag}[{first_index + k}]: input {x_values[k]} outside lookup "
-                f"table {table.name!r} domain [{lo}, {table.domain_hi}] — "
-                f"quantized activation out of range (rejected, not wrapped)"
-            )
-        if not x_vars.size:
-            return x_vars
-        st = self._state(table)
-        block = st.block
         raw = np.zeros(0, dtype=np.int64)  # first input of each raw wire
         if self.mode == "strict" and not input_ranged:
             raw = np.sort(np.unique(x_vars, return_index=True)[1])
@@ -313,17 +320,30 @@ class LookupEngine:
         proved[raw] = [
             (x, lo, width) not in self._range_proofs for x in x_vars[raw].tolist()
         ]
+        values = lookup_values(x_values, table, proved, tag, first_index)
+        if not x_vars.size:
+            return x_vars
+        st = self._state(table)
+        block = st.block
         x_proved = x_vars[proved]
 
         # Wires per input: [width bits], y, h.
         wires = width * proved + 2
         y_at = np.cumsum(wires) - 2
         bit_at = (y_at[proved] - width)[:, None] + np.arange(width)
+        written = np.concatenate([bit_at.reshape(-1), y_at])
         private = np.full(int(wires.sum()), None, dtype=object)
-        private[bit_at] = (row_of[proved][:, None] >> np.arange(width)) & 1
-        private[y_at] = np.asarray(table.entries, dtype=np.int64)[row_of]
+        private[written] = values
         first = cs.allocate(private.tolist())
-        self._log(first, private.size, table.name)
+        if self.recipe is not None:
+            self.recipe.append(wire_step(
+                first + written,
+                partial(
+                    lookup_values, table=table, proved=proved, tag=tag,
+                    first_index=first_index,
+                ),
+                x_vars,
+            ))
         y_vars, bit_vars = first + y_at, (first + bit_at).reshape(-1)
 
         # Rows per input: [width xbit rows, the xrange row], membership.
@@ -415,6 +435,13 @@ class LookupEngine:
             block = self._finalize_table(self._states[name], mark)
             self.cs.lookup_blocks.append(block)
             blocks.append(block)
+            if self.recipe is not None:  # valued after a replay's last step
+                self.recipe.append(Step(np.array(
+                    block.h_vars + block.m_vars + block.g_vars
+                    + list(block.sponge.wires if block.sponge else [])
+                    + ([] if block.alpha_var is None else [block.alpha_var]),
+                    dtype=np.int64,
+                ), None))
         return blocks
 
     def _finalize_table(self, st: _TableState, mark) -> LookupBlock:
@@ -429,10 +456,10 @@ class LookupEngine:
         name = block.table_name
         start = cs.num_constraints
         size = len(block.packed_entries)
-        block.m_vars = self._wires(size, name)
+        block.m_vars = self._wires(size)
         if self.mode == "strict":
             self._challenge(block)
-        block.g_vars = self._wires(size, name)
+        block.g_vars = self._wires(size)
 
         column = np.arange(size)
         g_vars = np.array(block.g_vars, dtype=np.int64)
@@ -490,7 +517,7 @@ class LookupEngine:
         # The per-LC build summed each round's t with ``+``, which counts
         # an addition next to every term sponge_rows tallies.
         counter.field_add += counter.lc_term - tallied
-        self._wires(len(sponge.wires), name)
+        self._wires(len(sponge.wires))
         cs.enforce_rows(rows.block())
 
     # -- reporting ---------------------------------------------------------------------
@@ -695,11 +722,11 @@ def _verify_sponge(cs: ConstraintSystem, block: LookupBlock) -> Optional[str]:
 
 
 def assign_lookup_columns(cs: ConstraintSystem, block: LookupBlock) -> None:
-    """Write one table's derived witness from the current values of its
-    input wires — outputs, input range bits, multiplicities, sponge
-    states, the challenge and both inverse columns.  Their only writer:
-    finalize calls it once per table, the §6.1 batch replay once per
-    image (:func:`reassign_lookup_columns`)."""
+    """Write one table's columns from the current values of its lookups —
+    multiplicities, sponge states, the challenge and both inverse columns.
+    Their only writer: finalize calls it once per table, the §6.1 batch
+    replay once per image after its last step
+    (:func:`reassign_lookup_columns`)."""
     p = cs.field.modulus
     size = len(block.packed_entries)
     rows = []  # each lookup's table row
@@ -718,12 +745,6 @@ def assign_lookup_columns(cs: ConstraintSystem, block: LookupBlock) -> None:
     pairs = [block.packed_entries[j] for j in rows]
     counts = np.bincount(np.array(rows, dtype=np.int64), minlength=size).tolist()
     assign = cs.assign
-    for y_var, pair in zip(block.y_vars, pairs):
-        assign(y_var, pair // PACK_BASE - block.y_bias)
-    row_of = dict(zip(block.x_vars, rows))
-    for x_var, (bits, _) in block.xbits.items():
-        for i, b in enumerate(bits):
-            assign(b, (row_of[x_var] >> i) & 1)
     for m_var, c in zip(block.m_vars, counts):
         assign(m_var, c)
     if block.mode == "strict":
@@ -752,6 +773,6 @@ def assign_lookup_columns(cs: ConstraintSystem, block: LookupBlock) -> None:
 
 
 def reassign_lookup_columns(cs: ConstraintSystem) -> None:
-    """Recompute every lookup column after base wires were re-assigned."""
+    """Recompute every table's columns after its lookups were re-assigned."""
     for block in cs.lookup_blocks:
         assign_lookup_columns(cs, block)

@@ -44,7 +44,8 @@ def relu_lc(
         shifted = in_value + (1 << (bits - 1))
         if (shifted >> (bits - 1)) & 1 != sign or not 0 <= shifted < (1 << bits):
             raise ValueError(
-                f"relu input {in_value} exceeds {bits}-bit sign gadget range"
+                f"relu input {tag}[{index}] = {in_value} exceeds {bits}-bit "
+                f"sign gadget range"
             )
         low = shifted & ((1 << (bits - 1)) - 1)
         recompose = cs.lc()

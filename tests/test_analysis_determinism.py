@@ -20,6 +20,7 @@ from repro.core.privacy.knit import KnitPacker
 from repro.r1cs.system import ConstraintSystem
 from tests.commit_oracle import decompose
 from tests.conftest import commit_lc, relu_wire, tiny_conv_model, tiny_image
+from tests.replay_oracle import named
 
 
 def emitter(mode="strict", knit=None):
@@ -186,7 +187,9 @@ class TestCompiledModels:
         recipe = artifact.compute.recipe
         assume = assume_from_recipe(recipe)
         assert assume
-        kinds = {desc[0] for var, desc in recipe if var in set(assume)}
+        kinds = {
+            desc[0] for var, desc in named(recipe).items() if var in set(assume)
+        }
         assert kinds <= {"image", "const"}
 
 

@@ -7,6 +7,7 @@ from repro.core.circuit.gadgets import GadgetEmitter
 from repro.r1cs.system import ConstraintSystem
 from tests.commit_oracle import boolean, decompose
 from tests.conftest import commit_lc, relu_wire
+from tests.replay_oracle import descriptors
 
 
 def emitter(mode="lean", recipe=None):
@@ -112,6 +113,7 @@ class TestCommitOutput:
         cs, em = emitter("lean", recipe=recipe)
         lc, _ = acc_lc(cs, 1000)
         commit_lc(em, lc, 1000, shift=3, slot_bits=16, tag="conv1", index=4)
+        recipe = descriptors(recipe)
         kinds = [d[0] for _, d in recipe]
         assert kinds == ["out", "rem"]
         assert recipe[0][1][1:] == ("conv1", 4, 3)

@@ -19,6 +19,7 @@ from repro.field.counters import count_ops
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
 from tests.commit_oracle import PushPacker, commit_output
+from tests.replay_oracle import named
 
 WIRES = [-5, 0, 7, -3, 9, 2, 4]
 # Product sides, as (wire, coefficient) terms: one wire, or ``u - v``.
@@ -128,7 +129,6 @@ def run_bulk(em, wires, kind, calls, shift, public):
                 np.array([k for k, _, _ in made]), *sides,
                 np.array([value_of(a) * value_of(b) for *_, (a, b) in made]),
                 f"{TAG}/{kind}",
-                [("mul_wire", TAG, start + k, j) for k, j, _ in made],
             )
         outs += em.commit_outputs(
             exprs, cols, coeffs, [acc_value(kind, acc) for acc in accs], shift,
@@ -139,7 +139,8 @@ def run_bulk(em, wires, kind, calls, shift, public):
 
 
 def observe(cs, em, outs, ops):
-    product_wires = {v for v, d in em.recipe if d[0] == "mul_wire"}
+    recipe = named(em.recipe)
+    product_wires = {v for v, d in recipe.items() if d[0] == "mul_wire"}
     return {
         "rows": [
             (c.tag, c.a.terms, c.b.terms, c.c.terms) for c in cs.constraints
@@ -147,7 +148,7 @@ def observe(cs, em, outs, ops):
         "sizes": (cs.num_public, cs.num_private),
         "z": cs.dense_assignment(),
         "outs": outs,
-        "recipe": em.recipe,
+        "recipe": recipe,
         "stats": em.stats,
         # an output summing fresh product wires is never value-numbered
         "cache": {

@@ -31,6 +31,7 @@ from repro.nn.graph import INPUT
 from repro.r1cs.lc import RowView
 from repro.snark import groth16
 from tests.dot_oracle import oracle_compute
+from tests.replay_oracle import named
 
 
 def dot_program(
@@ -86,7 +87,7 @@ def assert_same_system(got, want):
     assert got.cs.num_public == want.cs.num_public
     assert got.cs.num_private == want.cs.num_private
     assert got.cs.dense_assignment() == want.cs.dense_assignment()
-    assert got.recipe == want.recipe
+    assert named(got.recipe) == named(want.recipe)
     assert got.cs.layer_ranges == want.cs.layer_ranges
     assert got.gadget_stats == want.gadget_stats
     assert [(w.name, w.work_units, w.constraints) for w in got.layer_work] == [

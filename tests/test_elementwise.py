@@ -29,6 +29,7 @@ from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
 from repro.snark import groth16
 from tests.relu_oracle import relu_lc
+from tests.replay_oracle import named
 
 BITS = 12
 HALF = 1 << (BITS - 1)
@@ -93,7 +94,7 @@ def observe(cs, em, outs, ops):
         "z": list(csr.z),
         "sizes": (cs.num_public, cs.num_private),
         "outs": outs,
-        "recipe": em.recipe,
+        "recipe": named(em.recipe),
         "stats": em.stats,
         "cache": em._relu_cache,
         "ops": ops,
@@ -174,7 +175,7 @@ class TestReluRowsParity:
             return
         oracle, rows = messages(mode, False, calls)
         assert rows == oracle == (
-            f"relu input {HALF} exceeds {BITS}-bit sign gadget range"
+            f"relu input relu[1] = {HALF} exceeds {BITS}-bit sign gadget range"
         )
 
 
@@ -262,6 +263,14 @@ class TestFinalRelu:
             assert not groth16.verify(keys.verifying_key, flipped, proof)
 
 
+# The per-variable witness descriptors replay used to interpret.
+DESCRIPTOR_KINDS = {
+    "image", "const", "out", "rem", "rem_bit", "out_bit", "sign", "relu_bit",
+    "relu_out", "dot_wire", "affine_wire", "lut", "mul_wire", "ln_sq",
+    "ln_prod", "sel_bit", "sel_out",
+}
+
+
 def _names(source: str) -> list:
     return [
         (token.type, token.string)
@@ -320,6 +329,44 @@ class TestStructure:
         for path in src.rglob("*.py"):
             strings = {s for _, s in _names(path.read_text())}
             assert not strings & {"_lut_onehot", "_lookups", "_range_proof"}, path
+
+    def test_per_variable_recipe_is_gone(self):
+        """No per-variable witness descriptor under ``src/``: no ``(var,
+        (kind, …))`` pair; in a module that names a recipe, no tuple headed
+        by one of the 17 descriptor kinds and no comparison with one; and
+        no recipe takes a tuple, a comprehension or a generator — an
+        emitter call appends one step."""
+        def headed(node):
+            return (
+                isinstance(node, ast.Tuple) and bool(node.elts)
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in DESCRIPTOR_KINDS
+            )
+
+        src = Path(inspect.getfile(compute)).parents[3]
+        for path in src.rglob("*.py"):
+            text = path.read_text()
+            for node in ast.walk(ast.parse(text)):
+                where = (path, getattr(node, "lineno", None))
+                if "recipe" in text:  # no descriptor built or dispatched on
+                    assert not headed(node), where
+                    assert not (isinstance(node, ast.Compare) and any(
+                        isinstance(side, ast.Constant)
+                        and side.value in DESCRIPTOR_KINDS
+                        for side in [node.left, *node.comparators]
+                    )), where
+                if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                    var, desc = node.elts
+                    assert isinstance(var, ast.Tuple) or not headed(desc), where
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("append", "extend")
+                    and ast.unparse(node.func.value).endswith("recipe")
+                ):
+                    assert not any(isinstance(arg, (
+                        ast.Tuple, ast.ListComp, ast.GeneratorExp
+                    )) for arg in node.args), where
 
     @pytest.mark.parametrize("name", ["lookup", "_finalize_table"])
     def test_lookup_engine_emits_in_bulk(self, name):

@@ -12,14 +12,17 @@ from repro.lookup.argument import (
     verify_lookup_block,
 )
 from repro.lookup.table import LookupTable
+from repro.r1cs.recipe import mirror, replay
 from repro.r1cs.system import ConstraintSystem
 
 
-def emit_lookups(xs, mode="strict", table_name="relu", input_ranged=True):
-    """One engine, one table, one lookup call over xs; returns (cs, block,
-    y_vars)."""
+def emit_lookups(
+    xs, mode="strict", table_name="relu", input_ranged=True, steps=None
+):
+    """One engine, one table, one lookup call over xs (recording its
+    witness recipe into ``steps``); returns (cs, block, y_vars)."""
     cs = ConstraintSystem(name=f"lookup-{mode}")
-    engine = LookupEngine(cs, mode=mode)
+    engine = LookupEngine(cs, mode=mode, recipe=steps)
     first = cs.allocate([int(x) for x in xs])
     y_vars = engine.lookup(
         get_table(table_name), range(first, first + len(xs)), xs, tag="t",
@@ -142,11 +145,13 @@ class TestChallengeDerivation:
 
 class TestReplay:
     def test_reassign_recomputes_columns(self):
-        cs, block, y_vars = emit_lookups([4, 9], mode="strict")
+        steps = []
+        cs, block, y_vars = emit_lookups([4, 9], mode="strict", steps=steps)
         relu = get_table("relu")
         # Re-point the inputs at new in-domain values and replay.
-        cs.assign(block.x_vars[0], -7 % cs.field.modulus)
-        cs.assign(block.x_vars[1], 42)
+        z = mirror(cs)
+        z[block.x_vars] = [-7, 42]
+        replay(cs, steps, z)
         reassign_lookup_columns(cs)
         assert cs.is_satisfied()
         assert cs.value_of(y_vars[0]) == relu.lookup(-7)

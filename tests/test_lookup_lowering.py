@@ -21,8 +21,10 @@ from repro.lookup.argument import (
     reassign_lookup_columns,
 )
 from repro.lookup.table import LookupTable
+from repro.r1cs.recipe import mirror, replay
 from repro.r1cs.system import ConstraintSystem
 from tests import lookup_oracle
+from tests.replay_oracle import named
 
 # Input wire values: in every table's domain below (ids 0..3 included).
 WIRES = [3, -7, 0, 1, 2, 200, -128, 3]
@@ -112,7 +114,7 @@ class TestLookupParity:
         theirs, oracle, their_recipe, their_ops, their_outs, their_blocks = want
         assert _rows(cs) == _rows(theirs)
         assert _witness(cs) == _witness(theirs)
-        assert recipe == their_recipe
+        assert named(recipe, blocks=blocks) == named(their_recipe)
         assert ops == their_ops
         assert [int(v) for v in outs] == their_outs
         assert cs.layer_ranges == theirs.layer_ranges
@@ -125,9 +127,11 @@ class TestLookupParity:
         """The one witness function, driven by the batch replay on new
         inputs, writes what building on them writes."""
         calls = CALLS["tables"]
-        cs, *_ = lookup_system(LookupEngine, mode, calls)
+        cs, _, steps, *_ = lookup_system(LookupEngine, mode, calls)
         moved = [1, 3, 2, 0, 3, -90, 255, 1]
-        cs.assign_run(1, moved)
+        z = mirror(cs)
+        z[1:1 + len(moved)] = moved
+        replay(cs, steps, z)
         reassign_lookup_columns(cs)
         fresh, *_ = lookup_system(
             lookup_oracle.ScalarLookupEngine, mode, calls, values=moved
@@ -153,14 +157,16 @@ class TestLookupParity:
         assert not engine.active
 
     def test_assign_lookup_columns_is_the_only_witness_writer(self):
-        """Blank every column a block derives, re-run its witness
-        function, and the system is whole again."""
+        """Blank every column a block derives from its challenge, re-run
+        its witness function, and the system is whole again."""
         cs, engine, _, _, _, blocks = lookup_system(
             LookupEngine, "strict", CALLS["tables"]
         )
         before = _witness(cs)
         for block in blocks:
-            for var in block.y_vars + block.h_vars + block.m_vars + block.g_vars:
+            for var in block.h_vars + block.m_vars + block.g_vars + [
+                *block.sponge.wires, block.alpha_var,
+            ]:
                 cs.assign(var, 0)
         for block in blocks:
             assign_lookup_columns(cs, block)
@@ -214,7 +220,7 @@ class TestSelectParity:
         (cs, em, ops, outs), (theirs, oracle, their_ops, their_outs) = got, want
         assert _rows(cs) == _rows(theirs)
         assert _witness(cs) == _witness(theirs)
-        assert em.recipe == oracle.recipe
+        assert named(em.recipe) == named(oracle.recipe)
         assert outs == their_outs
         # The oracle tallies its recomposition's zero coefficient, which
         # neither stores; CircuitComputer adds that tally back.
@@ -254,7 +260,9 @@ class TestSelectParity:
         theirs, their_recipe, their_ops, their_outs = want
         assert _rows(cs) == _rows(theirs)
         assert _witness(cs) == _witness(theirs)
-        assert (recipe, ops, outs) == (their_recipe, their_ops, their_outs)
+        assert (named(recipe), ops, outs) == (
+            named(their_recipe), their_ops, their_outs
+        )
         assert cs.is_satisfied()
 
     def test_out_of_domain_raises_before_allocating(self):

@@ -149,8 +149,18 @@ class TestMaxPoolPrimitive:
         assert compiler.prove(artifact).verified
 
 
-class TestMaxPoolBatchGuard:
-    def test_batch_sharing_rejects_maxpool(self):
+class TestMaxPoolBatchReplay:
+    def test_batch_sharing_replays_maxpool(self):
+        """Each select reads the selects before it, and replay runs them in
+        order: a shared system re-assigned to a new image proves its
+        logits."""
         model = maxpool_model()
-        with pytest.raises(NotImplementedError, match="MaxPool"):
-            BatchProver(model, tiny_image())
+        prover = BatchProver(model, tiny_image())
+        p = prover.cs.field.modulus
+        for seed in (2, 3):
+            image = tiny_image(seed=seed)
+            prover.assign_image(image)
+            assert prover.cs.is_satisfied()
+            assert prover.cs.public_values() == [
+                int(v) % p for v in model.forward(image)
+            ]

@@ -22,7 +22,9 @@ from repro.lookup.table import PACK_BASE
 from repro.r1cs import mimc
 from repro.r1cs.lc import ONE, LinearCombination
 from repro.r1cs.system import ConstraintSystem
+from repro.r1cs.recipe import mirror, replay
 from tests import sponge_oracle
+from tests.replay_oracle import named
 from tests.test_lookup_argument import emit_lookups
 
 P = BN254_FR_MODULUS
@@ -311,7 +313,7 @@ def test_engine_matches_the_per_lc_engine():
         )
     assert _rows(got) == _rows(want)
     assert _witness(got) == _witness(want)
-    assert recipe == oracle_recipe
+    assert named(recipe, blocks=got.lookup_blocks) == named(oracle_recipe)
     assert got.layer_ranges == want.layer_ranges
     assert ops.snapshot() == oracle_ops.snapshot()
     assert got.is_satisfied()
@@ -323,10 +325,13 @@ def test_engine_matches_the_per_lc_engine():
 
 
 def test_lookup_replay_matches_the_per_lc_replay():
-    """``reassign_lookup_columns`` on new inputs: a fresh build's witness,
-    and the sponge wires the parent's ``_replay_sponge`` writes."""
-    cs, _, _, wires = _lookup_system(LookupEngine, INPUTS)
-    cs.assign_run(wires[0], [x % P for x in OTHER_INPUTS])
+    """Replay on new inputs — the calls' steps, then
+    ``reassign_lookup_columns``: a fresh build's witness, and the sponge
+    wires the parent's ``_replay_sponge`` writes."""
+    cs, _, steps, wires = _lookup_system(LookupEngine, INPUTS)
+    z = mirror(cs)
+    z[wires] = OTHER_INPUTS
+    replay(cs, steps, z)
     reassign_lookup_columns(cs)
     fresh, engine, _, _ = _lookup_system(sponge_oracle.PerLCEngine, OTHER_INPUTS)
     assert _witness(cs) == _witness(fresh)

@@ -16,6 +16,7 @@ from repro.core.lang.primitives import ProgramBuilder
 from repro.core.lang.types import Privacy
 from repro.core.privacy.knit import KnitPacker
 from repro.r1cs.system import ConstraintSystem
+from tests.replay_oracle import named
 
 # -- random program generator ---------------------------------------------------
 
@@ -150,7 +151,7 @@ class TestRandomPrograms:
         cs = result.cs
         outputs = [
             var
-            for var, desc in result.recipe
+            for var, desc in named(result.recipe).items()
             if desc[0] in ("out", "relu_out")
         ]
         assert outputs, "program has no committed outputs?"

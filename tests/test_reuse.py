@@ -101,7 +101,10 @@ class TestBatchSharing:
 
     def test_recipe_covers_every_variable(self, prover):
         _, bp = prover
-        logged = {var for var, _ in bp.result.recipe}
+        logged = {
+            var for step in bp.result.recipe
+            for var in step.variables().tolist()
+        }
         # every private var and every public var must be reassignable
         expected = set(range(1, bp.cs.num_private + 1)) | {
             -(i + 1) for i in range(bp.cs.num_public)

@@ -271,12 +271,7 @@ class TestElisionSoundness:
         for c in sparse.cs.constraints:
             for lc in (c.a, c.b, c.c):
                 referenced.update(lc.terms)
-        image_var = {
-            pos: var
-            for var, desc in sparse.compute.recipe
-            if desc[0] == "image"
-            for pos in [desc[1]]
-        }
+        image_var = dict(enumerate(sparse.compute.recipe[0].variables()))
         needed = {
             image_var[j]
             for i in range(weight.shape[0])
