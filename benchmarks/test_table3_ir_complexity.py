@@ -12,7 +12,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.circuit.gates import baseline_gate_counts, zeno_gate_counts
 from repro.core.lang.primitives import ProgramBuilder
 from benchmarks._shared import fmt, print_table
@@ -75,12 +75,12 @@ def test_table3_generated_counts_match_formulas(benchmark):
     n, m = 256, 8
     program = _fc_program(n, m)
 
-    base_computer = CircuitComputer(program, ComputeOptions(zeno_circuit=False))
+    base_computer = CircuitComputer(program, CompilerOptions(zeno_circuit=False))
     base_gen = benchmark.pedantic(
         base_computer.generate, rounds=1, iterations=1
     )
     zeno_gen = CircuitComputer(
-        program, ComputeOptions(zeno_circuit=True)
+        program, CompilerOptions(zeno_circuit=True)
     ).generate()
 
     expected_base = baseline_gate_counts("fc", m, n)
@@ -98,7 +98,7 @@ def test_table3_computation_scaling(benchmark):
         gc.collect()
         program = _fc_program(n)
         computer = CircuitComputer(
-            program, ComputeOptions(zeno_circuit=zeno, knit=False)
+            program, CompilerOptions(zeno_circuit=zeno, knit=False)
         )
         result = computer.compute()
         return sum(w.work_units for w in result.layer_work)

@@ -27,8 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.circuit.compute import ComputeOptions
-from repro.core.lang.types import Privacy
+from repro.core.circuit.compute import CompilerOptions
 from repro.core.reuse.batch import BatchProver
 from repro.ec.backend import GroupBackend, SimulatedBackend
 from repro.field import signed
@@ -81,17 +80,11 @@ class AccuracyProver:
         model: Model,
         sample_image: np.ndarray,
         backend: Optional[GroupBackend] = None,
-        options: Optional[ComputeOptions] = None,
+        options: Optional[CompilerOptions] = None,
         crs_seed: int = 0xACC,
     ) -> None:
         self.backend = backend or SimulatedBackend()
-        self.batch = BatchProver(
-            model,
-            sample_image,
-            image_privacy=Privacy.PRIVATE,
-            weights_privacy=Privacy.PUBLIC,
-            options=options,
-        )
+        self.batch = BatchProver(model, sample_image, options)
         self.setup = groth16.setup(
             self.batch.cs, self.backend, random.Random(crs_seed)
         )

@@ -22,7 +22,7 @@ from repro.core.circuit.gates import (
 )
 from repro.core.circuit.compute import (
     CircuitComputer,
-    ComputeOptions,
+    CompilerOptions,
     ComputeResult,
     GenerateResult,
 )
@@ -33,7 +33,7 @@ __all__ = [
     "baseline_gate_counts",
     "zeno_gate_counts",
     "CircuitComputer",
-    "ComputeOptions",
+    "CompilerOptions",
     "ComputeResult",
     "GenerateResult",
 ]

@@ -54,9 +54,10 @@ from repro.core.lang.program import (
     RowScaleOp,
     ZkProgram,
 )
-from repro.core.lang.types import Privacy
+from repro.core.lang.types import Privacy, PrivacySetting
 from repro.core.lang.zktensor import ZkTensor
 from repro.core.privacy.knit import KnitPacker, expression_bits
+from repro.core.reuse.cache import CacheService
 from repro.field.counters import global_counter
 from repro.lookup import LookupEngine, LookupReport, LookupTable, get_table
 from repro.nn.graph import INPUT
@@ -110,23 +111,39 @@ def _first_occurrence(values):
     return distinct[order], rank[inverse.reshape(-1)]
 
 
-@dataclass
-class ComputeOptions:
-    """Optimization toggles for one compilation."""
+# The allowed values of each string-valued compile setting.
+_CHOICES = {
+    "gadget_mode": ("lean", "strict"),
+    "relu_mode": ("bits", "lookup"),
+    "audit": ("off", "report", "enforce"),
+}
 
-    zeno_circuit: bool = True
-    knit: bool = True
-    knit_batch: Optional[int] = None  # None = paper's auto selection
+
+@dataclass
+class CompilerOptions:
+    """Every setting of one compilation: each ZENO optimization as an
+    independent toggle (Figs. 9–13 ablate them one at a time), the
+    lowering, and the post-compile audit."""
+
+    privacy: PrivacySetting = PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS
+    zeno_circuit: bool = True  # §5.1 ZENO circuit vs baseline arithmetic circuit
     # §4.1 privacy-adaptive circuit generation.  When False (the Arkworks
     # baseline), the compiler "ignores privacy type of input data and
     # generates constraints for each multiplication": public weights are
     # still committed as private variables and every scalar product costs a
     # constraint (Eq. 2), exactly as the paper describes the naive path.
     privacy_adaptive: bool = True
-    cache: Optional["CacheService"] = None  # repro.core.reuse.cache.CacheService
-    gadget_mode: str = "lean"
-    field_bits: int = 254
-    relu_bits: int = 16
+    knit: bool = True  # §4.2 knit encoding
+    knit_batch: Optional[int] = None  # force a batch size; None = auto (§4.2)
+    cache: bool = True  # §6.1 frequency-based cache service
+    fusion: bool = True  # §6.2 zkSNARK-aware NN fusion
+    scheduler_workers: int = 16  # §5.2 parallel scheduler (1 = sequential)
+    gadget_mode: str = "lean"  # "lean" (paper accounting) | "strict" (sound)
+    # Nonlinearity lowering: "bits" keeps the per-activation
+    # bit-decomposition gadgets (and one-hot selectors for table
+    # functions); "lookup" routes ReLU/GELU/softmax/rsqrt/embedding
+    # through the shared repro.lookup argument (ARCHITECTURE §13).
+    relu_mode: str = "bits"
     record_recipe: bool = False  # record witness replay steps (§6.1)
     # Sparsity-aware compilation (TeleSparse direction).  Active only when
     # weights are public — zero weights are then compile-time knowledge, so
@@ -140,11 +157,29 @@ class ComputeOptions:
     # constraints).
     sparse: bool = False
     sparse_share: bool = True
-    # Nonlinearity lowering: "bits" keeps the per-activation
-    # bit-decomposition gadgets (and one-hot selectors for table
-    # functions); "lookup" routes ReLU/GELU/softmax/rsqrt/embedding
-    # through the shared repro.lookup argument.
-    relu_mode: str = "bits"
+    # Post-compile soundness audit (repro.analysis): "off", "report"
+    # (attach an AuditReport to the artifact), or "enforce" (additionally
+    # raise CircuitAuditError on ERROR-severity findings).  Auditing
+    # records the witness recipe: the determinism check seeds from it.
+    audit: str = "off"
+    security_profile: str = "zeno"  # backend profile for modeled security cost
+    name: str = "zeno"
+
+    def __post_init__(self) -> None:
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r}: expected one of {allowed}"
+                )
+        if not isinstance(self.privacy, PrivacySetting):
+            raise ValueError(
+                f"privacy={self.privacy!r}: expected a PrivacySetting, "
+                f"one of {tuple(PrivacySetting.names())} by name"
+            )
+
+
+# The name benchmarks/e2e imports; one class, two names.
+ComputeOptions = CompilerOptions
 
 
 @dataclass
@@ -229,9 +264,12 @@ class ComputeResult:
 class CircuitComputer:
     """Drives one program through Generate and Circuit Computation."""
 
-    def __init__(self, program: ZkProgram, options: Optional[ComputeOptions] = None):
+    def __init__(
+        self, program: ZkProgram, options: Optional[CompilerOptions] = None
+    ):
         self.program = program
-        self.options = options or ComputeOptions()
+        self.options = options or CompilerOptions()
+        self.cache = CacheService() if self.options.cache else None
         self.generated: Optional[GenerateResult] = None
         self._recipe: Optional[list] = None
         self._weight_var_cache: Dict[str, np.ndarray] = {}
@@ -295,14 +333,14 @@ class CircuitComputer:
             KnitPacker(
                 cs,
                 batch_size=opts.knit_batch,
-                field_bits=opts.field_bits,
-                cache=opts.cache,
+                cache=self.cache,
                 tag=program.name,
             )
             if (opts.knit and one_private)
             else None
         )
-        recipe: Optional[list] = [] if opts.record_recipe else None
+        record = opts.record_recipe or opts.audit != "off"
+        recipe: Optional[list] = [] if record else None
         self._recipe = recipe
         self._weight_var_cache = {}
         self._distinct_rows = set()

@@ -12,23 +12,22 @@ figures do:
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.circuit.compute import (
     CircuitComputer,
-    ComputeOptions,
+    CompilerOptions,
     ComputeResult,
     GenerateResult,
     SparsityReport,
 )
 from repro.core.fusion.fuse import fuse_model
 from repro.core.lang.program import ZkProgram, program_from_model
-from repro.core.lang.types import Privacy
+from repro.core.lang.types import PrivacySetting
 from repro.core.metrics import CostModel, PhaseTimer
 from repro.core.pipeline import PhaseReport, ProveReport
 from repro.core.reuse.cache import CacheService
@@ -39,89 +38,6 @@ from repro.field import signed
 from repro.nn.graph import Model
 from repro.snark import groth16
 from repro.snark.backends import SECURITY_BACKENDS
-
-
-class PrivacySetting(enum.Enum):
-    """The privacy configurations of the paper's evaluation (§7.1)."""
-
-    PRIVATE_IMAGE_PUBLIC_WEIGHTS = "private_image_public_weights"
-    PRIVATE_IMAGE_PRIVATE_WEIGHTS = "private_image_private_weights"
-    PUBLIC_IMAGE_PRIVATE_WEIGHTS = "public_image_private_weights"
-
-    @classmethod
-    def names(cls) -> Dict[str, "PrivacySetting"]:
-        """The ``--privacy`` / job-spec spelling of each servable setting."""
-        return {
-            "one-private": cls.PRIVATE_IMAGE_PUBLIC_WEIGHTS,
-            "both-private": cls.PRIVATE_IMAGE_PRIVATE_WEIGHTS,
-        }
-
-    @property
-    def image_privacy(self) -> Privacy:
-        if self is PrivacySetting.PUBLIC_IMAGE_PRIVATE_WEIGHTS:
-            return Privacy.PUBLIC
-        return Privacy.PRIVATE
-
-    @property
-    def weights_privacy(self) -> Privacy:
-        if self is PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS:
-            return Privacy.PUBLIC
-        return Privacy.PRIVATE
-
-    @property
-    def one_private(self) -> bool:
-        return self is not PrivacySetting.PRIVATE_IMAGE_PRIVATE_WEIGHTS
-
-
-@dataclass
-class CompilerOptions:
-    """Every ZENO optimization as an independent toggle."""
-
-    privacy: PrivacySetting = PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS
-    zeno_circuit: bool = True  # §5.1 ZENO circuit vs baseline arithmetic circuit
-    privacy_adaptive: bool = True  # §4.1 Eq. 3 folding (off = naive Eq. 2)
-    knit: bool = True  # §4.2 knit encoding (auto batch size)
-    knit_batch: Optional[int] = None  # force a batch size (ablation)
-    cache: bool = True  # §6.1 frequency-based cache service
-    cache_capacity: int = 4096
-    fusion: bool = True  # §6.2 zkSNARK-aware NN fusion
-    scheduler_workers: int = 16  # §5.2 parallel scheduler (1 = sequential)
-    gadget_mode: str = "lean"  # "lean" (paper accounting) | "strict" (sound)
-    relu_bits: int = 16
-    # Nonlinearity lowering: "bits" (sign/bit gadgets + one-hot selectors)
-    # or "lookup" (repro.lookup LogUp argument, ARCHITECTURE §13).
-    # Transformer LUT/LayerNorm/embedding layers honor the same knob.
-    relu_mode: str = "bits"
-    record_recipe: bool = False
-    # Sparsity-aware compilation (public weights only): account the
-    # zero-weight terms the lowering masks out and — with sparse_share —
-    # deduplicate structurally identical gadget emissions (pruned filter
-    # rows collapse to one sub-circuit).  See ComputeOptions.sparse.
-    sparse: bool = False
-    sparse_share: bool = True
-    # Post-compile soundness audit (repro.analysis): "off", "report"
-    # (attach an AuditReport to the artifact), or "enforce" (additionally
-    # raise CircuitAuditError on ERROR-severity findings).
-    audit: str = "off"
-    security_profile: str = "zeno"  # backend profile for modeled security cost
-    name: str = "zeno"
-
-    def compute_options(self) -> ComputeOptions:
-        return ComputeOptions(
-            zeno_circuit=self.zeno_circuit,
-            privacy_adaptive=self.privacy_adaptive,
-            knit=self.knit,
-            knit_batch=self.knit_batch,
-            cache=CacheService(self.cache_capacity) if self.cache else None,
-            gadget_mode=self.gadget_mode,
-            relu_bits=self.relu_bits,
-            relu_mode=self.relu_mode,
-            # The auditor seeds its determinism check from the witness
-            # recipe (free inputs), so auditing implies recording one.
-            record_recipe=self.record_recipe or self.audit != "off",
-            sparse=self.sparse,
-            sparse_share=self.sparse_share,
-        )
 
 
 def zeno_options(
@@ -227,39 +143,10 @@ class CompileArtifact:
         return split_model(self.cs, mode=mode, num_segments=num_segments)
 
 
-def lower_program(
-    program: ZkProgram, options: ComputeOptions
-) -> Tuple[GenerateResult, ComputeResult]:
-    """Generate + Circuit Computation: a typed program -> constraint system."""
-    computer = CircuitComputer(program, options)
-    return computer.generate(), computer.compute()
-
-
-def compile_circuit(
-    model: Model,
-    image: np.ndarray,
-    image_privacy: Privacy,
-    weights_privacy: Privacy,
-    options: ComputeOptions,
-    fusion: bool = True,
-) -> Tuple[Model, ZkProgram, GenerateResult, ComputeResult]:
-    """The one path from a model to its constraint system: §6.2 fusion,
-    typed program, :func:`lower_program`.  :class:`ZenoCompiler` and
-    :class:`~repro.core.reuse.batch.BatchProver` both compile through
-    here, so a circuit is the same circuit whichever door it came in by.
-    Returns the (fused) model actually lowered alongside its program.
-    """
-    if fusion:
-        model = fuse_model(model)
-    program = program_from_model(
-        model, image, image_privacy, weights_privacy,
-        relu_bits=options.relu_bits,
-    )
-    return (model, program, *lower_program(program, options))
-
-
 class ZenoCompiler:
-    """Compiles models (or raw programs) and generates proofs."""
+    """Compiles models (or raw programs) and generates proofs — the only
+    compile entry: every door into the prover compiles through here, so a
+    circuit is the same circuit whichever door it came in by."""
 
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
         self.options = options or CompilerOptions()
@@ -267,28 +154,24 @@ class ZenoCompiler:
     # -- compilation ----------------------------------------------------------------
 
     def compile_model(self, model: Model, image: np.ndarray) -> CompileArtifact:
-        opts = self.options
-        compute_opts = opts.compute_options()
-        return self._artifact(
-            compute_opts,
-            *compile_circuit(
-                model, image, opts.privacy.image_privacy,
-                opts.privacy.weights_privacy, compute_opts, opts.fusion,
-            ),
+        """§6.2 fusion, the typed program, :meth:`compile_program`; the
+        artifact holds the (fused) model actually lowered."""
+        privacy = self.options.privacy
+        if self.options.fusion:
+            model = fuse_model(model)
+        program = program_from_model(
+            model, image, privacy.image_privacy, privacy.weights_privacy
         )
+        return self.compile_program(program, model)
 
     def compile_program(
         self, program: ZkProgram, model: Optional[Model] = None
     ) -> CompileArtifact:
-        compute_opts = self.options.compute_options()
-        return self._artifact(
-            compute_opts, model, program, *lower_program(program, compute_opts)
-        )
-
-    def _artifact(
-        self, compute_opts, model, program, generated, computed
-    ) -> CompileArtifact:
+        """Generate + Circuit Computation: a typed program -> constraint
+        system, then the §5.2 schedule and the audit."""
         opts = self.options
+        computer = CircuitComputer(program, opts)
+        generated, computed = computer.generate(), computer.compute()
         schedule = None
         parallel_time = computed.wall_time
         if opts.scheduler_workers > 1:
@@ -304,7 +187,7 @@ class ZenoCompiler:
             compute=computed,
             schedule=schedule,
             parallel_circuit_time=parallel_time,
-            cache=compute_opts.cache,
+            cache=computer.cache,
         )
         if opts.audit != "off":
             artifact.audit = self._audit(artifact, enforce=opts.audit == "enforce")

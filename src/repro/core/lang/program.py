@@ -367,7 +367,7 @@ def _dot_op_from_pool(
 
 
 def _maxpool_op(
-    name: str, layer: "MaxPool2d", trace: LayerTrace, inputs, bits: int
+    name: str, layer: "MaxPool2d", trace: LayerTrace, inputs, bits: int = 16
 ) -> MaxPoolOp:
     in_shape = trace.input_values[0].shape
     c, h, w = in_shape
@@ -395,7 +395,6 @@ def program_from_model(
     image: np.ndarray,
     image_privacy: Privacy = Privacy.PRIVATE,
     weights_privacy: Privacy = Privacy.PUBLIC,
-    relu_bits: int = 16,
 ) -> ZkProgram:
     """Trace ``model`` on ``image`` and record it as a typed ZkProgram.
 
@@ -423,7 +422,7 @@ def program_from_model(
         elif isinstance(layer, AvgPool2d):
             op = _dot_op_from_pool(trace.name, layer, trace, inputs)
         elif isinstance(layer, MaxPool2d):
-            op = _maxpool_op(trace.name, layer, trace, inputs, relu_bits)
+            op = _maxpool_op(trace.name, layer, trace, inputs)
         elif isinstance(layer, BatchNorm):
             flat = trace.input_values[0]
             if flat.ndim == 3:
@@ -462,7 +461,6 @@ def program_from_model(
                 output=trace.name,
                 out_values=trace.out,
                 in_values=trace.input_values[0].reshape(-1),
-                bits=relu_bits,
             )
         elif isinstance(layer, Flatten):
             op = FlattenOp(

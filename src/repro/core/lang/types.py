@@ -26,6 +26,7 @@ which is exactly the manual effort Table 1's design removes.
 from __future__ import annotations
 
 import enum
+from typing import Dict
 
 
 class Privacy(enum.Enum):
@@ -40,6 +41,38 @@ class Privacy(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+class PrivacySetting(enum.Enum):
+    """The privacy configurations of the paper's evaluation (§7.1)."""
+
+    PRIVATE_IMAGE_PUBLIC_WEIGHTS = "private_image_public_weights"
+    PRIVATE_IMAGE_PRIVATE_WEIGHTS = "private_image_private_weights"
+    PUBLIC_IMAGE_PRIVATE_WEIGHTS = "public_image_private_weights"
+
+    @classmethod
+    def names(cls) -> Dict[str, "PrivacySetting"]:
+        """The ``--privacy`` / job-spec spelling of each servable setting."""
+        return {
+            "one-private": cls.PRIVATE_IMAGE_PUBLIC_WEIGHTS,
+            "both-private": cls.PRIVATE_IMAGE_PRIVATE_WEIGHTS,
+        }
+
+    @property
+    def image_privacy(self) -> Privacy:
+        if self is PrivacySetting.PUBLIC_IMAGE_PRIVATE_WEIGHTS:
+            return Privacy.PUBLIC
+        return Privacy.PRIVATE
+
+    @property
+    def weights_privacy(self) -> Privacy:
+        if self is PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS:
+            return Privacy.PUBLIC
+        return Privacy.PRIVATE
+
+    @property
+    def one_private(self) -> bool:
+        return self is not PrivacySetting.PRIVATE_IMAGE_PRIVATE_WEIGHTS
 
 
 class ScalarKind(enum.Enum):

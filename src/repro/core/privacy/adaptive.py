@@ -8,9 +8,9 @@ Privacy costs constraints; introduce it only where required:
 
 For a length-``n`` dot product this yields Eq. 2 (both private,
 ``n + 1`` constraints) versus Eq. 3 (one side public, ``1`` constraint).
-This module provides both the standalone generators (used directly by unit
-tests, Table 2/3 benches, and the compute primitives) and the analytic
-count model.
+This module provides the analytic count model and a standalone scalar
+generator, ``emit_dot_product``, which only the unit tests call: the
+compiler lowers whole dot layers (``CircuitComputer._dot_linear``).
 """
 
 from __future__ import annotations

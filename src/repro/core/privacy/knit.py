@@ -275,13 +275,12 @@ class KnitPacker:
         self,
         cs: ConstraintSystem,
         batch_size: Optional[int] = None,
-        field_bits: int = 254,
         cache=None,
         tag: str = "",
     ) -> None:
         self.cs = cs
         self.forced_batch = batch_size
-        self.field_bits = field_bits
+        self.field_bits = cs.field.modulus.bit_length()
         self.cache = cache  # optional frequency CacheService for coeff muls
         self.tag = tag
         self._slot_bits = 0

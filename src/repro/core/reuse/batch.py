@@ -18,16 +18,17 @@ no gates, no constraint emission.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.circuit.compute import ComputeOptions
-from repro.core.lang.types import Privacy
 from repro.lookup import reassign_lookup_columns
 from repro.nn.graph import Model
 from repro.r1cs import recipe
+
+if TYPE_CHECKING:
+    from repro.core.compiler import CompilerOptions
 
 
 @dataclass
@@ -56,34 +57,36 @@ class BatchProver:
         self,
         model: Model,
         base_image: np.ndarray,
-        image_privacy: Privacy = Privacy.PRIVATE,
-        weights_privacy: Privacy = Privacy.PUBLIC,
-        options: Optional[ComputeOptions] = None,
+        options: Optional[CompilerOptions] = None,
     ) -> None:
-        # Deferred: repro.core.compiler imports this package for the cache.
-        from repro.core.compiler import compile_circuit
+        # Deferred: repro.core.circuit.compute imports this package for the
+        # cache.
+        from repro.core.compiler import CompilerOptions, ZenoCompiler
 
-        if not image_privacy.is_private:
+        options = options or CompilerOptions()
+        if not options.privacy.image_privacy.is_private:
             raise ValueError(
                 "batch witness replay needs a private image: a public one is "
                 "folded into the rows as coefficients, so each image needs "
                 "its own constraint system"
             )
-        self.image_privacy = image_privacy
-        self.weights_privacy = weights_privacy
-        opts = options or ComputeOptions()
-        opts.record_recipe = True
-        self.options = opts
-        self.stats = BatchStats()
-
-        # ``self.model`` is the fused model: the recipe names its layers.
-        self.model, _program, generated, self.result = compile_circuit(
-            model, base_image, image_privacy, weights_privacy, opts
+        self.options = replace(options, record_recipe=True)
+        # The artifact's model is the fused one: the recipe names its layers.
+        self.artifact = ZenoCompiler(self.options).compile_model(
+            model, base_image
         )
-        self.stats.generate_time = generated.wall_time
-        self.stats.circuit_time = self.result.wall_time
+        self.model = self.artifact.model
+        self.stats = BatchStats(
+            generate_time=self.artifact.generate.wall_time,
+            circuit_time=self.result.wall_time,
+        )
         self._setup = None
         self._mirror = recipe.mirror(self.cs)
+
+    @property
+    def result(self):
+        """The shared compile's ``ComputeResult`` (rows and recipe)."""
+        return self.artifact.compute
 
     @property
     def cs(self):

@@ -69,8 +69,10 @@ class CircuitSpec:
         return synthetic_images(shape, n=1, seed=image_seed)[0]
 
     def options(self, **overrides) -> CompilerOptions:
+        """Raises ``ValueError`` naming the field on an unknown value."""
         return zeno_options(
-            PrivacySetting.names()[self.privacy],
+            # An unknown name reaches CompilerOptions, which rejects it.
+            PrivacySetting.names().get(self.privacy, self.privacy),
             gadget_mode=self.gadgets,
             relu_mode=self.relu_mode,
             sparse=self.sparse,
@@ -86,14 +88,7 @@ class CircuitSpec:
 
     def batch_prover(self, base_image: np.ndarray) -> BatchProver:
         """The same constraint system, compiled for §6.1 witness replay."""
-        options = self.options()
-        return BatchProver(
-            self.build_model(),
-            base_image,
-            image_privacy=options.privacy.image_privacy,
-            weights_privacy=options.privacy.weights_privacy,
-            options=options.compute_options(),
-        )
+        return BatchProver(self.build_model(), base_image, self.options())
 
 
 @functools.lru_cache(maxsize=64)

@@ -23,7 +23,6 @@ exactly :func:`repro.snark.qap.variable_order`.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.r1cs.lc import RowRun, RowView, TermRun
+from repro.r1cs.lc import RowRun, RowView
 
 
 @dataclass
@@ -92,19 +91,17 @@ def build_csr_structure(rows, num_public: int, num_private: int,
     """Build the (assignment-free) CSR structure of a system's rows.
 
     ``rows`` holds, in order, the runs a system keeps until something reads
-    its ``constraints`` (:class:`~repro.r1cs.lc.TermRun`,
-    :class:`~repro.r1cs.lc.RowRun`) and the
-    :class:`~repro.r1cs.constraint.Constraint` s they were turned into.
-    Terms are copied exactly as stored — no filtering or
-    re-canonicalization — so CSR evaluation performs precisely the same
-    coefficient products a per-LC walk would, keeping the op-count parity
-    the regression tests pin down.  A run is copied a side at a time with
-    no per-term bytecode: a TermRun's column of dicts is chained through
-    the signed-to-dense table, a RowRun is three slices of its
-    :class:`~repro.r1cs.lc.RowSide` (or the constant columns an absent B,
-    ``1``, and C, ``0``, stand for).  A Constraint side that is still an
-    unread :class:`~repro.r1cs.lc.RowView` is copied as the slices of its
-    one row, and only a Constraint's dict LCs are walked.
+    its ``constraints`` (:class:`~repro.r1cs.lc.RowRun`) and
+    :class:`~repro.r1cs.constraint.Constraint` s.  Terms are copied
+    exactly as stored — no filtering or re-canonicalization — so CSR
+    evaluation performs precisely the same coefficient products a per-LC
+    walk would, keeping the op-count parity the regression tests pin
+    down.  A RowRun is copied a side at a time with no per-term bytecode:
+    three slices of its :class:`~repro.r1cs.lc.RowSide` (or the constant
+    columns an absent B, ``1``, and C, ``0``, stand for).  A Constraint
+    side that is still an unread :class:`~repro.r1cs.lc.RowView` is copied
+    as the slices of its one row, and only a Constraint's dict LCs are
+    walked.
     """
     # The dense position of an (allocated) signed variable, as one list
     # lookup: a private counts up from the front, a public — a negative
@@ -113,7 +110,6 @@ def build_csr_structure(rows, num_public: int, num_private: int,
         0, *range(num_public + 1, num_public + num_private + 1),
         *range(num_public, 0, -1),
     ].__getitem__
-    chain = itertools.chain.from_iterable
 
     def slice_positions(side, lo: int, hi: int) -> List[int]:
         v = side.variables[lo:hi]
@@ -126,14 +122,7 @@ def build_csr_structure(rows, num_public: int, num_private: int,
         indices: List[int] = []
         coeffs: List[int] = []
         for piece in rows:
-            if piece.__class__ is TermRun:
-                column = get(piece)
-                indptr.extend(itertools.accumulate(
-                    map(len, column), initial=indptr.pop()
-                ))
-                indices.extend(map(position_of, chain(column)))
-                coeffs.extend(chain(map(dict.values, column)))
-            elif piece.__class__ is RowRun:
+            if piece.__class__ is RowRun:
                 side = get(piece.block)
                 start, stop = piece.start, piece.stop
                 if side is not None:

@@ -21,7 +21,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -281,33 +280,6 @@ class RowRun(NamedTuple):
         if tags is None:
             return [self.tag] * (self.stop - self.start)
         return tags[self.start:self.stop]
-
-
-class TermRun:
-    """Consecutive :meth:`~repro.r1cs.system.ConstraintSystem.enforce` rows,
-    as a constraint system holds them until something reads
-    ``cs.constraints``: one column per side of the rows' ``terms`` dicts —
-    the dicts themselves, so an in-place edit of an LC after it was
-    enforced still reaches its row — and one of their tags.
-
-    Columns, because an ``{int: int}`` dict never enters the cyclic
-    collector's books while a :class:`~repro.r1cs.constraint.Constraint`
-    and the three LC objects it holds always do: a compiled model would
-    otherwise leave four tracked objects per row for every collection to
-    walk, and the prover reads none of them.
-    """
-
-    __slots__ = ("a", "b", "c", "tag_column")
-
-    def __init__(self) -> None:
-        self.a: List[Dict[int, int]] = []
-        self.b: List[Dict[int, int]] = []
-        self.c: List[Dict[int, int]] = []
-        self.tag_column: List[str] = []
-
-    def tags(self) -> Sequence[str]:
-        """One provenance tag per row of the run."""
-        return self.tag_column
 
 
 class RowView(LinearCombination):

@@ -15,7 +15,6 @@ from repro.r1cs.lc import (
     RowBlock,
     RowRun,
     RowView,
-    TermRun,
 )
 
 
@@ -50,11 +49,11 @@ class ConstraintSystem:
     def __init__(self, field: Field = BN254_FR, name: str = "cs") -> None:
         self.field = field
         self.name = name
-        # Rows in order, as runs: a TermRun per stretch of ``enforce``
-        # calls, a RowRun per ``enforce_rows`` — columns and arrays until
-        # the first read of :attr:`constraints` turns them into Constraints
-        # in place.  From then on the list is handed out (``_listed``) and
-        # stays a plain list of Constraints its holders may edit.
+        # Rows in order: a Constraint per ``enforce`` call, a RowRun per
+        # ``enforce_rows`` — arrays until the first read of
+        # :attr:`constraints` turns them into Constraints in place.  From
+        # then on the list is handed out (``_listed``) and stays a plain
+        # list of Constraints its holders may edit.
         self._rows: list = []
         self._listed = False
         self._runs = 0  # runs in _rows ...
@@ -160,26 +159,8 @@ class ConstraintSystem:
         c: LinearCombination,
         tag: str = "",
     ) -> None:
-        """Add the constraint ``a * b = c``.
-
-        Until :attr:`constraints` is first read the row keeps the three
-        ``terms`` dicts (not the LC objects) in the :class:`TermRun` this
-        call extends, and that read wraps them in LCs again.
-        """
-        rows = self._rows
-        if self._listed:
-            rows.append(Constraint(a, b, c, tag=tag))
-        else:
-            run = rows[-1] if rows else None
-            if run.__class__ is not TermRun:
-                run = TermRun()
-                rows.append(run)
-                self._runs += 1
-            run.a.append(a.terms)
-            run.b.append(b.terms)
-            run.c.append(c.terms)
-            run.tag_column.append(tag)
-            self._run_rows += 1
+        """Add the constraint ``a * b = c``."""
+        self._rows.append(Constraint(a, b, c, tag=tag))
         self._csr_cache = None
         self._layer_index = None
 
@@ -256,11 +237,10 @@ class ConstraintSystem:
         """Every row as a :class:`Constraint`, in order — the list itself,
         so readers may edit it.
 
-        Rows become Constraints here, on the first read: an
-        :meth:`enforce` row gets three plain LCs over the dicts it was
-        given; an :meth:`enforce_rows` row gets a :class:`RowView` of each
-        side its block holds, the LC ``1`` for an absent B and the zero LC
-        for an absent C.  Rows added later join the list as Constraints.
+        Rows of :meth:`enforce_rows` become Constraints here, on the
+        first read: a :class:`RowView` of each side its block holds, the
+        LC ``1`` for an absent B and the zero LC for an absent C.  Rows
+        added later join the list as Constraints.
         """
         self._listed = True
         if self._runs:
@@ -278,13 +258,7 @@ class ConstraintSystem:
 
         rows: List[Constraint] = []
         for piece in self._rows:
-            if piece.__class__ is TermRun:
-                sides = (
-                    [LinearCombination(field, terms) for terms in column]
-                    for column in (piece.a, piece.b, piece.c)
-                )
-                rows.extend(map(Constraint, *sides, piece.tag_column))
-            elif piece.__class__ is RowRun:
+            if piece.__class__ is RowRun:
                 block, span = piece.block, range(piece.start, piece.stop)
                 rows.extend(map(
                     Constraint,

@@ -147,12 +147,9 @@ def named(recipe, program=None, blocks=()) -> dict:
 def assign_image(prover, image):
     """Re-trace the model on ``image`` and re-assign every variable of
     ``prover``'s system through the per-variable descriptors."""
+    privacy = prover.options.privacy
     program = program_from_model(
-        prover.model,
-        image,
-        prover.image_privacy,
-        prover.weights_privacy,
-        relu_bits=prover.options.relu_bits,
+        prover.model, image, privacy.image_privacy, privacy.weights_privacy
     )
     values = {INPUT: program.input_values.reshape(-1)}
     acc, relu_in, ops = {}, {}, {}

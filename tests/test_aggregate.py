@@ -8,6 +8,7 @@ of the folded artifact, never the shared objects.
 import ast
 import inspect
 import io
+import itertools
 import json
 import random
 import tokenize
@@ -34,7 +35,7 @@ from repro.aggregate import (
 )
 from repro.aggregate.commit import cut_digest, mimc_round_constants
 from repro.analysis import assume_from_recipe
-from repro.core.circuit.compute import ComputeOptions
+from repro.core.circuit.compute import CompilerOptions
 from repro.core.compiler import (
     CompileArtifact,
     PrivacySetting,
@@ -622,7 +623,7 @@ TINY_PUBLICS = [1] + [2] * 18 + [12] + [2] * 7 + [1]
 def _tiny_transformer_prover():
     model = build_model("TINY", scale="micro", seed=3)
     images = list(synthetic_images(model.input_shape, n=3, seed=11))
-    options = ComputeOptions(relu_mode="lookup", gadget_mode="strict")
+    options = CompilerOptions(relu_mode="lookup", gadget_mode="strict")
     return BatchProver(model, images[0], options=options), images
 
 
@@ -1109,6 +1110,9 @@ def test_hand_built_systems_are_what_they_claim():
         False, True, False, True, False
     ]
     rows = interleaved_system()._rows
-    assert [type(piece).__name__ for piece in rows] == [
-        "TermRun", "RowRun", "TermRun", "RowRun", "TermRun", "RowRun", "TermRun"
+    assert [kind for kind, _ in itertools.groupby(
+        type(piece).__name__ for piece in rows
+    )] == [
+        "Constraint", "RowRun", "Constraint", "RowRun", "Constraint", "RowRun",
+        "Constraint",
     ]

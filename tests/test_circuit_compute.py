@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.lang.program import program_from_model
 from repro.core.lang.types import Privacy
 from repro.nn.models import build_model
@@ -15,7 +15,7 @@ def compile_tiny(zeno=True, knit=True, weights_privacy=Privacy.PUBLIC, **kwargs)
     model = tiny_conv_model()
     image = tiny_image()
     program = program_from_model(model, image, weights_privacy=weights_privacy)
-    options = ComputeOptions(zeno_circuit=zeno, knit=knit, **kwargs)
+    options = CompilerOptions(zeno_circuit=zeno, knit=knit, **kwargs)
     computer = CircuitComputer(program, options)
     computer.generate()
     return program, computer.compute()
@@ -119,7 +119,7 @@ class TestPrivateWeightsPublicImage:
             image_privacy=Privacy.PUBLIC,
             weights_privacy=Privacy.PRIVATE,
         )
-        computer = CircuitComputer(program, ComputeOptions())
+        computer = CircuitComputer(program, CompilerOptions())
         result = computer.compute()
         assert result.cs.is_satisfied()
 
@@ -131,7 +131,7 @@ class TestPrivateWeightsPublicImage:
             "p", np.array([1, -2]), image_privacy=Privacy.PUBLIC
         )
         builder.relu()
-        computer = CircuitComputer(builder.build(), ComputeOptions())
+        computer = CircuitComputer(builder.build(), CompilerOptions())
         with pytest.raises(ValueError):
             computer.compute()
 
@@ -141,10 +141,10 @@ class TestGeneratePhase:
         model = tiny_conv_model()
         program = program_from_model(model, tiny_image())
         base = CircuitComputer(
-            program, ComputeOptions(zeno_circuit=False)
+            program, CompilerOptions(zeno_circuit=False)
         ).generate()
         zeno = CircuitComputer(
-            program, ComputeOptions(zeno_circuit=True)
+            program, CompilerOptions(zeno_circuit=True)
         ).generate()
         assert base.num_gates > zeno.num_gates
         assert base.critical_path > zeno.critical_path == 2
@@ -152,7 +152,7 @@ class TestGeneratePhase:
     def test_compute_auto_generates(self):
         model = tiny_conv_model()
         program = program_from_model(model, tiny_image())
-        computer = CircuitComputer(program, ComputeOptions())
+        computer = CircuitComputer(program, CompilerOptions())
         result = computer.compute()  # no explicit generate()
         assert result.cs.num_constraints > 0
 
@@ -168,7 +168,7 @@ class TestMiniModelsAllPrivacyModes:
         program = program_from_model(
             model, image, weights_privacy=weights_privacy
         )
-        computer = CircuitComputer(program, ComputeOptions(zeno_circuit=zeno))
+        computer = CircuitComputer(program, CompilerOptions(zeno_circuit=zeno))
         result = computer.compute()
         assert result.cs.is_satisfied()
 
@@ -176,5 +176,5 @@ class TestMiniModelsAllPrivacyModes:
         model = build_model("RES18", scale="mini")
         image = synthetic_images(model.input_shape, n=1, seed=4)[0]
         program = program_from_model(model, image)
-        result = CircuitComputer(program, ComputeOptions()).compute()
+        result = CircuitComputer(program, CompilerOptions()).compute()
         assert result.cs.is_satisfied()

@@ -14,6 +14,7 @@ and the only code that compiles them; these tests pin what that buys:
 """
 
 import ast
+import inspect
 import json
 import random
 import re
@@ -23,8 +24,14 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
-from repro.core.circuit.compute import ComputeOptions
-from repro.core.compiler import PrivacySetting
+from repro.core import compiler
+from repro.core.accuracy import AccuracyProver
+from repro.core.circuit.compute import (
+    CircuitComputer,
+    CompilerOptions,
+    ComputeOptions,
+)
+from repro.core.compiler import PrivacySetting, ZenoCompiler
 from repro.core.reuse.batch import BatchProver
 from repro.core.spec import CircuitSpec
 from repro.serve import ProvingService, ServiceConfig, workers
@@ -121,13 +128,11 @@ class TestOneCompilePath:
         """``BatchProver`` built the way ``benchmarks/e2e`` builds it."""
         constraints, vk, proof = reference(circuit)
         image = circuit.image(IMAGE_SEED)
-        privacy = PrivacySetting.names()[circuit.privacy]
         prover = BatchProver(
             circuit.build_model(), circuit.image(IMAGE_SEED + 1),
-            image_privacy=privacy.image_privacy,
-            weights_privacy=privacy.weights_privacy,
-            options=ComputeOptions(
-                gadget_mode=circuit.gadgets, relu_mode=circuit.relu_mode
+            options=CompilerOptions(
+                privacy=PrivacySetting.names()[circuit.privacy],
+                gadget_mode=circuit.gadgets, relu_mode=circuit.relu_mode,
             ),
         )
         setup = prover.warm_setup(rng=random.Random(CRS_SEED), precompute=False)
@@ -334,7 +339,7 @@ def test_one_circuit_identity_under_src():
                         found.setdefault(rel, set()).add(scope)
         return found
 
-    assert callers("CircuitComputer") == {"core/compiler.py": {"lower_program"}}
+    assert callers("CircuitComputer") == {"core/compiler.py": {"compile_program"}}
     assert {
         rel for rel in callers("build_model") if not rel.startswith("nn/")
     } == {"core/spec.py"}
@@ -349,3 +354,26 @@ def test_one_circuit_identity_under_src():
     assert {
         name for name, text in sources.items() if decode.search(text)
     } == {"field/fp.py"}
+
+
+def test_one_compile_configuration():
+    """One options object, one compile entry, privacy given once."""
+    assert ComputeOptions is CompilerOptions  # the name benchmarks/e2e uses
+    core = Path(compiler.__file__).resolve().parent
+    options_classes = {
+        node.name
+        for path in core.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Options")
+    }
+    assert options_classes == {"CompilerOptions"}
+    entries = (
+        BatchProver.__init__, AccuracyProver.__init__,
+        CircuitComputer.__init__, ZenoCompiler.compile_model,
+        ZenoCompiler.compile_program, CircuitSpec.batch_prover,
+    )
+    for entry in entries:
+        params = set(inspect.signature(entry).parameters)
+        assert not params & {"image_privacy", "weights_privacy", "fusion"}
+    assert not hasattr(compiler, "compile_circuit")
+    assert not hasattr(compiler, "lower_program")

@@ -10,6 +10,7 @@ from repro.core.compiler import (
     zeno_options,
 )
 from repro.core.metrics import CostModel
+from repro.core.spec import CircuitSpec
 from repro.ec.backend import RealBN254Backend
 from tests.conftest import tiny_conv_model, tiny_image
 
@@ -35,6 +36,25 @@ class TestOptions:
         opts = zeno_options(knit=False, scheduler_workers=4)
         assert not opts.knit
         assert opts.scheduler_workers == 4
+
+    @pytest.mark.parametrize("build, field, allowed", [
+        (lambda: CircuitSpec("SHAL", scale="micro", relu_mode="Lookup")
+         .options(), "relu_mode", "'lookup'"),
+        (lambda: zeno_options(audit="Enforce"), "audit", "'enforce'"),
+        (lambda: CompilerOptions(gadget_mode="Strict"), "gadget_mode",
+         "'strict'"),
+        (lambda: CircuitSpec("SHAL", privacy="public").options(), "privacy",
+         "'one-private'"),
+        (lambda: arkworks_options(privacy="one-private"), "privacy",
+         "'both-private'"),
+    ], ids=["spec-relu_mode", "audit", "gadget_mode", "spec-privacy",
+            "privacy-name"])
+    def test_unknown_value_is_rejected(self, build, field, allowed):
+        """Where the options object is built, naming the field and the
+        values it takes — not compiled as some default."""
+        with pytest.raises(ValueError, match=f"^{field}=") as excinfo:
+            build()
+        assert allowed in str(excinfo.value)
 
     def test_privacy_setting_properties(self):
         s = PrivacySetting.PRIVATE_IMAGE_PUBLIC_WEIGHTS
@@ -177,9 +197,14 @@ class TestAuditKnob:
         assert excinfo.value.report.errors
 
     def test_audit_forces_recipe(self):
+        from tests.conftest import tiny_conv_model, tiny_image
+
         opts = zeno_options(gadget_mode="strict", audit="report")
+        artifact = ZenoCompiler(opts).compile_model(
+            tiny_conv_model(), tiny_image()
+        )
         assert opts.record_recipe is False  # user toggle untouched
-        assert opts.compute_options().record_recipe is True
+        assert artifact.compute.recipe is not None
 
     def test_off_by_default(self):
         from tests.conftest import tiny_conv_model, tiny_image

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit import compute
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.lang.program import DotLayerOp, GatherOp, ZkProgram
 from repro.core.lang.types import Privacy
 from repro.core.privacy import knit
@@ -109,9 +109,9 @@ def both_ways(program, **options):
     """Both lowerings of ``program``: the same system, or (a strict output
     outside its range proof) the same error."""
     with count_ops() as got_ops:
-        got = outcome(CircuitComputer(program, ComputeOptions(**options)).compute)
+        got = outcome(CircuitComputer(program, CompilerOptions(**options)).compute)
     with count_ops() as want_ops:
-        want = outcome(lambda: oracle_compute(program, ComputeOptions(**options)))
+        want = outcome(lambda: oracle_compute(program, CompilerOptions(**options)))
     if isinstance(want, ValueError):
         assert isinstance(got, ValueError) and str(got) == str(want)
         assert options.get("gadget_mode") == "strict"
@@ -168,7 +168,7 @@ class TestDifferential:
         got = both_ways(
             dot_program(**layer), knit=knit_on, knit_batch=knit_batch,
             gadget_mode=gadget_mode, record_recipe=True,
-            cache=CacheService() if cached else None,
+            cache=cached,
         )
         if gadget_mode == "lean":
             assert got.cs.is_satisfied()
@@ -208,7 +208,7 @@ class TestRepeatedWire:
     def test_gather_with_repeated_source(self, gadget_mode, sparse):
         result = CircuitComputer(
             dot_program(**self.GATHER),
-            ComputeOptions(gadget_mode=gadget_mode, sparse=sparse,
+            CompilerOptions(gadget_mode=gadget_mode, sparse=sparse,
                            sparse_share=False),
         ).compute()
         assert result.cs.is_satisfied()
@@ -223,7 +223,7 @@ class TestRepeatedWire:
         dense, sparse = (
             CircuitComputer(
                 dot_program(**self.GATHER),
-                ComputeOptions(gadget_mode=gadget_mode, sparse=flag,
+                CompilerOptions(gadget_mode=gadget_mode, sparse=flag,
                                sparse_share=False),
             ).compute()
             for flag in (False, True)
@@ -237,7 +237,7 @@ class TestRepeatedWire:
         give a satisfied system."""
         result = CircuitComputer(
             dot_program(**self.GATHER, public_image=True),
-            ComputeOptions(gadget_mode=gadget_mode),
+            CompilerOptions(gadget_mode=gadget_mode),
         ).compute()
         assert result.cs.is_satisfied()
 
@@ -366,9 +366,9 @@ class TestPackSlots:
             rng.integers(-9, 10, (5, 20)), rng.integers(0, 41, (20, 8)),
             rng.integers(0, 256, 40), requant=5,
         )
-        cache = CacheService()
-        cached = CircuitComputer(program, ComputeOptions(cache=cache)).compute()
-        plain = CircuitComputer(program, ComputeOptions()).compute()
+        computer = CircuitComputer(program, CompilerOptions(cache=True))
+        cached, cache = computer.compute(), computer.cache
+        plain = CircuitComputer(program, CompilerOptions(cache=False)).compute()
         assert cached.knit_constraints == 4
         packed = sum(len(c.a) for c in cached.cs.constraints)
         assert cache.hits > 0 and cache.hits + cache.misses == packed

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.circuit.compute import ComputeOptions
+from repro.core.circuit.compute import CompilerOptions
 from repro.core.reuse.batch import BatchProver
 from repro.ec.backend import backend_by_name
 from repro.nn.data import synthetic_images
@@ -37,7 +37,7 @@ def _circuit():
         model.input_shape, n=1, seed=GOLDEN["image_seed"]
     )[0]
     cs = BatchProver(
-        model, image, options=ComputeOptions(gadget_mode="lean")
+        model, image, options=CompilerOptions(gadget_mode="lean")
     ).cs
     assert cs.num_constraints == GOLDEN["constraints"]
     return cs

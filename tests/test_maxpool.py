@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.core.lang.primitives import ProgramBuilder
 from repro.core.lang.program import MaxPoolOp, program_from_model
@@ -74,7 +74,7 @@ class TestMaxPoolCircuit:
         model = maxpool_model()
         program = program_from_model(model, tiny_image())
         result = CircuitComputer(
-            program, ComputeOptions(gadget_mode=mode)
+            program, CompilerOptions(gadget_mode=mode)
         ).compute()
         assert result.cs.is_satisfied()
 
@@ -82,7 +82,7 @@ class TestMaxPoolCircuit:
         """k-1 selects + 1 equality per window (lean accounting)."""
         model = maxpool_model()
         program = program_from_model(model, tiny_image())
-        result = CircuitComputer(program, ComputeOptions(knit=False)).compute()
+        result = CircuitComputer(program, CompilerOptions(knit=False)).compute()
         pool_range = result.cs.layer_ranges["pool"]
         pool_op = program.ops[1]
         expected = pool_op.num_windows * ((pool_op.window_size - 1) + 1)
@@ -92,7 +92,7 @@ class TestMaxPoolCircuit:
         """Claiming a smaller-than-max output violates the select chain."""
         model = maxpool_model()
         program = program_from_model(model, tiny_image())
-        result = CircuitComputer(program, ComputeOptions()).compute()
+        result = CircuitComputer(program, CompilerOptions()).compute()
         # The pool's committed outputs sit inside its layer range; corrupt
         # the constraint system by reassigning one pooled output wire.
         pool_op = program.ops[1]
@@ -128,7 +128,7 @@ class TestMaxPoolCircuit:
 
         def constraints(model):
             program = program_from_model(model, tiny_image())
-            result = CircuitComputer(program, ComputeOptions(knit=False)).compute()
+            result = CircuitComputer(program, CompilerOptions(knit=False)).compute()
             return len(result.cs.layer_ranges["pool"])
 
         assert constraints(pooled_model(MaxPool2d(2))) > constraints(

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.compiler import ZenoCompiler, arkworks_options, zeno_options
 from repro.core.lang.primitives import ProgramBuilder
 from repro.core.lang.types import Privacy
@@ -99,7 +99,7 @@ class TestRandomPrograms:
         program = builder.build()
         base, zeno = (
             CircuitComputer(
-                program, ComputeOptions(zeno_circuit=ir, knit=False)
+                program, CompilerOptions(zeno_circuit=ir, knit=False)
             ).compute()
             for ir in (False, True)
         )
@@ -112,10 +112,10 @@ class TestRandomPrograms:
     def test_ir_equivalence_knit_off(self, program):
         """ZENO circuit is an exact in-place replacement (§5.1)."""
         base = CircuitComputer(
-            program, ComputeOptions(zeno_circuit=False, knit=False)
+            program, CompilerOptions(zeno_circuit=False, knit=False)
         ).compute()
         zeno = CircuitComputer(
-            program, ComputeOptions(zeno_circuit=True, knit=False)
+            program, CompilerOptions(zeno_circuit=True, knit=False)
         ).compute()
         assert base.cs.num_constraints == zeno.cs.num_constraints
         assert base.cs.num_private == zeno.cs.num_private
@@ -127,8 +127,8 @@ class TestRandomPrograms:
     @given(program=small_programs())
     @settings(max_examples=15, deadline=None)
     def test_knit_never_increases_constraints(self, program):
-        plain = CircuitComputer(program, ComputeOptions(knit=False)).compute()
-        knit = CircuitComputer(program, ComputeOptions(knit=True)).compute()
+        plain = CircuitComputer(program, CompilerOptions(knit=False)).compute()
+        knit = CircuitComputer(program, CompilerOptions(knit=True)).compute()
         assert knit.cs.num_constraints <= plain.cs.num_constraints
         assert knit.cs.is_satisfied()
 
@@ -146,7 +146,7 @@ class TestRandomPrograms:
         soundness property targets the outputs the verifier relies on.)
         """
         result = CircuitComputer(
-            program, ComputeOptions(record_recipe=True)
+            program, CompilerOptions(record_recipe=True)
         ).compute()
         cs = result.cs
         outputs = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.compiler import ZenoCompiler, zeno_options
 from repro.core.lang.types import Privacy
 from repro.r1cs.optimize import (
@@ -84,7 +84,7 @@ class TestOptimizeCompiledSystems:
         """Zero int8 weights are committed but never referenced (Eq. 2
         skips zero products) — the pass reclaims them."""
         model = tiny_conv_model()
-        program_opts = ComputeOptions()
+        program_opts = CompilerOptions()
         from repro.core.lang.program import program_from_model
 
         program = program_from_model(
@@ -112,7 +112,7 @@ class TestOptimizeCompiledSystems:
     @given(program=small_programs())
     @settings(max_examples=15, deadline=None)
     def test_property_optimization_preserves_semantics(self, program):
-        result = CircuitComputer(program, ComputeOptions()).compute()
+        result = CircuitComputer(program, CompilerOptions()).compute()
         slim, report = optimize(result.cs)
         assert slim.is_satisfied()
         assert slim.public_values() == result.cs.public_values()

@@ -13,8 +13,7 @@ variable once.
 import numpy as np
 import pytest
 
-from repro.core.circuit.compute import ComputeOptions
-from repro.core.compiler import compile_circuit
+from repro.core.compiler import CompilerOptions, PrivacySetting, ZenoCompiler
 from repro.core.lang.program import program_from_model
 from repro.core.lang.types import Privacy
 from repro.core.reuse.batch import BatchProver
@@ -65,10 +64,7 @@ def assert_replays(model, prover, images):
     for image in images:
         prover.assign_image(image)
         replayed = list(prover.cs.dense_assignment())
-        _, _, _, fresh = compile_circuit(
-            model, image, prover.image_privacy, prover.weights_privacy,
-            prover.options,
-        )
+        fresh = ZenoCompiler(prover.options).compile_model(model, image)
         assert replayed == fresh.cs.dense_assignment()
         replay_oracle.assign_image(prover, image)
         assert prover.cs.dense_assignment() == replayed
@@ -87,7 +83,7 @@ def test_replayed_circuits(name):
 def test_maxpool(mode):
     model = maxpool_model()
     prover = BatchProver(
-        model, tiny_image(seed=1), options=ComputeOptions(gadget_mode=mode)
+        model, tiny_image(seed=1), options=CompilerOptions(gadget_mode=mode)
     )
     assert_replays(model, prover, [tiny_image(seed=s) for s in (2, 3, 4)])
 
@@ -95,8 +91,10 @@ def test_maxpool(mode):
 def test_unfused_batch_norm_products():
     model = unfused_bn_model()
     prover = BatchProver(
-        model, tiny_image(seed=1), weights_privacy=Privacy.PRIVATE,
-        options=ComputeOptions(gadget_mode="strict"),
+        model, tiny_image(seed=1), options=CompilerOptions(
+            privacy=PrivacySetting.PRIVATE_IMAGE_PRIVATE_WEIGHTS,
+            gadget_mode="strict",
+        ),
     )
     program = program_from_model(
         prover.model, tiny_image(seed=1), Privacy.PRIVATE, Privacy.PRIVATE
@@ -112,7 +110,7 @@ def test_replay_rechecks_strict_ranges():
     it, and leaves the system at the last image."""
     model = tiny_conv_model()
     prover = BatchProver(
-        model, tiny_image(seed=1), options=ComputeOptions(gadget_mode="strict")
+        model, tiny_image(seed=1), options=CompilerOptions(gadget_mode="strict")
     )
     before = list(prover.cs.dense_assignment())
     image = tiny_image(seed=2).copy()
@@ -129,9 +127,21 @@ def test_public_image_is_refused():
     spec = SPECS["SHAL-micro"]
     with pytest.raises(ValueError, match="private image"):
         BatchProver(
-            spec.build_model(), spec.image(11), image_privacy=Privacy.PUBLIC,
-            weights_privacy=Privacy.PRIVATE,
+            spec.build_model(), spec.image(11), options=CompilerOptions(
+                privacy=PrivacySetting.PUBLIC_IMAGE_PRIVATE_WEIGHTS
+            ),
         )
+
+
+def test_options_are_not_mutated():
+    """The recipe is recorded on the prover's own copy of the options (the
+    ``ComputeOptions`` spelling is the one benchmarks/e2e builds with)."""
+    from repro.core.circuit.compute import ComputeOptions
+
+    options = ComputeOptions()
+    prover = BatchProver(tiny_conv_model(), tiny_image(seed=1), options=options)
+    assert options.record_recipe is False
+    assert prover.options.record_recipe is True
 
 
 def test_wrong_image_shape_is_refused():

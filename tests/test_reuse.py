@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.circuit.compute import ComputeOptions
-from repro.core.lang.types import Privacy
+from repro.core.circuit.compute import CompilerOptions
+from repro.core.lang.types import PrivacySetting
 from repro.core.reuse.batch import BatchProver
 from repro.core.reuse.cache import CacheService, profile_operand_pairs
 from repro.ec.backend import SimulatedBackend
@@ -152,8 +152,9 @@ class TestBatchSharing:
         bp = BatchProver(
             model,
             tiny_image(seed=1),
-            weights_privacy=Privacy.PRIVATE,
-            options=ComputeOptions(),
+            options=CompilerOptions(
+                privacy=PrivacySetting.PRIVATE_IMAGE_PRIVATE_WEIGHTS
+            ),
         )
         bp.assign_image(tiny_image(seed=7))
         assert bp.cs.is_satisfied()
@@ -163,7 +164,7 @@ class TestBatchSharing:
         bp = BatchProver(
             model,
             tiny_image(seed=1),
-            options=ComputeOptions(gadget_mode="strict"),
+            options=CompilerOptions(gadget_mode="strict"),
         )
         bp.assign_image(tiny_image(seed=8))
         assert bp.cs.is_satisfied()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.circuit.compute import CircuitComputer, ComputeOptions
+from repro.core.circuit.compute import CircuitComputer, CompilerOptions
 from repro.core.lang.program import program_from_model
 from repro.core.schedule.counter import gate_count_map, layer_gate_counts
 from repro.core.schedule.scheduler import ParallelSchedule, WorkloadScheduler
@@ -118,7 +118,7 @@ class TestSimulatedClock:
 
     def test_end_to_end_on_real_layer_work(self, tiny_model):
         program = program_from_model(tiny_model, tiny_image())
-        result = CircuitComputer(program, ComputeOptions()).compute()
+        result = CircuitComputer(program, CompilerOptions()).compute()
         schedule = WorkloadScheduler(8).schedule(result.layer_work)
         parallel = simulate_parallel_time(schedule, result.layer_work)
         assert 0 < parallel <= result.wall_time
@@ -135,7 +135,7 @@ class TestSimulatedClock:
         predicted = scheduler.schedule_from_model(model)
 
         program = program_from_model(model, image)
-        result = CircuitComputer(program, ComputeOptions()).compute()
+        result = CircuitComputer(program, CompilerOptions()).compute()
         measured = scheduler.schedule(result.layer_work)
 
         assert predicted.speedup() == pytest.approx(
@@ -156,7 +156,7 @@ class TestSimulatedClock:
 
         image = synthetic_images(model.input_shape, n=1, seed=0)[0]
         program = program_from_model(model, image)
-        result = CircuitComputer(program, ComputeOptions()).compute()
+        result = CircuitComputer(program, CompilerOptions()).compute()
         times = []
         for workers in (1, 2, 4, 16):
             schedule = WorkloadScheduler(workers).schedule(result.layer_work)

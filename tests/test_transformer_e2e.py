@@ -19,7 +19,7 @@ from repro.aggregate import (
     verify_aggregate,
 )
 from repro.core.compiler import CompilerOptions, ZenoCompiler
-from repro.core.circuit.compute import ComputeOptions
+from repro.core.circuit.compute import CompilerOptions
 from repro.core.reuse.batch import BatchProver
 from repro.nn import build_model
 from repro.nn.data import synthetic_images
@@ -115,7 +115,7 @@ class TestBatchReplay:
         and LayerNorm intermediates are all recipe-replayable."""
         model = build_model("TINY", scale="micro", seed=3)
         images = synthetic_images(model.input_shape, n=3, seed=11)
-        opts = ComputeOptions(relu_mode=relu_mode, gadget_mode=gadget_mode)
+        opts = CompilerOptions(relu_mode=relu_mode, gadget_mode=gadget_mode)
         bp = BatchProver(model, images[0], options=opts)
         p = bp.cs.field.modulus
         for image in images:
@@ -127,7 +127,7 @@ class TestBatchReplay:
     def test_batched_proofs_verify(self):
         model = build_model("TINY", scale="micro", seed=3)
         images = synthetic_images(model.input_shape, n=2, seed=21)
-        opts = ComputeOptions(relu_mode="lookup", gadget_mode="strict")
+        opts = CompilerOptions(relu_mode="lookup", gadget_mode="strict")
         bp = BatchProver(model, images[0], options=opts)
         setup = groth16.setup(bp.cs, rng=random.Random(3))
         for image in images:
