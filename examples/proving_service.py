@@ -6,7 +6,9 @@ are *services*: requests arrive continuously and the prover farm has to
 keep up.  This example runs `repro.serve.ProvingService` the way such a
 deployment would:
 
-* a burst of inference requests for the same public network is submitted;
+* a burst of inference requests for the same public network is submitted,
+  each naming its circuit with one `CircuitSpec` (model, scale, weights,
+  privacy, gadget lowering) — checked at submit, so a typo fails there;
 * the adaptive micro-batcher groups them so the §6.1 batch-specialized
   constraint-system sharing runs Generate + Circuit Computation once per
   batch, not once per request;
@@ -34,6 +36,7 @@ except ModuleNotFoundError:  # fresh checkout: fall back to <repo>/src
 
 import numpy as np
 
+from repro.core.spec import CircuitSpec
 from repro.serve import ProvingService
 from repro.snark import groth16
 from repro.snark.serialize import (
@@ -59,10 +62,10 @@ def main(argv=None) -> int:
         f"(pids {service.worker_pids}), max batch {args.max_batch}"
     )
 
-    # 2. A burst of requests — different private images, same public model.
+    # 2. A burst of requests — different private images, one circuit.
+    circuit = CircuitSpec(args.model, scale="mini")
     job_ids = [
-        service.submit(args.model, image_seed=1000 + i, scale="mini")
-        for i in range(args.jobs)
+        service.submit(circuit, image_seed=1000 + i) for i in range(args.jobs)
     ]
     print(f"submitted {len(job_ids)} jobs for {args.model}/mini")
 

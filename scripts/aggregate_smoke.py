@@ -146,10 +146,8 @@ def cluster_aggregate(coord, mode, split, setups, local_proofs, agg):
     """Phase 2: the same inference, one job per layer, through the nodes."""
     job_ids = [
         coord.submit(
-            CIRCUIT.model,
+            CIRCUIT,
             image_seed=IMAGE_SEED,
-            scale=CIRCUIT.scale,
-            seed=CIRCUIT.seed,
             extra={
                 "aggregate": {
                     "mode": mode,
@@ -201,7 +199,6 @@ def main() -> int:
             service=ServiceConfig(
                 max_batch=2, max_wait=0.02, poll_interval=0.005,
                 backoff_base=0.02, deterministic=True,
-                gadget_mode=CIRCUIT.gadgets, relu_mode=CIRCUIT.relu_mode,
             ),
         )
     )

@@ -29,9 +29,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.core.spec import CircuitSpec
 from repro.serve.service import ServiceConfig
 
-WARM_MODEL, COLD_MODEL, SCALE = "SHAL", "LCS", "micro"
+WARM = CircuitSpec("SHAL", scale="micro")
+COLD = CircuitSpec("LCS", scale="micro")
 
 
 def wait_for(predicate, timeout, what, interval=0.005):
@@ -88,27 +90,16 @@ def main() -> int:
         # -- phase 1: correctness + byte-identity --------------------------------
         seeds = list(range(6100, 6104))
         job_ids = [
-            coord.submit(WARM_MODEL, image_seed=s, scale=SCALE) for s in seeds
+            coord.submit(WARM, image_seed=s) for s in seeds
         ]
         results = [coord.result(j, timeout=300) for j in job_ids]
         assert all(r.verified for r in results), "a cluster proof failed"
 
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
         from repro.serve.workers import prove_batch
 
-        shape = build_model(WARM_MODEL, scale=SCALE, seed=0).input_shape
         local = prove_batch(
-            {
-                "model": WARM_MODEL, "scale": SCALE, "seed": 0,
-                "privacy": "one-private", "backend": "simulated",
-                "deterministic": True,
-            },
-            [
-                {"job_id": f"local-{s}",
-                 "image": synthetic_images(shape, n=1, seed=s)[0]}
-                for s in seeds
-            ],
+            {**WARM.to_json(), "backend": "simulated", "deterministic": True},
+            [{"job_id": f"local-{s}", "image": WARM.image(s)} for s in seeds],
         )
         for res, ref in zip(results, local["results"]):
             assert res.proof == ref["proof"], "cluster proof != local proof"
@@ -119,7 +110,7 @@ def main() -> int:
         # A cold circuit key keeps the batch in flight for the whole
         # worker-side warm-up, giving a wide window to kill the node.
         job_ids = [
-            coord.submit(COLD_MODEL, image_seed=6200 + i, scale=SCALE)
+            coord.submit(COLD, image_seed=6200 + i)
             for i in range(4)
         ]
 

@@ -12,7 +12,11 @@ autoscaled inline worker nodes) on localhost, then:
    exactly-once contract: every acked job completes (zero lost), the
    journal records zero duplicate terminal states (zero double-proved),
    pre-crash results replay byte-identical, and re-submitting every
-   request id mints zero new jobs.
+   request id mints zero new jobs;
+4. POSTs bodies naming an unknown model and a non-integer weight seed
+   and asserts each gets a 400 with no journal record written, then
+   restarts once more on the same ``--data-dir`` and asserts the gateway
+   comes up and serves every earlier result.
 
 Exit code 0 on success.  Used by the CI "Gateway smoke" step; an optional
 job count turns it into a soak (24 by default)::
@@ -101,6 +105,23 @@ def submit(base: str, i: int) -> str:
     return body["job_id"]
 
 
+def refused(base: str, field: str, value) -> None:
+    """A submit with ``field`` out of range is a 400 naming the field,
+    and writes no journal record."""
+    _, before = request("GET", base + "/metrics")
+    status, reply = request(
+        "POST", base + "/submit",
+        {"model": "SHAL", "scale": SCALE, "image_seed": 1, field: value},
+    )
+    assert status == 400 and reply["error"].startswith(f"{field}="), (
+        status, reply
+    )
+    _, after = request("GET", base + "/metrics")
+    assert after["journal"]["appends"] == before["journal"]["appends"], (
+        f"a submit with {field}={value!r} reached the journal"
+    )
+
+
 def main(n_jobs: int = N_JOBS) -> int:
     workdir = tempfile.mkdtemp(prefix="gateway-smoke-")
     data_dir = os.path.join(workdir, "data")
@@ -181,6 +202,22 @@ def main(n_jobs: int = N_JOBS) -> int:
             f"{journal['done']}/{n_jobs}, duplicate_done=0, "
             f"journal fsyncs={metrics['journal']['fsyncs']}"
         )
+
+        refused(base, "model", "NOPE")
+        refused(base, "seed", "x")
+        print("bad submits refused with 400, nothing journaled")
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=60)
+
+    proc = start_gateway(data_dir, port_file)
+    base = base_url(port_file)
+    try:
+        for i, gid in enumerate(gids):
+            status, body = request("GET", f"{base}/result/{gid}")
+            assert status == 200 and body["recovered"], (gid, status, body)
+            assert i not in pre or body["proof"] == pre[i], gid
+        print(f"restarted again: all {n_jobs} results served from the journal")
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)

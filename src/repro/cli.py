@@ -448,21 +448,13 @@ def cmd_serve(args) -> int:
         max_wait=args.max_wait,
         store_dir=args.store_dir,
         audit=args.audit,
-        gadget_mode=spec.gadgets,
-        relu_mode=spec.relu_mode,
     )
     print(
-        f"serving {args.jobs} jobs for {args.model}/{args.scale} "
+        f"serving {args.jobs} jobs for {spec.model}/{spec.scale} "
         f"across {args.workers} workers (max batch {args.max_batch})"
     )
     job_ids = [
-        service.submit(
-            args.model,
-            image_seed=args.image_seed + i,
-            scale=args.scale,
-            seed=args.seed,
-            privacy=args.privacy,
-        )
+        service.submit(spec, image_seed=args.image_seed + i)
         for i in range(args.jobs)
     ]
     for job_id in job_ids:
@@ -499,24 +491,14 @@ def cmd_submit(args) -> int:
 
     spec = _spec(args)
     image = np.load(args.input) if args.input else spec.image(args.image_seed)
-    service = ProvingService(
-        max_workers=1, max_wait=0.0,
-        gadget_mode=spec.gadgets, relu_mode=spec.relu_mode,
-    )
-    job_id = service.submit(
-        args.model,
-        image,
-        scale=args.scale,
-        seed=args.seed,
-        privacy=args.privacy,
-    )
+    service = ProvingService(max_workers=1, max_wait=0.0)
+    job_id = service.submit(spec, image)
     res = service.result(job_id, timeout=600)
     service.shutdown(drain=True)
 
     out = Path(args.out)
     vk_path, claim_path = _write_job_artifacts(
-        service.job(job_id).circuit, out, res,
-        service.store.get(res.store_keys["vk"]),
+        spec, out, res, service.store.get(res.store_keys["vk"])
     )
     print(f"prediction: class {int(np.argmax(res.logits))}")
     print(f"proof:  {out} ({out.stat().st_size} bytes)  verified={res.verified}")
@@ -546,7 +528,6 @@ def cmd_cluster_coordinator(args) -> int:
             max_retries=args.max_retries,
             deterministic=args.deterministic,
             audit=args.audit,
-            gadget_mode=args.gadgets,
         ),
     )
     coord = ClusterCoordinator(cfg)
@@ -590,15 +571,10 @@ def cmd_cluster_submit(args) -> int:
     """Submit a batch of jobs to a running cluster and collect the proofs."""
     from repro.cluster import ClusterClient
 
+    spec = _spec(args)
     with ClusterClient(_parse_address(args.connect)) as client:
         job_ids = [
-            client.submit(
-                args.model,
-                image_seed=args.image_seed + i,
-                scale=args.scale,
-                seed=args.seed,
-                privacy=args.privacy,
-            )
+            client.submit(spec, image_seed=args.image_seed + i)
             for i in range(args.jobs)
         ]
         out_dir = Path(args.out_dir) if args.out_dir else None
@@ -616,8 +592,7 @@ def cmd_cluster_submit(args) -> int:
             )
             if out_dir:
                 _write_job_artifacts(
-                    CircuitSpec.from_mapping(client.circuit(job_id)),
-                    out_dir / f"{job_id}.proof.bin", res,
+                    spec, out_dir / f"{job_id}.proof.bin", res,
                     client.verifying_key(job_id),
                 )
         if args.stats:
@@ -655,7 +630,6 @@ def cmd_gateway(args) -> int:
             max_wait=args.max_wait,
             max_retries=args.max_retries,
             deterministic=True,  # recovery re-proves must be byte-identical
-            gadget_mode=args.gadgets,
         ),
     )
     coordinator = ClusterCoordinator(cluster_cfg)
@@ -693,6 +667,7 @@ def cmd_gateway(args) -> int:
         GatewayConfig(
             host=args.host, port=args.port, api_keys=api_keys,
             tenant_weights=weights, rate=args.rate, burst=args.burst,
+            gadgets=args.gadgets,
         ),
         autoscaler=autoscaler,
     ).start()
@@ -739,7 +714,7 @@ def _model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _circuit_args(parser: argparse.ArgumentParser) -> None:
-    """How the network is lowered to constraints (also serve spec keys)."""
+    """How the network is lowered to constraints."""
     parser.add_argument("--gadgets", choices=["lean", "strict"], default=None)
     parser.add_argument(
         "--relu-mode", choices=["bits", "lookup"], default=None,
@@ -750,7 +725,8 @@ def _circuit_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _sparsity_args(parser: argparse.ArgumentParser) -> None:
-    """Compile-time weight elision; the serving path has no spec key for it."""
+    """Weight pruning and elision (``CircuitSpec.prune``/``.sparse``);
+    the serving commands do not offer these flags."""
     parser.add_argument(
         "--sparse", action="store_true",
         help="sparsity-aware compilation: skip zero-weight terms and share "
@@ -916,8 +892,6 @@ def main(argv=None) -> int:
     )
     p_coord.add_argument("--audit", action="store_true",
                          help="soundness-audit each cold circuit on the nodes")
-    p_coord.add_argument("--gadgets", choices=["lean", "strict"],
-                         default="lean")
     p_coord.set_defaults(func=cmd_cluster_coordinator)
 
     p_worker = cluster_sub.add_parser(
@@ -936,6 +910,7 @@ def main(argv=None) -> int:
         "submit", help="submit jobs to a running cluster"
     )
     _model_args(p_csubmit)
+    _circuit_args(p_csubmit)
     p_csubmit.add_argument("--connect", required=True, metavar="HOST:PORT")
     p_csubmit.add_argument("--jobs", type=int, default=4)
     p_csubmit.add_argument("--timeout", type=float, default=600.0)
@@ -987,8 +962,10 @@ def main(argv=None) -> int:
                            help="per-tenant token-bucket refill, req/s "
                                 "(0 = unlimited)")
     p_gateway.add_argument("--burst", type=int, default=64)
-    p_gateway.add_argument("--gadgets", choices=["lean", "strict"],
-                           default="lean")
+    p_gateway.add_argument(
+        "--gadgets", choices=["lean", "strict"], default="lean",
+        help="gadget profile of a submit body that names none",
+    )
     p_gateway.set_defaults(func=cmd_gateway)
 
     args = parser.parse_args(argv)

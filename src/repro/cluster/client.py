@@ -41,8 +41,9 @@ from repro.cluster.protocol import (
     read_frame,
     write_frame,
 )
-from repro.serve.jobs import JobResult, JobState
+from repro.core.spec import CircuitSpec
 from repro.serve.engine import JobFailedError
+from repro.serve.jobs import JobResult, JobState
 
 
 class ClusterError(RuntimeError):
@@ -263,30 +264,28 @@ class ClusterClient:
 
     def submit(
         self,
-        model: str,
+        circuit: CircuitSpec,
         image: Optional[np.ndarray] = None,
         *,
         image_seed: Optional[int] = None,
-        scale: str = "mini",
-        seed: int = 0,
-        privacy: str = "one-private",
         priority: int = 0,
         timeout: Optional[float] = None,
+        max_retries: Optional[int] = None,
         tenant: str = "default",
         extra: Optional[dict] = None,
     ) -> str:
-        """Enqueue one job on the coordinator; returns its job id."""
+        """Enqueue one job on the coordinator; returns its job id.  The
+        arguments are :meth:`JobEngine.submit`'s; the SUBMIT frame carries
+        ``circuit`` as its flat keys."""
         reply = self._request(
             MsgType.SUBMIT,
             {
-                "model": model,
+                **circuit.to_json(),
                 "image": image,
                 "image_seed": image_seed,
-                "scale": scale,
-                "seed": seed,
-                "privacy": privacy,
                 "priority": priority,
                 "timeout": timeout,
+                "max_retries": max_retries,
                 "tenant": tenant,
                 "extra": extra or {},
             },
@@ -353,13 +352,6 @@ class ClusterClient:
         if payload is None or "result" not in payload:
             return None
         return payload["result"].get("vk")
-
-    def circuit(self, job_id: str) -> Optional[dict]:
-        """Flat :class:`~repro.core.spec.CircuitSpec` keys of the circuit a
-        finished job proved (the coordinator's lowering included)."""
-        with self._cond:
-            payload = self._done.get(job_id)
-        return None if payload is None else payload.get("circuit")
 
     def attempts(self, job_id: str) -> Optional[int]:
         """How many dispatch attempts a finished job consumed."""

@@ -42,6 +42,7 @@ from repro.cluster.protocol import (
     read_frame,
     write_frame,
 )
+from repro.core.spec import CircuitSpec
 from repro.serve.batcher import Batch
 from repro.serve.engine import JobEngine
 from repro.serve.jobs import ProofJob
@@ -519,18 +520,16 @@ class ClusterCoordinator(JobEngine):
         if msg_type is MsgType.SUBMIT:
             try:
                 job_id = self.submit(
-                    payload["model"],
+                    CircuitSpec.from_mapping(payload),
                     payload.get("image"),
                     image_seed=payload.get("image_seed"),
-                    scale=payload.get("scale", "mini"),
-                    seed=payload.get("seed", 0),
-                    privacy=payload.get("privacy", "one-private"),
                     priority=payload.get("priority", 0),
                     timeout=payload.get("timeout"),
+                    max_retries=payload.get("max_retries"),
                     tenant=payload.get("tenant", "default"),
                     extra=payload.get("extra") or {},
                 )
-            except Exception as exc:  # shutting down, bad args, missing keys
+            except Exception as exc:  # shutting down, bad spec, missing keys
                 with send_lock:
                     write_frame(
                         conn, MsgType.SUBMIT_ACK, {"req": req, "error": str(exc)}
@@ -604,9 +603,6 @@ class ClusterCoordinator(JobEngine):
             "state": job.state.value,
             "error": job.error,
             "attempts": job.attempts,
-            # What was proved, incl. this coordinator's gadget lowering —
-            # the submitter's claim file records it.
-            "circuit": job.circuit.to_json(),
         }
         if job.result is not None:
             res = job.result

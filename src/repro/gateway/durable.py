@@ -13,7 +13,13 @@ a memory that survives SIGKILL:
 * on construction, the WAL is replayed: completed jobs come back as
   served-from-journal results (never re-proved), pending jobs are
   resubmitted to the coordinator in ``seq`` order — zero jobs lost, zero
-  jobs double-proved.
+  jobs double-proved.  A pending record that names no valid circuit
+  (written before submits were checked at the door) gets a durable
+  ``failed`` record instead of stopping the restart.
+
+A submit names its circuit with one :class:`~repro.core.spec.CircuitSpec`;
+the submit record carries it as the spec's flat keys next to the job's
+own (``gid``, ``seq``, ``tenant``, ``priority``, ``image_seed`` …).
 
 Gateway job ids (``g-...``) are stable across restarts and ride on each
 engine job as ``extra["gid"]``; the engine ids they map to are an
@@ -28,11 +34,12 @@ import threading
 import time
 import uuid
 from dataclasses import replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.core.spec import CircuitSpec
 from repro.gateway.journal import (
     GatewayJob,
     JobJournal,
@@ -80,24 +87,29 @@ class DurableCoordinator:
         # Everything without a durable terminal record goes back to the
         # (fresh) coordinator in submit order, under a new epoch-local id.
         for rec in sorted(state.pending(), key=lambda j: j.spec.get("seq", 0)):
-            self._enqueue(self._jobs[rec.gid])
+            job = self._jobs[rec.gid]
+            try:
+                circuit, image = _job_input(job.spec)
+            except ValueError as exc:
+                # Written before submits were checked at the door: it can
+                # never prove, and must not stop the gateway from starting.
+                self._finish(job, {
+                    "t": "failed", "gid": job.gid, "state": "failed",
+                    "error": f"unreplayable submit record: {exc}",
+                    "attempts": job.attempts,
+                })
+                continue
+            self._enqueue(job, circuit, image)
             self.recovered_pending += 1
 
     def _enqueue(
-        self, job: GatewayJob, image: Optional[np.ndarray] = None
+        self, job: GatewayJob, circuit: CircuitSpec, image: np.ndarray
     ) -> None:
-        spec = job.spec
-        if image is None and "image" in spec:
-            image = decode_image(spec["image"])
         job.coordinator_id = self.coordinator.submit(
-            spec["model"],
+            circuit,
             image,
-            image_seed=spec.get("image_seed"),
-            scale=spec["scale"],
-            seed=spec["seed"],
-            privacy=spec["privacy"],
-            priority=spec.get("priority", 0),
-            timeout=spec.get("timeout"),
+            priority=job.spec.get("priority", 0),
+            timeout=job.spec.get("timeout"),
             tenant=job.tenant,
             extra={"gid": job.gid},
         )
@@ -106,31 +118,35 @@ class DurableCoordinator:
 
     def submit(
         self,
-        model: str,
+        circuit: CircuitSpec,
         *,
         image: Optional[np.ndarray] = None,
         image_seed: Optional[int] = None,
-        scale: str = "mini",
-        seed: int = 0,
-        privacy: str = "one-private",
         priority: int = 0,
         timeout: Optional[float] = None,
         tenant: str = "default",
         request_id: Optional[str] = None,
     ) -> str:
-        """Durably accept one job; returns its stable gateway id.
+        """Durably accept one job of ``circuit`` on ``image`` (or the
+        synthetic input ``image_seed`` names); returns its stable gateway
+        id.
 
         The id is handed back only after the submit record is fsynced:
         an acked job survives any later crash.  A ``request_id`` seen
         before (this run or any previous one) returns the original job.
+        The input is built before anything is written, so a job that
+        cannot be proved is refused here rather than journaled.
         """
         if request_id:
             with self._lock:
                 gid = self._request_index.get(request_id)
                 if gid is not None:
                     return gid
-        if image is None and image_seed is None:
-            raise ValueError("provide an image or an image_seed")
+        if image is None:
+            image = circuit.image(image_seed)
+            source: Dict[str, Any] = {"image_seed": image_seed}
+        else:
+            source = {"image": encode_image(image)}
         gid = f"g-{uuid.uuid4().hex[:12]}"
         with self._lock:
             self._seq += 1
@@ -142,17 +158,11 @@ class DurableCoordinator:
             "ts": time.time(),
             "tenant": tenant,
             "request_id": request_id,
-            "model": model,
-            "scale": scale,
-            "seed": seed,
-            "privacy": privacy,
+            **circuit.to_json(),
             "priority": priority,
             "timeout": timeout,
+            **source,
         }
-        if image is not None:
-            spec["image"] = encode_image(image)
-        else:
-            spec["image_seed"] = int(image_seed)
         job = GatewayJob(gid, spec)
         with self._lock:
             self._jobs[gid] = job
@@ -160,7 +170,7 @@ class DurableCoordinator:
                 self._request_index[request_id] = gid
         # Durable ack: the record is on disk before the caller sees gid.
         self.journal.append(spec, durable=True)
-        self._enqueue(job, image)
+        self._enqueue(job, circuit, image)
         return gid
 
     # -- journal hook (coordinator threads) ------------------------------------------
@@ -216,17 +226,21 @@ class DurableCoordinator:
                 "error": proof_job.error,
                 "attempts": proof_job.attempts,
             }
-        # Durable before visible: a client must never observe a result
-        # that a crash could take back.
+        self._finish(job, record)
+
+    def _finish(self, job: GatewayJob, record: Dict[str, Any]) -> None:
+        """Journal a terminal record, then show it.  Durable before
+        visible: a client must never observe a result that a crash could
+        take back."""
         self.journal.append(record, durable=True)
         with self._terminal_cond:
-            job.attempts = proof_job.attempts
+            job.attempts = record["attempts"]
             if record["t"] == "done":
                 job.state = "done"
                 job.result = record
             else:
-                job.state = state.value
-                job.error = proof_job.error
+                job.state = record["state"]
+                job.error = record["error"]
             self._terminal_cond.notify_all()
         self.journal.compact()  # no-op below the size threshold
 
@@ -313,3 +327,13 @@ class DurableCoordinator:
 
     def close(self) -> None:
         self.journal.close()
+
+
+def _job_input(record: Dict[str, Any]) -> Tuple[CircuitSpec, np.ndarray]:
+    """The circuit and image a submit record names (``ValueError`` if
+    either is out of range).  Records written before the spec's lowering
+    fields were journaled lack them and take the spec defaults."""
+    circuit = CircuitSpec.from_mapping(record)
+    if "image" in record:
+        return circuit, decode_image(record["image"])
+    return circuit, circuit.image(record.get("image_seed"))

@@ -15,6 +15,12 @@ for keep-alive JSON request/response traffic from the bench harness and
 ``GET /healthz``            liveness (never requires auth)
 ==========================  =====================================================
 
+A ``/submit`` body is the job's :class:`~repro.core.spec.CircuitSpec` as
+its flat keys (``gadgets`` defaults to :attr:`GatewayConfig.gadgets`) plus
+``image_seed``, ``priority``, ``timeout``, ``tenant`` and ``request_id``;
+a value out of range is a 400 naming the field, before anything is
+journaled.
+
 Multi-tenancy: requests authenticate with ``X-API-Key``; each key maps
 to a tenant.  Every tenant has a token bucket (``rate`` req/s, ``burst``
 capacity — 429 when empty) and a fair-share weight: concurrent submits
@@ -35,7 +41,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.core.spec import CircuitSpec
 
 MAX_BODY_BYTES = 8 << 20
 MAX_HEADER_BYTES = 64 << 10
@@ -62,6 +70,7 @@ class GatewayConfig:
     rate: float = 0.0  # token-bucket refill, requests/sec (0 = unlimited)
     burst: int = 64  # token-bucket capacity
     admission_workers: int = 8  # concurrent durable submits (group commit)
+    gadgets: str = "lean"  # CircuitSpec.gadgets of a body that names none
 
 
 class TokenBucket:
@@ -267,7 +276,7 @@ class GatewayServer:
                 if err is not None:
                     await self._respond(writer, 400, {"error": err})
                     break
-                length = int(headers.get("content-length", "0") or 0)
+                length = int(headers.get("content-length") or 0)
                 if length > MAX_BODY_BYTES:
                     await self._respond(writer, 413, {"error": "body too large"})
                     break
@@ -305,6 +314,9 @@ class GatewayServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        length = headers.get("content-length") or "0"
+        if not length.isdigit():
+            return None, None, None, f"content-length={length!r}: expected digits"
         return method.upper(), path.split("?", 1)[0], headers, None
 
     async def _respond(
@@ -380,28 +392,29 @@ class GatewayServer:
             req = json.loads(body.decode() or "{}")
         except (ValueError, UnicodeDecodeError):
             return 400, {"error": "body must be JSON"}
-        if not isinstance(req, dict) or "model" not in req:
-            return 400, {"error": "missing required field: model"}
+        if not isinstance(req, dict):
+            return 400, {"error": "body must be a JSON object"}
         # Without auth, the body may name its tenant; with auth the API
         # key decides and the body field is ignored.
         if not self.config.api_keys:
             tenant = str(req.get("tenant", tenant))
-        kwargs = {
-            "model": req["model"],
-            "scale": req.get("scale", "mini"),
-            "seed": int(req.get("seed", 0)),
-            "privacy": req.get("privacy", "one-private"),
-            "priority": int(req.get("priority", 0)),
-            "timeout": req.get("timeout"),
-            "tenant": tenant,
-            "request_id": req.get("request_id"),
-            "image_seed": req.get("image_seed"),
-        }
-        if kwargs["image_seed"] is None:
-            return 400, {"error": "missing required field: image_seed"}
+        try:
+            kwargs = {
+                # The spec's flat keys; a missing model is a TypeError.
+                "circuit": CircuitSpec.from_mapping(
+                    dict(req, gadgets=req.get("gadgets") or self.config.gadgets)
+                ),
+                "image_seed": req.get("image_seed"),
+                "priority": _number(req, "priority", int, 0),
+                "timeout": _number(req, "timeout", float, None),
+                "tenant": tenant,
+                "request_id": req.get("request_id"),
+            }
+        except (TypeError, ValueError) as exc:
+            return 400, {"error": str(exc)}
         try:
             gid = await self._admit(tenant, kwargs)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:  # the image_seed, checked at the door
             return 400, {"error": str(exc)}
         self.http_stats["submitted"] += 1
         return 200, {"job_id": gid, "tenant": tenant, "durable": True}
@@ -426,3 +439,13 @@ class GatewayServer:
         if self.autoscaler is not None:
             snap["autoscaler"] = self.autoscaler.stats()
         return snap
+
+
+def _number(req: Dict[str, Any], name: str, kind: Callable, default: Any) -> Any:
+    """``req[name]`` as ``kind`` (absent or null: ``default``); a
+    ``ValueError`` naming the field when it is not a number."""
+    value = req.get(name)
+    try:
+        return default if value is None else kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}={value!r}: expected {kind.__name__}") from None

@@ -1,10 +1,11 @@
 """`repro.serve` — a batched, multi-worker Groth16 proving service.
 
 Turns the one-shot compiler/prover pipeline into a long-running service:
-jobs enter a priority queue (:mod:`repro.serve.jobs`), an adaptive
-micro-batcher groups jobs for the same circuit (`CircuitSpec`) so the §6.1
-batch-specialized constraint-system sharing is exercised on the serving
-path (:mod:`repro.serve.batcher`), and a process worker pool with warm
+jobs — each naming its circuit with one checked `CircuitSpec` — enter a
+priority queue (:mod:`repro.serve.jobs`), an adaptive micro-batcher
+groups jobs for the same circuit so the §6.1 batch-specialized
+constraint-system sharing is exercised on the serving path
+(:mod:`repro.serve.batcher`), and a process worker pool with warm
 per-worker proving-key caches executes them (:mod:`repro.serve.workers`).
 Artifacts land in a content-addressed store (:mod:`repro.serve.store`) and
 live counters are exported as a JSON snapshot

@@ -103,33 +103,27 @@ class JobEngine:
 
     def submit(
         self,
-        model: str,
+        circuit: CircuitSpec,
         image: Optional[np.ndarray] = None,
         *,
         image_seed: Optional[int] = None,
-        scale: str = "mini",
-        seed: int = 0,
-        privacy: str = "one-private",
         priority: int = 0,
         timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         tenant: str = "default",
         extra: Optional[dict] = None,
     ) -> str:
-        """Enqueue one proving job; returns its job id immediately."""
+        """Enqueue one proving job of ``circuit`` on ``image`` (or the
+        synthetic input ``image_seed`` names); returns its job id at once.
+        Everything downstream — batch key, worker spec, warm cache — reads
+        the job's spec."""
+        if not isinstance(circuit, CircuitSpec):
+            raise TypeError(f"circuit must be a CircuitSpec, got {circuit!r}")
         with self._lock:
             if self._stop or self._drain:
                 raise RuntimeError("shutting down")
         cfg = self._cfg
-        # The lowering is the service's choice, fixed here once: everything
-        # downstream (batch key, worker spec, warm cache) reads the spec.
-        circuit = CircuitSpec(
-            model, scale=scale, seed=seed, privacy=privacy,
-            gadgets=cfg.gadget_mode, relu_mode=cfg.relu_mode,
-        )
         if image is None:
-            if image_seed is None:
-                raise ValueError("provide an image or an image_seed")
             image = circuit.image(image_seed)
         job = ProofJob(
             job_id=f"job-{next(self._job_ids):06d}",

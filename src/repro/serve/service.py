@@ -25,7 +25,8 @@ __all__ = ["JobFailedError", "ProvingService", "ServiceConfig"]
 
 @dataclass
 class ServiceConfig:
-    """Scheduling and circuit options for one :class:`JobEngine`."""
+    """Scheduling and proving options for one :class:`JobEngine`; which
+    circuit a job proves is its own :class:`~repro.core.spec.CircuitSpec`."""
 
     max_workers: int = 2
     max_batch: int = 4  # micro-batcher size trigger
@@ -38,9 +39,9 @@ class ServiceConfig:
     store_dir: Optional[str] = None  # None = fresh temp directory
     store_entries: int = 256  # artifact-store LRU bound
     prewarm: bool = True  # spawn all workers at startup
-    audit: bool = False  # pre-prove soundness audit of each cold circuit
-    gadget_mode: str = "lean"  # CircuitSpec.gadgets of every job; "strict" w/ audit
-    relu_mode: str = "bits"  # CircuitSpec.relu_mode of every job
+    # Pre-prove soundness audit of each cold circuit: jobs whose circuit
+    # is lean (``CircuitSpec.gadgets``) fail it.
+    audit: bool = False
     # Derive each proof's (r, s) blinding from the CRS seed + image digest
     # instead of fresh OS randomness.  Proofs become a pure function of the
     # job, so any two nodes proving the same job emit byte-identical bytes

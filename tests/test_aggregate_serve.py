@@ -40,10 +40,8 @@ def _local_reference(model=MODEL):
 def _serve_layers(service, model, num_layers):
     job_ids = [
         service.submit(
-            model,
+            CircuitSpec(model, scale=SCALE, seed=SEED),
             image_seed=IMAGE_SEED,
-            scale=SCALE,
-            seed=SEED,
             extra={
                 "aggregate": {
                     "mode": "public",

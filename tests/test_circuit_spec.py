@@ -18,12 +18,18 @@ import inspect
 import json
 import random
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
+from repro.cluster import (
+    ClusterClient,
+    ClusterConfig,
+    ClusterCoordinator,
+    WorkerNode,
+)
 from repro.core import compiler
 from repro.core.accuracy import AccuracyProver
 from repro.core.circuit.compute import (
@@ -118,6 +124,28 @@ class TestCircuitSpec:
             "strict", "lookup", True, "report"
         )
 
+    @pytest.mark.parametrize("field, value, allowed", [
+        ("model", "NOPE", "'SHAL'"),
+        ("scale", "huge", "'micro'"),
+        ("privacy", "bogus", "'one-private'"),
+        ("gadgets", "Strict", "'strict'"),
+        ("relu_mode", "Lookup", "'lookup'"),
+        ("seed", "x", "integer"),
+        ("prune", "0.5,0.1,0.2", "'S,U'"),
+        ("sparse", "yes", "True"),
+    ])
+    def test_bad_value_is_rejected_when_built(self, field, value, allowed):
+        """At the door, naming the field — not at a worker's compile (a
+        bad privacy cost three compiles) or a journal replay."""
+        with pytest.raises(ValueError, match=f"^{field}=") as excinfo:
+            CircuitSpec.from_mapping({"model": "SHAL", field: value})
+        assert allowed in str(excinfo.value)
+
+    def test_bad_image_seed_is_rejected(self):
+        for image_seed in ("x", None, 1.5):
+            with pytest.raises(ValueError, match="^image_seed="):
+                CircuitSpec("SHAL").image(image_seed)
+
     def test_privacy_names_are_the_one_lookup(self):
         assert sorted(PrivacySetting.names()) == ["both-private", "one-private"]
 
@@ -160,14 +188,12 @@ class TestOneCompilePath:
 )
 def test_service_and_cluster_prove_the_compiler_circuit(circuit, tmp_path):
     _, vk, proof = reference(circuit, workers.SERVE_CRS_SEED)
-    submit = dict(
-        image_seed=IMAGE_SEED, scale=circuit.scale, privacy=circuit.privacy
-    )
     with ProvingService(
         max_workers=1, max_wait=0.0, deterministic=True,
         store_dir=str(tmp_path / "s"),
     ) as service:
-        res = service.result(service.submit(circuit.model, **submit), 600)
+        job_id = service.submit(circuit, image_seed=IMAGE_SEED)
+        res = service.result(job_id, 600)
         assert service.store.get(res.store_keys["vk"]) == vk
         assert res.proof == proof
     cfg = ClusterConfig(service=ServiceConfig(
@@ -175,7 +201,8 @@ def test_service_and_cluster_prove_the_compiler_circuit(circuit, tmp_path):
     with ClusterCoordinator(cfg) as coord:
         node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
         try:
-            res = coord.result(coord.submit(circuit.model, **submit), 600)
+            job_id = coord.submit(circuit, image_seed=IMAGE_SEED)
+            res = coord.result(job_id, 600)
             assert coord.store.get(res.store_keys["vk"]) == vk
             assert res.proof == proof
         finally:
@@ -279,7 +306,7 @@ class TestAuditGateOnLayerJobs:
             store_dir=str(tmp_path),
         ) as service:
             job_id = service.submit(
-                "SHAL", image_seed=3, scale="micro",
+                CircuitSpec("SHAL", scale="micro"), image_seed=3,
                 extra={"aggregate": dict(self.AGG, layer=0)},
             )
             with pytest.raises(JobFailedError, match="circuit audit rejected"):
@@ -296,12 +323,12 @@ class TestAuditGateOnLayerJobs:
             split, setup_split(split, crs_seed=crs_seed), crs_seed=crs_seed
         )
         with ProvingService(
-            max_workers=1, max_wait=0.0, audit=True, gadget_mode="strict",
-            deterministic=True, store_dir=str(tmp_path),
+            max_workers=1, max_wait=0.0, audit=True, deterministic=True,
+            store_dir=str(tmp_path),
         ) as service:
             job_ids = [
                 service.submit(
-                    "SHAL", image_seed=3, scale="micro",
+                    circuit, image_seed=3,
                     extra={"aggregate": dict(self.AGG, layer=k)},
                 )
                 for k in range(split.num_instances)
@@ -312,7 +339,8 @@ class TestAuditGateOnLayerJobs:
 
 
 def test_one_circuit_identity_under_src():
-    """The field lists and the second compile path cannot grow back."""
+    """The field lists and the second compile path cannot grow back, and
+    no serving door takes a loose circuit field."""
     src = Path(__file__).resolve().parent.parent / "src" / "repro"
     sources = {
         str(path.relative_to(src)): path.read_text() for path in src.rglob("*.py")
@@ -349,6 +377,21 @@ def test_one_circuit_identity_under_src():
         r"_WarmAggEntry|_build_artifact|synthesize_image)\b"
     )
     assert {name for name, text in sources.items() if gone.search(text)} == set()
+    # A serving door takes a CircuitSpec: no loose field, no service-wide
+    # lowering, no echo of the circuit back to a submitter who named it.
+    loose = {"scale", "privacy", "gadget_mode", "relu_mode"}
+    for rel, text in sources.items():
+        if rel.split("/")[0] not in ("serve", "cluster", "gateway"):
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                assert not params & loose, (rel, node.name, params & loose)
+            if rel.startswith("cluster/") and isinstance(node, ast.Constant):
+                assert node.value != "circuit", rel
+    assert not {f.name for f in fields(ServiceConfig)} & loose
+    assert not hasattr(ClusterClient, "circuit")
     # The signed decode lives in repro.field alone.
     decode = re.compile(r"-\s*(p|modulus)\s+if\s+\w+\s*>\s*(half|\w+\s*//\s*2)")
     assert {

@@ -262,14 +262,42 @@ class TestServe:
         ["submit", "--sparse"],
         ["serve", "--parallelism", "2"],
         ["compare", "--gadgets", "strict"],
-        ["cluster", "submit", "--connect", "127.0.0.1:1", "--relu-mode",
-         "lookup"],
+        ["cluster", "coordinator", "--gadgets", "strict"],
+        ["cluster", "submit", "--connect", "127.0.0.1:1", "--prune", "0.5"],
     ])
     def test_ignored_flags_are_not_offered(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cluster_submit_claims_the_submitted_spec(self, capsys, tmp_path):
+        """`cluster submit` proves the lowering its flags name, and its
+        claims record that spec: `verify --batch` accepts them."""
+        from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
+        from repro.serve.service import ServiceConfig
+
+        cfg = ClusterConfig(service=ServiceConfig(
+            max_wait=0.0, store_dir=str(tmp_path / "store")))
+        out_dir = tmp_path / "out"
+        with ClusterCoordinator(cfg) as coord:
+            node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
+            try:
+                host, port = coord.address
+                assert main([
+                    "cluster", "submit", "--connect", f"{host}:{port}",
+                    "--model", "SHAL", "--scale", "micro",
+                    "--gadgets", "strict", "--relu-mode", "lookup",
+                    "--jobs", "1", "--out-dir", str(out_dir),
+                ]) == 0
+            finally:
+                node.stop()
+        (claim_path,) = out_dir.glob("*.claim.json")
+        claim = json.loads(claim_path.read_text())
+        assert (claim["gadgets"], claim["relu_mode"]) == ("strict", "lookup")
+        capsys.readouterr()
+        assert main(["verify", "--batch", str(out_dir)]) == 0
+        assert "1/1 accepted" in capsys.readouterr().out
 
     def test_submit_writes_verifiable_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "proof.bin"

@@ -20,13 +20,15 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     ClusterCoordinator,
-    ClusterError,
     RemoteJobFailedError,
     WorkerNode,
 )
+from repro.cluster.protocol import MsgType
+from repro.core.spec import CircuitSpec
 from repro.serve.service import ServiceConfig
 
 MODEL, SCALE = "SHAL", "micro"
+CIRCUIT = CircuitSpec(MODEL, scale=SCALE)
 
 
 def make_coordinator(**service_kw):
@@ -66,7 +68,7 @@ def wait_for(predicate, timeout=10.0, interval=0.02):
 
 def submit_jobs(coord, n, seed0=500, **kw):
     return [
-        coord.submit(MODEL, image_seed=seed0 + i, scale=SCALE, **kw)
+        coord.submit(CIRCUIT, image_seed=seed0 + i, **kw)
         for i in range(n)
     ]
 
@@ -124,9 +126,7 @@ class TestEndToEnd:
         try:
             node = add_node(coord, "n0")
             with ClusterClient(coord.address) as client:
-                job_id = client.submit(
-                    MODEL, image_seed=901, scale=SCALE
-                )
+                job_id = client.submit(CIRCUIT, image_seed=901)
                 res = client.result(job_id, timeout=240)
                 assert res.verified
                 assert isinstance(res.proof, bytes)
@@ -134,6 +134,25 @@ class TestEndToEnd:
                 assert client.attempts(job_id) == 1
                 stats = client.stats(timeout=30)
                 assert "cluster" in stats and "queue" in stats
+            node.stop()
+        finally:
+            coord.shutdown(drain=False)
+
+    def test_parent_submit_frame_still_parses(self):
+        """A SUBMIT frame from a client that predates the full spec: its
+        keys are a subset of the spec's flat keys, the rest default."""
+        coord = make_coordinator()
+        try:
+            node = add_node(coord, "n0")
+            with ClusterClient(coord.address) as client:
+                reply = client._request(MsgType.SUBMIT, {
+                    "model": MODEL, "image": None, "image_seed": 903,
+                    "scale": SCALE, "seed": 0, "privacy": "one-private",
+                    "priority": 0, "timeout": None, "tenant": "default",
+                    "extra": {},
+                })
+                assert client.result(reply["job_id"], timeout=240).verified
+            assert coord.job(reply["job_id"]).circuit == CIRCUIT
             node.stop()
         finally:
             coord.shutdown(drain=False)
@@ -148,7 +167,7 @@ class TestEndToEnd:
             shape = build_model(MODEL, scale=SCALE, seed=0).input_shape
             image = synthetic_images(shape, n=1, seed=902)[0]
             with ClusterClient(coord.address) as client:
-                job_id = client.submit(MODEL, image, scale=SCALE)
+                job_id = client.submit(CIRCUIT, image)
                 assert client.result(job_id, timeout=240).verified
             node.stop()
         finally:
@@ -233,9 +252,7 @@ class TestFailover:
         try:
             node = add_node(coord, "flaky")
             with node_mod._INLINE_LOCK:
-                job_id = coord.submit(
-                    MODEL, image_seed=940, scale=SCALE, timeout=8.0
-                )
+                job_id = coord.submit(CIRCUIT, image_seed=940, timeout=8.0)
                 assert wait_for(self._node_busy(coord, "flaky"), timeout=60)
                 node.kill()  # no rescuer: retries burn down, then deadline
             with pytest.raises(Exception) as excinfo:
@@ -251,16 +268,28 @@ class TestValidation:
         coord = make_coordinator()
         try:
             with pytest.raises(ValueError):
-                coord.submit(MODEL, scale=SCALE)
+                coord.submit(CIRCUIT)
         finally:
             coord.shutdown(drain=False)
 
     def test_client_submit_bad_model_rejected(self):
+        """The spec refuses a bad model before any frame is sent; a SUBMIT
+        frame naming one anyway (a client built elsewhere) is refused by
+        the coordinator, the field named, and nothing is queued."""
+        with pytest.raises(ValueError, match="^model='NOPE'"):
+            CircuitSpec("NOPE")
         coord = make_coordinator()
         try:
             with ClusterClient(coord.address) as client:
-                with pytest.raises(ClusterError):
-                    client.submit("NOPE", image_seed=1, scale=SCALE)
+                for field, frame in (
+                    ("model", {"model": "NOPE"}),
+                    ("scale", {"model": MODEL, "scale": "huge"}),
+                ):
+                    reply = client._request(
+                        MsgType.SUBMIT, dict(frame, image_seed=1)
+                    )
+                    assert reply["error"].startswith(f"{field}=")
+            assert coord.stats()["jobs"]["submitted"] == 0
         finally:
             coord.shutdown(drain=False)
 
@@ -268,16 +297,14 @@ class TestValidation:
         coord = make_coordinator()
         coord.shutdown(drain=False)
         with pytest.raises(RuntimeError):
-            coord.submit(MODEL, image_seed=1, scale=SCALE)
+            coord.submit(CIRCUIT, image_seed=1)
 
     def test_remote_failure_surfaces_as_typed_error(self):
         coord = make_coordinator()
         try:
             with ClusterClient(coord.address) as client:
                 # no nodes + short deadline: the job times out remotely
-                job_id = client.submit(
-                    MODEL, image_seed=950, scale=SCALE, timeout=0.2
-                )
+                job_id = client.submit(CIRCUIT, image_seed=950, timeout=0.2)
                 with pytest.raises(RemoteJobFailedError) as excinfo:
                     client.result(job_id, timeout=60)
                 assert excinfo.value.job_id == job_id

@@ -20,9 +20,10 @@ from repro.cluster import (
     ClusterError,
     WorkerNode,
 )
+from repro.core.spec import CircuitSpec
 from repro.serve.service import ServiceConfig
 
-MODEL, SCALE = "SHAL", "micro"
+CIRCUIT = CircuitSpec("SHAL", scale="micro")
 
 
 def make_coordinator(port=0, bind_timeout=10.0):
@@ -73,7 +74,7 @@ class TestReconnect:
         node = WorkerNode(coord_a.address, node_id="n1",
                           mode="inline").start()
         try:
-            job = client.submit(MODEL, image_seed=1, scale=SCALE)
+            job = client.submit(CIRCUIT, image_seed=1)
             assert client.result(job, timeout=60).verified
 
             node.stop()
@@ -90,9 +91,9 @@ class TestReconnect:
                 node_b = WorkerNode(coord_b.address, node_id="n2",
                                     mode="inline").start()
                 try:
-                    job2 = retry(lambda: client.submit(
-                        MODEL, image_seed=2, scale=SCALE
-                    ))
+                    job2 = retry(
+                        lambda: client.submit(CIRCUIT, image_seed=2)
+                    )
                     assert client.result(job2, timeout=60).verified
                 finally:
                     node_b.stop()
@@ -113,7 +114,7 @@ class TestReconnect:
             reconnect_deadline=20.0,
         )
         try:
-            job = client.submit(MODEL, image_seed=3, scale=SCALE)
+            job = client.submit(CIRCUIT, image_seed=3)
             coord_a.shutdown(drain=False)
             coord_b = make_coordinator(port=port)
             try:
@@ -138,7 +139,7 @@ class TestReconnect:
             reconnect_deadline=20.0,
         )
         try:
-            job = client.submit(MODEL, image_seed=4, scale=SCALE)
+            job = client.submit(CIRCUIT, image_seed=4)
             assert client.result(job, timeout=60).verified
 
             # Bounce only the SOCKET (coordinator stays alive): sever

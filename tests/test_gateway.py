@@ -12,6 +12,7 @@ import json
 import os
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -32,9 +33,11 @@ from repro.gateway import (
 )
 from repro.gateway.http import StrideScheduler, TokenBucket
 from repro.gateway.journal import recover_state
+from repro.core.spec import CircuitSpec
 from repro.serve.service import ServiceConfig
 
 MODEL, SCALE = "SHAL", "micro"
+CIRCUIT = CircuitSpec(MODEL, scale=SCALE)
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -90,7 +93,7 @@ def stack(tmp_path):
 class TestDurableCoordinator:
     def test_submit_prove_result(self, stack):
         _, durable, _, _ = stack
-        gid = durable.submit(MODEL, image_seed=1, scale=SCALE)
+        gid = durable.submit(CIRCUIT, image_seed=1)
         job = durable.wait_terminal(gid, timeout=60)
         assert job.state == "done"
         view = durable.result_view(gid)
@@ -100,23 +103,31 @@ class TestDurableCoordinator:
 
     def test_request_id_idempotent(self, stack):
         _, durable, _, _ = stack
-        a = durable.submit(MODEL, image_seed=2, scale=SCALE,
-                           request_id="req-1")
-        b = durable.submit(MODEL, image_seed=3, scale=SCALE,
-                           request_id="req-1")
+        a = durable.submit(CIRCUIT, image_seed=2, request_id="req-1")
+        b = durable.submit(CIRCUIT, image_seed=3, request_id="req-1")
         assert a == b
         assert durable.journal.state.submits == 1
 
     def test_terminal_journaled_exactly_once(self, stack):
         _, durable, _, _ = stack
         gids = [
-            durable.submit(MODEL, image_seed=10 + i, scale=SCALE)
+            durable.submit(CIRCUIT, image_seed=10 + i)
             for i in range(6)
         ]
         for gid in gids:
             assert durable.wait_terminal(gid, timeout=60).state == "done"
         assert durable.journal.state.done_records == 6
         assert durable.journal.state.duplicate_done == 0
+
+
+    def test_bad_input_is_refused_before_the_journal(self, stack):
+        _, durable, _, _ = stack
+        appends = durable.journal.appends
+        for image_seed in (None, "x"):
+            with pytest.raises(ValueError, match="^image_seed="):
+                durable.submit(CIRCUIT, image_seed=image_seed)
+        assert durable.journal.appends == appends
+        assert durable.jobs_snapshot() == {}
 
 
 class TestCrashRecovery:
@@ -127,7 +138,7 @@ class TestCrashRecovery:
         c1 = make_coordinator()
         d1 = DurableCoordinator(c1, JobJournal(path, batch_window=0))
         gids = [
-            d1.submit(MODEL, image_seed=20 + i, scale=SCALE)
+            d1.submit(CIRCUIT, image_seed=20 + i)
             for i in range(4)
         ]
         c1.shutdown(drain=False)
@@ -167,10 +178,10 @@ class TestCrashRecovery:
         c1 = make_coordinator()
         d1 = DurableCoordinator(c1, JobJournal(path, batch_window=0.001))
         node = WorkerNode(c1.address, node_id="n1", mode="inline").start()
-        done_gid = d1.submit(MODEL, image_seed=30, scale=SCALE)
+        done_gid = d1.submit(CIRCUIT, image_seed=30)
         assert d1.wait_terminal(done_gid, timeout=60).state == "done"
         node.stop()
-        pending_gid = d1.submit(MODEL, image_seed=31, scale=SCALE)
+        pending_gid = d1.submit(CIRCUIT, image_seed=31)
         c1.shutdown(drain=False)
 
         c2 = make_coordinator()
@@ -213,7 +224,7 @@ class TestCrashRecovery:
                 assert view["proof"] == expected[gid] and view["recovered"]
             # Same request ids as the fixture's clients used: nothing new.
             assert {
-                durable.submit(MODEL, image_seed=7000 + i, scale=SCALE,
+                durable.submit(CIRCUIT, image_seed=7000 + i,
                                request_id=f"fixture-{i}")
                 for i in range(len(expected))
             } == set(expected)
@@ -226,20 +237,53 @@ class TestCrashRecovery:
         assert after.duplicate_done == 0
         assert {j.gid for j in after.completed()} == set(expected)
 
+    def test_unreplayable_submit_record_fails_durably(self, tmp_path):
+        """The parent commit journaled a submit before checking it, so a
+        WAL can hold a record naming no valid circuit.  Recovery must not
+        raise: that job fails with a durable record naming the field, and
+        the valid pending job beside it proves."""
+        path = tmp_path / "journal.wal"
+        with JobJournal(path, batch_window=0) as journal:
+            for seq, (gid, model) in enumerate(
+                [("g-bad", "NOPE"), ("g-ok", MODEL)], start=1
+            ):
+                journal.append({
+                    "t": "submit", "gid": gid, "seq": seq, "ts": 0.0,
+                    "tenant": "default", "request_id": None,
+                    "model": model, "scale": SCALE, "seed": 0,
+                    "privacy": "one-private", "priority": 0,
+                    "timeout": None, "image_seed": 80 + seq,
+                }, durable=True)
+
+        coord = make_coordinator()
+        durable = DurableCoordinator(coord, JobJournal(path, batch_window=0))
+        node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
+        try:
+            bad = durable.job("g-bad")
+            assert bad.state == "failed" and "model='NOPE'" in bad.error
+            assert durable.recovered_pending == 1
+            assert durable.wait_terminal("g-ok", timeout=60).state == "done"
+        finally:
+            node.stop()
+            coord.shutdown(drain=False)
+            durable.close()
+        after = recover_state(path)
+        assert after.jobs["g-bad"].state == "failed"
+        assert "model='NOPE'" in after.jobs["g-bad"].error
+        assert after.jobs["g-ok"].state == "done"
+
     def test_request_index_survives_restart(self, tmp_path):
         path = tmp_path / "journal.wal"
         c1 = make_coordinator()
         d1 = DurableCoordinator(c1, JobJournal(path, batch_window=0))
-        gid = d1.submit(MODEL, image_seed=40, scale=SCALE,
-                        request_id="retry-me")
+        gid = d1.submit(CIRCUIT, image_seed=40, request_id="retry-me")
         c1.shutdown(drain=False)
 
         c2 = make_coordinator()
         d2 = DurableCoordinator(c2, JobJournal(path, batch_window=0))
         # The client retries the same request against the new process:
         # it must get the original job back, not a duplicate.
-        assert d2.submit(MODEL, image_seed=40, scale=SCALE,
-                         request_id="retry-me") == gid
+        assert d2.submit(CIRCUIT, image_seed=40, request_id="retry-me") == gid
         assert d2.journal.state.submits == 1
         c2.shutdown(drain=False)
         d2.close()
@@ -297,6 +341,58 @@ class TestHTTP:
         _, _, _, base = stack
         assert http_post(base + "/submit", {"scale": SCALE})[0] == 400
         assert http_post(base + "/submit", {"model": MODEL})[0] == 400
+
+    def test_malformed_submit_is_a_400_naming_the_field(self, stack):
+        """Was a 500 (``int()`` outside the ``try``) for seed/priority, and
+        a journaled job for a bad model; now nothing reaches the WAL."""
+        _, durable, server, base = stack
+        appends = durable.journal.appends
+        good = {"model": MODEL, "scale": SCALE, "image_seed": 52}
+        for field, value in [
+            ("seed", "x"), ("priority", "high"), ("timeout", "soon"),
+            ("model", "NOPE"), ("scale", "huge"), ("privacy", "bogus"),
+            ("gadgets", "Strict"), ("relu_mode", "Lookup"), ("prune", "2"),
+            ("sparse", "yes"), ("image_seed", "x"),
+        ]:
+            status, body = http_post(base + "/submit", {**good, field: value})
+            assert status == 400, (field, status, body)
+            assert body["error"].startswith(f"{field}="), (field, body)
+        assert server.http_stats["errors"] == 0
+        assert durable.journal.appends == appends
+
+    def test_bad_content_length_is_a_400(self, stack):
+        """Was: the connection closed with no response."""
+        _, _, server, _ = stack
+        with socket.create_connection((server.host, server.port), 10) as sock:
+            sock.sendall(
+                b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body)["error"].startswith("content-length=")
+        assert server.http_stats["errors"] == 0
+
+    def test_body_without_gadgets_takes_the_gateway_profile(self, tmp_path):
+        coord = make_coordinator()  # no workers: the jobs stay queued
+        journal = JobJournal(tmp_path / "j.wal", batch_window=0)
+        durable = DurableCoordinator(coord, journal)
+        server = GatewayServer(durable, GatewayConfig(gadgets="strict")).start()
+        base = f"http://{server.host}:{server.port}"
+        try:
+            profiles = []
+            for named in ({}, {"gadgets": "lean"}):
+                _, body = http_post(base + "/submit", {
+                    "model": MODEL, "scale": SCALE, "image_seed": 54, **named,
+                })
+                profiles.append(durable.job(body["job_id"]).spec["gadgets"])
+            assert profiles == ["strict", "lean"]
+        finally:
+            server.stop()
+            coord.shutdown(drain=False)
+            journal.close()
 
     def test_api_key_auth(self, tmp_path):
         coord = make_coordinator()

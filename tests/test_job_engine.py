@@ -4,13 +4,16 @@ The stateful property drives an engine subclass with an in-memory fake
 transport and an injected clock through ``step(now)`` — no threads, no
 sockets, no proving — and holds every scheduling invariant after every
 rule.  The remaining tests pin what sharing the engine buys: the local
-service and the cluster build the same batch spec (they had drifted), and
-the duplicated scheduler cannot grow back.
+service and the cluster build the same batch spec (they had drifted),
+each proves two gadget profiles side by side under the keys the compiler
+derives, and the duplicated scheduler cannot grow back.
 """
 
+import random
 import re
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,8 @@ from repro.serve import (
     ServiceConfig,
 )
 from repro.serve.batcher import Batch
+from repro.snark import groth16
+from repro.snark.serialize import serialize_verifying_key
 
 MAX_RETRIES = 2
 IMAGE = np.zeros((1, 2, 2), dtype=np.int64)
@@ -132,8 +137,8 @@ class EngineMachine(RuleBasedStateMachine):
     )
     def submit(self, model, priority, tenant, timeout):
         self.engine.submit(
-            model, IMAGE, scale="micro", priority=priority, tenant=tenant,
-            timeout=timeout,
+            CircuitSpec(model, scale="micro"), IMAGE, priority=priority,
+            tenant=tenant, timeout=timeout,
         )
 
     @rule()
@@ -236,55 +241,67 @@ TestEngineLifecycle = EngineMachine.TestCase
 
 
 class TestNoDrift:
-    CONFIG = dict(gadget_mode="strict", relu_mode="lookup", deterministic=True)
+    CIRCUIT = CircuitSpec(
+        "SHAL", scale="micro", gadgets="strict", relu_mode="lookup"
+    )
 
     def test_both_transports_build_the_same_spec(self, tmp_path):
         """The cluster's copy of the spec builder had lost ``relu_mode``;
-        now ``submit`` fixes the lowering on the job and one ``batch_spec``
+        now the submitted spec rides on the job and one ``batch_spec``
         reads it back."""
         service = ProvingService(  # max_wait: the job is held, never run
             max_workers=1, prewarm=False, store_dir=str(tmp_path / "s"),
-            max_wait=3600.0, **self.CONFIG,
+            max_wait=3600.0, deterministic=True,
         )
         coord = ClusterCoordinator(ClusterConfig(service=ServiceConfig(
-            store_dir=str(tmp_path / "c"), **self.CONFIG)))
+            store_dir=str(tmp_path / "c"), deterministic=True)))
         specs = []
         for engine in (service, coord):
-            job = engine.job(engine.submit("SHAL", IMAGE, scale="micro"))
-            assert job.circuit == CircuitSpec(
-                "SHAL", scale="micro", gadgets="strict", relu_mode="lookup"
-            )
+            job = engine.job(engine.submit(self.CIRCUIT, IMAGE))
+            assert job.circuit is self.CIRCUIT
             specs.append(
                 engine.batch_spec(Batch(1, job.batch_key(), [job], 0.0))
             )
         service.shutdown(drain=False)
         local, remote = specs
         assert local == remote
-        assert local["relu_mode"] == "lookup" and local["gadgets"] == "strict"
+        assert CircuitSpec.from_mapping(local) == self.CIRCUIT
 
-    def test_cluster_proves_the_configured_circuit(self, tmp_path):
-        """One SHAL:micro job through a coordinator + inline node yields
-        the verifying key the local service yields for the same config."""
+    def test_one_service_two_profiles(self, tmp_path):
+        """The lowering is the submitter's choice: one service, and one
+        cluster with an inline node, each prove a lean and a strict
+        SHAL:micro job in one run — two batches, two verifying keys, each
+        the key ``zeno prove`` derives from the spec and the serve CRS
+        seed — and the two transports return the same proof bytes."""
+        lean = CircuitSpec("SHAL", scale="micro")
+        circuits = [lean, replace(lean, gadgets="strict")]
+        expected = [
+            serialize_verifying_key(groth16.setup(
+                c.compile(c.image(7)).cs, rng=random.Random(0x5E70)
+            ).verifying_key)
+            for c in circuits
+        ]
+        assert expected[0] != expected[1]
+
+        def run(engine):
+            job_ids = [engine.submit(c, image_seed=7) for c in circuits]
+            results = [engine.result(j, timeout=300) for j in job_ids]
+            assert engine.stats()["batches"]["runs"] == 2
+            vks = [engine.store.get(r.store_keys["vk"]) for r in results]
+            assert vks == expected
+            return [r.proof for r in results]
+
         with ProvingService(
-            max_workers=1, max_wait=0.0, store_dir=str(tmp_path / "s"),
-            **self.CONFIG,
+            max_workers=1, max_wait=0.0, deterministic=True,
+            store_dir=str(tmp_path / "s"),
         ) as service:
-            res = service.result(
-                service.submit("SHAL", image_seed=7, scale="micro"), timeout=300
-            )
-            local_vk = service.store.get(res.store_keys["vk"])
-            local_proof = res.proof
+            local = run(service)
         cfg = ClusterConfig(service=ServiceConfig(
-            max_wait=0.0, store_dir=str(tmp_path / "c"), **self.CONFIG))
+            max_wait=0.0, deterministic=True, store_dir=str(tmp_path / "c")))
         with ClusterCoordinator(cfg) as coord:
             node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
             try:
-                res = coord.result(
-                    coord.submit("SHAL", image_seed=7, scale="micro"),
-                    timeout=300,
-                )
-                assert coord.store.get(res.store_keys["vk"]) == local_vk
-                assert res.proof == local_proof
+                assert run(coord) == local
             finally:
                 node.stop()
 

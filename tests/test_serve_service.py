@@ -7,6 +7,8 @@ Fault injection kills a worker mid-job and asserts the job is retried to
 completion rather than hanging the queue.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.snark.keys import TABLE_QUERIES_PER_PROOF
 from repro.snark.serialize import deserialize_proof, deserialize_verifying_key
 
 N_JOBS = 8
+MINI = CircuitSpec("SHAL")
+MICRO = CircuitSpec("SHAL", scale="micro")
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +30,7 @@ def served():
     """Run the acceptance workload once; individual tests assert on it."""
     service = ProvingService(max_workers=2, max_batch=4, max_wait=0.05)
     job_ids = [
-        service.submit("SHAL", image_seed=200 + i, scale="mini")
+        service.submit(MINI, image_seed=200 + i)
         for i in range(N_JOBS)
     ]
     results = [service.result(j, timeout=300) for j in job_ids]
@@ -115,10 +119,9 @@ class TestFaultTolerance:
             max_workers=2, max_batch=2, max_wait=0.01, backoff_base=0.01
         )
         doomed = service.submit(
-            "SHAL", image_seed=1, scale="mini",
-            extra={"crash_token": str(token)},
+            MINI, image_seed=1, extra={"crash_token": str(token)}
         )
-        bystander = service.submit("SHAL", image_seed=2, scale="mini")
+        bystander = service.submit(MINI, image_seed=2)
         res = service.result(doomed, timeout=300)
         assert res.verified
         assert service.result(bystander, timeout=300).verified
@@ -141,7 +144,7 @@ class TestFaultTolerance:
             prewarm=False,
         )
         job_id = service.submit(
-            "SHAL", image_seed=3, scale="mini", max_retries=1,
+            MINI, image_seed=3, max_retries=1,
             extra={"crash_token": str(token)},
         )
 
@@ -159,7 +162,7 @@ class TestFaultTolerance:
 
     def test_queue_timeout_marks_timed_out(self):
         service = ProvingService(max_workers=1, prewarm=False)
-        job_id = service.submit("SHAL", image_seed=4, timeout=-1.0)
+        job_id = service.submit(MINI, image_seed=4, timeout=-1.0)
         with pytest.raises(JobFailedError):
             service.result(job_id, timeout=30)
         assert service.status(job_id) is JobState.TIMED_OUT
@@ -170,24 +173,33 @@ class TestServiceApi:
     def test_submit_requires_image_or_seed(self):
         service = ProvingService(max_workers=1, prewarm=False)
         with pytest.raises(ValueError):
-            service.submit("SHAL")
+            service.submit(MINI)
+        service.shutdown(drain=True)
+
+    def test_submit_takes_a_circuit_spec(self):
+        """A loose model name is refused before anything is queued (it
+        would otherwise fail in the dispatcher, at ``batch_spec``)."""
+        service = ProvingService(max_workers=1, prewarm=False)
+        with pytest.raises(TypeError, match="CircuitSpec"):
+            service.submit("SHAL", np.zeros((1, 14, 14)))
+        assert service.stats()["jobs"]["submitted"] == 0
         service.shutdown(drain=True)
 
     def test_submit_after_shutdown_rejected(self):
         service = ProvingService(max_workers=1, prewarm=False)
         service.shutdown(drain=True)
         with pytest.raises(RuntimeError):
-            service.submit("SHAL", image_seed=1)
+            service.submit(MINI, image_seed=1)
 
     def test_context_manager_drains(self):
         with ProvingService(max_workers=1, max_wait=0.0) as service:
-            job_id = service.submit("SHAL", image_seed=5, scale="mini")
+            job_id = service.submit(MINI, image_seed=5)
         assert service.status(job_id) is JobState.DONE
 
     def test_wait_all(self):
         service = ProvingService(max_workers=1, max_wait=0.0)
         for i in range(3):
-            service.submit("SHAL", image_seed=10 + i, scale="mini")
+            service.submit(MINI, image_seed=10 + i)
         assert service.wait_all(timeout=300)
         service.shutdown(drain=True)
 
@@ -293,12 +305,10 @@ class TestAuditGate:
     """Pre-prove soundness audit: clean circuits prove, tainted ones fail."""
 
     def test_strict_circuit_passes_gate(self):
-        with ProvingService(
-            max_workers=1, max_batch=2, audit=True, gadget_mode="strict"
-        ) as service:
+        strict = replace(MICRO, gadgets="strict")
+        with ProvingService(max_workers=1, max_batch=2, audit=True) as service:
             job_ids = [
-                service.submit("SHAL", image_seed=300 + i, scale="micro")
-                for i in range(2)
+                service.submit(strict, image_seed=300 + i) for i in range(2)
             ]
             results = [service.result(j, timeout=300) for j in job_ids]
             assert all(r.verified for r in results)
@@ -309,7 +319,7 @@ class TestAuditGate:
     def test_lean_circuit_rejected_without_retry(self):
         with ProvingService(max_workers=1, max_batch=2, audit=True) as service:
             job_ids = [
-                service.submit("SHAL", image_seed=400 + i, scale="micro")
+                service.submit(MICRO, image_seed=400 + i)
                 for i in range(2)
             ]
             for job_id in job_ids:
@@ -351,12 +361,9 @@ class TestTelemetryGauges:
 
     def test_per_tenant_attribution(self):
         with ProvingService(max_workers=1, max_batch=2) as service:
-            a = service.submit("SHAL", image_seed=500, scale="micro",
-                               tenant="acme")
-            b = service.submit("SHAL", image_seed=501, scale="micro",
-                               tenant="acme")
-            c = service.submit("SHAL", image_seed=502, scale="micro",
-                               tenant="globex")
+            a = service.submit(MICRO, image_seed=500, tenant="acme")
+            b = service.submit(MICRO, image_seed=501, tenant="acme")
+            c = service.submit(MICRO, image_seed=502, tenant="globex")
             for job_id in (a, b, c):
                 service.result(job_id, timeout=300)
             tenants = service.stats()["gauges"]["tenants"]
@@ -374,7 +381,7 @@ class TestTelemetryGauges:
                 lambda event, job, info: seen.append((event, job, info))
             )
             job_ids = [
-                service.submit("SHAL", image_seed=510 + i, scale="micro")
+                service.submit(MICRO, image_seed=510 + i)
                 for i in range(3)
             ]
             for job_id in job_ids:
