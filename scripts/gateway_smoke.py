@@ -13,7 +13,9 @@ autoscaled inline worker nodes) on localhost, then:
    journal records zero duplicate terminal states (zero double-proved),
    pre-crash results replay byte-identical, and re-submitting every
    request id mints zero new jobs;
-4. POSTs bodies naming an unknown model and a non-integer weight seed
+4. POSTs one new request id from two threads at once and asserts both
+   get the same job id and the journal gained exactly one job;
+5. POSTs bodies naming an unknown model and a non-integer weight seed
    and asserts each gets a 400 with no journal record written, then
    restarts once more on the same ``--data-dir`` and asserts the gateway
    comes up and serves every earlier result.
@@ -33,6 +35,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -122,6 +125,33 @@ def refused(base: str, field: str, value) -> None:
     )
 
 
+def concurrent_retry(base: str) -> None:
+    """One request id POSTed from two threads at once: both replies name
+    the same job, and the journal holds exactly one more job."""
+    _, before = request("GET", base + "/metrics")
+    body = {"model": "SHAL", "scale": SCALE, "image_seed": 5000,
+            "request_id": "smoke-concurrent"}
+    replies = []
+    threads = [
+        threading.Thread(
+            target=lambda: replies.append(
+                request("POST", base + "/submit", body)
+            )
+        )
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert [status for status, _ in replies] == [200, 200], replies
+    assert replies[0][1]["job_id"] == replies[1][1]["job_id"], replies
+    _, after = request("GET", base + "/metrics")
+    assert after["journal"]["jobs"] == before["journal"]["jobs"] + 1, (
+        before["journal"], after["journal"]
+    )
+
+
 def main(n_jobs: int = N_JOBS) -> int:
     workdir = tempfile.mkdtemp(prefix="gateway-smoke-")
     data_dir = os.path.join(workdir, "data")
@@ -202,6 +232,9 @@ def main(n_jobs: int = N_JOBS) -> int:
             f"{journal['done']}/{n_jobs}, duplicate_done=0, "
             f"journal fsyncs={metrics['journal']['fsyncs']}"
         )
+
+        concurrent_retry(base)
+        print("one request id from two threads at once: one job")
 
         refused(base, "model", "NOPE")
         refused(base, "seed", "x")

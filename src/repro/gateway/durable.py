@@ -21,6 +21,10 @@ A submit names its circuit with one :class:`~repro.core.spec.CircuitSpec`;
 the submit record carries it as the spec's flat keys next to the job's
 own (``gid``, ``seq``, ``tenant``, ``priority``, ``image_seed`` …).
 
+The journal's replayed state (``JobJournal.state``) is the only job
+table: every query reads it, and it holds only fsynced records, so
+nothing served can be taken back by a crash.
+
 Gateway job ids (``g-...``) are stable across restarts and ride on each
 engine job as ``extra["gid"]``; the engine ids they map to are an
 implementation detail of one coordinator epoch.  Submissions may carry a
@@ -30,10 +34,9 @@ lost returns the original job instead of proving twice.
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
-from dataclasses import replace
+from collections import Counter
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -50,7 +53,13 @@ from repro.serve.jobs import JobState, ProofJob
 
 
 class DurableCoordinator:
-    """Journal + coordinator + recovery, behind one synchronous API."""
+    """Journal + coordinator + recovery, behind one synchronous API.
+
+    Every job it serves is read from ``journal.state``; of its own it
+    keeps only each job's engine id in this epoch (for the live state
+    :meth:`status` overlays) and the highest ``seq`` it found at start-up
+    (a job at or below it is ``recovered``).
+    """
 
     def __init__(
         self,
@@ -59,11 +68,8 @@ class DurableCoordinator:
     ) -> None:
         self.coordinator = coordinator
         self.journal = journal
-        self._lock = threading.Lock()
-        self._terminal_cond = threading.Condition(self._lock)
-        self._jobs: Dict[str, GatewayJob] = {}
-        self._request_index: Dict[str, str] = {}
-        self._seq = 0
+        self._engine_ids: Dict[str, str] = {}  # gid -> this epoch's job id
+        self._boot_seq = journal.last_seq
         self.recovered_pending = 0  # jobs requeued by WAL replay
         self.recovered_completed = 0  # results served from the journal
 
@@ -73,45 +79,40 @@ class DurableCoordinator:
     # -- recovery --------------------------------------------------------------------
 
     def _recover(self) -> None:
-        state = self.journal.state
-        for rec in state.jobs.values():
-            # A copy: the journal applies each record to its own state
-            # before the fsync, and nothing may be visible before durable.
-            self._jobs[rec.gid] = replace(
-                rec, recovered=True,
-                state=rec.state if rec.terminal else "queued",
+        with self.journal.committed:
+            state = self.journal.state
+            self.recovered_completed = len(state.completed())
+            pending = sorted(
+                state.pending(), key=lambda j: j.spec.get("seq", 0)
             )
-            self._seq = max(self._seq, int(rec.spec.get("seq", 0)))
-        self._request_index.update(state.request_index)
-        self.recovered_completed = len(state.completed())
         # Everything without a durable terminal record goes back to the
         # (fresh) coordinator in submit order, under a new epoch-local id.
-        for rec in sorted(state.pending(), key=lambda j: j.spec.get("seq", 0)):
-            job = self._jobs[rec.gid]
+        for job in pending:
             try:
                 circuit, image = _job_input(job.spec)
             except ValueError as exc:
                 # Written before submits were checked at the door: it can
                 # never prove, and must not stop the gateway from starting.
-                self._finish(job, {
+                self._finish({
                     "t": "failed", "gid": job.gid, "state": "failed",
                     "error": f"unreplayable submit record: {exc}",
                     "attempts": job.attempts,
                 })
                 continue
-            self._enqueue(job, circuit, image)
+            self._enqueue(job.spec, circuit, image)
             self.recovered_pending += 1
 
     def _enqueue(
-        self, job: GatewayJob, circuit: CircuitSpec, image: np.ndarray
+        self, record: Dict[str, Any], circuit: CircuitSpec, image: np.ndarray
     ) -> None:
-        job.coordinator_id = self.coordinator.submit(
+        gid = record["gid"]
+        self._engine_ids[gid] = self.coordinator.submit(
             circuit,
             image,
-            priority=job.spec.get("priority", 0),
-            timeout=job.spec.get("timeout"),
-            tenant=job.tenant,
-            extra={"gid": job.gid},
+            priority=record.get("priority", 0),
+            timeout=record.get("timeout"),
+            tenant=record.get("tenant", "default"),
+            extra={"gid": gid},
         )
 
     # -- submission ------------------------------------------------------------------
@@ -133,28 +134,19 @@ class DurableCoordinator:
 
         The id is handed back only after the submit record is fsynced:
         an acked job survives any later crash.  A ``request_id`` seen
-        before (this run or any previous one) returns the original job.
-        The input is built before anything is written, so a job that
-        cannot be proved is refused here rather than journaled.
+        before (this run or any previous one) returns the original job,
+        once its record is durable.  The input is built before anything
+        is written, so a job that cannot be proved is refused here rather
+        than journaled.
         """
-        if request_id:
-            with self._lock:
-                gid = self._request_index.get(request_id)
-                if gid is not None:
-                    return gid
         if image is None:
             image = circuit.image(image_seed)
             source: Dict[str, Any] = {"image_seed": image_seed}
         else:
             source = {"image": encode_image(image)}
-        gid = f"g-{uuid.uuid4().hex[:12]}"
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-        spec: Dict[str, Any] = {
+        record: Dict[str, Any] = {
             "t": "submit",
-            "gid": gid,
-            "seq": seq,
+            "gid": f"g-{uuid.uuid4().hex[:12]}",
             "ts": time.time(),
             "tenant": tenant,
             "request_id": request_id,
@@ -163,14 +155,9 @@ class DurableCoordinator:
             "timeout": timeout,
             **source,
         }
-        job = GatewayJob(gid, spec)
-        with self._lock:
-            self._jobs[gid] = job
-            if request_id:
-                self._request_index[request_id] = gid
-        # Durable ack: the record is on disk before the caller sees gid.
-        self.journal.append(spec, durable=True)
-        self._enqueue(job, circuit, image)
+        gid = self.journal.submit(record)  # the journal numbers ``seq``
+        if gid == record["gid"]:
+            self._enqueue(record, circuit, image)
         return gid
 
     # -- journal hook (coordinator threads) ------------------------------------------
@@ -200,10 +187,9 @@ class DurableCoordinator:
             )
 
     def _on_terminal(self, gid: str, proof_job: ProofJob) -> None:
-        with self._lock:
-            job = self._jobs.get(gid)
-            if job is None or job.terminal:
-                return  # never write a second terminal record
+        job = self.job(gid)
+        if job is None or job.terminal:
+            return  # never write a second terminal record
         state = proof_job.state
         if state is JobState.DONE and proof_job.result is not None:
             res = proof_job.result
@@ -226,61 +212,66 @@ class DurableCoordinator:
                 "error": proof_job.error,
                 "attempts": proof_job.attempts,
             }
-        self._finish(job, record)
+        self._finish(record)
 
-    def _finish(self, job: GatewayJob, record: Dict[str, Any]) -> None:
-        """Journal a terminal record, then show it.  Durable before
-        visible: a client must never observe a result that a crash could
-        take back."""
+    def _finish(self, record: Dict[str, Any]) -> None:
+        """Journal a terminal record.  The journal shows it only once it
+        is fsynced: a client never observes a result a crash could take
+        back."""
         self.journal.append(record, durable=True)
-        with self._terminal_cond:
-            job.attempts = record["attempts"]
-            if record["t"] == "done":
-                job.state = "done"
-                job.result = record
-            else:
-                job.state = record["state"]
-                job.error = record["error"]
-            self._terminal_cond.notify_all()
         self.journal.compact()  # no-op below the size threshold
 
-    # -- queries ---------------------------------------------------------------------
+    # -- queries (each reads the journal's current state) ----------------------------
 
     def job(self, gid: str) -> Optional[GatewayJob]:
-        with self._lock:
-            return self._jobs.get(gid)
+        with self.journal.committed:
+            return self.journal.state.jobs.get(gid)
+
+    def _recovered(self, job: GatewayJob) -> bool:
+        return int(job.spec.get("seq", 0)) <= self._boot_seq
 
     def status(self, gid: str) -> Optional[Dict[str, Any]]:
-        job = self.job(gid)
-        if job is None:
-            return None
-        view = job.public_view()
-        if not job.terminal and job.coordinator_id is not None:
-            try:
-                live = self.coordinator.status(job.coordinator_id)
-                view["state"] = (
-                    live.value if not live.terminal else view["state"]
-                )
-            except KeyError:
-                pass
+        """JSON-safe status payload, with this epoch's live engine state
+        for a job the journal has not seen finish."""
+        with self.journal.committed:
+            job = self.journal.state.jobs.get(gid)
+            if job is None:
+                return None
+            view = {
+                "job_id": gid,
+                "state": job.state,
+                "tenant": job.tenant,
+                "attempts": job.attempts,
+                "recovered": self._recovered(job),
+            }
+            if job.error:
+                view["error"] = job.error
+            terminal = job.terminal
+        engine_id = self._engine_ids.get(gid)
+        if not terminal and engine_id is not None:
+            live = self.coordinator.status(engine_id)
+            if not live.terminal:
+                view["state"] = live.value
         return view
 
     def result_view(self, gid: str) -> Optional[Dict[str, Any]]:
         """JSON-safe result payload, or None if not DONE yet."""
-        job = self.job(gid)
-        if job is None or job.state != "done" or job.result is None:
-            return None
-        res = job.result
+        with self.journal.committed:
+            job = self.journal.state.jobs.get(gid)
+            if job is None or job.state != "done":
+                return None
+            res, attempts = job.result, job.attempts
+            recovered = self._recovered(job)
         payload = {
             "job_id": gid,
             "state": "done",
             "proof": res["proof"],
             "public_inputs": list(res["public_inputs"]),
             "logits": list(res["logits"]),
-            "attempts": res.get("attempts", job.attempts),
+            "attempts": attempts,
             "batch_size": res.get("batch_size"),
             "store_keys": res.get("store_keys", {}),
-            "recovered": job.recovered,
+            "recovered": recovered,
         }
         vk_key = (res.get("store_keys") or {}).get("vk")
         if vk_key:
@@ -295,25 +286,23 @@ class DurableCoordinator:
     ) -> Optional[GatewayJob]:
         """Block until ``gid`` is terminal (or timeout); returns the job."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal_cond:
-            job = self._jobs.get(gid)
-            if job is None:
-                return None
-            while not job.terminal:
+        with self.journal.committed:
+            while True:
+                job = self.journal.state.jobs.get(gid)
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
-                if remaining is not None and remaining <= 0:
+                if job is None or job.terminal or (
+                    remaining is not None and remaining <= 0
+                ):
                     return job
-                self._terminal_cond.wait(timeout=remaining)
-            return job
+                self.journal.committed.wait(timeout=remaining)
 
     def jobs_snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            counts: Dict[str, int] = {}
-            for job in self._jobs.values():
-                counts[job.state] = counts.get(job.state, 0) + 1
-            return counts
+        with self.journal.committed:
+            return dict(
+                Counter(job.state for job in self.journal.state.jobs.values())
+            )
 
     def stats(self) -> Dict[str, Any]:
         snap = self.coordinator.stats()

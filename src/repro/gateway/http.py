@@ -206,7 +206,8 @@ class GatewayServer:
         self._scheduler = StrideScheduler(self.config.tenant_weights)
         self._admit_wakeup = asyncio.Event()
         server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection, self.config.host, self.config.port,
+            limit=MAX_HEADER_BYTES,
         )
         self.port = server.sockets[0].getsockname()[1]
         self._ready.set()
@@ -263,14 +264,14 @@ class GatewayServer:
                         reader.readuntil(b"\r\n\r\n"),
                         timeout=KEEPALIVE_TIMEOUT,
                     )
+                except asyncio.LimitOverrunError:  # the stream's limit
+                    await self._respond(writer, 413, {"error": "headers too large"})
+                    break
                 except (
                     asyncio.IncompleteReadError,
                     asyncio.TimeoutError,
                     ConnectionError,
                 ):
-                    break
-                if len(raw) > MAX_HEADER_BYTES:
-                    await self._respond(writer, 413, {"error": "headers too large"})
                     break
                 method, path, headers, err = self._parse_head(raw)
                 if err is not None:
@@ -420,16 +421,12 @@ class GatewayServer:
         return 200, {"job_id": gid, "tenant": tenant, "durable": True}
 
     def _handle_result(self, gid: str) -> Tuple[int, Dict[str, Any]]:
-        job = self.durable.job(gid)
-        if job is None:
+        view = self.durable.status(gid)
+        if view is None:
             return 404, {"error": "unknown job"}
-        if job.state == "done":
-            view = self.durable.result_view(gid)
-            if view is not None:
-                return 200, view
-        if job.terminal:  # failed / timed_out
-            return 200, job.public_view()
-        return 202, self.durable.status(gid)
+        if view["state"] in ("queued", "running"):
+            return 202, view
+        return 200, self.durable.result_view(gid) or view  # or failed
 
     def _metrics(self) -> Dict[str, Any]:
         snap = self.durable.stats()

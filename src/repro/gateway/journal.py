@@ -13,6 +13,11 @@ Durability model
   fsynced.  Concurrent durable appends share one fsync (leader-based
   group commit with a small gathering window), so a burst of submissions
   pays ~one ``fsync`` per batch, not one per job.
+* ``JobJournal.state`` is the gateway's only job table, and it holds
+  only what is on disk: a record is applied to it once it is fsynced, in
+  append order.  Whenever no append is in flight, ``state`` equals what
+  :func:`recover_state` rebuilds from the file after a crash, so nothing
+  a reader sees can be taken back by one.
 * A SIGKILL can leave a *torn tail*: a partially written final record.
   Replay stops at the first record whose length prefix overruns the file
   or whose CRC mismatches, and re-opening for append truncates the tail
@@ -22,7 +27,8 @@ Durability model
   can never survive a crash that its ``submit`` record did not.
 * Compaction rewrites the journal to a temp file (submits of live jobs +
   the submit/terminal pair of the most recent terminal jobs), fsyncs it,
-  and atomically ``os.replace``s the old file.
+  atomically ``os.replace``s the old file and replays it into a new
+  ``state``; a job it drops is gone at once, as after a restart.
 
 Recovery invariants (what :func:`recover_state` guarantees)
 -----------------------------------------------------------
@@ -148,12 +154,8 @@ def valid_prefix_length(path) -> int:
 
 @dataclass
 class GatewayJob:
-    """One durable job, keyed by its stable gateway id.
-
-    Replay builds these from the WAL; a running gateway keeps one per
-    job as the view its HTTP layer serves (``coordinator_id`` and
-    ``recovered`` only mean something there).
-    """
+    """One durable job, keyed by its stable gateway id, as the journal's
+    records describe it."""
 
     gid: str
     spec: Dict[str, Any]  # the submit record
@@ -161,8 +163,6 @@ class GatewayJob:
     attempts: int = 0
     result: Optional[Dict[str, Any]] = None  # the done record, if any
     error: Optional[str] = None
-    coordinator_id: Optional[str] = None  # this epoch's engine job id
-    recovered: bool = False  # replayed from the WAL after a restart
 
     @property
     def tenant(self) -> str:
@@ -171,19 +171,6 @@ class GatewayJob:
     @property
     def terminal(self) -> bool:
         return self.state in _TERMINAL
-
-    def public_view(self) -> Dict[str, Any]:
-        """JSON-safe status payload for the HTTP layer."""
-        view = {
-            "job_id": self.gid,
-            "state": self.state,
-            "tenant": self.tenant,
-            "attempts": self.attempts,
-            "recovered": self.recovered,
-        }
-        if self.error:
-            view["error"] = self.error
-        return view
 
 
 @dataclass
@@ -269,9 +256,12 @@ class JobJournal:
 
     ``append(..., durable=True)`` blocks until the record is fsynced;
     concurrent durable appenders elect one leader that waits a short
-    ``batch_window`` for stragglers, fsyncs once, and releases everyone
-    whose record made it to disk.  Non-durable appends (observability
-    transitions) ride along with the next durable flush.
+    ``batch_window`` for stragglers, fsyncs once, applies every record it
+    made durable to ``state``, and releases everyone waiting on
+    ``committed``.  Non-durable appends (observability transitions) ride
+    along with the next durable flush.  Read ``state`` holding
+    ``committed`` (the journal's lock), and re-read it after a wait:
+    compaction replaces it.
     """
 
     def __init__(
@@ -292,8 +282,9 @@ class JobJournal:
         self.compactions = 0
         self.torn_bytes_dropped = 0
 
-        self._lock = threading.Lock()  # guards the file handle + counters
-        self._flush_cond = threading.Condition()
+        self._lock = threading.Lock()  # the file handle, state, counters
+        self.committed = threading.Condition(self._lock)  # after a flush
+        self._unsynced: List[Dict[str, Any]] = []  # written, not fsynced
         self._flushing = False
         self._written_seq = 0
         self._flushed_seq = 0
@@ -301,6 +292,11 @@ class JobJournal:
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.state = recover_state(self.path)
+        # The highest submit ``seq`` journaled; the next submit takes +1.
+        self.last_seq = max(
+            (int(job.spec.get("seq", 0)) for job in self.state.jobs.values()),
+            default=0,
+        )
         valid = valid_prefix_length(self.path)
         size = self.path.stat().st_size if self.path.exists() else 0
         if size > valid:
@@ -322,15 +318,41 @@ class JobJournal:
     def append(self, record: Dict[str, Any], durable: bool = False) -> None:
         frame = encode_record(record)
         with self._lock:
-            if self._closed:
-                raise JournalError("journal is closed")
-            self._file.write(frame)
-            self.appends += 1
-            self._written_seq += 1
-            seq = self._written_seq
-            self.state.apply(record)
+            seq = self._write(record, frame)
         if durable:
             self._commit(seq)
+
+    def submit(self, record: Dict[str, Any]) -> str:
+        """Durably append a ``submit`` record numbered with the next
+        ``seq``, and return its gid.  A ``request_id`` the journal already
+        holds appends nothing: the gid that owns it is returned, once that
+        gid's record is durable."""
+        rid = record.get("request_id")
+        with self._lock:
+            gid = self.state.request_index.get(rid) if rid else None
+            if gid is not None:
+                return gid
+            for written in self._unsynced if rid else ():
+                if (written.get("t") == "submit"
+                        and written.get("request_id") == rid):
+                    gid = written["gid"]
+            if gid is None:
+                record = dict(record, seq=self.last_seq + 1)
+                self._write(record, encode_record(record))
+                self.last_seq += 1
+                gid = record["gid"]
+            seq = self._written_seq
+        self._commit(seq)
+        return gid
+
+    def _write(self, record: Dict[str, Any], frame: bytes) -> int:
+        if self._closed:
+            raise JournalError("journal is closed")
+        self._file.write(frame)
+        self._unsynced.append(record)
+        self.appends += 1
+        self._written_seq += 1
+        return self._written_seq
 
     def sync(self) -> None:
         """Force everything appended so far onto disk."""
@@ -340,12 +362,12 @@ class JobJournal:
             self._commit(seq)
 
     def _commit(self, seq: int) -> None:
-        with self._flush_cond:
+        with self._lock:
             while self._flushed_seq < seq:
                 if not self._flushing:
                     self._flushing = True
                     break
-                self._flush_cond.wait()
+                self.committed.wait()
             else:
                 return  # an earlier leader already made us durable
         # Leader: give concurrent appenders a moment to pile in, then
@@ -353,17 +375,23 @@ class JobJournal:
         if self.batch_window > 0:
             time.sleep(self.batch_window)
         with self._lock:
-            if self._closed:
-                flushed = self._written_seq
-            else:
-                self._file.flush()
-                os.fsync(self._file.fileno())
-                self.fsyncs += 1
-                flushed = self._written_seq
-        with self._flush_cond:
-            self._flushed_seq = max(self._flushed_seq, flushed)
-            self._flushing = False
-            self._flush_cond.notify_all()
+            try:
+                self._flush()
+            finally:
+                self._flushing = False
+                self.committed.notify_all()
+
+    def _flush(self) -> None:
+        """fsync what is written, then apply it to ``state`` (lock held;
+        a closed journal has nothing left unsynced)."""
+        if self._unsynced:
+            self._file.flush()
+            os.fsync(self._file.fileno())
+            self.fsyncs += 1
+        for record in self._unsynced:
+            self.state.apply(record)
+        self._unsynced.clear()
+        self._flushed_seq = self._written_seq
 
     # -- compaction ------------------------------------------------------------------
 
@@ -381,8 +409,7 @@ class JobJournal:
             size = self.path.stat().st_size
             if not force and size < self.compact_min_bytes:
                 return False
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self._flush()
 
             terminal = [
                 job for job in self.state.jobs.values() if job.terminal
@@ -425,6 +452,7 @@ class JobJournal:
             self._file = self.path.open("ab")
             self.state = recover_state(self.path)
             self.compactions += 1
+            self.committed.notify_all()
             return True
 
     def _fsync_dir(self) -> None:
@@ -457,11 +485,12 @@ class JobJournal:
             }
 
     def close(self) -> None:
-        self.sync()
         with self._lock:
             if not self._closed:
+                self._flush()
                 self._closed = True
                 self._file.close()
+                self.committed.notify_all()
 
     def __enter__(self) -> "JobJournal":
         return self

@@ -15,6 +15,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -30,6 +31,7 @@ from repro.gateway import (
     GatewayServer,
     InProcessNodeLauncher,
     JobJournal,
+    JournalError,
 )
 from repro.gateway.http import StrideScheduler, TokenBucket
 from repro.gateway.journal import recover_state
@@ -54,6 +56,13 @@ def make_coordinator():
     coord = ClusterCoordinator(cfg)
     coord.start()
     return coord
+
+
+def idle_coordinator(tmp_path):
+    """A coordinator never started: no threads, no nodes, jobs stay queued."""
+    return ClusterCoordinator(ClusterConfig(
+        service=ServiceConfig(store_dir=str(tmp_path / "store"))
+    ))
 
 
 def http_get(url):
@@ -128,6 +137,88 @@ class TestDurableCoordinator:
                 durable.submit(CIRCUIT, image_seed=image_seed)
         assert durable.journal.appends == appends
         assert durable.jobs_snapshot() == {}
+
+
+class TestAckIsDurable:
+    """An id handed back by ``submit`` names a job whose submit record is
+    on disk, whether it was minted now or found by its ``request_id``."""
+
+    def test_retry_waits_for_the_original_fsync(self, tmp_path):
+        """Was: the retry got the gid at once, with only the header
+        fsynced, while the original still waited for its group commit."""
+        path = tmp_path / "j.wal"
+        journal = JobJournal(path, batch_window=0.5)
+        durable = DurableCoordinator(idle_coordinator(tmp_path), journal)
+        CIRCUIT.image(1)  # build the input shape before the clock matters
+        first = []
+        original = threading.Thread(target=lambda: first.append(
+            durable.submit(CIRCUIT, image_seed=1, request_id="r1")
+        ))
+        original.start()
+        time.sleep(0.1)
+        gid = durable.submit(CIRCUIT, image_seed=1, request_id="r1")
+        on_disk = recover_state(path).request_index.get("r1")
+        original.join(timeout=30)
+        assert not original.is_alive()
+        journal.close()
+        assert on_disk == gid == first[0]
+        assert recover_state(path).submits == 1
+
+    def test_concurrent_submits_stress(self, tmp_path):
+        """Sixteen threads submit over five request ids with a short switch
+        interval: each request id is one job, every returned id is on disk
+        when it is returned, and ``seq`` numbers every job once."""
+        path = tmp_path / "j.wal"
+        journal = JobJournal(path, batch_window=0.001)
+        durable = DurableCoordinator(idle_coordinator(tmp_path), journal)
+        CIRCUIT.image(0)
+        returned, errors = [], []
+
+        def client(worker):
+            try:
+                for i in range(10):
+                    rid = f"r{(worker + i) % 5}" if i % 2 else None
+                    gid = durable.submit(CIRCUIT, image_seed=i, request_id=rid)
+                    assert gid in recover_state(path).jobs
+                    returned.append((rid, gid))
+            except Exception as exc:  # reported below, on the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(w,)) for w in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        owners = {}
+        for rid, gid in returned:
+            if rid is not None:
+                assert owners.setdefault(rid, gid) == gid
+        journal.close()
+        state = recover_state(path)
+        assert state.submits == len(state.jobs) == 16 * 5 + len(owners)
+        seqs = sorted(job.spec["seq"] for job in state.jobs.values())
+        assert seqs == list(range(1, len(seqs) + 1))
+
+    def test_failed_append_leaves_no_job(self, tmp_path):
+        """Was: the retry returned a gid no record names, ``queued``
+        forever."""
+        journal = JobJournal(tmp_path / "j.wal", batch_window=0)
+        durable = DurableCoordinator(idle_coordinator(tmp_path), journal)
+        journal.close()
+        for _ in range(2):
+            with pytest.raises(JournalError):
+                durable.submit(CIRCUIT, image_seed=1, request_id="r1")
+        assert durable.jobs_snapshot() == {}
+        assert durable.journal.state.request_index == {}
 
 
 class TestCrashRecovery:
@@ -374,6 +465,19 @@ class TestHTTP:
         assert head.startswith(b"HTTP/1.1 400")
         assert json.loads(body)["error"].startswith("content-length=")
         assert server.http_stats["errors"] == 0
+
+    def test_oversized_head_is_a_413(self, stack):
+        """Was: a head past the 64 KiB stream limit dropped the connection
+        with no response."""
+        _, _, server, _ = stack
+        for pad, code in ((60_000, b"404"), (70_000, b"413")):
+            with socket.create_connection((server.host, server.port), 10) as sock:
+                sock.sendall(
+                    b"GET /nope HTTP/1.1\r\nX-Pad: " + b"x" * pad
+                    + b"\r\nConnection: close\r\n\r\n"
+                )
+                reply = sock.recv(4096)
+            assert reply.startswith(b"HTTP/1.1 " + code), (pad, reply[:40])
 
     def test_body_without_gadgets_takes_the_gateway_profile(self, tmp_path):
         coord = make_coordinator()  # no workers: the jobs stay queued

@@ -144,18 +144,13 @@ class TestRecoveredState:
                 fh.write(encode_record(rec))
         coord = ClusterCoordinator()  # never started: no threads, no nodes
         queued = []
-        coord.add_listener(
-            lambda event, job, info: queued.append(job.extra["gid"])
-        )
+        coord.add_listener(lambda event, job, info: queued.append(job))
         with JobJournal(path) as journal:
             durable = DurableCoordinator(coord, journal)
-            assert queued == ["g-b", "g-c"]
+            assert [job.extra["gid"] for job in queued] == ["g-b", "g-c"]
+            assert all(job.image is not None for job in queued)
             assert durable.recovered_pending == 2
             assert durable.recovered_completed == 1
-            assert durable.job("g-a").coordinator_id is None
-            for gid in queued:
-                job = coord.job(durable.job(gid).coordinator_id)
-                assert job.extra["gid"] == gid and job.image is not None
 
 
 # One pool of plausible event sequences for the truncation property.
