@@ -193,12 +193,10 @@ def main() -> int:
     # -- phase 2: same inference through two real cluster workers ----------------
     coord = ClusterCoordinator(
         ClusterConfig(
-            heartbeat_interval=0.1,
             heartbeat_timeout=2.0,
             node_window=1,
             service=ServiceConfig(
-                max_batch=2, max_wait=0.02, poll_interval=0.005,
-                backoff_base=0.02, deterministic=True,
+                max_batch=2, max_wait=0.02, deterministic=True,
             ),
         )
     )

@@ -66,12 +66,10 @@ def spawn_worker(address, node_id):
 def main() -> int:
     coord = ClusterCoordinator(
         ClusterConfig(
-            heartbeat_interval=0.1,
             heartbeat_timeout=2.0,
             node_window=1,
             service=ServiceConfig(
-                max_batch=2, max_wait=0.02, poll_interval=0.005,
-                backoff_base=0.02, deterministic=True,
+                max_batch=2, max_wait=0.02, deterministic=True,
             ),
         )
     )

@@ -552,12 +552,11 @@ def cmd_cluster_worker(args) -> int:
         node_id=args.node_id,
         pool_workers=args.pool_workers,
         window=args.window,
-        mode=args.mode,
     )
     node.start()
     print(
         f"worker {node.node_id} connected to {args.connect} "
-        f"[mode={args.mode} pool={args.pool_workers} window={args.window}]",
+        f"[pool={args.pool_workers} window={args.window}]",
         flush=True,
     )
     try:
@@ -903,7 +902,6 @@ def main(argv=None) -> int:
                           help="proving processes in this node's pool")
     p_worker.add_argument("--window", type=int, default=2,
                           help="batches this node accepts in flight")
-    p_worker.add_argument("--mode", choices=["pool", "inline"], default="pool")
     p_worker.set_defaults(func=cmd_cluster_worker)
 
     p_csubmit = cluster_sub.add_parser(

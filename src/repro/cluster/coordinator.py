@@ -10,15 +10,17 @@ below is what a network of untrusted nodes adds to that.
 Robustness model:
 
 * **liveness** — every frame from a node refreshes ``last_seen``; a
-  monitor thread declares a node dead after ``heartbeat_timeout`` silent
-  seconds (socket EOF/reset is detected immediately);
+  monitor thread, waking twice per node beat period
+  (:data:`repro.cluster.node.HEARTBEAT_INTERVAL`), declares a node dead
+  after ``heartbeat_timeout`` silent seconds (socket EOF/reset is detected
+  immediately);
 * **failover** — a dead node's in-flight jobs reroute: each job re-enters
   the queue with :meth:`ProofJob.next_backoff` until its retry budget is
   spent, so killing a node mid-batch loses nothing;
 * **backpressure** — a node never holds more than ``node_window``
   batches; ready batches queue at the coordinator until a node has room;
-* **circuit breaking** — ``breaker_threshold`` *consecutive* faults
-  (errors, bad proofs) open a node's breaker for ``breaker_reset``
+* **circuit breaking** — :data:`BREAKER_THRESHOLD` *consecutive* faults
+  (errors, bad proofs) open a node's breaker for :data:`BREAKER_RESET`
   seconds: it keeps its warm caches but receives no new work;
 * **verification** — every returned proof is checked against the VK
   (:func:`repro.cluster.verification.verify_claims`, the ``k+3``-pairing
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import verification
+from repro.cluster.node import HEARTBEAT_INTERVAL
 from repro.cluster.protocol import (
     ConnectionClosed,
     MsgType,
@@ -48,6 +51,9 @@ from repro.serve.engine import JobEngine
 from repro.serve.jobs import ProofJob
 from repro.serve.service import ServiceConfig
 
+BREAKER_THRESHOLD = 3  # consecutive faults to open a node's breaker
+BREAKER_RESET = 5.0  # seconds the breaker stays open
+
 
 @dataclass
 class ClusterConfig:
@@ -55,12 +61,18 @@ class ClusterConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = bind an ephemeral port (reported by start())
-    heartbeat_interval: float = 0.5  # expected node heartbeat period
     heartbeat_timeout: float = 3.0  # silent seconds before a node is dead
     node_window: int = 2  # max in-flight batches per node
-    breaker_threshold: int = 3  # consecutive faults to open the breaker
-    breaker_reset: float = 5.0  # seconds the breaker stays open
     service: ServiceConfig = field(default_factory=ServiceConfig)
+
+    def __post_init__(self) -> None:
+        # At or below one beat period an idle node is silent that long
+        # between two beats, and would be declared dead.
+        if self.heartbeat_timeout <= HEARTBEAT_INTERVAL:
+            raise ValueError(
+                f"heartbeat_timeout={self.heartbeat_timeout!r} must exceed "
+                f"the {HEARTBEAT_INTERVAL} s node beat period"
+            )
 
 
 class _Node:
@@ -426,12 +438,11 @@ class ClusterCoordinator(JobEngine):
 
     def _node_fault(self, node: _Node) -> None:
         """Count one fault; open the circuit breaker on a streak."""
-        cfg = self.config
         with self._lock:
             node.faults += 1
             node.consecutive_faults += 1
-            if node.consecutive_faults >= cfg.breaker_threshold:
-                node.breaker_open_until = time.monotonic() + cfg.breaker_reset
+            if node.consecutive_faults >= BREAKER_THRESHOLD:
+                node.breaker_open_until = time.monotonic() + BREAKER_RESET
                 node.breaker_opens += 1
                 node.consecutive_faults = 0
 
@@ -467,10 +478,9 @@ class ClusterCoordinator(JobEngine):
         )
 
     def _monitor_loop(self) -> None:
-        cfg = self.config
-        period = max(cfg.heartbeat_interval / 2, 0.05)
+        timeout = self.config.heartbeat_timeout
         while True:
-            time.sleep(period)
+            time.sleep(HEARTBEAT_INTERVAL / 2)
             with self._lock:
                 if self._stop:
                     return
@@ -478,7 +488,7 @@ class ClusterCoordinator(JobEngine):
                 silent = [
                     node
                     for node in self._nodes.values()
-                    if now - node.last_seen > cfg.heartbeat_timeout
+                    if now - node.last_seen > timeout
                 ]
             for node in silent:
                 self._node_died(node, "heartbeat timeout")

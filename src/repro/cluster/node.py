@@ -11,8 +11,9 @@ routes to it.
 
 Robustness:
 
-* a heartbeat thread sends a telemetry frame every ``heartbeat_interval``
-  seconds; the coordinator declares the node dead when frames stop;
+* a heartbeat thread sends a telemetry frame every
+  :data:`HEARTBEAT_INTERVAL` seconds; the coordinator declares the node
+  dead when frames stop;
 * a batch that kills a pool process (``BrokenProcessPool``) is reported as
   ``JOB_ERROR`` and the pool is rebuilt — the node survives, the
   coordinator reroutes the jobs;
@@ -48,6 +49,11 @@ from repro.serve.workers import WorkerPool, prove_batch
 # stateful, so concurrent inline batches for the same key must serialize.
 _INLINE_LOCK = threading.Lock()
 
+# The node beat period (seconds).  The coordinator reads it too: it checks
+# liveness every half period and refuses a timeout that is not longer.
+HEARTBEAT_INTERVAL = 0.5
+CONNECT_TIMEOUT = 10.0  # seconds start() keeps dialling the coordinator
+
 
 class WorkerNode:
     """One proving node: a warm worker pool registered with a coordinator."""
@@ -59,21 +65,17 @@ class WorkerNode:
         node_id: Optional[str] = None,
         pool_workers: int = 1,
         window: int = 2,
-        heartbeat_interval: float = 0.5,
         mode: str = "pool",  # "pool" | "inline"
         prewarm: bool = True,
-        connect_timeout: float = 10.0,
     ) -> None:
         if mode not in ("pool", "inline"):
             raise ValueError(f"unknown node mode {mode!r}")
         self.address = address
         self.node_id = node_id or f"node-{uuid.uuid4().hex[:8]}"
         self.window = window
-        self.heartbeat_interval = heartbeat_interval
         self.mode = mode
         self.pool_workers = pool_workers
         self.prewarm = prewarm
-        self.connect_timeout = connect_timeout
 
         self._pool: Optional[WorkerPool] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -130,8 +132,8 @@ class WorkerNode:
         return self
 
     def _connect(self) -> socket.socket:
-        """Dial the coordinator, retrying until ``connect_timeout``."""
-        deadline = time.monotonic() + self.connect_timeout
+        """Dial the coordinator, retrying for :data:`CONNECT_TIMEOUT` s."""
+        deadline = time.monotonic() + CONNECT_TIMEOUT
         while True:
             try:
                 sock = socket.create_connection(self.address, timeout=5.0)
@@ -257,7 +259,7 @@ class WorkerNode:
         )
 
     def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
+        while not self._stop.wait(HEARTBEAT_INTERVAL):
             with self._lock:
                 frame = {
                     "node_id": self.node_id,

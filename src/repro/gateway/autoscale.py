@@ -6,7 +6,7 @@ in-flight work per node exceeds ``scale_up_backlog`` it launches another
 :class:`~repro.cluster.node.WorkerNode`, and when the fleet has been
 idle for ``scale_down_idle`` seconds it drains one back down — never
 dropping below ``min_nodes`` or climbing above ``max_nodes``.  Scale-ups
-are rate limited by a ``cooldown`` so one burst doesn't overshoot the
+are rate limited by :data:`COOLDOWN` so one burst doesn't overshoot the
 fleet while freshly launched nodes are still warming their CRS caches.
 
 Launch mechanics are pluggable:
@@ -32,6 +32,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.node import WorkerNode
 
+POLL_INTERVAL = 0.25  # seconds between two reads of the gauges
+COOLDOWN = 1.0  # min seconds between scale-ups
+
 
 class InProcessNodeLauncher:
     """Run worker nodes as threads inside the current process."""
@@ -43,13 +46,11 @@ class InProcessNodeLauncher:
         mode: str = "inline",
         pool_workers: int = 1,
         window: int = 2,
-        prewarm: bool = False,
     ) -> None:
         self.address = address
         self.mode = mode
         self.pool_workers = pool_workers
         self.window = window
-        self.prewarm = prewarm
         self._seq = 0
 
     def launch(self) -> WorkerNode:
@@ -60,7 +61,7 @@ class InProcessNodeLauncher:
             mode=self.mode,
             pool_workers=self.pool_workers,
             window=self.window,
-            prewarm=self.prewarm,
+            prewarm=False,  # pool processes start with the first batch
         )
         node.start()
         return node
@@ -78,12 +79,10 @@ class SubprocessNodeLauncher:
         *,
         pool_workers: int = 1,
         window: int = 2,
-        mode: str = "pool",
     ) -> None:
         self.address = address
         self.pool_workers = pool_workers
         self.window = window
-        self.mode = mode
 
     def launch(self) -> subprocess.Popen:
         host, port = self.address
@@ -98,7 +97,6 @@ class SubprocessNodeLauncher:
                 "--connect", f"{host}:{port}",
                 "--pool-workers", str(self.pool_workers),
                 "--window", str(self.window),
-                "--mode", self.mode,
             ],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -123,8 +121,6 @@ class AutoscalerConfig:
     # Scale down after this many seconds with an empty queue and no
     # in-flight jobs (and more than min_nodes running).
     scale_down_idle: float = 10.0
-    poll_interval: float = 0.25
-    cooldown: float = 1.0  # min seconds between scale-ups
 
 
 class Autoscaler:
@@ -191,7 +187,7 @@ class Autoscaler:
             if (
                 n < cfg.max_nodes
                 and outstanding / max(n, 1) > cfg.scale_up_backlog
-                and now - self._last_scale_up >= cfg.cooldown
+                and now - self._last_scale_up >= COOLDOWN
             ):
                 return 1
             return 0
@@ -207,7 +203,7 @@ class Autoscaler:
         return 0
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.config.poll_interval):
+        while not self._stop.wait(POLL_INTERVAL):
             try:
                 backlog, inflight = self._gauges()
                 action = self.decide(backlog, inflight, time.monotonic())

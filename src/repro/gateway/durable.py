@@ -56,9 +56,9 @@ class DurableCoordinator:
     """Journal + coordinator + recovery, behind one synchronous API.
 
     Every job it serves is read from ``journal.state``; of its own it
-    keeps only each job's engine id in this epoch (for the live state
-    :meth:`status` overlays) and the highest ``seq`` it found at start-up
-    (a job at or below it is ``recovered``).
+    keeps only each unfinished job's engine id in this epoch (for the live
+    state :meth:`status` overlays) and the highest ``seq`` it found at
+    start-up (a job at or below it is ``recovered``).
     """
 
     def __init__(
@@ -68,7 +68,8 @@ class DurableCoordinator:
     ) -> None:
         self.coordinator = coordinator
         self.journal = journal
-        self._engine_ids: Dict[str, str] = {}  # gid -> this epoch's job id
+        # gid -> this epoch's job id, until the terminal record is durable
+        self._engine_ids: Dict[str, str] = {}
         self._boot_seq = journal.last_seq
         self.recovered_pending = 0  # jobs requeued by WAL replay
         self.recovered_completed = 0  # results served from the journal
@@ -219,6 +220,7 @@ class DurableCoordinator:
         is fsynced: a client never observes a result a crash could take
         back."""
         self.journal.append(record, durable=True)
+        self._engine_ids.pop(record["gid"], None)
         self.journal.compact()  # no-op below the size threshold
 
     # -- queries (each reads the journal's current state) ----------------------------

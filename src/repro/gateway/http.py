@@ -49,6 +49,7 @@ MAX_BODY_BYTES = 8 << 20
 MAX_HEADER_BYTES = 64 << 10
 KEEPALIVE_TIMEOUT = 75.0
 _STRIDE_UNIT = 1 << 20
+ADMISSION_WORKERS = 8  # concurrent durable submits (group commit batches them)
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 401: "Unauthorized",
@@ -69,7 +70,6 @@ class GatewayConfig:
     tenant_weights: Dict[str, float] = field(default_factory=dict)
     rate: float = 0.0  # token-bucket refill, requests/sec (0 = unlimited)
     burst: int = 64  # token-bucket capacity
-    admission_workers: int = 8  # concurrent durable submits (group commit)
     gadgets: str = "lean"  # CircuitSpec.gadgets of a body that names none
 
 
@@ -156,7 +156,7 @@ class GatewayServer:
         self._stopping = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._executor = ThreadPoolExecutor(
-            max_workers=max(self.config.admission_workers, 2),
+            max_workers=ADMISSION_WORKERS,
             thread_name_prefix="gateway-submit",
         )
         self._buckets: Dict[str, TokenBucket] = {}
@@ -213,7 +213,7 @@ class GatewayServer:
         self._ready.set()
         admitters = [
             asyncio.create_task(self._admission_worker())
-            for _ in range(self.config.admission_workers)
+            for _ in range(ADMISSION_WORKERS)
         ]
         async with server:
             await self._shutdown_event.wait()

@@ -416,9 +416,10 @@ class JobJournal:
             ]
             keep_terminal = terminal
             if self.retain_terminal is not None:
+                drop = max(len(terminal) - self.retain_terminal, 0)
                 keep_terminal = sorted(
                     terminal, key=lambda j: j.spec.get("seq", 0)
-                )[-self.retain_terminal:]
+                )[drop:]  # not [-retain:]: [-0:] is the whole list
 
             records: List[Dict[str, Any]] = [
                 {"t": "header", "version": JOURNAL_VERSION,

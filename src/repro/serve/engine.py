@@ -47,6 +47,12 @@ from repro.serve.telemetry import ServiceTelemetry
 
 Listener = Callable[[str, ProofJob, Dict[str, Any]], None]
 
+POLL_INTERVAL = 0.01  # the loop's wake period (seconds) when nothing wakes it
+# The artifact store's LRU bound, in entries.  The engine also forgets a
+# finished job once more than this many jobs have finished after it: by
+# then the store has evicted that job's proof.
+STORE_ENTRIES = 256
+
 
 class JobFailedError(RuntimeError):
     """Raised by :meth:`JobEngine.result` for FAILED/TIMED_OUT jobs."""
@@ -74,9 +80,10 @@ class JobEngine:
         self._sent: Dict[int, Batch] = {}  # batch_id -> batch at a worker
         self.telemetry = ServiceTelemetry()
         store_dir = config.store_dir or tempfile.mkdtemp(prefix="repro-serve-")
-        self.store = ArtifactStore(store_dir, max_entries=config.store_entries)
+        self.store = ArtifactStore(store_dir, max_entries=STORE_ENTRIES)
 
-        self._jobs: Dict[str, ProofJob] = {}
+        self._jobs: Dict[str, ProofJob] = {}  # live and recently finished
+        self._finished: Deque[str] = deque()  # finished job ids, oldest first
         self._job_ids = itertools.count(1)
         self._lock = threading.RLock()
         self._terminal = threading.Condition(self._lock)  # job finalized
@@ -130,7 +137,7 @@ class JobEngine:
             circuit=circuit,
             image=image,
             priority=priority,
-            timeout=cfg.default_timeout if timeout is None else timeout,
+            timeout=timeout,
             max_retries=cfg.max_retries if max_retries is None else max_retries,
             tenant=tenant,
             extra=extra or {},
@@ -181,8 +188,10 @@ class JobEngine:
     def result(self, job_id: str, timeout: Optional[float] = None) -> JobResult:
         """Block until ``job_id`` is terminal; return its proof result.
 
-        Raises :class:`JobFailedError` if the job failed or timed out, and
-        ``TimeoutError`` if it is still live after ``timeout`` seconds.
+        Raises :class:`JobFailedError` if the job failed or timed out,
+        ``TimeoutError`` if it is still live after ``timeout`` seconds, and
+        ``KeyError`` for an unknown id or a job finished more than
+        :data:`STORE_ENTRIES` jobs ago (forgotten).
         """
         job = self.job(job_id)
         if not self._wait(lambda: job.state.terminal, timeout):
@@ -235,7 +244,7 @@ class JobEngine:
             with self._lock:
                 if self._stop or (self._drain and self._all_terminal()):
                     return
-            self._wake.wait(timeout=self._cfg.poll_interval)
+            self._wake.wait(timeout=POLL_INTERVAL)
 
     def step(self, now: Optional[float] = None) -> None:
         """One scheduling pass: expire, batch, reap the backlog, send."""
@@ -396,9 +405,7 @@ class JobEngine:
             else:
                 self.telemetry.record_retry()
                 job.state = JobState.QUEUED
-                self._push(
-                    job, job.next_backoff(self._cfg.backoff_base), now
-                )
+                self._push(job, job.next_backoff(), now)
 
     def finalize(
         self, job: ProofJob, state: JobState, error: Optional[str] = None
@@ -412,3 +419,7 @@ class JobEngine:
             self._terminal.notify_all()
         self.telemetry.record_terminal(state.value, tenant=job.tenant)
         self._emit("terminal", job)
+        with self._lock:  # after the listeners, so each one saw the job
+            self._finished.append(job.job_id)
+            if len(self._finished) > STORE_ENTRIES + 1:
+                del self._jobs[self._finished.popleft()]

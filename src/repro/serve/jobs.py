@@ -32,6 +32,8 @@ import numpy as np
 
 from repro.core.spec import CircuitSpec
 
+BACKOFF_BASE = 0.05  # seconds before the first retry; doubles per attempt
+
 
 class JobState(enum.Enum):
     QUEUED = "queued"
@@ -113,7 +115,9 @@ class ProofJob:
             return False
         return (time.monotonic() if now is None else now) > deadline
 
-    def next_backoff(self, base: float = 0.05, cap: float = 2.0) -> float:
+    def next_backoff(
+        self, base: float = BACKOFF_BASE, cap: float = 2.0
+    ) -> float:
         """Exponential backoff for the attempt about to be queued."""
         return min(cap, base * (2 ** max(self.attempts - 1, 0)))
 

@@ -26,19 +26,18 @@ __all__ = ["JobFailedError", "ProvingService", "ServiceConfig"]
 @dataclass
 class ServiceConfig:
     """Scheduling and proving options for one :class:`JobEngine`; which
-    circuit a job proves is its own :class:`~repro.core.spec.CircuitSpec`."""
+    circuit a job proves is its own :class:`~repro.core.spec.CircuitSpec`.
+    The loop's wake period and the store bound are constants of
+    :mod:`repro.serve.engine`, the retry backoff one of
+    :mod:`repro.serve.jobs`; a job has no deadline unless its submit
+    names one."""
 
     max_workers: int = 2
     max_batch: int = 4  # micro-batcher size trigger
     max_wait: float = 0.05  # micro-batcher latency trigger (seconds)
-    poll_interval: float = 0.01  # dispatcher wake period
-    default_timeout: Optional[float] = None  # per-job deadline, None = none
     max_retries: int = 2  # extra attempts after a worker failure
-    backoff_base: float = 0.05  # retry backoff: base * 2^(attempt-1)
     backend: str = "simulated"  # "simulated" | "bn254"
     store_dir: Optional[str] = None  # None = fresh temp directory
-    store_entries: int = 256  # artifact-store LRU bound
-    prewarm: bool = True  # spawn all workers at startup
     # Pre-prove soundness audit of each cold circuit: jobs whose circuit
     # is lean (``CircuitSpec.gadgets``) fail it.
     audit: bool = False
@@ -57,7 +56,7 @@ class ProvingService(JobEngine):
         self.config = replace(config or ServiceConfig(), **overrides)
         super().__init__(self.config)
         self._pool = WorkerPool(self.config.max_workers)
-        self.worker_pids = self._pool.prewarm() if self.config.prewarm else []
+        self.worker_pids = self._pool.prewarm()
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-serve-dispatcher", daemon=True
         )

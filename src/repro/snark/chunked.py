@@ -11,11 +11,10 @@ JSON *manifest* binding the chunk keys together.
 :class:`ChunkedQuery` is the lazy read view: a ``Sequence`` of group
 points that decodes at most one chunk at a time.  The MSM engines iterate
 it via :meth:`ChunkedQuery.iter_chunks`, so the prover's peak working set
-is one chunk (:data:`DEFAULT_CHUNK_BYTES`, or the ``chunk_bytes`` given to
-:func:`repro.snark.groth16.setup`) instead of the whole query — and since
-MSM is linear in the points, per-chunk partial sums combine to the exact
-same group element the one-shot engines produce: proofs from a chunked key
-are byte-identical to proofs from a dense key.
+is one chunk (:data:`DEFAULT_CHUNK_BYTES`) instead of the whole query —
+and since MSM is linear in the points, per-chunk partial sums combine to
+the exact same group element the one-shot engines produce: proofs from a
+chunked key are byte-identical to proofs from a dense key.
 
 Chunk blob layout: ``kind_byte || u32(count) || count fixed-size point
 encodings`` (the canonical encodings of :mod:`repro.snark.serialize`).
@@ -38,9 +37,10 @@ from repro.snark.serialize import (
     serialize_sim,
 )
 
-#: Bytes of one CRS chunk — the points one streamed MSM step holds — when
-#: ``setup(store=)`` gets no ``chunk_bytes``; ``zeno prove --max-rss`` has
-#: always run at this size (RES50:full in 6.3 GB).
+#: Bytes of one CRS chunk — the points one streamed MSM step holds — for
+#: every ``setup(store=)``; ``zeno prove --max-rss`` has always run at this
+#: size (RES50:full in 6.3 GB).  Tests that want multi-chunk keys
+#: monkeypatch it: :func:`repro.snark.groth16.setup` imports it per call.
 DEFAULT_CHUNK_BYTES = 8 << 20
 
 #: Artifact-store kind tag for proving-key chunks.

@@ -41,13 +41,12 @@ def setup(
     backend: Optional[GroupBackend] = None,
     rng: Optional[random.Random] = None,
     store=None,
-    chunk_bytes: Optional[int] = None,
 ) -> SetupResult:
     """Run the (simulated-ceremony) trusted setup for ``cs``.
 
     With ``store`` (a :class:`repro.serve.ArtifactStore`), the five query
-    vectors are emitted as content-addressed chunks of ``chunk_bytes``
-    (default :data:`~repro.snark.chunked.DEFAULT_CHUNK_BYTES`, 8 MiB)
+    vectors are emitted as content-addressed chunks of
+    :data:`~repro.snark.chunked.DEFAULT_CHUNK_BYTES` (8 MiB)
     instead of in-memory lists: the returned proving key holds lazy
     :class:`~repro.snark.chunked.ChunkedQuery` views, the manifest key
     lands in ``stats["pk_manifest_key"]``, and proving streams one chunk
@@ -113,11 +112,10 @@ def setup(
         sim = backend.name == "simulated"
         kind1 = "sim" if sim else "g1"
         kind2 = "sim" if sim else "g2"
-        size = chunk_bytes or DEFAULT_CHUNK_BYTES
 
         def emit_query(kind, base, values):
             """Stream a query into the store one chunk's worth at a time."""
-            writer = ChunkWriter(store, kind, size)
+            writer = ChunkWriter(store, kind, DEFAULT_CHUNK_BYTES)
             step = writer.points_per_chunk
             for lo in range(0, len(values), step):
                 for point in backend.base_multiples(

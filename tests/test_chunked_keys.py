@@ -163,7 +163,9 @@ class TestStreamedMSM:
 
 @pytest.mark.parametrize("backend_cls", [SimulatedBackend, RealBN254Backend])
 class TestChunkedProvingKey:
-    def test_chunked_proofs_byte_identical(self, tmp_path, backend_cls):
+    def test_chunked_proofs_byte_identical(
+        self, tmp_path, monkeypatch, backend_cls
+    ):
         backend = backend_cls()
         cs = tiny_cs()
         dense = groth16.setup(cs, backend, rng=random.Random(5))
@@ -172,9 +174,8 @@ class TestChunkedProvingKey:
         )
 
         store = ArtifactStore(str(tmp_path / "crs"), max_entries=10_000)
-        chunked = groth16.setup(
-            cs, backend, rng=random.Random(5), store=store, chunk_bytes=2048
-        )
+        monkeypatch.setattr("repro.snark.chunked.DEFAULT_CHUNK_BYTES", 2048)
+        chunked = groth16.setup(cs, backend, rng=random.Random(5), store=store)
         assert chunked.stats["pk_chunks"] > 1
         lazy_proof = groth16.prove(
             chunked.proving_key, cs, backend, rng=random.Random(6)

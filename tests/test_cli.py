@@ -264,6 +264,7 @@ class TestServe:
         ["compare", "--gadgets", "strict"],
         ["cluster", "coordinator", "--gadgets", "strict"],
         ["cluster", "submit", "--connect", "127.0.0.1:1", "--prune", "0.5"],
+        ["cluster", "worker", "--connect", "127.0.0.1:1", "--mode", "inline"],
     ])
     def test_ignored_flags_are_not_offered(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -35,13 +35,10 @@ def make_coordinator(**service_kw):
     service = ServiceConfig(
         max_batch=2,
         max_wait=0.02,
-        poll_interval=0.005,
-        backoff_base=0.01,
         deterministic=True,
         **service_kw,
     )
     cfg = ClusterConfig(
-        heartbeat_interval=0.1,
         heartbeat_timeout=1.5,
         node_window=1,
         service=service,

@@ -29,13 +29,9 @@ CIRCUIT = CircuitSpec("SHAL", scale="micro")
 def make_coordinator(port=0, bind_timeout=10.0):
     cfg = ClusterConfig(
         port=port,
-        heartbeat_interval=0.1,
         heartbeat_timeout=2.0,
         node_window=1,
-        service=ServiceConfig(
-            max_batch=2, max_wait=0.02, poll_interval=0.005,
-            backoff_base=0.01, deterministic=True,
-        ),
+        service=ServiceConfig(max_batch=2, max_wait=0.02, deterministic=True),
     )
     # Rebinding a just-vacated port can race the old listener's close.
     deadline = time.monotonic() + bind_timeout

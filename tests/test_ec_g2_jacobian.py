@@ -231,7 +231,7 @@ class TestSetupTallies:
         assert 0 < ops.group_scalar_mul <= elements
         assert ops.group_add > elements  # the Jacobian steps are tallied
 
-    def test_crs_bytes_are_the_affine_era_bytes(self, tmp_path):
+    def test_crs_bytes_are_the_affine_era_bytes(self, tmp_path, monkeypatch):
         """SHAL:micro under the serve workers' CRS seed: the proving and
         verifying key bytes recorded from the affine set-up loop (commit
         2b6b587), through the in-memory and the ``store=`` chunked path."""
@@ -249,9 +249,9 @@ class TestSetupTallies:
         cs = spec.compile(spec.image(0)).cs
         backend = RealBN254Backend()
         dense = groth16.setup(cs, backend, random.Random(24176))
+        monkeypatch.setattr("repro.snark.chunked.DEFAULT_CHUNK_BYTES", 2048)
         chunked = groth16.setup(
-            cs, backend, random.Random(24176),
-            store=ArtifactStore(tmp_path), chunk_bytes=2048,
+            cs, backend, random.Random(24176), store=ArtifactStore(tmp_path)
         )
         for result in (dense, chunked):
             pk = hashlib.sha256(serialize_proving_key(result.proving_key))

@@ -32,6 +32,7 @@ from repro.gateway import (
     InProcessNodeLauncher,
     JobJournal,
     JournalError,
+    autoscale,
 )
 from repro.gateway.http import StrideScheduler, TokenBucket
 from repro.gateway.journal import recover_state
@@ -45,13 +46,9 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 def make_coordinator():
     cfg = ClusterConfig(
-        heartbeat_interval=0.1,
         heartbeat_timeout=2.0,
         node_window=1,
-        service=ServiceConfig(
-            max_batch=2, max_wait=0.02, poll_interval=0.005,
-            backoff_base=0.01, deterministic=True,
-        ),
+        service=ServiceConfig(max_batch=2, max_wait=0.02, deterministic=True),
     )
     coord = ClusterCoordinator(cfg)
     coord.start()
@@ -613,7 +610,7 @@ class TestAutoscaler:
 
     def test_scale_up_on_backlog(self):
         _, launcher, scaler = self.make(
-            min_nodes=1, max_nodes=3, scale_up_backlog=4.0, cooldown=0.0
+            min_nodes=1, max_nodes=3, scale_up_backlog=4.0
         )
         scaler._scale_up()  # the min_nodes baseline
         scaler._last_scale_up = 0.0  # decide() runs on a fake clock
@@ -627,10 +624,9 @@ class TestAutoscaler:
         # at max_nodes: never exceed the bound
         assert scaler.decide(backlog=100, inflight=0, now=102.0) == 0
 
-    def test_cooldown_throttles_scale_up(self):
-        _, _, scaler = self.make(
-            min_nodes=1, max_nodes=4, scale_up_backlog=1.0, cooldown=5.0
-        )
+    def test_cooldown_throttles_scale_up(self, monkeypatch):
+        monkeypatch.setattr(autoscale, "COOLDOWN", 5.0)
+        _, _, scaler = self.make(min_nodes=1, max_nodes=4, scale_up_backlog=1.0)
         scaler._scale_up()
         scaler._last_scale_up = 100.0
         assert scaler.decide(backlog=50, inflight=0, now=101.0) == 0
@@ -667,7 +663,7 @@ class TestAutoscaler:
         scaler = Autoscaler(
             coord,
             InProcessNodeLauncher(coord.address),
-            AutoscalerConfig(min_nodes=1, max_nodes=2, poll_interval=0.05),
+            AutoscalerConfig(min_nodes=1, max_nodes=2),
         ).start()
         try:
             deadline = time.monotonic() + 10

@@ -288,6 +288,23 @@ class TestJobJournal:
         reread = recover_state(path)
         assert set(reread.jobs) == set(state.jobs)
 
+    @pytest.mark.parametrize("retain, kept", [(0, 0), (3, 3), (9, 5)])
+    def test_compaction_retains_exactly_the_bound(self, tmp_path, retain, kept):
+        """``retain_terminal=0`` keeps no terminal job (``[-0:]`` used to
+        keep them all), and a bound above the count keeps every one."""
+        path = tmp_path / "j.wal"
+        journal = JobJournal(path, batch_window=0, retain_terminal=retain)
+        for i in range(5):
+            journal.append(submit_record(f"g-{i}", i + 1))
+            journal.append({"t": "failed", "gid": f"g-{i}",
+                            "state": "failed", "error": "x", "attempts": 1})
+        journal.sync()
+        assert journal.compact(force=True)
+        journal.close()
+        state = recover_state(path)
+        assert sorted(state.jobs) == [f"g-{i}" for i in range(5 - kept, 5)]
+        assert all(job.terminal for job in state.jobs.values())
+
     def test_compaction_skipped_below_threshold(self, tmp_path):
         journal = JobJournal(
             tmp_path / "j.wal", batch_window=0, compact_min_bytes=1 << 20

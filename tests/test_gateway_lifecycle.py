@@ -33,7 +33,7 @@ from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.core.spec import CircuitSpec
 from repro.gateway import DurableCoordinator, GatewayJob, JobJournal
 from repro.gateway.journal import encode_record, recover_state
-from repro.serve import JobState, ServiceConfig
+from repro.serve import JobState, ServiceConfig, engine
 from repro.serve.jobs import JobResult
 
 CIRCUIT = CircuitSpec("SHAL", scale="micro")
@@ -153,6 +153,11 @@ class GatewayMachine(RuleBasedStateMachine):
             assert self.journal.state.request_index[rid] == gid
 
     @invariant()
+    def engine_ids_only_for_unfinished_jobs(self):
+        jobs = self.journal.state.jobs
+        assert all(not jobs[gid].terminal for gid in self.durable._engine_ids)
+
+    @invariant()
     def never_double_proved(self):
         assert self.journal.state.duplicate_done == 0
 
@@ -187,3 +192,22 @@ def test_the_journal_state_is_the_only_job_table(tmp_path):
     assert not hasattr(durable, "_request_index")
     fields = {f.name for f in dataclasses.fields(GatewayJob)}
     assert not fields & {"coordinator_id", "recovered"}
+
+
+def test_finished_jobs_leave_no_engine_state(tmp_path, monkeypatch):
+    """Five jobs submitted and finished: the gateway keeps no engine id for
+    any of them, and the engine (its bound patched to 2) only the three
+    newest; every status still reads from the journal."""
+    monkeypatch.setattr(engine, "STORE_ENTRIES", 2)
+    coord = ClusterCoordinator(ClusterConfig(
+        service=ServiceConfig(store_dir=str(tmp_path / "store"))
+    ))
+    with JobJournal(tmp_path / "j.wal", batch_window=0) as journal:
+        durable = DurableCoordinator(coord, journal)
+        gids = [durable.submit(CIRCUIT, image_seed=i) for i in range(5)]
+        assert len(durable._engine_ids) == 5
+        for job in list(coord._jobs.values()):
+            coord.finalize(job, JobState.FAILED, error="node died")
+        assert durable._engine_ids == {}
+        assert len(coord._jobs) == 3
+        assert [durable.status(gid)["state"] for gid in gids] == ["failed"] * 5

@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -34,6 +35,7 @@ from repro.serve import (
     ProvingService,
     ServiceConfig,
 )
+from repro.serve import engine as engine_module
 from repro.serve.batcher import Batch
 from repro.snark import groth16
 from repro.snark.serialize import serialize_verifying_key
@@ -93,7 +95,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine = FakeTransport(
             ServiceConfig(
                 max_batch=3, max_wait=0.5, max_retries=MAX_RETRIES,
-                backoff_base=0.1, store_dir=self.store_dir,
+                store_dir=self.store_dir,
             ),
             self.clock,
         )
@@ -240,6 +242,40 @@ EngineMachine.TestCase.settings = settings(
 TestEngineLifecycle = EngineMachine.TestCase
 
 
+def test_long_finished_jobs_are_forgotten(tmp_path, monkeypatch):
+    """A finished job stays readable until more than ``STORE_ENTRIES`` jobs
+    have finished after it (by then the store has evicted its proof);
+    then ``status`` and ``result`` raise ``KeyError`` as for an id never
+    issued.  A job still on the wire is never forgotten."""
+    monkeypatch.setattr(engine_module, "STORE_ENTRIES", 2)
+    clock = Clock()
+    engine = FakeTransport(
+        ServiceConfig(max_batch=1, max_wait=0.0, store_dir=str(tmp_path)),
+        clock,
+    )
+    circuit = CircuitSpec("SHAL", scale="micro")
+    held = engine.submit(circuit, IMAGE)
+    engine.step(clock.now)
+    (held_batch,) = engine.wire
+    finished = []
+    for _ in range(6):
+        finished.append(engine.submit(circuit, IMAGE))
+        engine.step(clock.now)
+        (batch_id,) = set(engine.wire) - {held_batch}
+        batch = engine.wire.pop(batch_id)
+        assert engine.complete(engine.take(batch_id), answer(batch)) == []
+    kept = finished[-3:]  # the newest, and two finished after the oldest
+    assert sorted(engine._jobs) == sorted([held] + kept)
+    assert engine.status(held) is JobState.RUNNING
+    for job_id in kept:
+        assert engine.result(job_id, timeout=0).proof == job_id.encode()
+    for job_id in finished[:-3] + ["job-999999"]:
+        with pytest.raises(KeyError):
+            engine.status(job_id)
+        with pytest.raises(KeyError):
+            engine.result(job_id, timeout=0)
+
+
 class TestNoDrift:
     CIRCUIT = CircuitSpec(
         "SHAL", scale="micro", gadgets="strict", relu_mode="lookup"
@@ -250,7 +286,7 @@ class TestNoDrift:
         now the submitted spec rides on the job and one ``batch_spec``
         reads it back."""
         service = ProvingService(  # max_wait: the job is held, never run
-            max_workers=1, prewarm=False, store_dir=str(tmp_path / "s"),
+            max_workers=1, store_dir=str(tmp_path / "s"),
             max_wait=3600.0, deterministic=True,
         )
         coord = ClusterCoordinator(ClusterConfig(service=ServiceConfig(

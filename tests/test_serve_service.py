@@ -115,9 +115,7 @@ class TestFaultTolerance:
         rebuilds the pool and retries the job to completion."""
         token = tmp_path / "crash-once"
         token.write_text("x")
-        service = ProvingService(
-            max_workers=2, max_batch=2, max_wait=0.01, backoff_base=0.01
-        )
+        service = ProvingService(max_workers=2, max_batch=2, max_wait=0.01)
         doomed = service.submit(
             MINI, image_seed=1, extra={"crash_token": str(token)}
         )
@@ -139,10 +137,7 @@ class TestFaultTolerance:
 
         token = tmp_path / "crash-always"
         token.write_text("x")
-        service = ProvingService(
-            max_workers=1, max_batch=1, max_wait=0.0, backoff_base=0.01,
-            prewarm=False,
-        )
+        service = ProvingService(max_workers=1, max_batch=1, max_wait=0.0)
         job_id = service.submit(
             MINI, image_seed=3, max_retries=1,
             extra={"crash_token": str(token)},
@@ -161,7 +156,7 @@ class TestFaultTolerance:
         service.shutdown(drain=True)
 
     def test_queue_timeout_marks_timed_out(self):
-        service = ProvingService(max_workers=1, prewarm=False)
+        service = ProvingService(max_workers=1)
         job_id = service.submit(MINI, image_seed=4, timeout=-1.0)
         with pytest.raises(JobFailedError):
             service.result(job_id, timeout=30)
@@ -171,7 +166,7 @@ class TestFaultTolerance:
 
 class TestServiceApi:
     def test_submit_requires_image_or_seed(self):
-        service = ProvingService(max_workers=1, prewarm=False)
+        service = ProvingService(max_workers=1)
         with pytest.raises(ValueError):
             service.submit(MINI)
         service.shutdown(drain=True)
@@ -179,14 +174,14 @@ class TestServiceApi:
     def test_submit_takes_a_circuit_spec(self):
         """A loose model name is refused before anything is queued (it
         would otherwise fail in the dispatcher, at ``batch_spec``)."""
-        service = ProvingService(max_workers=1, prewarm=False)
+        service = ProvingService(max_workers=1)
         with pytest.raises(TypeError, match="CircuitSpec"):
             service.submit("SHAL", np.zeros((1, 14, 14)))
         assert service.stats()["jobs"]["submitted"] == 0
         service.shutdown(drain=True)
 
     def test_submit_after_shutdown_rejected(self):
-        service = ProvingService(max_workers=1, prewarm=False)
+        service = ProvingService(max_workers=1)
         service.shutdown(drain=True)
         with pytest.raises(RuntimeError):
             service.submit(MINI, image_seed=1)
