@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.aggregate.commit import MIMC_DOMAIN, mimc_digest
 from repro.r1cs import mimc
-from repro.r1cs.lc import RowBlock, RowSide
+from repro.r1cs.lc import NO_DIGIT, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 
@@ -413,19 +413,34 @@ class _Draft:
         of ``extra``."""
         lo, hi = extra.first_row[first], extra.first_row[last]
         sides = []
-        for (variables, coeffs, indptr), (more, more_coeffs, more_indptr) in zip(
+        for (variables, coeffs, indptr, digits), more_side in zip(
             self.sides, extra.sides
         ):
+            more, more_coeffs, more_indptr, more_digits = more_side
             terms = slice(more_indptr[lo], more_indptr[hi])
             sides.append(RowSide(
                 np.r_[
                     indptr,
                     more_indptr[lo + 1:hi + 1] - terms.start + indptr[-1],
-                ].tolist(),
+                ],
                 np.r_[variables, more[terms]],
                 coeffs + more_coeffs[terms],
+                np.r_[digits, more_digits[terms]],
             ))
         return RowBlock(*sides, tags=self.tags + extra.tags[lo:hi])
+
+
+def _one_slot(matrix, modulus: int) -> np.ndarray:
+    """A CSR matrix's coefficients as one slot of digits for the rows an
+    instance inherits: its slot-0 digits, with :data:`NO_DIGIT` on a term
+    without digits and on every term of a knit run (whose coefficient is
+    more than its slot 0)."""
+    lanes = matrix.lanes(modulus)
+    digits = lanes.low.copy()
+    digits[lanes.wide] = NO_DIGIT
+    for run in lanes.knit:
+        digits[run.first:run.first + run.digits.shape[1]] = NO_DIGIT
+    return digits
 
 
 class _Snapshot:
@@ -449,21 +464,18 @@ class _Snapshot:
             ]
         self.dense = np.array(dense, dtype=object)
         self.sides = [
-            (
-                np.asarray(matrix.indptr, dtype=np.int64),
-                np.asarray(matrix.indices, dtype=np.int64),
-                matrix.coeffs,
-            )
+            (matrix.indptr, matrix.indices, matrix.coeffs,
+             _one_slot(matrix, cs.field.modulus))
             for matrix in csr.matrices()
         ]
         # Every term's dense position in scan order — row-major, A then B
         # then C within a row, in-row order as stored — which is the
         # order instances number their privates by first use.
-        widths = [np.diff(indptr) for indptr, _, _ in self.sides]
+        widths = [np.diff(indptr) for indptr, _, _, _ in self.sides]
         self.row_ptr = np.r_[0, np.cumsum(sum(widths))]
         self.scan = np.empty(int(self.row_ptr[-1]), dtype=np.int64)
         at = self.row_ptr[:-1]
-        for (indptr, indices, _), width in zip(self.sides, widths):
+        for (indptr, indices, _, _), width in zip(self.sides, widths):
             self.scan[
                 np.repeat(at - indptr[:-1], width) + np.arange(len(indices))
             ] = indices
@@ -525,8 +537,9 @@ class _Snapshot:
                     local[indices[indptr[start]:indptr[stop]]],
                     coeffs[indptr[start]:indptr[stop]],
                     indptr[start:stop + 1] - indptr[start],
+                    digits[indptr[start]:indptr[stop]],
                 )
-                for indptr, indices, coeffs in self.sides
+                for indptr, indices, coeffs, digits in self.sides
             ),
             tags=self.tags[start:stop],
             public=self.dense[publics].tolist(),

@@ -368,10 +368,10 @@ class GadgetEmitter:
             )
             row_tag = self.knit.row_tag
         else:
-            block = RowBlock(RowSide(*pack_slots(
+            block = RowBlock(pack_slots(
                 exprs, cols, np.zeros_like(exprs), coeffs, count, 63,
                 cs.field.modulus,
-            )))
+            ))
             ends = ranks
             row_tag = f"{tag}/eq"
             self.stats.equality_constraints += count
@@ -426,10 +426,7 @@ class GadgetEmitter:
         rows = (row0 + made + checks)[ends] + (
             np.arange(ends.size) - completed_before[ends]
         )
-        a.append((
-            np.repeat(rows, np.diff(block.a.indptr)), block.a.variables,
-            np.array(block.a.coeffs, dtype=object),
-        ))
+        a.append((np.repeat(rows, np.diff(block.a.indptr)), block.a))
         b.append((rows, ONE, 1))
         tags[rows] = row_tag
         if strict:

@@ -27,7 +27,9 @@ number of rows at once.  Whole layers arrive as integer arrays of small
 signed coefficients and are packed with NumPy (the *digit lane*); the
 row a layer leaves open and coefficients outside that lane are packed
 with Python integers (the *exact lane*).  Both give the same canonical
-field coefficients.
+field coefficients, and both keep each coefficient's slot digits on the
+:class:`~repro.r1cs.lc.RowSide` they return, so the prover can sum a
+packed row slot by slot in int64 instead of in 254-bit integers.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 _SAFETY_BITS = 2
+# Exact-lane digits are cut at most this wide, so a digit times a small
+# witness value stays far inside int64 (repro.r1cs.csr).
+_DIGIT_WIDTH = 32
 _WORDS = 4  # 64-bit limbs of one packed coefficient in the digit lane
 _WORD_MASK = (1 << 64) - 1
 
@@ -74,14 +79,17 @@ def knit_batch_size(
 def pack_slots(
     rows, cols, slots, coeffs, num_rows: int, slot_bits: int, modulus: int,
     cache=None,
-) -> Tuple[List[int], object, List[int]]:
+) -> RowSide:
     """Knit-pack expressions into rows: ``sum_j 2^(slot_bits*j) * expr_j``.
 
     Entry ``k`` is the term ``coeffs[k] * var(cols[k])`` of the expression
     sitting in slot ``slots[k]`` of packed row ``rows[k]``; an expression
-    lists a column at most once.  Returns the rows in CSR form
-    ``(indptr, cols, coeffs)``: entries merged per (row, column) with
-    canonical coefficients mod ``modulus``, zero coefficients dropped.
+    lists a column at most once.  Returns the rows as a
+    :class:`~repro.r1cs.lc.RowSide`: entries merged per (row, column) with
+    canonical coefficients mod ``modulus``, zero coefficients dropped, and
+    each merged entry's slot digits kept, which the prover sums rows over
+    (:mod:`repro.r1cs.csr`): the digit lane's own, ``slot_bits`` apart;
+    the exact lane's cut afresh, balanced, at most 32 bits apart.
 
     *Digit lane* — integer ndarrays whose coefficients fit half a slot
     and whose slots fit the field: entries are grouped with one stable
@@ -95,16 +103,19 @@ def pack_slots(
     served by the cache's per-slot tables.  Nothing wraps in either lane.
     """
     if not len(coeffs):
-        return [0] * (num_rows + 1), cols, []
+        return RowSide(
+            [0] * (num_rows + 1), cols, [], np.zeros((1, 0), dtype=np.int64)
+        )
     if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "i":
         n_slots = int(slots.max()) + 1
         half = 1 << (slot_bits - 1)
         lo = int(cols.min())
         span = int(cols.max()) - lo + 1
+        least, most = int(coeffs.min()), int(coeffs.max())
         if (
             n_slots * slot_bits <= modulus.bit_length() <= 64 * _WORDS
             and slot_bits < 64
-            and -half < int(coeffs.min()) and int(coeffs.max()) < half
+            and -half < least and most < half
             and num_rows * span < 1 << 62
         ):
             key = rows * span + (cols - lo)
@@ -136,8 +147,12 @@ def pack_slots(
                     _digit_values(digits[pick], slot_bits, modulus),
                     dtype=object,
                 )[inverse].tolist()
-            return indptr.tolist(), out_cols, values
+            return RowSide(
+                indptr, out_cols, values, digits.T, slot_bits,
+                max(-least, most),
+            )
     merged: dict = {}
+    packed: dict = {}  # the cache's merged entries, unreduced
     hits = misses = 0
     table, table_slot = None, 0
     for row, col, slot, coeff in zip(
@@ -161,21 +176,56 @@ def pack_slots(
                 hits += 1
         where = (row, col)
         merged[where] = merged.get(where, 0) + value
+        if cache is not None:
+            packed[where] = packed.get(where, 0) + (coeff << slot_bits * slot)
     if cache is not None:
         cache.record(hits=hits, misses=misses)
     indptr = [0] * (num_rows + 1)
     out_cols: List[int] = []
     values = []
+    exact = []
     # Stable by row: within a row, columns keep first-occurrence order.
     for (row, col), value in sorted(merged.items(), key=lambda kv: kv[0][0]):
+        whole = packed.get((row, col), value)
         value %= modulus
         if value:
             indptr[row + 1] += 1
             out_cols.append(col)
             values.append(value)
+            exact.append(whole)
     for row in range(num_rows):
         indptr[row + 1] += indptr[row]
-    return indptr, out_cols, values
+    width = min(slot_bits, _DIGIT_WIDTH)
+    return RowSide(
+        indptr, out_cols, values, _digit_matrix(exact, width), width
+    )
+
+
+def _digit_matrix(packed: List[int], width: int):
+    """Packed entries (integers, unreduced) as a slot-major int64 matrix of
+    balanced digits at ``width`` bits, ``|d| <= 2^(width-1)``: an
+    exact-lane coefficient may be wider than its slot, so the digits are
+    cut afresh from the packed value.  Biased by ``2^(width-1)`` in every
+    slot, a value's plain base-``2^width`` digits are the balanced digits
+    plus the bias — read off its bytes as :func:`_digit_values` writes
+    them."""
+    top = max(map(abs, packed), default=0)
+    slots = -(-(top.bit_length() + 2) // width)
+    half = 1 << (width - 1)
+    bias = sum(half << (width * k) for k in range(slots))
+    words = (width * slots) // 64 + 1
+    blob = b"".join(
+        (value + bias).to_bytes(8 * words, "little") for value in packed
+    )
+    limbs = np.frombuffer(blob, dtype="<u8").reshape(len(packed), words)
+    word, bit = np.divmod(width * np.arange(slots), 64)
+    fields = limbs[:, word] >> bit.astype(np.uint64)
+    spill = bit + width > 64  # a slot's high bits in the next word
+    fields[:, spill] |= limbs[:, word[spill] + 1] << (
+        64 - bit[spill]
+    ).astype(np.uint64)
+    fields &= np.uint64((1 << width) - 1)
+    return np.ascontiguousarray(fields.T).astype(np.int64) - half
 
 
 def _as_list(values) -> list:
@@ -305,10 +355,10 @@ class KnitPacker:
     def _close(self) -> RowSide:
         """Pack the open row — its one row of a :class:`RowSide` — and
         start an empty one."""
-        side = RowSide(*pack_slots(
+        side = pack_slots(
             [0] * len(self._cols), self._cols, self._slots, self._coeffs,
             1, self._slot_bits, self.cs.field.modulus, self.cache,
-        ))
+        )
         self.constraints_emitted += 1
         self._count = 0
         self._cols, self._slots, self._coeffs = [], [], []
@@ -370,9 +420,9 @@ class KnitPacker:
                 for h, part in zip(held, parts)
             ]
             self._cols, self._slots, self._coeffs = [], [], []
-        side = RowSide(*pack_slots(
+        side = pack_slots(
             *parts, full, slot_bits, self.cs.field.modulus, self.cache
-        ))
+        )
         if self._count:
             self._cols.extend(cols[~closed].tolist())
             self._slots.extend(slots[~closed].tolist())
@@ -381,12 +431,7 @@ class KnitPacker:
         self.constraints_emitted += full
         ends = np.arange(1, full + 1) * capacity - 1 - opened
         if stale is not None:
-            terms = len(stale.coeffs)  # of its one row
-            side = RowSide(
-                [0] + [terms + at for at in side.indptr],
-                np.concatenate([stale.variables, side.variables]),
-                stale.coeffs + side.coeffs,
-            )
+            side = RowSide.concat([stale, side])
             ends = np.concatenate(([0], ends))
         return RowBlock(side), ends
 

@@ -1,45 +1,123 @@
-"""Compressed-sparse-row snapshot of the R1CS matrices.
+"""Compressed-sparse-row snapshot of the R1CS matrices, and the one
+evaluator of their rows.
 
-The prover's hot loop evaluates ``<A_j, z>``, ``<B_j, z>``, ``<C_j, z>``
-for every constraint row ``j``.  Walking the per-constraint
-:class:`~repro.r1cs.lc.LinearCombination` dicts pays a Python method call
-per term (``Assignment.__getitem__``) plus a counter bump per LC; a CSR
-snapshot replaces all of that with three flat arrays per matrix —
+The prover evaluates ``<A_j, z>``, ``<B_j, z>``, ``<C_j, z>`` for every
+constraint row ``j``, and so does the satisfaction check.  Walking the
+per-constraint :class:`~repro.r1cs.lc.LinearCombination` dicts pays a
+Python method call per term; a CSR snapshot holds each matrix as flat
+arrays instead —
 
-* ``indptr``  — row offsets, ``len == num_rows + 1``;
+* ``indptr``  — row offsets, ``len == num_rows + 1`` (int64);
 * ``indices`` — *dense* column positions into the Groth16-ordered
-  assignment vector ``z = [1, publics..., privates...]``;
-* ``coeffs``  — canonical field coefficients, aligned with ``indices``
+  assignment vector ``z = [1, publics..., privates...]`` (int64);
+* ``coeffs``  — canonical field coefficients (ints), aligned with
+  ``indices``;
 
-— and one dense assignment vector, so a row evaluates as a contiguous
-slice accumulation with no dict lookups.  The structure depends only on
-the constraints (not the witness), so batch-specialized sharing (§6.1)
-builds it once and only refreshes ``z`` per image.
+— plus the same coefficients as slot digits (:class:`Lanes`), and one
+dense assignment vector.  The structure depends only on the constraints
+(not the witness), so batch-specialized sharing (§6.1) builds it once and
+only refreshes ``z`` per image.
 
 Signed variable indices (see :mod:`repro.r1cs.lc`) map to dense positions
 as ``ONE -> 0``, public ``-k -> k``, private ``+k -> num_public + k`` —
 exactly :func:`repro.snark.qap.variable_order`.
+
+Rows in int64.  ZENO's dot outputs are low-bit (§4): a coefficient the
+compiler writes is a sum of small signed slot digits, ``c = sum_k d_k
+2^(w k) (mod p)`` — one digit for an ordinary coefficient, ``s`` for a
+knit coefficient (§4.2) — and a witness value, centred into
+``(-p/2, p/2)``, is small as well.  So :func:`row_values` sums each slot
+of a row in int64 (``np.add.reduceat``) and pays big-integer operations
+only to join the slot sums of a knit row, ``sum_k 2^(w k) S_k`` — at most
+``s`` a row.  A term whose sum it cannot bound into int64 goes to the
+*bigint lane*, one ``coeff * z`` product: a coefficient without digits (a
+field-wide constant — a sponge round constant, a LogUp challenge term) or
+a witness value past what its row's digits allow, ``sum |d| |z| < 2^63``
+over the row (the sponge, LogUp and hashed-boundary wires).  The lane of
+each term is decided from the data, at every evaluation.
 """
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_right
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.r1cs.lc import RowRun, RowView
+from repro.r1cs.lc import NO_DIGIT, RowRun, RowView, centred_digits
+
+# A row's slot sums stay within this magnitude, just inside int64: the
+# margin covers the float64 rounding of row weights (see _row_limits).
+_ROW_BOUND = 2.0**63 * (1 - 2.0**-20)
+# Witness values centre into int64 up to this magnitude; one past it is
+# held as _WIDE, which exceeds every row's limit, so its terms always take
+# the bigint lane.
+_Z_BOUND = (1 << 63) - 2
+_WIDE = np.iinfo(np.int64).max
+# |a|, |b| below this make a*b - c exact in int64 (satisfaction check).
+_HALF_WORD = 1 << 31
 
 
-@dataclass
+class KnitRun(NamedTuple):
+    """Slots ``1..`` of the knit rows ``[start, stop)`` of a matrix, whose
+    terms begin at term ``first``."""
+
+    start: int
+    stop: int
+    first: int
+    widths: object  # slot width in bits: an int, or an ndarray per row
+    digits: np.ndarray  # (slots - 1, terms), slot-major
+    scale: int  # the largest |digit| of the run's terms, any slot
+
+
+class Lanes(NamedTuple):
+    """A matrix's coefficients as int64-lane slot digits."""
+
+    low: np.ndarray  # int64 per term: slot 0 (0 for a term without digits)
+    wide: np.ndarray  # the terms without digits
+    limit: np.ndarray  # int64 per row: the largest |z| its digits allow
+    knit: List[KnitRun]
+
+
+def _row_limits(low: np.ndarray, indptr: np.ndarray, knit=()) -> np.ndarray:
+    """Per row, the largest ``|z|`` that keeps every slot sum of the row
+    inside int64: ``B / W`` for the row's digit weight ``W``, which bounds
+    ``sum_t |d_t|`` in every slot — the sum itself for slot 0, and terms x
+    the run's largest digit for the slots of a knit run.  ``W`` is summed
+    in float64 (relative error below ``2^-22`` for a row of fewer than
+    ``2^30`` terms), which the margin of ``B = 2^63 (1 - 2^-20)`` absorbs:
+    ``W_true x limit < 2^63``."""
+    starts = indptr[:-1]
+    lengths = np.diff(indptr)
+    full = lengths > 0
+    weight = np.zeros(starts.size)
+    if low.size:
+        weight[full] = np.add.reduceat(
+            np.abs(low.astype(np.float64)), starts[full]
+        )
+    for run in knit:
+        rows = slice(run.start, run.stop)
+        weight[rows] = np.maximum(
+            weight[rows], lengths[rows] * float(run.scale)
+        )
+    return np.floor(_ROW_BOUND / np.maximum(weight, 1.0)).astype(np.int64)
+
+
 class CSRMatrix:
-    """One constraint matrix (A, B, or C) in compressed-sparse-row form."""
+    """One constraint matrix (A, B, or C) in compressed-sparse-row form.
 
-    indptr: List[int]
-    indices: List[int]
-    coeffs: List[int]
+    ``lanes`` is the slot-digit form of ``coeffs``; a matrix built without
+    it (from coefficients alone) derives one slot of centred digits on
+    its first evaluation.
+    """
+
+    __slots__ = ("indptr", "indices", "coeffs", "_lanes")
+
+    def __init__(self, indptr, indices, coeffs, lanes: Optional[Lanes] = None):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.coeffs = coeffs
+        self._lanes = lanes
 
     @property
     def nnz(self) -> int:
@@ -49,12 +127,28 @@ class CSRMatrix:
     def num_rows(self) -> int:
         return len(self.indptr) - 1
 
+    def lanes(self, modulus: int) -> Lanes:
+        if self._lanes is None:
+            low, wide = _no_digits(centred_digits(self.coeffs, modulus))
+            self._lanes = Lanes(low, wide, _row_limits(low, self.indptr), [])
+        return self._lanes
+
+
+def _no_digits(low: np.ndarray):
+    """``(low, wide)``: slot-0 digits with their :data:`NO_DIGIT` terms
+    set to 0, and those terms' positions."""
+    wide = np.flatnonzero(low == NO_DIGIT)
+    if wide.size:
+        low = low.astype(np.int64)  # a copy
+        low[wide] = 0
+    return low, wide
+
 
 class CSRSystem:
     """CSR snapshot of a constraint system plus its dense assignment."""
 
     __slots__ = ("a", "b", "c", "num_rows", "num_public", "num_private",
-                 "modulus", "z")
+                 "modulus", "z", "_signed")
 
     def __init__(
         self,
@@ -74,6 +168,7 @@ class CSRSystem:
         self.num_private = num_private
         self.modulus = modulus
         self.z = z  # [1, publics..., privates...] — Groth16 variable order
+        self._signed: Optional[SignedWitness] = None
 
     @property
     def num_variables(self) -> int:
@@ -85,6 +180,130 @@ class CSRSystem:
     def total_terms(self) -> int:
         return self.a.nnz + self.b.nnz + self.c.nnz
 
+    def witness(self) -> "SignedWitness":
+        """The signed form of ``z``, built once per assignment vector."""
+        if self.z is None:
+            raise ValueError("CSR snapshot has no assignment vector")
+        signed = self._signed
+        if signed is None or signed.z is not self.z:
+            signed = self._signed = SignedWitness(self.z, self.modulus)
+        return signed
+
+
+class _MatrixBuilder:
+    """One matrix of :func:`build_csr_structure`, gathered part by part.
+
+    A part is a slice of a :class:`~repro.r1cs.lc.RowSide` (its arrays
+    and digits are sliced, not walked), a run of constant rows, or dict
+    LC rows, which are held in lists until the next part.  Consecutive
+    :class:`~repro.r1cs.lc.RowView` rows of one side join one slice.
+    """
+
+    def __init__(self, position, modulus: int) -> None:
+        self.position = position  # signed variables -> dense positions
+        self.modulus = modulus
+        self.lengths: List[np.ndarray] = []
+        self.variables: List[np.ndarray] = []
+        self.coeffs: list = []
+        self.low: List[np.ndarray] = []
+        self.wide: List[np.ndarray] = []
+        self.knit: List[KnitRun] = []
+        self.rows = self.terms = 0
+        self.view = None  # (side, start, stop) of pending RowView rows
+        self.loose: Tuple[list, list, list] = ([], [], [])  # dict LC rows
+
+    def side(self, side, start: int, stop: int) -> None:
+        view = self.view
+        if view is not None and view[0] is side and view[2] == start:
+            self.view = (side, view[1], stop)
+            return
+        self.flush()
+        self.view = (side, start, stop)
+
+    def constant(self, count: int, value: int) -> None:
+        """``count`` rows of the constant ``value`` (0: empty rows)."""
+        self.flush()
+        terms = count if value else 0
+        self._part(
+            np.full(count, int(value != 0), dtype=np.int64),
+            np.zeros(terms, dtype=np.int64), [value] * terms,
+            np.full(terms, value, dtype=np.int64),
+        )
+
+    def lc(self, terms: Dict[int, int]) -> None:
+        if self.view is not None:
+            self.flush()
+        lengths, variables, coeffs = self.loose
+        lengths.append(len(terms))
+        variables.extend(terms)
+        coeffs.extend(terms.values())
+
+    def flush(self) -> None:
+        view, self.view = self.view, None
+        if view is not None:
+            side, start, stop = view
+            lo, hi = int(side.indptr[start]), int(side.indptr[stop])
+            digits, widths = side.digits, side.widths
+            high = None
+            if digits is not None and len(digits) > 1:
+                if np.ndim(widths):
+                    widths = widths[start:stop]
+                high = widths, digits[1:, lo:hi], side.scale
+            self._part(
+                np.diff(side.indptr[start:stop + 1]),
+                side.variables[lo:hi],
+                side.coeffs[lo:hi],
+                None if digits is None else digits[0, lo:hi],
+                high,
+            )
+        lengths, variables, coeffs = self.loose
+        if lengths:
+            self.loose = ([], [], [])
+            self._part(
+                np.array(lengths, dtype=np.int64),
+                np.array(variables, dtype=np.int64),
+                coeffs,
+            )
+
+    def _part(self, lengths, variables, coeffs, low=None, high=None) -> None:
+        """Rows of ``lengths`` terms over signed ``variables``.  ``low`` is
+        their slot-0 digits, derived from ``coeffs`` when not given;
+        ``high`` the ``(widths, digits, scale)`` of slots 1.. of a knit
+        side."""
+        if low is None:
+            low = centred_digits(coeffs, self.modulus)
+        low, wide = _no_digits(low)
+        if wide.size:
+            self.wide.append(wide + self.terms)
+        if high is not None:
+            self.knit.append(KnitRun(
+                self.rows, self.rows + lengths.size, self.terms, *high
+            ))
+        self.lengths.append(lengths)
+        self.variables.append(variables)
+        self.coeffs.extend(coeffs)
+        self.low.append(low)
+        self.rows += lengths.size
+        self.terms += variables.size
+
+    def finish(self) -> CSRMatrix:
+        self.flush()
+
+        def joined(parts):
+            if not parts:
+                return np.zeros(0, dtype=np.int64)
+            return np.concatenate(parts).astype(np.int64, copy=False)
+
+        lengths = joined(self.lengths)
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        low = joined(self.low)
+        return CSRMatrix(
+            indptr, self.position(joined(self.variables)), self.coeffs,
+            Lanes(low, joined(self.wide), _row_limits(low, indptr, self.knit),
+                  self.knit),
+        )
+
 
 def build_csr_structure(rows, num_public: int, num_private: int,
                         modulus: int) -> CSRSystem:
@@ -94,129 +313,250 @@ def build_csr_structure(rows, num_public: int, num_private: int,
     its ``constraints`` (:class:`~repro.r1cs.lc.RowRun`) and
     :class:`~repro.r1cs.constraint.Constraint` s.  Terms are copied
     exactly as stored — no filtering or re-canonicalization — so CSR
-    evaluation performs precisely the same coefficient products a per-LC
-    walk would, keeping the op-count parity the regression tests pin
-    down.  A RowRun is copied a side at a time with no per-term bytecode:
-    three slices of its :class:`~repro.r1cs.lc.RowSide` (or the constant
+    evaluation covers precisely the terms a per-LC walk would, keeping the
+    op-count parity the regression tests pin down.  A RowRun is copied a side at a time as array slices of its
+    :class:`~repro.r1cs.lc.RowSide`, digits included (or the constant
     columns an absent B, ``1``, and C, ``0``, stand for).  A Constraint
     side that is still an unread :class:`~repro.r1cs.lc.RowView` is copied
-    as the slices of its one row, and only a Constraint's dict LCs are
-    walked.
+    as the slices of its row, and only a Constraint's dict LCs are walked;
+    their coefficients, like those of a side without digits, get one slot
+    of centred digits.
     """
-    # The dense position of an (allocated) signed variable, as one list
-    # lookup: a private counts up from the front, a public — a negative
-    # index — down from the back.
-    position_of = [
-        0, *range(num_public + 1, num_public + num_private + 1),
-        *range(num_public, 0, -1),
-    ].__getitem__
 
-    def slice_positions(side, lo: int, hi: int) -> List[int]:
-        v = side.variables[lo:hi]
-        return np.where(v > 0, v + num_public, -v).tolist()
+    def position(variables):
+        # A private counts up from the front, a public — a negative
+        # index — down from the back; ONE is 0.
+        return np.where(variables > 0, variables + num_public, -variables)
 
     mats = []
     for name in ("a", "b", "c"):
-        get = operator.attrgetter(name)
-        indptr = [0]
-        indices: List[int] = []
-        coeffs: List[int] = []
+        out = _MatrixBuilder(position, modulus)
         for piece in rows:
             if piece.__class__ is RowRun:
-                side = get(piece.block)
-                start, stop = piece.start, piece.stop
+                side = getattr(piece.block, name)
+                count = piece.stop - piece.start
                 if side is not None:
-                    lo, hi = side.indptr[start], side.indptr[stop]
-                    shift = len(indices) - lo
-                    ends = side.indptr[start + 1:stop + 1]
-                    indptr.extend([end + shift for end in ends] if shift else ends)
-                    indices.extend(slice_positions(side, lo, hi))
-                    coeffs.extend(side.coeffs[lo:hi])
-                elif name == "b":  # the constant 1: one term a row
-                    indptr.extend(range(indptr[-1] + 1, indptr[-1] + 1 + stop - start))
-                    indices.extend([0] * (stop - start))
-                    coeffs.extend([1] * (stop - start))
-                else:  # the constant 0: empty rows
-                    indptr.extend([indptr[-1]] * (stop - start))
+                    out.side(side, piece.start, piece.stop)
+                else:  # B the constant 1, C the constant 0
+                    out.constant(count, int(name == "b"))
             else:
-                lc = get(piece)
+                lc = getattr(piece, name)
                 side = lc.block if lc.__class__ is RowView else None
                 if side is not None:
-                    lo, hi = side.indptr[lc.row], side.indptr[lc.row + 1]
-                    indices.extend(slice_positions(side, lo, hi))
-                    coeffs.extend(side.coeffs[lo:hi])
+                    out.side(side, lc.row, lc.row + 1)
                 else:
-                    indices.extend(map(position_of, lc.terms))
-                    coeffs.extend(lc.terms.values())
-                indptr.append(len(indices))
-        mats.append(CSRMatrix(indptr, indices, coeffs))
+                    out.lc(lc.terms)
+        mats.append(out.finish())
     return CSRSystem(mats[0], mats[1], mats[2], num_public, num_private,
                      modulus)
 
 
-# Terms per evaluation block: a 32 MiB product list at 96 bytes a term (the
-# ~508-bit product int plus its list slot).  Every benchmarked matrix fits
-# one block (LCS:full's A side is 224,922 terms) and keeps the single
-# sweep; LCL:full (2.5M) streams in blocks.
-_BLOCK_NNZ = (32 << 20) // 96
+# -- evaluation -------------------------------------------------------------
 
 
-def _eval_block(
-    matrix: CSRMatrix,
-    z: List[int],
-    modulus: int,
-    out: List[int],
-    start_row: int,
-    stop_row: int,
-) -> None:
-    indptr = matrix.indptr
-    lo, hi = indptr[start_row], indptr[stop_row]
-    full = lo == 0 and hi == matrix.nnz
-    coeffs = matrix.coeffs if full else matrix.coeffs[lo:hi]
-    indices = matrix.indices if full else matrix.indices[lo:hi]
-    prods = list(map(operator.mul, coeffs, map(z.__getitem__, indices)))
-    begin = 0
-    for row in range(start_row, stop_row):
-        end = indptr[row + 1] - lo
-        out[row] = sum(prods[begin:end]) % modulus
-        begin = end
+class SignedWitness:
+    """An assignment vector and its centred int64 form."""
+
+    __slots__ = ("z", "signed", "top", "_objects")
+
+    def __init__(self, z: List[int], modulus: int) -> None:
+        bottom = modulus - _Z_BOUND
+        self.z = z  # canonical values
+        # Each value centred; _WIDE past _Z_BOUND.
+        self.signed = np.array(
+            [v if v <= _Z_BOUND else v - modulus if v >= bottom else _WIDE
+             for v in z],
+            dtype=np.int64,
+        )
+        self.top = int(np.abs(self.signed).max()) if z else 0
+        self._objects = None
+
+    @property
+    def objects(self) -> np.ndarray:
+        """``z`` as an object ndarray, for bigint-lane products."""
+        if self._objects is None:
+            self._objects = np.array(self.z, dtype=object)
+        return self._objects
 
 
-def matrix_row_evals(
-    matrix: CSRMatrix, z: List[int], modulus: int
-) -> List[int]:
-    """Evaluate ``<M_j, z>`` for every row ``j``.
+class RowValues(NamedTuple):
+    """Row values of one matrix: ``low[j]`` is row ``j``'s int64 sum of
+    slot 0 (``|low[j]| < 2^63``) and ``extra`` (object ndarray) the rest of
+    the value of row ``rows[k]`` — a knit row's further slots, a row's
+    bigint-lane products; a row may have more than one such part."""
 
-    Single pass: all coefficient products are formed in one C-level
-    ``map(mul, ...)`` sweep, then each row reduces to a slice sum and one
-    modular reduction — no per-term Python bytecode.  A matrix above
-    :data:`_BLOCK_NNZ` terms is swept in row blocks of at most that many
-    terms (a longer row is a block of its own), so the transient product
-    list stays bounded instead of growing with nnz.
+    low: np.ndarray
+    rows: np.ndarray
+    extra: np.ndarray
+
+    def exact(self) -> np.ndarray:
+        """Every row's value, unreduced, as an object ndarray."""
+        out = self.low.astype(object)
+        np.add.at(out, self.rows, self.extra)
+        return out
+
+    def canonical(self, modulus: int) -> List[int]:
+        """Every row value reduced into ``[0, modulus)``."""
+        low = self.low
+        out = low.astype(object)
+        out[low < 0] += modulus
+        if self.rows.size:
+            np.add.at(out, self.rows, self.extra)
+            out[self.rows] %= modulus
+        return out.tolist()
+
+
+def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``values`` (terms in row order along the last
+    axis), 0 for an empty row.  ``np.add.reduceat`` repeats the term at an
+    empty row's offset rather than summing nothing, so it runs over the
+    non-empty rows only."""
+    starts = indptr[:-1]
+    full = indptr[1:] > starts
+    sums = np.zeros(values.shape[:-1] + starts.shape, dtype=np.int64)
+    if values.shape[-1]:
+        sums[..., full] = np.add.reduceat(values, starts[full], axis=-1)
+    return sums
+
+
+def _lane_split(matrix: CSRMatrix, lanes: Lanes, witness: SignedWitness):
+    """``(zt, bigint)``: each term's signed witness value, 0 where the
+    term takes the bigint lane, and those terms' positions."""
+    zt = witness.signed[matrix.indices]
+    limit = lanes.limit
+    if not limit.size or witness.top <= int(limit.min()):
+        bigint = lanes.wide
+    else:
+        over = np.abs(zt) > np.repeat(limit, np.diff(matrix.indptr))
+        over[lanes.wide] = True
+        bigint = np.flatnonzero(over)
+    zt[bigint] = 0
+    return zt, bigint
+
+
+def _knit_values(run: KnitRun, zt: np.ndarray, indptr: np.ndarray):
+    """Slots ``1..`` of each row of ``run``, joined: ``sum_k S_k << (w k)``
+    over its int64 slot sums — at most one shift and one addition a slot."""
+    terms = zt[run.first:run.first + run.digits.shape[1]]
+    ptr = indptr[run.start:run.stop + 1] - run.first
+    highs = _row_sums(run.digits * terms, ptr).T.tolist()
+    widths = run.widths
+    widths = repeat(widths) if np.ndim(widths) == 0 else widths.tolist()
+    values = np.empty(len(highs), dtype=object)
+    for row, (slots, width) in enumerate(zip(highs, widths)):
+        value = 0
+        for part in reversed(slots):
+            value = (value + part) << width
+        values[row] = value
+    return values
+
+
+def _bigint_values(matrix: CSRMatrix, lanes: Lanes, witness, bigint):
+    """``(rows, sums)``: the bigint-lane products summed per row.  A term
+    whose coefficient is its slot-0 digit multiplies by that small signed
+    digit; the others (no digits, or knit) by the coefficient itself."""
+    whole = np.zeros(matrix.nnz, dtype=bool)
+    whole[lanes.wide] = True
+    for run in lanes.knit:
+        whole[run.first:run.first + run.digits.shape[1]] = True
+    coeffs = lanes.low[bigint].astype(object)
+    exact = whole[bigint]
+    if exact.any():
+        coeffs[exact] = list(
+            map(matrix.coeffs.__getitem__, bigint[exact].tolist())
+        )
+    products = coeffs * witness.objects[matrix.indices[bigint]]
+    row_of = np.searchsorted(matrix.indptr, bigint, side="right") - 1
+    heads = np.flatnonzero(np.diff(row_of, prepend=-1))
+    return row_of[heads], np.add.reduceat(products, heads)
+
+
+def row_values(
+    matrix: CSRMatrix, witness: SignedWitness, modulus: int
+) -> RowValues:
+    """``<M_j, z>`` for every row ``j`` — the one row evaluator.
+
+    Slot 0 of every row is one int64 product-and-``reduceat`` sweep; each
+    further slot of a knit run another, over that run's terms, joined per
+    row with at most ``s`` big-integer shifts and additions.  Bigint-lane
+    terms are exact products, summed per row.
     """
+    lanes = matrix.lanes(modulus)
     indptr = matrix.indptr
-    num_rows = matrix.num_rows
-    out = [0] * num_rows
-    row = 0
-    while row < num_rows:
-        # The last row end within budget, but at least one row.
-        end = bisect_right(indptr, indptr[row] + _BLOCK_NNZ, row + 2) - 1
-        _eval_block(matrix, z, modulus, out, row, end)
-        row = end
-    return out
+    zt, bigint = _lane_split(matrix, lanes, witness)
+    low = _row_sums(lanes.low * zt, indptr)
+    rows, extra = [], []
+    for run in lanes.knit:
+        rows.append(np.arange(run.start, run.stop))
+        extra.append(_knit_values(run, zt, indptr))
+    if bigint.size:
+        for part, values in zip((rows, extra), _bigint_values(
+            matrix, lanes, witness, bigint
+        )):
+            part.append(values)
+    if not rows:
+        return RowValues(low, bigint[:0], np.zeros(0, dtype=object))
+    return RowValues(low, np.concatenate(rows), np.concatenate(extra))
 
 
-def evaluate_rows(csr: CSRSystem) -> Tuple[List[int], List[int], List[int]]:
-    """``(A_w, B_w, C_w)`` row evaluations, in the calling process.
+def sweep(csr: CSRSystem) -> Tuple[RowValues, RowValues, RowValues]:
+    """``(A, B, C)`` row values of the snapshot's assignment.
 
     Tallies one ``field_mul`` per materialized term, matching what the
     per-LC oracle (``tests/lc_oracle.py``) records.
     """
     from repro.field.counters import global_counter
 
-    if csr.z is None:
-        raise ValueError("CSR snapshot has no assignment vector")
-    z, p = csr.z, csr.modulus
-    a, b, c = (matrix_row_evals(matrix, z, p) for matrix in csr.matrices())
+    witness = csr.witness()
+    p = csr.modulus
+    a, b, c = (row_values(matrix, witness, p) for matrix in csr.matrices())
     global_counter().field_mul += csr.total_terms()
     return a, b, c
+
+
+def bigint_lane(csr: CSRSystem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The term positions of A, B and C that take the bigint lane under
+    the snapshot's assignment."""
+    witness = csr.witness()
+    return tuple(
+        _lane_split(matrix, matrix.lanes(csr.modulus), witness)[1]
+        for matrix in csr.matrices()
+    )
+
+
+def matrix_row_evals(
+    matrix: CSRMatrix, z: List[int], modulus: int
+) -> List[int]:
+    """``<M_j, z> mod p`` for every row ``j`` (canonical ints)."""
+    return row_values(
+        matrix, SignedWitness(z, modulus), modulus
+    ).canonical(modulus)
+
+
+def evaluate_rows(csr: CSRSystem) -> Tuple[List[int], List[int], List[int]]:
+    """``(A_w, B_w, C_w)`` row evaluations, canonical, in the calling
+    process."""
+    p = csr.modulus
+    a, b, c = sweep(csr)
+    return a.canonical(p), b.canonical(p), c.canonical(p)
+
+
+def unsatisfied_rows(csr: CSRSystem) -> List[int]:
+    """The rows ``j`` with ``<A_j,z> <B_j,z> != <C_j,z> (mod p)``, in order.
+
+    Where no side has an extra part and ``|a|, |b| < 2^31``, the check is
+    one int64 comparison ``a * b == c`` over all such rows at once: the
+    values are exact integer representatives below ``2^63 < p`` in
+    magnitude, so equality mod ``p`` is equality.  The other rows are
+    checked as exact integers in object arrays.
+    """
+    a, b, c = sweep(csr)
+    short = (np.abs(a.low) < _HALF_WORD) & (np.abs(b.low) < _HALF_WORD)
+    for values in (a, b, c):
+        short[values.rows] = False
+    bad = short & (a.low * b.low != c.low)
+    rest = np.flatnonzero(~short)
+    if rest.size:
+        left = a.exact()[rest] * b.exact()[rest] - c.exact()[rest]
+        bad[rest] = left % csr.modulus != 0
+    return np.flatnonzero(bad).tolist()

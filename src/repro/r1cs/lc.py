@@ -179,55 +179,190 @@ class LinearCombination:
         return "LC(" + " + ".join(parts) + ")"
 
 
+# A slot-0 digit equal to this marks a term without digits (a field-wide
+# coefficient); its other slots are 0.  Centred coefficients below it in
+# magnitude are their own digit.
+NO_DIGIT = 1 << 62
+# The dtypes knit digits are kept in, narrowest first, with their largest
+# value.
+_DTYPES = [
+    (dtype, np.iinfo(dtype).max)
+    for dtype in (np.int8, np.int16, np.int32, np.int64)
+]
+
+
 class RowSide:
     """CSR storage for one side (A, B or C) of a run of constraint rows.
 
     ``variables[indptr[i]:indptr[i + 1]]`` are row ``i``'s signed variable
-    indices (an integer ndarray) and ``coeffs`` the aligned canonical
-    field coefficients (ints) — the arrays the prover wants, written once
-    by whoever lowers a whole layer at a time
-    (:func:`repro.core.privacy.knit.pack_slots`,
+    indices and ``coeffs`` the aligned canonical field coefficients (ints)
+    — the arrays the prover wants, written once by whoever lowers a whole
+    layer at a time (:func:`repro.core.privacy.knit.pack_slots`,
     :func:`repro.aggregate.split.split_model`) and copied slice-wise into
     the CSR snapshot by :func:`repro.r1cs.csr.build_csr_structure`.
-    The coefficients are kept in a tuple: a tuple of ints is dropped from
-    the cyclic collector's books after its first pass (as the ``{int:
-    int}`` dicts of ordinary LCs never enter them), where a list of a
-    million coefficients would be walked by every full collection.
+    ``indptr`` and ``variables`` are int64 ndarrays.  The coefficients are
+    kept in a tuple: a tuple of ints is dropped from the cyclic
+    collector's books after its first pass (as the ``{int: int}`` dicts of
+    ordinary LCs never enter them), where a list of a million
+    coefficients would be walked by every full collection.
+
+    ``digits``, when known, is the same coefficients as small signed *slot
+    digits*: a slot-major integer ndarray of shape ``(slots, terms)`` with
+    ``coeffs[t] = sum_k digits[k, t] * 2^(width * k) (mod p)``, ``width``
+    the row's entry of ``widths`` (one int for every row, or an ndarray of
+    one per row; it does not matter for one slot).  They are the digits
+    :func:`~repro.core.privacy.knit.pack_slots` packs a knit coefficient
+    from — kept in the narrowest integer dtype that holds them, ``scale``
+    a bound on their magnitude (measured unless the caller passes one) —
+    or one slot of small signed coefficients, where :data:`NO_DIGIT` marks
+    a coefficient without digits.  The prover sums rows over them in int64
+    (:mod:`repro.r1cs.csr`).
     """
 
-    __slots__ = ("indptr", "variables", "coeffs")
+    __slots__ = ("indptr", "variables", "coeffs", "digits", "widths", "scale")
 
-    def __init__(self, indptr: list, variables, coeffs) -> None:
-        self.indptr = indptr
+    def __init__(
+        self, indptr, variables, coeffs, digits=None, widths=0, scale=None
+    ) -> None:
+        self.indptr = np.asarray(indptr, dtype=np.int64)
         self.variables = np.asarray(variables, dtype=np.int64)
         self.coeffs = tuple(coeffs)
+        self.widths = widths
+        self.scale = 0
+        if digits is not None:
+            digits = np.asarray(digits)
+            if digits.ndim == 1:
+                digits = digits[None]
+            if len(digits) > 1 and digits.size:
+                if scale is None:
+                    scale = max(-int(digits.min()), int(digits.max()))
+                dtype = next(
+                    (d for d, top in _DTYPES if scale <= top), np.int64
+                )
+                digits = digits.astype(dtype, order="C", copy=False)
+                self.scale = scale
+        self.digits = digits
 
     def __len__(self) -> int:
         """The number of rows."""
         return len(self.indptr) - 1
 
     @classmethod
+    def concat(cls, sides: Sequence["RowSide"]) -> "RowSide":
+        """The rows of ``sides``, one side after another."""
+        ends = np.cumsum([side.indptr[-1] for side in sides])
+        indptr = np.concatenate([sides[0].indptr[:1]] + [
+            side.indptr[1:] + end - side.indptr[-1]
+            for side, end in zip(sides, ends)
+        ])
+        digits, widths = None, 0
+        if all(side.digits is not None for side in sides):
+            digits = np.zeros(
+                (max(len(side.digits) for side in sides), int(ends[-1])),
+                dtype=np.int64,
+            )
+            for side, end in zip(sides, ends):
+                terms = side.digits.shape[1]
+                digits[:len(side.digits), end - terms:end] = side.digits
+            widths = np.concatenate([
+                np.broadcast_to(side.widths, len(side)) for side in sides
+            ])
+        return cls(
+            indptr,
+            np.concatenate([side.variables for side in sides]),
+            sum((side.coeffs for side in sides), ()),
+            digits, widths,
+        )
+
+    @classmethod
     def gather(cls, num_rows: int, pieces, modulus: int) -> "RowSide":
-        """``num_rows`` rows from ``(rows, variables, coeffs)`` pieces (a
-        scalar stands for every entry of its piece); within a row, terms
-        keep piece order.  Coefficients are small signed integers or
-        field residues, stored canonical."""
-        rows = np.concatenate([r for r, _, _ in pieces])
+        """``num_rows`` rows from pieces; within a row, terms keep piece
+        order.  A piece is ``(rows, variables, coeffs)`` — a scalar stands
+        for every entry; coefficients are small signed integers or field
+        residues, stored canonical, and kept as one slot of digits
+        (:func:`centred_digits` for residues) — or ``(rows, side)``: the
+        terms of a :class:`RowSide`, in order, with its digits and slot
+        widths."""
+        rows = np.concatenate([piece[0] for piece in pieces])
+        parts = [
+            (piece[1].variables, np.array(piece[1].coeffs, dtype=object))
+            if len(piece) == 2 else
+            (np.broadcast_to(piece[1], piece[0].shape),
+             np.broadcast_to(piece[2], piece[0].shape))
+            for piece in pieces
+        ]
         variables, coeffs = (
-            np.concatenate([np.broadcast_to(piece[i], piece[0].shape)
-                            for piece in pieces])
-            for i in (1, 2)
+            np.concatenate([part[i] for part in parts]) for i in (0, 1)
         )
         order = np.argsort(rows, kind="stable")
         coeffs = coeffs[order]
+        if coeffs.dtype.kind == "i":  # integer coefficients: their digits
+            digits, widths = coeffs, 0
+        else:
+            digits, widths = _gathered_digits(
+                num_rows, rows, order, pieces, parts, modulus
+            )
         return cls(
             np.concatenate(
                 ([0], np.cumsum(np.bincount(rows, minlength=num_rows)))
-            ).tolist(),
+            ),
             variables[order],
             [c % modulus for c in coeffs.tolist()]
             if coeffs.size and coeffs.min() < 0 else coeffs.tolist(),
+            digits, widths,
         )
+
+
+def _gathered_digits(num_rows: int, rows, order, pieces, parts, modulus):
+    """The ``(digits, widths)`` of :meth:`RowSide.gather` past integer
+    coefficients: residues centred, side pieces with their own digits;
+    ``(None, 0)`` unless every side piece has digits and no row takes knit
+    terms of two widths."""
+    digits = []  # per piece: its digits and each entry's slot width
+    for piece, (_, coeffs) in zip(pieces, parts):
+        if len(piece) == 2:
+            side = piece[1]
+            if side.digits is None:
+                return None, 0
+            lengths = np.diff(side.indptr)
+            digits.append((side.digits, np.repeat(
+                np.broadcast_to(side.widths, lengths.shape), lengths
+            ) if len(side.digits) > 1 else 0))
+        elif coeffs.dtype.kind == "i":
+            digits.append((coeffs[None], 0))
+        else:
+            digits.append((centred_digits(coeffs.tolist(), modulus)[None], 0))
+    out = np.zeros(
+        (max(len(part) for part, _ in digits), rows.size), dtype=np.int64
+    )
+    term_widths = np.zeros(rows.size, dtype=np.int64)
+    at = 0
+    for part, term_width in digits:
+        slots, count = part.shape
+        out[:slots, at:at + count] = part
+        term_widths[at:at + count] = term_width
+        at += count
+    out = out[:, order]
+    knit = np.flatnonzero(term_widths)
+    if not knit.size:
+        return out, 0
+    widths = np.zeros(num_rows, dtype=np.int64)  # a row takes its knit width
+    widths[rows[knit]] = term_widths[knit]
+    if (widths[rows[knit]] != term_widths[knit]).any():
+        return None, 0
+    return out, widths
+
+
+def centred_digits(coeffs: Sequence[int], modulus: int) -> np.ndarray:
+    """Canonical coefficients as one slot of digits: each centred into
+    ``(-p/2, p/2)`` where that is below :data:`NO_DIGIT` in magnitude,
+    else :data:`NO_DIGIT`."""
+    top = modulus - NO_DIGIT
+    return np.array(
+        [c if c < NO_DIGIT else c - modulus if c > top else NO_DIGIT
+         for c in coeffs],
+        dtype=np.int64,
+    )
 
 
 class RowBlock:
@@ -313,7 +448,7 @@ class RowView(LinearCombination):
         block = self.block
         if block is None:
             return len(self.terms)
-        return block.indptr[self.row + 1] - block.indptr[self.row]
+        return int(block.indptr[self.row + 1] - block.indptr[self.row])
 
 
 class Assignment:

@@ -42,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.field.counters import global_counter
-from repro.r1cs.lc import ONE, RowBlock, RowSide
+from repro.r1cs.lc import ONE, RowBlock, RowSide, centred_digits
 from repro.r1cs.system import ConstraintSystem
 
 # Rounds absorbing 0 after the payload, so the digest of a prefix is
@@ -126,8 +126,9 @@ class Sponge:
 
 
 # One side (A, B or C) of some rows in CSR form: the rows' signed
-# variables end to end, the aligned coefficients, and indptr.
-Side = Tuple[np.ndarray, List[int], np.ndarray]
+# variables end to end, the aligned coefficients, indptr, and the
+# coefficients' one slot of digits (repro.r1cs.lc.RowSide).
+Side = Tuple[np.ndarray, List[int], np.ndarray, np.ndarray]
 
 
 class SpongeRows(NamedTuple):
@@ -141,8 +142,8 @@ class SpongeRows(NamedTuple):
         """Every row, as a constraint system takes them."""
         return RowBlock(
             *(
-                RowSide(indptr.tolist(), variables, coeffs)
-                for variables, coeffs, indptr in self.sides
+                RowSide(indptr, variables, coeffs, digits)
+                for variables, coeffs, indptr, digits in self.sides
             ),
             tags=self.tags,
         )
@@ -222,6 +223,11 @@ def sponge_rows(
         np.array(a_coeffs, dtype=object),
         constant[has_constant],
     ])[order]
+    t_digits = np.concatenate([
+        np.ones(has_state.sum(), dtype=np.int64),
+        centred_digits(a_coeffs, modulus),
+        centred_digits(constant[has_constant].tolist(), modulus),
+    ])[order]
     t_width = np.bincount(term_round, minlength=total)
 
     # Each side of each row is a round's t, one wire, a pin's ``digest -
@@ -238,6 +244,10 @@ def sponge_rows(
         np.ones(3 * total, dtype=object),
         np.tile(np.array([1, modulus - 1], dtype=object), len(pin)),
         np.ones(1, dtype=object),
+    ])
+    pool_digits = np.concatenate([
+        t_digits, np.ones(3 * total, dtype=np.int64),
+        np.tile([1, -1], len(pin)), [1],
     ])
     pool_width = np.concatenate([
         t_width, np.ones(3 * total, dtype=np.int64), np.full(len(pin), 2),
@@ -260,7 +270,10 @@ def sponge_rows(
         source = np.repeat(pool_indptr[pick] - indptr[:-1], width) + np.arange(
             indptr[-1]
         )
-        return pool_vars[source], pool_coeffs[source].tolist(), indptr
+        return (
+            pool_vars[source], pool_coeffs[source].tolist(), indptr,
+            pool_digits[source],
+        )
 
     row_tags = np.repeat(np.array(tags, dtype=object), np.diff(first_row))
     row_tags[pin] += "/digest"

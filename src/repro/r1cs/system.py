@@ -436,18 +436,14 @@ class ConstraintSystem:
 
         With the stored witness (no explicit ``assignment``) the scan runs
         over the cached CSR snapshot + dense vector instead of per-LC dict
-        walks — the same single-pass evaluation the prover uses.
+        walks — the row evaluator the prover uses
+        (:func:`repro.r1cs.csr.unsatisfied_rows`).
         """
         if assignment is None:
-            from repro.r1cs.csr import evaluate_rows
+            from repro.r1cs.csr import unsatisfied_rows
 
-            csr = self.to_csr()
-            a_w, b_w, c_w = evaluate_rows(csr)
-            p = self.field.modulus
             found: List[Violation] = []
-            for index in range(csr.num_rows):
-                if (a_w[index] * b_w[index] - c_w[index]) % p == 0:
-                    continue
+            for index in unsatisfied_rows(self.to_csr()):
                 found.append(
                     Violation(
                         index, self.constraints[index], self.layer_of(index)

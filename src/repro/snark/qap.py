@@ -471,7 +471,11 @@ def qap_evaluations_at(
     Used by the (trapdoor-simulated) trusted setup: sweep the sparse
     constraint matrices once, accumulating ``a_{j,i} * L_j(tau)``.  Runs
     over the CSR snapshot, whose columns are already variable-order
-    positions, so block-lowered rows are never expanded into dicts.
+    positions, so block-lowered rows are never expanded into dicts; its
+    int64 index arrays are read through one ``.tolist()`` each.  (The
+    int64 lane of :mod:`repro.r1cs.csr` has nothing to offer here:
+    ``L_j(tau)`` is a field-wide value, so every product is a bigint one,
+    and a knit coefficient's slot digits would only multiply them.)
     """
     p = domain.field.modulus
     lagrange = domain.lagrange_at(tau)
@@ -479,7 +483,8 @@ def qap_evaluations_at(
     out = []
     for matrix in csr.matrices():
         at = [0] * csr.num_variables
-        indptr, indices, coeffs = matrix.indptr, matrix.indices, matrix.coeffs
+        indptr, indices = matrix.indptr.tolist(), matrix.indices.tolist()
+        coeffs = matrix.coeffs
         for j in range(csr.num_rows):
             lj = lagrange[j]
             for k in range(indptr[j], indptr[j + 1]):

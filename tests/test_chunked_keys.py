@@ -11,8 +11,8 @@ checkable pieces, each tested here against its dense counterpart:
 * ``groth16.setup(store=...)`` + ``prove`` produce proofs byte-identical
   to the dense path on both group backends, including after a cold
   reload via :func:`load_chunked_proving_key`;
-* CSR witness evaluation in row blocks (a patched nnz budget) matches the
-  single-sweep result;
+* CSR witness evaluation with every term on the bigint lane matches the
+  int64 lane's;
 * ``ArtifactStore`` LRU eviction charges actual on-disk chunk bytes;
 * ``PhaseTimer`` reports a nonzero ``peak_rss_bytes``.
 """
@@ -196,25 +196,34 @@ class TestChunkedProvingKey:
 
 
 class TestStreamedCSR:
-    def test_blocked_evaluation_matches(self, monkeypatch):
-        import repro.r1cs.csr as csr_mod
-        from repro.r1cs.csr import matrix_row_evals
+    def test_blocked_evaluation_matches(self):
+        """The lane split does not change a row: the snapshot as built
+        (every term of this circuit on the int64 lane) against the same
+        matrices with every term moved to the bigint lane."""
+        import numpy as np
+
+        from repro.r1cs.csr import (
+            CSRMatrix,
+            Lanes,
+            bigint_lane,
+            matrix_row_evals,
+        )
 
         cs = tiny_cs()
         csr = cs.to_csr()
-        assert csr.a.nnz <= csr_mod._BLOCK_NNZ  # one sweep by default
-        baseline = [
-            matrix_row_evals(m, csr.z, csr.modulus)
-            for m in (csr.a, csr.b, csr.c)
-        ]
-        # A tiny nnz budget forces many row-aligned spans.
-        monkeypatch.setattr(csr_mod, "_BLOCK_NNZ", 5)
-        blocked = [
-            matrix_row_evals(m, csr.z, csr.modulus)
-            for m in (csr.a, csr.b, csr.c)
-        ]
-        for base, block in zip(baseline, blocked):
-            assert list(base) == list(block)
+        assert all(terms.size == 0 for terms in bigint_lane(csr))
+        for matrix in csr.matrices():
+            wide = CSRMatrix(
+                matrix.indptr, matrix.indices, matrix.coeffs,
+                Lanes(
+                    np.zeros(matrix.nnz, dtype=np.int64),
+                    np.arange(matrix.nnz),
+                    np.zeros(matrix.num_rows, dtype=np.int64), [],
+                ),
+            )
+            assert matrix_row_evals(wide, csr.z, csr.modulus) == (
+                matrix_row_evals(matrix, csr.z, csr.modulus)
+            )
 
 
 class TestStoreByteBudget:

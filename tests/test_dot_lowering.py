@@ -335,14 +335,22 @@ class TestPackSlots:
             rows.tolist(), cols.tolist(), slots.tolist(), coeffs.tolist(),
             40, 28, p,
         )
-        assert cache.hits + cache.misses == len(fast[2])
-        assert fast[0] == slow[0]
+        assert cache.hits + cache.misses == len(fast.coeffs)
+        assert fast.indptr.tolist() == slow.indptr.tolist()
+        for side in (fast, slow):  # the kept slot digits pack to the coeffs
+            assert side.widths == 28
+            assert [
+                sum(int(d) << (28 * k) for k, d in enumerate(term)) % p
+                for term in side.digits.T
+            ] == list(side.coeffs)
         for row in range(40):
-            lo, hi = fast[0][row], fast[0][row + 1]
-            assert dict(zip(fast[1][lo:hi].tolist(), fast[2][lo:hi])) == dict(
-                zip(slow[1][lo:hi], slow[2][lo:hi])
-            )
-            for col, value in zip(slow[1][lo:hi], slow[2][lo:hi]):
+            lo, hi = fast.indptr[row], fast.indptr[row + 1]
+            assert dict(
+                zip(fast.variables[lo:hi].tolist(), fast.coeffs[lo:hi])
+            ) == dict(zip(slow.variables[lo:hi].tolist(), slow.coeffs[lo:hi]))
+            for col, value in zip(
+                slow.variables[lo:hi].tolist(), slow.coeffs[lo:hi]
+            ):
                 mask = (rows == row) & (cols == col)
                 assert value == sum(
                     int(c) << (28 * int(s))
@@ -352,13 +360,20 @@ class TestPackSlots:
     def test_out_of_lane_coefficient_is_packed_exactly(self):
         p = BN254_FR_MODULUS
         big = 1 << 40
-        indptr, cols, values = knit.pack_slots(
+        side = knit.pack_slots(
             np.array([0, 0, 0]), np.array([7, 7, 8]), np.array([0, 1, 1]),
             np.array([big, -3, 5]), 1, 24, p,
         )
-        assert dict(zip(np.asarray(cols).tolist(), values)) == {
+        assert dict(zip(side.variables.tolist(), side.coeffs)) == {
             7: (big - (3 << 24)) % p, 8: 5 << 24
         }
+        # 2^40 is wider than its slot: the digits are cut afresh, balanced.
+        assert side.widths == 24
+        assert np.abs(side.digits).max() <= 1 << 23
+        assert [
+            sum(int(d) << (24 * k) for k, d in enumerate(term)) % p
+            for term in side.digits.T
+        ] == list(side.coeffs)
 
     def test_cache_changes_no_row(self):
         rng = np.random.default_rng(4)

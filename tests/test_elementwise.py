@@ -89,7 +89,10 @@ def run_rows(em, wires, calls, public):
 def observe(cs, em, outs, ops):
     csr = cs.to_csr()
     return {
-        "rows": [(m.indptr, m.indices, m.coeffs) for m in csr.matrices()],
+        "rows": [
+            (m.indptr.tolist(), m.indices.tolist(), m.coeffs)
+            for m in csr.matrices()
+        ],
         "tags": cs.row_tags(),
         "z": list(csr.z),
         "sizes": (cs.num_public, cs.num_private),

@@ -6,7 +6,7 @@ the boundary values 0, 1, p-1), the exactness bounds and an adversarial
 case at the extremes they allow for, rejection of non-canonical inputs,
 kernel-call counts per transform, the bounded domain LRU and its
 fork-consistency in worker pools, ``zero_ok`` batch inversion feeding the
-batch-affine bucket fold, the blocked CSR row sweep, and proof
+batch-affine bucket fold, the CSR row sweep across its lanes, and proof
 byte-identity whichever path the transforms take.
 """
 
@@ -383,20 +383,26 @@ class TestBatchInverseZeroOk:
 
 
 class TestFieldDotChunking:
-    def test_long_row_matches_naive(self, monkeypatch):
-        """Row dot products in the blocked CSR sweep: rows of 1..3 terms
-        around one 500-term row, under a 64-term block budget — several
-        blocks of short rows, and the long row a block of its own."""
+    def test_long_row_matches_naive(self):
+        """Row dot products across the lane split: rows of 1..3 terms
+        around one 500-term row, coefficients and witness values mixing
+        small signed ones (the int64 lane) with field-wide ones (the
+        bigint lane), both lanes taken."""
         import repro.r1cs.csr as csr_mod
 
-        monkeypatch.setattr(csr_mod, "_BLOCK_NNZ", 64)
         rng = random.Random(23)
-        z = [rng.randrange(P) for _ in range(600)]
+
+        def value():
+            if rng.random() < 0.3:
+                return rng.randrange(P)
+            return rng.randrange(-999, 1000) % P
+
+        z = [value() for _ in range(600)]
         lengths = [1 + k % 3 for k in range(40)] + [500] + [2] * 30
         indptr, indices, coeffs = [0], [], []
         for n in lengths:
             indices += [rng.randrange(len(z)) for _ in range(n)]
-            coeffs += [rng.randrange(P) for _ in range(n)]
+            coeffs += [value() for _ in range(n)]
             indptr.append(len(indices))
         matrix = csr_mod.CSRMatrix(indptr, indices, coeffs)
         naive = [
@@ -404,6 +410,9 @@ class TestFieldDotChunking:
             for lo, hi in zip(indptr, indptr[1:])
         ]
         assert csr_mod.matrix_row_evals(matrix, z, P) == naive
+        csr = csr_mod.CSRSystem(matrix, matrix, matrix, 0, len(z) - 1, P, z)
+        bigint = csr_mod.bigint_lane(csr)[0].size
+        assert 0 < bigint < matrix.nnz
 
 
 class TestDomainCacheLRU:

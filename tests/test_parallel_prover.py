@@ -131,8 +131,8 @@ class TestPendingRows:
         )
         before, after = pending.to_csr(), listed.to_csr()
         for mine, theirs in zip(before.matrices(), after.matrices()):
-            assert mine.indptr == theirs.indptr
-            assert mine.indices == theirs.indices
+            assert mine.indptr.tolist() == theirs.indptr.tolist()
+            assert mine.indices.tolist() == theirs.indices.tolist()
             assert mine.coeffs == theirs.coeffs
         assert evaluate_rows(before) == evaluate_rows(after)
         domain = Domain(16)

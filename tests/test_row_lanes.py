@@ -1,0 +1,219 @@
+"""The row evaluator's two lanes (``repro.r1cs.csr``).
+
+A row is summed slot by slot in int64 over the compiler's slot digits;
+a term whose sum cannot be bounded into int64 — a coefficient without
+digits, or a witness value past the row's limit — is one exact product on
+the bigint lane.  Whatever the split, every row must equal the naive
+``sum c * z mod p``, and the satisfaction check must agree with
+``a * b - c mod p``.  The census tests pin where the lanes fall on real
+circuits, so that a silent fall back to big integers fails a test.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.field.fp import BN254_FR
+from repro.r1cs.csr import (
+    bigint_lane,
+    evaluate_rows,
+    unsatisfied_rows,
+)
+from repro.r1cs.lc import LinearCombination, RowBlock, RowSide
+from repro.r1cs.system import ConstraintSystem
+
+P = BN254_FR.modulus
+VARIABLES = 12  # private variables 1..12; 0 is the constant one
+
+
+def witness_value():
+    """Small signed, near the int64 edge, or field-wide."""
+    return st.one_of(
+        st.integers(-(2**20), 2**20),
+        st.integers(-(2**63), 2**63),
+        st.integers(0, P - 1),
+    ).map(lambda v: v % P)
+
+
+@st.composite
+def side(draw, rows: int):
+    """``rows`` rows of a RowSide: knit digits of 1, 2 or 11 slots at a
+    drawn width (the two-width concatenation of :meth:`RowSide.concat`
+    included), or coefficients alone — small signed ones and field-wide
+    constants; rows may be empty."""
+    lengths = [draw(st.integers(0, 5)) for _ in range(rows)]
+    terms = sum(lengths)
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    variables = draw(st.lists(
+        st.integers(0, VARIABLES), min_size=terms, max_size=terms
+    ))
+    kind = draw(st.sampled_from(["digits", "coeffs", "two widths"]))
+    if kind == "coeffs":
+        coeffs = draw(st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.integers(0, P - 1)),
+            min_size=terms, max_size=terms,
+        ))
+        return RowSide(indptr, variables, [c % P for c in coeffs])
+    if kind == "two widths" and rows >= 2:
+        cut = draw(st.integers(1, rows - 1))
+        head = _knit(draw, lengths[:cut], variables[:sum(lengths[:cut])])
+        tail = _knit(draw, lengths[cut:], variables[sum(lengths[:cut]):])
+        return RowSide.concat([head, tail])
+    return _knit(draw, lengths, variables)
+
+
+def _knit(draw, lengths, variables):
+    slots = draw(st.sampled_from([1, 2, 11]))
+    width = draw(st.integers(4, 254 // slots))
+    half = 2 ** (min(width, 62) - 1) if slots > 1 else 2**61
+    terms = len(variables)
+    digits = np.array(
+        draw(st.lists(
+            st.integers(-half + 1, half - 1),
+            min_size=slots * terms, max_size=slots * terms,
+        )),
+        dtype=np.int64,
+    ).reshape(slots, terms)
+    coeffs = [
+        sum(int(d) << (width * k) for k, d in enumerate(digits[:, t])) % P
+        for t in range(terms)
+    ]
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    return RowSide(indptr, variables, coeffs, digits, width)
+
+
+@st.composite
+def system(draw):
+    """A constraint system of row runs (three drawn sides each, or an
+    absent B and C) and dict-LC constraints, over a drawn witness."""
+    cs = ConstraintSystem()
+    cs.allocate(draw(st.lists(
+        witness_value(), min_size=VARIABLES, max_size=VARIABLES
+    )))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            rows = draw(st.integers(1, 5))
+            block = RowBlock(draw(side(rows)), draw(side(rows)),
+                             draw(side(rows)))
+            if draw(st.booleans()):
+                block = RowBlock(draw(side(rows)))  # B = 1, C = 0
+            cs.enforce_rows(block)
+        else:
+            cs.enforce(*(
+                LinearCombination(cs.field, dict(draw(st.lists(
+                    st.tuples(st.integers(0, VARIABLES),
+                              st.integers(1, P - 1)),
+                    max_size=4,
+                ))))
+                for _ in range(3)
+            ))
+    return cs
+
+
+def naive_rows(csr):
+    z = csr.z
+    out = []
+    for matrix in csr.matrices():
+        ptr, idx = matrix.indptr.tolist(), matrix.indices.tolist()
+        out.append([
+            sum(c * z[i] for c, i in zip(matrix.coeffs[lo:hi], idx[lo:hi]))
+            % P
+            for lo, hi in zip(ptr, ptr[1:])
+        ])
+    return tuple(out)
+
+
+class TestEvaluator:
+    @given(system())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_the_naive_bigint_sum(self, cs):
+        csr = cs.to_csr()
+        expected = naive_rows(csr)
+        assert evaluate_rows(csr) == expected
+        a, b, c = expected
+        assert unsatisfied_rows(csr) == [
+            j for j in range(csr.num_rows) if (a[j] * b[j] - c[j]) % P
+        ]
+
+    def test_empty_rows_sum_to_zero(self):
+        """``np.add.reduceat`` at a repeated offset returns the term there,
+        not 0: empty rows first, between and last."""
+        cs = ConstraintSystem()
+        cs.allocate([5, P - 7])
+        row_side = RowSide([0, 0, 2, 2, 3, 3], [1, 2, 2], [3, 1, P - 1],
+                       np.array([3, 1, -1]))
+        cs.enforce_rows(RowBlock(row_side))
+        assert evaluate_rows(cs.to_csr())[0] == [0, 8, 0, 7, 0]
+
+    def test_rows_just_under_and_over_the_int64_bound(self):
+        """Two unit terms at the row's limit sum just under 2^63 on the
+        int64 lane; one more and that term takes the bigint lane.  Both
+        signs, and the values stay exact."""
+        cs = ConstraintSystem()
+        cs.allocate([0, 0])
+        cs.enforce_rows(RowBlock(RowSide([0, 2], [1, 2], [1, 1],
+                                         np.array([1, 1]))))
+        limit = int(cs.to_csr().a.lanes(P).limit[0])
+        assert 2**62 < 2 * limit < 2**63
+        for sign in (1, -1):
+            for extra, lane in ((0, 0), (1, 1)):
+                cs.assign_run(1, [sign * (limit + extra), sign * limit])
+                csr = cs.to_csr()
+                assert bigint_lane(csr)[0].size == lane
+                assert evaluate_rows(csr)[0] == [
+                    sign * (2 * limit + extra) % P
+                ]
+
+    def test_field_wide_witness_and_constants_take_the_bigint_lane(self):
+        cs = ConstraintSystem()
+        cs.allocate([P - 3, P // 3])  # -3, and a field-wide value
+        cs.enforce_rows(RowBlock(RowSide(
+            [0, 3], [1, 2, 0], [1, 1, P // 5],  # field-wide constant
+        )))
+        csr = cs.to_csr()
+        assert bigint_lane(csr)[0].tolist() == [1, 2]
+        assert evaluate_rows(csr)[0] == [(-3 + P // 3 + P // 5) % P]
+
+
+class TestLaneCensus:
+    """Where the lanes fall on real circuits, for their compiled witness."""
+
+    def test_lean_lcs_full_takes_no_bigint_term(self):
+        from repro.core.compiler import CompilerOptions, ZenoCompiler
+        from repro.nn.data import synthetic_images
+        from repro.nn.models import build_model
+
+        model = build_model("LCS", "full")
+        image = synthetic_images(model.input_shape, 1, seed=3)[0]
+        cs = ZenoCompiler(CompilerOptions(gadget_mode="lean")).compile_model(
+            model, image
+        ).cs
+        csr = cs.to_csr()
+        assert [terms.size for terms in bigint_lane(csr)] == [0, 0, 0]
+        assert len(csr.a.lanes(P).knit) > 0  # knit rows on the int64 lane
+
+    @pytest.mark.parametrize("relu_mode", ["bits", "lookup"])
+    def test_strict_tiny_bigint_terms_are_field_wide(self, relu_mode):
+        """Every bigint-lane term of TINY:micro strict touches a
+        field-wide wire (a sponge, LogUp or boundary wire) or a field-wide
+        constant — none is there for want of digits or of a bound."""
+        from repro.core.compiler import CompilerOptions, ZenoCompiler
+        from repro.nn.data import synthetic_images
+        from repro.nn.models import build_model
+
+        model = build_model("TINY", "micro")
+        image = synthetic_images(model.input_shape, 1, seed=3)[0]
+        cs = ZenoCompiler(CompilerOptions(
+            gadget_mode="strict", relu_mode=relu_mode
+        )).compile_model(model, image).cs
+        csr = cs.to_csr()
+
+        def field_wide(value):
+            return min(value, P - value) >= 2**62
+
+        for matrix, terms in zip(csr.matrices(), bigint_lane(csr)):
+            for term in terms.tolist():
+                assert field_wide(csr.z[matrix.indices[term]]) or (
+                    field_wide(matrix.coeffs[term])
+                )
