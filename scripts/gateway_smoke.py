@@ -18,7 +18,9 @@ autoscaled inline worker nodes) on localhost, then:
 5. POSTs bodies naming an unknown model and a non-integer weight seed
    and asserts each gets a 400 with no journal record written, then
    restarts once more on the same ``--data-dir`` and asserts the gateway
-   comes up and serves every earlier result.
+   comes up and serves every earlier result;
+6. runs ``zeno cluster submit --connect <gateway> --jobs 2 --out-dir D``
+   and then ``zeno verify --batch D``, and asserts each exits 0.
 
 Exit code 0 on success.  Used by the CI "Gateway smoke" step; an optional
 job count turns it into a soak (24 by default)::
@@ -48,13 +50,18 @@ MODELS = ["SHAL", "LCS"]  # alternate: shallow CNN + the larger circuit
 SCALE = "micro"
 
 
-def start_gateway(data_dir: str, port_file: str) -> subprocess.Popen:
-    if os.path.exists(port_file):
-        os.unlink(port_file)
+def cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    return env
+
+
+def start_gateway(data_dir: str, port_file: str) -> subprocess.Popen:
+    if os.path.exists(port_file):
+        os.unlink(port_file)
+    env = cli_env()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "gateway",
@@ -150,6 +157,22 @@ def concurrent_retry(base: str) -> None:
     assert after["journal"]["jobs"] == before["journal"]["jobs"] + 1, (
         before["journal"], after["journal"]
     )
+
+
+def cli_round_trip(base: str, out_dir: str) -> None:
+    """``zeno cluster submit`` through the gateway writes proof, ``.vk``
+    and claim files that ``zeno verify --batch`` accepts."""
+    for argv in (
+        ["cluster", "submit", "--connect", base[len("http://"):],
+         "--model", "SHAL", "--scale", SCALE, "--jobs", "2",
+         "--out-dir", out_dir],
+        ["verify", "--batch", out_dir],
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv], env=cli_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=600,
+        )
+        assert run.returncode == 0, (argv, run.stdout.decode())
 
 
 def main(n_jobs: int = N_JOBS) -> int:
@@ -251,6 +274,9 @@ def main(n_jobs: int = N_JOBS) -> int:
             assert status == 200 and body["recovered"], (gid, status, body)
             assert i not in pre or body["proof"] == pre[i], gid
         print(f"restarted again: all {n_jobs} results served from the journal")
+
+        cli_round_trip(base, os.path.join(workdir, "cli-out"))
+        print("`cluster submit` over HTTP: 2 proofs `verify --batch` accepts")
     finally:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)

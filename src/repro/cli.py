@@ -471,16 +471,15 @@ def cmd_serve(args) -> int:
 
 
 def _write_job_artifacts(
-    spec: CircuitSpec, out: Path, res, vk: Optional[bytes]
+    spec: CircuitSpec, out: Path, proof: bytes, public_inputs, logits,
+    vk: bytes,
 ) -> Tuple[Path, Path]:
-    """Save one service/cluster result: proof, claim, and ``<out>.vk`` —
-    the verifying key the claim references."""
+    """Save one served result: proof, claim, and ``<out>.vk`` — the
+    verifying key the claim references."""
     vk_path = out.with_suffix(out.suffix + ".vk")
-    if vk:
-        vk_path.write_bytes(vk)
+    vk_path.write_bytes(vk)
     claim_path = _write_claim(
-        out, spec, res.proof, res.public_inputs, res.logits,
-        vk_file=vk_path.name,
+        out, spec, proof, public_inputs, logits, vk_file=vk_path.name
     )
     return vk_path, claim_path
 
@@ -498,7 +497,8 @@ def cmd_submit(args) -> int:
 
     out = Path(args.out)
     vk_path, claim_path = _write_job_artifacts(
-        spec, out, res, service.store.get(res.store_keys["vk"])
+        spec, out, res.proof, res.public_inputs, res.logits,
+        service.store.get(res.store_keys["vk"]),
     )
     print(f"prediction: class {int(np.argmax(res.logits))}")
     print(f"proof:  {out} ({out.stat().st_size} bytes)  verified={res.verified}")
@@ -510,37 +510,6 @@ def cmd_submit(args) -> int:
 def _parse_address(text: str):
     host, _, port = text.rpartition(":")
     return (host or "127.0.0.1", int(port))
-
-
-def cmd_cluster_coordinator(args) -> int:
-    """Run a coordinator until interrupted; nodes/clients dial its port."""
-    from repro.cluster import ClusterConfig, ClusterCoordinator
-    from repro.serve.service import ServiceConfig
-
-    cfg = ClusterConfig(
-        host=args.host,
-        port=args.port,
-        heartbeat_timeout=args.heartbeat_timeout,
-        node_window=args.window,
-        service=ServiceConfig(
-            max_batch=args.max_batch,
-            max_wait=args.max_wait,
-            max_retries=args.max_retries,
-            deterministic=args.deterministic,
-            audit=args.audit,
-        ),
-    )
-    coord = ClusterCoordinator(cfg)
-    host, port = coord.start()
-    print(f"coordinator listening on {host}:{port}", flush=True)
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    coord.shutdown(drain=True)
-    print(json.dumps(coord.stats(), indent=2, default=repr))
-    return 0
 
 
 def cmd_cluster_worker(args) -> int:
@@ -566,40 +535,72 @@ def cmd_cluster_worker(args) -> int:
     return 0
 
 
-def cmd_cluster_submit(args) -> int:
-    """Submit a batch of jobs to a running cluster and collect the proofs."""
-    from repro.cluster import ClusterClient
+def _gateway_call(base: str, path: str, api_key: Optional[str], body=None):
+    """One JSON request to a gateway: ``(status, reply)``."""
+    import urllib.error
+    import urllib.request
 
+    req = urllib.request.Request(
+        base + path,
+        data=None if body is None else json.dumps(body).encode(),
+        headers={"X-API-Key": api_key} if api_key else {},
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as err:
+        return err.code, json.loads(err.read() or b"{}")
+
+
+def cmd_cluster_submit(args) -> int:
+    """Submit a batch of jobs through a gateway and collect the proofs."""
     spec = _spec(args)
-    with ClusterClient(_parse_address(args.connect)) as client:
-        job_ids = [
-            client.submit(spec, image_seed=args.image_seed + i)
-            for i in range(args.jobs)
-        ]
-        out_dir = Path(args.out_dir) if args.out_dir else None
-        if out_dir:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        all_verified = True
-        for job_id in job_ids:
-            res = client.result(job_id, timeout=args.timeout)
-            all_verified &= res.verified
-            print(
-                f"{job_id}: class {int(np.argmax(res.logits))}  "
-                f"verified={res.verified}  node={res.store_keys.get('node')}  "
-                f"batch #{res.batch_id} (size {res.batch_size})  "
-                f"attempts={client.attempts(job_id)}"
+    base = "http://%s:%d" % _parse_address(args.connect)
+    gids = []
+    for i in range(args.jobs):
+        body = dict(spec.to_json(), image_seed=args.image_seed + i)
+        status, reply = _gateway_call(base, "/submit", args.api_key, body)
+        if status != 200:
+            print(f"submit refused ({status}): {reply.get('error')}",
+                  file=sys.stderr)
+            return 1
+        gids.append(reply["job_id"])
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    deadline = time.monotonic() + args.timeout
+    ok = True
+    for gid in gids:
+        status, view = _gateway_call(base, f"/result/{gid}", args.api_key)
+        while status == 202 and time.monotonic() < deadline:
+            time.sleep(0.1)
+            status, view = _gateway_call(base, f"/result/{gid}", args.api_key)
+        if status != 200 or view.get("state") != "done":
+            print(f"{gid}: {view.get('state', status)} {view.get('error', '')}")
+            ok = False
+            continue
+        print(
+            f"{gid}: class {int(np.argmax(view['logits']))}  "
+            f"node={view['store_keys'].get('node')}  "
+            f"batch size {view['batch_size']}  attempts={view['attempts']}"
+        )
+        if out_dir and not view.get("vk"):
+            print(f"{gid}: result came back without its verifying key",
+                  file=sys.stderr)
+            ok = False
+        elif out_dir:
+            _write_job_artifacts(
+                spec, out_dir / f"{gid}.proof.bin",
+                bytes.fromhex(view["proof"]), view["public_inputs"],
+                view["logits"], bytes.fromhex(view["vk"]),
             )
-            if out_dir:
-                _write_job_artifacts(
-                    spec, out_dir / f"{job_id}.proof.bin", res,
-                    client.verifying_key(job_id),
-                )
-        if args.stats:
-            print(json.dumps(client.stats(timeout=30), indent=2, default=repr))
-        if out_dir:
-            print(f"artifacts: {out_dir} (verify with: repro verify --batch "
-                  f"{out_dir})")
-    return 0 if all_verified else 1
+    if args.stats:
+        print(json.dumps(_gateway_call(base, "/metrics", args.api_key)[1],
+                         indent=2))
+    if out_dir:
+        print(f"artifacts: {out_dir} (verify with: repro verify --batch "
+              f"{out_dir})")
+    return 0 if ok else 1
 
 
 def cmd_gateway(args) -> int:
@@ -621,7 +622,7 @@ def cmd_gateway(args) -> int:
     data_dir.mkdir(parents=True, exist_ok=True)
 
     cluster_cfg = ClusterConfig(
-        host="127.0.0.1",
+        host=args.cluster_host,
         port=args.cluster_port,
         node_window=args.window,
         service=ServiceConfig(
@@ -629,6 +630,7 @@ def cmd_gateway(args) -> int:
             max_wait=args.max_wait,
             max_retries=args.max_retries,
             deterministic=True,  # recovery re-proves must be byte-identical
+            audit=args.audit,
         ),
     )
     coordinator = ClusterCoordinator(cluster_cfg)
@@ -868,35 +870,16 @@ def main(argv=None) -> int:
     p_submit.set_defaults(func=cmd_submit, model="SHAL")
 
     p_cluster = sub.add_parser(
-        "cluster", help="distributed proving cluster (coordinator/worker/submit)"
+        "cluster", help="distributed proving: a worker node for a gateway, "
+                        "or a client of its HTTP door"
     )
     cluster_sub = p_cluster.add_subparsers(dest="role", required=True)
 
-    p_coord = cluster_sub.add_parser(
-        "coordinator", help="run the scheduling/verifying coordinator"
-    )
-    p_coord.add_argument("--host", default="127.0.0.1")
-    p_coord.add_argument("--port", type=int, default=0,
-                         help="0 = bind an ephemeral port (printed at startup)")
-    p_coord.add_argument("--max-batch", type=int, default=4)
-    p_coord.add_argument("--max-wait", type=float, default=0.05)
-    p_coord.add_argument("--max-retries", type=int, default=2)
-    p_coord.add_argument("--window", type=int, default=2,
-                         help="max in-flight batches per node")
-    p_coord.add_argument("--heartbeat-timeout", type=float, default=3.0)
-    p_coord.add_argument(
-        "--deterministic", action="store_true",
-        help="derive proof blinding from the job so every node emits "
-             "byte-identical proofs for the same job",
-    )
-    p_coord.add_argument("--audit", action="store_true",
-                         help="soundness-audit each cold circuit on the nodes")
-    p_coord.set_defaults(func=cmd_cluster_coordinator)
-
     p_worker = cluster_sub.add_parser(
-        "worker", help="run one proving node against a coordinator"
+        "worker", help="run one proving node against a gateway's coordinator"
     )
-    p_worker.add_argument("--connect", required=True, metavar="HOST:PORT")
+    p_worker.add_argument("--connect", required=True, metavar="HOST:PORT",
+                          help="the gateway's --cluster-host:--cluster-port")
     p_worker.add_argument("--node-id", default=None)
     p_worker.add_argument("--pool-workers", type=int, default=1,
                           help="proving processes in this node's pool")
@@ -905,19 +888,23 @@ def main(argv=None) -> int:
     p_worker.set_defaults(func=cmd_cluster_worker)
 
     p_csubmit = cluster_sub.add_parser(
-        "submit", help="submit jobs to a running cluster"
+        "submit", help="submit jobs through a running gateway"
     )
     _model_args(p_csubmit)
     _circuit_args(p_csubmit)
-    p_csubmit.add_argument("--connect", required=True, metavar="HOST:PORT")
+    p_csubmit.add_argument("--connect", required=True, metavar="HOST:PORT",
+                           help="the gateway's HTTP address")
+    p_csubmit.add_argument("--api-key", default=None,
+                           help="X-API-Key for a gateway that requires one")
     p_csubmit.add_argument("--jobs", type=int, default=4)
-    p_csubmit.add_argument("--timeout", type=float, default=600.0)
+    p_csubmit.add_argument("--timeout", type=float, default=600.0,
+                           help="seconds to wait for all the results")
     p_csubmit.add_argument(
         "--out-dir", default=None,
         help="write proof/vk/claim files scannable by `verify --batch`",
     )
     p_csubmit.add_argument("--stats", action="store_true",
-                           help="print the coordinator telemetry snapshot")
+                           help="print the gateway's /metrics snapshot")
     p_csubmit.set_defaults(func=cmd_cluster_submit, model="SHAL")
 
     p_gateway = sub.add_parser(
@@ -927,6 +914,11 @@ def main(argv=None) -> int:
     p_gateway.add_argument("--host", default="127.0.0.1")
     p_gateway.add_argument("--port", type=int, default=0,
                            help="HTTP port (0 = ephemeral)")
+    p_gateway.add_argument(
+        "--cluster-host", default="127.0.0.1",
+        help="coordinator address for external workers (any peer that "
+             "reaches it can register as a node: trusted networks only)",
+    )
     p_gateway.add_argument("--cluster-port", type=int, default=0,
                            help="coordinator TCP port for external workers")
     p_gateway.add_argument("--data-dir", default="gateway-data",
@@ -963,6 +955,11 @@ def main(argv=None) -> int:
     p_gateway.add_argument(
         "--gadgets", choices=["lean", "strict"], default="lean",
         help="gadget profile of a submit body that names none",
+    )
+    p_gateway.add_argument(
+        "--audit", action="store_true",
+        help="soundness-audit each cold circuit on the nodes "
+             "(rejected batches fail their jobs)",
     )
     p_gateway.set_defaults(func=cmd_gateway)
 

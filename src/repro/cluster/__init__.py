@@ -15,12 +15,14 @@ batch-verifies every returned proof against the VK
 (:mod:`repro.cluster.verification`) before acking, so a faulty node can
 never corrupt results.
 
-Entry points: :class:`ClusterCoordinator` / :class:`WorkerNode` /
-:class:`ClusterClient`, or ``python -m repro.cli cluster
-coordinator|worker|submit``.
+Jobs enter through :meth:`ClusterCoordinator.submit`, called in-process
+by the gateway's :class:`~repro.gateway.durable.DurableCoordinator`; the
+coordinator's TCP port serves worker nodes only.  Entry points:
+``python -m repro.cli gateway`` (coordinator + journal + HTTP),
+``python -m repro.cli cluster worker`` (one node) and ``python -m
+repro.cli cluster submit`` (an HTTP client of the gateway).
 """
 
-from repro.cluster.client import ClusterClient, ClusterError, RemoteJobFailedError
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.cluster.node import WorkerNode
 from repro.cluster.protocol import (
@@ -33,15 +35,12 @@ from repro.cluster.verification import BatchVerdict, verify_claims
 
 __all__ = [
     "BatchVerdict",
-    "ClusterClient",
     "ClusterConfig",
     "ClusterCoordinator",
-    "ClusterError",
     "ConnectionClosed",
     "MsgType",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteJobFailedError",
     "WorkerNode",
     "verify_claims",
 ]

@@ -5,7 +5,10 @@ Scheduling — queue, micro-batching, retries, deadlines, finalization — is
 :class:`~repro.serve.service.ServiceConfig`; see that module for the
 lifecycle.  This module is the engine's TCP transport: ready batches go to
 registered :class:`repro.cluster.node.WorkerNode` daemons, and everything
-below is what a network of untrusted nodes adds to that.
+below is what a network of untrusted nodes adds to that.  The TCP port
+serves nodes only: a job enters through :meth:`submit`, which in a
+deployment only the gateway's
+:class:`~repro.gateway.durable.DurableCoordinator` calls.
 
 Robustness model:
 
@@ -39,13 +42,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster import verification
 from repro.cluster.node import HEARTBEAT_INTERVAL
 from repro.cluster.protocol import (
-    ConnectionClosed,
     MsgType,
     ProtocolError,
     read_frame,
     write_frame,
 )
-from repro.core.spec import CircuitSpec
 from repro.serve.batcher import Batch
 from repro.serve.engine import JobEngine
 from repro.serve.jobs import ProofJob
@@ -137,9 +138,7 @@ class ClusterCoordinator(JobEngine):
         super().__init__(self.config.service)
         self._nodes: Dict[str, _Node] = {}
         self._dead_nodes: Dict[str, Dict[str, Any]] = {}
-        # job_id -> (client socket, its send lock): where to push JOB_DONE
-        self._watchers: Dict[str, Tuple[socket.socket, threading.Lock]] = {}
-        self._client_conns: set = set()
+        self._unregistered: set = set()  # connections awaiting their HELLO
         self.node_deaths = 0
         self.reroutes = 0  # jobs requeued off a dead/faulty node
         self.late_results = 0  # results from nodes already declared dead
@@ -189,17 +188,17 @@ class ClusterCoordinator(JobEngine):
             listener.close()
         with self._lock:
             nodes = list(self._nodes.values())
-            clients = list(self._client_conns)
+            unregistered = list(self._unregistered)
         for node in nodes:
             self._send_to_node(node, MsgType.BYE, {})
             try:
                 node.sock.close()
             except OSError:
                 pass
-        # Sever client connections too: a lingering handler thread from
-        # this epoch must not keep answering requests after a restart
-        # takes over the address.
-        for conn in clients:
+        # Sever connections still awaiting their HELLO too: a lingering
+        # handler thread from this epoch must not register a node after a
+        # restart takes over the address.
+        for conn in unregistered:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -257,31 +256,30 @@ class ClusterCoordinator(JobEngine):
             ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        """Dispatch a fresh connection: worker node or submitting client.
+        """Serve a fresh connection as a worker node, or close it.
 
-        The conn is tracked from accept time (not first frame) so that
-        shutdown can sever even connections still awaiting their HELLO —
-        a handler thread from a dead epoch must never keep answering
-        after a restarted coordinator takes over the address.
+        A node's first frame is its HELLO; any other frame (or none) ends
+        the connection.  The conn is tracked from accept time (not first
+        frame) so that shutdown can sever even connections still awaiting
+        their HELLO — a handler thread from a dead epoch must never
+        register a node after a restarted coordinator takes over the
+        address.
         """
         with self._lock:
             if self._stop:
                 conn.close()
                 return
-            self._client_conns.add(conn)
+            self._unregistered.add(conn)
         try:
             msg_type, payload = read_frame(conn)
         except (ProtocolError, OSError):
-            with self._lock:
-                self._client_conns.discard(conn)
-            conn.close()
-            return
+            msg_type = None
+        with self._lock:
+            self._unregistered.discard(conn)
         if msg_type is MsgType.HELLO:
-            with self._lock:
-                self._client_conns.discard(conn)
             self._serve_node(conn, payload)
         else:
-            self._serve_client(conn, msg_type, payload)
+            conn.close()
 
     # -- node side -------------------------------------------------------------------
 
@@ -492,160 +490,3 @@ class ClusterCoordinator(JobEngine):
                 ]
             for node in silent:
                 self._node_died(node, "heartbeat timeout")
-
-    # -- client side -----------------------------------------------------------------
-
-    def _serve_client(
-        self, conn: socket.socket, msg_type: MsgType, payload: Dict[str, Any]
-    ) -> None:
-        send_lock = threading.Lock()
-        with self._lock:
-            self._client_conns.add(conn)
-        try:
-            while True:
-                self._handle_client_frame(conn, send_lock, msg_type, payload)
-                msg_type, payload = read_frame(conn)
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            with self._lock:
-                self._client_conns.discard(conn)
-                stale = [
-                    job_id
-                    for job_id, (sock, _) in self._watchers.items()
-                    if sock is conn
-                ]
-                for job_id in stale:
-                    del self._watchers[job_id]
-            conn.close()
-
-    def _handle_client_frame(
-        self,
-        conn: socket.socket,
-        send_lock: threading.Lock,
-        msg_type: MsgType,
-        payload: Dict[str, Any],
-    ) -> None:
-        req = payload.get("req", 0)
-        if msg_type is MsgType.SUBMIT:
-            try:
-                job_id = self.submit(
-                    CircuitSpec.from_mapping(payload),
-                    payload.get("image"),
-                    image_seed=payload.get("image_seed"),
-                    priority=payload.get("priority", 0),
-                    timeout=payload.get("timeout"),
-                    max_retries=payload.get("max_retries"),
-                    tenant=payload.get("tenant", "default"),
-                    extra=payload.get("extra") or {},
-                )
-            except Exception as exc:  # shutting down, bad spec, missing keys
-                with send_lock:
-                    write_frame(
-                        conn, MsgType.SUBMIT_ACK, {"req": req, "error": str(exc)}
-                    )
-                return
-            with self._lock:
-                self._watchers[job_id] = (conn, send_lock)
-                job = self._jobs[job_id]
-                already_terminal = job.state.terminal
-            with send_lock:
-                write_frame(
-                    conn, MsgType.SUBMIT_ACK, {"req": req, "job_id": job_id}
-                )
-            if already_terminal:  # raced to terminal before we registered
-                self._push_done(job)
-        elif msg_type is MsgType.WATCH:
-            # A reconnected client re-registers for its outstanding jobs:
-            # live ones get a watcher entry (JOB_DONE will push later),
-            # already-terminal ones re-push immediately, and ids this
-            # coordinator has never seen (e.g. it restarted) are reported
-            # back so the client can fail or resubmit them.
-            job_ids = [str(j) for j in payload.get("job_ids") or []]
-            unknown, terminal = [], []
-            with self._lock:
-                for job_id in job_ids:
-                    job = self._jobs.get(job_id)
-                    if job is None:
-                        unknown.append(job_id)
-                    elif job.state.terminal:
-                        terminal.append(job)
-                    else:
-                        self._watchers[job_id] = (conn, send_lock)
-            with send_lock:
-                write_frame(
-                    conn,
-                    MsgType.WATCH_ACK,
-                    {
-                        "req": req,
-                        "watching": [
-                            j for j in job_ids if j not in unknown
-                        ],
-                        "unknown": unknown,
-                    },
-                )
-            for job in terminal:
-                with self._lock:
-                    self._watchers[job.job_id] = (conn, send_lock)
-                self._push_done(job)
-        elif msg_type is MsgType.STATS:
-            with send_lock:
-                write_frame(
-                    conn,
-                    MsgType.STATS_REPLY,
-                    {"req": req, "stats": _jsonable(self.stats())},
-                )
-        elif msg_type is MsgType.BYE:
-            raise ConnectionClosed("client said BYE")
-        else:
-            raise ProtocolError(
-                f"unexpected {msg_type.name} frame from a client"
-            )
-
-    def _push_done(self, job: ProofJob) -> None:
-        with self._lock:
-            watcher = self._watchers.pop(job.job_id, None)
-        if watcher is None:
-            return
-        conn, send_lock = watcher
-        payload: Dict[str, Any] = {
-            "job_id": job.job_id,
-            "state": job.state.value,
-            "error": job.error,
-            "attempts": job.attempts,
-        }
-        if job.result is not None:
-            res = job.result
-            payload["result"] = {
-                "proof": res.proof,
-                "public_inputs": list(res.public_inputs),
-                "logits": list(res.logits),
-                "verified": res.verified,
-                "worker_pid": res.worker_pid,
-                "batch_id": res.batch_id,
-                "batch_size": res.batch_size,
-                "store_keys": dict(res.store_keys),
-            }
-            try:
-                payload["result"]["vk"] = self.store.get(res.store_keys["vk"])
-            except KeyError:  # evicted by the LRU bound under heavy churn
-                payload["result"]["vk"] = None
-        try:
-            with send_lock:
-                write_frame(conn, MsgType.JOB_DONE, payload)
-        except (OSError, ProtocolError):
-            pass  # client went away; the result stays in self._jobs
-
-    def _emit(self, event: str, job: ProofJob, **info: Any) -> None:
-        super()._emit(event, job, **info)
-        if event == "terminal":  # after the listeners: journal, then client
-            self._push_done(job)
-
-
-def _jsonable(obj: Any) -> Any:
-    """Strip non-codec types (tuples become lists) for the STATS reply."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj

@@ -51,7 +51,10 @@ class ConnectionClosed(ProtocolError):
 
 
 class MsgType(enum.IntEnum):
-    # worker node <-> coordinator
+    """Frames between a worker node and the coordinator.  Ids 9-15 are
+    retired, not free: a peer still sending one (the removed client
+    door's submit/watch/stats frames) must get an unknown-type error."""
+
     HELLO = 1  # node registration: node_id, pid, window, pool size
     HELLO_ACK = 2
     HEARTBEAT = 3  # node liveness + telemetry frame
@@ -60,14 +63,6 @@ class MsgType(enum.IntEnum):
     JOB_RESULT = 6  # proved batch: serialized proofs + vk + phases
     JOB_ERROR = 7  # batch failed in the node (e.g. its pool died)
     BYE = 8  # graceful deregistration / coordinator drain
-    # client <-> coordinator
-    SUBMIT = 9  # one proving job
-    SUBMIT_ACK = 10
-    JOB_DONE = 11  # pushed when a submitted job reaches a terminal state
-    STATS = 12  # telemetry snapshot request
-    STATS_REPLY = 13
-    WATCH = 14  # re-register for JOB_DONE pushes after a reconnect
-    WATCH_ACK = 15  # echoes known/unknown job ids; terminal ones re-push
 
 
 # -- value codec -------------------------------------------------------------------
@@ -233,7 +228,7 @@ def decode_value(data: bytes) -> Any:
 
 def _frame_crc(msg_type: int, body: bytes) -> int:
     # Seed the CRC with the version and message type so header corruption
-    # (e.g. a bit flip turning SUBMIT into JOB_DONE) is caught too — the
+    # (e.g. a bit flip turning JOB into JOB_RESULT) is caught too — the
     # length-prefix header itself carries no other integrity check.
     return zlib.crc32(body, zlib.crc32(bytes([PROTOCOL_VERSION, msg_type])))
 

@@ -4,9 +4,9 @@ model, a privacy setting, compiler options and a compile.
 
 Every door into the prover — ``zeno compile|audit|prove|verify|serve|
 submit``, a claim file, every serving ``submit`` (``JobEngine``,
-``ClusterClient``, ``DurableCoordinator``, the gateway's ``/submit``), the
-worker ``spec`` dict, a cluster ``SUBMIT``/``JOB`` frame, a journal submit
-record — carries these fields as the same flat keys;
+``DurableCoordinator``, the gateway's ``/submit``), the worker ``spec``
+dict, a cluster ``JOB`` frame, a journal submit record — carries these
+fields as the same flat keys;
 :meth:`CircuitSpec.from_mapping` reads them and :meth:`to_json` writes
 them, so none of those formats has a field list of its own.  A spec is
 checked when it is built, so a bad value is refused at the door, before

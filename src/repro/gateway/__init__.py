@@ -1,9 +1,8 @@
-"""``repro.gateway`` — durable HTTP front door for the proving cluster.
+"""``repro.gateway`` — the proving cluster's one front door.
 
-The cluster coordinator (`repro.cluster`) holds every job in memory and
-speaks a bespoke TCP protocol: a coordinator crash loses all queued work
-and only the ``zeno`` CLI can submit jobs.  This package adds the three
-pieces a production front door needs:
+The cluster coordinator (`repro.cluster`) holds every job in memory, and
+its TCP port serves worker nodes only: a job enters the cluster through
+this package, which adds the pieces a production front door needs:
 
 * :mod:`repro.gateway.journal` — a crash-durable append-only WAL
   recording every job submission, state transition, and result, with
@@ -22,7 +21,8 @@ pieces a production front door needs:
   :class:`~repro.cluster.node.WorkerNode` daemons between configurable
   min/max bounds.
 
-``python -m repro.cli gateway`` wires all four together.
+``python -m repro.cli gateway`` wires all four together, and
+``python -m repro.cli cluster submit`` is a client of its HTTP door.
 """
 
 from repro.gateway.autoscale import (

@@ -1,7 +1,10 @@
 """:class:`DurableCoordinator`: a crash-safe shell around the cluster.
 
 The cluster coordinator keeps every job in memory; this wrapper gives it
-a memory that survives SIGKILL:
+a memory that survives SIGKILL.  It is the only caller of
+:meth:`ClusterCoordinator.submit` in a deployment (the coordinator's port
+serves nodes only), so every job passes the gateway's auth, rate limit
+and journal:
 
 * every accepted submission is appended to the :class:`JobJournal`
   (durable — the fsync happens before the caller gets its job id back);

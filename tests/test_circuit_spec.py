@@ -25,7 +25,6 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import (
-    ClusterClient,
     ClusterConfig,
     ClusterCoordinator,
     WorkerNode,
@@ -40,6 +39,7 @@ from repro.core.circuit.compute import (
 from repro.core.compiler import PrivacySetting, ZenoCompiler
 from repro.core.reuse.batch import BatchProver
 from repro.core.spec import CircuitSpec
+from repro.gateway import DurableCoordinator
 from repro.serve import ProvingService, ServiceConfig, workers
 from repro.serve.engine import JobFailedError
 from repro.snark import groth16
@@ -391,7 +391,7 @@ def test_one_circuit_identity_under_src():
             if rel.startswith("cluster/") and isinstance(node, ast.Constant):
                 assert node.value != "circuit", rel
     assert not {f.name for f in fields(ServiceConfig)} & loose
-    assert not hasattr(ClusterClient, "circuit")
+    assert not hasattr(DurableCoordinator, "circuit")
     # The signed decode lives in repro.field alone.
     decode = re.compile(r"-\s*(p|modulus)\s+if\s+\w+\s*>\s*(half|\w+\s*//\s*2)")
     assert {

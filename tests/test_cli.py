@@ -262,7 +262,7 @@ class TestServe:
         ["submit", "--sparse"],
         ["serve", "--parallelism", "2"],
         ["compare", "--gadgets", "strict"],
-        ["cluster", "coordinator", "--gadgets", "strict"],
+        ["gateway", "--relu-mode", "lookup"],
         ["cluster", "submit", "--connect", "127.0.0.1:1", "--prune", "0.5"],
         ["cluster", "worker", "--connect", "127.0.0.1:1", "--mode", "inline"],
     ])
@@ -273,24 +273,32 @@ class TestServe:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cluster_submit_claims_the_submitted_spec(self, capsys, tmp_path):
-        """`cluster submit` proves the lowering its flags name, and its
-        claims record that spec: `verify --batch` accepts them."""
+        """`cluster submit` proves the lowering its flags name through a
+        gateway's HTTP door, with the gateway's API key, and its claims
+        record that spec: `verify --batch` accepts them."""
         from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
         from repro.serve.service import ServiceConfig
+        from tests.test_gateway import gateway_over
 
         cfg = ClusterConfig(service=ServiceConfig(
             max_wait=0.0, store_dir=str(tmp_path / "store")))
         out_dir = tmp_path / "out"
+        argv = [
+            "cluster", "submit", "--model", "SHAL", "--scale", "micro",
+            "--gadgets", "strict", "--relu-mode", "lookup",
+            "--jobs", "1", "--out-dir", str(out_dir),
+        ]
         with ClusterCoordinator(cfg) as coord:
             node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
             try:
-                host, port = coord.address
-                assert main([
-                    "cluster", "submit", "--connect", f"{host}:{port}",
-                    "--model", "SHAL", "--scale", "micro",
-                    "--gadgets", "strict", "--relu-mode", "lookup",
-                    "--jobs", "1", "--out-dir", str(out_dir),
-                ]) == 0
+                with gateway_over(
+                    coord, tmp_path / "j.wal", api_keys={"k": "t"}
+                ) as (durable, base):
+                    address = base[len("http://"):]
+                    assert main(argv + ["--connect", address]) == 1
+                    assert "401" in capsys.readouterr().err
+                    assert main(argv + ["--connect", address,
+                                        "--api-key", "k"]) == 0
             finally:
                 node.stop()
         (claim_path,) = out_dir.glob("*.claim.json")
@@ -299,6 +307,37 @@ class TestServe:
         capsys.readouterr()
         assert main(["verify", "--batch", str(out_dir)]) == 0
         assert "1/1 accepted" in capsys.readouterr().out
+
+    def test_cluster_submit_without_a_verifying_key_fails(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A result whose verifying key the gateway no longer holds would
+        write a claim `verify --batch` cannot check: the command names
+        the job and exits 1."""
+        from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
+        from repro.serve.service import ServiceConfig
+        from tests.test_gateway import gateway_over
+
+        cfg = ClusterConfig(service=ServiceConfig(
+            max_wait=0.0, store_dir=str(tmp_path / "store")))
+        with ClusterCoordinator(cfg) as coord:
+            node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
+            try:
+                def evicted(key):
+                    raise KeyError(key)
+
+                monkeypatch.setattr(coord.store, "get", evicted)
+                with gateway_over(coord, tmp_path / "j.wal") as (_, base):
+                    assert main([
+                        "cluster", "submit", "--model", "SHAL",
+                        "--scale", "micro", "--jobs", "1",
+                        "--connect", base[len("http://"):],
+                        "--out-dir", str(tmp_path / "out"),
+                    ]) == 1
+            finally:
+                node.stop()
+        assert "without its verifying key" in capsys.readouterr().err
+        assert list((tmp_path / "out").glob("*.claim.json")) == []
 
     def test_submit_writes_verifiable_artifacts(self, capsys, tmp_path):
         out_path = tmp_path / "proof.bin"

@@ -7,6 +7,10 @@ exercised without spawning subprocesses.  All tests share one micro-model
 profile, so the module-level warm cache in :mod:`repro.serve.workers`
 amortizes circuit compilation across tests.
 
+A job enters through :meth:`ClusterCoordinator.submit` in-process, or
+through the gateway's HTTP door in front of it: the coordinator's port
+serves nodes only.
+
 Failover uses :meth:`WorkerNode.kill` — an abrupt socket drop that the
 coordinator cannot distinguish from the node process dying.
 """
@@ -16,16 +20,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterClient,
-    ClusterConfig,
-    ClusterCoordinator,
-    RemoteJobFailedError,
-    WorkerNode,
-)
-from repro.cluster.protocol import MsgType
+from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
 from repro.core.spec import CircuitSpec
 from repro.serve.service import ServiceConfig
+from tests.test_gateway import gateway_over, http_get, http_post
 
 MODEL, SCALE = "SHAL", "micro"
 CIRCUIT = CircuitSpec(MODEL, scale=SCALE)
@@ -118,43 +116,35 @@ class TestEndToEnd:
         finally:
             coord.shutdown(drain=False)
 
-    def test_client_over_tcp(self):
+    def test_client_over_tcp(self, tmp_path):
+        """A client over HTTP gets the proof an in-process submit of the
+        same job gets, byte for byte, with its verifying key."""
         coord = make_coordinator()
         try:
             node = add_node(coord, "n0")
-            with ClusterClient(coord.address) as client:
-                job_id = client.submit(CIRCUIT, image_seed=901)
-                res = client.result(job_id, timeout=240)
-                assert res.verified
-                assert isinstance(res.proof, bytes)
-                assert client.verifying_key(job_id)
-                assert client.attempts(job_id) == 1
-                stats = client.stats(timeout=30)
-                assert "cluster" in stats and "queue" in stats
-            node.stop()
-        finally:
-            coord.shutdown(drain=False)
-
-    def test_parent_submit_frame_still_parses(self):
-        """A SUBMIT frame from a client that predates the full spec: its
-        keys are a subset of the spec's flat keys, the rest default."""
-        coord = make_coordinator()
-        try:
-            node = add_node(coord, "n0")
-            with ClusterClient(coord.address) as client:
-                reply = client._request(MsgType.SUBMIT, {
-                    "model": MODEL, "image": None, "image_seed": 903,
-                    "scale": SCALE, "seed": 0, "privacy": "one-private",
-                    "priority": 0, "timeout": None, "tenant": "default",
-                    "extra": {},
+            with gateway_over(coord, tmp_path / "j.wal") as (durable, base):
+                status, body = http_post(base + "/submit", {
+                    **CIRCUIT.to_json(), "image_seed": 901,
                 })
-                assert client.result(reply["job_id"], timeout=240).verified
-            assert coord.job(reply["job_id"]).circuit == CIRCUIT
+                assert status == 200
+                gid = body["job_id"]
+                assert durable.wait_terminal(gid, timeout=240).state == "done"
+                status, view = http_get(base + "/result/" + gid)
+                assert status == 200 and view["vk"]
+                assert view["attempts"] == 1
+                status, stats = http_get(base + "/metrics")
+                assert "cluster" in stats and "queue" in stats
+            local = coord.result(
+                coord.submit(CIRCUIT, image_seed=901), timeout=240
+            )
+            assert bytes.fromhex(view["proof"]) == local.proof
             node.stop()
         finally:
             coord.shutdown(drain=False)
 
-    def test_client_submit_array_image(self):
+    def test_client_submit_array_image(self, tmp_path):
+        """The gateway's library door takes an array image; it reaches
+        the node in the JOB frame."""
         from repro.nn.data import synthetic_images
         from repro.nn.models import build_model
 
@@ -163,9 +153,9 @@ class TestEndToEnd:
             node = add_node(coord, "n0")
             shape = build_model(MODEL, scale=SCALE, seed=0).input_shape
             image = synthetic_images(shape, n=1, seed=902)[0]
-            with ClusterClient(coord.address) as client:
-                job_id = client.submit(CIRCUIT, image)
-                assert client.result(job_id, timeout=240).verified
+            with gateway_over(coord, tmp_path / "j.wal") as (durable, _):
+                gid = durable.submit(CIRCUIT, image=image)
+                assert durable.wait_terminal(gid, timeout=240).state == "done"
             node.stop()
         finally:
             coord.shutdown(drain=False)
@@ -269,22 +259,23 @@ class TestValidation:
         finally:
             coord.shutdown(drain=False)
 
-    def test_client_submit_bad_model_rejected(self):
-        """The spec refuses a bad model before any frame is sent; a SUBMIT
-        frame naming one anyway (a client built elsewhere) is refused by
-        the coordinator, the field named, and nothing is queued."""
+    def test_client_submit_bad_model_rejected(self, tmp_path):
+        """The spec refuses a bad model where it is built; a submit body
+        naming one anyway is a 400 naming the field, and nothing is
+        queued."""
         with pytest.raises(ValueError, match="^model='NOPE'"):
             CircuitSpec("NOPE")
         coord = make_coordinator()
         try:
-            with ClusterClient(coord.address) as client:
-                for field, frame in (
+            with gateway_over(coord, tmp_path / "j.wal") as (_, base):
+                for field, body in (
                     ("model", {"model": "NOPE"}),
                     ("scale", {"model": MODEL, "scale": "huge"}),
                 ):
-                    reply = client._request(
-                        MsgType.SUBMIT, dict(frame, image_seed=1)
+                    status, reply = http_post(
+                        base + "/submit", dict(body, image_seed=1)
                     )
+                    assert status == 400
                     assert reply["error"].startswith(f"{field}=")
             assert coord.stats()["jobs"]["submitted"] == 0
         finally:
@@ -296,15 +287,19 @@ class TestValidation:
         with pytest.raises(RuntimeError):
             coord.submit(CIRCUIT, image_seed=1)
 
-    def test_remote_failure_surfaces_as_typed_error(self):
+    def test_remote_failure_surfaces_as_typed_error(self, tmp_path):
         coord = make_coordinator()
         try:
-            with ClusterClient(coord.address) as client:
+            with gateway_over(coord, tmp_path / "j.wal") as (durable, base):
                 # no nodes + short deadline: the job times out remotely
-                job_id = client.submit(CIRCUIT, image_seed=950, timeout=0.2)
-                with pytest.raises(RemoteJobFailedError) as excinfo:
-                    client.result(job_id, timeout=60)
-                assert excinfo.value.job_id == job_id
+                _, body = http_post(base + "/submit", {
+                    **CIRCUIT.to_json(), "image_seed": 950, "timeout": 0.2,
+                })
+                gid = body["job_id"]
+                assert durable.wait_terminal(gid, timeout=60) is not None
+                status, view = http_get(base + "/result/" + gid)
+                assert status == 200 and view["job_id"] == gid
+                assert view["state"] == "timed_out" and view["error"]
         finally:
             coord.shutdown(drain=False)
 

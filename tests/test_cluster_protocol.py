@@ -140,10 +140,12 @@ class TestFraming:
             unpack_frame(bytes(frame))
 
     def test_unknown_msg_type(self):
-        frame = bytearray(pack_frame(MsgType.HELLO, {}))
-        frame[3] = 0xEE
-        with pytest.raises(ProtocolError, match="message type"):
-            unpack_frame(bytes(frame))
+        # 9-15 framed a client's submit/watch/stats traffic: retired.
+        for msg_type in (0xEE, *range(9, 16)):
+            frame = bytearray(pack_frame(MsgType.HELLO, {}))
+            frame[3] = msg_type
+            with pytest.raises(ProtocolError, match="message type"):
+                unpack_frame(bytes(frame))
 
     def test_length_mismatch(self):
         frame = pack_frame(MsgType.HELLO, {"a": 1})
@@ -173,7 +175,7 @@ class TestFraming:
             unpack_frame(frame)
 
     def test_every_bitflip_in_header_or_payload_raises(self):
-        frame = pack_frame(MsgType.SUBMIT, {"model": "SHAL", "seed": 7})
+        frame = pack_frame(MsgType.JOB, {"model": "SHAL", "seed": 7})
         for pos in range(len(frame) * 8):
             mutated = bytearray(frame)
             mutated[pos // 8] ^= 1 << (pos % 8)
@@ -183,7 +185,7 @@ class TestFraming:
                 continue
             # surviving flips must not alter the decoded content
             assert (msg_type, payload) == (
-                MsgType.SUBMIT, {"model": "SHAL", "seed": 7},
+                MsgType.JOB, {"model": "SHAL", "seed": 7},
             )
 
 

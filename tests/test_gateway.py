@@ -8,6 +8,7 @@ it (epoch tests), and — for the real thing — SIGKILL an actual
 results across the restart.
 """
 
+import contextlib
 import json
 import os
 import shutil
@@ -23,6 +24,7 @@ import urllib.request
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
+from repro.cluster import protocol
 from repro.gateway import (
     Autoscaler,
     AutoscalerConfig,
@@ -79,6 +81,20 @@ def http_post(url, payload, headers=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as err:
         return err.code, json.loads(err.read())
+
+
+@contextlib.contextmanager
+def gateway_over(coord, wal_path, **config):
+    """A journal, a :class:`DurableCoordinator` and the HTTP server over
+    ``coord``: the one door a job takes into the cluster."""
+    journal = JobJournal(wal_path, batch_window=0.001)
+    durable = DurableCoordinator(coord, journal)
+    server = GatewayServer(durable, GatewayConfig(**config)).start()
+    try:
+        yield durable, f"http://{server.host}:{server.port}"
+    finally:
+        server.stop()
+        journal.close()
 
 
 @pytest.fixture
@@ -541,6 +557,47 @@ class TestHTTP:
             server.stop()
             coord.shutdown(drain=False)
             journal.close()
+
+
+class TestOneFrontDoor:
+    def test_cluster_port_refuses_a_submit_frame(self, tmp_path):
+        """Was: a keyless SUBMIT frame (type 9) on the coordinator's port
+        got a verified proof past API-key auth, the rate limit and the
+        journal.  The port now serves nodes only: the frame's type is
+        unknown, the connection closes, and nothing is queued or
+        journaled."""
+        coord = make_coordinator()
+        node = WorkerNode(coord.address, node_id="n1", mode="inline").start()
+        path = tmp_path / "journal.wal"
+        try:
+            with gateway_over(
+                coord, path, api_keys={"secret": "t"}
+            ) as (durable, base):
+                assert http_post(base + "/submit", {
+                    "model": MODEL, "scale": SCALE, "image_seed": 1,
+                })[0] == 401
+                body = protocol.encode_value({
+                    "req": 1, **CIRCUIT.to_json(), "image": None,
+                    "image_seed": 1, "priority": 0, "timeout": None,
+                    "tenant": "default", "extra": {},
+                })
+                header = protocol._HEADER.pack(
+                    protocol.MAGIC, protocol.PROTOCOL_VERSION, 9, len(body),
+                    protocol._frame_crc(9, body),
+                )
+                with socket.create_connection(coord.address, 10) as sock:
+                    sock.sendall(header + body)
+                    try:
+                        reply = sock.recv(4096)
+                    except ConnectionResetError:  # closed with body unread
+                        reply = b""
+                assert reply == b""
+                assert coord.stats()["jobs"]["submitted"] == 0
+                assert durable.journal.state.jobs == {}
+            assert recover_state(path).jobs == {}
+        finally:
+            node.stop()
+            coord.shutdown(drain=False)
 
 
 class TestFairShare:

@@ -12,7 +12,6 @@ import inspect
 
 import pytest
 
-from repro.cli import main
 from repro.cluster import ClusterConfig, ClusterCoordinator, WorkerNode
 from repro.cluster import coordinator, node
 from repro.gateway import (
@@ -88,11 +87,3 @@ class TestHeartbeatTimeout:
     def test_coordinator_override_is_checked(self):
         with pytest.raises(ValueError, match="heartbeat_timeout"):
             ClusterCoordinator(heartbeat_timeout=0.3)
-
-    def test_cli_refuses_before_binding(self, monkeypatch):
-        monkeypatch.setattr(
-            ClusterCoordinator, "start",
-            lambda self: pytest.fail("a coordinator was started"),
-        )
-        with pytest.raises(ValueError, match="heartbeat_timeout"):
-            main(["cluster", "coordinator", "--heartbeat-timeout", "0.3"])
