@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.aggregate.commit import MIMC_DOMAIN, mimc_digest
 from repro.r1cs import mimc
-from repro.r1cs.lc import NO_DIGIT, RowBlock, RowSide
+from repro.r1cs.lc import RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 
@@ -402,7 +402,7 @@ class _Draft:
     holds no value) and the tag of each of its sponges."""
 
     inst: LayerInstance
-    sides: Tuple[mimc.Side, ...]
+    sides: Tuple[RowSide, ...]
     tags: List[str]
     public: list
     private: list
@@ -412,35 +412,13 @@ class _Draft:
         """The inherited rows, then the rows of sponges ``[first, last)``
         of ``extra``."""
         lo, hi = extra.first_row[first], extra.first_row[last]
-        sides = []
-        for (variables, coeffs, indptr, digits), more_side in zip(
-            self.sides, extra.sides
-        ):
-            more, more_coeffs, more_indptr, more_digits = more_side
-            terms = slice(more_indptr[lo], more_indptr[hi])
-            sides.append(RowSide(
-                np.r_[
-                    indptr,
-                    more_indptr[lo + 1:hi + 1] - terms.start + indptr[-1],
-                ],
-                np.r_[variables, more[terms]],
-                coeffs + more_coeffs[terms],
-                np.r_[digits, more_digits[terms]],
-            ))
-        return RowBlock(*sides, tags=self.tags + extra.tags[lo:hi])
-
-
-def _one_slot(matrix, modulus: int) -> np.ndarray:
-    """A CSR matrix's coefficients as one slot of digits for the rows an
-    instance inherits: its slot-0 digits, with :data:`NO_DIGIT` on a term
-    without digits and on every term of a knit run (whose coefficient is
-    more than its slot 0)."""
-    lanes = matrix.lanes(modulus)
-    digits = lanes.low.copy()
-    digits[lanes.wide] = NO_DIGIT
-    for run in lanes.knit:
-        digits[run.first:run.first + run.digits.shape[1]] = NO_DIGIT
-    return digits
+        return RowBlock(
+            *(
+                RowSide.concat([mine, more.slice(lo, hi)])
+                for mine, more in zip(self.sides, extra.sides)
+            ),
+            tags=self.tags + extra.tags[lo:hi],
+        )
 
 
 class _Snapshot:
@@ -463,22 +441,24 @@ class _Snapshot:
                 for i in range(count)
             ]
         self.dense = np.array(dense, dtype=object)
+        # The matrices as sides over dense positions, digits included.
         self.sides = [
-            (matrix.indptr, matrix.indices, matrix.coeffs,
-             _one_slot(matrix, cs.field.modulus))
+            RowSide(matrix.indptr, matrix.indices, matrix.coeffs,
+                    matrix.digits(cs.field.modulus))
             for matrix in csr.matrices()
         ]
         # Every term's dense position in scan order — row-major, A then B
         # then C within a row, in-row order as stored — which is the
         # order instances number their privates by first use.
-        widths = [np.diff(indptr) for indptr, _, _, _ in self.sides]
+        widths = [np.diff(side.indptr) for side in self.sides]
         self.row_ptr = np.r_[0, np.cumsum(sum(widths))]
         self.scan = np.empty(int(self.row_ptr[-1]), dtype=np.int64)
         at = self.row_ptr[:-1]
-        for (indptr, indices, _, _), width in zip(self.sides, widths):
+        for side, width in zip(self.sides, widths):
             self.scan[
-                np.repeat(at - indptr[:-1], width) + np.arange(len(indices))
-            ] = indices
+                np.repeat(at - side.indptr[:-1], width)
+                + np.arange(side.variables.size)
+            ] = side.variables
             at = at + width
         # original dense position -> local signed variable, of the
         # instance being drafted (each one overwrites what it reads)
@@ -530,16 +510,13 @@ class _Snapshot:
             in_slots=(g + np.flatnonzero(np.isin(crossing, in_vars))).tolist(),
             out_slots=(g + np.flatnonzero(np.isin(crossing, out_vars))).tolist(),
         )
+        rows = [side.slice(start, stop) for side in self.sides]
         return _Draft(
             inst,
             sides=tuple(
-                (
-                    local[indices[indptr[start]:indptr[stop]]],
-                    coeffs[indptr[start]:indptr[stop]],
-                    indptr[start:stop + 1] - indptr[start],
-                    digits[indptr[start]:indptr[stop]],
-                )
-                for indptr, indices, coeffs, digits in self.sides
+                RowSide(side.indptr, local[side.variables], side.coeffs,
+                        side.digits)
+                for side in rows
             ),
             tags=self.tags[start:stop],
             public=self.dense[publics].tolist(),

@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.field.counters import global_counter
-from repro.r1cs.lc import RowBlock, RowSide
+from repro.r1cs.lc import Digits, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 _SAFETY_BITS = 2
@@ -103,9 +103,7 @@ def pack_slots(
     served by the cache's per-slot tables.  Nothing wraps in either lane.
     """
     if not len(coeffs):
-        return RowSide(
-            [0] * (num_rows + 1), cols, [], np.zeros((1, 0), dtype=np.int64)
-        )
+        return RowSide([0] * (num_rows + 1), cols, [], Digits.of([], modulus))
     if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "i":
         n_slots = int(slots.max()) + 1
         half = 1 << (slot_bits - 1)
@@ -147,10 +145,9 @@ def pack_slots(
                     _digit_values(digits[pick], slot_bits, modulus),
                     dtype=object,
                 )[inverse].tolist()
-            return RowSide(
-                indptr, out_cols, values, digits.T, slot_bits,
-                max(-least, most),
-            )
+            return RowSide(indptr, out_cols, values, Digits.slots(
+                digits.T, indptr, slot_bits, max(-least, most)
+            ))
     merged: dict = {}
     packed: dict = {}  # the cache's merged entries, unreduced
     hits = misses = 0
@@ -196,9 +193,9 @@ def pack_slots(
     for row in range(num_rows):
         indptr[row + 1] += indptr[row]
     width = min(slot_bits, _DIGIT_WIDTH)
-    return RowSide(
-        indptr, out_cols, values, _digit_matrix(exact, width), width
-    )
+    return RowSide(indptr, out_cols, values, Digits.slots(
+        _digit_matrix(exact, width), indptr, width
+    ))
 
 
 def _digit_matrix(packed: List[int], width: int):

@@ -13,10 +13,11 @@ arrays instead —
 * ``coeffs``  — canonical field coefficients (ints), aligned with
   ``indices``;
 
-— plus the same coefficients as slot digits (:class:`Lanes`), and one
-dense assignment vector.  The structure depends only on the constraints
-(not the witness), so batch-specialized sharing (§6.1) builds it once and
-only refreshes ``z`` per image.
+— plus the same coefficients as slot digits
+(:class:`~repro.r1cs.lc.Digits`), and one dense assignment vector.  The
+structure depends only on the constraints (not the witness), so
+batch-specialized sharing (§6.1) builds it once and only refreshes ``z``
+per image.
 
 Signed variable indices (see :mod:`repro.r1cs.lc`) map to dense positions
 as ``ONE -> 0``, public ``-k -> k``, private ``+k -> num_public + k`` —
@@ -39,12 +40,11 @@ each term is decided from the data, at every evaluation.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.r1cs.lc import NO_DIGIT, RowRun, RowView, centred_digits
+from repro.r1cs.lc import Digits, KnitRun, RowRun, RowSide, RowView
 
 # A row's slot sums stay within this magnitude, just inside int64: the
 # margin covers the float64 rounding of row weights (see _row_limits).
@@ -58,66 +58,42 @@ _WIDE = np.iinfo(np.int64).max
 _HALF_WORD = 1 << 31
 
 
-class KnitRun(NamedTuple):
-    """Slots ``1..`` of the knit rows ``[start, stop)`` of a matrix, whose
-    terms begin at term ``first``."""
-
-    start: int
-    stop: int
-    first: int
-    widths: object  # slot width in bits: an int, or an ndarray per row
-    digits: np.ndarray  # (slots - 1, terms), slot-major
-    scale: int  # the largest |digit| of the run's terms, any slot
-
-
-class Lanes(NamedTuple):
-    """A matrix's coefficients as int64-lane slot digits."""
-
-    low: np.ndarray  # int64 per term: slot 0 (0 for a term without digits)
-    wide: np.ndarray  # the terms without digits
-    limit: np.ndarray  # int64 per row: the largest |z| its digits allow
-    knit: List[KnitRun]
-
-
-def _row_limits(low: np.ndarray, indptr: np.ndarray, knit=()) -> np.ndarray:
+def _row_limits(digits: Digits, indptr: np.ndarray) -> np.ndarray:
     """Per row, the largest ``|z|`` that keeps every slot sum of the row
     inside int64: ``B / W`` for the row's digit weight ``W``, which bounds
-    ``sum_t |d_t|`` in every slot — the sum itself for slot 0, and terms x
-    the run's largest digit for the slots of a knit run.  ``W`` is summed
-    in float64 (relative error below ``2^-22`` for a row of fewer than
-    ``2^30`` terms), which the margin of ``B = 2^63 (1 - 2^-20)`` absorbs:
-    ``W_true x limit < 2^63``."""
+    ``sum_t |d_t|`` in every slot — the sum itself for slot 0, and a knit
+    segment's terms x its run's largest digit for the slots of a knit run.
+    ``W`` is summed in float64 (relative error below ``2^-22`` for a row of
+    fewer than ``2^30`` terms), which the margin of ``B = 2^63 (1 -
+    2^-20)`` absorbs: ``W_true x limit < 2^63``."""
     starts = indptr[:-1]
-    lengths = np.diff(indptr)
-    full = lengths > 0
+    full = indptr[1:] > starts
     weight = np.zeros(starts.size)
-    if low.size:
-        weight[full] = np.add.reduceat(
-            np.abs(low.astype(np.float64)), starts[full]
-        )
-    for run in knit:
-        rows = slice(run.start, run.stop)
-        weight[rows] = np.maximum(
-            weight[rows], lengths[rows] * float(run.scale)
-        )
+    if digits.low.size:
+        low = digits.low.astype(np.float64)
+        weight[full] = np.add.reduceat(np.abs(low, out=low), starts[full])
+    for run in digits.knit:
+        np.maximum.at(weight, run.rows, np.diff(run.ptr) * float(run.scale))
     return np.floor(_ROW_BOUND / np.maximum(weight, 1.0)).astype(np.int64)
 
 
 class CSRMatrix:
     """One constraint matrix (A, B, or C) in compressed-sparse-row form.
 
-    ``lanes`` is the slot-digit form of ``coeffs``; a matrix built without
-    it (from coefficients alone) derives one slot of centred digits on
-    its first evaluation.
+    ``digits`` is the slot-digit form of ``coeffs``; a matrix built
+    without it (from coefficients alone) derives one slot of centred
+    digits on its first evaluation.
     """
 
-    __slots__ = ("indptr", "indices", "coeffs", "_lanes")
+    __slots__ = ("indptr", "indices", "coeffs", "_digits", "_limit")
 
-    def __init__(self, indptr, indices, coeffs, lanes: Optional[Lanes] = None):
+    def __init__(self, indptr, indices, coeffs,
+                 digits: Optional[Digits] = None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.coeffs = coeffs
-        self._lanes = lanes
+        self._digits = digits
+        self._limit = None
 
     @property
     def nnz(self) -> int:
@@ -127,21 +103,16 @@ class CSRMatrix:
     def num_rows(self) -> int:
         return len(self.indptr) - 1
 
-    def lanes(self, modulus: int) -> Lanes:
-        if self._lanes is None:
-            low, wide = _no_digits(centred_digits(self.coeffs, modulus))
-            self._lanes = Lanes(low, wide, _row_limits(low, self.indptr), [])
-        return self._lanes
+    def digits(self, modulus: int) -> Digits:
+        if self._digits is None:
+            self._digits = Digits.of(self.coeffs, modulus)
+        return self._digits
 
-
-def _no_digits(low: np.ndarray):
-    """``(low, wide)``: slot-0 digits with their :data:`NO_DIGIT` terms
-    set to 0, and those terms' positions."""
-    wide = np.flatnonzero(low == NO_DIGIT)
-    if wide.size:
-        low = low.astype(np.int64)  # a copy
-        low[wide] = 0
-    return low, wide
+    def limit(self, modulus: int) -> np.ndarray:
+        """Per row, the largest ``|z|`` its digits allow (int64)."""
+        if self._limit is None:
+            self._limit = _row_limits(self.digits(modulus), self.indptr)
+        return self._limit
 
 
 class CSRSystem:
@@ -199,16 +170,9 @@ class _MatrixBuilder:
     :class:`~repro.r1cs.lc.RowView` rows of one side join one slice.
     """
 
-    def __init__(self, position, modulus: int) -> None:
-        self.position = position  # signed variables -> dense positions
+    def __init__(self, modulus: int) -> None:
         self.modulus = modulus
-        self.lengths: List[np.ndarray] = []
-        self.variables: List[np.ndarray] = []
-        self.coeffs: list = []
-        self.low: List[np.ndarray] = []
-        self.wide: List[np.ndarray] = []
-        self.knit: List[KnitRun] = []
-        self.rows = self.terms = 0
+        self.sides: List[RowSide] = []
         self.view = None  # (side, start, stop) of pending RowView rows
         self.loose: Tuple[list, list, list] = ([], [], [])  # dict LC rows
 
@@ -224,11 +188,12 @@ class _MatrixBuilder:
         """``count`` rows of the constant ``value`` (0: empty rows)."""
         self.flush()
         terms = count if value else 0
-        self._part(
-            np.full(count, int(value != 0), dtype=np.int64),
-            np.zeros(terms, dtype=np.int64), [value] * terms,
-            np.full(terms, value, dtype=np.int64),
-        )
+        self._add(RowSide(
+            np.arange(count + 1) if value else np.zeros(count + 1),
+            np.zeros(terms), [value] * terms,
+            Digits(np.full(terms, value, dtype=np.int64),
+                   np.zeros(0, dtype=np.int64), ()),
+        ))
 
     def lc(self, terms: Dict[int, int]) -> None:
         if self.view is not None:
@@ -242,66 +207,26 @@ class _MatrixBuilder:
         view, self.view = self.view, None
         if view is not None:
             side, start, stop = view
-            lo, hi = int(side.indptr[start]), int(side.indptr[stop])
-            digits, widths = side.digits, side.widths
-            high = None
-            if digits is not None and len(digits) > 1:
-                if np.ndim(widths):
-                    widths = widths[start:stop]
-                high = widths, digits[1:, lo:hi], side.scale
-            self._part(
-                np.diff(side.indptr[start:stop + 1]),
-                side.variables[lo:hi],
-                side.coeffs[lo:hi],
-                None if digits is None else digits[0, lo:hi],
-                high,
-            )
+            self._add(side.slice(start, stop))
         lengths, variables, coeffs = self.loose
         if lengths:
             self.loose = ([], [], [])
-            self._part(
-                np.array(lengths, dtype=np.int64),
-                np.array(variables, dtype=np.int64),
-                coeffs,
-            )
+            self._add(RowSide(np.r_[0, np.cumsum(lengths)], variables, coeffs))
 
-    def _part(self, lengths, variables, coeffs, low=None, high=None) -> None:
-        """Rows of ``lengths`` terms over signed ``variables``.  ``low`` is
-        their slot-0 digits, derived from ``coeffs`` when not given;
-        ``high`` the ``(widths, digits, scale)`` of slots 1.. of a knit
-        side."""
-        if low is None:
-            low = centred_digits(coeffs, self.modulus)
-        low, wide = _no_digits(low)
-        if wide.size:
-            self.wide.append(wide + self.terms)
-        if high is not None:
-            self.knit.append(KnitRun(
-                self.rows, self.rows + lengths.size, self.terms, *high
-            ))
-        self.lengths.append(lengths)
-        self.variables.append(variables)
-        self.coeffs.extend(coeffs)
-        self.low.append(low)
-        self.rows += lengths.size
-        self.terms += variables.size
+    def _add(self, side: RowSide) -> None:
+        if side.digits is None:
+            side = RowSide(side.indptr, side.variables, side.coeffs,
+                           Digits.of(side.coeffs, self.modulus))
+        self.sides.append(side)
 
-    def finish(self) -> CSRMatrix:
+    def finish(self, position) -> CSRMatrix:
+        """The matrix, its signed variables at dense ``position`` s."""
         self.flush()
-
-        def joined(parts):
-            if not parts:
-                return np.zeros(0, dtype=np.int64)
-            return np.concatenate(parts).astype(np.int64, copy=False)
-
-        lengths = joined(self.lengths)
-        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        low = joined(self.low)
+        if not self.sides:
+            self.constant(0, 0)
+        side = RowSide.concat(self.sides)
         return CSRMatrix(
-            indptr, self.position(joined(self.variables)), self.coeffs,
-            Lanes(low, joined(self.wide), _row_limits(low, indptr, self.knit),
-                  self.knit),
+            side.indptr, position(side.variables), side.coeffs, side.digits
         )
 
 
@@ -314,13 +239,13 @@ def build_csr_structure(rows, num_public: int, num_private: int,
     :class:`~repro.r1cs.constraint.Constraint` s.  Terms are copied
     exactly as stored — no filtering or re-canonicalization — so CSR
     evaluation covers precisely the terms a per-LC walk would, keeping the
-    op-count parity the regression tests pin down.  A RowRun is copied a side at a time as array slices of its
-    :class:`~repro.r1cs.lc.RowSide`, digits included (or the constant
-    columns an absent B, ``1``, and C, ``0``, stand for).  A Constraint
-    side that is still an unread :class:`~repro.r1cs.lc.RowView` is copied
-    as the slices of its row, and only a Constraint's dict LCs are walked;
-    their coefficients, like those of a side without digits, get one slot
-    of centred digits.
+    op-count parity the regression tests pin down.  Each matrix is one
+    :meth:`~repro.r1cs.lc.RowSide.concat` of its parts: a RowRun's side
+    sliced, digits included (or the constant columns an absent B, ``1``,
+    and C, ``0``, stand for); a Constraint side that is still an unread
+    :class:`~repro.r1cs.lc.RowView` sliced likewise; and a Constraint's
+    dict LCs, the only terms walked.  Their coefficients, like those of a
+    side without digits, get one slot of centred digits.
     """
 
     def position(variables):
@@ -330,7 +255,7 @@ def build_csr_structure(rows, num_public: int, num_private: int,
 
     mats = []
     for name in ("a", "b", "c"):
-        out = _MatrixBuilder(position, modulus)
+        out = _MatrixBuilder(modulus)
         for piece in rows:
             if piece.__class__ is RowRun:
                 side = getattr(piece.block, name)
@@ -346,7 +271,7 @@ def build_csr_structure(rows, num_public: int, num_private: int,
                     out.side(side, lc.row, lc.row + 1)
                 else:
                     out.lc(lc.terms)
-        mats.append(out.finish())
+        mats.append(out.finish(position))
     return CSRSystem(mats[0], mats[1], mats[2], num_public, num_private,
                      modulus)
 
@@ -407,59 +332,60 @@ class RowValues(NamedTuple):
 
 
 def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-row sums of ``values`` (terms in row order along the last
-    axis), 0 for an empty row.  ``np.add.reduceat`` repeats the term at an
-    empty row's offset rather than summing nothing, so it runs over the
-    non-empty rows only."""
+    """Per-row sums of ``values`` (terms in row order), 0 for an empty
+    row.  ``np.add.reduceat`` repeats the term at an empty row's offset
+    rather than summing nothing, so it runs over the non-empty rows
+    only."""
     starts = indptr[:-1]
     full = indptr[1:] > starts
-    sums = np.zeros(values.shape[:-1] + starts.shape, dtype=np.int64)
-    if values.shape[-1]:
-        sums[..., full] = np.add.reduceat(values, starts[full], axis=-1)
+    sums = np.zeros(starts.size, dtype=np.int64)
+    if values.size:
+        sums[full] = np.add.reduceat(values, starts[full])
     return sums
 
 
-def _lane_split(matrix: CSRMatrix, lanes: Lanes, witness: SignedWitness):
+def _lane_split(matrix: CSRMatrix, witness: SignedWitness, modulus: int):
     """``(zt, bigint)``: each term's signed witness value, 0 where the
     term takes the bigint lane, and those terms' positions."""
     zt = witness.signed[matrix.indices]
-    limit = lanes.limit
+    wide = matrix.digits(modulus).wide
+    limit = matrix.limit(modulus)
     if not limit.size or witness.top <= int(limit.min()):
-        bigint = lanes.wide
+        bigint = wide
     else:
         over = np.abs(zt) > np.repeat(limit, np.diff(matrix.indptr))
-        over[lanes.wide] = True
+        over[wide] = True
         bigint = np.flatnonzero(over)
     zt[bigint] = 0
     return zt, bigint
 
 
-def _knit_values(run: KnitRun, zt: np.ndarray, indptr: np.ndarray):
-    """Slots ``1..`` of each row of ``run``, joined: ``sum_k S_k << (w k)``
-    over its int64 slot sums — at most one shift and one addition a slot."""
-    terms = zt[run.first:run.first + run.digits.shape[1]]
-    ptr = indptr[run.start:run.stop + 1] - run.first
-    highs = _row_sums(run.digits * terms, ptr).T.tolist()
-    widths = run.widths
-    widths = repeat(widths) if np.ndim(widths) == 0 else widths.tolist()
+def _knit_values(run: KnitRun, zt: np.ndarray):
+    """Slots ``1..`` of each segment of ``run``, joined: ``sum_k S_k <<
+    (w k)`` over its int64 slot sums — at most one shift and one addition
+    a slot."""
+    highs = np.add.reduceat(
+        run.digits * zt[run.terms()], run.ptr[:-1], axis=1
+    ).T.tolist()
+    width = run.width
     values = np.empty(len(highs), dtype=object)
-    for row, (slots, width) in enumerate(zip(highs, widths)):
+    for segment, slots in enumerate(highs):
         value = 0
         for part in reversed(slots):
             value = (value + part) << width
-        values[row] = value
+        values[segment] = value
     return values
 
 
-def _bigint_values(matrix: CSRMatrix, lanes: Lanes, witness, bigint):
+def _bigint_values(matrix: CSRMatrix, digits: Digits, witness, bigint):
     """``(rows, sums)``: the bigint-lane products summed per row.  A term
     whose coefficient is its slot-0 digit multiplies by that small signed
     digit; the others (no digits, or knit) by the coefficient itself."""
     whole = np.zeros(matrix.nnz, dtype=bool)
-    whole[lanes.wide] = True
-    for run in lanes.knit:
-        whole[run.first:run.first + run.digits.shape[1]] = True
-    coeffs = lanes.low[bigint].astype(object)
+    whole[digits.wide] = True
+    for run in digits.knit:
+        whole[run.terms()] = True
+    coeffs = digits.low[bigint].astype(object)
     exact = whole[bigint]
     if exact.any():
         coeffs[exact] = list(
@@ -478,20 +404,19 @@ def row_values(
 
     Slot 0 of every row is one int64 product-and-``reduceat`` sweep; each
     further slot of a knit run another, over that run's terms, joined per
-    row with at most ``s`` big-integer shifts and additions.  Bigint-lane
-    terms are exact products, summed per row.
+    segment with at most ``s`` big-integer shifts and additions.
+    Bigint-lane terms are exact products, summed per row.
     """
-    lanes = matrix.lanes(modulus)
-    indptr = matrix.indptr
-    zt, bigint = _lane_split(matrix, lanes, witness)
-    low = _row_sums(lanes.low * zt, indptr)
+    digits = matrix.digits(modulus)
+    zt, bigint = _lane_split(matrix, witness, modulus)
+    low = _row_sums(digits.low * zt, matrix.indptr)
     rows, extra = [], []
-    for run in lanes.knit:
-        rows.append(np.arange(run.start, run.stop))
-        extra.append(_knit_values(run, zt, indptr))
+    for run in digits.knit:
+        rows.append(run.rows)
+        extra.append(_knit_values(run, zt))
     if bigint.size:
         for part, values in zip((rows, extra), _bigint_values(
-            matrix, lanes, witness, bigint
+            matrix, digits, witness, bigint
         )):
             part.append(values)
     if not rows:
@@ -519,7 +444,7 @@ def bigint_lane(csr: CSRSystem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     the snapshot's assignment."""
     witness = csr.witness()
     return tuple(
-        _lane_split(matrix, matrix.lanes(csr.modulus), witness)[1]
+        _lane_split(matrix, witness, csr.modulus)[1]
         for matrix in csr.matrices()
     )
 

@@ -17,6 +17,7 @@ arithmetic but zero constraints (§2.1).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Dict,
     Iterable,
@@ -179,16 +180,135 @@ class LinearCombination:
         return "LC(" + " + ".join(parts) + ")"
 
 
-# A slot-0 digit equal to this marks a term without digits (a field-wide
-# coefficient); its other slots are 0.  Centred coefficients below it in
-# magnitude are their own digit.
-NO_DIGIT = 1 << 62
+# A centred coefficient below this in magnitude is its own slot-0 digit;
+# one at or above it is field-wide and has no digits.
+_DIGIT_BOUND = 1 << 62
 # The dtypes knit digits are kept in, narrowest first, with their largest
 # value.
 _DTYPES = [
     (dtype, np.iinfo(dtype).max)
     for dtype in (np.int8, np.int16, np.int32, np.int64)
 ]
+_NO_TERMS = np.zeros(0, dtype=np.int64)
+
+
+class KnitRun(NamedTuple):
+    """Slots ``1..`` of the knit terms of some rows, ``width`` bits apart.
+
+    Segment ``k`` is the ``ptr[k + 1] - ptr[k]`` consecutive terms from
+    term ``starts[k]``, all in row ``rows[k]``; segments are non-empty and
+    in term order.  ``digits`` holds their slots ``1..``, slot-major, one
+    column per term, segment after segment — in the narrowest integer
+    dtype that holds ``scale``, a bound on every digit's magnitude.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+    ptr: np.ndarray
+    width: int
+    digits: np.ndarray
+    scale: int
+
+    def terms(self):
+        """The run's term positions, in column order: a ``slice`` when the
+        segments lie back to back (a packed side and its slices), else an
+        index array."""
+        first, count = int(self.starts[0]), int(self.ptr[-1])
+        if int(self.starts[-1] + self.ptr[-1] - self.ptr[-2]) == first + count:
+            return slice(first, first + count)
+        counts = np.diff(self.ptr)
+        return np.repeat(self.starts - self.ptr[:-1], counts) + np.arange(
+            count
+        )
+
+
+class Digits(NamedTuple):
+    """Coefficients as small signed *slot digits*: ``c_t = sum_k d_k(t)
+    2^(width k) (mod p)`` — one digit for an ordinary coefficient, ``s``
+    for a knit one (§4.2).  The one form the compiler writes digits in and
+    the prover sums rows over (:mod:`repro.r1cs.csr`).
+
+    ``low`` is every term's slot 0 (0 for a term without digits), ``wide``
+    the ascending positions of the terms without digits (field-wide
+    coefficients), ``knit`` the further slots of the terms that have them.
+    """
+
+    low: np.ndarray
+    wide: np.ndarray
+    knit: Tuple[KnitRun, ...]
+
+    @classmethod
+    def of(cls, coeffs: Sequence[int], modulus: int) -> "Digits":
+        """Canonical coefficients as one slot: each centred into ``(-p/2,
+        p/2)``, and without digits past ``2^62`` in magnitude."""
+        top = modulus - _DIGIT_BOUND
+        low = np.array(
+            [c if c < _DIGIT_BOUND else c - modulus if c > top
+             else _DIGIT_BOUND for c in coeffs],
+            dtype=np.int64,
+        )
+        wide = np.flatnonzero(low == _DIGIT_BOUND)
+        low[wide] = 0
+        return cls(low, wide, ())
+
+    @classmethod
+    def slots(cls, digits, indptr, width: int, scale=None) -> "Digits":
+        """A slot-major ``(slots, terms)`` integer matrix of digits
+        ``width`` bits apart, over the rows of ``indptr``; ``scale`` bounds
+        their magnitude (measured when not given)."""
+        if len(digits) == 1 or not digits.size:
+            return cls(digits[0], _NO_TERMS, ())
+        if scale is None:
+            scale = max(-int(digits.min()), int(digits.max()))
+        dtype = next(d for d, top in _DTYPES if scale <= top)
+        digits = digits.astype(dtype, order="C", copy=False)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        counts = np.diff(indptr)
+        rows = np.flatnonzero(counts)
+        run = KnitRun(
+            rows, indptr[rows], np.r_[0, np.cumsum(counts[rows])], width,
+            digits[1:], scale,
+        )
+        return cls(digits[0], _NO_TERMS, (run,))
+
+    @classmethod
+    def concat(cls, parts: Sequence[Tuple["Digits", int, int]]) -> "Digits":
+        """``(digits, rows, terms)`` parts one after another."""
+        low, wide, knit = [], [], []
+        rows = terms = 0
+        for digits, num_rows, num_terms in parts:
+            low.append(digits.low)
+            wide.append(digits.wide + terms)
+            knit += [
+                run._replace(rows=run.rows + rows, starts=run.starts + terms)
+                for run in digits.knit
+            ]
+            rows += num_rows
+            terms += num_terms
+        return cls(np.concatenate(low), np.concatenate(wide), tuple(knit))
+
+    def slice(self, indptr: np.ndarray, start: int, stop: int) -> "Digits":
+        """The digits of rows ``[start, stop)`` of a side with ``indptr``."""
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        knit = []
+        for run in self.knit:
+            if run.rows[-1] < start or run.rows[0] >= stop:
+                continue
+            first, last = np.searchsorted(run.rows, (start, stop))
+            if first == last:
+                continue
+            left, right = run.ptr[first], run.ptr[last]
+            knit.append(KnitRun(
+                run.rows[first:last] - start, run.starts[first:last] - lo,
+                run.ptr[first:last + 1] - left, run.width,
+                run.digits[:, left:right], run.scale,
+            ))
+        return Digits(
+            self.low[lo:hi],
+            self.wide[np.searchsorted(self.wide, lo):
+                      np.searchsorted(self.wide, hi)] - lo,
+            tuple(knit),
+        )
 
 
 class RowSide:
@@ -206,72 +326,59 @@ class RowSide:
     ordinary LCs never enter them), where a list of a million
     coefficients would be walked by every full collection.
 
-    ``digits``, when known, is the same coefficients as small signed *slot
-    digits*: a slot-major integer ndarray of shape ``(slots, terms)`` with
-    ``coeffs[t] = sum_k digits[k, t] * 2^(width * k) (mod p)``, ``width``
-    the row's entry of ``widths`` (one int for every row, or an ndarray of
-    one per row; it does not matter for one slot).  They are the digits
-    :func:`~repro.core.privacy.knit.pack_slots` packs a knit coefficient
-    from — kept in the narrowest integer dtype that holds them, ``scale``
-    a bound on their magnitude (measured unless the caller passes one) —
-    or one slot of small signed coefficients, where :data:`NO_DIGIT` marks
-    a coefficient without digits.  The prover sums rows over them in int64
-    (:mod:`repro.r1cs.csr`).
+    ``digits``, when known, is the same coefficients as :class:`Digits` —
+    the knit digits :func:`~repro.core.privacy.knit.pack_slots` packs a
+    coefficient from, or one slot of small signed coefficients; whoever
+    needs them derives one centred slot for a side without them.
     """
 
-    __slots__ = ("indptr", "variables", "coeffs", "digits", "widths", "scale")
+    __slots__ = ("indptr", "variables", "coeffs", "digits")
 
     def __init__(
-        self, indptr, variables, coeffs, digits=None, widths=0, scale=None
+        self, indptr, variables, coeffs, digits: Optional[Digits] = None
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.variables = np.asarray(variables, dtype=np.int64)
         self.coeffs = tuple(coeffs)
-        self.widths = widths
-        self.scale = 0
-        if digits is not None:
-            digits = np.asarray(digits)
-            if digits.ndim == 1:
-                digits = digits[None]
-            if len(digits) > 1 and digits.size:
-                if scale is None:
-                    scale = max(-int(digits.min()), int(digits.max()))
-                dtype = next(
-                    (d for d, top in _DTYPES if scale <= top), np.int64
-                )
-                digits = digits.astype(dtype, order="C", copy=False)
-                self.scale = scale
         self.digits = digits
 
     def __len__(self) -> int:
         """The number of rows."""
         return len(self.indptr) - 1
 
+    def slice(self, start: int, stop: int) -> "RowSide":
+        """Rows ``[start, stop)``."""
+        if start == 0 and stop == len(self):
+            return self
+        lo, hi = self.indptr[start], self.indptr[stop]
+        digits = self.digits
+        return RowSide(
+            self.indptr[start:stop + 1] - lo,
+            self.variables[lo:hi],
+            self.coeffs[lo:hi],
+            None if digits is None else digits.slice(self.indptr, start, stop),
+        )
+
     @classmethod
     def concat(cls, sides: Sequence["RowSide"]) -> "RowSide":
         """The rows of ``sides``, one side after another."""
+        sides = [side for side in sides if len(side)] or sides[:1]
+        if len(sides) == 1:
+            return sides[0]
         ends = np.cumsum([side.indptr[-1] for side in sides])
         indptr = np.concatenate([sides[0].indptr[:1]] + [
             side.indptr[1:] + end - side.indptr[-1]
             for side, end in zip(sides, ends)
         ])
-        digits, widths = None, 0
+        digits = None
         if all(side.digits is not None for side in sides):
-            digits = np.zeros(
-                (max(len(side.digits) for side in sides), int(ends[-1])),
-                dtype=np.int64,
-            )
-            for side, end in zip(sides, ends):
-                terms = side.digits.shape[1]
-                digits[:len(side.digits), end - terms:end] = side.digits
-            widths = np.concatenate([
-                np.broadcast_to(side.widths, len(side)) for side in sides
+            digits = Digits.concat([
+                (side.digits, len(side), side.variables.size)
+                for side in sides
             ])
         return cls(
-            indptr,
-            np.concatenate([side.variables for side in sides]),
-            sum((side.coeffs for side in sides), ()),
-            digits, widths,
+            indptr, np.concatenate([side.variables for side in sides]),
+            chain.from_iterable(side.coeffs for side in sides), digits,
         )
 
     @classmethod
@@ -279,10 +386,9 @@ class RowSide:
         """``num_rows`` rows from pieces; within a row, terms keep piece
         order.  A piece is ``(rows, variables, coeffs)`` — a scalar stands
         for every entry; coefficients are small signed integers or field
-        residues, stored canonical, and kept as one slot of digits
-        (:func:`centred_digits` for residues) — or ``(rows, side)``: the
-        terms of a :class:`RowSide`, in order, with its digits and slot
-        widths."""
+        residues, stored canonical, and kept as one slot of digits — or
+        ``(rows, side)``: the terms of a :class:`RowSide`, in order, each
+        of its rows moved whole to one row, with their digits."""
         rows = np.concatenate([piece[0] for piece in pieces])
         parts = [
             (piece[1].variables, np.array(piece[1].coeffs, dtype=object))
@@ -297,11 +403,9 @@ class RowSide:
         order = np.argsort(rows, kind="stable")
         coeffs = coeffs[order]
         if coeffs.dtype.kind == "i":  # integer coefficients: their digits
-            digits, widths = coeffs, 0
+            digits = Digits(coeffs, _NO_TERMS, ())
         else:
-            digits, widths = _gathered_digits(
-                num_rows, rows, order, pieces, parts, modulus
-            )
+            digits = _sorted_digits(rows, order, pieces, parts, modulus)
         return cls(
             np.concatenate(
                 ([0], np.cumsum(np.bincount(rows, minlength=num_rows)))
@@ -309,60 +413,46 @@ class RowSide:
             variables[order],
             [c % modulus for c in coeffs.tolist()]
             if coeffs.size and coeffs.min() < 0 else coeffs.tolist(),
-            digits, widths,
+            digits,
         )
 
 
-def _gathered_digits(num_rows: int, rows, order, pieces, parts, modulus):
-    """The ``(digits, widths)`` of :meth:`RowSide.gather` past integer
-    coefficients: residues centred, side pieces with their own digits;
-    ``(None, 0)`` unless every side piece has digits and no row takes knit
-    terms of two widths."""
-    digits = []  # per piece: its digits and each entry's slot width
+def _sorted_digits(rows, order, pieces, parts, modulus: int) -> Digits:
+    """The :class:`Digits` of :meth:`RowSide.gather`'s terms, ``order``
+    putting the pieces' terms, end to end, in row order: integers their
+    own digit, residues centred, side pieces with their own digits — each
+    knit segment moved whole to its row."""
+    found = []
     for piece, (_, coeffs) in zip(pieces, parts):
         if len(piece) == 2:
             side = piece[1]
-            if side.digits is None:
-                return None, 0
-            lengths = np.diff(side.indptr)
-            digits.append((side.digits, np.repeat(
-                np.broadcast_to(side.widths, lengths.shape), lengths
-            ) if len(side.digits) > 1 else 0))
+            digits = side.digits
+            if digits is None:
+                digits = Digits.of(side.coeffs, modulus)
         elif coeffs.dtype.kind == "i":
-            digits.append((coeffs[None], 0))
+            digits = Digits(coeffs, _NO_TERMS, ())
         else:
-            digits.append((centred_digits(coeffs.tolist(), modulus)[None], 0))
-    out = np.zeros(
-        (max(len(part) for part, _ in digits), rows.size), dtype=np.int64
-    )
-    term_widths = np.zeros(rows.size, dtype=np.int64)
-    at = 0
-    for part, term_width in digits:
-        slots, count = part.shape
-        out[:slots, at:at + count] = part
-        term_widths[at:at + count] = term_width
-        at += count
-    out = out[:, order]
-    knit = np.flatnonzero(term_widths)
-    if not knit.size:
-        return out, 0
-    widths = np.zeros(num_rows, dtype=np.int64)  # a row takes its knit width
-    widths[rows[knit]] = term_widths[knit]
-    if (widths[rows[knit]] != term_widths[knit]).any():
-        return None, 0
-    return out, widths
-
-
-def centred_digits(coeffs: Sequence[int], modulus: int) -> np.ndarray:
-    """Canonical coefficients as one slot of digits: each centred into
-    ``(-p/2, p/2)`` where that is below :data:`NO_DIGIT` in magnitude,
-    else :data:`NO_DIGIT`."""
-    top = modulus - NO_DIGIT
-    return np.array(
-        [c if c < NO_DIGIT else c - modulus if c > top else NO_DIGIT
-         for c in coeffs],
-        dtype=np.int64,
-    )
+            digits = Digits.of(coeffs.tolist(), modulus)
+        found.append((digits, 0, coeffs.size))
+    flat = Digits.concat(found)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    knit = []
+    for run in flat.knit:
+        starts = inverse[run.starts]
+        run = run._replace(rows=rows[run.starts], starts=starts)
+        if (np.diff(starts) < 0).any():  # segments back in term order
+            pick = np.argsort(starts)
+            counts = np.diff(run.ptr)[pick]
+            ptr = np.r_[0, np.cumsum(counts)]
+            run = run._replace(
+                rows=run.rows[pick], starts=starts[pick], ptr=ptr,
+                digits=run.digits[:, np.repeat(
+                    run.ptr[:-1][pick] - ptr[:-1], counts
+                ) + np.arange(ptr[-1])],
+            )
+        knit.append(run)
+    return Digits(flat.low[order], np.sort(inverse[flat.wide]), tuple(knit))
 
 
 class RowBlock:

@@ -42,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.field.counters import global_counter
-from repro.r1cs.lc import ONE, RowBlock, RowSide, centred_digits
+from repro.r1cs.lc import ONE, Digits, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 # Rounds absorbing 0 after the payload, so the digest of a prefix is
@@ -125,28 +125,16 @@ class Sponge:
         return range(self.first_wire, self.first_wire + owned)
 
 
-# One side (A, B or C) of some rows in CSR form: the rows' signed
-# variables end to end, the aligned coefficients, indptr, and the
-# coefficients' one slot of digits (repro.r1cs.lc.RowSide).
-Side = Tuple[np.ndarray, List[int], np.ndarray, np.ndarray]
-
-
 class SpongeRows(NamedTuple):
     """The rows of several sponges, sponge after sponge."""
 
-    sides: Tuple[Side, ...]
+    sides: Tuple[RowSide, RowSide, RowSide]  # A, B and C
     tags: List[str]  # one per row
     first_row: np.ndarray  # of each sponge, and one past the last row
 
     def block(self) -> RowBlock:
         """Every row, as a constraint system takes them."""
-        return RowBlock(
-            *(
-                RowSide(indptr, variables, coeffs, digits)
-                for variables, coeffs, indptr, digits in self.sides
-            ),
-            tags=self.tags,
-        )
+        return RowBlock(*self.sides, tags=self.tags)
 
 
 def sponge_rows(
@@ -223,11 +211,6 @@ def sponge_rows(
         np.array(a_coeffs, dtype=object),
         constant[has_constant],
     ])[order]
-    t_digits = np.concatenate([
-        np.ones(has_state.sum(), dtype=np.int64),
-        centred_digits(a_coeffs, modulus),
-        centred_digits(constant[has_constant].tolist(), modulus),
-    ])[order]
     t_width = np.bincount(term_round, minlength=total)
 
     # Each side of each row is a round's t, one wire, a pin's ``digest -
@@ -245,10 +228,13 @@ def sponge_rows(
         np.tile(np.array([1, modulus - 1], dtype=object), len(pin)),
         np.ones(1, dtype=object),
     ])
-    pool_digits = np.concatenate([
-        t_digits, np.ones(3 * total, dtype=np.int64),
+    t_digits = Digits.of(t_coeffs.tolist(), modulus)
+    pool_low = np.concatenate([
+        t_digits.low, np.ones(3 * total, dtype=np.int64),
         np.tile([1, -1], len(pin)), [1],
     ])
+    pool_wide = np.zeros(pool_vars.size, dtype=bool)
+    pool_wide[t_digits.wide] = True  # the rounds' t terms lead the pool
     pool_width = np.concatenate([
         t_width, np.ones(3 * total, dtype=np.int64), np.full(len(pin), 2),
         [1, 0],
@@ -258,7 +244,7 @@ def sponge_rows(
     pinned_digest = 4 * total + np.arange(len(pin))
     one, nothing = 4 * total + len(pin), 4 * total + len(pin) + 1
 
-    def side(steps, at_pin) -> Side:
+    def side(steps, at_pin) -> RowSide:
         """Rows whose three per round hold the pool entries ``steps`` and
         whose pins hold ``at_pin``."""
         pick = np.empty(num_rows, dtype=np.int64)
@@ -270,9 +256,9 @@ def sponge_rows(
         source = np.repeat(pool_indptr[pick] - indptr[:-1], width) + np.arange(
             indptr[-1]
         )
-        return (
-            pool_vars[source], pool_coeffs[source].tolist(), indptr,
-            pool_digits[source],
+        return RowSide(
+            indptr, pool_vars[source], pool_coeffs[source].tolist(),
+            Digits(pool_low[source], np.flatnonzero(pool_wide[source]), ()),
         )
 
     row_tags = np.repeat(np.array(tags, dtype=object), np.diff(first_row))

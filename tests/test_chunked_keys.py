@@ -202,12 +202,8 @@ class TestStreamedCSR:
         matrices with every term moved to the bigint lane."""
         import numpy as np
 
-        from repro.r1cs.csr import (
-            CSRMatrix,
-            Lanes,
-            bigint_lane,
-            matrix_row_evals,
-        )
+        from repro.r1cs.csr import CSRMatrix, bigint_lane, matrix_row_evals
+        from repro.r1cs.lc import Digits
 
         cs = tiny_cs()
         csr = cs.to_csr()
@@ -215,10 +211,9 @@ class TestStreamedCSR:
         for matrix in csr.matrices():
             wide = CSRMatrix(
                 matrix.indptr, matrix.indices, matrix.coeffs,
-                Lanes(
+                Digits(
                     np.zeros(matrix.nnz, dtype=np.int64),
-                    np.arange(matrix.nnz),
-                    np.zeros(matrix.num_rows, dtype=np.int64), [],
+                    np.arange(matrix.nnz), (),
                 ),
             )
             assert matrix_row_evals(wide, csr.z, csr.modulus) == (

@@ -318,6 +318,18 @@ class TestBlockRows:
         assert bulk.allocate([5], public=True) == single.new_public(5)
 
 
+def packed(side, width):
+    """Each coefficient of ``side`` rebuilt from its slot digits, which
+    sit ``width`` bits apart."""
+    digits = side.digits
+    values = digits.low.astype(object)
+    for run in digits.knit:
+        assert run.width == width
+        for k, slot in enumerate(run.digits, 1):
+            values[run.terms()] += slot.astype(object) * (1 << (width * k))
+    return [int(v) % BN254_FR_MODULUS for v in values]
+
+
 class TestPackSlots:
     def test_lanes_agree(self):
         """Digit lane (arrays) and exact lane (lists) on the same entries."""
@@ -338,11 +350,7 @@ class TestPackSlots:
         assert cache.hits + cache.misses == len(fast.coeffs)
         assert fast.indptr.tolist() == slow.indptr.tolist()
         for side in (fast, slow):  # the kept slot digits pack to the coeffs
-            assert side.widths == 28
-            assert [
-                sum(int(d) << (28 * k) for k, d in enumerate(term)) % p
-                for term in side.digits.T
-            ] == list(side.coeffs)
+            assert packed(side, 28) == list(side.coeffs)
         for row in range(40):
             lo, hi = fast.indptr[row], fast.indptr[row + 1]
             assert dict(
@@ -368,12 +376,11 @@ class TestPackSlots:
             7: (big - (3 << 24)) % p, 8: 5 << 24
         }
         # 2^40 is wider than its slot: the digits are cut afresh, balanced.
-        assert side.widths == 24
-        assert np.abs(side.digits).max() <= 1 << 23
-        assert [
-            sum(int(d) << (24 * k) for k, d in enumerate(term)) % p
-            for term in side.digits.T
-        ] == list(side.coeffs)
+        assert packed(side, 24) == list(side.coeffs)
+        (run,) = side.digits.knit
+        assert max(
+            np.abs(side.digits.low).max(), np.abs(run.digits).max()
+        ) <= 1 << 23
 
     def test_cache_changes_no_row(self):
         rng = np.random.default_rng(4)

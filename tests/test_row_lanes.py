@@ -20,7 +20,7 @@ from repro.r1cs.csr import (
     evaluate_rows,
     unsatisfied_rows,
 )
-from repro.r1cs.lc import LinearCombination, RowBlock, RowSide
+from repro.r1cs.lc import Digits, LinearCombination, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 P = BN254_FR.modulus
@@ -41,7 +41,31 @@ def side(draw, rows: int):
     """``rows`` rows of a RowSide: knit digits of 1, 2 or 11 slots at a
     drawn width (the two-width concatenation of :meth:`RowSide.concat`
     included), or coefficients alone — small signed ones and field-wide
-    constants; rows may be empty."""
+    constants; or the middle rows of a longer side, or a side gathered
+    from a knit side's rows (in any row order) and loose terms; rows may
+    be empty."""
+    kind = draw(st.sampled_from(["plain", "sliced", "gathered"]))
+    if kind == "sliced":
+        return draw(plain_side(rows + 2)).slice(1, rows + 1)
+    if kind == "plain":
+        return draw(plain_side(rows))
+    knit = draw(plain_side(rows))
+    target = np.array(draw(st.lists(
+        st.integers(0, rows - 1), min_size=rows, max_size=rows
+    )), dtype=np.int64)
+    loose = draw(st.lists(st.tuples(
+        st.integers(0, rows - 1), st.integers(0, VARIABLES),
+        st.one_of(st.integers(-(2**20), 2**20), st.integers(0, P - 1)),
+    ), max_size=6))
+    pieces = [(np.repeat(target, np.diff(knit.indptr)), knit)]
+    if loose:
+        at, variables, coeffs = (np.array(part) for part in zip(*loose))
+        pieces.append((at, variables, coeffs.astype(object)))
+    return RowSide.gather(rows, pieces, P)
+
+
+@st.composite
+def plain_side(draw, rows: int):
     lengths = [draw(st.integers(0, 5)) for _ in range(rows)]
     terms = sum(lengths)
     indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
@@ -80,7 +104,9 @@ def _knit(draw, lengths, variables):
         for t in range(terms)
     ]
     indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    return RowSide(indptr, variables, coeffs, digits, width)
+    return RowSide(
+        indptr, variables, coeffs, Digits.slots(digits, indptr, width)
+    )
 
 
 @st.composite
@@ -142,9 +168,25 @@ class TestEvaluator:
         cs = ConstraintSystem()
         cs.allocate([5, P - 7])
         row_side = RowSide([0, 0, 2, 2, 3, 3], [1, 2, 2], [3, 1, P - 1],
-                       np.array([3, 1, -1]))
+                           Digits.of([3, 1, P - 1], P))
         cs.enforce_rows(RowBlock(row_side))
         assert evaluate_rows(cs.to_csr())[0] == [0, 8, 0, 7, 0]
+
+    def test_every_slice_of_a_knit_side(self):
+        """Slices that start, end or lie wholly between a knit run's rows
+        keep exactly their own rows' digits."""
+        digits = np.array([[1, -2, 3], [4, 5, -6]])
+        indptr = np.array([0, 2, 2, 2, 3])
+        coeffs = [(d0 + (d1 << 8)) % P for d0, d1 in digits.T.tolist()]
+        knit = RowSide(indptr, [1, 2, 1], coeffs,
+                       Digits.slots(digits, indptr, 8))
+        for start in range(5):
+            for stop in range(start, 5):
+                cs = ConstraintSystem()
+                cs.allocate([7, P - 11])
+                cs.enforce_rows(RowBlock(knit.slice(start, stop)))
+                csr = cs.to_csr()
+                assert evaluate_rows(csr) == naive_rows(csr)
 
     def test_rows_just_under_and_over_the_int64_bound(self):
         """Two unit terms at the row's limit sum just under 2^63 on the
@@ -153,8 +195,8 @@ class TestEvaluator:
         cs = ConstraintSystem()
         cs.allocate([0, 0])
         cs.enforce_rows(RowBlock(RowSide([0, 2], [1, 2], [1, 1],
-                                         np.array([1, 1]))))
-        limit = int(cs.to_csr().a.lanes(P).limit[0])
+                                         Digits.of([1, 1], P))))
+        limit = int(cs.to_csr().a.limit(P)[0])
         assert 2**62 < 2 * limit < 2**63
         for sign in (1, -1):
             for extra, lane in ((0, 0), (1, 1)):
@@ -176,44 +218,68 @@ class TestEvaluator:
         assert evaluate_rows(csr)[0] == [(-3 + P // 3 + P // 5) % P]
 
 
+def compiled(name, scale, **options):
+    from repro.core.compiler import CompilerOptions, ZenoCompiler
+    from repro.nn.data import synthetic_images
+    from repro.nn.models import build_model
+
+    model = build_model(name, scale)
+    image = synthetic_images(model.input_shape, 1, seed=3)[0]
+    return ZenoCompiler(CompilerOptions(**options)).compile_model(
+        model, image
+    ).cs
+
+
+def field_wide(value):
+    return min(value, P - value) >= 2**62
+
+
+def assert_bigint_terms_are_field_wide(cs):
+    """Every bigint-lane term of ``cs`` touches a field-wide wire or has a
+    coefficient without digits."""
+    csr = cs.to_csr()
+    for matrix, terms in zip(csr.matrices(), bigint_lane(csr)):
+        wide = set(matrix.digits(P).wide.tolist())
+        for term in terms.tolist():
+            assert field_wide(csr.z[matrix.indices[term]]) or term in wide
+
+
 class TestLaneCensus:
     """Where the lanes fall on real circuits, for their compiled witness."""
 
     def test_lean_lcs_full_takes_no_bigint_term(self):
-        from repro.core.compiler import CompilerOptions, ZenoCompiler
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
-
-        model = build_model("LCS", "full")
-        image = synthetic_images(model.input_shape, 1, seed=3)[0]
-        cs = ZenoCompiler(CompilerOptions(gadget_mode="lean")).compile_model(
-            model, image
-        ).cs
-        csr = cs.to_csr()
+        csr = compiled("LCS", "full", gadget_mode="lean").to_csr()
         assert [terms.size for terms in bigint_lane(csr)] == [0, 0, 0]
-        assert len(csr.a.lanes(P).knit) > 0  # knit rows on the int64 lane
+        assert len(csr.a.digits(P).knit) > 0  # knit rows on the int64 lane
+
+    def test_lean_lcs_full_split_takes_no_bigint_term(self):
+        """The split's instances keep their knit rows' slot digits."""
+        from repro.aggregate.split import split_model
+
+        split = split_model(compiled("LCS", "full", gadget_mode="lean"))
+        assert split.num_instances > 1
+        knit = 0
+        for inst in split.instances:
+            csr = inst.cs.to_csr()
+            assert [terms.size for terms in bigint_lane(csr)] == [0, 0, 0]
+            knit += len(csr.a.digits(P).knit)
+        assert knit > 0
 
     @pytest.mark.parametrize("relu_mode", ["bits", "lookup"])
     def test_strict_tiny_bigint_terms_are_field_wide(self, relu_mode):
         """Every bigint-lane term of TINY:micro strict touches a
-        field-wide wire (a sponge, LogUp or boundary wire) or a field-wide
-        constant — none is there for want of digits or of a bound."""
-        from repro.core.compiler import CompilerOptions, ZenoCompiler
-        from repro.nn.data import synthetic_images
-        from repro.nn.models import build_model
+        field-wide wire (a sponge, LogUp or boundary wire) or has a
+        field-wide constant — none is there for want of digits or of a
+        bound."""
+        assert_bigint_terms_are_field_wide(compiled(
+            "TINY", "micro", gadget_mode="strict", relu_mode=relu_mode
+        ))
 
-        model = build_model("TINY", "micro")
-        image = synthetic_images(model.input_shape, 1, seed=3)[0]
-        cs = ZenoCompiler(CompilerOptions(
-            gadget_mode="strict", relu_mode=relu_mode
-        )).compile_model(model, image).cs
-        csr = cs.to_csr()
+    def test_strict_tiny_hashed_split_bigint_terms_are_field_wide(self):
+        from repro.aggregate.split import split_model
 
-        def field_wide(value):
-            return min(value, P - value) >= 2**62
-
-        for matrix, terms in zip(csr.matrices(), bigint_lane(csr)):
-            for term in terms.tolist():
-                assert field_wide(csr.z[matrix.indices[term]]) or (
-                    field_wide(matrix.coeffs[term])
-                )
+        split = split_model(compiled(
+            "TINY", "micro", gadget_mode="strict", relu_mode="lookup"
+        ), "hashed")
+        for inst in split.instances:
+            assert_bigint_terms_are_field_wide(inst.cs)
