@@ -32,7 +32,7 @@ from repro.ec.backend import RealBN254Backend, SimulatedBackend
 from repro.nn.data import synthetic_cifar10, synthetic_mnist
 from repro.nn.models import MODEL_INFO, build_model, model_table
 from repro.r1cs.export import export_system, import_system
-from repro.snark.groth16 import Groth16, batch_verify
+from repro.snark.groth16 import batch_verify
 from repro.snark.serialize import deserialize_proof, serialize_proof
 
 __version__ = "1.0.0"
@@ -56,7 +56,6 @@ __all__ = [
     "MODEL_INFO",
     "build_model",
     "model_table",
-    "Groth16",
     "batch_verify",
     "export_system",
     "import_system",

@@ -30,12 +30,14 @@ import random
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional
 
+import numpy as np
+
 from repro.aggregate.split import LayerInstance, SplitModel
 from repro.analysis import audit_system
 from repro.analysis.determinism import lookup_block_finding
 from repro.analysis.report import AuditReport
 from repro.lookup import verify_lookup_block
-from repro.r1cs.lc import ONE, LinearCombination
+from repro.r1cs.lc import ONE, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 
 
@@ -44,17 +46,24 @@ def _source_system(split: SplitModel) -> ConstraintSystem:
     inherited them and renumbered to the source's variables — what the
     row and variable indices a lookup block recorded refer to."""
     source = ConstraintSystem(split.instances[0].cs.field)
+    modulus = source.field.modulus
     for inst in split.instances:
-        # local signed index -> source variable; publics from the end
-        origin = [ONE, *inst.private_map, *reversed(inst.public_map)]
-        for row in inst.cs.constraints[:inst.num_rows]:
-            a, b, c = (
-                LinearCombination(
-                    lc.field, {origin[v]: k for v, k in lc.terms.items()}
-                )
-                for lc in (row.a, row.b, row.c)
-            )
-            source.enforce(a, b, c, tag=row.tag)
+        rows = inst.num_rows
+        # dense position -> source variable (the inherited rows read no
+        # synthesized variable, whose entry is None)
+        origin = np.array([ONE, *inst.public_map, *inst.private_map])
+        sides = []
+        for matrix in inst.cs.to_csr(assignment=False).matrices():
+            side = RowSide(
+                matrix.indptr, matrix.indices, matrix.coeffs,
+                matrix.digits(modulus),
+            ).slice(0, rows)
+            sides.append(RowSide(
+                side.indptr, origin[side.variables], side.coeffs, side.digits
+            ))
+        source.enforce_rows(
+            RowBlock(*sides, tags=inst.cs.row_tags()[:rows])
+        )
     return source
 
 

@@ -75,7 +75,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.lint import boolean_variables
+from repro.analysis.lint import match_boolean
 from repro.analysis.report import Finding, Severity
 from repro.field import signed
 from repro.r1cs.lc import ONE
@@ -180,12 +180,14 @@ def _uniquely_decodable(
 class _Propagator:
     def __init__(self, cs: ConstraintSystem, assume: Iterable[int]):
         self.cs = cs
+        self.rows = list(cs.constraints)  # read once, walked every round
         self.p = cs.field.modulus
         self.assignment = cs.assignment()
         self.assumed = {v for v in assume if v > 0}
         self.det: Set[int] = set(self.assumed)
         self.bounds: Dict[int, Tuple[int, int]] = {
-            var: (0, 1) for var in boolean_variables(cs)
+            var: (0, 1) for var in map(match_boolean, self.rows)
+            if var is not None
         }
         self.done = [False] * cs.num_constraints
         # Rule 4 state: exactly-one groups from sum-to-one constraints
@@ -252,7 +254,7 @@ class _Propagator:
         while progress:
             progress = False
             rounds += 1
-            for index, constraint in enumerate(self.cs.constraints):
+            for index, constraint in enumerate(self.rows):
                 if self.done[index]:
                     continue
                 if self._visit(constraint):

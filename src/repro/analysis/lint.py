@@ -38,7 +38,7 @@ run on unassigned (shared/imported) systems too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.report import Finding, Severity
 from repro.r1cs.constraint import Constraint
@@ -77,8 +77,12 @@ def match_boolean(constraint: Constraint) -> Optional[int]:
 
 def boolean_variables(cs: ConstraintSystem) -> Dict[int, int]:
     """Map of boolean-constrained variable -> its booleanity constraint."""
+    return _booleans(cs.constraints)
+
+
+def _booleans(rows: Sequence[Constraint]) -> Dict[int, int]:
     out: Dict[int, int] = {}
-    for index, constraint in enumerate(cs.constraints):
+    for index, constraint in enumerate(rows):
         var = match_boolean(constraint)
         if var is not None and var not in out:
             out[var] = index
@@ -122,9 +126,11 @@ def _lint_unreferenced(
     return findings
 
 
-def _lint_constant_only(cs: ConstraintSystem) -> List[Finding]:
+def _lint_constant_only(
+    cs: ConstraintSystem, rows: Sequence[Constraint]
+) -> List[Finding]:
     findings = []
-    for index, constraint in enumerate(cs.constraints):
+    for index, constraint in enumerate(rows):
         lcs = (constraint.a, constraint.b, constraint.c)
         if any(any(i != ONE for i in lc.indices()) for lc in lcs):
             continue
@@ -158,10 +164,12 @@ def _lint_constant_only(cs: ConstraintSystem) -> List[Finding]:
     return findings
 
 
-def _lint_duplicates(cs: ConstraintSystem) -> List[Finding]:
+def _lint_duplicates(
+    cs: ConstraintSystem, rows: Sequence[Constraint]
+) -> List[Finding]:
     findings = []
     seen: Dict[tuple, int] = {}
-    for index, constraint in enumerate(cs.constraints):
+    for index, constraint in enumerate(rows):
         key = canonical_constraint_key(constraint)
         kept = seen.setdefault(key, index)
         if kept != index:
@@ -180,12 +188,14 @@ def _lint_duplicates(cs: ConstraintSystem) -> List[Finding]:
     return findings
 
 
-def _lint_boolean_unconsumed(cs: ConstraintSystem) -> List[Finding]:
-    booleans = boolean_variables(cs)
+def _lint_boolean_unconsumed(
+    cs: ConstraintSystem, rows: Sequence[Constraint]
+) -> List[Finding]:
+    booleans = _booleans(rows)
     if not booleans:
         return []
     consumers: Set[int] = set()
-    for index, constraint in enumerate(cs.constraints):
+    for index, constraint in enumerate(rows):
         for lc in (constraint.a, constraint.b, constraint.c):
             for var in lc.indices():
                 if var in booleans and booleans[var] != index:
@@ -267,10 +277,11 @@ def lint_system(cs: ConstraintSystem, assume=()) -> List[Finding]:
     as INFO ``pruned-input`` rather than WARNING ``unreferenced-private``,
     since sparsity-aware compilation elides them with known provenance.
     """
+    rows = list(cs.constraints)  # one read for the rules that walk them
     findings: List[Finding] = []
     findings.extend(_lint_unreferenced(cs, assume=set(assume)))
-    findings.extend(_lint_constant_only(cs))
-    findings.extend(_lint_duplicates(cs))
-    findings.extend(_lint_boolean_unconsumed(cs))
+    findings.extend(_lint_constant_only(cs, rows))
+    findings.extend(_lint_duplicates(cs, rows))
+    findings.extend(_lint_boolean_unconsumed(cs, rows))
     findings.extend(_lint_layer_ranges(cs))
     return findings

@@ -216,7 +216,11 @@ class ZenoCompiler:
         rng: Optional[random.Random] = None,
         verify: bool = True,
     ) -> ProveReport:
-        """Run actual Groth16 setup/prove/verify and report measured times."""
+        """Run actual Groth16 setup/prove/verify and report measured times.
+
+        ``rng`` seeds the set-up only; the proof is blinded with fresh
+        randomness, so its ``(r, s)`` are no function of a public seed.
+        """
         backend = backend or SimulatedBackend()
         rng = rng or random.Random(0xC0FFEE)
         report = self._base_report(artifact)
@@ -226,7 +230,7 @@ class ZenoCompiler:
 
         with PhaseTimer("security_computation") as prove_timer:
             proof = groth16.prove(
-                setup_result.proving_key, artifact.cs, backend, rng
+                setup_result.proving_key, artifact.cs, backend
             )
 
         report.phases["security_computation"] = PhaseReport(

@@ -1,6 +1,6 @@
 """NN-inspired computation reuse (§6.1)."""
 
-from repro.core.reuse.cache import CacheService, profile_operand_pairs
+from repro.core.reuse.cache import CacheService
 from repro.core.reuse.batch import BatchProver
 
-__all__ = ["CacheService", "profile_operand_pairs", "BatchProver"]
+__all__ = ["CacheService", "BatchProver"]

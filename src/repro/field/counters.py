@@ -33,8 +33,6 @@ class OpCounter:
     group_scalar_mul: int = 0
     pairing: int = 0
     lc_term: int = 0  # linear-combination terms materialized (circuit comp.)
-    cache_hit: int = 0
-    cache_miss: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> Dict[str, int]:

@@ -40,11 +40,11 @@ each term is decided from the data, at every evaluation.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.r1cs.lc import Digits, KnitRun, RowRun, RowSide, RowView
+from repro.r1cs.lc import Digits, KnitRun, RowRun, RowSide
 
 # A row's slot sums stay within this magnitude, just inside int64: the
 # margin covers the float64 rounding of row weights (see _row_limits).
@@ -161,119 +161,56 @@ class CSRSystem:
         return signed
 
 
-class _MatrixBuilder:
-    """One matrix of :func:`build_csr_structure`, gathered part by part.
-
-    A part is a slice of a :class:`~repro.r1cs.lc.RowSide` (its arrays
-    and digits are sliced, not walked), a run of constant rows, or dict
-    LC rows, which are held in lists until the next part.  Consecutive
-    :class:`~repro.r1cs.lc.RowView` rows of one side join one slice.
-    """
-
-    def __init__(self, modulus: int) -> None:
-        self.modulus = modulus
-        self.sides: List[RowSide] = []
-        self.view = None  # (side, start, stop) of pending RowView rows
-        self.loose: Tuple[list, list, list] = ([], [], [])  # dict LC rows
-
-    def side(self, side, start: int, stop: int) -> None:
-        view = self.view
-        if view is not None and view[0] is side and view[2] == start:
-            self.view = (side, view[1], stop)
-            return
-        self.flush()
-        self.view = (side, start, stop)
-
-    def constant(self, count: int, value: int) -> None:
-        """``count`` rows of the constant ``value`` (0: empty rows)."""
-        self.flush()
-        terms = count if value else 0
-        self._add(RowSide(
-            np.arange(count + 1) if value else np.zeros(count + 1),
-            np.zeros(terms), [value] * terms,
-            Digits(np.full(terms, value, dtype=np.int64),
-                   np.zeros(0, dtype=np.int64), ()),
-        ))
-
-    def lc(self, terms: Dict[int, int]) -> None:
-        if self.view is not None:
-            self.flush()
-        lengths, variables, coeffs = self.loose
-        lengths.append(len(terms))
-        variables.extend(terms)
-        coeffs.extend(terms.values())
-
-    def flush(self) -> None:
-        view, self.view = self.view, None
-        if view is not None:
-            side, start, stop = view
-            self._add(side.slice(start, stop))
-        lengths, variables, coeffs = self.loose
-        if lengths:
-            self.loose = ([], [], [])
-            self._add(RowSide(np.r_[0, np.cumsum(lengths)], variables, coeffs))
-
-    def _add(self, side: RowSide) -> None:
-        if side.digits is None:
-            side = RowSide(side.indptr, side.variables, side.coeffs,
-                           Digits.of(side.coeffs, self.modulus))
-        self.sides.append(side)
-
-    def finish(self, position) -> CSRMatrix:
-        """The matrix, its signed variables at dense ``position`` s."""
-        self.flush()
-        if not self.sides:
-            self.constant(0, 0)
-        side = RowSide.concat(self.sides)
-        return CSRMatrix(
-            side.indptr, position(side.variables), side.coeffs, side.digits
-        )
+def _constant_side(count: int, value: int) -> RowSide:
+    """``count`` rows of the constant ``value`` (0: empty rows)."""
+    terms = count if value else 0
+    return RowSide(
+        np.arange(count + 1) if value else np.zeros(count + 1),
+        np.zeros(terms), [value] * terms,
+        Digits(np.full(terms, value, dtype=np.int64),
+               np.zeros(0, dtype=np.int64), ()),
+    )
 
 
-def build_csr_structure(rows, num_public: int, num_private: int,
-                        modulus: int) -> CSRSystem:
+def build_csr_structure(runs: Sequence[RowRun], num_public: int,
+                        num_private: int, modulus: int) -> CSRSystem:
     """Build the (assignment-free) CSR structure of a system's rows.
 
-    ``rows`` holds, in order, the runs a system keeps until something reads
-    its ``constraints`` (:class:`~repro.r1cs.lc.RowRun`) and
-    :class:`~repro.r1cs.constraint.Constraint` s.  Terms are copied
-    exactly as stored — no filtering or re-canonicalization — so CSR
-    evaluation covers precisely the terms a per-LC walk would, keeping the
-    op-count parity the regression tests pin down.  Each matrix is one
-    :meth:`~repro.r1cs.lc.RowSide.concat` of its parts: a RowRun's side
-    sliced, digits included (or the constant columns an absent B, ``1``,
-    and C, ``0``, stand for); a Constraint side that is still an unread
-    :class:`~repro.r1cs.lc.RowView` sliced likewise; and a Constraint's
-    dict LCs, the only terms walked.  Their coefficients, like those of a
-    side without digits, get one slot of centred digits.
+    ``runs`` are the :class:`~repro.r1cs.lc.RowRun` s a system stores its
+    rows as, in order.  Terms are copied exactly as stored — no filtering
+    or re-canonicalization — so CSR evaluation covers precisely the terms
+    a per-LC walk of ``cs.constraints`` would, keeping the op-count parity
+    the regression tests pin down.  Each matrix is one
+    :meth:`~repro.r1cs.lc.RowSide.concat` of the runs' sides, sliced with
+    their digits (or the constant columns an absent B, ``1``, and C,
+    ``0``, stand for); a side without digits gets one slot of centred
+    digits.
     """
 
-    def position(variables):
+    def matrix(name: str) -> CSRMatrix:
+        parts = []
+        for run in runs:
+            side = getattr(run.block, name)
+            if side is None:  # B the constant 1, C the constant 0
+                side = _constant_side(run.stop - run.start, int(name == "b"))
+            else:
+                side = side.slice(run.start, run.stop)
+                if side.digits is None:
+                    side = RowSide(side.indptr, side.variables, side.coeffs,
+                                   Digits.of(side.coeffs, modulus))
+            parts.append(side)
+        side = RowSide.concat(parts or [_constant_side(0, 0)])
         # A private counts up from the front, a public — a negative
         # index — down from the back; ONE is 0.
-        return np.where(variables > 0, variables + num_public, -variables)
+        variables = side.variables
+        return CSRMatrix(
+            side.indptr,
+            np.where(variables > 0, variables + num_public, -variables),
+            side.coeffs, side.digits,
+        )
 
-    mats = []
-    for name in ("a", "b", "c"):
-        out = _MatrixBuilder(modulus)
-        for piece in rows:
-            if piece.__class__ is RowRun:
-                side = getattr(piece.block, name)
-                count = piece.stop - piece.start
-                if side is not None:
-                    out.side(side, piece.start, piece.stop)
-                else:  # B the constant 1, C the constant 0
-                    out.constant(count, int(name == "b"))
-            else:
-                lc = getattr(piece, name)
-                side = lc.block if lc.__class__ is RowView else None
-                if side is not None:
-                    out.side(side, lc.row, lc.row + 1)
-                else:
-                    out.lc(lc.terms)
-        mats.append(out.finish(position))
-    return CSRSystem(mats[0], mats[1], mats[2], num_public, num_private,
-                     modulus)
+    return CSRSystem(matrix("a"), matrix("b"), matrix("c"), num_public,
+                     num_private, modulus)
 
 
 # -- evaluation -------------------------------------------------------------

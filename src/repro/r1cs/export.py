@@ -33,7 +33,6 @@ import json
 from typing import Optional
 
 from repro.field.fp import BN254_FR, Field
-from repro.r1cs.constraint import Constraint
 from repro.r1cs.lc import LinearCombination
 from repro.r1cs.system import ConstraintSystem
 
@@ -118,13 +117,11 @@ def import_system(text: str, field: Optional[Field] = None) -> ConstraintSystem:
         cs.new_private(int(value) if value is not None else None)
 
     for entry in doc["constraints"]:
-        cs.constraints.append(
-            Constraint(
-                _lc_from_json(field, entry["a"]),
-                _lc_from_json(field, entry["b"]),
-                _lc_from_json(field, entry["c"]),
-                tag=entry.get("tag", ""),
-            )
+        cs.enforce(
+            _lc_from_json(field, entry["a"]),
+            _lc_from_json(field, entry["b"]),
+            _lc_from_json(field, entry["c"]),
+            tag=entry.get("tag", ""),
         )
     for tag, (start, stop) in doc.get("layers", {}).items():
         cs.layer_ranges[tag] = range(int(start), int(stop))

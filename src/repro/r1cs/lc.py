@@ -17,7 +17,6 @@ arithmetic but zero constraints (§2.1).
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import (
     Dict,
     Iterable,
@@ -376,9 +375,12 @@ class RowSide:
                 (side.digits, len(side), side.variables.size)
                 for side in sides
             ])
+        coeffs = []
+        for side in sides:
+            coeffs.extend(side.coeffs)
         return cls(
             indptr, np.concatenate([side.variables for side in sides]),
-            chain.from_iterable(side.coeffs for side in sides), digits,
+            coeffs, digits,
         )
 
     @classmethod
@@ -491,8 +493,8 @@ class RowBlock:
 
 
 class RowRun(NamedTuple):
-    """Rows ``[start, stop)`` of ``block``, as a constraint system holds
-    them until something reads ``cs.constraints``."""
+    """Rows ``[start, stop)`` of ``block`` — the one form a constraint
+    system stores its rows in."""
 
     block: RowBlock
     start: int
@@ -505,40 +507,6 @@ class RowRun(NamedTuple):
         if tags is None:
             return [self.tag] * (self.stop - self.start)
         return tags[self.start:self.stop]
-
-
-class RowView(LinearCombination):
-    """One :class:`RowSide` row, read through the LC interface.
-
-    The ``terms`` dict is built on first read (the slot is simply unset
-    until then, so :meth:`__getattr__` runs exactly once); from that point
-    on the view *is* a plain dict LC — ``block`` is dropped, mutations go
-    to the dict, and the CSR builder walks it like any other LC.  The
-    proving path checks ``block`` first and never triggers the read.
-    """
-
-    __slots__ = ("block", "row")
-
-    def __init__(self, field: Field, block: RowSide, row: int) -> None:
-        self.field = field
-        self.block = block
-        self.row = row
-
-    def __getattr__(self, name: str):
-        if name != "terms":
-            raise AttributeError(name)
-        block, row = self.block, self.row
-        lo, hi = block.indptr[row], block.indptr[row + 1]
-        terms = dict(zip(block.variables[lo:hi].tolist(), block.coeffs[lo:hi]))
-        self.terms = terms
-        self.block = None
-        return terms
-
-    def __len__(self) -> int:
-        block = self.block
-        if block is None:
-            return len(self.terms)
-        return int(block.indptr[self.row + 1] - block.indptr[self.row])
 
 
 class Assignment:

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from repro.r1cs.constraint import Constraint
 from repro.r1cs.lc import ONE, LinearCombination
 from repro.r1cs.system import ConstraintSystem
@@ -58,14 +60,12 @@ class OptimizeReport:
 
 
 def referenced_private_variables(cs: ConstraintSystem) -> Set[int]:
-    """Private variable indices appearing in at least one constraint."""
-    used: Set[int] = set()
-    for constraint in cs.constraints:
-        for lc in (constraint.a, constraint.b, constraint.c):
-            for index in lc.indices():
-                if index > 0:
-                    used.add(index)
-    return used
+    """Private variable indices appearing in at least one constraint —
+    read off the CSR snapshot's dense positions, where private ``k`` is
+    ``num_public + k``."""
+    matrices = cs.to_csr(assignment=False).matrices()
+    positions = np.unique(np.concatenate([m.indices for m in matrices]))
+    return set((positions[positions > cs.num_public] - cs.num_public).tolist())
 
 
 def _compacted_lc(
@@ -95,13 +95,11 @@ def eliminate_unconstrained(
         if old in used:
             mapping[old] = out.new_private(cs._private_values[old - 1])
     for constraint in cs.constraints:
-        out.constraints.append(
-            Constraint(
-                _compacted_lc(constraint.a, mapping, cs.field),
-                _compacted_lc(constraint.b, mapping, cs.field),
-                _compacted_lc(constraint.c, mapping, cs.field),
-                tag=constraint.tag,
-            )
+        out.enforce(
+            _compacted_lc(constraint.a, mapping, cs.field),
+            _compacted_lc(constraint.b, mapping, cs.field),
+            _compacted_lc(constraint.c, mapping, cs.field),
+            tag=constraint.tag,
         )
     out.layer_ranges = dict(cs.layer_ranges)
     return out, cs.num_private - out.num_private
@@ -191,7 +189,8 @@ def _deduplicate_with_findings(cs: ConstraintSystem):
             )
             continue
         seen[key] = index
-        out.constraints.append(constraint)
+        out.enforce(constraint.a, constraint.b, constraint.c,
+                    tag=constraint.tag)
     return out, findings
 
 

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import bisect
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.field.fp import BN254_FR, Field
 from repro.r1cs.constraint import Constraint
 from repro.r1cs.lc import (
     ONE,
     Assignment,
+    Digits,
     LinearCombination,
     RowBlock,
     RowRun,
-    RowView,
+    RowSide,
 )
+
+# Rows a read turns into Constraints at a time.
+_READ_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -49,15 +55,13 @@ class ConstraintSystem:
     def __init__(self, field: Field = BN254_FR, name: str = "cs") -> None:
         self.field = field
         self.name = name
-        # Rows in order: a Constraint per ``enforce`` call, a RowRun per
-        # ``enforce_rows`` — arrays until the first read of
-        # :attr:`constraints` turns them into Constraints in place.  From
-        # then on the list is handed out (``_listed``) and stays a plain
-        # list of Constraints its holders may edit.
-        self._rows: list = []
-        self._listed = False
-        self._runs = 0  # runs in _rows ...
-        self._run_rows = 0  # ... and the constraint rows they stand for
+        # Rows in order, as runs (RowRun) — the one stored form.  The
+        # rows of consecutive ``enforce`` calls make one run, their terms
+        # collected in ``_open`` until it is filed: at the next
+        # ``enforce_rows`` or read of the rows.
+        self._runs: List[RowRun] = []
+        self._ends = [0]  # _ends[k + 1]: the system row after run k
+        self._open = _OpenRun()
         self._public_values: List[Optional[int]] = []
         self._private_values: List[Optional[int]] = []
         # Layer provenance: constraint index ranges per compiler-layer tag.
@@ -159,8 +163,9 @@ class ConstraintSystem:
         c: LinearCombination,
         tag: str = "",
     ) -> None:
-        """Add the constraint ``a * b = c``."""
-        self._rows.append(Constraint(a, b, c, tag=tag))
+        """Add the constraint ``a * b = c``; the LCs' terms are copied,
+        so a later edit of ``a``, ``b`` or ``c`` changes no row."""
+        self._open.add((a, b, c), tag)
         self._csr_cache = None
         self._layer_index = None
 
@@ -175,17 +180,11 @@ class ConstraintSystem:
         block carries its own per-row tags.
 
         No per-row object is built: the run is held as arrays, which
-        :meth:`to_csr` copies wholesale, and only a read of
-        :attr:`constraints` turns it into ordinary :class:`Constraint` s
-        (at once, when that list is already handed out).
+        :meth:`to_csr` copies wholesale.
         """
         stop = block.num_rows if stop is None else stop
         if stop > start:
-            self._rows.append(RowRun(block, start, stop, tag))
-            self._runs += 1
-            self._run_rows += stop - start
-            if self._listed:
-                self._list_runs()
+            self._file(RowRun(block, start, stop, tag))
         self._csr_cache = None
         self._layer_index = None
 
@@ -233,58 +232,50 @@ class ConstraintSystem:
     # -- inspection ------------------------------------------------------------------
 
     @property
-    def constraints(self) -> List[Constraint]:
-        """Every row as a :class:`Constraint`, in order — the list itself,
-        so readers may edit it.
+    def constraints(self) -> Sequence[Constraint]:
+        """Every row as a :class:`Constraint`, in order — a read-only
+        view: each read builds fresh dict-LC Constraints from the stored
+        runs (the LC ``1`` for an absent B, the zero LC for an absent C),
+        so editing one changes no row."""
+        return _Rows(self)
 
-        Rows of :meth:`enforce_rows` become Constraints here, on the
-        first read: a :class:`RowView` of each side its block holds, the
-        LC ``1`` for an absent B and the zero LC for an absent C.  Rows
-        added later join the list as Constraints.
-        """
-        self._listed = True
-        if self._runs:
-            self._list_runs()
-        return self._rows
+    def _file(self, run: RowRun) -> None:
+        """Append ``run`` after the open rows, filed first."""
+        self._runs_filed()
+        self._runs.append(run)
+        self._ends.append(self._ends[-1] + run.stop - run.start)
 
-    def _list_runs(self) -> None:
-        """Turn every run in ``_rows`` into its Constraints, in place."""
-        field = self.field
+    def _runs_filed(self) -> List[RowRun]:
+        """Every run, the open rows of ``enforce`` filed as one first."""
+        open_run = self._open
+        if open_run.tags:
+            self._open = _OpenRun()
+            self._file(open_run.run(self.field.modulus))
+        return self._runs
 
-        def views(side, span: range, absent: Dict[int, int]) -> list:
-            if side is None:
-                return [LinearCombination(field, dict(absent)) for _ in span]
-            return [RowView(field, side, row) for row in span]
-
-        rows: List[Constraint] = []
-        for piece in self._rows:
-            if piece.__class__ is RowRun:
-                block, span = piece.block, range(piece.start, piece.stop)
-                rows.extend(map(
-                    Constraint,
-                    views(block.a, span, {}),
-                    views(block.b, span, {ONE: 1}),
-                    views(block.c, span, {}),
-                    piece.tags(),
-                ))
-            else:
-                rows.append(piece)
-        self._rows[:] = rows
-        self._runs = self._run_rows = 0
+    def _read(self, start: int, stop: int) -> Iterator[Constraint]:
+        """Rows ``[start, stop)`` as fresh Constraints."""
+        runs, ends = self._runs_filed(), self._ends
+        k = bisect.bisect_right(ends, start) - 1
+        while start < stop:
+            run, end = runs[k], ends[k + 1]
+            first = run.stop - end  # block row of system row 0
+            last = min(stop, end)
+            yield from _run_constraints(
+                self.field, run, start + first, last + first
+            )
+            start, k = last, k + 1
 
     def row_tags(self) -> List[str]:
         """The provenance tag of every row, in order."""
         tags: List[str] = []
-        for piece in self._rows:
-            if piece.__class__ is Constraint:
-                tags.append(piece.tag)
-            else:
-                tags.extend(piece.tags())
+        for run in self._runs_filed():
+            tags.extend(run.tags())
         return tags
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows) - self._runs + self._run_rows
+        return self._ends[-1] + len(self._open.tags)
 
     @property
     def num_public(self) -> int:
@@ -356,7 +347,7 @@ class ConstraintSystem:
         csr = self._csr_cache
         if csr is None or csr.num_rows != self.num_constraints:
             csr = build_csr_structure(
-                self._rows, self.num_public, self.num_private,
+                self._runs_filed(), self.num_public, self.num_private,
                 self.field.modulus,
             )
             self._csr_cache = csr
@@ -469,4 +460,102 @@ class ConstraintSystem:
         return (
             f"ConstraintSystem({self.name}: m={self.num_constraints}, "
             f"pub={self.num_public}, priv={self.num_private})"
+        )
+
+
+class _Rows(SequenceABC):
+    """:attr:`ConstraintSystem.constraints`: the rows as Constraints,
+    built on each read; it has no way to add, remove or replace one."""
+
+    __slots__ = ("_cs",)
+
+    def __init__(self, cs: ConstraintSystem) -> None:
+        self._cs = cs
+
+    def __len__(self) -> int:
+        return self._cs.num_constraints
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return [self[i] for i in range(start, stop, step)]
+            return list(self._cs._read(start, stop))
+        index = operator.index(index)
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("constraint index out of range")
+        return next(self._cs._read(index, index + 1))
+
+    def __iter__(self) -> Iterator[Constraint]:
+        return self._cs._read(0, len(self))
+
+
+class _OpenRun:
+    """The rows of consecutive ``enforce`` calls, as term lists per side
+    until they are filed as one run."""
+
+    __slots__ = ("sides", "tags")
+
+    def __init__(self) -> None:
+        self.sides = tuple(([0], [], []) for _ in range(3))
+        self.tags: List[str] = []
+
+    def add(self, lcs, tag: str) -> None:
+        for (indptr, variables, coeffs), lc in zip(self.sides, lcs):
+            terms = lc.terms
+            variables.extend(terms)
+            coeffs.extend(terms.values())
+            indptr.append(len(variables))
+        self.tags.append(tag)
+
+    def run(self, modulus: int) -> RowRun:
+        block = RowBlock(
+            *(
+                RowSide(indptr, variables, coeffs, Digits.of(coeffs, modulus))
+                for indptr, variables, coeffs in self.sides
+            ),
+            tags=self.tags,
+        )
+        return RowRun(block, 0, block.num_rows, "")
+
+
+def _side_lcs(field: Field, side: Optional[RowSide], absent: Dict[int, int],
+              start: int, stop: int) -> List[LinearCombination]:
+    """Rows ``[start, stop)`` of ``side`` as dict LCs (``absent`` for
+    each row when there is no side)."""
+    if side is None:
+        return [LinearCombination(field, dict(absent))
+                for _ in range(start, stop)]
+    ptr = side.indptr[start:stop + 1]
+    lo, hi = int(ptr[0]), int(ptr[-1])
+    ptr = (ptr - lo).tolist()
+    variables, coeffs = side.variables[lo:hi].tolist(), side.coeffs[lo:hi]
+    return [
+        LinearCombination(
+            field, dict(zip(variables[head:tail], coeffs[head:tail]))
+        )
+        for head, tail in zip(ptr, ptr[1:])
+    ]
+
+
+def _run_constraints(field: Field, run: RowRun, start: int,
+                     stop: int) -> Iterator[Constraint]:
+    """Rows ``[start, stop)`` of ``run.block`` as Constraints, a few
+    thousand built at a time."""
+    block = run.block
+    for head in range(start, stop, _READ_ROWS):
+        tail = min(head + _READ_ROWS, stop)
+        tags = (
+            [run.tag] * (tail - head) if block.tags is None
+            else block.tags[head:tail]
+        )
+        yield from map(
+            Constraint,
+            _side_lcs(field, block.a, {}, head, tail),
+            _side_lcs(field, block.b, {ONE: 1}, head, tail),
+            _side_lcs(field, block.c, {}, head, tail),
+            tags,
         )

@@ -10,14 +10,13 @@ Implements the full pipeline on top of :mod:`repro.r1cs` and a pluggable
   (``arkworks``/``zeno``/``bellman``/``ginger``) used by Fig. 15.
 """
 
-from repro.snark.groth16 import Groth16, batch_verify, setup, prove, verify
+from repro.snark.groth16 import batch_verify, setup, prove, verify
 from repro.snark.keys import ProvingKey, VerifyingKey
 from repro.snark.proof import Proof
 from repro.snark.qap import Domain
 from repro.snark.backends import SECURITY_BACKENDS, SecurityBackendProfile
 
 __all__ = [
-    "Groth16",
     "batch_verify",
     "setup",
     "prove",

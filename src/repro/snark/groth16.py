@@ -446,24 +446,3 @@ def batch_verify(
     """
     return batch_verify_multi([(vk, claims)], backend, rng=rng)
 
-
-class Groth16:
-    """Object-style façade bundling a backend with setup/prove/verify."""
-
-    def __init__(self, backend: Optional[GroupBackend] = None) -> None:
-        self.backend = backend or SimulatedBackend()
-
-    def setup(self, cs: ConstraintSystem, rng=None) -> SetupResult:
-        return setup(cs, self.backend, rng)
-
-    def prove(
-        self,
-        pk: ProvingKey,
-        cs: ConstraintSystem,
-        rng=None,
-        phase_sink: Optional[Dict[str, float]] = None,
-    ) -> Proof:
-        return prove(pk, cs, self.backend, rng, phase_sink=phase_sink)
-
-    def verify(self, vk: VerifyingKey, public_inputs, proof: Proof) -> bool:
-        return verify(vk, public_inputs, proof, self.backend)

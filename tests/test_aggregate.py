@@ -8,7 +8,6 @@ of the folded artifact, never the shared objects.
 import ast
 import inspect
 import io
-import itertools
 import json
 import random
 import tokenize
@@ -55,6 +54,7 @@ from tests.conftest import tiny_conv_model, tiny_image
 from tests.fixtures import make_parent_aggregates as parent_recipe
 from tests.fixtures import make_parent_split as parent_split
 from tests.split_oracle import split_model_lc
+from tests.tamper import tampered
 from tests.test_circuit_spec import FAMILIES
 from tests.test_lookup_audit import compile_tiny, lookup_gadget_cs
 
@@ -588,13 +588,18 @@ class TestAuditSplit:
         grant (the argument's wires surface as under-constrained)."""
         cs, block, x_vars = lookup_gadget_cs([-6, 0, 44])
         if defect == "sum check":
-            cs.constraints[block.sum_constraint].a.terms.clear()
+            index = block.sum_constraint
+            row = cs.constraints[index]
+            row.a.terms.clear()
         elif defect == "multiplicity":
-            cs.constraints[block.g_constraints[40]].c.terms.clear()
+            index = block.g_constraints[40]
+            row = cs.constraints[index]
+            row.c.terms.clear()
         else:
-            cs.constraints[block.h_constraints[0]].a.add_term(
-                block.y_vars[0], 1
-            )
+            index = block.h_constraints[0]
+            row = cs.constraints[index]
+            row.a.add_term(block.y_vars[0], 1)
+        cs = tampered(cs, replace={index: row})
         report = audit_split(split_model(cs, mode=mode), assume=x_vars)
         named = [f for f in report.errors if f.rule == "lookup-block"]
         assert [f.layer for f in named] == ["lookup:relu8"]
@@ -1109,10 +1114,6 @@ def test_hand_built_systems_are_what_they_claim():
     assert [bool(inst.global_slots) for inst in far.instances] == [
         False, True, False, True, False
     ]
-    rows = interleaved_system()._rows
-    assert [kind for kind, _ in itertools.groupby(
-        type(piece).__name__ for piece in rows
-    )] == [
-        "Constraint", "RowRun", "Constraint", "RowRun", "Constraint", "RowRun",
-        "Constraint",
-    ]
+    # enforce rows (each gap's rows one run) between the blocks
+    runs = interleaved_system()._runs_filed()
+    assert [run.stop - run.start for run in runs] == [2, 3, 1, 2, 1, 2, 1]

@@ -20,6 +20,7 @@ from repro.core.privacy.knit import KnitPacker
 from repro.r1cs.system import ConstraintSystem
 from tests.commit_oracle import decompose
 from tests.conftest import commit_lc, relu_wire, tiny_conv_model, tiny_image
+from tests.tamper import tampered
 from tests.replay_oracle import named
 
 
@@ -127,7 +128,7 @@ class TestKnownBadFixtures:
         out_var = commit_lc(em, lc, 1000, shift=3, slot_bits=16)
         doomed = [i for i, c in enumerate(cs.constraints) if c.tag == "out/range_eq"]
         assert len(doomed) == 1
-        del cs.constraints[doomed[0]]
+        cs = tampered(cs, drop=doomed)
         assert cs.is_satisfied()  # honest witness still passes!
         return cs, in_var, out_var
 
@@ -144,7 +145,7 @@ class TestKnownBadFixtures:
         in_var = cs.new_private(37)
         relu_wire(em, in_var, 37)
         doomed = [i for i, c in enumerate(cs.constraints) if c.tag == "relu/bits"]
-        del cs.constraints[doomed[0]]
+        cs = tampered(cs, drop=doomed[:1])
         assert cs.is_satisfied()
         result = check_determinism(cs, assume=[in_var])
         assert result.undetermined  # the unbounded bit poisons the sign proof

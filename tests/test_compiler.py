@@ -12,6 +12,8 @@ from repro.core.compiler import (
 from repro.core.metrics import CostModel
 from repro.core.spec import CircuitSpec
 from repro.ec.backend import RealBN254Backend
+from repro.snark import groth16
+from repro.snark.serialize import serialize_proof
 from tests.conftest import tiny_conv_model, tiny_image
 
 
@@ -104,6 +106,25 @@ class TestCompileAndProve:
         artifact = compiler.compile_model(model, image)
         report = compiler.prove(artifact, backend=RealBN254Backend())
         assert report.verified
+
+    def test_each_proof_is_blinded_afresh(self, tiny, monkeypatch):
+        """One set-up seed, two proofs: their blinding ``(r, s)`` is fresh
+        randomness, so the proof bytes differ."""
+        model, image = tiny
+        compiler = ZenoCompiler(zeno_options())
+        artifact = compiler.compile_model(model, image)
+        proofs = []
+        prove = groth16.prove
+
+        def capture(*args, **kwargs):
+            proof = prove(*args, **kwargs)
+            proofs.append(serialize_proof(proof))
+            return proof
+
+        monkeypatch.setattr(groth16, "prove", capture)
+        assert compiler.prove(artifact).verified
+        assert compiler.prove(artifact).verified
+        assert len(proofs) == 2 and proofs[0] != proofs[1]
 
     def test_prove_without_verify(self, tiny):
         model, image = tiny

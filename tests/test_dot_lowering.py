@@ -28,7 +28,8 @@ from repro.core.reuse.cache import CacheService
 from repro.field.counters import count_ops
 from repro.field.fp import BN254_FR_MODULUS
 from repro.nn.graph import INPUT
-from repro.r1cs.lc import RowView
+from repro.r1cs import system as r1cs_system
+from repro.r1cs.lc import LinearCombination
 from repro.snark import groth16
 from tests.dot_oracle import oracle_compute
 from tests.replay_oracle import named
@@ -262,45 +263,45 @@ class TestBlockRows:
             rng.integers(0, 256, 10), requant=3,
         )).compute()
 
-    def test_rows_are_views_until_read(self):
+    def test_each_read_builds_fresh_dict_rows(self):
         cs = self.compiled().cs
-        views = [c.a for c in cs.constraints if isinstance(c.a, RowView)]
-        assert len(views) > 1
-        assert all(v.block is not None for v in views)
-        cs.to_csr()  # the proving path reads no dict ...
-        assert cs.is_satisfied()
-        assert all(v.block is not None for v in views)
-        terms = views[0].terms  # ... the first reader builds it, once
-        assert views[0].block is None and views[0].terms is terms
-        assert len(views[0]) == len(terms)
+        first, again = cs.constraints[-1], cs.constraints[-1]
+        assert type(first.a) is LinearCombination and first.a.terms
+        assert first.a == again.a and first.a is not again.a
+        assert [c.a.terms for c in cs.constraints[-3:]] == [
+            c.a.terms for c in list(cs.constraints)[-3:]
+        ]
 
-    def test_setup_prove_verify_read_no_dict(self):
+    def test_setup_prove_verify_read_no_dict(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was read")
+
         cs = self.compiled().cs
-        views = [c.a for c in cs.constraints if isinstance(c.a, RowView)]
+        monkeypatch.setattr(r1cs_system, "_run_constraints", no_rows)
         keys = groth16.setup(cs, rng=random.Random(1))
         proof = groth16.prove(keys.proving_key, cs, rng=random.Random(2))
         assert groth16.verify(keys.verifying_key, cs.public_values(), proof)
         assert not cs.violations()
-        assert all(v.block is not None for v in views)
 
-    def test_mutation_through_the_view_reaches_the_prover(self):
-        untouched = self.compiled().cs.to_csr(assignment=False).a.nnz
+    def test_editing_a_read_row_reaches_no_prover(self):
+        untouched = self.compiled().cs.to_csr(assignment=False)
         cs = self.compiled().cs
-        index = next(
-            i for i, c in enumerate(cs.constraints) if isinstance(c.a, RowView)
-        )
-        width = len(cs.constraints[index].a)
-        cs.constraints[index].a.terms.clear()
-        assert cs.to_csr(assignment=False).a.nnz == untouched - width
-        del cs.constraints[index]
-        assert cs.to_csr(assignment=False).num_rows == cs.num_constraints
+        row = cs.constraints[-1]
+        assert row.a.terms
+        row.a.terms.clear()
+        with pytest.raises(TypeError):
+            del cs.constraints[-1]
+        with pytest.raises(TypeError):
+            cs.constraints[-1] = row
+        csr = cs.to_csr(assignment=False)
+        assert csr.a.nnz == untouched.a.nnz
+        assert csr.num_rows == untouched.num_rows == cs.num_constraints
         assert cs.is_satisfied()
 
     def test_copy_and_equality_go_through_the_dict(self):
-        cs = self.compiled().cs
-        view = next(c.a for c in cs.constraints if isinstance(c.a, RowView))
-        clone = view.copy()
-        assert clone == view and type(clone) is not RowView
+        row = self.compiled().cs.constraints[-1]
+        clone = row.a.copy()
+        assert clone == row.a and clone.terms is not row.a.terms
 
     def test_bulk_allocation_matches_one_at_a_time(self):
         from repro.r1cs.system import ConstraintSystem

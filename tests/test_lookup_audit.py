@@ -17,6 +17,7 @@ from repro.lookup.argument import LookupEngine
 from repro.nn import build_model
 from repro.nn.data import synthetic_images
 from repro.r1cs.system import ConstraintSystem
+from tests.tamper import tampered
 
 
 def compile_tiny(relu_mode: str, gadget_mode: str = "strict"):
@@ -75,6 +76,7 @@ class TestBrokenLookupFixture:
         # Neuter the balance constraint: Σh - Σg = 0 becomes 0 = 0.
         con = cs.constraints[block.sum_constraint]
         con.a.terms.clear()
+        cs = tampered(cs, replace={block.sum_constraint: con})
         assert cs.is_satisfied()  # honest witness still passes ...
         result = check_determinism(cs, assume=x_vars)
         assert not result.ok  # ... but the audit does not
@@ -87,6 +89,7 @@ class TestBrokenLookupFixture:
         # Detach row 40's multiplicity from its g constraint.
         con = cs.constraints[block.g_constraints[40]]
         con.c.terms.clear()
+        cs = tampered(cs, replace={block.g_constraints[40]: con})
         result = check_determinism(cs, assume=x_vars)
         assert not result.ok
         assert any("multiplicity" in d for _, d in result.lookup_errors)
@@ -95,12 +98,15 @@ class TestBrokenLookupFixture:
         cs, block, x_vars = lookup_gadget_cs([9])
         con = cs.constraints[block.h_constraints[0]]
         con.a.add_term(block.y_vars[0], 1)  # skew the pair packing
+        cs = tampered(cs, replace={block.h_constraints[0]: con})
         result = check_determinism(cs, assume=x_vars)
         assert not result.ok
         assert any("membership" in d for _, d in result.lookup_errors)
 
     def test_broken_fixture_fails_full_audit(self):
         cs, block, x_vars = lookup_gadget_cs([-6, 0, 44])
-        cs.constraints[block.sum_constraint].a.terms.clear()
+        con = cs.constraints[block.sum_constraint]
+        con.a.terms.clear()
+        cs = tampered(cs, replace={block.sum_constraint: con})
         report = audit_system(cs, assume=x_vars, fuzz=0)
         assert report.errors

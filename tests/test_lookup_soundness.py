@@ -21,6 +21,7 @@ from repro.lookup.table import PACK_BASE, LookupTable
 from repro.r1cs.system import ConstraintSystem
 
 from tests.test_lookup_argument import emit_lookups
+from tests.tamper import tampered
 
 
 def _replay_cheat(cs, block, pairs):
@@ -140,6 +141,7 @@ class TestPermutedTableColumn:
         cs, block, _ = emit_lookups([5], mode="strict")
         con = cs.constraints[block.g_constraints[3]]
         con.a.add_term(0, 1)  # shift the packed row constant
+        cs = tampered(cs, replace={block.g_constraints[3]: con})
         defect = verify_lookup_block(cs, block)
         assert defect is not None
         assert "row" in defect or "permuted" in defect

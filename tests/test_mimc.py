@@ -25,6 +25,7 @@ from repro.r1cs.system import ConstraintSystem
 from repro.r1cs.recipe import mirror, replay
 from tests import sponge_oracle
 from tests.replay_oracle import named
+from tests.tamper import tampered
 from tests.test_lookup_argument import emit_lookups
 
 P = BN254_FR_MODULUS
@@ -270,10 +271,16 @@ def test_check_rows_names_what_is_wrong():
     assert mimc.check_rows(cs, sponge, SEED, [1]) is not None
     assert "round 1" in mimc.check_rows(cs, sponge, SEED, [1, {2: 3}])
     assert mimc.check_rows(cs, sponge, b"other seed", spec["absorbs"])
-    cs.constraints[sponge.first_row + 4].c.terms.clear()
+    index = sponge.first_row + 4
+    row = cs.constraints[index]
+    row.c.terms.clear()
+    cs = tampered(cs, replace={index: row})
     assert "round 1" in mimc.check_rows(cs, sponge, SEED, spec["absorbs"])
     cs, (sponge,) = emit_arrays(VALUES, [spec])
-    cs.constraints[sponge.first_row + sponge.num_rows - 1].a.terms.clear()
+    index = sponge.first_row + sponge.num_rows - 1
+    row = cs.constraints[index]
+    row.a.terms.clear()
+    cs = tampered(cs, replace={index: row})
     assert "pinned" in mimc.check_rows(cs, sponge, SEED, spec["absorbs"])
 
 

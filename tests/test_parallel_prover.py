@@ -24,7 +24,7 @@ from repro.core.schedule import (
 from repro.core.schedule.scheduler import LayerAssignment
 from repro.field.counters import count_ops
 from repro.r1cs import evaluate_rows, system as r1cs_system
-from repro.r1cs.lc import ONE, RowBlock, RowSide, RowView
+from repro.r1cs.lc import ONE, LinearCombination, RowBlock, RowSide
 from repro.r1cs.system import ConstraintSystem
 from repro.snark.qap import Domain, witness_polynomial_evals
 from tests.conftest import tiny_conv_model, tiny_image
@@ -144,30 +144,37 @@ class TestPendingRows:
     def test_materialized_rows(self):
         cs = pending_system(5)
         rows = cs.constraints
-        assert rows is cs.constraints  # the list itself, once and for all
         assert [c.tag for c in rows] == (
             [""] * 3 + ["three-sided"] * 4 + ["mid", "t1", "t2", "tail"]
         )
         three_sided, a_only = rows[3], rows[8]
         assert all(
-            type(lc) is RowView for lc in (three_sided.a, three_sided.b, three_sided.c)
+            type(lc) is LinearCombination
+            for lc in (three_sided.a, three_sided.b, three_sided.c)
         )
-        assert type(a_only.a) is RowView and a_only.a.row == 1
+        assert three_sided.a is not rows[3].a  # every read builds afresh
+        assert len(a_only.a) == len(a_only.a.terms)
         assert a_only.b.terms == {ONE: 1} and a_only.c.terms == {}
-        # rows added after the list was handed out join it as Constraints
+        assert [c.tag for c in rows[7:10]] == ["mid", "t1", "t2"]
+        assert [c.tag for c in rows[-2::-3]] == [
+            "t2", "three-sided", "three-sided", ""
+        ]
+        with pytest.raises(IndexError):
+            rows[11]
+        # a view read earlier shows rows added later
         cs.enforce(cs.lc(), cs.lc(), cs.lc(), tag="late")
         cs.enforce_rows(RowBlock(random_side(random.Random(1), [1, 2], 2)), tag="later")
         assert [c.tag for c in rows[-3:]] == ["late", "later", "later"]
         assert cs.num_constraints == len(rows) == 14
 
-    def test_an_enforced_lc_is_still_edited_in_place(self):
+    def test_an_enforced_lc_is_copied(self):
         cs = ConstraintSystem()
         x = cs.new_private(3)
         lc = cs.lc_variable(x)
         cs.enforce(lc, cs.lc_constant(1), cs.lc())
         lc.add_term(ONE, 5)  # after the fact, before any read
-        assert cs.to_csr(assignment=False).a.nnz == 2
-        assert cs.constraints[0].a.terms == {x: 1, ONE: 5}
+        assert cs.to_csr(assignment=False).a.nnz == 1
+        assert cs.constraints[0].a.terms == {x: 1}
 
     def test_proving_path_builds_no_row_object(self, monkeypatch):
         def no_rows(*args, **kwargs):
@@ -187,7 +194,6 @@ class TestPendingRows:
             RowSide([0, 2], [u, ONE], [1, sat.field.modulus - 75])
         ))
         monkeypatch.setattr(r1cs_system, "Constraint", no_rows)
-        monkeypatch.setattr(r1cs_system, "RowView", no_rows)
         monkeypatch.setattr(r1cs_system, "LinearCombination", no_rows)
         assert cs.num_constraints == 11
         assert [cs.layer_of(i) for i in (0, 3, 7, 9, 10)] == [

@@ -310,11 +310,11 @@ def test_retired_layers_stay_retired():
         "shared", "fn", "payloads", "workers"
     ]
     for fn in (
-        GroupBackend.msm, groth16.prove, groth16.Groth16.prove,
-        BatchProver.prove, qap.witness_polynomial_evals,
-        qap.quotient_coefficients,
+        GroupBackend.msm, groth16.prove, BatchProver.prove,
+        qap.witness_polynomial_evals, qap.quotient_coefficients,
     ):
         assert "parallelism" not in inspect.signature(fn).parameters
+    assert not hasattr(groth16, "Groth16")  # the retired facade
     assert "parallelism" not in ServiceConfig.__dataclass_fields__
     with pytest.raises(TypeError, match="parallelism"):
         ProvingService(parallelism=2)  # loud, not a silent no-op

@@ -171,6 +171,10 @@ class TestConstraintSystem:
         assert "demo" in repr(cs)
 
 
+def same_row(x, y) -> bool:
+    return (x.a, x.b, x.c, x.tag) == (y.a, y.b, y.c, y.tag)
+
+
 class TestViolations:
     def bad_cs(self):
         cs = ConstraintSystem()
@@ -190,12 +194,19 @@ class TestViolations:
         found = cs.violations()
         assert [v.index for v in found] == [1, 2]
         assert [v.layer for v in found] == ["checks", "checks"]
-        assert all(v.constraint is cs.constraints[v.index] for v in found)
+        # each a fresh read of its row: equal to, never the same object as,
+        # another read
+        for v in found:
+            again = cs.constraints[v.index]
+            assert v.constraint is not again
+            assert same_row(v.constraint, again)
 
     def test_limit(self):
         cs = self.bad_cs()
         assert len(cs.violations(limit=1)) == 1
-        assert cs.first_unsatisfied() is cs.constraints[1]
+        first = cs.first_unsatisfied()
+        assert first is not cs.constraints[1]
+        assert same_row(first, cs.constraints[1])
 
     def test_clean_system_empty(self):
         cs = ConstraintSystem()

@@ -283,3 +283,79 @@ class TestLaneCensus:
         ), "hashed")
         for inst in split.instances:
             assert_bigint_terms_are_field_wide(inst.cs)
+
+    def test_audited_compile_keeps_its_rows(self):
+        """An audit reads every row; the circuit it proves is the one an
+        unaudited compile proves — the same matrices, knit digits and
+        lanes (15,198 A terms took the bigint lane when a read unpacked
+        the rows)."""
+        plain = compiled("LCS", "micro", gadget_mode="strict")
+        audited = compiled(
+            "LCS", "micro", gadget_mode="strict", audit="report"
+        )
+        assert_same_matrices(audited.to_csr(), plain.to_csr())
+        assert lane_census(audited) == lane_census(plain)
+        assert len(audited.to_csr().a.digits(P).knit) > 0
+
+    def test_a_full_read_leaves_the_rows_packed(self):
+        read = compiled("LCS", "micro", gadget_mode="lean")
+        never = compiled("LCS", "micro", gadget_mode="lean")
+        rows = list(read.constraints)
+        assert len(rows) == read.num_constraints
+        assert sum(len(lc.terms) for row in rows
+                   for lc in (row.a, row.b, row.c)) > 0
+        more = RowBlock(RowSide([0, 1, 3], [1, 2, 1], [5, 7, P - 1]))
+        for cs in (read, never):
+            cs.enforce_rows(more, tag="more")
+        assert_same_matrices(read.to_csr(), never.to_csr())
+        assert lane_census(read) == lane_census(never)
+
+    def test_served_audit_keeps_its_digits(self, monkeypatch):
+        """A worker's ``--audit`` gate reads the rows before the set-up
+        builds the CSR; the proof still runs on the packed rows."""
+        from repro.core.spec import CircuitSpec
+        from repro.serve import workers
+
+        circuit = CircuitSpec("LCS", scale="micro", gadgets="strict")
+        spec = {**circuit.to_json(), "deterministic": True}
+        payload = [{"job_id": "j", "image": circuit.image(5)}]
+        served = []
+        for audit in (False, True):
+            monkeypatch.setattr(workers, "_WARM", {})
+            out = workers.prove_batch(dict(spec, audit=audit), payload)
+            assert out["results"][0]["verified"]
+            (entry,) = workers._WARM.values()
+            assert entry.audited == audit
+            served.append(entry.prover.cs)
+        plain, audited = served
+        assert_same_matrices(audited.to_csr(), plain.to_csr())
+        assert lane_census(audited) == lane_census(plain)
+
+    def test_rows_cannot_be_edited(self):
+        cs = ConstraintSystem()
+        x = cs.new_private(3)
+        cs.enforce(cs.lc_variable(x), cs.lc_constant(1), cs.lc_constant(3))
+        with pytest.raises(TypeError):
+            del cs.constraints[0]
+        with pytest.raises(AttributeError):
+            cs.constraints.append(cs.constraints[0])
+        assert cs.num_constraints == 1 and cs.is_satisfied()
+
+
+def lane_census(cs):
+    return [terms.size for terms in bigint_lane(cs.to_csr())]
+
+
+def assert_same_matrices(mine, theirs):
+    """Equal ``indptr`` / ``indices`` / ``coeffs`` and slot digits."""
+    for ours, other in zip(mine.matrices(), theirs.matrices()):
+        assert ours.indptr.tolist() == other.indptr.tolist()
+        assert ours.indices.tolist() == other.indices.tolist()
+        assert tuple(ours.coeffs) == tuple(other.coeffs)
+        got, want = ours.digits(P), other.digits(P)
+        assert got.low.tolist() == want.low.tolist()
+        assert got.wide.tolist() == want.wide.tolist()
+        assert len(got.knit) == len(want.knit)
+        for run, expected in zip(got.knit, want.knit):
+            for field, value in zip(run, expected):
+                assert np.array_equal(field, value)

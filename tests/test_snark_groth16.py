@@ -6,7 +6,7 @@ import pytest
 
 from repro.ec.backend import RealBN254Backend, SimulatedBackend
 from repro.r1cs.system import ConstraintSystem
-from repro.snark.groth16 import Groth16, prove, setup, verify
+from repro.snark.groth16 import prove, setup, verify
 from repro.snark.proof import PROOF_BYTES
 
 
@@ -100,13 +100,6 @@ class TestSimulatedBackend:
         result = setup(cs, self.backend, random.Random(1))
         assert result.stats["num_constraints"] == cs.num_constraints
         assert result.stats["domain_size"] >= cs.num_constraints
-
-    def test_facade_class(self):
-        snark = Groth16(self.backend)
-        cs, ref = dot_product_cs([9], [9])
-        result = snark.setup(cs, random.Random(3))
-        proof = snark.prove(result.proving_key, cs, random.Random(4))
-        assert snark.verify(result.verifying_key, [ref], proof)
 
     def test_proof_size_constant(self):
         cs, _ = dot_product_cs([1, 2, 3, 4], [5, 6, 7, 8])
