@@ -60,6 +60,8 @@ def main(argv=None) -> int:
     # 3. Prove and verify with Groth16.
     backend = RealBN254Backend() if args.real else SimulatedBackend()
     report = compiler.prove(artifact, backend=backend)
+    setup_s = report.phases["security_computation"].counts["setup_time"]
+    print(f"set-up (CRS): {setup_s:.3f} s")
     print(f"proof verified: {report.verified}  (backend: {backend.name})")
     assert report.verified
 

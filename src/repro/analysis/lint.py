@@ -44,7 +44,7 @@ from repro.analysis.report import Finding, Severity
 from repro.r1cs.constraint import Constraint
 from repro.r1cs.lc import ONE
 from repro.r1cs.optimize import (
-    canonical_constraint_key,
+    canonical_constraint_keys,
     referenced_private_variables,
 )
 from repro.r1cs.system import ConstraintSystem
@@ -169,8 +169,7 @@ def _lint_duplicates(
 ) -> List[Finding]:
     findings = []
     seen: Dict[tuple, int] = {}
-    for index, constraint in enumerate(rows):
-        key = canonical_constraint_key(constraint)
+    for index, key in enumerate(canonical_constraint_keys(rows)):
         kept = seen.setdefault(key, index)
         if kept != index:
             findings.append(

@@ -32,6 +32,7 @@ from repro.ec.simulated import (
     SimPoint,
     sim_generator,
     sim_msm,
+    sim_multiples,
     sim_pairing,
 )
 
@@ -69,12 +70,13 @@ class GroupBackend(ABC):
     @abstractmethod
     def scalar_mul(self, a: GroupElement, k: int) -> GroupElement: ...
 
+    @abstractmethod
     def base_multiples(
         self, base: GroupElement, scalars: Sequence[int]
     ) -> list:
         """``[k * base for k in scalars]`` — set-up's vectors of generator
-        multiples.  Backends with a fixed-base method override this."""
-        return [self.scalar_mul(base, k) for k in scalars]
+        multiples and a key without tables' blinding multiples, handed
+        over whole so a backend can work on the vector."""
 
     @abstractmethod
     def msm(
@@ -249,6 +251,9 @@ class SimulatedBackend(GroupBackend):
 
     def scalar_mul(self, a: SimPoint, k: int) -> SimPoint:
         return a * k
+
+    def base_multiples(self, base: SimPoint, scalars) -> list:
+        return sim_multiples(base, scalars)
 
     def msm(self, points, scalars, *, zero=None):
         if hasattr(points, "iter_chunks"):

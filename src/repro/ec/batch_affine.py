@@ -6,10 +6,11 @@ addition is only 2M + 1S + 1I — ruinous when the inversion is paid per
 addition, but bucket accumulation in Pippenger is embarrassingly
 batchable: additions into distinct buckets are independent, so each round
 performs one addition per bucket and amortizes all their inversions into a
-single one via Montgomery's trick
-(:func:`repro.field.vector.batch_inverse`).  With the 3 multiplications
-the trick charges per element, an amortized affine addition costs ~5M+1S —
-roughly half the Jacobian formula.
+single one via Montgomery's trick — the rounds of
+:func:`repro.ec.affine.batch_reduce`, which set-up's table multiples
+(:class:`repro.ec.jacobian.BaseTable`) run too.  With the 3
+multiplications the trick charges per element, an amortized affine
+addition costs ~5M+1S — roughly half the Jacobian formula.
 
 **Signed digits** (:func:`repro.ec.msm.signed_digits`) cut the bucket
 count per window from ``2^c - 1`` to ``2^(c-1)`` — point negation is free
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.ec.affine import batch_reduce, g1_sums
 from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
@@ -44,83 +46,11 @@ from repro.ec.jacobian import (
     to_affine,
 )
 from repro.ec.msm import pick_window, signed_digits, signed_windows
-from repro.field.counters import global_counter
-from repro.field.fp import BN254_FQ, BN254_FQ_MODULUS
-from repro.field.vector import batch_inverse
+from repro.field.fp import BN254_FQ_MODULUS
 
 _Q = BN254_FQ_MODULUS
 
 Affine = Tuple[int, int]
-
-
-def _batch_reduce(buckets: List[List[Affine]]) -> List[Optional[Affine]]:
-    """Reduce every bucket's point list to one point (or ``None``).
-
-    Rounds of pairwise affine additions: each round pairs up the points
-    remaining in every bucket, computes all pair denominators, inverts
-    them with **one** field inversion (Montgomery batching across the
-    whole bucket array), and applies the chord/tangent formulas.  A pair
-    ``P, -P`` cancels: its denominator is zero, so its lane comes back
-    zero from ``batch_inverse(..., zero_ok=True)`` and the slot is
-    dropped after the sweep — no per-pair branch-out of the batch, which
-    is the contract the vectorized inversion backend needs (every
-    scheduled lane stays in the array).  ``y == 0`` cannot occur
-    otherwise: BN254 G1 has prime order, hence no 2-torsion, so a zero
-    inverse *only* marks a cancelled pair.
-    """
-    total_adds = 0
-    while any(len(lst) > 1 for lst in buckets):
-        dens: List[int] = []
-        # (out_list, slot, x1, y1, x2, numerator) per scheduled addition
-        ops: List[Tuple[List, int, int, int, int, int]] = []
-        for bi in range(len(buckets)):
-            lst = buckets[bi]
-            m = len(lst)
-            if m < 2:
-                continue
-            out: List[Optional[Affine]] = []
-            i = 0
-            while i + 1 < m:
-                x1, y1 = lst[i]
-                x2, y2 = lst[i + 1]
-                if x1 != x2:
-                    num = y2 - y1
-                    den = x2 - x1
-                else:
-                    # Same x: either P + (-P) (den = 2y1 = y1 + y2 = 0 mod
-                    # q -> zero lane, pair vanishes) or a doubling with
-                    # tangent slope 3x^2 / 2y.
-                    num = 3 * x1 * x1
-                    den = (y1 + y2) % _Q
-                ops.append((out, len(out), x1, y1, x2, num % _Q))
-                out.append(None)  # placeholder, filled after inversion
-                dens.append(den % _Q)
-                i += 2
-            if i < m:
-                out.append(lst[i])  # odd leftover rides to the next round
-            buckets[bi] = out
-        if dens:
-            invs = batch_inverse(BN254_FQ, dens, zero_ok=True)
-            applied = 0
-            touched = set()
-            for (out, slot, x1, y1, x2, num), inv in zip(ops, invs):
-                if inv == 0:
-                    touched.add(id(out))
-                    continue  # cancelled pair: leave the slot empty
-                s = num * inv % _Q
-                x3 = (s * s - x1 - x2) % _Q
-                out[slot] = (x3, (s * (x1 - x3) - y1) % _Q)
-                applied += 1
-            total_adds += applied
-            if touched:
-                for bi in range(len(buckets)):
-                    if id(buckets[bi]) in touched:
-                        buckets[bi] = [
-                            pt for pt in buckets[bi] if pt is not None
-                        ]
-    if total_adds:
-        global_counter().group_add += total_adds
-    return [lst[0] if lst else None for lst in buckets]
 
 
 def fold_buckets(folded: Sequence[Optional[Affine]]) -> JPoint:
@@ -164,7 +94,7 @@ def _msm_raw(
             elif d < 0:
                 x, y = affine[i]
                 buckets[-d - 1].append((x, _Q - y))
-        total = j_add(total, fold_buckets(_batch_reduce(buckets)))
+        total = j_add(total, fold_buckets(batch_reduce(buckets, g1_sums)))
     return total
 
 

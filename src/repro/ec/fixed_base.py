@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.ec.batch_affine import Affine, _batch_reduce, fold_buckets
+from repro.ec.affine import batch_reduce, g1_sums
+from repro.ec.batch_affine import Affine, fold_buckets
 from repro.ec.bn254 import BN254_G1
 from repro.ec.curve import Point
 from repro.ec.jacobian import (
@@ -114,4 +115,4 @@ class FixedBaseTableG1:
                     buckets[d - 1].append(pt)
                 else:
                     buckets[-d - 1].append((pt[0], _Q - pt[1]))
-        return to_affine(fold_buckets(_batch_reduce(buckets)))
+        return to_affine(fold_buckets(batch_reduce(buckets, g1_sums)))

@@ -14,8 +14,9 @@ formulas for ``a = 0`` curves, where ``(X, Y, Z)`` represents affine
 The formulas exist twice: over Fq on raw ints for G1 (``j_*``) and over Fq2
 on the raw pairs of :mod:`repro.ec.tower` for G2 (``j2_*``).  Everything
 built on them — :func:`scalar_mul`, the Pippenger :func:`msm_jacobian` and
-the fixed-base :func:`base_multiples` set-up uses — is written once and
-picks its formulas by the points' group.  The G2 subgroup check
+the fixed-base :func:`base_multiples` set-up uses, whose table entries and
+sums run in the batched affine rounds of :mod:`repro.ec.affine` — is
+written once and picks its formulas by the points' group.  The G2 subgroup check
 (:func:`in_subgroup`) adds the twist endomorphism ``psi`` on Jacobian
 coordinates.  The test suite cross-checks every operation against the
 affine implementation.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.ec.affine import batch_reduce, g1_sums, g2_sums
 from repro.ec.bn254 import BN254_G1, BN254_G2, BN_U
 from repro.ec.curve import CurveGroup, Point
 from repro.ec.msm import MAX_WINDOW, pick_window, signed_digits, signed_windows
@@ -330,6 +332,7 @@ class _Formulas(NamedTuple):
     negate: Callable  # raw (x, y) -> raw (x, -y)
     lower: Callable[[Any], Point]  # raw (x, y) or None -> affine Point
     normalize: Callable  # Jacobian points -> raw (x, y) or None, 1 inversion
+    sums: Callable  # raw pairs -> their affine sums, 1 inversion (affine.py)
 
 
 def _lower_g1(a: Optional[Affine]) -> Point:
@@ -349,13 +352,13 @@ _FORMULAS = {
         BN254_G1, J_INFINITY, j_double, j_add, j_add_mixed,
         lambda p: (p.x.value, p.y.value),
         lambda a: (a[0], -a[1] % _Q),
-        _lower_g1, batch_normalize,
+        _lower_g1, batch_normalize, g1_sums,
     ),
     BN254_G2: _Formulas(
         BN254_G2, J2_INFINITY, j2_double, j2_add, j2_add_mixed,
         lambda p: (p.x.coeffs, p.y.coeffs),
         lambda a: (a[0], (-a[1][0] % _Q, -a[1][1] % _Q)),
-        _lower_g2, batch_normalize_g2,
+        _lower_g2, batch_normalize_g2, g2_sums,
     ),
 }
 
@@ -501,36 +504,50 @@ def msm_jacobian(
 
 
 def _base_table_cost(c: int, n: int) -> int:
-    """Mixed additions a window-``c`` :class:`BaseTable` and ``n`` multiples
-    from it cost: one per window per scalar, and a table entry (a full
-    Jacobian addition plus its share of the normalization) weighed as two."""
-    return signed_windows(SCALAR_BITS, c) * ((1 << c) + n)
+    """Batch-affine additions a window-``c`` :class:`BaseTable` and ``n``
+    multiples from it cost: one per window per scalar, one per table entry
+    (an entry is a lane of the same batched rounds, ``2^(c-1)`` of them per
+    window), and the doubling chain of the window steps (~one doubling per
+    scalar bit, each weighed as one addition)."""
+    return SCALAR_BITS + signed_windows(SCALAR_BITS, c) * ((1 << (c - 1)) + n)
 
 
-# Double-and-add in the same unit: a doubling per bit, an addition per set
-# bit.  The model puts the crossover between two and three multiples;
-# measured, one costs 1.9 ms (G1) / 5.2 ms (G2) against 3.3 / 8.8 through
-# a table, two are level, three read 5.5 / 15.6 against 4.5 / 12.2.
-_DOUBLE_AND_ADD_COST = SCALAR_BITS + SCALAR_BITS // 2
+# Double-and-add in the same unit: a Jacobian doubling (2M + 5S) per bit
+# weighed as one batch-affine addition (~5M + 1S), a mixed addition
+# (7M + 4S) per set bit as two.  The model puts the crossover between one
+# and two multiples; measured, one costs 1.7 ms (G1) / 5.1 ms (G2) by
+# double-and-add against 2.6 / 6.5 through a table, two cost 3.5 / 11.3
+# against 2.8 / 7.1.
+_DOUBLE_AND_ADD_COST = SCALAR_BITS + 2 * (SCALAR_BITS // 2)
 
 # Window of a table that outlives the call (a proving key's delta_1 and
-# delta_2).  Measured build / per-multiple ms, G1 and G2: c = 3: 3.9 / 0.49
-# and 10.9 / 1.39; c = 4: 6.0 / 0.39 and 17.5 / 1.12; c = 5: 9.9 / 0.31 and
-# 28.9 / 0.90 (double-and-add: 1.93 and 5.27).  A proof takes three
-# multiples, so 4 repays 3 within 20 proofs and 5 repays 4 only after 40.
+# delta_2).  Measured build ms G1 / G2, and a proof's three multiples
+# (two of delta_1, one of delta_2) in ms: c = 3: 2.6 / 6.4, 1.69; c = 4:
+# 3.3 / 8.0, 1.39; c = 5: 4.7 / 11.3, 1.24 (double-and-add: 8.5).  So 4
+# repays 3 within 8 proofs and 5 repays 4 only after 31.
 KEPT_BASE_WINDOW = 4
+
+# Scalars whose table multiples are summed in one batch of rounds: the
+# batch bounds the points held at once (~37 per scalar at c = 7), so one
+# set-up's few thousand multiples do not peak at once.
+MULTIPLES_BATCH = 64
 
 
 class BaseTable:
     """Every signed-digit multiple of one fixed G1 or G2 point.
 
     ``d * 2^(c j) * base`` for ``1 <= d <= 2^(c-1)`` and every window
-    ``j``, built with Jacobian additions and normalized with one
-    inversion; a multiple ``k * base`` is then one mixed addition per
-    non-zero signed digit of ``k`` — no doubling.  Set-up builds one per
-    vector of generator multiples and drops it (:func:`base_multiples`);
-    a proving key keeps one each for delta_1 and delta_2, whose multiples
-    blind every proof.  ``uses`` counts :meth:`multiples` calls.
+    ``j``; a multiple ``k * base`` is then the sum of one entry per
+    non-zero signed digit of ``k`` — no doubling.  Both the table and the
+    multiples are batch-affine rounds (:func:`repro.ec.affine.
+    batch_reduce`): the table one lane per window, ``d * step + step`` in
+    round ``d`` (round 1, ``step + step``, takes the tangent), after one
+    normalized doubling chain for the steps; the multiples
+    :data:`MULTIPLES_BATCH` scalars at a time, each scalar's entries one
+    list.  Set-up builds one per vector of generator multiples and drops
+    it (:func:`base_multiples`); a proving key keeps one each for delta_1
+    and delta_2, whose multiples blind every proof.  ``uses`` counts
+    :meth:`multiples` calls.
     """
 
     def __init__(self, base: Point, window: int) -> None:
@@ -542,33 +559,44 @@ class BaseTable:
         self.uses = 0
         half = 1 << (window - 1)
         step = fm.add_mixed(fm.infinity, fm.lift(base))
-        rows = []
-        for _ in range(self.num_windows):
-            rows.append(step)
-            for _ in range(half - 1):
-                rows.append(fm.add(rows[-1], step))
-            step = fm.double(rows[-1])
-        self.table = fm.normalize(rows)
+        steps = [step]
+        for _ in range(self.num_windows - 1):
+            for _ in range(window):
+                step = fm.double(step)
+            steps.append(step)
+        # base has prime order r and no d * 2^(c j) is a multiple of r:
+        # no entry is the identity, and only round 1 doubles.
+        column = steps = fm.normalize(steps)
+        columns = [column]
+        for _ in range(half - 1):
+            column = fm.sums(column, steps)
+            columns.append(column)
+        self.table = [entry for row in zip(*columns) for entry in row]
 
     def multiples(self, scalars: Sequence[int]) -> List[Point]:
-        """``[k * base for k in scalars]``; one inversion for the vector."""
+        """``[k * base for k in scalars]``: one inversion per round of
+        each batch of :data:`MULTIPLES_BATCH` scalars."""
         self.uses += 1
         fm = self.fm
-        add_mixed, negate, table = fm.add_mixed, fm.negate, self.table
-        c, half = self.window, 1 << (self.window - 1)
+        negate, table, sums = fm.negate, self.table, fm.sums
+        c, num_windows = self.window, self.num_windows
+        half = 1 << (c - 1)
         order = fm.group.order
         reduced = [k % order for k in scalars]
         global_counter().group_scalar_mul += sum(1 for k in reduced if k)
-        out = []
-        for k in reduced:
-            acc = fm.infinity
-            for j, d in enumerate(signed_digits(k, c, self.num_windows)):
-                if d > 0:
-                    acc = add_mixed(acc, table[j * half + d - 1])
-                elif d < 0:
-                    acc = add_mixed(acc, negate(table[j * half - d - 1]))
-            out.append(acc)
-        return [fm.lower(a) for a in fm.normalize(out)]
+        out: List[Point] = []
+        for lo in range(0, len(reduced), MULTIPLES_BATCH):
+            lists = []
+            for k in reduced[lo : lo + MULTIPLES_BATCH]:
+                entries = []
+                for j, d in enumerate(signed_digits(k, c, num_windows)):
+                    if d > 0:
+                        entries.append(table[j * half + d - 1])
+                    elif d < 0:
+                        entries.append(negate(table[j * half - d - 1]))
+                lists.append(entries)
+            out += [fm.lower(a) for a in batch_reduce(lists, sums)]
+        return out
 
 
 def base_multiples(base: Point, scalars: Sequence[int]) -> List[Point]:

@@ -140,6 +140,15 @@ def sim_msm(
     return SimPoint(tag, acc)
 
 
+def sim_multiples(base: SimPoint, scalars: Sequence[int]) -> list:
+    """``[k * base for k in scalars]``, the counters charged once for the
+    vector: the same totals as one ``base * k`` per scalar."""
+    tag = base.tag
+    global_counter().group_scalar_mul += _SCALAR_WEIGHT[tag] * len(scalars)
+    log = base.log
+    return [SimPoint(tag, log * k) for k in scalars]
+
+
 class SimFixedBaseTable:
     """Simulated analogue of :class:`repro.ec.fixed_base.FixedBaseTableG1`.
 
@@ -188,4 +197,4 @@ class SimBaseTable:
 
     def multiples(self, scalars: Sequence[int]) -> list:
         self.uses += 1
-        return [self.base * k for k in scalars]
+        return sim_multiples(self.base, scalars)

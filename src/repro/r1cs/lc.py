@@ -221,6 +221,19 @@ class KnitRun(NamedTuple):
         )
 
 
+_NO_SPAN = np.zeros((2, 0), dtype=np.int64)
+
+
+def _span_of(knit: Sequence[KnitRun]) -> np.ndarray:
+    """Each run's first and last row, ``(2, runs)``."""
+    if not knit:
+        return _NO_SPAN
+    return np.array(
+        [[run.rows[0] for run in knit], [run.rows[-1] for run in knit]],
+        dtype=np.int64,
+    )
+
+
 class Digits(NamedTuple):
     """Coefficients as small signed *slot digits*: ``c_t = sum_k d_k(t)
     2^(width k) (mod p)`` — one digit for an ordinary coefficient, ``s``
@@ -230,11 +243,15 @@ class Digits(NamedTuple):
     ``low`` is every term's slot 0 (0 for a term without digits), ``wide``
     the ascending positions of the terms without digits (field-wide
     coefficients), ``knit`` the further slots of the terms that have them.
+    ``span``, when given, is each knit run's first and last row, a ``(2,
+    runs)`` array — what :meth:`slice` picks the runs it cuts by, so a
+    side of many runs is not walked run by run for every slice of it.
     """
 
     low: np.ndarray
     wide: np.ndarray
     knit: Tuple[KnitRun, ...]
+    span: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, coeffs: Sequence[int], modulus: int) -> "Digits":
@@ -268,46 +285,61 @@ class Digits(NamedTuple):
             rows, indptr[rows], np.r_[0, np.cumsum(counts[rows])], width,
             digits[1:], scale,
         )
-        return cls(digits[0], _NO_TERMS, (run,))
+        return cls(digits[0], _NO_TERMS, (run,), _span_of((run,)))
 
     @classmethod
     def concat(cls, parts: Sequence[Tuple["Digits", int, int]]) -> "Digits":
         """``(digits, rows, terms)`` parts one after another."""
-        low, wide, knit = [], [], []
+        low, wide, knit, span = [], [], [], []
         rows = terms = 0
         for digits, num_rows, num_terms in parts:
             low.append(digits.low)
-            wide.append(digits.wide + terms)
-            knit += [
-                run._replace(rows=run.rows + rows, starts=run.starts + terms)
-                for run in digits.knit
-            ]
+            if digits.wide.size:
+                wide.append(digits.wide + terms)
+            if digits.knit:
+                knit += [
+                    run._replace(
+                        rows=run.rows + rows, starts=run.starts + terms
+                    )
+                    for run in digits.knit
+                ]
+                span.append(digits.runs_span() + rows)
             rows += num_rows
             terms += num_terms
-        return cls(np.concatenate(low), np.concatenate(wide), tuple(knit))
+        return cls(
+            np.concatenate(low),
+            np.concatenate(wide) if wide else _NO_TERMS,
+            tuple(knit),
+            np.concatenate(span, axis=1) if span else _NO_SPAN,
+        )
+
+    def runs_span(self) -> np.ndarray:
+        """:attr:`span`, read off the runs when it was not given."""
+        return _span_of(self.knit) if self.span is None else self.span
 
     def slice(self, indptr: np.ndarray, start: int, stop: int) -> "Digits":
         """The digits of rows ``[start, stop)`` of a side with ``indptr``."""
         lo, hi = int(indptr[start]), int(indptr[stop])
+        wide = self.wide
+        if wide.size:
+            first, last = wide.searchsorted((lo, hi)).tolist()
+            wide = wide[first:last] - lo
         knit = []
-        for run in self.knit:
-            if run.rows[-1] < start or run.rows[0] >= stop:
-                continue
-            first, last = np.searchsorted(run.rows, (start, stop))
-            if first == last:
-                continue
-            left, right = run.ptr[first], run.ptr[last]
-            knit.append(KnitRun(
-                run.rows[first:last] - start, run.starts[first:last] - lo,
-                run.ptr[first:last + 1] - left, run.width,
-                run.digits[:, left:right], run.scale,
-            ))
-        return Digits(
-            self.low[lo:hi],
-            self.wide[np.searchsorted(self.wide, lo):
-                      np.searchsorted(self.wide, hi)] - lo,
-            tuple(knit),
-        )
+        if self.knit:
+            first_row, last_row = self.runs_span()
+            meets = (last_row >= start) & (first_row < stop)
+            for i in np.flatnonzero(meets).tolist():
+                run = self.knit[i]
+                first, last = run.rows.searchsorted((start, stop)).tolist()
+                if first == last:
+                    continue
+                left, right = run.ptr[first], run.ptr[last]
+                knit.append(KnitRun(
+                    run.rows[first:last] - start, run.starts[first:last] - lo,
+                    run.ptr[first:last + 1] - left, run.width,
+                    run.digits[:, left:right], run.scale,
+                ))
+        return Digits(self.low[lo:hi], wide, tuple(knit), _span_of(knit))
 
 
 class RowSide:
@@ -349,7 +381,7 @@ class RowSide:
         """Rows ``[start, stop)``."""
         if start == 0 and stop == len(self):
             return self
-        lo, hi = self.indptr[start], self.indptr[stop]
+        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
         digits = self.digits
         return RowSide(
             self.indptr[start:stop + 1] - lo,
@@ -364,11 +396,11 @@ class RowSide:
         sides = [side for side in sides if len(side)] or sides[:1]
         if len(sides) == 1:
             return sides[0]
-        ends = np.cumsum([side.indptr[-1] for side in sides])
-        indptr = np.concatenate([sides[0].indptr[:1]] + [
-            side.indptr[1:] + end - side.indptr[-1]
-            for side, end in zip(sides, ends)
-        ])
+        ptrs, total = [sides[0].indptr[:1]], 0
+        for side in sides:
+            ptrs.append(side.indptr[1:] + total)
+            total += int(side.indptr[-1])
+        indptr = np.concatenate(ptrs)
         digits = None
         if all(side.digits is not None for side in sides):
             digits = Digits.concat([
@@ -454,7 +486,10 @@ def _sorted_digits(rows, order, pieces, parts, modulus: int) -> Digits:
                 ) + np.arange(ptr[-1])],
             )
         knit.append(run)
-    return Digits(flat.low[order], np.sort(inverse[flat.wide]), tuple(knit))
+    return Digits(
+        flat.low[order], np.sort(inverse[flat.wide]), tuple(knit),
+        _span_of(knit),
+    )
 
 
 class RowBlock:

@@ -29,10 +29,11 @@ values are preserved (property-tested).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.field.vector import batch_inverse
 from repro.r1cs.constraint import Constraint
 from repro.r1cs.lc import ONE, LinearCombination
 from repro.r1cs.system import ConstraintSystem
@@ -110,15 +111,55 @@ def _scaled_terms(lc: LinearCombination, scale: int, p: int) -> tuple:
     return tuple(sorted((i, c * scale % p) for i, c in lc.terms.items()))
 
 
-def _leading_inverse(lc: LinearCombination, field) -> int:
-    """Inverse of the first nonzero coefficient (smallest variable index).
+def _leading(lc: LinearCombination, p: int) -> int:
+    """The first nonzero coefficient (smallest variable index).
 
     Stored zero coefficients are legal (an LC is a sparse map, not a
     normalized polynomial), so skip them rather than inverting zero.
     """
+    terms = lc.terms
+    return terms[min(v for v, c in terms.items() if c % p)] % p
+
+
+def canonical_constraint_keys(constraints: Sequence[Constraint]) -> List[tuple]:
+    """:func:`canonical_constraint_key` of every constraint of a pass, the
+    leading coefficients inverted together: 1 and ``p - 1`` are their own
+    inverses, every other distinct one takes its share of one
+    :func:`~repro.field.vector.batch_inverse`."""
+    rows = list(constraints)
+    if not rows:
+        return []
+    field = rows[0].a.field
     p = field.modulus
-    lead = min(v for v, c in lc.terms.items() if c % p)
-    return field.inv(lc.terms[lead])
+    leads = []
+    for constraint in rows:
+        if constraint.a.is_zero() or constraint.b.is_zero():
+            # 0 * B = C (or A * 0 = C): only <C, z> = 0 is being enforced.
+            c = constraint.c
+            leads.append(() if c.is_zero() else (_leading(c, p),))
+        else:
+            leads.append(
+                (_leading(constraint.a, p), _leading(constraint.b, p))
+            )
+    rest = sorted({x for lead in leads for x in lead} - {1, p - 1})
+    inverse = dict(zip(rest, batch_inverse(field, rest)))
+    inverse[1], inverse[p - 1] = 1, p - 1
+    keys: List[tuple] = []
+    for constraint, lead in zip(rows, leads):
+        if not lead:
+            keys.append(("trivial",))
+        elif len(lead) == 1:
+            keys.append(
+                ("linear", _scaled_terms(constraint.c, inverse[lead[0]], p))
+            )
+        else:
+            lam, mu = inverse[lead[0]], inverse[lead[1]]
+            a_key = _scaled_terms(constraint.a, lam, p)
+            b_key = _scaled_terms(constraint.b, mu, p)
+            c_key = _scaled_terms(constraint.c, lam * mu % p, p)
+            lo, hi = sorted((a_key, b_key))
+            keys.append(("mul", lo, hi, c_key))
+    return keys
 
 
 def canonical_constraint_key(constraint: Constraint) -> tuple:
@@ -130,23 +171,10 @@ def canonical_constraint_key(constraint: Constraint) -> tuple:
     (smallest-index) coefficient is 1, the C side absorbs the combined
     scale, and the (A, B) pair is ordered canonically.  Constraints with an
     empty product side reduce to the pure linear statement ``<C, z> = 0``,
-    which is itself scale-invariant.
+    which is itself scale-invariant.  A pass over many constraints takes
+    :func:`canonical_constraint_keys`.
     """
-    field = constraint.a.field
-    p = field.modulus
-    if constraint.a.is_zero() or constraint.b.is_zero():
-        # 0 * B = C (or A * 0 = C): only <C, z> = 0 is being enforced.
-        if constraint.c.is_zero():
-            return ("trivial",)
-        scale = _leading_inverse(constraint.c, field)
-        return ("linear", _scaled_terms(constraint.c, scale, p))
-    lam = _leading_inverse(constraint.a, field)
-    mu = _leading_inverse(constraint.b, field)
-    a_key = _scaled_terms(constraint.a, lam, p)
-    b_key = _scaled_terms(constraint.b, mu, p)
-    c_key = _scaled_terms(constraint.c, lam * mu % p, p)
-    lo, hi = sorted((a_key, b_key))
-    return ("mul", lo, hi, c_key)
+    return canonical_constraint_keys([constraint])[0]
 
 
 def deduplicate_constraints(
@@ -170,8 +198,10 @@ def _deduplicate_with_findings(cs: ConstraintSystem):
         out.new_private(cs._private_values[i])
     findings: List[Finding] = []
     seen: Dict[tuple, int] = {}
-    for index, constraint in enumerate(cs.constraints):
-        key = canonical_constraint_key(constraint)
+    rows = list(cs.constraints)
+    for index, (constraint, key) in enumerate(
+        zip(rows, canonical_constraint_keys(rows))
+    ):
         kept = seen.get(key)
         if kept is not None:
             findings.append(

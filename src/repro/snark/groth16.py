@@ -70,7 +70,8 @@ def setup(
     while domain.vanishing_at(tau) == 0:
         tau = rng.randrange(1, p)
 
-    a_at, b_at, c_at = qap_evaluations_at(cs, domain, tau)
+    powers = domain.powers_at(tau)  # the Lagrange values' and the h query's
+    a_at, b_at, c_at = qap_evaluations_at(cs, domain.lagrange_at(tau, powers))
     num_vars = len(a_at)
     num_instance = 1 + cs.num_public  # ONE + publics
 
@@ -84,11 +85,8 @@ def setup(
     ]
     ic_scalars = [v * gamma_inv % p for v in combined[:num_instance]]
     l_scalars = [v * delta_inv % p for v in combined[num_instance:]]
-    h_scalars: List[int] = []
-    power = domain.vanishing_at(tau) * delta_inv % p
-    for _ in range(domain.size - 1):
-        h_scalars.append(power)
-        power = (power * tau) % p
+    h_scale = domain.vanishing_at(tau) * delta_inv % p
+    h_scalars = [h_scale * t % p for t in powers[:-1]]
     g1_singles = [alpha, beta, delta]
     g2_singles = [beta, gamma, delta]
 

@@ -32,7 +32,6 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.field.fp import BN254_FR, Field
-from repro.field.vector import batch_inverse
 from repro.r1cs.lc import ONE
 from repro.r1cs.system import ConstraintSystem
 
@@ -326,21 +325,26 @@ class Domain:
 
     # -- Lagrange basis at a point ------------------------------------------------------
 
-    def lagrange_at(self, tau: int) -> List[int]:
-        """``[L_0(tau), ..., L_{d-1}(tau)]`` in O(d) with batch inversion.
+    def powers_at(self, x: int) -> List[int]:
+        """``[x^0, ..., x^(d-1)] mod p``."""
+        p = self.field.modulus
+        out = [1]
+        for _ in range(self.size - 1):
+            out.append(out[-1] * x % p)
+        return out
 
-        ``L_j(tau) = Z(tau) * w^j / (d * (tau - w^j))``.
+    def lagrange_at(
+        self, tau: int, powers: Optional[List[int]] = None
+    ) -> List[int]:
+        """``[L_0(tau), ..., L_{d-1}(tau)]`` by one inverse transform.
+
+        ``L_j(tau) = (1/d) sum_i tau^i w^(-ij)``: the INTT of tau's powers
+        — ``powers`` when the caller holds them already (set-up reuses
+        them for the h query).
         """
-        field = self.field
-        p = field.modulus
-        z_tau = self.vanishing_at(tau)
-        if z_tau == 0:
+        if self.vanishing_at(tau) == 0:
             raise ValueError("tau lies inside the evaluation domain")
-        omegas = self.omega_powers
-        denominators = [(tau - w) % p for w in omegas]
-        inverses = batch_inverse(field, denominators)
-        scale = (z_tau * self.size_inv) % p
-        return [(scale * w * inv) % p for w, inv in zip(omegas, inverses)]
+        return self.intt(self.powers_at(tau) if powers is None else powers)
 
 
 class _VectorTables:
@@ -464,9 +468,10 @@ def variable_order(cs: ConstraintSystem) -> List[int]:
 
 
 def qap_evaluations_at(
-    cs: ConstraintSystem, domain: Domain, tau: int
+    cs: ConstraintSystem, lagrange: Sequence[int]
 ) -> Tuple[List[int], List[int], List[int]]:
-    """Per-variable ``(A_i(tau), B_i(tau), C_i(tau))`` in variable order.
+    """Per-variable ``(A_i(tau), B_i(tau), C_i(tau))`` in variable order,
+    from the Lagrange values ``L_j(tau)`` (:meth:`Domain.lagrange_at`).
 
     Used by the (trapdoor-simulated) trusted setup: sweep the sparse
     constraint matrices once, accumulating ``a_{j,i} * L_j(tau)``.  Runs
@@ -477,8 +482,7 @@ def qap_evaluations_at(
     ``L_j(tau)`` is a field-wide value, so every product is a bigint one,
     and a knit coefficient's slot digits would only multiply them.)
     """
-    p = domain.field.modulus
-    lagrange = domain.lagrange_at(tau)
+    p = cs.field.modulus
     csr = cs.to_csr(assignment=False)
     out = []
     for matrix in csr.matrices():

@@ -13,6 +13,7 @@ from repro.ec.backend import RealBN254Backend, SimulatedBackend
 from repro.ec.bn254 import BN254_G1, BN254_G2
 from repro.ec.jacobian import (
     J2_INFINITY,
+    _base_table_cost,
     base_multiples,
     batch_normalize_g2,
     in_subgroup,
@@ -24,7 +25,7 @@ from repro.ec.jacobian import (
     to_affine_g2,
     to_jacobian_g2,
 )
-from repro.ec.msm import msm_naive
+from repro.ec.msm import MAX_WINDOW, msm_naive, signed_digits, signed_windows
 from repro.field.counters import count_ops
 
 R = BN254_G2.order
@@ -171,7 +172,15 @@ class TestBaseMultiples:
         with count_ops() as ops:
             got = RealBN254Backend().base_multiples(base, scalars)
         assert got == want
-        assert ops.field_inv == 2  # one for the table, one for the results
+        # One inversion per batched round: the steps' normalization, the
+        # table's 2^(c-1) - 1 lane rounds, the one batch's reduction rounds.
+        live = sum(1 for k in scalars if k % R)
+        c = min((_base_table_cost(c, live), c) for c in range(2, MAX_WINDOW + 1))[1]
+        longest = max(
+            sum(1 for d in signed_digits(k % R, c, signed_windows(254, c)) if d)
+            for k in scalars
+        )
+        assert ops.field_inv == 1 + (2 ** (c - 1) - 1) + (longest - 1).bit_length()
         assert ops.group_scalar_mul == sum(1 for k in scalars if k % R)
         for point in got:
             assert point.group is base.group
@@ -212,8 +221,9 @@ class TestSubgroup:
 class TestSetupTallies:
     def test_setup_is_inversion_free(self):
         """One BN254 set-up of SHAL:micro: 246,832 field inversions on the
-        affine path, a few dozen now (two per vector of multiples plus the
-        QAP's own batch inversions)."""
+        affine path, a few hundred now — one per batched affine round: a
+        table's 2^(c-1) - 1 lane rounds, then ~log2 of its windows per
+        batch of ``MULTIPLES_BATCH`` multiples."""
         from repro.core.spec import CircuitSpec
         from repro.snark import groth16
 
@@ -227,9 +237,9 @@ class TestSetupTallies:
             + len(pk.l_query_g1) + len(pk.h_query_g1)
             + len(result.verifying_key.ic_g1) + 6
         )
-        assert ops.field_inv < 100
+        assert ops.field_inv < 300
         assert 0 < ops.group_scalar_mul <= elements
-        assert ops.group_add > elements  # the Jacobian steps are tallied
+        assert ops.group_add > elements  # the affine sums are tallied
 
     def test_crs_bytes_are_the_affine_era_bytes(self, tmp_path, monkeypatch):
         """SHAL:micro under the serve workers' CRS seed: the proving and

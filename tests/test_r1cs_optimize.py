@@ -166,6 +166,65 @@ class TestCanonicalKey:
         assert k1 != k2
 
 
+def per_row_key(constraint):
+    """The canonical key with one ``field.inv`` per leading coefficient —
+    the oracle for the batched :func:`canonical_constraint_keys`."""
+    field = constraint.a.field
+    p = field.modulus
+
+    def inverse_of_lead(lc):
+        return field.inv(lc.terms[min(v for v, c in lc.terms.items() if c % p)])
+
+    def scaled(lc, scale):
+        return tuple(sorted((i, c * scale % p) for i, c in lc.terms.items()))
+
+    a, b, c = constraint.a, constraint.b, constraint.c
+    if a.is_zero() or b.is_zero():
+        return ("trivial",) if c.is_zero() else ("linear", scaled(c, inverse_of_lead(c)))
+    lam, mu = inverse_of_lead(a), inverse_of_lead(b)
+    lo, hi = sorted((scaled(a, lam), scaled(b, mu)))
+    return ("mul", lo, hi, scaled(c, lam * mu % p))
+
+
+class TestBatchedKeys:
+    def test_hashed_tiny_split_keys_are_the_per_row_keys(self):
+        """TINY:micro strict + lookup, its 28 hashed per-layer instances:
+        the batched keys equal the per-row-inverse keys, row for row, with
+        one inversion per instance."""
+        from repro.aggregate.split import split_model
+        from repro.field.counters import count_ops
+        from repro.r1cs.optimize import canonical_constraint_keys
+        from tests.test_row_lanes import compiled
+
+        split = split_model(compiled(
+            "TINY", "micro", gadget_mode="strict", relu_mode="lookup"
+        ), "hashed")
+        assert split.num_instances == 28
+        for inst in split.instances:
+            rows = list(inst.cs.constraints)
+            with count_ops() as ops:
+                keys = canonical_constraint_keys(rows)
+            assert keys == [per_row_key(row) for row in rows]
+            assert ops.field_inv <= 1
+
+    def test_unit_leads_need_no_inversion(self):
+        from repro.field.counters import count_ops
+        from repro.r1cs.optimize import canonical_constraint_keys
+
+        cs = ConstraintSystem()
+        x = cs.lc_variable(cs.new_private(2))
+        y = cs.lc_variable(cs.new_private(3))
+        cs.enforce(x + y, x * -1, cs.lc_constant(10))
+        cs.enforce(cs.lc(), cs.lc(), x * -1 + y * 3)
+        cs.enforce(cs.lc(), x, cs.lc())
+        rows = list(cs.constraints)
+        with count_ops() as ops:
+            keys = canonical_constraint_keys(rows)
+        assert ops.field_inv == 0
+        assert keys == [per_row_key(row) for row in rows]
+        assert canonical_constraint_keys([]) == []
+
+
 class TestDeduplicateScalarMultiples:
     def scaled_dup_cs(self):
         cs = ConstraintSystem()

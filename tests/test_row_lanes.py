@@ -188,6 +188,41 @@ class TestEvaluator:
                 csr = cs.to_csr()
                 assert evaluate_rows(csr) == naive_rows(csr)
 
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6).flatmap(
+        lambda rows: st.tuples(*(side(n) for n in rows))
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_slices_of_many_runs_cut_only_their_runs(self, sides):
+        """A side of many knit runs: every slice keeps exactly the runs a
+        run-by-run walk keeps, cut the same way, and their first and last
+        rows as its span."""
+        sides = [s for s in sides if s.digits is not None]
+        if not sides:
+            return
+        joined = RowSide.concat(sides)
+        digits = joined.digits
+        assert digits.runs_span().tolist() == [
+            [int(run.rows[0]) for run in digits.knit],
+            [int(run.rows[-1]) for run in digits.knit],
+        ]
+        rows = len(joined)
+        for start in range(rows + 1):
+            for stop in range(start, rows + 1):
+                got = digits.slice(joined.indptr, start, stop)
+                want = [
+                    run for run in digits.knit
+                    if np.any((run.rows >= start) & (run.rows < stop))
+                ]
+                assert len(got.knit) == len(want)
+                for cut, run in zip(got.knit, want):
+                    keep = (run.rows >= start) & (run.rows < stop)
+                    assert cut.rows.tolist() == (run.rows[keep] - start).tolist()
+                    assert cut.width == run.width and cut.scale == run.scale
+                assert got.runs_span().tolist() == [
+                    [int(run.rows[0]) for run in got.knit],
+                    [int(run.rows[-1]) for run in got.knit],
+                ]
+
     def test_rows_just_under_and_over_the_int64_bound(self):
         """Two unit terms at the row's limit sum just under 2^63 on the
         int64 lane; one more and that term takes the bigint lane.  Both

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.field.fp import BN254_FR
+from repro.field.vector import batch_inverse
 from repro.r1cs.system import ConstraintSystem
 from repro.snark.qap import (
     Domain,
@@ -24,6 +25,14 @@ def _poly_eval(coeffs, x):
     for c in reversed(coeffs):
         acc = (acc * x + c) % P
     return acc
+
+
+def lagrange_by_inversion(d, tau):
+    """The closed form ``L_j(tau) = Z(tau) w^j / (d (tau - w^j))`` with one
+    batch inversion — the oracle for :meth:`Domain.lagrange_at`."""
+    inverses = batch_inverse(BN254_FR, [(tau - w) % P for w in d.omega_powers])
+    scale = d.vanishing_at(tau) * d.size_inv % P
+    return [scale * w * inv % P for w, inv in zip(d.omega_powers, inverses)]
 
 
 class TestDomain:
@@ -89,6 +98,18 @@ class TestDomain:
         via_lagrange = sum(l * e for l, e in zip(lagrange, evals)) % P
         assert direct == via_lagrange
 
+    @pytest.mark.parametrize("size", [2, 32, 128, 4096])
+    def test_lagrange_at_is_the_closed_form(self, size):
+        """The INTT of tau's powers equals the batch-inverse closed form,
+        below and above the array kernel's threshold."""
+        d = Domain(size)
+        rng = random.Random(size)
+        for tau in (rng.randrange(P), 2, P - 2, d.omega_inv + 1):
+            assert d.lagrange_at(tau) == lagrange_by_inversion(d, tau)
+        powers = d.powers_at(5)
+        assert powers == [pow(5, i, P) for i in range(d.size)]
+        assert d.lagrange_at(5, powers) == lagrange_by_inversion(d, 5)
+
     def test_lagrange_rejects_domain_point(self):
         d = Domain(4)
         with pytest.raises(ValueError):
@@ -133,7 +154,7 @@ class TestQAP:
         cs = _example_cs()
         d = Domain(cs.num_constraints)
         tau = 1234567890123456789
-        a_at, b_at, c_at = qap_evaluations_at(cs, d, tau)
+        a_at, b_at, c_at = qap_evaluations_at(cs, d.lagrange_at(tau))
         order = variable_order(cs)
         assignment = cs.assignment()
         z = [assignment[i] for i in order]
