@@ -46,7 +46,6 @@ def _source_system(split: SplitModel) -> ConstraintSystem:
     inherited them and renumbered to the source's variables — what the
     row and variable indices a lookup block recorded refer to."""
     source = ConstraintSystem(split.instances[0].cs.field)
-    modulus = source.field.modulus
     for inst in split.instances:
         rows = inst.num_rows
         # dense position -> source variable (the inherited rows read no
@@ -55,12 +54,11 @@ def _source_system(split: SplitModel) -> ConstraintSystem:
         sides = []
         for matrix in inst.cs.to_csr(assignment=False).matrices():
             side = RowSide(
-                matrix.indptr, matrix.indices, matrix.coeffs,
-                matrix.digits(modulus),
+                matrix.indptr, matrix.indices, matrix.digits
             ).slice(0, rows)
-            sides.append(RowSide(
-                side.indptr, origin[side.variables], side.coeffs, side.digits
-            ))
+            sides.append(
+                RowSide(side.indptr, origin[side.variables], side.digits)
+            )
         source.enforce_rows(
             RowBlock(*sides, tags=inst.cs.row_tags()[:rows])
         )

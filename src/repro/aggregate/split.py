@@ -443,8 +443,7 @@ class _Snapshot:
         self.dense = np.array(dense, dtype=object)
         # The matrices as sides over dense positions, digits included.
         self.sides = [
-            RowSide(matrix.indptr, matrix.indices, matrix.coeffs,
-                    matrix.digits(cs.field.modulus))
+            RowSide(matrix.indptr, matrix.indices, matrix.digits)
             for matrix in csr.matrices()
         ]
         # Every term's dense position in scan order — row-major, A then B
@@ -514,8 +513,7 @@ class _Snapshot:
         return _Draft(
             inst,
             sides=tuple(
-                RowSide(side.indptr, local[side.variables], side.coeffs,
-                        side.digits)
+                RowSide(side.indptr, local[side.variables], side.digits)
                 for side in rows
             ),
             tags=self.tags[start:stop],

@@ -458,7 +458,7 @@ class CircuitComputer:
         values = program.input_values
         if program.image_privacy.is_private:
             flat = values.reshape(-1)
-            first = cs.allocate(flat.tolist())
+            first = cs.allocate(flat)
             if self._recipe is not None:
                 self._recipe.append(Inputs(first, flat.size))
             indices = np.arange(first, first + flat.size).reshape(values.shape)
@@ -680,7 +680,7 @@ class CircuitComputer:
         if cached is not None:
             return cached
         flat = op.weight_rows.reshape(-1)
-        first = cs.allocate(flat.tolist())
+        first = cs.allocate(flat)
         if self._recipe is not None:
             self._recipe.append(Inputs(first, flat.size, flat))
         w_vars = np.arange(first, first + flat.size).reshape(
@@ -782,12 +782,13 @@ class CircuitComputer:
                         (x_vars[:, None], (1,)),
                     ),
                 ]
-            ranks = list(range(size + 1))
-            ones = [1] * size
+            ranks = np.arange(size + 1)
+            ones = np.ones(size, dtype=np.int64)
+            p = cs.field.modulus
             cs.enforce_rows(RowBlock(
-                RowSide(ranks, first + gamma_of, ones),
-                RowSide(ranks, x_vars, ones),
-                RowSide(ranks, wires, ones),
+                RowSide.of(ranks, first + gamma_of, ones, p),
+                RowSide.of(ranks, x_vars, ones, p),
+                RowSide.of(ranks, wires, ones, p),
             ), f"{op.name}/mul")
             counter.field_mul += size
             counter.lc_term += size

@@ -34,9 +34,15 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.privacy.knit import KnitPacker, distinct_rows, pack_slots
+from repro.core.privacy.knit import KnitPacker, pack_slots
 from repro.field.counters import global_counter
-from repro.r1cs.lc import ONE, LinearCombination, RowBlock, RowSide
+from repro.r1cs.lc import (
+    ONE,
+    LinearCombination,
+    RowBlock,
+    RowSide,
+    distinct_rows,
+)
 from repro.r1cs.recipe import Step, product_step, wire_step
 from repro.r1cs.system import ConstraintSystem
 
@@ -302,11 +308,14 @@ class GadgetEmitter:
         made_before = np.cumsum(made) - made
         wires = np.arange(of.size) + stride * of  # positions in the run
         base = made_before + made + stride * np.arange(count)
-        private = np.empty(of.size + fixed.size, dtype=object)
+        private = np.empty(of.size + fixed.size, dtype=(
+            fixed.dtype if products is None
+            else np.result_type(fixed, products.values)
+        ))
         if products is not None:
             private[wires] = products.values
         private[base[:, None] + np.arange(stride)] = fixed
-        first = cs.allocate(private.tolist())
+        first = cs.allocate(private)
         wires += first
         base += first
         if public:
@@ -575,7 +584,7 @@ class GadgetEmitter:
         indices = np.where(first_index >= 0, first_index + emit, -1)
         values = relu_values(in_values[emit], bits, strict, tag, indices)
         signs = cs.allocate(
-            values[:, :stride].reshape(-1).tolist()
+            values[:, :stride].reshape(-1)
         ) + stride * np.arange(n)
         if public:
             emitted = cs.allocate(
@@ -678,9 +687,7 @@ class GadgetEmitter:
         size, d = columns.shape
         n = x_vars.size
         values = select_values(x_values, domain_lo, columns, tag, first_index)
-        base = cs.allocate(
-            values.reshape(-1).tolist()
-        ) + (size + d) * np.arange(n)
+        base = cs.allocate(values.reshape(-1)) + (size + d) * np.arange(n)
         indicators = base[:, None] + np.arange(size)
         out_vars = base[:, None] + size + np.arange(d)
         if self.recipe is not None:

@@ -26,10 +26,12 @@ The arithmetic lives in one place, :func:`pack_slots`, which packs any
 number of rows at once.  Whole layers arrive as integer arrays of small
 signed coefficients and are packed with NumPy (the *digit lane*); the
 row a layer leaves open and coefficients outside that lane are packed
-with Python integers (the *exact lane*).  Both give the same canonical
-field coefficients, and both keep each coefficient's slot digits on the
-:class:`~repro.r1cs.lc.RowSide` they return, so the prover can sum a
-packed row slot by slot in int64 instead of in 254-bit integers.
+with Python integers (the *exact lane*).  Neither lane builds a 254-bit
+coefficient: both keep each coefficient as its slot digits on the
+:class:`~repro.r1cs.lc.RowSide` they return — the one form it is stored
+in — so the prover sums a packed row slot by slot in int64, and only a
+reader that needs field elements (set-up, export, the dict-LC reads)
+derives them, by :meth:`~repro.r1cs.lc.Digits.coefficients`.
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ _SAFETY_BITS = 2
 # Exact-lane digits are cut at most this wide, so a digit times a small
 # witness value stays far inside int64 (repro.r1cs.csr).
 _DIGIT_WIDTH = 32
-_WORDS = 4  # 64-bit limbs of one packed coefficient in the digit lane
-_WORD_MASK = (1 << 64) - 1
-
-# Multipliers of the row hash in :func:`distinct_rows`: one pseudo-random
-# odd 64-bit value per column (a packed row never has more slots than
-# field bits / _SAFETY_BITS).  Any fixed values do: groups are checked.
-_HASH_WEIGHTS = np.random.default_rng(0).integers(
-    1 << 63, size=128, dtype=np.uint64
-) * np.uint64(2) + np.uint64(1)
 
 
 def expression_bits(dot_length: int, b_in: int = 8) -> int:
@@ -85,25 +78,24 @@ def pack_slots(
     Entry ``k`` is the term ``coeffs[k] * var(cols[k])`` of the expression
     sitting in slot ``slots[k]`` of packed row ``rows[k]``; an expression
     lists a column at most once.  Returns the rows as a
-    :class:`~repro.r1cs.lc.RowSide`: entries merged per (row, column) with
-    canonical coefficients mod ``modulus``, zero coefficients dropped, and
-    each merged entry's slot digits kept, which the prover sums rows over
-    (:mod:`repro.r1cs.csr`): the digit lane's own, ``slot_bits`` apart;
-    the exact lane's cut afresh, balanced, at most 32 bits apart.
+    :class:`~repro.r1cs.lc.RowSide`: entries merged per (row, column),
+    entries whose coefficient is zero mod ``modulus`` dropped, and each
+    merged entry kept as its slot digits — the one form a coefficient is
+    stored in, which the prover sums rows over (:mod:`repro.r1cs.csr`)
+    and from which :meth:`~repro.r1cs.lc.Digits.coefficients` derives the
+    field elements for whoever reads them.
 
     *Digit lane* — integer ndarrays whose coefficients fit half a slot
     and whose slots fit the field: entries are grouped with one stable
-    argsort, each surviving entry's per-slot coefficients form a row of
-    small signed *slot digits*, the digits are packed into four ``uint64``
-    limbs with shifts, and one ``int.from_bytes`` per entry — with the
-    §6.1 ``cache`` attached, per *distinct* digit vector (``cache.hits`` /
-    ``misses`` count entries served from / added to that table) — builds
-    the field element.  *Exact lane* — everything else (Python lists,
-    coefficients of any size): the same sum in Python integers, products
-    served by the cache's per-slot tables.  Nothing wraps in either lane.
+    argsort and each surviving entry's per-slot coefficients *are* its
+    digits, ``slot_bits`` apart — no field element is built.  *Exact
+    lane* — everything else (Python lists, coefficients of any size): the
+    same sum in Python integers, products served by the §6.1 ``cache``'s
+    per-slot tables, its digits cut afresh, balanced, at most 32 bits
+    apart.  Nothing wraps in either lane.
     """
     if not len(coeffs):
-        return RowSide([0] * (num_rows + 1), cols, [], Digits.of([], modulus))
+        return RowSide([0] * (num_rows + 1), cols, Digits.of([], modulus))
     if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "i":
         n_slots = int(slots.max()) + 1
         half = 1 << (slot_bits - 1)
@@ -111,7 +103,7 @@ def pack_slots(
         span = int(cols.max()) - lo + 1
         least, most = int(coeffs.min()), int(coeffs.max())
         if (
-            n_slots * slot_bits <= modulus.bit_length() <= 64 * _WORDS
+            n_slots * slot_bits <= modulus.bit_length()
             and slot_bits < 64
             and -half < least and most < half
             and num_rows * span < 1 << 62
@@ -121,32 +113,16 @@ def pack_slots(
             key = key[order]
             head = np.concatenate(([True], key[1:] != key[:-1]))
             first = np.flatnonzero(head)
-            digits = np.zeros(first.size * n_slots, dtype=np.int64)
+            digits = np.zeros(n_slots * first.size, dtype=np.int64)
             digits[
-                (np.cumsum(head) - 1) * n_slots + slots[order]
+                slots[order] * first.size + np.cumsum(head) - 1
             ] = coeffs[order]
-            digits = digits.reshape(first.size, n_slots)
+            digits = digits.reshape(n_slots, first.size)
             out_rows, out_cols = np.divmod(key[first], span)
             out_cols += lo
             indptr = np.searchsorted(out_rows, np.arange(num_rows + 1))
-            if cache is None and n_slots > 1:
-                values = _digit_values(digits, slot_bits, modulus)
-            else:
-                # Build each distinct digit vector's field element once.
-                # A lone slot carries the coefficient itself (no product,
-                # nothing for the cache to count): each distinct value is
-                # made canonical once, cache or no cache.
-                pick, inverse = distinct_rows(digits)
-                if n_slots > 1:
-                    cache.record(
-                        hits=inverse.size - pick.size, misses=pick.size
-                    )
-                values = np.array(
-                    _digit_values(digits[pick], slot_bits, modulus),
-                    dtype=object,
-                )[inverse].tolist()
-            return RowSide(indptr, out_cols, values, Digits.slots(
-                digits.T, indptr, slot_bits, max(-least, most)
+            return RowSide(indptr, out_cols, Digits.slots(
+                digits, indptr, slot_bits, modulus, max(-least, most)
             ))
     merged: dict = {}
     packed: dict = {}  # the cache's merged entries, unreduced
@@ -179,33 +155,28 @@ def pack_slots(
         cache.record(hits=hits, misses=misses)
     indptr = [0] * (num_rows + 1)
     out_cols: List[int] = []
-    values = []
     exact = []
     # Stable by row: within a row, columns keep first-occurrence order.
     for (row, col), value in sorted(merged.items(), key=lambda kv: kv[0][0]):
-        whole = packed.get((row, col), value)
-        value %= modulus
-        if value:
+        if value % modulus:
             indptr[row + 1] += 1
             out_cols.append(col)
-            values.append(value)
-            exact.append(whole)
+            exact.append(packed.get((row, col), value))
     for row in range(num_rows):
         indptr[row + 1] += indptr[row]
     width = min(slot_bits, _DIGIT_WIDTH)
-    return RowSide(indptr, out_cols, values, Digits.slots(
-        _digit_matrix(exact, width), indptr, width
+    return RowSide(indptr, out_cols, Digits.slots(
+        _digit_matrix(exact, width), indptr, width, modulus
     ))
 
 
 def _digit_matrix(packed: List[int], width: int):
     """Packed entries (integers, unreduced) as a slot-major int64 matrix of
-    balanced digits at ``width`` bits, ``|d| <= 2^(width-1)``: an
-    exact-lane coefficient may be wider than its slot, so the digits are
-    cut afresh from the packed value.  Biased by ``2^(width-1)`` in every
-    slot, a value's plain base-``2^width`` digits are the balanced digits
-    plus the bias — read off its bytes as :func:`_digit_values` writes
-    them."""
+    balanced digits at ``width`` bits, ``-2^(width-1) <= d < 2^(width-1)``:
+    an exact-lane coefficient may be wider than its slot, so the digits
+    are cut afresh from the packed value.  Biased by ``2^(width-1)`` in
+    every slot, a value's plain base-``2^width`` digits are the balanced
+    digits plus the bias — read off its little-endian bytes."""
     top = max(map(abs, packed), default=0)
     slots = -(-(top.bit_length() + 2) // width)
     half = 1 << (width - 1)
@@ -227,83 +198,6 @@ def _digit_matrix(packed: List[int], width: int):
 
 def _as_list(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else values
-
-
-def distinct_rows(rows) -> Tuple[object, object]:
-    """``(pick, inverse)`` with ``rows[pick][inverse] == rows`` for a
-    non-empty C-contiguous int64 matrix; ``pick`` holds first occurrences.
-
-    A single column whose value range is no larger than the column itself
-    addresses a table directly.  Otherwise rows are grouped by a 64-bit
-    multiply-add hash (one argsort of a 1-D array instead of a
-    lexicographic sort of the matrix) and the grouping is then *checked*
-    against the rows themselves; on a hash collision every row is simply
-    kept as its own group.
-    """
-    count, width = rows.shape
-    if width == 1 and int(rows.max()) - int(rows.min()) < count:
-        index = rows[:, 0] - rows.min()
-        seen = np.zeros(count, dtype=bool)
-        seen[index] = True
-        inverse = (np.cumsum(seen) - 1)[index]
-        groups = int(np.count_nonzero(seen))
-    else:
-        hashed = rows.view(np.uint64) @ _HASH_WEIGHTS[:width]  # mod 2^64
-        order = np.argsort(hashed)
-        hashed = hashed[order]
-        head = np.concatenate(([True], hashed[1:] != hashed[:-1]))
-        inverse = np.empty(count, dtype=np.intp)
-        inverse[order] = np.cumsum(head) - 1
-        groups = int(np.count_nonzero(head))
-    pick = np.empty(groups, dtype=np.intp)
-    pick[inverse[::-1]] = np.arange(count)[::-1]  # first occurrence wins
-    if not np.array_equal(rows[pick][inverse], rows):
-        pick = inverse = np.arange(count)
-    return pick, inverse
-
-
-def _digit_values(digits, slot_bits: int, modulus: int) -> List[int]:
-    """``sum_j digits[:, j] * 2^(slot_bits*j) mod p`` as canonical ints.
-
-    Each signed digit is biased by ``2^(slot_bits-1)`` into its own
-    non-overlapping bit field, so the limbs form by shift-and-or with no
-    carries; the bias total is then subtracted and ``p`` added back where
-    the result went negative (``|sum| < 2^(bits-1) <= p``, so once is
-    enough) — both with explicit borrow/carry across the four limbs.
-    """
-    count, n_slots = digits.shape
-    half = 1 << (slot_bits - 1)
-    fields = (digits + half).astype(np.uint64)
-    limbs = np.zeros((_WORDS, count), dtype="<u8")
-    for slot in range(n_slots):
-        word, bit = divmod(slot_bits * slot, 64)
-        limbs[word] |= fields[:, slot] << np.uint64(bit)
-        if bit + slot_bits > 64:
-            limbs[word + 1] |= fields[:, slot] >> np.uint64(64 - bit)
-    offset = sum(half << (slot_bits * slot) for slot in range(n_slots))
-    borrow = np.zeros(count, dtype=np.uint64)
-    for word in range(_WORDS):
-        sub = np.uint64((offset >> (64 * word)) & _WORD_MASK)
-        under = limbs[word] < sub
-        partial = limbs[word] - sub
-        under |= partial < borrow
-        limbs[word] = partial - borrow
-        borrow = under.astype(np.uint64)
-    negative, carry = borrow, np.zeros(count, dtype=np.uint64)
-    for word in range(_WORDS):
-        add = negative * np.uint64((modulus >> (64 * word)) & _WORD_MASK)
-        partial = limbs[word] + add
-        over = partial < add
-        limbs[word] = partial + carry
-        over |= limbs[word] < carry
-        carry = over.astype(np.uint64)
-    blob = limbs.T.tobytes()
-    stride = 8 * _WORDS
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(blob[at:at + stride], "little")
-        for at in range(0, count * stride, stride)
-    ]
 
 
 class KnitPacker:

@@ -14,12 +14,14 @@ public pair is admitted, the domain being that small.
 
 Only public data is ever cached (no timing side channel on secrets).
 
-Whole dot layers are knit-packed as arrays
-(:func:`repro.core.privacy.knit.pack_slots`), where the cached unit is a
-packed coefficient's whole *slot-digit vector*: each distinct vector's
-λ-bit value is built once per run of rows and :meth:`CacheService.record`
-receives the tallies (``hits`` = entries served from that table).  The
-one-at-a-time path still probes :meth:`CacheService.table_for` per product.
+The cache follows the products.  Whole dot layers are knit-packed as
+arrays (:func:`repro.core.privacy.knit.pack_slots`' digit lane), which
+keeps each packed coefficient as its slot digits and so multiplies no
+public pair at all: the cache takes no part there.  The exact lane — the
+row a layer leaves open, coefficients outside the digit lane — still
+multiplies each coefficient by its ``delta^j`` and probes
+:meth:`CacheService.table_for` per product, reporting its tallies through
+:meth:`CacheService.record`.
 """
 
 from __future__ import annotations

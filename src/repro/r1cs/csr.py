@@ -10,14 +10,14 @@ arrays instead —
 * ``indptr``  — row offsets, ``len == num_rows + 1`` (int64);
 * ``indices`` — *dense* column positions into the Groth16-ordered
   assignment vector ``z = [1, publics..., privates...]`` (int64);
-* ``coeffs``  — canonical field coefficients (ints), aligned with
-  ``indices``;
+* ``digits``  — the coefficients, aligned with ``indices``, as slot
+  digits (:class:`~repro.r1cs.lc.Digits`), the one form they are stored
+  in; ``coeffs``, the canonical field coefficients (ints), is derived
+  from them on its first read — by set-up, not by the prover;
 
-— plus the same coefficients as slot digits
-(:class:`~repro.r1cs.lc.Digits`), and one dense assignment vector.  The
-structure depends only on the constraints (not the witness), so
-batch-specialized sharing (§6.1) builds it once and only refreshes ``z``
-per image.
+— and one dense assignment vector.  The structure depends only on the
+constraints (not the witness), so batch-specialized sharing (§6.1)
+builds it once and only refreshes ``z`` per image.
 
 Signed variable indices (see :mod:`repro.r1cs.lc`) map to dense positions
 as ``ONE -> 0``, public ``-k -> k``, private ``+k -> num_public + k`` —
@@ -32,14 +32,19 @@ of a row in int64 (``np.add.reduceat``) and pays big-integer operations
 only to join the slot sums of a knit row, ``sum_k 2^(w k) S_k`` — at most
 ``s`` a row.  A term whose sum it cannot bound into int64 goes to the
 *bigint lane*, one ``coeff * z`` product: a coefficient without digits (a
-field-wide constant — a sponge round constant, a LogUp challenge term) or
-a witness value past what its row's digits allow, ``sum |d| |z| < 2^63``
-over the row (the sponge, LogUp and hashed-boundary wires).  The lane of
-each term is decided from the data, at every evaluation.
+field-wide constant — a sponge round constant, a LogUp challenge term),
+whose canonical value :class:`~repro.r1cs.lc.Digits` keeps, or a witness
+value past what its row's digits allow, ``sum |d| |z| < 2^63`` over the
+row (the sponge, LogUp and hashed-boundary wires) — a knit term's
+coefficient then joined from its own digits.  The lane of each term is
+decided from the data, at every evaluation.  The witness arrives centred
+already: :class:`~repro.r1cs.system.ConstraintSystem` keeps the int64
+values it is handed next to the canonical ones.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,22 +83,25 @@ def _row_limits(digits: Digits, indptr: np.ndarray) -> np.ndarray:
 
 
 class CSRMatrix:
-    """One constraint matrix (A, B, or C) in compressed-sparse-row form.
+    """One constraint matrix (A, B, or C) in compressed-sparse-row form:
+    its coefficients held as ``digits`` only, :attr:`coeffs` derived from
+    them on its first read and kept."""
 
-    ``digits`` is the slot-digit form of ``coeffs``; a matrix built
-    without it (from coefficients alone) derives one slot of centred
-    digits on its first evaluation.
-    """
+    __slots__ = ("indptr", "indices", "digits", "_coeffs", "_limit")
 
-    __slots__ = ("indptr", "indices", "coeffs", "_digits", "_limit")
-
-    def __init__(self, indptr, indices, coeffs,
-                 digits: Optional[Digits] = None):
+    def __init__(self, indptr, indices, digits: Digits):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        self.coeffs = coeffs
-        self._digits = digits
+        self.digits = digits
+        self._coeffs: Optional[Tuple[int, ...]] = None
         self._limit = None
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """The canonical coefficients (:meth:`Digits.coefficients`)."""
+        if self._coeffs is None:
+            self._coeffs = self.digits.coefficients()
+        return self._coeffs
 
     @property
     def nnz(self) -> int:
@@ -103,15 +111,10 @@ class CSRMatrix:
     def num_rows(self) -> int:
         return len(self.indptr) - 1
 
-    def digits(self, modulus: int) -> Digits:
-        if self._digits is None:
-            self._digits = Digits.of(self.coeffs, modulus)
-        return self._digits
-
-    def limit(self, modulus: int) -> np.ndarray:
+    def limit(self) -> np.ndarray:
         """Per row, the largest ``|z|`` its digits allow (int64)."""
         if self._limit is None:
-            self._limit = _row_limits(self.digits(modulus), self.indptr)
+            self._limit = _row_limits(self.digits, self.indptr)
         return self._limit
 
 
@@ -151,24 +154,28 @@ class CSRSystem:
     def total_terms(self) -> int:
         return self.a.nnz + self.b.nnz + self.c.nnz
 
+    def bind(self, witness: Optional["SignedWitness"]) -> None:
+        """Take ``witness`` as the assignment (None: no assignment)."""
+        self._signed = witness
+        self.z = None if witness is None else witness.z
+
     def witness(self) -> "SignedWitness":
-        """The signed form of ``z``, built once per assignment vector."""
+        """The signed form of ``z``: the one :meth:`bind` gave, else
+        centred from ``z`` once per assignment vector."""
         if self.z is None:
             raise ValueError("CSR snapshot has no assignment vector")
         signed = self._signed
         if signed is None or signed.z is not self.z:
-            signed = self._signed = SignedWitness(self.z, self.modulus)
+            signed = self._signed = SignedWitness.of(self.z, self.modulus)
         return signed
 
 
-def _constant_side(count: int, value: int) -> RowSide:
+def _constant_side(count: int, value: int, modulus: int) -> RowSide:
     """``count`` rows of the constant ``value`` (0: empty rows)."""
     terms = count if value else 0
-    return RowSide(
+    return RowSide.of(
         np.arange(count + 1) if value else np.zeros(count + 1),
-        np.zeros(terms), [value] * terms,
-        Digits(np.full(terms, value, dtype=np.int64),
-               np.zeros(0, dtype=np.int64), ()),
+        np.zeros(terms), np.full(terms, value, dtype=np.int64), modulus,
     )
 
 
@@ -181,10 +188,9 @@ def build_csr_structure(runs: Sequence[RowRun], num_public: int,
     or re-canonicalization — so CSR evaluation covers precisely the terms
     a per-LC walk of ``cs.constraints`` would, keeping the op-count parity
     the regression tests pin down.  Each matrix is one
-    :meth:`~repro.r1cs.lc.RowSide.concat` of the runs' sides, sliced with
-    their digits (or the constant columns an absent B, ``1``, and C,
-    ``0``, stand for); a side without digits gets one slot of centred
-    digits.
+    :meth:`~repro.r1cs.lc.RowSide.concat` of the runs' sides, sliced —
+    digits only, no coefficient is built or copied — or the constant
+    columns an absent B, ``1``, and C, ``0``, stand for.
     """
 
     def matrix(name: str) -> CSRMatrix:
@@ -192,21 +198,20 @@ def build_csr_structure(runs: Sequence[RowRun], num_public: int,
         for run in runs:
             side = getattr(run.block, name)
             if side is None:  # B the constant 1, C the constant 0
-                side = _constant_side(run.stop - run.start, int(name == "b"))
+                side = _constant_side(
+                    run.stop - run.start, int(name == "b"), modulus
+                )
             else:
                 side = side.slice(run.start, run.stop)
-                if side.digits is None:
-                    side = RowSide(side.indptr, side.variables, side.coeffs,
-                                   Digits.of(side.coeffs, modulus))
             parts.append(side)
-        side = RowSide.concat(parts or [_constant_side(0, 0)])
+        side = RowSide.concat(parts or [_constant_side(0, 0, modulus)])
         # A private counts up from the front, a public — a negative
         # index — down from the back; ONE is 0.
         variables = side.variables
         return CSRMatrix(
             side.indptr,
             np.where(variables > 0, variables + num_public, -variables),
-            side.coeffs, side.digits,
+            side.digits,
         )
 
     return CSRSystem(matrix("a"), matrix("b"), matrix("c"), num_public,
@@ -216,22 +221,55 @@ def build_csr_structure(runs: Sequence[RowRun], num_public: int,
 # -- evaluation -------------------------------------------------------------
 
 
+def centre(value: int, modulus: int) -> int:
+    """One canonical value centred, as :func:`centred` centres many."""
+    if value <= _Z_BOUND:
+        return value
+    return value - modulus if value >= modulus - _Z_BOUND else _WIDE
+
+
+def centred(values, modulus: int) -> array:
+    """Canonical ``values`` as an int64 ``array``, each centred into
+    ``(-p/2, p/2)`` (``_WIDE`` past ``_Z_BOUND`` in magnitude), 0 for an
+    unassigned (``None``) one.  An integer ndarray is taken as it is —
+    small signed values are their own centred form.  The few int64 values
+    past ``_Z_BOUND`` are made ``_WIDE`` by :class:`SignedWitness`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return array("q", values.astype(np.int64, copy=False).tobytes())
+    try:
+        return array("q", values)
+    except (OverflowError, TypeError):  # field-wide or unassigned values
+        bottom = modulus - _Z_BOUND
+        return array("q", [
+            0 if v is None else v if v <= _Z_BOUND
+            else v - modulus if v >= bottom else _WIDE
+            for v in values
+        ])
+
+
 class SignedWitness:
-    """An assignment vector and its centred int64 form."""
+    """An assignment vector ``z`` (canonical values) and its centred int64
+    form ``signed`` (:func:`centred`)."""
 
     __slots__ = ("z", "signed", "top", "_objects")
 
-    def __init__(self, z: List[int], modulus: int) -> None:
-        bottom = modulus - _Z_BOUND
-        self.z = z  # canonical values
-        # Each value centred; _WIDE past _Z_BOUND.
-        self.signed = np.array(
-            [v if v <= _Z_BOUND else v - modulus if v >= bottom else _WIDE
-             for v in z],
-            dtype=np.int64,
-        )
-        self.top = int(np.abs(self.signed).max()) if z else 0
+    def __init__(self, z: List[int], signed: np.ndarray) -> None:
+        self.z = z
+        if signed.size and (
+            signed.min() < -_Z_BOUND or signed.max() > _Z_BOUND
+        ):
+            signed = np.where(
+                (signed < -_Z_BOUND) | (signed > _Z_BOUND), _WIDE, signed
+            )
+        self.signed = signed
+        self.top = int(np.abs(signed).max()) if signed.size else 0
         self._objects = None
+
+    @classmethod
+    def of(cls, z: List[int], modulus: int) -> "SignedWitness":
+        """``z`` with its values centred here, for a vector that did not
+        come with them."""
+        return cls(z, np.frombuffer(centred(z, modulus), dtype=np.int64))
 
     @property
     def objects(self) -> np.ndarray:
@@ -281,12 +319,12 @@ def _row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _lane_split(matrix: CSRMatrix, witness: SignedWitness, modulus: int):
+def _lane_split(matrix: CSRMatrix, witness: SignedWitness):
     """``(zt, bigint)``: each term's signed witness value, 0 where the
     term takes the bigint lane, and those terms' positions."""
     zt = witness.signed[matrix.indices]
-    wide = matrix.digits(modulus).wide
-    limit = matrix.limit(modulus)
+    wide = matrix.digits.wide
+    limit = matrix.limit()
     if not limit.size or witness.top <= int(limit.min()):
         bigint = wide
     else:
@@ -314,29 +352,47 @@ def _knit_values(run: KnitRun, zt: np.ndarray):
     return values
 
 
-def _bigint_values(matrix: CSRMatrix, digits: Digits, witness, bigint):
-    """``(rows, sums)``: the bigint-lane products summed per row.  A term
-    whose coefficient is its slot-0 digit multiplies by that small signed
-    digit; the others (no digits, or knit) by the coefficient itself."""
-    whole = np.zeros(matrix.nnz, dtype=bool)
-    whole[digits.wide] = True
-    for run in digits.knit:
-        whole[run.terms()] = True
+def _bigint_coeffs(digits: Digits, bigint: np.ndarray) -> np.ndarray:
+    """The coefficients of the terms at positions ``bigint`` (ascending),
+    as an object ndarray: a term's slot-0 digit, the kept value of a term
+    without digits, a knit term's digits joined — term by term, so no
+    coefficient of any other term is built."""
     coeffs = digits.low[bigint].astype(object)
-    exact = whole[bigint]
-    if exact.any():
-        coeffs[exact] = list(
-            map(matrix.coeffs.__getitem__, bigint[exact].tolist())
-        )
-    products = coeffs * witness.objects[matrix.indices[bigint]]
+    wide = digits.wide
+    if wide.size:
+        at = wide.searchsorted(bigint)
+        hit = at < wide.size
+        hit[hit] = wide[at[hit]] == bigint[hit]
+        if hit.any():
+            coeffs[hit] = [digits.wide_values[k] for k in at[hit].tolist()]
+    for run in digits.knit:
+        terms = np.arange(digits.low.size)[run.terms()]
+        at = terms.searchsorted(bigint)
+        hit = at < terms.size
+        hit[hit] = terms[at[hit]] == bigint[hit]
+        if not hit.any():
+            continue
+        width, p = run.width, digits.modulus
+        coeffs[hit] = [
+            sum(d << (width * k) for k, d in enumerate(slots)) % p
+            for slots in np.vstack(
+                (digits.low[bigint[hit]], run.digits[:, at[hit]])
+            ).T.tolist()
+        ]
+    return coeffs
+
+
+def _bigint_values(matrix: CSRMatrix, witness, bigint):
+    """``(rows, sums)``: the bigint-lane products summed per row."""
+    products = _bigint_coeffs(matrix.digits, bigint) * witness.objects[
+        matrix.indices[bigint]
+    ]
     row_of = np.searchsorted(matrix.indptr, bigint, side="right") - 1
     heads = np.flatnonzero(np.diff(row_of, prepend=-1))
     return row_of[heads], np.add.reduceat(products, heads)
 
 
-def row_values(
-    matrix: CSRMatrix, witness: SignedWitness, modulus: int
-) -> RowValues:
+def row_values(matrix: CSRMatrix, witness: SignedWitness) -> RowValues:
     """``<M_j, z>`` for every row ``j`` — the one row evaluator.
 
     Slot 0 of every row is one int64 product-and-``reduceat`` sweep; each
@@ -344,17 +400,17 @@ def row_values(
     segment with at most ``s`` big-integer shifts and additions.
     Bigint-lane terms are exact products, summed per row.
     """
-    digits = matrix.digits(modulus)
-    zt, bigint = _lane_split(matrix, witness, modulus)
+    digits = matrix.digits
+    zt, bigint = _lane_split(matrix, witness)
     low = _row_sums(digits.low * zt, matrix.indptr)
     rows, extra = [], []
     for run in digits.knit:
         rows.append(run.rows)
         extra.append(_knit_values(run, zt))
     if bigint.size:
-        for part, values in zip((rows, extra), _bigint_values(
-            matrix, digits, witness, bigint
-        )):
+        for part, values in zip(
+            (rows, extra), _bigint_values(matrix, witness, bigint)
+        ):
             part.append(values)
     if not rows:
         return RowValues(low, bigint[:0], np.zeros(0, dtype=object))
@@ -370,8 +426,7 @@ def sweep(csr: CSRSystem) -> Tuple[RowValues, RowValues, RowValues]:
     from repro.field.counters import global_counter
 
     witness = csr.witness()
-    p = csr.modulus
-    a, b, c = (row_values(matrix, witness, p) for matrix in csr.matrices())
+    a, b, c = (row_values(matrix, witness) for matrix in csr.matrices())
     global_counter().field_mul += csr.total_terms()
     return a, b, c
 
@@ -381,7 +436,7 @@ def bigint_lane(csr: CSRSystem) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     the snapshot's assignment."""
     witness = csr.witness()
     return tuple(
-        _lane_split(matrix, witness, csr.modulus)[1]
+        _lane_split(matrix, witness)[1]
         for matrix in csr.matrices()
     )
 
@@ -391,7 +446,7 @@ def matrix_row_evals(
 ) -> List[int]:
     """``<M_j, z> mod p`` for every row ``j`` (canonical ints)."""
     return row_values(
-        matrix, SignedWitness(z, modulus), modulus
+        matrix, SignedWitness.of(z, modulus)
     ).canonical(modulus)
 
 

@@ -17,10 +17,12 @@ arithmetic but zero constraints (§2.1).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import (
     Dict,
     Iterable,
     Iterator,
+    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -189,6 +191,15 @@ _DTYPES = [
     for dtype in (np.int8, np.int16, np.int32, np.int64)
 ]
 _NO_TERMS = np.zeros(0, dtype=np.int64)
+_WORDS = 4  # 64-bit limbs a coefficient is joined in from its digits
+_WORD_MASK = (1 << 64) - 1
+
+# Multipliers of the row hash in :func:`distinct_rows`: one pseudo-random
+# odd 64-bit value per column (a packed row never has more slots than
+# field bits / 2).  Any fixed values do: groups are checked.
+_HASH_WEIGHTS = np.random.default_rng(0).integers(
+    1 << 63, size=128, dtype=np.uint64
+) * np.uint64(2) + np.uint64(1)
 
 
 class KnitRun(NamedTuple):
@@ -237,26 +248,38 @@ def _span_of(knit: Sequence[KnitRun]) -> np.ndarray:
 class Digits(NamedTuple):
     """Coefficients as small signed *slot digits*: ``c_t = sum_k d_k(t)
     2^(width k) (mod p)`` — one digit for an ordinary coefficient, ``s``
-    for a knit one (§4.2).  The one form the compiler writes digits in and
-    the prover sums rows over (:mod:`repro.r1cs.csr`).
+    for a knit one (§4.2).  The one stored form of a row coefficient,
+    from the compiler to the prover (:mod:`repro.r1cs.csr`); the
+    canonical coefficients are derived from it by :meth:`coefficients`.
 
     ``low`` is every term's slot 0 (0 for a term without digits), ``wide``
     the ascending positions of the terms without digits (field-wide
-    coefficients), ``knit`` the further slots of the terms that have them.
-    ``span``, when given, is each knit run's first and last row, a ``(2,
-    runs)`` array — what :meth:`slice` picks the runs it cuts by, so a
-    side of many runs is not walked run by run for every slice of it.
+    coefficients) and ``wide_values`` their canonical coefficients,
+    ``knit`` the further slots of the terms that have them, ``modulus``
+    the field's.  ``span``, when given, is each knit run's first and last
+    row, a ``(2, runs)`` array — what :meth:`slice` picks the runs it cuts
+    by, so a side of many runs is not walked run by run for every slice
+    of it.
     """
 
     low: np.ndarray
     wide: np.ndarray
+    wide_values: Tuple[int, ...]
     knit: Tuple[KnitRun, ...]
+    modulus: int
     span: Optional[np.ndarray] = None
 
     @classmethod
-    def of(cls, coeffs: Sequence[int], modulus: int) -> "Digits":
-        """Canonical coefficients as one slot: each centred into ``(-p/2,
-        p/2)``, and without digits past ``2^62`` in magnitude."""
+    def of(cls, coeffs, modulus: int) -> "Digits":
+        """Coefficients as one slot.  An integer ndarray is its own
+        digits; other coefficients — canonical, or small signed — are each
+        centred into ``(-p/2, p/2)``, and those past ``2^62`` in magnitude
+        have no digits."""
+        if isinstance(coeffs, np.ndarray):
+            if coeffs.dtype.kind == "i":
+                return cls(np.array(coeffs, dtype=np.int64), _NO_TERMS, (),
+                           (), modulus)
+            coeffs = coeffs.tolist()
         top = modulus - _DIGIT_BOUND
         low = np.array(
             [c if c < _DIGIT_BOUND else c - modulus if c > top
@@ -265,15 +288,19 @@ class Digits(NamedTuple):
         )
         wide = np.flatnonzero(low == _DIGIT_BOUND)
         low[wide] = 0
-        return cls(low, wide, ())
+        return cls(
+            low, wide, tuple(int(coeffs[t]) % modulus for t in wide.tolist()),
+            (), modulus,
+        )
 
     @classmethod
-    def slots(cls, digits, indptr, width: int, scale=None) -> "Digits":
+    def slots(cls, digits, indptr, width: int, modulus: int,
+              scale=None) -> "Digits":
         """A slot-major ``(slots, terms)`` integer matrix of digits
         ``width`` bits apart, over the rows of ``indptr``; ``scale`` bounds
         their magnitude (measured when not given)."""
         if len(digits) == 1 or not digits.size:
-            return cls(digits[0], _NO_TERMS, ())
+            return cls(digits[0], _NO_TERMS, (), (), modulus)
         if scale is None:
             scale = max(-int(digits.min()), int(digits.max()))
         dtype = next(d for d, top in _DTYPES if scale <= top)
@@ -285,17 +312,18 @@ class Digits(NamedTuple):
             rows, indptr[rows], np.r_[0, np.cumsum(counts[rows])], width,
             digits[1:], scale,
         )
-        return cls(digits[0], _NO_TERMS, (run,), _span_of((run,)))
+        return cls(digits[0], _NO_TERMS, (), (run,), modulus, _span_of((run,)))
 
     @classmethod
     def concat(cls, parts: Sequence[Tuple["Digits", int, int]]) -> "Digits":
         """``(digits, rows, terms)`` parts one after another."""
-        low, wide, knit, span = [], [], [], []
+        low, wide, values, knit, span = [], [], [], [], []
         rows = terms = 0
         for digits, num_rows, num_terms in parts:
             low.append(digits.low)
             if digits.wide.size:
                 wide.append(digits.wide + terms)
+                values += digits.wide_values
             if digits.knit:
                 knit += [
                     run._replace(
@@ -309,7 +337,9 @@ class Digits(NamedTuple):
         return cls(
             np.concatenate(low),
             np.concatenate(wide) if wide else _NO_TERMS,
+            tuple(values),
             tuple(knit),
+            parts[0][0].modulus,
             np.concatenate(span, axis=1) if span else _NO_SPAN,
         )
 
@@ -320,10 +350,10 @@ class Digits(NamedTuple):
     def slice(self, indptr: np.ndarray, start: int, stop: int) -> "Digits":
         """The digits of rows ``[start, stop)`` of a side with ``indptr``."""
         lo, hi = int(indptr[start]), int(indptr[stop])
-        wide = self.wide
+        wide, values = self.wide, self.wide_values
         if wide.size:
             first, last = wide.searchsorted((lo, hi)).tolist()
-            wide = wide[first:last] - lo
+            wide, values = wide[first:last] - lo, values[first:last]
         knit = []
         if self.knit:
             first_row, last_row = self.runs_span()
@@ -339,39 +369,162 @@ class Digits(NamedTuple):
                     run.ptr[first:last + 1] - left, run.width,
                     run.digits[:, left:right], run.scale,
                 ))
-        return Digits(self.low[lo:hi], wide, tuple(knit), _span_of(knit))
+        return Digits(self.low[lo:hi], wide, values, tuple(knit),
+                      self.modulus, _span_of(knit))
+
+    def coefficients(self) -> Tuple[int, ...]:
+        """Every term's canonical coefficient, ``sum_k d_k 2^(width k) mod
+        p`` — the one place a coefficient is built from its digits, for
+        the readers that need field elements (set-up, export, dict-LC
+        reads).  A knit run's terms are joined once per distinct digit
+        vector."""
+        p, low = self.modulus, self.low
+        out = np.empty(low.size, dtype=object)
+        rest = np.ones(low.size, dtype=bool)  # the terms of slot 0 alone
+        if self.wide.size:
+            out[self.wide] = self.wide_values
+            rest[self.wide] = False
+        for run in self.knit:
+            terms = run.terms()
+            rest[terms] = False
+            digits = np.vstack((low[terms], run.digits)).astype(
+                np.int64, copy=False
+            )
+            pick, inverse = distinct_rows(digits.T)
+            out[terms] = np.array(
+                _joined(digits[:, pick], run.width, p), dtype=object
+            )[inverse]
+        small = low[rest]
+        values = small.astype(object)
+        values[small < 0] += p
+        out[rest] = values
+        return tuple(out.tolist())
+
+
+def distinct_rows(rows) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pick, inverse)`` with ``rows[pick][inverse] == rows`` for a
+    non-empty int64 matrix; ``pick`` holds first occurrences.
+
+    A single column whose value range is no larger than the column itself
+    addresses a table directly.  Otherwise rows are grouped by a 64-bit
+    multiply-add hash (one argsort of a 1-D array instead of a
+    lexicographic sort of the matrix) and the grouping is then *checked*
+    against the rows themselves; on a hash collision every row is simply
+    kept as its own group.
+    """
+    count, width = rows.shape
+    if width == 1 and int(rows.max()) - int(rows.min()) < count:
+        index = rows[:, 0] - rows.min()
+        seen = np.zeros(count, dtype=bool)
+        seen[index] = True
+        inverse = (np.cumsum(seen) - 1)[index]
+        groups = int(np.count_nonzero(seen))
+    else:
+        hashed = rows.view(np.uint64) @ _HASH_WEIGHTS[:width]  # mod 2^64
+        order = np.argsort(hashed)
+        hashed = hashed[order]
+        head = np.concatenate(([True], hashed[1:] != hashed[:-1]))
+        inverse = np.empty(count, dtype=np.intp)
+        inverse[order] = np.cumsum(head) - 1
+        groups = int(np.count_nonzero(head))
+    pick = np.empty(groups, dtype=np.intp)
+    pick[inverse[::-1]] = np.arange(count)[::-1]  # first occurrence wins
+    if not np.array_equal(rows[pick][inverse], rows):
+        pick = inverse = np.arange(count)
+    return pick, inverse
+
+
+def _joined(digits: np.ndarray, width: int, modulus: int) -> List[int]:
+    """``sum_k digits[k] * 2^(width k) mod p`` per column of a slot-major
+    matrix, as canonical ints.
+
+    Where every digit lies in ``[-2^(width-1), 2^(width-1))`` and the
+    sum's magnitude stays below ``p`` and four limbs, each digit is
+    biased by ``2^(width-1)`` into its own non-overlapping bit field, so
+    the limbs form by shift-and-or with no carries; the bias total is
+    then subtracted and ``p`` added back where the result went negative
+    — both with explicit borrow/carry across the four limbs — and one
+    ``int.from_bytes`` a column reads the value.  Wider sums are joined in
+    Python integers.
+    """
+    n_slots, count = digits.shape
+    half = 1 << (width - 1)
+    bound = half * (((1 << (width * n_slots)) - 1) // ((1 << width) - 1))
+    if (
+        width >= 64 or width * n_slots > 64 * _WORDS or bound >= modulus
+        or int(digits.min()) < -half or int(digits.max()) >= half
+    ):
+        return [
+            sum(d << (width * k) for k, d in enumerate(column)) % modulus
+            for column in digits.T.tolist()
+        ]
+    fields = (digits + half).astype(np.uint64)
+    limbs = np.zeros((_WORDS, count), dtype="<u8")
+    for slot in range(n_slots):
+        word, bit = divmod(width * slot, 64)
+        limbs[word] |= fields[slot] << np.uint64(bit)
+        if bit + width > 64:
+            limbs[word + 1] |= fields[slot] >> np.uint64(64 - bit)
+    offset = sum(half << (width * slot) for slot in range(n_slots))
+    borrow = np.zeros(count, dtype=np.uint64)
+    for word in range(_WORDS):
+        sub = np.uint64((offset >> (64 * word)) & _WORD_MASK)
+        under = limbs[word] < sub
+        partial = limbs[word] - sub
+        under |= partial < borrow
+        limbs[word] = partial - borrow
+        borrow = under.astype(np.uint64)
+    negative, carry = borrow, np.zeros(count, dtype=np.uint64)
+    for word in range(_WORDS):
+        add = negative * np.uint64((modulus >> (64 * word)) & _WORD_MASK)
+        partial = limbs[word] + add
+        over = partial < add
+        limbs[word] = partial + carry
+        over |= limbs[word] < carry
+        carry = over.astype(np.uint64)
+    blobs = np.ascontiguousarray(limbs.T).view(f"V{8 * _WORDS}")
+    return list(map(
+        int.from_bytes, blobs.ravel().tolist(), repeat("little", count)
+    ))
 
 
 class RowSide:
     """CSR storage for one side (A, B or C) of a run of constraint rows.
 
     ``variables[indptr[i]:indptr[i + 1]]`` are row ``i``'s signed variable
-    indices and ``coeffs`` the aligned canonical field coefficients (ints)
-    — the arrays the prover wants, written once by whoever lowers a whole
-    layer at a time (:func:`repro.core.privacy.knit.pack_slots`,
-    :func:`repro.aggregate.split.split_model`) and copied slice-wise into
-    the CSR snapshot by :func:`repro.r1cs.csr.build_csr_structure`.
-    ``indptr`` and ``variables`` are int64 ndarrays.  The coefficients are
-    kept in a tuple: a tuple of ints is dropped from the cyclic
-    collector's books after its first pass (as the ``{int: int}`` dicts of
-    ordinary LCs never enter them), where a list of a million
-    coefficients would be walked by every full collection.
+    indices and ``digits`` the aligned coefficients as :class:`Digits` —
+    the one form they are stored in, written once by whoever lowers a
+    whole layer at a time (:func:`repro.core.privacy.knit.pack_slots`,
+    :func:`repro.aggregate.split.split_model`) and cut and joined, never
+    re-valued, by :meth:`slice`, :meth:`concat`, :meth:`gather` and the
+    CSR builder (:func:`repro.r1cs.csr.build_csr_structure`).
+    ``indptr`` and ``variables`` are int64 ndarrays.
 
-    ``digits``, when known, is the same coefficients as :class:`Digits` —
-    the knit digits :func:`~repro.core.privacy.knit.pack_slots` packs a
-    coefficient from, or one slot of small signed coefficients; whoever
-    needs them derives one centred slot for a side without them.
+    :attr:`coeffs`, the canonical coefficients, is derived from the
+    digits on its first read and kept: a tuple, which the cyclic
+    collector drops from its books after its first pass, where a list of
+    a million coefficients would be walked by every full collection.
     """
 
-    __slots__ = ("indptr", "variables", "coeffs", "digits")
+    __slots__ = ("indptr", "variables", "digits", "_coeffs")
 
-    def __init__(
-        self, indptr, variables, coeffs, digits: Optional[Digits] = None
-    ) -> None:
+    def __init__(self, indptr, variables, digits: Digits) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.variables = np.asarray(variables, dtype=np.int64)
-        self.coeffs = tuple(coeffs)
         self.digits = digits
+        self._coeffs: Optional[Tuple[int, ...]] = None
+
+    @classmethod
+    def of(cls, indptr, variables, coeffs, modulus: int) -> "RowSide":
+        """A side from its coefficients (:meth:`Digits.of`)."""
+        return cls(indptr, variables, Digits.of(coeffs, modulus))
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """The canonical coefficients (:meth:`Digits.coefficients`)."""
+        if self._coeffs is None:
+            self._coeffs = self.digits.coefficients()
+        return self._coeffs
 
     def __len__(self) -> int:
         """The number of rows."""
@@ -382,12 +535,10 @@ class RowSide:
         if start == 0 and stop == len(self):
             return self
         lo, hi = int(self.indptr[start]), int(self.indptr[stop])
-        digits = self.digits
         return RowSide(
             self.indptr[start:stop + 1] - lo,
             self.variables[lo:hi],
-            self.coeffs[lo:hi],
-            None if digits is None else digits.slice(self.indptr, start, stop),
+            self.digits.slice(self.indptr, start, stop),
         )
 
     @classmethod
@@ -400,19 +551,13 @@ class RowSide:
         for side in sides:
             ptrs.append(side.indptr[1:] + total)
             total += int(side.indptr[-1])
-        indptr = np.concatenate(ptrs)
-        digits = None
-        if all(side.digits is not None for side in sides):
-            digits = Digits.concat([
+        return cls(
+            np.concatenate(ptrs),
+            np.concatenate([side.variables for side in sides]),
+            Digits.concat([
                 (side.digits, len(side), side.variables.size)
                 for side in sides
-            ])
-        coeffs = []
-        for side in sides:
-            coeffs.extend(side.coeffs)
-        return cls(
-            indptr, np.concatenate([side.variables for side in sides]),
-            coeffs, digits,
+            ]),
         )
 
     @classmethod
@@ -420,55 +565,35 @@ class RowSide:
         """``num_rows`` rows from pieces; within a row, terms keep piece
         order.  A piece is ``(rows, variables, coeffs)`` — a scalar stands
         for every entry; coefficients are small signed integers or field
-        residues, stored canonical, and kept as one slot of digits — or
-        ``(rows, side)``: the terms of a :class:`RowSide`, in order, each
-        of its rows moved whole to one row, with their digits."""
+        residues, kept as one slot of digits — or ``(rows, side)``: the
+        terms of a :class:`RowSide`, in order, each of its rows moved
+        whole to one row, with their digits."""
         rows = np.concatenate([piece[0] for piece in pieces])
-        parts = [
-            (piece[1].variables, np.array(piece[1].coeffs, dtype=object))
-            if len(piece) == 2 else
-            (np.broadcast_to(piece[1], piece[0].shape),
-             np.broadcast_to(piece[2], piece[0].shape))
-            for piece in pieces
-        ]
-        variables, coeffs = (
-            np.concatenate([part[i] for part in parts]) for i in (0, 1)
-        )
+        variables, found = [], []
+        for piece in pieces:
+            if len(piece) == 2:
+                side = piece[1]
+                variables.append(side.variables)
+                digits = side.digits
+            else:
+                at, piece_vars, coeffs = piece
+                variables.append(np.broadcast_to(piece_vars, at.shape))
+                digits = Digits.of(np.broadcast_to(coeffs, at.shape), modulus)
+            found.append((digits, 0, digits.low.size))
         order = np.argsort(rows, kind="stable")
-        coeffs = coeffs[order]
-        if coeffs.dtype.kind == "i":  # integer coefficients: their digits
-            digits = Digits(coeffs, _NO_TERMS, ())
-        else:
-            digits = _sorted_digits(rows, order, pieces, parts, modulus)
         return cls(
             np.concatenate(
                 ([0], np.cumsum(np.bincount(rows, minlength=num_rows)))
             ),
-            variables[order],
-            [c % modulus for c in coeffs.tolist()]
-            if coeffs.size and coeffs.min() < 0 else coeffs.tolist(),
-            digits,
+            np.concatenate(variables)[order],
+            _sorted_digits(rows, order, Digits.concat(found)),
         )
 
 
-def _sorted_digits(rows, order, pieces, parts, modulus: int) -> Digits:
-    """The :class:`Digits` of :meth:`RowSide.gather`'s terms, ``order``
-    putting the pieces' terms, end to end, in row order: integers their
-    own digit, residues centred, side pieces with their own digits — each
-    knit segment moved whole to its row."""
-    found = []
-    for piece, (_, coeffs) in zip(pieces, parts):
-        if len(piece) == 2:
-            side = piece[1]
-            digits = side.digits
-            if digits is None:
-                digits = Digits.of(side.coeffs, modulus)
-        elif coeffs.dtype.kind == "i":
-            digits = Digits(coeffs, _NO_TERMS, ())
-        else:
-            digits = Digits.of(coeffs.tolist(), modulus)
-        found.append((digits, 0, coeffs.size))
-    flat = Digits.concat(found)
+def _sorted_digits(rows, order, flat: Digits) -> Digits:
+    """:meth:`RowSide.gather`'s digits ``flat``, the pieces' terms end to
+    end, with ``order`` putting the terms in row order — each knit
+    segment moved whole to its row."""
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     knit = []
@@ -486,9 +611,12 @@ def _sorted_digits(rows, order, pieces, parts, modulus: int) -> Digits:
                 ) + np.arange(ptr[-1])],
             )
         knit.append(run)
+    wide = inverse[flat.wide]
+    pick = np.argsort(wide).tolist()
     return Digits(
-        flat.low[order], np.sort(inverse[flat.wide]), tuple(knit),
-        _span_of(knit),
+        flat.low[order], wide[pick],
+        tuple(flat.wide_values[k] for k in pick), tuple(knit),
+        flat.modulus, _span_of(knit),
     )
 
 

@@ -222,19 +222,16 @@ def sponge_rows(
     )
     pins = np.stack([t5[last[pinned]], -(slot + 1)], axis=1).ravel()
     pool_vars = np.concatenate([t_vars, t2, t4, t5, pins, [ONE]])
-    pool_coeffs = np.concatenate([
-        t_coeffs,
-        np.ones(3 * total, dtype=object),
-        np.tile(np.array([1, modulus - 1], dtype=object), len(pin)),
-        np.ones(1, dtype=object),
-    ])
     t_digits = Digits.of(t_coeffs.tolist(), modulus)
     pool_low = np.concatenate([
         t_digits.low, np.ones(3 * total, dtype=np.int64),
         np.tile([1, -1], len(pin)), [1],
     ])
+    # the rounds' t terms lead the pool: their field-wide coefficients
     pool_wide = np.zeros(pool_vars.size, dtype=bool)
-    pool_wide[t_digits.wide] = True  # the rounds' t terms lead the pool
+    pool_wide[t_digits.wide] = True
+    pool_values = np.zeros(pool_vars.size, dtype=object)
+    pool_values[t_digits.wide] = t_digits.wide_values
     pool_width = np.concatenate([
         t_width, np.ones(3 * total, dtype=np.int64), np.full(len(pin), 2),
         [1, 0],
@@ -256,10 +253,11 @@ def sponge_rows(
         source = np.repeat(pool_indptr[pick] - indptr[:-1], width) + np.arange(
             indptr[-1]
         )
-        return RowSide(
-            indptr, pool_vars[source], pool_coeffs[source].tolist(),
-            Digits(pool_low[source], np.flatnonzero(pool_wide[source]), ()),
-        )
+        wide = np.flatnonzero(pool_wide[source])
+        return RowSide(indptr, pool_vars[source], Digits(
+            pool_low[source], wide,
+            tuple(pool_values[source[wide]].tolist()), (), modulus,
+        ))
 
     row_tags = np.repeat(np.array(tags, dtype=object), np.diff(first_row))
     row_tags[pin] += "/digest"

@@ -114,6 +114,6 @@ def replay(cs, recipe, z: np.ndarray) -> None:
     it.  A step that raises leaves ``cs`` untouched."""
     for step in recipe:
         step.replay(z)
-    cs.assign_run(1, z[1:cs.num_private + 1].tolist())
+    cs.assign_run(1, z[1:cs.num_private + 1])
     if cs.num_public:
-        cs.assign_run(-1, z[:-cs.num_public - 1:-1].tolist())
+        cs.assign_run(-1, z[:-cs.num_public - 1:-1])

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import bisect
 import operator
+from array import array
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.field.fp import BN254_FR, Field
 from repro.r1cs.constraint import Constraint
+from repro.r1cs.csr import SignedWitness, build_csr_structure, centre, centred
 from repro.r1cs.lc import (
     ONE,
     Assignment,
-    Digits,
     LinearCombination,
     RowBlock,
     RowRun,
@@ -22,6 +25,7 @@ from repro.r1cs.lc import (
 
 # Rows a read turns into Constraints at a time.
 _READ_ROWS = 4096
+_ONE = np.ones(1, dtype=np.int64)  # the constant one's centred value
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,10 @@ class ConstraintSystem:
         self._open = _OpenRun()
         self._public_values: List[Optional[int]] = []
         self._private_values: List[Optional[int]] = []
+        # The same values centred into int64 (repro.r1cs.csr.centred), 0
+        # where unassigned: the public ones, the private ones.
+        self._centred = (array("q"), array("q"))
+        self._witness: Optional[SignedWitness] = None
         # Layer provenance: constraint index ranges per compiler-layer tag.
         self.layer_ranges: Dict[str, range] = {}
         # Prover fast-path caches: the dense [1, publics..., privates...]
@@ -82,20 +90,26 @@ class ConstraintSystem:
 
     def new_public(self, value: Optional[int] = None) -> int:
         """Allocate a public (instance) variable; returns its signed index."""
-        if value is not None:
-            value %= self.field.modulus
-        self._public_values.append(value)
-        self._dense_cache = None
+        self._append(value, public=True)
         self._csr_cache = None  # public count shifts every private position
         return -len(self._public_values)
 
     def new_private(self, value: Optional[int] = None) -> int:
         """Allocate a private (witness) variable; returns its signed index."""
-        if value is not None:
-            value %= self.field.modulus
-        self._private_values.append(value)
-        self._dense_cache = None
+        self._append(value, public=False)
         return len(self._private_values)
+
+    def _append(self, value: Optional[int], public: bool) -> None:
+        """One more variable of a namespace, ``value`` as allocated."""
+        p = self.field.modulus
+        if value is not None:
+            value %= p
+        store = self._public_values if public else self._private_values
+        store.append(value)
+        self._centred[not public].append(
+            0 if value is None else centre(value, p)
+        )
+        self._dense_cache = None
 
     def allocate(self, values: Iterable[int], public: bool = False) -> int:
         """Allocate one variable per value in bulk; returns the first index.
@@ -104,12 +118,19 @@ class ConstraintSystem:
         ``first, first + 1, ...``, public ones ``first, first - 1, ...`` —
         exactly what the same sequence of :meth:`new_private` /
         :meth:`new_public` calls would have returned (``None`` leaves a
-        variable unassigned, as it does there).
+        variable unassigned, as it does there).  ``values`` handed as an
+        integer array are kept as the centred witness as they are: small
+        signed values are their own centred form.
         """
         p = self.field.modulus
         store = self._public_values if public else self._private_values
         before = len(store)
-        store.extend([v if v is None else v % p for v in values])
+        handed, values = _listed(values)
+        values = [v if v is None else v % p for v in values]
+        store.extend(values)
+        self._centred[not public].extend(
+            centred(values if handed is None else handed, p)
+        )
         self._dense_cache = None
         if public:
             self._csr_cache = None  # public count shifts every private position
@@ -118,13 +139,15 @@ class ConstraintSystem:
 
     def assign(self, index: int, value: int) -> None:
         """(Re)assign a variable — used when sharing a system across images."""
-        value %= self.field.modulus
+        p = self.field.modulus
+        value %= p
         if index == ONE:
             raise ValueError("cannot assign the constant-one variable")
         if index < 0:
             self._public_values[-index - 1] = value
         else:
             self._private_values[index - 1] = value
+        self._centred[index > 0][abs(index) - 1] = centre(value, p)
         self._dense_cache = None
 
     def assign_run(self, first: int, values: Sequence[int]) -> None:
@@ -138,9 +161,15 @@ class ConstraintSystem:
             raise ValueError("cannot assign the constant-one variable")
         store = self._public_values if first < 0 else self._private_values
         start = abs(first) - 1
-        if start + len(values) > len(store):
+        handed, values = _listed(values)
+        stop = start + len(values)
+        if stop > len(store):
             raise IndexError("assign_run past the last allocated variable")
-        store[start:start + len(values)] = [v % p for v in values]
+        values = [v % p for v in values]
+        store[start:stop] = values
+        self._centred[first > 0][start:stop] = centred(
+            values if handed is None else handed, p
+        )
         self._dense_cache = None
 
     # -- LC helpers -----------------------------------------------------------
@@ -332,18 +361,29 @@ class ConstraintSystem:
         self._dense_cache = dense
         return dense
 
+    def signed_assignment(self) -> SignedWitness:
+        """:meth:`dense_assignment` with its centred int64 values — those
+        the variables were handed, kept since — cached with it."""
+        dense = self.dense_assignment()
+        witness = self._witness
+        if witness is None or witness.z is not dense:
+            public, private = self._centred
+            witness = self._witness = SignedWitness(dense, np.concatenate((
+                _ONE, np.frombuffer(public, dtype=np.int64),
+                np.frombuffer(private, dtype=np.int64),
+            )))
+        return witness
+
     def to_csr(self, assignment: bool = True):
         """CSR snapshot of the three constraint matrices (see
         :mod:`repro.r1cs.csr`).
 
-        The structure (``indptr``/``indices``/``coeffs``) is cached until
+        The structure (``indptr``/``indices``/``digits``) is cached until
         the next :meth:`enforce` or public allocation; with ``assignment``
         (the default) the snapshot's dense ``z`` vector is refreshed from
-        :meth:`dense_assignment` on every call, so §6.1 batch sharing
+        :meth:`signed_assignment` on every call, so §6.1 batch sharing
         reuses one structure across images.
         """
-        from repro.r1cs.csr import build_csr_structure
-
         csr = self._csr_cache
         if csr is None or csr.num_rows != self.num_constraints:
             csr = build_csr_structure(
@@ -352,7 +392,7 @@ class ConstraintSystem:
             )
             self._csr_cache = csr
         csr.num_private = self.num_private  # privates may grow post-snapshot
-        csr.z = self.dense_assignment() if assignment else None
+        csr.bind(self.signed_assignment() if assignment else None)
         return csr
 
     def public_values(self) -> List[int]:
@@ -463,6 +503,15 @@ class ConstraintSystem:
         )
 
 
+def _listed(values) -> Tuple[Optional[np.ndarray], list]:
+    """``(handed, values)``: an integer array as handed (None for other
+    values, centred from their canonical form) and the values as a
+    list."""
+    if isinstance(values, np.ndarray):
+        return (values if values.dtype.kind == "i" else None), values.tolist()
+    return None, list(values)
+
+
 class _Rows(SequenceABC):
     """:attr:`ConstraintSystem.constraints`: the rows as Constraints,
     built on each read; it has no way to add, remove or replace one."""
@@ -514,7 +563,7 @@ class _OpenRun:
     def run(self, modulus: int) -> RowRun:
         block = RowBlock(
             *(
-                RowSide(indptr, variables, coeffs, Digits.of(coeffs, modulus))
+                RowSide.of(indptr, variables, coeffs, modulus)
                 for indptr, variables, coeffs in self.sides
             ),
             tags=self.tags,

@@ -479,8 +479,9 @@ def qap_evaluations_at(
     positions, so block-lowered rows are never expanded into dicts; its
     int64 index arrays are read through one ``.tolist()`` each.  (The
     int64 lane of :mod:`repro.r1cs.csr` has nothing to offer here:
-    ``L_j(tau)`` is a field-wide value, so every product is a bigint one,
-    and a knit coefficient's slot digits would only multiply them.)
+    ``L_j(tau)`` is a field-wide value, so every product is a bigint one.)
+    Set-up is the prover side's one reader of canonical coefficients: each
+    matrix derives them from its digits here, once.
     """
     p = cs.field.modulus
     csr = cs.to_csr(assignment=False)
@@ -510,7 +511,7 @@ def witness_polynomial_evals(
     if csr is None:
         csr = cs.to_csr()
     elif csr.z is None:
-        csr.z = cs.dense_assignment()
+        csr.bind(cs.signed_assignment())
     a_rows, b_rows, c_rows = evaluate_rows(csr)
     pad = [0] * (domain.size - csr.num_rows)
     return a_rows + pad, b_rows + pad, c_rows + pad

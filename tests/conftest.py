@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.nn.data import synthetic_images
 from repro.nn.graph import Model
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
 from repro.nn.models import calibrate
+from repro.r1cs.lc import Digits
 
 
 @pytest.fixture
@@ -22,6 +24,22 @@ def rng() -> random.Random:
 @pytest.fixture
 def nprng() -> np.random.Generator:
     return np.random.default_rng(7)
+
+
+@contextlib.contextmanager
+def no_derivation():
+    """Inside the block, building a coefficient from its digits
+    (:meth:`Digits.coefficients`) fails."""
+
+    def refuse(digits):
+        raise AssertionError("a coefficient was built from its digits")
+
+    derive = Digits.coefficients
+    Digits.coefficients = refuse
+    try:
+        yield
+    finally:
+        Digits.coefficients = derive
 
 
 def tiny_image(shape=(1, 6, 6), seed: int = 1) -> np.ndarray:

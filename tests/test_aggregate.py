@@ -934,9 +934,9 @@ def _product_block(cs: ConstraintSystem, pairs, tags=None) -> list:
     unit = list(range(len(pairs) + 1)), [1] * len(pairs)
     cs.enforce_rows(
         RowBlock(
-            RowSide(unit[0], [x for x, _ in pairs], unit[1]),
-            RowSide(unit[0], [y for _, y in pairs], unit[1]),
-            RowSide(unit[0], wires, unit[1]),
+            RowSide.of(unit[0], [x for x, _ in pairs], unit[1], p),
+            RowSide.of(unit[0], [y for _, y in pairs], unit[1], p),
+            RowSide.of(unit[0], wires, unit[1], p),
             tags=tags,
         ),
         tag="block",
@@ -948,10 +948,10 @@ def _pinned_block(cs: ConstraintSystem, variables) -> None:
     """``(v - value) * 1 = 0`` per variable: a block with an A side only."""
     p = cs.field.modulus
     cs.enforce_rows(
-        RowBlock(RowSide(
+        RowBlock(RowSide.of(
             list(range(0, 2 * len(variables) + 1, 2)),
             [term for v in variables for term in (v, 0)],
-            [c for v in variables for c in (1, (-cs.value_of(v)) % p)],
+            [c for v in variables for c in (1, (-cs.value_of(v)) % p)], p,
         )),
         tag="pin",
     )

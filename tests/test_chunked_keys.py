@@ -209,13 +209,10 @@ class TestStreamedCSR:
         csr = cs.to_csr()
         assert all(terms.size == 0 for terms in bigint_lane(csr))
         for matrix in csr.matrices():
-            wide = CSRMatrix(
-                matrix.indptr, matrix.indices, matrix.coeffs,
-                Digits(
-                    np.zeros(matrix.nnz, dtype=np.int64),
-                    np.arange(matrix.nnz), (),
-                ),
-            )
+            wide = CSRMatrix(matrix.indptr, matrix.indices, Digits(
+                np.zeros(matrix.nnz, dtype=np.int64), np.arange(matrix.nnz),
+                matrix.coeffs, (), csr.modulus,
+            ))
             assert matrix_row_evals(wide, csr.z, csr.modulus) == (
                 matrix_row_evals(matrix, csr.z, csr.modulus)
             )

@@ -31,6 +31,7 @@ from repro.nn.graph import INPUT
 from repro.r1cs import system as r1cs_system
 from repro.r1cs.lc import LinearCombination
 from repro.snark import groth16
+from tests.conftest import no_derivation
 from tests.dot_oracle import oracle_compute
 from tests.replay_oracle import named
 
@@ -331,9 +332,24 @@ def packed(side, width):
     return [int(v) % BN254_FR_MODULUS for v in values]
 
 
+def assert_same_side(got, want):
+    """Equal rows, variables and digits, field by field."""
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.variables.tolist() == want.variables.tolist()
+    mine, theirs = got.digits, want.digits
+    assert mine.low.tolist() == theirs.low.tolist()
+    assert mine.wide.tolist() == theirs.wide.tolist()
+    assert mine.wide_values == theirs.wide_values
+    assert len(mine.knit) == len(theirs.knit)
+    for run, other in zip(mine.knit, theirs.knit):
+        for field, value in zip(run, other):
+            assert np.array_equal(field, value)
+
+
 class TestPackSlots:
     def test_lanes_agree(self):
-        """Digit lane (arrays) and exact lane (lists) on the same entries."""
+        """Digit lane (arrays) and exact lane (lists) on the same entries;
+        packing builds no coefficient, and the cache changes no digit."""
         rng = np.random.default_rng(9)
         size, p = 4000, BN254_FR_MODULUS
         rows = rng.integers(0, 40, size)
@@ -342,13 +358,16 @@ class TestPackSlots:
         rows, cols, slots = np.unique(np.stack([rows, cols, slots]), axis=1)
         coeffs = rng.integers(-(1 << 20), 1 << 20, rows.size)
         coeffs[coeffs == 0] = 1
-        cache = CacheService()
-        fast = knit.pack_slots(rows, cols, slots, coeffs, 40, 28, p, cache)
-        slow = knit.pack_slots(
-            rows.tolist(), cols.tolist(), slots.tolist(), coeffs.tolist(),
-            40, 28, p,
-        )
-        assert cache.hits + cache.misses == len(fast.coeffs)
+        with no_derivation():
+            fast = knit.pack_slots(
+                rows, cols, slots, coeffs, 40, 28, p, CacheService()
+            )
+            plain = knit.pack_slots(rows, cols, slots, coeffs, 40, 28, p)
+            slow = knit.pack_slots(
+                rows.tolist(), cols.tolist(), slots.tolist(),
+                coeffs.tolist(), 40, 28, p,
+            )
+        assert_same_side(fast, plain)
         assert fast.indptr.tolist() == slow.indptr.tolist()
         for side in (fast, slow):  # the kept slot digits pack to the coeffs
             assert packed(side, 28) == list(side.coeffs)
@@ -384,17 +403,27 @@ class TestPackSlots:
         ) <= 1 << 23
 
     def test_cache_changes_no_row(self):
+        """With the cache on, the compile builds no coefficient, and the
+        rows are those of the compile without it."""
         rng = np.random.default_rng(4)
         program = dot_program(  # 40 dots, 10 to a row: four whole rows
             rng.integers(-9, 10, (5, 20)), rng.integers(0, 41, (20, 8)),
             rng.integers(0, 256, 40), requant=5,
         )
-        computer = CircuitComputer(program, CompilerOptions(cache=True))
-        cached, cache = computer.compute(), computer.cache
-        plain = CircuitComputer(program, CompilerOptions(cache=False)).compute()
+        with no_derivation():
+            cached = CircuitComputer(
+                program, CompilerOptions(cache=True)
+            ).compute()
+            plain = CircuitComputer(
+                program, CompilerOptions(cache=False)
+            ).compute()
         assert cached.knit_constraints == 4
-        packed = sum(len(c.a) for c in cached.cs.constraints)
-        assert cache.hits > 0 and cache.hits + cache.misses == packed
+        for mine, theirs in zip(cached.cs._runs_filed(),
+                                plain.cs._runs_filed()):
+            for name in ("a", "b", "c"):
+                side = getattr(mine.block, name)
+                if side is not None:
+                    assert_same_side(side, getattr(theirs.block, name))
         assert rows_of(cached.cs) == rows_of(plain.cs)
 
 

@@ -29,6 +29,7 @@ from repro.field.backend import (
 from repro.field.counters import count_ops
 from repro.field.fp import BN254_FQ, BN254_FR
 from repro.field.vector import batch_inverse
+from repro.r1cs.lc import Digits
 from repro.snark.qap import Domain, domain_cache_info
 
 P = BN254_FR.modulus
@@ -404,7 +405,7 @@ class TestFieldDotChunking:
             indices += [rng.randrange(len(z)) for _ in range(n)]
             coeffs += [value() for _ in range(n)]
             indptr.append(len(indices))
-        matrix = csr_mod.CSRMatrix(indptr, indices, coeffs)
+        matrix = csr_mod.CSRMatrix(indptr, indices, Digits.of(coeffs, P))
         naive = [
             sum(c * z[i] for c, i in zip(coeffs[lo:hi], indices[lo:hi])) % P
             for lo, hi in zip(indptr, indptr[1:])

@@ -8,6 +8,7 @@ from repro.field.fp import BN254_FR
 from repro.field.backend import from_limbs, plan_for, powers_limbs
 from repro.field.vector import batch_inverse
 from repro.r1cs.csr import CSRMatrix, matrix_row_evals
+from repro.r1cs.lc import Digits
 
 P = BN254_FR.modulus
 
@@ -38,7 +39,9 @@ class TestBatchInverse:
 def dot(coeffs, values):
     """One CSR row ``coeffs`` against ``z = values``: the prover's dot
     product (``repro.r1cs.csr.matrix_row_evals``)."""
-    row = CSRMatrix([0, len(coeffs)], list(range(len(coeffs))), list(coeffs))
+    row = CSRMatrix(
+        [0, len(coeffs)], list(range(len(coeffs))), Digits.of(list(coeffs), P)
+    )
     return matrix_row_evals(row, list(values), P)[0]
 
 

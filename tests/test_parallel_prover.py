@@ -30,6 +30,8 @@ from repro.snark.qap import Domain, witness_polynomial_evals
 from tests.conftest import tiny_conv_model, tiny_image
 from tests.lc_oracle import witness_polynomial_evals_lc
 
+P = ConstraintSystem().field.modulus
+
 
 def random_system(rng: random.Random, rows: int) -> ConstraintSystem:
     """A satisfiable-or-not random R1CS exercising all index namespaces."""
@@ -92,7 +94,7 @@ def random_side(rng: random.Random, indices, rows: int) -> RowSide:
         variables.extend(picked)
         coeffs.extend(rng.randrange(1, p) for _ in picked)
         indptr.append(len(variables))
-    return RowSide(indptr, variables, coeffs)
+    return RowSide.of(indptr, variables, coeffs, p)
 
 
 def pending_system(seed: int) -> ConstraintSystem:
@@ -188,10 +190,10 @@ class TestPendingRows:
         w = sat.mul_private(x, y)
         u = sat.new_private(75)
         sat.enforce_rows(RowBlock(
-            *(RowSide([0, 1], [v], [1]) for v in (y, w, u))
+            *(RowSide.of([0, 1], [v], [1], P) for v in (y, w, u))
         ))
         sat.enforce_rows(RowBlock(
-            RowSide([0, 2], [u, ONE], [1, sat.field.modulus - 75])
+            RowSide.of([0, 2], [u, ONE], [1, P - 75], P)
         ))
         monkeypatch.setattr(r1cs_system, "Constraint", no_rows)
         monkeypatch.setattr(r1cs_system, "LinearCombination", no_rows)

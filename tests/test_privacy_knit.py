@@ -10,6 +10,7 @@ from repro.core.circuit.gadgets import lc_entries
 from repro.core.privacy.knit import KnitPacker, expression_bits, knit_batch_size
 from repro.core.reuse.cache import CacheService
 from repro.r1cs.system import ConstraintSystem
+from tests.conftest import no_derivation
 
 
 class TestBatchSizeSelection:
@@ -140,14 +141,30 @@ class TestKnitPacker:
         assert delta > (1 << 24)
 
     def test_cache_attached(self):
-        cs = ConstraintSystem()
-        cache = CacheService()
-        packer = KnitPacker(cs, cache=cache)
-        # several batches in one push, so equal coefficients re-hit
-        push_all(packer, [zero_expr(cs, 7) for _ in range(30)], slot_bits=24)
-        packer.flush()
-        assert cache.hits + cache.misses > 0
-        assert cache.hits > 0  # repeated coefficient values hit
+        """With the cache attached, packing builds no coefficient, and the
+        rows are those packed without it."""
+        systems = []
+        with no_derivation():
+            for cache in (CacheService(), None):
+                cs = ConstraintSystem()
+                packer = KnitPacker(cs, cache=cache)
+                # several batches in one push, and an open row flushed
+                push_all(
+                    packer, [zero_expr(cs, 7) for _ in range(30)],
+                    slot_bits=24,
+                )
+                packer.flush()
+                systems.append(cs)
+        cached, plain = systems
+        assert cached.num_constraints == plain.num_constraints > 1
+        assert [
+            (c.tag, c.a.terms, c.b.terms, c.c.terms)
+            for c in cached.constraints
+        ] == [
+            (c.tag, c.a.terms, c.b.terms, c.c.terms)
+            for c in plain.constraints
+        ]
+        assert cached.is_satisfied()
 
     def test_counts_free_operations(self):
         """Knit arithmetic is coefficient work, never new constraints

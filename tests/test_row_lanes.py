@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from repro.field.fp import BN254_FR
 from repro.r1cs.csr import (
+    _WIDE,
+    _Z_BOUND,
+    SignedWitness,
     bigint_lane,
     evaluate_rows,
     unsatisfied_rows,
@@ -78,7 +81,7 @@ def plain_side(draw, rows: int):
             st.one_of(st.integers(-(2**70), 2**70), st.integers(0, P - 1)),
             min_size=terms, max_size=terms,
         ))
-        return RowSide(indptr, variables, [c % P for c in coeffs])
+        return RowSide.of(indptr, variables, [c % P for c in coeffs], P)
     if kind == "two widths" and rows >= 2:
         cut = draw(st.integers(1, rows - 1))
         head = _knit(draw, lengths[:cut], variables[:sum(lengths[:cut])])
@@ -99,14 +102,8 @@ def _knit(draw, lengths, variables):
         )),
         dtype=np.int64,
     ).reshape(slots, terms)
-    coeffs = [
-        sum(int(d) << (width * k) for k, d in enumerate(digits[:, t])) % P
-        for t in range(terms)
-    ]
     indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
-    return RowSide(
-        indptr, variables, coeffs, Digits.slots(digits, indptr, width)
-    )
+    return RowSide(indptr, variables, Digits.slots(digits, indptr, width, P))
 
 
 @st.composite
@@ -167,8 +164,7 @@ class TestEvaluator:
         not 0: empty rows first, between and last."""
         cs = ConstraintSystem()
         cs.allocate([5, P - 7])
-        row_side = RowSide([0, 0, 2, 2, 3, 3], [1, 2, 2], [3, 1, P - 1],
-                           Digits.of([3, 1, P - 1], P))
+        row_side = RowSide.of([0, 0, 2, 2, 3, 3], [1, 2, 2], [3, 1, P - 1], P)
         cs.enforce_rows(RowBlock(row_side))
         assert evaluate_rows(cs.to_csr())[0] == [0, 8, 0, 7, 0]
 
@@ -177,9 +173,7 @@ class TestEvaluator:
         keep exactly their own rows' digits."""
         digits = np.array([[1, -2, 3], [4, 5, -6]])
         indptr = np.array([0, 2, 2, 2, 3])
-        coeffs = [(d0 + (d1 << 8)) % P for d0, d1 in digits.T.tolist()]
-        knit = RowSide(indptr, [1, 2, 1], coeffs,
-                       Digits.slots(digits, indptr, 8))
+        knit = RowSide(indptr, [1, 2, 1], Digits.slots(digits, indptr, 8, P))
         for start in range(5):
             for stop in range(start, 5):
                 cs = ConstraintSystem()
@@ -229,9 +223,8 @@ class TestEvaluator:
         signs, and the values stay exact."""
         cs = ConstraintSystem()
         cs.allocate([0, 0])
-        cs.enforce_rows(RowBlock(RowSide([0, 2], [1, 2], [1, 1],
-                                         Digits.of([1, 1], P))))
-        limit = int(cs.to_csr().a.limit(P)[0])
+        cs.enforce_rows(RowBlock(RowSide.of([0, 2], [1, 2], [1, 1], P)))
+        limit = int(cs.to_csr().a.limit()[0])
         assert 2**62 < 2 * limit < 2**63
         for sign in (1, -1):
             for extra, lane in ((0, 0), (1, 1)):
@@ -245,12 +238,82 @@ class TestEvaluator:
     def test_field_wide_witness_and_constants_take_the_bigint_lane(self):
         cs = ConstraintSystem()
         cs.allocate([P - 3, P // 3])  # -3, and a field-wide value
-        cs.enforce_rows(RowBlock(RowSide(
-            [0, 3], [1, 2, 0], [1, 1, P // 5],  # field-wide constant
+        cs.enforce_rows(RowBlock(RowSide.of(
+            [0, 3], [1, 2, 0], [1, 1, P // 5], P,  # field-wide constant
         )))
         csr = cs.to_csr()
         assert bigint_lane(csr)[0].tolist() == [1, 2]
         assert evaluate_rows(csr)[0] == [(-3 + P // 3 + P // 5) % P]
+
+
+class TestCentredWitness:
+    """The centred int64 witness a system keeps from what ``allocate``,
+    ``assign_run`` and ``assign`` are handed equals the one centred from
+    the canonical values, at the edges of the int64 lane."""
+
+    EDGES = [
+        (P - 1) // 2, -((P - 1) // 2), _Z_BOUND, -_Z_BOUND, _Z_BOUND + 1,
+        -(_Z_BOUND + 1), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, P - 1,
+        0, 1, -1,
+    ]
+
+    @staticmethod
+    def assert_centred(cs):
+        kept = cs.signed_assignment()
+        assert kept.z == cs.dense_assignment()
+        assert kept.signed.tolist() == (
+            SignedWitness.of(kept.z, P).signed.tolist()
+        )
+        expected = [
+            v if v <= _Z_BOUND else v - P if v >= P - _Z_BOUND else _WIDE
+            for v in kept.z
+        ]
+        assert kept.signed.tolist() == expected
+
+    def test_edges_handed_as_ints_and_arrays(self):
+        cs = ConstraintSystem()
+        cs.allocate(self.EDGES)
+        cs.allocate(self.EDGES[:4], public=True)
+        fits = [v for v in self.EDGES if -(2**63) <= v < 2**63]
+        cs.allocate(np.array(fits, dtype=np.int64))
+        cs.new_private(2**63 - 1)
+        cs.new_public(-(2**63))
+        self.assert_centred(cs)
+        cs.enforce_rows(RowBlock(RowSide.of(
+            [0, cs.num_private], list(range(1, cs.num_private + 1)),
+            [1] * cs.num_private, P,
+        )))
+        csr = cs.to_csr()
+        assert bigint_lane(csr)[0].size > 0  # the wide values
+        assert evaluate_rows(csr) == naive_rows(csr)
+
+    def test_unassigned_then_assigned(self):
+        cs = ConstraintSystem()
+        first = cs.allocate([None, 5, None])
+        cs.new_private()
+        with pytest.raises(ValueError):
+            cs.signed_assignment()
+        cs.assign(first, -7)
+        cs.assign_run(first + 2, [2**63 - 1, P - 3])
+        self.assert_centred(cs)
+
+    def test_reassignment_replaces_the_centred_values(self):
+        cs = ConstraintSystem()
+        first = cs.allocate(np.array([1, -2, 3], dtype=np.int64))
+        publics = cs.allocate([4, 5], public=True)
+        before = cs.to_csr().witness()
+        cs.assign_run(first, np.array([-(2**63), 2**62, -9], dtype=np.int64))
+        cs.assign_run(publics, [P - 1, (P - 1) // 2])
+        cs.assign(first + 1, -((P - 1) // 2))
+        self.assert_centred(cs)
+        after = cs.to_csr().witness()
+        assert after is not before
+        assert after.signed.tolist() == cs.signed_assignment().signed.tolist()
+        # [1, publics, privates]: ±(p-1)/2 and -2^63 past the lane
+        assert after.signed.tolist() == [1, -1, _WIDE, _WIDE, _WIDE, -9]
+        with pytest.raises(IndexError):
+            cs.assign_run(first + 1, [1, 2, 3])
+        self.assert_centred(cs)
 
 
 def compiled(name, scale, **options):
@@ -274,7 +337,7 @@ def assert_bigint_terms_are_field_wide(cs):
     coefficient without digits."""
     csr = cs.to_csr()
     for matrix, terms in zip(csr.matrices(), bigint_lane(csr)):
-        wide = set(matrix.digits(P).wide.tolist())
+        wide = set(matrix.digits.wide.tolist())
         for term in terms.tolist():
             assert field_wide(csr.z[matrix.indices[term]]) or term in wide
 
@@ -285,7 +348,7 @@ class TestLaneCensus:
     def test_lean_lcs_full_takes_no_bigint_term(self):
         csr = compiled("LCS", "full", gadget_mode="lean").to_csr()
         assert [terms.size for terms in bigint_lane(csr)] == [0, 0, 0]
-        assert len(csr.a.digits(P).knit) > 0  # knit rows on the int64 lane
+        assert len(csr.a.digits.knit) > 0  # knit rows on the int64 lane
 
     def test_lean_lcs_full_split_takes_no_bigint_term(self):
         """The split's instances keep their knit rows' slot digits."""
@@ -297,7 +360,7 @@ class TestLaneCensus:
         for inst in split.instances:
             csr = inst.cs.to_csr()
             assert [terms.size for terms in bigint_lane(csr)] == [0, 0, 0]
-            knit += len(csr.a.digits(P).knit)
+            knit += len(csr.a.digits.knit)
         assert knit > 0
 
     @pytest.mark.parametrize("relu_mode", ["bits", "lookup"])
@@ -330,7 +393,7 @@ class TestLaneCensus:
         )
         assert_same_matrices(audited.to_csr(), plain.to_csr())
         assert lane_census(audited) == lane_census(plain)
-        assert len(audited.to_csr().a.digits(P).knit) > 0
+        assert len(audited.to_csr().a.digits.knit) > 0
 
     def test_a_full_read_leaves_the_rows_packed(self):
         read = compiled("LCS", "micro", gadget_mode="lean")
@@ -339,7 +402,7 @@ class TestLaneCensus:
         assert len(rows) == read.num_constraints
         assert sum(len(lc.terms) for row in rows
                    for lc in (row.a, row.b, row.c)) > 0
-        more = RowBlock(RowSide([0, 1, 3], [1, 2, 1], [5, 7, P - 1]))
+        more = RowBlock(RowSide.of([0, 1, 3], [1, 2, 1], [5, 7, P - 1], P))
         for cs in (read, never):
             cs.enforce_rows(more, tag="more")
         assert_same_matrices(read.to_csr(), never.to_csr())
@@ -387,7 +450,7 @@ def assert_same_matrices(mine, theirs):
         assert ours.indptr.tolist() == other.indptr.tolist()
         assert ours.indices.tolist() == other.indices.tolist()
         assert tuple(ours.coeffs) == tuple(other.coeffs)
-        got, want = ours.digits(P), other.digits(P)
+        got, want = ours.digits, other.digits
         assert got.low.tolist() == want.low.tolist()
         assert got.wide.tolist() == want.wide.tolist()
         assert len(got.knit) == len(want.knit)
